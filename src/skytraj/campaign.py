@@ -36,6 +36,20 @@ SNN_LABEL_NOISE = 0.1
 
 
 @dataclass(frozen=True)
+class BenchParams:
+    """Campaign settings outside the grid: the synthetic scene set and the
+    corner-displacement threshold (px) that counts a trial as a HEA hit."""
+
+    scenes: int = 29
+    scene_seed: int = 7
+    hea_epsilon: float = 3.0
+
+    def __post_init__(self):
+        if self.scenes < 1:
+            raise ValueError("scenes must be >= 1")
+
+
+@dataclass(frozen=True)
 class DistortionRanges:
     rot_max_deg: float = 15.0
     trans_max_frac: float = 0.10  # of scene width/height per axis
@@ -65,8 +79,8 @@ class SynthConfig:
 class CampaignGrid:
     snn_ratios: tuple[float | None, ...] = (None,)
     downscales: tuple[float, ...] = (1.0,)
-    reproj_thresholds: tuple[float, ...] = (2.0,)
-    point_counts: tuple[int, ...] = (100,)
+    reproj_thresholds: tuple[float, ...] = (RansacConfig.reproj_threshold,)
+    point_counts: tuple[int, ...] = (SynthConfig.n_points,)
     trials_per_scene: int = 100
 
     def __post_init__(self):
@@ -258,12 +272,12 @@ def run_campaign(
     ranges: DistortionRanges,
     grid: CampaignGrid,
     *,
-    confidence: float = 0.999999,
-    max_iterations: int = 5000,
-    noise_sigma: float = 0.5,
-    outlier_fraction: float = 0.3,
+    confidence: float = RansacConfig.confidence,
+    max_iterations: int = RansacConfig.max_iterations,
+    noise_sigma: float = SynthConfig.noise_sigma,
+    outlier_fraction: float = SynthConfig.outlier_fraction,
     master_seed: int = 0,
-    hea_epsilon: float = 3.0,
+    hea_epsilon: float = BenchParams.hea_epsilon,
     jobs: int = 1,
 ) -> list[CellResult]:
     """Score every grid cell over scenes x trials; one result row per cell.

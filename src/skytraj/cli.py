@@ -3,8 +3,9 @@
 Subcommands: stabilize, pipeline, bench, compare, dims, kinematics,
 georef. Every scalar parameter can come from a YAML config file
 (--config) and be overridden by a command-line flag; precedence is
-flag > config > built-in default. Diagnostics go to stderr, data to
-files; the exit code is 0 only when no stage failed.
+flag > config > parameter-dataclass default. Unknown config keys and
+invalid values are errors. Diagnostics go to stderr, data to files;
+the exit code is 0 only when no stage failed.
 """
 from __future__ import annotations
 
@@ -12,13 +13,13 @@ import argparse
 import csv
 import math
 import sys
-from fractions import Fraction
+from dataclasses import fields
 from pathlib import Path
 
 from . import campaign as camp
 from . import dataio
 from .dimensions import DimConfig, estimate_dimensions
-from .errors import SkytrajError
+from .errors import ConfigError, SkytrajError
 from .geometry import Point2, apply_homography, pixel_to_world
 from .georeference import assign_segment, compose_ref_to_ortho
 from .kinematics import KinematicsConfig, compute_profile, gate_by_visibility
@@ -31,127 +32,140 @@ from .pipeline import (
     log,
     run_pipeline,
 )
-from .trackmodel import denormalize_bbox, stabilize_tracks
+from .registration import RansacConfig
+from .trackmodel import DEFAULT_FPS, denormalize_bbox, stabilize_tracks
 
 
-def _cfg_get(cfg: dict, dotted: str, cli_value, default):
-    """Resolve one parameter: CLI flag > config entry > default."""
-    if cli_value is not None:
-        return cli_value
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node if node is not None else default
+def _schema() -> dict:
+    """Every config key of every subcommand: a section's key set, or None for
+    a top-level scalar. Sections take the field names of the dataclasses
+    they build, less those set elsewhere (RANSAC seeds, fps)."""
+
+    def names(*classes, drop=()):
+        return {f.name for c in classes for f in fields(c)} - set(drop)
+
+    return {
+        **dict.fromkeys(("video_id", "seed", "jobs", "fps")),
+        "paths": {
+            "tracks", "sidecar", "homographies", "correspondences",
+            "homography_log", "registry", "segmentation", "stabilized",
+            "probe", "candidate", "input", "output",
+        },
+        "ingest": names(IngestParams),
+        "ransac": names(RansacConfig, drop={"seed"}),
+        "stabilize": names(StabilizeParams, drop={"ransac"}),
+        "dimensions": names(DimConfig) | {"strict"},
+        "kinematics": names(KinematicsConfig, drop={"fps"}),
+        "export": names(dataio.SessionMeta, drop={"fps"}),
+        "bench": names(
+            camp.BenchParams, camp.DistortionRanges, camp.CampaignGrid,
+            camp.SynthConfig, RansacConfig,
+            drop={"n_points", "seed", "reproj_threshold"},
+        ),
+        "compare": {"group"},
+    }
 
 
-def _paths_get(cfg: dict, key: str, cli_value, required: bool = True):
-    value = _cfg_get(cfg, f"paths.{key}", cli_value, None)
+def _load_config(args) -> dict:
+    cfg = dataio.load_yaml(args.config) if args.config else {}
+    schema = _schema()
+    for key, node in cfg.items():
+        if key not in schema:
+            raise ConfigError(f"unknown config key {key!r}")
+        if schema[key] is None or node is None:
+            continue
+        if not isinstance(node, dict):
+            raise ConfigError(f"config section {key!r} must be a mapping")
+        for sub in node:
+            if sub not in schema[key]:
+                raise ConfigError(f"unknown config key '{key}.{sub}'")
+    return cfg
+
+
+def _value(cfg: dict, args, key: str, section=None, kind=None, default=None):
+    """Flag (``dest`` = key) > config entry > ``default``; a given value is
+    converted with ``kind``."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = (cfg.get(section) or {}).get(key) if section else cfg.get(key)
+    if value is None:
+        return default
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        name = f"{section}.{key}" if section else key
+        raise ConfigError(f"{name}: bad value {value!r}: {exc}") from exc
+
+
+def _path(cfg: dict, args, key: str, required: bool = True):
+    value = _value(cfg, args, key, "paths")
     if value is None and required:
         raise SkytrajError(f"missing required path {key!r} (flag or config)")
     return value
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return dataio.load_yaml(args.config)
-    return {}
+def _resolve(cls, cfg: dict, section: str, args, factory=None, **fixed):
+    """Build ``cls`` from flag > config ``section`` > dataclass default,
+    passing only given fields (converted to the type of a scalar or tuple
+    default) plus the caller's ``fixed`` ones."""
+    keys = _schema()[section] - fixed.keys()
+    for f in fields(cls):
+        if f.name in keys:
+            kind = type(f.default)
+            kind = kind if kind in (int, float, str, tuple) else None
+            value = _value(cfg, args, f.name, section, kind)
+            if value is not None:
+                fixed[f.name] = value
+    try:
+        return (factory or cls)(**fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _stabilize_params(cfg: dict, args) -> StabilizeParams:
-    return StabilizeParams(
-        snn_ratio=_cfg_get(cfg, "stabilize.snn_ratio", args.snn_ratio, None),
-        mask_margin=_cfg_get(cfg, "stabilize.mask_margin", args.mask_margin, 0.15),
-        downscale=_cfg_get(cfg, "stabilize.downscale", args.downscale, 1.0),
-        confidence=_cfg_get(cfg, "ransac.confidence", args.confidence, 0.999999),
-        max_iterations=_cfg_get(cfg, "ransac.max_iterations", args.max_iterations, 5000),
-        reproj_threshold=_cfg_get(
-            cfg, "ransac.reproj_threshold", args.reproj_threshold, 2.0
-        ),
-    )
+    ransac = _resolve(RansacConfig, cfg, "ransac", args)
+    return _resolve(StabilizeParams, cfg, "stabilize", args, ransac=ransac)
 
 
 def _dims_config(cfg: dict, args) -> DimConfig:
-    strict = bool(_cfg_get(cfg, "dimensions.strict", getattr(args, "strict", None), False))
-    kwargs = dict(
-        visibility_margin=_cfg_get(
-            cfg, "dimensions.visibility_margin", getattr(args, "visibility_margin", None), 4.0
-        ),
-        min_travel_m=_cfg_get(
-            cfg, "dimensions.min_travel_m", getattr(args, "min_travel_m", None), 1.25
-        ),
-        gsd=_cfg_get(cfg, "dimensions.gsd", getattr(args, "gsd", None), 0.02725),
-    )
-    if strict:
-        tol = _cfg_get(
-            cfg, "dimensions.azimuth_tolerance_deg", getattr(args, "azimuth_tolerance", None), 5.0
+    if _value(cfg, args, "strict", "dimensions"):
+        # the profile's infinite ratio thresholds withhold stationary estimates
+        return _resolve(
+            DimConfig, cfg, "dimensions", args, factory=DimConfig.strict,
+            ratio_thresholds=DimConfig.strict().ratio_thresholds,
         )
-        return DimConfig.strict(azimuth_tolerance_deg=tol, **kwargs)
-    kwargs["azimuth_tolerance_deg"] = _cfg_get(
-        cfg, "dimensions.azimuth_tolerance_deg", getattr(args, "azimuth_tolerance", None), 15.0
-    )
-    ratios = _cfg_get(cfg, "dimensions.ratio_thresholds", None, None)
-    if ratios is not None:
-        kwargs["ratio_thresholds"] = {
-            int(k): float(v) for k, v in dict(ratios).items()
-        }
-    return DimConfig(**kwargs)
+    return _resolve(DimConfig, cfg, "dimensions", args)
 
 
-def _kin_config(cfg: dict, args, fps: Fraction) -> KinematicsConfig:
-    return KinematicsConfig(
-        sigma=_cfg_get(cfg, "kinematics.sigma", getattr(args, "sigma", None), 14.0),
-        fps=fps,
-        speed_floor_kmh=_cfg_get(
-            cfg, "kinematics.speed_floor_kmh", getattr(args, "speed_floor", None), 1.0
-        ),
-    )
-
-
-def _session_meta(cfg: dict, args, fps: Fraction) -> dataio.SessionMeta:
-    return dataio.SessionMeta(
-        drone_id=int(_cfg_get(cfg, "export.drone_id", args.drone_id, 1)),
-        start_time=str(
-            _cfg_get(cfg, "export.start_time", args.start_time, "00:00:00.000")
-        ),
-        fps=fps,
-        intersection=str(_cfg_get(cfg, "export.intersection", args.intersection, "")),
-        date=str(_cfg_get(cfg, "export.date", args.date, "")),
-        session=str(_cfg_get(cfg, "export.session", args.session, "")),
-    )
-
-
-def _resolve_homographies(cfg, args, tracks, params, seed):
-    hom_path = _paths_get(cfg, "homographies", args.homographies, required=False)
-    corr_dir = _paths_get(cfg, "correspondences", args.correspondences, required=False)
+def _resolve_homographies(cfg, args, tracks, params):
+    hom_path = _path(cfg, args, "homographies", required=False)
+    corr_dir = _path(cfg, args, "correspondences", required=False)
     if hom_path is not None:
         return dataio.load_homography_log(hom_path), {}
     if corr_dir is not None:
+        seed = _value(cfg, args, "seed", kind=int, default=0)
         return estimate_frame_homographies(tracks, corr_dir, params, seed=seed)
     raise SkytrajError("need either a homography log or a correspondence directory")
 
 
 def cmd_stabilize(args) -> int:
     cfg = _load_config(args)
-    tracks = dataio.load_tracks(
-        _paths_get(cfg, "tracks", args.tracks),
-        _paths_get(cfg, "sidecar", args.sidecar),
-    )
     params = _stabilize_params(cfg, args)
-    seed = int(_cfg_get(cfg, "seed", args.seed, 0))
-    homs, reports = _resolve_homographies(cfg, args, tracks, params, seed)
+    margin = _dims_config(cfg, args).visibility_margin
+    tracks = dataio.load_tracks(_path(cfg, args, "tracks"), _path(cfg, args, "sidecar"))
+    homs, reports = _resolve_homographies(cfg, args, tracks, params)
     for frame in sorted(reports):
         r = reports[frame]
         log(
             f"frame {frame}: {r.inlier_count}/{len(r.inlier_flags)} inliers, "
             f"mean error {r.mean_reproj_error:.4f} px, {r.iterations_run} iterations"
         )
-    margin = _cfg_get(cfg, "dimensions.visibility_margin", args.visibility_margin, 4.0)
     stabilized = stabilize_tracks(tracks, homs, visibility_margin=margin)
-    out = _paths_get(cfg, "output", args.output)
+    out = _path(cfg, args, "output")
     dataio.write_tracks(stabilized, out)
-    log_path = _cfg_get(cfg, "paths.homography_log", args.homography_log, None)
+    log_path = _path(cfg, args, "homography_log", required=False)
     if log_path is None and reports:
         # homographies were estimated here; keep them next to the output
         out_path = Path(out)
@@ -164,74 +178,47 @@ def cmd_stabilize(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
-    sidecar = dataio.load_sidecar(_paths_get(cfg, "sidecar", args.sidecar))
-    tracks = dataio.load_tracks(_paths_get(cfg, "tracks", args.tracks), sidecar)
-    registry = dataio.load_registry(_paths_get(cfg, "registry", args.registry))
-    seg_path = _paths_get(cfg, "segmentation", args.segmentation, required=False)
-    segmentation = dataio.load_segmentation(seg_path) if seg_path else None
-    video_id = _cfg_get(cfg, "video_id", args.video_id, None)
+    video_id = _value(cfg, args, "video_id", kind=str)
     if video_id is None:
         raise SkytrajError("missing video_id (flag or config)")
     params = _stabilize_params(cfg, args)
-    seed = int(_cfg_get(cfg, "seed", args.seed, 0))
-    homs, _ = _resolve_homographies(cfg, args, tracks, params, seed)
-    ingest = IngestParams(
-        score_min=_cfg_get(cfg, "ingest.score_min", args.score_min, 0.25),
-        nms_iou=_cfg_get(cfg, "ingest.nms_iou", args.nms_iou, 0.7),
-    )
+    ingest = _resolve(IngestParams, cfg, "ingest", args)
+    dims = _dims_config(cfg, args)
+    sidecar = dataio.load_sidecar(_path(cfg, args, "sidecar"))
+    meta = _resolve(dataio.SessionMeta, cfg, "export", args, fps=sidecar.fps)
+    kin = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=sidecar.fps)
+    tracks = dataio.load_tracks(_path(cfg, args, "tracks"), sidecar)
+    registry = dataio.load_registry(_path(cfg, args, "registry"))
+    seg_path = _path(cfg, args, "segmentation", required=False)
+    segmentation = dataio.load_segmentation(seg_path) if seg_path else None
+    homs, _ = _resolve_homographies(cfg, args, tracks, params)
     rows = run_pipeline(
-        tracks,
-        homs,
-        registry,
-        str(video_id),
-        segmentation,
-        _session_meta(cfg, args, sidecar.fps),
-        ingest,
-        _dims_config(cfg, args),
-        _kin_config(cfg, args, sidecar.fps),
-        jobs=int(_cfg_get(cfg, "jobs", args.jobs, 1)),
+        tracks, homs, registry, video_id, segmentation, meta, ingest, dims, kin,
+        jobs=_value(cfg, args, "jobs", kind=int, default=1),
     )
-    dataio.export_songdo(rows, _paths_get(cfg, "output", args.output))
+    dataio.export_songdo(rows, _path(cfg, args, "output"))
     log(f"exported {len(rows)} candidate rows")
     return 0
 
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    bench = cfg.get("bench", {}) if isinstance(cfg.get("bench"), dict) else {}
-
-    def opt(key, cli_value, default):
-        return _cfg_get({"bench": bench}, f"bench.{key}", cli_value, default)
-
-    scenes = camp.synthetic_scenes(
-        int(opt("scenes", args.scenes, 29)), int(opt("scene_seed", None, 7))
-    )
-    ranges = camp.DistortionRanges(
-        rot_max_deg=float(opt("rot_max_deg", None, 15.0)),
-        trans_max_frac=float(opt("trans_max_frac", None, 0.10)),
-        scale_max_frac=float(opt("scale_max_frac", None, 0.05)),
-        persp_max=float(opt("persp_max", None, 5e-5)),
-    )
-    grid = camp.CampaignGrid(
-        snn_ratios=tuple(opt("snn_ratios", None, [None])),
-        downscales=tuple(opt("downscales", None, [1.0])),
-        reproj_thresholds=tuple(opt("reproj_thresholds", None, [2.0])),
-        point_counts=tuple(opt("point_counts", None, [100])),
-        trials_per_scene=int(opt("trials_per_scene", args.trials, 100)),
-    )
+    bench = _resolve(camp.BenchParams, cfg, "bench", args)
+    synth = _resolve(camp.SynthConfig, cfg, "bench", args)
+    ransac = _resolve(RansacConfig, cfg, "bench", args)
     results = camp.run_campaign(
-        scenes,
-        ranges,
-        grid,
-        confidence=float(opt("confidence", args.confidence, 0.999999)),
-        max_iterations=int(opt("max_iterations", args.max_iterations, 5000)),
-        noise_sigma=float(opt("noise_sigma", args.noise_sigma, 0.5)),
-        outlier_fraction=float(opt("outlier_fraction", args.outlier_fraction, 0.3)),
-        master_seed=int(_cfg_get(cfg, "seed", args.seed, 0)),
-        hea_epsilon=float(opt("hea_epsilon", args.hea_epsilon, 3.0)),
-        jobs=int(_cfg_get(cfg, "jobs", args.jobs, 1)),
+        camp.synthetic_scenes(bench.scenes, bench.scene_seed),
+        _resolve(camp.DistortionRanges, cfg, "bench", args),
+        _resolve(camp.CampaignGrid, cfg, "bench", args),
+        confidence=ransac.confidence,
+        max_iterations=ransac.max_iterations,
+        noise_sigma=synth.noise_sigma,
+        outlier_fraction=synth.outlier_fraction,
+        master_seed=_value(cfg, args, "seed", kind=int, default=0),
+        hea_epsilon=bench.hea_epsilon,
+        jobs=_value(cfg, args, "jobs", kind=int, default=1),
     )
-    out = Path(_paths_get(cfg, "output", args.output))
+    out = Path(_path(cfg, args, "output"))
     timing = out.with_name(out.stem + "_timing" + out.suffix)
     dataio.write_campaign_results(results, out, timing_path=timing)
     log(f"wrote {len(results)} grid cells to {out} (timing in {timing})")
@@ -240,15 +227,13 @@ def cmd_bench(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    probe = dataio.load_probe_trajectory(_paths_get(cfg, "probe", args.probe))
-    candidate_rows = dataio.load_candidate_trajectory(
-        _paths_get(cfg, "candidate", args.candidate)
-    )
+    fps = _value(cfg, args, "fps", kind=dataio.parse_fps, default=DEFAULT_FPS)
+    floor = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps).speed_floor_kmh
+    group = _value(cfg, args, "group", "compare", str, default="all")
+    probe = dataio.load_probe_trajectory(_path(cfg, args, "probe"))
+    candidate_rows = dataio.load_candidate_trajectory(_path(cfg, args, "candidate"))
     candidate = [(pt, speed) for _, pt, speed in candidate_rows]
     samples = build_comparison_samples(probe, candidate)
-    fps = dataio.parse_fps(_cfg_get(cfg, "fps", args.fps, "30000/1001"))
-    floor = float(_cfg_get(cfg, "kinematics.speed_floor_kmh", args.speed_floor, 1.0))
-    group = str(_cfg_get(cfg, "compare.group", args.group, "all"))
     reports = aggregate_comparison({group: samples}, fps, speed_floor_kmh=floor)
     for r in reports:
         if r.skipped:
@@ -258,27 +243,25 @@ def cmd_compare(args) -> int:
                 f"group {r.key}: all probe speeds at or below {floor} km/h; "
                 "speed-difference columns left empty"
             )
-    dataio.write_comparison_report(reports, _paths_get(cfg, "output", args.output))
+    dataio.write_comparison_report(reports, _path(cfg, args, "output"))
     return 0
 
 
 def cmd_dims(args) -> int:
     cfg = _load_config(args)
-    sidecar = dataio.load_sidecar(_paths_get(cfg, "sidecar", args.sidecar))
-    raw = dataio.load_tracks(_paths_get(cfg, "tracks", args.tracks), sidecar)
-    stab = dataio.load_tracks(
-        _paths_get(cfg, "stabilized", args.stabilized),
-        sidecar,
-        require_unit_range=False,
-    )
-    registry = dataio.load_registry(_paths_get(cfg, "registry", args.registry))
-    video_id = str(_cfg_get(cfg, "video_id", args.video_id, ""))
     dims_cfg = _dims_config(cfg, args)
+    sidecar = dataio.load_sidecar(_path(cfg, args, "sidecar"))
+    raw = dataio.load_tracks(_path(cfg, args, "tracks"), sidecar)
+    stab = dataio.load_tracks(
+        _path(cfg, args, "stabilized"), sidecar, require_unit_range=False
+    )
+    registry = dataio.load_registry(_path(cfg, args, "registry"))
+    video_id = _value(cfg, args, "video_id", kind=str, default="")
     ref_to_ortho = compose_ref_to_ortho(registry, video_id)
     geo_local = registry.intersection_for(video_id).geo_local
     raw_by_id = raw.by_id()
     stab_by_id = stab.by_id()
-    out = _paths_get(cfg, "output", args.output)
+    out = _path(cfg, args, "output")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -312,12 +295,10 @@ def cmd_dims(args) -> int:
 
 def cmd_kinematics(args) -> int:
     cfg = _load_config(args)
-    points, visible = dataio.load_local_trajectories(
-        _paths_get(cfg, "input", args.input)
-    )
-    fps = dataio.parse_fps(_cfg_get(cfg, "fps", args.fps, "30000/1001"))
-    kin = _kin_config(cfg, args, fps)
-    out = _paths_get(cfg, "output", args.output)
+    fps = _value(cfg, args, "fps", kind=dataio.parse_fps, default=DEFAULT_FPS)
+    kin = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps)
+    points, visible = dataio.load_local_trajectories(_path(cfg, args, "input"))
+    out = _path(cfg, args, "output")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "frame", "speed_ms", "speed_kmh", "accel_ms2"])
@@ -351,17 +332,17 @@ def cmd_kinematics(args) -> int:
 
 def cmd_georef(args) -> int:
     cfg = _load_config(args)
-    sidecar = dataio.load_sidecar(_paths_get(cfg, "sidecar", args.sidecar))
+    sidecar = dataio.load_sidecar(_path(cfg, args, "sidecar"))
     stab = dataio.load_tracks(
-        _paths_get(cfg, "tracks", args.tracks), sidecar, require_unit_range=False
+        _path(cfg, args, "tracks"), sidecar, require_unit_range=False
     )
-    registry = dataio.load_registry(_paths_get(cfg, "registry", args.registry))
-    seg_path = _paths_get(cfg, "segmentation", args.segmentation, required=False)
+    registry = dataio.load_registry(_path(cfg, args, "registry"))
+    seg_path = _path(cfg, args, "segmentation", required=False)
     segmentation = dataio.load_segmentation(seg_path) if seg_path else None
-    video_id = str(_cfg_get(cfg, "video_id", args.video_id, ""))
+    video_id = _value(cfg, args, "video_id", kind=str, default="")
     h = compose_ref_to_ortho(registry, video_id)
     inter = registry.intersection_for(video_id)
-    out = _paths_get(cfg, "output", args.output)
+    out = _path(cfg, args, "output")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -405,17 +386,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ransac_flags(p):
-        p.add_argument("--snn-ratio", type=float, dest="snn_ratio")
-        p.add_argument("--mask-margin", type=float, dest="mask_margin")
+        p.add_argument("--snn-ratio", type=float)
+        p.add_argument("--mask-margin", type=float)
         p.add_argument("--downscale", type=float)
         p.add_argument("--confidence", type=float)
-        p.add_argument("--max-iterations", type=int, dest="max_iterations")
-        p.add_argument("--reproj-threshold", type=float, dest="reproj_threshold")
+        p.add_argument("--max-iterations", type=int)
+        p.add_argument("--reproj-threshold", type=float)
 
     def add_dim_flags(p):
-        p.add_argument("--visibility-margin", type=float, dest="visibility_margin")
-        p.add_argument("--azimuth-tolerance", type=float, dest="azimuth_tolerance")
-        p.add_argument("--min-travel-m", type=float, dest="min_travel_m")
+        p.add_argument("--visibility-margin", type=float)
+        p.add_argument("--azimuth-tolerance", type=float, dest="azimuth_tolerance_deg")
+        p.add_argument("--min-travel-m", type=float)
         p.add_argument("--gsd", type=float)
         p.add_argument("--strict", action="store_const", const=True, default=None)
 
@@ -424,9 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar")
     p.add_argument("--correspondences", help="directory of per-frame <k>.csv files")
     p.add_argument("--homographies", help="precomputed per-frame homography log")
-    p.add_argument("--homography-log", dest="homography_log",
-                   help="write estimated homographies here")
-    p.add_argument("--visibility-margin", type=float, dest="visibility_margin")
+    p.add_argument("--homography-log", help="write estimated homographies here")
+    p.add_argument("--visibility-margin", type=float)
     add_ransac_flags(p)
     p.set_defaults(func=cmd_stabilize)
 
@@ -437,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homographies")
     p.add_argument("--registry")
     p.add_argument("--segmentation")
-    p.add_argument("--video-id", dest="video_id")
-    p.add_argument("--score-min", type=float, dest="score_min")
-    p.add_argument("--nms-iou", type=float, dest="nms_iou")
+    p.add_argument("--video-id")
+    p.add_argument("--score-min", type=float)
+    p.add_argument("--nms-iou", type=float)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--speed-floor", type=float, dest="speed_floor")
-    p.add_argument("--drone-id", type=int, dest="drone_id")
-    p.add_argument("--start-time", dest="start_time")
+    p.add_argument("--speed-floor", type=float, dest="speed_floor_kmh")
+    p.add_argument("--drone-id", type=int)
+    p.add_argument("--start-time")
     p.add_argument("--date")
     p.add_argument("--intersection")
     p.add_argument("--session")
@@ -453,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common], help="synthetic registration benchmark")
     p.add_argument("--scenes", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--outlier-fraction", type=float, dest="outlier_fraction")
-    p.add_argument("--hea-epsilon", type=float, dest="hea_epsilon")
+    p.add_argument("--trials", type=int, dest="trials_per_scene")
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--outlier-fraction", type=float)
+    p.add_argument("--hea-epsilon", type=float)
     p.add_argument("--confidence", type=float)
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
+    p.add_argument("--max-iterations", type=int)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("compare", parents=[common], help="probe vs extracted trajectory")
@@ -466,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate")
     p.add_argument("--group")
     p.add_argument("--fps")
-    p.add_argument("--speed-floor", type=float, dest="speed_floor")
+    p.add_argument("--speed-floor", type=float, dest="speed_floor_kmh")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("dims", parents=[common], help="per-vehicle dimension estimates")
@@ -474,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stabilized")
     p.add_argument("--sidecar")
     p.add_argument("--registry")
-    p.add_argument("--video-id", dest="video_id")
+    p.add_argument("--video-id")
     add_dim_flags(p)
     p.set_defaults(func=cmd_dims)
 
@@ -482,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="CSV id,frame,x,y[,visible] in local meters")
     p.add_argument("--fps")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--speed-floor", type=float, dest="speed_floor")
+    p.add_argument("--speed-floor", type=float, dest="speed_floor_kmh")
     p.set_defaults(func=cmd_kinematics)
 
     p = sub.add_parser("georef", parents=[common], help="stabilized tracks to world CSV")
@@ -490,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar")
     p.add_argument("--registry")
     p.add_argument("--segmentation")
-    p.add_argument("--video-id", dest="video_id")
+    p.add_argument("--video-id")
     p.set_defaults(func=cmd_georef)
 
     return parser
@@ -500,10 +480,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SkytrajError as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SkytrajError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

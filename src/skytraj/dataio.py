@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -175,6 +176,8 @@ def load_tracks(
                         raise InvariantViolation(
                             f"{name}={v} outside [0, 1]", line=line
                         )
+            elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
+                raise InvariantViolation("box values must be finite", line=line)
             elif w < 0 or h < 0:
                 raise InvariantViolation("box size must be >= 0", line=line)
             if not 0 <= cls < sidecar.n_classes:
@@ -442,10 +445,10 @@ def load_segmentation(path) -> SegmentationMap:
 
 @dataclass(frozen=True)
 class SessionMeta:
-    drone_id: int
-    start_time: str  # 'HH:MM:SS.sss', optionally prefixed 'YYYY-MM-DDT'
-    fps: Fraction
-    intersection: str
+    drone_id: int = 1
+    start_time: str = "00:00:00.000"  # 'HH:MM:SS.sss', optionally prefixed 'YYYY-MM-DDT'
+    fps: Fraction = DEFAULT_FPS
+    intersection: str = ""
     date: str = ""
     session: str = ""
 
@@ -454,6 +457,7 @@ class SessionMeta:
             raise ValueError("drone_id must be in 1..10")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
+        _parse_clock(self.start_time)
 
 
 def _parse_clock(text: str) -> Fraction:

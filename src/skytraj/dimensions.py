@@ -47,6 +47,12 @@ class DimConfig:
             raise ValueError("gsd and min_travel_m must be positive")
         if self.azimuth_tolerance_deg <= 0:
             raise ValueError("azimuth_tolerance_deg must be positive")
+        # class id -> threshold, whatever key and number types a config gave
+        try:
+            thresholds = {int(k): float(v) for k, v in dict(self.ratio_thresholds).items()}
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"ratio_thresholds must map class ids to numbers: {exc}") from exc
+        object.__setattr__(self, "ratio_thresholds", thresholds)
 
     @property
     def min_travel_px(self) -> float:

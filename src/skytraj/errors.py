@@ -87,5 +87,9 @@ class InvariantViolation(ParseError):
     """A parsed value violates a domain invariant."""
 
 
+class ConfigError(SkytrajError):
+    """A config key is unknown, or a parameter value is invalid."""
+
+
 class IoFailure(SkytrajError):
     """Reading or writing a data file failed."""

@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import TooShort
 from .geometry import Point2
-
-DEFAULT_SIGMA = 14.0  # frames
+from .trackmodel import DEFAULT_FPS
 
 
 @dataclass(frozen=True)
 class KinematicsConfig:
-    sigma: float = DEFAULT_SIGMA
-    fps: Fraction = Fraction(30000, 1001)
+    sigma: float = 14.0  # frames
+    fps: Fraction = DEFAULT_FPS
     speed_floor_kmh: float = 1.0  # comparison filtering only
 
     def __post_init__(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,9 +63,7 @@ class StabilizeParams:
     snn_ratio: float | None = None  # None skips the ratio test
     mask_margin: float = 0.15
     downscale: float = 1.0
-    confidence: float = 0.999999
-    max_iterations: int = 5000
-    reproj_threshold: float = 2.0
+    ransac: RansacConfig = field(default_factory=RansacConfig)  # seed is set per frame
 
 
 def ingest_tracks(tracks: VideoTracks, params: IngestParams) -> VideoTracks:
@@ -127,12 +125,7 @@ def estimate_frame_homographies(
                 )
                 for c in corrs
             ]
-        cfg = RansacConfig(
-            confidence=params.confidence,
-            max_iterations=params.max_iterations,
-            reproj_threshold=params.reproj_threshold,
-            seed=_frame_seed(seed, frame),
-        )
+        cfg = replace(params.ransac, seed=_frame_seed(seed, frame))
         try:
             report = ransac_homography(est_pairs, cfg)
         except SkytrajError as exc:

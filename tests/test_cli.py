@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import (
     FRAME_H,
@@ -126,6 +127,32 @@ class TestPipelineCommand:
         ) == 0
         row = out_flag.read_text().strip().split("\n")[1].split(",")
         assert row[2] == "9"  # CLI flag overrides config
+
+    @pytest.mark.parametrize(
+        "extra, config, needle",
+        [
+            (["--start-time", "garbage"], None, "garbage"),
+            (["--drone-id", "42"], None, "drone_id"),
+            (["--sigma", "-1"], None, "sigma"),
+            ([], "kinematics: {sigmaa: 2}\n", "kinematics.sigmaa"),
+            ([], "ingest: {score_mn: 0.95}\n", "ingest.score_mn"),
+        ],
+        ids=["start-time", "drone-id", "sigma", "kinematics-key", "ingest-key"],
+    )
+    def test_bad_parameter_fails_cleanly(
+        self, pipeline_fixture, tmp_path, capsys, extra, config, needle
+    ):
+        if config is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config)
+            extra = [*extra, "--config", cfg]
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(pipeline_fixture, out, extra)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error [pipeline]: ")
+        assert needle in err[0]
+        assert not out.exists()
 
 
 def write_correspondence_fixture(root: Path, frames=range(2, 6)):
@@ -393,3 +420,73 @@ class TestAuxCommands:
         )
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
+
+
+def readme_config_block() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config file layout", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+class TestConfigSchema:
+    def test_readme_layout_covers_every_section(self):
+        from skytraj.cli import _schema
+
+        assert set(yaml.safe_load(readme_config_block())) == set(_schema())
+
+    def test_readme_layout_shows_the_defaults(self):
+        from skytraj.campaign import BenchParams, CampaignGrid, SynthConfig
+        from skytraj.dimensions import DimConfig
+        from skytraj.kinematics import KinematicsConfig
+        from skytraj.pipeline import IngestParams, StabilizeParams
+        from skytraj.registration import RansacConfig
+
+        owners = {
+            "ingest": [IngestParams()],
+            "ransac": [RansacConfig()],
+            "stabilize": [StabilizeParams()],
+            "dimensions": [DimConfig()],
+            "kinematics": [KinematicsConfig()],
+            "bench": [BenchParams(), CampaignGrid(), SynthConfig()],
+        }
+        examples = {"snn_ratio", "strict", "snn_ratios", "downscales"}
+        cfg = yaml.safe_load(readme_config_block())
+        for section, defaults in owners.items():
+            for key, value in cfg[section].items():
+                if key in examples:
+                    continue
+                default = next(getattr(d, key) for d in defaults if hasattr(d, key))
+                if isinstance(default, tuple):
+                    default = list(default)
+                assert value == default, f"{section}.{key}"
+
+    def test_readme_layout_resolves(self, pipeline_fixture, tmp_path, capsys):
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(readme_config_block())
+        # the README's paths are placeholders; only they come from flags
+        paths = [
+            f"--{key}={pipeline_fixture[key]}"
+            for key in ("tracks", "sidecar", "homographies", "registry", "segmentation")
+        ]
+        out = tmp_path / "out.csv"
+        assert run_cli("pipeline", "--config", cfg, *paths, "--output", out) == 0
+        bench = tmp_path / "bench.csv"
+        assert run_cli(
+            "bench", "--config", cfg, "--scenes", "1", "--trials", "1", "--output", bench
+        ) == 0
+        probe, candidate = write_comparison_fixture(tmp_path)
+        assert run_cli(
+            "compare", "--config", cfg, "--probe", probe, "--candidate", candidate,
+            "--output", tmp_path / "report.csv",
+        ) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_unknown_key_checked_for_every_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("bench: {scenez: 3}\n")
+        rc = run_cli(
+            "kinematics", "--config", cfg, "--input", tmp_path / "in.csv",
+            "--output", tmp_path / "out.csv",
+        )
+        assert rc == 1
+        assert "'bench.scenez'" in capsys.readouterr().err

@@ -105,6 +105,22 @@ class TestLoadTracks:
         tracks = load_tracks(p, SIDECAR, require_unit_range=False)
         assert tracks.points[0].detection.bbox.cx == 1.2
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,1,-inf,0.5,0.05,0.02,0,0.9",
+            "1,1,0.5,inf,0.05,0.02,0,0.9",
+            "1,1,0.5,0.5,inf,0.02,0,0.9",
+            "1,1,0.5,0.5,0.05,nan,0,0.9",
+        ],
+    )
+    def test_non_finite_rejected_for_stabilized(self, tmp_path, row):
+        p = tmp_path / "t.csv"
+        p.write_text(self.header + "2,1,0.5,0.5,0.05,0.02,0,0.9\n" + row + "\n")
+        with pytest.raises(InvariantViolation) as err:
+            load_tracks(p, SIDECAR, require_unit_range=False)
+        assert err.value.line == 3
+
     def test_write_read_round_trip(self, tmp_path):
         pts = [make_point(k, 1, 600 + 25.3 * k, 1080.7, 180, 80) for k in range(1, 6)]
         tracks = make_tracks(pts, n_frames=100)
@@ -236,6 +252,10 @@ class TestTimestamps:
     def test_midnight_wrap(self):
         meta = SessionMeta(1, "23:59:59.900", Fraction(10), "L")
         assert frame_to_timestamp(3, meta) == "00:00:00.100"
+
+    def test_bad_start_time_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="garbage"):
+            SessionMeta(1, "garbage", FPS, "L")
 
     def test_filename(self):
         assert songdo_filename(META) == "2022-10-04_L_AM1.csv"
