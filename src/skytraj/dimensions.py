@@ -23,7 +23,12 @@ import numpy as np
 
 from .errors import EmptySampleSet, EmptyVisibilitySet
 from .geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
-from .trackmodel import TrackPoint, bbox_visible_px, denormalize_bbox
+from .trackmodel import (
+    DEFAULT_VISIBILITY_MARGIN,
+    TrackPoint,
+    bbox_visible_px,
+    denormalize_bbox,
+)
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
 # angles near a full turn stay within tolerance of an axis.
@@ -34,7 +39,7 @@ DEFAULT_RATIO_THRESHOLDS = {0: 1.83, 1: 2.85, 2: 1.7, 3: 1.8}
 
 @dataclass(frozen=True)
 class DimConfig:
-    visibility_margin: float = 4.0  # px
+    visibility_margin: float = DEFAULT_VISIBILITY_MARGIN  # px
     azimuth_tolerance_deg: float = 15.0
     min_travel_m: float = 1.25  # displacement that triggers a heading update
     gsd: float = 0.02725  # ground meters per pixel

@@ -196,17 +196,30 @@ def apply_homography(h: Homography, p: Point2) -> Point2:
     )
 
 
+def project_array(
+    m: np.ndarray, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map (..., N, 2) points through (..., 3, 3) matrices, stacks broadcast.
+
+    Returns the mapped x and y and the homogeneous scale z, each of shape
+    (..., N). Where z is 0 the mapped coordinates are inf or nan; no
+    check is made and no warning is raised.
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    m = m[..., None]
+    z = m[..., 2, 0, :] * x + m[..., 2, 1, :] * y + m[..., 2, 2, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px = (m[..., 0, 0, :] * x + m[..., 0, 1, :] * y + m[..., 0, 2, :]) / z
+        py = (m[..., 1, 0, :] * x + m[..., 1, 1, :] * y + m[..., 1, 2, :]) / z
+    return px, py, z
+
+
 def apply_homography_array(h: Homography, pts: np.ndarray) -> np.ndarray:
     """Vectorized `apply_homography` for an (N, 2) array."""
-    pts = np.asarray(pts, dtype=float)
-    m = h.m
-    z = m[2, 0] * pts[:, 0] + m[2, 1] * pts[:, 1] + m[2, 2]
+    px, py, z = project_array(h.m, np.asarray(pts, dtype=float))
     if np.any(np.abs(z) < Z_TOL):
         raise DegenerateProjection("some points map to projective infinity")
-    out = np.empty_like(pts)
-    out[:, 0] = (m[0, 0] * pts[:, 0] + m[0, 1] * pts[:, 1] + m[0, 2]) / z
-    out[:, 1] = (m[1, 0] * pts[:, 0] + m[1, 1] * pts[:, 1] + m[1, 2]) / z
-    return out
+    return np.stack([px, py], axis=-1)
 
 
 def compose(h2: Homography, h1: Homography) -> Homography:

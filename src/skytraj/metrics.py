@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateProjection, DegenerateSegment, NonConvexInput
 from .geometry import BBox, Homography, Point2, apply_homography, quad_iou
 from .geometry import Quad
+from .kinematics import KinematicsConfig
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def _trajectory_length(pts: Sequence[tuple[Point2, float]]) -> float:
 def aggregate_comparison(
     groups: Mapping[str, Sequence[ComparisonSample]],
     fps: Fraction,
-    speed_floor_kmh: float = 1.0,
+    speed_floor_kmh: float = KinematicsConfig.speed_floor_kmh,
 ) -> list[GroupReport]:
     """Per-group mean +/- population sd of the two deviations.
 

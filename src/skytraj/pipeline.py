@@ -65,6 +65,14 @@ class StabilizeParams:
     downscale: float = 1.0
     ransac: RansacConfig = field(default_factory=RansacConfig)  # seed is set per frame
 
+    def __post_init__(self):
+        if self.snn_ratio is not None and not 0.0 < self.snn_ratio <= 1.0:
+            raise ValueError("snn_ratio must be in (0, 1]")
+        if self.mask_margin < 0.0:
+            raise ValueError("mask_margin must be >= 0")
+        if not 0.0 < self.downscale <= 1.0:
+            raise ValueError("downscale must be in (0, 1]")
+
 
 def ingest_tracks(tracks: VideoTracks, params: IngestParams) -> VideoTracks:
     """Apply the per-frame confidence + NMS filter to tracked points."""

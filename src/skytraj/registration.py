@@ -19,11 +19,17 @@ from .errors import (
     NoModelFound,
     SingularTransform,
 )
-from .geometry import BBox, Homography, Point2
+from .geometry import DET_FLOOR, Z_TOL, BBox, Homography, Point2, project_array
 
 # Minimal sample whose smallest triangle area falls below this fraction of
 # the sample bounding-box area is rejected as quasi-collinear.
 SAMPLE_AREA_FLOOR = 1e-9
+
+# `ransac_homography` draws, solves and scores minimal samples in blocks:
+# the first holds FIRST_BLOCK samples, each next one twice as many, up to
+# MAX_BLOCK. Small first blocks waste few samples past an early stop.
+FIRST_BLOCK = 8
+MAX_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -108,17 +114,61 @@ def mask_filter(
     return [p for p, k in zip(points, flags) if k]
 
 
-def _normalization(pts: np.ndarray) -> np.ndarray:
-    """Hartley similarity: centroid to origin, mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    dists = np.sqrt(((pts - centroid) ** 2).sum(axis=1))
-    mean_dist = dists.mean()
-    if mean_dist <= 0.0:
-        raise DegenerateConfiguration("all points coincide")
-    s = math.sqrt(2.0) / mean_dist
-    return np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
+def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hartley similarity of each (n, 2) set in a (..., n, 2) stack.
+
+    Maps the centroid to the origin and the mean distance from it to
+    sqrt(2). Returns the (..., 3, 3) similarities and the mean distances;
+    a set whose points all coincide has mean distance 0 and no usable
+    similarity.
+    """
+    centroid = pts.mean(axis=-2)
+    mean_dist = np.sqrt(((pts - centroid[..., None, :]) ** 2).sum(axis=-1)).mean(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = math.sqrt(2.0) / mean_dist
+    t = np.zeros(pts.shape[:-2] + (3, 3))
+    t[..., 0, 0] = s
+    t[..., 1, 1] = s
+    t[..., 0, 2] = -s * centroid[..., 0]
+    t[..., 1, 2] = -s * centroid[..., 1]
+    t[..., 2, 2] = 1.0
+    return t, mean_dist
+
+
+def _dlt_design(
+    src: np.ndarray, dst: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray
+) -> np.ndarray:
+    """(..., 2n, 9) DLT systems of (..., n, 2) point pairs in normalized
+    coordinates; ``t_src``/``t_dst`` are their Hartley similarities."""
+    x, y, _ = project_array(t_src, src)
+    u, v, _ = project_array(t_dst, dst)
+    a = np.zeros(src.shape[:-2] + (2 * src.shape[-2], 9))
+    a[..., 0::2, 0] = x
+    a[..., 0::2, 1] = y
+    a[..., 0::2, 2] = 1.0
+    a[..., 0::2, 6] = -u * x
+    a[..., 0::2, 7] = -u * y
+    a[..., 0::2, 8] = -u
+    a[..., 1::2, 3] = x
+    a[..., 1::2, 4] = y
+    a[..., 1::2, 5] = 1.0
+    a[..., 1::2, 6] = -v * x
+    a[..., 1::2, 7] = -v * y
+    a[..., 1::2, 8] = -v
+    return a
+
+
+def _denormalized_solve(a: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray) -> np.ndarray:
+    """Null vectors of DLT systems, mapped back to pixels; one or a stack.
+
+    Returns the (..., 3, 3) matrices, not yet checked or scaled.
+    """
+    # From 9 rows on, the reduced SVD has the same vt as the full one and
+    # skips the (2n x 2n) U. The minimal 8x9 system needs the full SVD:
+    # its reduced form has no null-space row.
+    _, _, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
+    hn = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
+    return np.linalg.inv(t_dst) @ hn @ t_src
 
 
 def _collinear(pts: np.ndarray) -> bool:
@@ -127,50 +177,22 @@ def _collinear(pts: np.ndarray) -> bool:
     return sv[1] <= 1e-9 * max(sv[0], 1e-30)
 
 
-def _apply_h33(t: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    z = t[2, 0] * pts[:, 0] + t[2, 1] * pts[:, 1] + t[2, 2]
-    return np.stack(
-        [
-            (t[0, 0] * pts[:, 0] + t[0, 1] * pts[:, 1] + t[0, 2]) / z,
-            (t[1, 0] * pts[:, 0] + t[1, 1] * pts[:, 1] + t[1, 2]) / z,
-        ],
-        axis=1,
-    )
-
-
-def _dlt(src: np.ndarray, dst: np.ndarray, check_collinear: bool = True) -> Homography:
+def _dlt_matrix(src: np.ndarray, dst: np.ndarray, check_collinear: bool = True) -> np.ndarray:
     n = len(src)
     if n < 4:
         raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
     if check_collinear and (_collinear(src) or _collinear(dst)):
         raise DegenerateConfiguration("correspondence points are collinear")
-    t_src = _normalization(src)
-    t_dst = _normalization(dst)
-    sn = _apply_h33(t_src, src)
-    dn = _apply_h33(t_dst, dst)
+    t_src, spread_src = _hartley(src)
+    t_dst, spread_dst = _hartley(dst)
+    if spread_src <= 0.0 or spread_dst <= 0.0:
+        raise DegenerateConfiguration("all points coincide")
+    return _denormalized_solve(_dlt_design(src, dst, t_src, t_dst), t_src, t_dst)
 
-    a = np.zeros((2 * n, 9))
-    x, y = sn[:, 0], sn[:, 1]
-    u, v = dn[:, 0], dn[:, 1]
-    ones = np.ones(n)
-    a[0::2, 0] = x
-    a[0::2, 1] = y
-    a[0::2, 2] = ones
-    a[0::2, 6] = -u * x
-    a[0::2, 7] = -u * y
-    a[0::2, 8] = -u
-    a[1::2, 3] = x
-    a[1::2, 4] = y
-    a[1::2, 5] = ones
-    a[1::2, 6] = -v * x
-    a[1::2, 7] = -v * y
-    a[1::2, 8] = -v
 
-    _, _, vt = np.linalg.svd(a)
-    hn = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ hn @ t_src
+def _dlt(src: np.ndarray, dst: np.ndarray, check_collinear: bool = True) -> Homography:
     try:
-        return Homography.from_matrix(h)
+        return Homography.from_matrix(_dlt_matrix(src, dst, check_collinear))
     except SingularTransform as exc:
         raise DegenerateConfiguration(str(exc)) from exc
 
@@ -184,59 +206,131 @@ def dlt_homography(corrs: Sequence[Correspondence]) -> Homography:
     return _dlt(src, dst)
 
 
+def _transfer_errors(
+    m: np.ndarray, m_inv: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    # Broadcasts like `project_array`; +inf where a projection degenerates.
+    fx, fy, zf = project_array(m, src)
+    bx, by, zb = project_array(m_inv, dst)
+    ok = (np.abs(zf) > 1e-12) & (np.abs(zb) > 1e-12)
+    with np.errstate(invalid="ignore"):
+        fwd = np.hypot(fx - dst[..., 0], fy - dst[..., 1])
+        bwd = np.hypot(bx - src[..., 0], by - src[..., 1])
+        return np.where(ok, (fwd + bwd) / 2.0, np.inf)
+
+
 def symmetric_errors(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Per-pair symmetric transfer error: mean of forward and backward residuals.
 
     Pairs whose projection degenerates get +inf instead of raising.
     """
-    m = h.m
-    mi = np.linalg.inv(m)
-    out = np.full(len(src), np.inf)
-    zf = m[2, 0] * src[:, 0] + m[2, 1] * src[:, 1] + m[2, 2]
-    zb = mi[2, 0] * dst[:, 0] + mi[2, 1] * dst[:, 1] + mi[2, 2]
-    ok = (np.abs(zf) > 1e-12) & (np.abs(zb) > 1e-12)
-    if not np.any(ok):
-        return out
-    s, d = src[ok], dst[ok]
-    zf, zb = zf[ok], zb[ok]
-    fx = (m[0, 0] * s[:, 0] + m[0, 1] * s[:, 1] + m[0, 2]) / zf
-    fy = (m[1, 0] * s[:, 0] + m[1, 1] * s[:, 1] + m[1, 2]) / zf
-    bx = (mi[0, 0] * d[:, 0] + mi[0, 1] * d[:, 1] + mi[0, 2]) / zb
-    by = (mi[1, 0] * d[:, 0] + mi[1, 1] * d[:, 1] + mi[1, 2]) / zb
-    fwd = np.hypot(fx - d[:, 0], fy - d[:, 1])
-    bwd = np.hypot(bx - s[:, 0], by - s[:, 1])
-    out[ok] = (fwd + bwd) / 2.0
-    return out
+    return _transfer_errors(h.m, np.linalg.inv(h.m), src, dst)
 
 
-def _sample_degenerate(pts: np.ndarray) -> bool:
-    """True when any three of the four sample points are quasi-collinear."""
-    x0, y0 = pts[0]
-    x1, y1 = pts[1]
-    x2, y2 = pts[2]
-    x3, y3 = pts[3]
-    area_box = (max(x0, x1, x2, x3) - min(x0, x1, x2, x3)) * (
-        max(y0, y1, y2, y3) - min(y0, y1, y2, y3)
+def _inlier_flags(
+    m: np.ndarray, src: np.ndarray, dst: np.ndarray, eta: float
+) -> np.ndarray:
+    """``symmetric_errors(.) <= eta`` for each matrix of a (K, 3, 3) stack.
+
+    A pair is an inlier only if its forward residual, and so each of its
+    coordinate offsets, is at most 2*eta: the forward projection rules
+    out most pairs, and the full error is computed for the rest alone.
+    The screen is looser by 1e-6 so that a hypot off by an ulp cannot
+    drop an inlier.
+    """
+    fx, fy, _ = project_array(m, src)
+    reach = 2.0 * eta * (1.0 + 1e-6)
+    with np.errstate(invalid="ignore"):
+        near = (np.abs(fx - dst[:, 0]) <= reach) & (np.abs(fy - dst[:, 1]) <= reach)
+    rows, cols = np.nonzero(near)
+    m_inv = np.linalg.inv(m)[rows]
+    errs = _transfer_errors(m[rows], m_inv, src[cols, None], dst[cols, None])
+    flags = np.zeros(near.shape, dtype=bool)
+    flags[rows, cols] = errs[:, 0] <= eta
+    return flags
+
+
+def _first_of(cols, better) -> np.ndarray:
+    # Python's min()/max() over the columns, nan placement included:
+    # an item replaces the running pick only if it compares better.
+    pick = cols[0]
+    for c in cols[1:]:
+        pick = np.where(better(c, pick), c, pick)
+    return pick
+
+
+def _degenerate_samples(pts: np.ndarray) -> np.ndarray:
+    """Per (4, 2) sample of a stack: True when any three of the four points
+    are quasi-collinear (the smallest triangle area is below
+    ``SAMPLE_AREA_FLOOR`` of the sample's bounding-box area)."""
+    x = [pts[:, i, 0] for i in range(4)]
+    y = [pts[:, i, 1] for i in range(4)]
+    area_box = (_first_of(x, np.greater) - _first_of(x, np.less)) * (
+        _first_of(y, np.greater) - _first_of(y, np.less)
     )
-    if area_box <= 0.0:
-        return True
-    floor = SAMPLE_AREA_FLOOR * area_box
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
     crosses = (
-        abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)),  # 1,2,3
-        abs((x2 - x0) * (y3 - y0) - (y2 - y0) * (x3 - x0)),  # 0,2,3
-        abs((x1 - x0) * (y3 - y0) - (y1 - y0) * (x3 - x0)),  # 0,1,3
-        abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)),  # 0,1,2
+        np.abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)),  # 1,2,3
+        np.abs((x2 - x0) * (y3 - y0) - (y2 - y0) * (x3 - x0)),  # 0,2,3
+        np.abs((x1 - x0) * (y3 - y0) - (y1 - y0) * (x3 - x0)),  # 0,1,3
+        np.abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)),  # 0,1,2
     )
-    return min(crosses) < floor
+    floor = SAMPLE_AREA_FLOOR * area_box
+    return (area_box <= 0.0) | (_first_of(crosses, np.less) < floor)
 
 
-def _sample4(rng: np.random.Generator, pool: np.ndarray) -> np.ndarray:
+def _sample4(rng: np.random.Generator, pool: list[int]) -> list[int]:
     # Partial Fisher-Yates shuffle; pool stays a permutation across calls.
     n = len(pool)
     for i in range(4):
         j = int(rng.integers(i, n))
         pool[i], pool[j] = pool[j], pool[i]
-    return pool[:4].copy()
+    return pool[:4]
+
+
+# States of a minimal sample after `_solve_block`.
+_SKIPPED, _SOLVED, _REPLAY = 0, 1, 2
+
+
+def _solve_block(s4: np.ndarray, d4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal-sample fits of a (K, 4, 2) block, as one batched solve.
+
+    Gives each sample the outcome of the screen, ``_dlt`` and
+    ``Homography.from_matrix`` one sample at a time would give:
+    ``_SKIPPED`` for a degenerate sample or a singular fit, ``_SOLVED``
+    with its raw (unscaled) matrix, or ``_REPLAY`` where the batched
+    arithmetic cannot decide it exactly (non-finite values, all points
+    coinciding, a determinant on the invertibility floor). Replayed
+    samples go through ``_dlt`` on their own.
+    """
+    k = len(s4)
+    state = np.full(k, _SKIPPED, dtype=np.int8)
+    raw = np.zeros((k, 3, 3))
+    with np.errstate(all="ignore"):
+        screened = ~(_degenerate_samples(s4) | _degenerate_samples(d4))
+        state[screened] = _REPLAY
+        t_src, spread_src = _hartley(s4[screened])
+        t_dst, spread_dst = _hartley(d4[screened])
+        a = _dlt_design(s4[screened], d4[screened], t_src, t_dst)
+        ok = (spread_src > 0.0) & (spread_dst > 0.0) & np.isfinite(a).all(axis=(1, 2))
+        usable = np.flatnonzero(screened)[ok]
+        if not len(usable):
+            return state, raw
+        try:
+            h = _denormalized_solve(a[ok], t_src[ok], t_dst[ok])
+        except np.linalg.LinAlgError:
+            return state, raw
+        # Homography.from_matrix's finite and invertibility checks. Its
+        # Frobenius norm is a BLAS dot product; summed in another order
+        # here, it decides only determinants clear of the floor.
+        finite = np.isfinite(h).all(axis=(1, 2))
+        det = np.abs(np.linalg.det(np.where(finite[:, None, None], h, 1.0)))
+        floor = DET_FLOOR * np.sqrt((h * h).sum(axis=(1, 2))) ** 3
+        decided = finite & (np.abs(det - floor) > 1e-6 * floor)
+    state[usable] = np.where(decided, np.where(det >= floor, _SOLVED, _SKIPPED), _REPLAY)
+    raw[usable] = h
+    return state, raw
 
 
 def ransac_homography(
@@ -249,6 +343,10 @@ def ransac_homography(
     bound says a pure-inlier sample has been drawn with probability
     ``confidence``, capped at ``max_iterations``. The final model is
     refit on the full best consensus set. Deterministic per seed.
+
+    Samples are drawn, solved and scored a block at a time, then
+    visited in draw order under the sequential stopping rule, so
+    the result and ``iterations_run`` are those of one-at-a-time RANSAC.
     """
     n = len(corrs)
     if n < 4:
@@ -257,38 +355,56 @@ def ransac_homography(
     dst = np.asarray([(c.dst.x, c.dst.y) for c in corrs], dtype=float)
 
     rng = np.random.default_rng(cfg.seed)
-    pool = np.arange(n)
+    pool = list(range(n))
     eta = cfg.reproj_threshold
     log_fail = math.log(max(1e-300, 1.0 - cfg.confidence))
 
     best_count = 0
     best_flags: np.ndarray | None = None
-    best_h: Homography | None = None
+    best_raw: np.ndarray | None = None
     needed = cfg.max_iterations
     it = 0
+    block = FIRST_BLOCK
     while it < min(cfg.max_iterations, needed):
-        it += 1
-        idx = _sample4(rng, pool)
+        size = min(block, min(cfg.max_iterations, needed) - it)
+        block = min(2 * block, MAX_BLOCK)
+        idx = np.array([_sample4(rng, pool) for _ in range(size)])
         s4, d4 = src[idx], dst[idx]
-        if _sample_degenerate(s4) or _sample_degenerate(d4):
-            continue
-        try:
-            # collinearity was already screened by the sample check
-            h = _dlt(s4, d4, check_collinear=False)
-        except DegenerateConfiguration:
-            continue
-        errs = symmetric_errors(h, src, dst)
-        flags = errs <= eta
-        count = int(np.count_nonzero(flags))
-        if count >= 4 and count > best_count:
-            best_count, best_flags, best_h = count, flags, h
-            w4 = (count / n) ** 4
-            if w4 >= 1.0:
-                needed = it
-            else:
-                needed = math.ceil(log_fail / math.log1p(-w4))
+        state, raw = _solve_block(s4, d4)
+        flags = np.zeros((size, n), dtype=bool)
+        solved = state == _SOLVED
+        if solved.any():
+            # Homography.from_matrix's scaling, then the scoring of each fit
+            m = raw[solved]
+            z = m[:, 2:, 2:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                m = np.where(np.abs(z) > Z_TOL, m / z, m)
+            flags[solved] = _inlier_flags(m, src, dst, eta)
+        counts = np.count_nonzero(flags, axis=1)
+        for j in range(size):
+            it += 1
+            if state[j] == _REPLAY:
+                try:
+                    raw[j] = _dlt_matrix(s4[j], d4[j], check_collinear=False)
+                    h = Homography.from_matrix(raw[j])
+                except (DegenerateConfiguration, SingularTransform):
+                    state[j] = _SKIPPED
+                else:
+                    flags[j] = symmetric_errors(h, src, dst) <= eta
+                    counts[j] = np.count_nonzero(flags[j])
+            if state[j] != _SKIPPED:
+                count = int(counts[j])
+                if count >= 4 and count > best_count:
+                    best_count, best_flags, best_raw = count, flags[j].copy(), raw[j].copy()
+                    w4 = (count / n) ** 4
+                    if w4 >= 1.0:
+                        needed = it
+                    else:
+                        needed = math.ceil(log_fail / math.log1p(-w4))
+            if it >= min(cfg.max_iterations, needed):
+                break
 
-    if best_flags is None or best_h is None:
+    if best_flags is None or best_raw is None:
         raise NoModelFound(f"no consensus of >= 4 inliers in {it} iterations")
 
     try:
@@ -299,8 +415,8 @@ def ransac_homography(
             raise DegenerateConfiguration("refit lost the consensus")
         final_h, final_flags = refit, flags
     except DegenerateConfiguration:
-        final_h = best_h
-        errs = symmetric_errors(best_h, src, dst)
+        final_h = Homography.from_matrix(best_raw)
+        errs = symmetric_errors(final_h, src, dst)
         final_flags = best_flags
     mean_err = float(errs[final_flags].mean())
     return EstimateReport(final_h, final_flags, it, mean_err)

@@ -14,6 +14,8 @@ from .errors import MissingHomography
 from .geometry import BBox, Homography, transform_bbox
 
 DEFAULT_FPS = Fraction(30000, 1001)
+# Pixels a box must keep from every frame edge to count as visible.
+DEFAULT_VISIBILITY_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def visibility_flag(
 def stabilize_tracks(
     tracks: VideoTracks,
     per_frame_h: Mapping[int, Homography],
-    visibility_margin: float = 4.0,
+    visibility_margin: float = DEFAULT_VISIBILITY_MARGIN,
 ) -> VideoTracks:
     """Map every box into the reference frame of the video's first frame.
 

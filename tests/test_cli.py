@@ -262,6 +262,40 @@ class TestStabilizeCommand:
         assert rc == 1
         assert "frame 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, needle",
+        [
+            ("--snn-ratio", "2", "snn_ratio"),
+            ("--snn-ratio", "0", "snn_ratio"),
+            ("--mask-margin", "-0.1", "mask_margin"),
+            ("--downscale", "1.5", "downscale"),
+            ("--downscale", "0", "downscale"),
+        ],
+    )
+    def test_bad_parameter_fails_cleanly(self, tmp_path, capsys, flag, value, needle):
+        points = [p for p in scenario_points() if p.frame <= 5 and p.track_id == 1]
+        tracks_csv = tmp_path / "tracks.csv"
+        sidecar = tmp_path / "video.yaml"
+        write_tracks_csv(tracks_csv, points)
+        write_sidecar(sidecar, n_frames=5)
+        corr_dir = tmp_path / "corrs"
+        write_correspondence_fixture(corr_dir)
+        out = tmp_path / "stab.csv"
+        rc = run_cli(
+            "stabilize",
+            "--tracks", tracks_csv,
+            "--sidecar", sidecar,
+            "--correspondences", corr_dir,
+            flag, value,
+            "--output", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error [stabilize]: ")
+        assert needle in err[0]
+        assert not out.exists()
+
 
 def tracks_fps():
     from fractions import Fraction

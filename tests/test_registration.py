@@ -8,6 +8,7 @@ from skytraj.errors import (
     InsufficientPoints,
     MissingDistances,
     NoModelFound,
+    SingularTransform,
 )
 from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.registration import (
@@ -103,6 +104,21 @@ class TestDlt:
         )
         with pytest.raises(DegenerateConfiguration):
             dlt_homography(corrs)
+
+    @pytest.mark.parametrize("n", [4, 1000])
+    def test_recovers_projective_map(self, n):
+        # 4 points give the 8x9 minimal system, whose null vector needs
+        # the full SVD; 1000 give the overdetermined least-squares case.
+        truth = Homography.from_matrix(
+            [[0.93, 0.08, -35], [-0.05, 1.07, 60], [-3e-5, 4e-5, 1]]
+        )
+        if n == 4:
+            pts = np.array([(100.0, 80.0), (3500.0, 200.0), (3300.0, 2000.0), (250.0, 1900.0)])
+        else:
+            pts = np.random.default_rng(3).uniform(0, 3840, (n, 2))
+        h = dlt_homography(exact_corrs(truth, pts))
+        assert point_action_error(h, truth, pts) < 1e-7
+        assert np.allclose(h.m, truth.m, rtol=1e-9, atol=1e-12)
 
     def test_exact_on_many_noiseless_points(self):
         rng = np.random.default_rng(0)
@@ -259,3 +275,262 @@ class TestUpscale:
             expected = Point2(scaled.x / rho, scaled.y / rho)
             got = apply_homography(up, p)
             assert math.hypot(got.x - expected.x, got.y - expected.y) < 1e-8
+
+
+# --- Sequential reference ---------------------------------------------------
+# A copy of the one-sample-at-a-time estimator that the block evaluation in
+# `ransac_homography` replaced. The block version must reproduce it bit for
+# bit: same matrix, inlier flags, iteration count, mean error and messages.
+
+
+def _ref_normalization(pts):
+    centroid = pts.mean(axis=0)
+    dists = np.sqrt(((pts - centroid) ** 2).sum(axis=1))
+    mean_dist = dists.mean()
+    if mean_dist <= 0.0:
+        raise DegenerateConfiguration("all points coincide")
+    s = math.sqrt(2.0) / mean_dist
+    return np.array(
+        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
+    )
+
+
+def _ref_collinear(pts):
+    centered = pts - pts.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    return sv[1] <= 1e-9 * max(sv[0], 1e-30)
+
+
+def _ref_apply(t, pts):
+    z = t[2, 0] * pts[:, 0] + t[2, 1] * pts[:, 1] + t[2, 2]
+    return np.stack(
+        [
+            (t[0, 0] * pts[:, 0] + t[0, 1] * pts[:, 1] + t[0, 2]) / z,
+            (t[1, 0] * pts[:, 0] + t[1, 1] * pts[:, 1] + t[1, 2]) / z,
+        ],
+        axis=1,
+    )
+
+
+def _ref_dlt(src, dst, check_collinear=True):
+    n = len(src)
+    if n < 4:
+        raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
+    if check_collinear and (_ref_collinear(src) or _ref_collinear(dst)):
+        raise DegenerateConfiguration("correspondence points are collinear")
+    t_src = _ref_normalization(src)
+    t_dst = _ref_normalization(dst)
+    sn = _ref_apply(t_src, src)
+    dn = _ref_apply(t_dst, dst)
+    a = np.zeros((2 * n, 9))
+    x, y = sn[:, 0], sn[:, 1]
+    u, v = dn[:, 0], dn[:, 1]
+    ones = np.ones(n)
+    a[0::2, 0] = x
+    a[0::2, 1] = y
+    a[0::2, 2] = ones
+    a[0::2, 6] = -u * x
+    a[0::2, 7] = -u * y
+    a[0::2, 8] = -u
+    a[1::2, 3] = x
+    a[1::2, 4] = y
+    a[1::2, 5] = ones
+    a[1::2, 6] = -v * x
+    a[1::2, 7] = -v * y
+    a[1::2, 8] = -v
+    _, _, vt = np.linalg.svd(a)
+    hn = vt[-1].reshape(3, 3)
+    h = np.linalg.inv(t_dst) @ hn @ t_src
+    try:
+        return Homography.from_matrix(h)
+    except SingularTransform as exc:
+        raise DegenerateConfiguration(str(exc)) from exc
+
+
+def _ref_symmetric_errors(h, src, dst):
+    m = h.m
+    mi = np.linalg.inv(m)
+    out = np.full(len(src), np.inf)
+    zf = m[2, 0] * src[:, 0] + m[2, 1] * src[:, 1] + m[2, 2]
+    zb = mi[2, 0] * dst[:, 0] + mi[2, 1] * dst[:, 1] + mi[2, 2]
+    ok = (np.abs(zf) > 1e-12) & (np.abs(zb) > 1e-12)
+    if not np.any(ok):
+        return out
+    s, d = src[ok], dst[ok]
+    zf, zb = zf[ok], zb[ok]
+    fx = (m[0, 0] * s[:, 0] + m[0, 1] * s[:, 1] + m[0, 2]) / zf
+    fy = (m[1, 0] * s[:, 0] + m[1, 1] * s[:, 1] + m[1, 2]) / zf
+    bx = (mi[0, 0] * d[:, 0] + mi[0, 1] * d[:, 1] + mi[0, 2]) / zb
+    by = (mi[1, 0] * d[:, 0] + mi[1, 1] * d[:, 1] + mi[1, 2]) / zb
+    fwd = np.hypot(fx - d[:, 0], fy - d[:, 1])
+    bwd = np.hypot(bx - s[:, 0], by - s[:, 1])
+    out[ok] = (fwd + bwd) / 2.0
+    return out
+
+
+def _ref_sample_degenerate(pts):
+    x0, y0 = pts[0]
+    x1, y1 = pts[1]
+    x2, y2 = pts[2]
+    x3, y3 = pts[3]
+    area_box = (max(x0, x1, x2, x3) - min(x0, x1, x2, x3)) * (
+        max(y0, y1, y2, y3) - min(y0, y1, y2, y3)
+    )
+    if area_box <= 0.0:
+        return True
+    floor = 1e-9 * area_box
+    crosses = (
+        abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)),
+        abs((x2 - x0) * (y3 - y0) - (y2 - y0) * (x3 - x0)),
+        abs((x1 - x0) * (y3 - y0) - (y1 - y0) * (x3 - x0)),
+        abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)),
+    )
+    return min(crosses) < floor
+
+
+def _ref_sample4(rng, pool):
+    n = len(pool)
+    for i in range(4):
+        j = int(rng.integers(i, n))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:4].copy()
+
+
+def _ref_ransac(corrs, cfg):
+    n = len(corrs)
+    if n < 4:
+        raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
+    src = np.asarray([(c.src.x, c.src.y) for c in corrs], dtype=float)
+    dst = np.asarray([(c.dst.x, c.dst.y) for c in corrs], dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    pool = np.arange(n)
+    eta = cfg.reproj_threshold
+    log_fail = math.log(max(1e-300, 1.0 - cfg.confidence))
+    best_count = 0
+    best_flags = best_h = None
+    needed = cfg.max_iterations
+    it = 0
+    while it < min(cfg.max_iterations, needed):
+        it += 1
+        idx = _ref_sample4(rng, pool)
+        s4, d4 = src[idx], dst[idx]
+        if _ref_sample_degenerate(s4) or _ref_sample_degenerate(d4):
+            continue
+        try:
+            h = _ref_dlt(s4, d4, check_collinear=False)
+        except DegenerateConfiguration:
+            continue
+        flags = _ref_symmetric_errors(h, src, dst) <= eta
+        count = int(np.count_nonzero(flags))
+        if count >= 4 and count > best_count:
+            best_count, best_flags, best_h = count, flags, h
+            w4 = (count / n) ** 4
+            if w4 >= 1.0:
+                needed = it
+            else:
+                needed = math.ceil(log_fail / math.log1p(-w4))
+    if best_flags is None:
+        raise NoModelFound(f"no consensus of >= 4 inliers in {it} iterations")
+    try:
+        refit = _ref_dlt(src[best_flags], dst[best_flags])
+        errs = _ref_symmetric_errors(refit, src, dst)
+        flags = errs <= eta
+        if np.count_nonzero(flags) < 4:
+            raise DegenerateConfiguration("refit lost the consensus")
+        final_h, final_flags = refit, flags
+    except DegenerateConfiguration:
+        final_h = best_h
+        errs = _ref_symmetric_errors(best_h, src, dst)
+        final_flags = best_flags
+    return final_h, final_flags, it, float(errs[final_flags].mean())
+
+
+def _outcome(estimate, corrs, cfg):
+    try:
+        result = estimate(corrs, cfg)
+    except NoModelFound as exc:
+        return ("NoModelFound", str(exc))
+    if isinstance(result, tuple):
+        h, flags, iterations, err = result
+    else:
+        h, flags = result.homography, result.inlier_flags
+        iterations, err = result.iterations_run, result.mean_reproj_error
+    return (h.m.tobytes(), h.normalized, flags.tobytes(), iterations, err)
+
+
+def _problem(seed, n, outlier_fraction, variant):
+    """Noisy matches of a random projective map with planted outliers and,
+    per ``variant``, points on one line or stacked on one spot."""
+    rng = np.random.default_rng(seed)
+    m = np.eye(3) + rng.normal(0, [[0.05, 0.05, 30], [0.05, 0.05, 30], [2e-5, 2e-5, 0]])
+    src = rng.uniform(0, 2000, (n, 2))
+    if variant == "collinear":
+        src[: n // 2, 1] = 0.5 * src[: n // 2, 0] + 100.0
+    elif variant == "duplicate":
+        src[: max(4, n // 3)] = src[0]
+    elif variant == "all_collinear":
+        src[:, 1] = 2.0 * src[:, 0] - 7.0
+    z = m[2, 0] * src[:, 0] + m[2, 1] * src[:, 1] + m[2, 2]
+    dst = np.stack(
+        [
+            (m[0, 0] * src[:, 0] + m[0, 1] * src[:, 1] + m[0, 2]) / z,
+            (m[1, 0] * src[:, 0] + m[1, 1] * src[:, 1] + m[1, 2]) / z,
+        ],
+        axis=1,
+    )
+    dst += rng.normal(0, 0.4, dst.shape)
+    k = int(round(outlier_fraction * n))
+    dst[n - k:] = rng.uniform(0, 2000, (k, 2))
+    if variant == "all_collinear":
+        dst[:, 1] = 0.3 * dst[:, 0] + 40.0
+    return [Correspondence(Point2(*a), Point2(*b)) for a, b in zip(src, dst)]
+
+
+class TestBlockRansacMatchesSequential:
+    """Block evaluation must not change a single output bit."""
+
+    def check(self, seed, n, fraction, variant, max_iterations):
+        corrs = _problem(seed, n, fraction, variant)
+        cfg = RansacConfig(seed=seed, max_iterations=max_iterations)
+        expected = _outcome(_ref_ransac, corrs, cfg)
+        assert _outcome(ransac_homography, corrs, cfg) == expected
+        return expected
+
+    @pytest.mark.parametrize("n, problems", [(8, 120), (100, 60)])
+    def test_small_and_campaign_sizes(self, n, problems):
+        capped = 0
+        for seed in range(problems):
+            fraction = (0.0, 0.15, 0.3, 0.45, 0.6)[seed % 5]
+            variant = ("plain", "collinear", "duplicate")[seed % 3]
+            cap = 12 if seed % 4 == 0 else 150 if fraction == 0.6 else 600
+            out = self.check(seed, n, fraction, variant, cap)
+            capped += out[-2] == cap
+        assert capped > 0
+
+    def test_registration_size(self):
+        capped = 0
+        for seed in range(24):
+            fraction = (0.0, 0.3, 0.6)[seed % 3]
+            variant = ("plain", "collinear", "duplicate")[(seed // 3) % 3]
+            cap = 40 if fraction == 0.6 else 5000
+            out = self.check(1000 + seed, 1500, fraction, variant, cap)
+            capped += out[-2] == cap
+        assert capped > 0
+
+    def test_no_model_found_message(self):
+        for seed, cap in ((0, 5000), (1, 30), (2, 1)):
+            corrs = _problem(seed, 12, 0.0, "all_collinear")
+            cfg = RansacConfig(seed=seed, max_iterations=cap)
+            expected = _outcome(_ref_ransac, corrs, cfg)
+            assert expected == ("NoModelFound", f"no consensus of >= 4 inliers in {cap} iterations")
+            assert _outcome(ransac_homography, corrs, cfg) == expected
+
+    def test_non_finite_input_fails_as_before(self):
+        corrs = _problem(5, 30, 0.2, "plain")
+        corrs[3] = Correspondence(Point2(float("nan"), 10.0), corrs[3].dst)
+        cfg = RansacConfig(seed=5, max_iterations=200)
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            _ref_ransac(corrs, cfg)
+        with pytest.raises(np.linalg.LinAlgError) as new:
+            ransac_homography(corrs, cfg)
+        assert str(new.value) == str(ref.value)
