@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import DegenerateProjection, SkytrajError
 from .geometry import BBox, Homography, Point2, apply_homography_array
 from .metrics import SceneSpec, corner_displacement, scene_miou
 from .registration import (
-    Correspondence,
+    Matches,
     RansacConfig,
     ransac_homography,
     snn_filter,
@@ -144,7 +144,7 @@ def random_homography(ranges: DistortionRanges, scene: SceneSpec, seed) -> Homog
 
 def synth_correspondences(
     scene: SceneSpec, h_true: Homography, cfg: SynthConfig
-) -> list[Correspondence]:
+) -> Matches:
     """Generate matches: src uniform in the scene, dst through the true map.
 
     Inliers get isotropic Gaussian noise on dst; a fixed rounded fraction
@@ -170,17 +170,13 @@ def synth_correspondences(
     is_outlier[order[:n_out]] = True
 
     src = np.stack([xs, ys], axis=1)
-    dst_true = apply_homography_array(h_true, src)
-    corrs = []
-    for i in range(n):
-        if is_outlier[i]:
-            dst = Point2(float(out_xs[i]), float(out_ys[i]))
-            d1 = float(d_pass[i] if flip[i] else d_fail[i])
-        else:
-            dst = Point2(float(dst_true[i, 0] + noise[i, 0]), float(dst_true[i, 1] + noise[i, 1]))
-            d1 = float(d_fail[i] if flip[i] else d_pass[i])
-        corrs.append(Correspondence(Point2(float(xs[i]), float(ys[i])), dst, d1, 1.0))
-    return corrs
+    dst = np.where(
+        is_outlier[:, None],
+        np.stack([out_xs, out_ys], axis=1),
+        apply_homography_array(h_true, src) + noise,
+    )
+    d1 = np.where(is_outlier != flip, d_fail, d_pass)
+    return Matches(src, dst, d1, np.ones(n))
 
 
 def synthetic_scenes(count: int, seed: int = 0) -> list[SceneSpec]:
@@ -235,15 +231,9 @@ def run_trial(
         if snn_ratio is not None:
             corrs = snn_filter(corrs, snn_ratio)
         # Estimate the reverse map (distorted -> original) directly.
-        est_pairs = [Correspondence(c.dst, c.src) for c in corrs]
+        est_pairs = replace(corrs, src=corrs.dst, dst=corrs.src)
         if downscale < 1.0:
-            est_pairs = [
-                Correspondence(
-                    Point2(c.src.x * downscale, c.src.y * downscale),
-                    Point2(c.dst.x * downscale, c.dst.y * downscale),
-                )
-                for c in est_pairs
-            ]
+            est_pairs = est_pairs.scaled(downscale)
         start = time.perf_counter()
         try:
             report = ransac_homography(est_pairs, ransac)

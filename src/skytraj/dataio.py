@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 from .campaign import CellResult
@@ -33,7 +35,7 @@ from .georeference import (
     VideoEntry,
 )
 from .metrics import GroupReport
-from .registration import Correspondence
+from .registration import Matches
 from .trackmodel import DEFAULT_FPS, Detection, TrackPoint, VideoTracks
 
 TRACK_COLUMNS = ["frame", "id", "cx", "cy", "w", "h", "class", "score"]
@@ -237,34 +239,59 @@ def write_tracks(tracks: VideoTracks, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def load_correspondences(path) -> list[Correspondence]:
-    """CSV with columns src_x,src_y,dst_x,dst_y and optional d1,d2."""
-    out: list[Correspondence] = []
+def load_correspondences(path) -> Matches:
+    """CSV with columns src_x,src_y,dst_x,dst_y and optional d1,d2.
+
+    A row whose d1 or d2 cell is empty has no distances (NaN in both).
+    Every other value must be a finite number.
+    """
+    rows: list[list[float]] = []
+    lines: list[int] = []
+    bare: list[int] = []  # rows without distances
+    error = None
     with _open_reader(path) as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         required = ["src_x", "src_y", "dst_x", "dst_y"]
         missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"{path}: missing columns {missing}", line=1)
-        has_dist = "d1" in header and "d2" in header
+        at = {name: i for i, name in enumerate(header)}
+        dist = ["d1", "d2"] if "d1" in at and "d2" in at else []
+        take = itemgetter(*(at[c] for c in required + dist))
+        pad = [None] * len(header)
         for row in reader:
-            line = reader.line_num
+            if not row:
+                continue
+            row += pad[len(row):]  # a short row's missing cells read as None
+            cells = take(row)
+            if not dist or cells[4] in (None, "") or cells[5] in (None, ""):
+                cells = cells[:4]
+                bare.append(len(lines))
             try:
-                src = Point2(float(row["src_x"]), float(row["src_y"]))
-                dst = Point2(float(row["dst_x"]), float(row["dst_y"]))
-                d1 = d2 = None
-                if has_dist and row["d1"] not in (None, "") and row["d2"] not in (None, ""):
-                    d1, d2 = float(row["d1"]), float(row["d2"])
+                # 0.0 stands in for absent distances until the checks pass
+                rows.append([*map(float, cells), 0.0, 0.0][:6])
             except (TypeError, ValueError) as exc:
-                raise ParseError(f"malformed row: {exc}", line=line) from exc
-            if d1 is not None:
-                if d1 < 0 or d2 < 0:
-                    raise InvariantViolation("distances must be >= 0", line=line)
-                if d1 > d2:
-                    raise InvariantViolation("d1 must be <= d2", line=line)
-            out.append(Correspondence(src, dst, d1, d2))
-    return out
+                error = ParseError(f"malformed row: {exc}", line=reader.line_num)
+                break
+            lines.append(reader.line_num)
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    d1, d2 = table[:, 4], table[:, 5]
+    # In row order, the first row that fails a check, with the check it fails
+    # first, wins over a malformed row further down.
+    checks = {
+        "match values must be finite": ~np.isfinite(table).all(axis=1),
+        "distances must be >= 0": (d1 < 0) | (d2 < 0),
+        "d1 must be <= d2": d1 > d2,
+    }
+    failed = np.logical_or.reduce(list(checks.values()))
+    if failed.any():
+        i = int(failed.argmax())
+        raise InvariantViolation(next(m for m, bad in checks.items() if bad[i]), line=lines[i])
+    if error is not None:
+        raise error
+    table[bare, 4:] = np.nan
+    return Matches(table[:, 0:2], table[:, 2:4], d1, d2)
 
 
 def _parse_floats(tokens: Sequence[str], n: int, line: int, what: str) -> list[float]:

@@ -34,7 +34,6 @@ from .georeference import (
 from .kinematics import KinematicsConfig, compute_profile, gate_by_visibility
 from .metrics import ComparisonSample
 from .registration import (
-    Correspondence,
     EstimateReport,
     RansacConfig,
     mask_keep_flags,
@@ -118,21 +117,13 @@ def estimate_frame_homographies(
             for p in by_frame.get(frame, [])
         ]
         if masks:
-            src_pts = [c.src for c in corrs]
-            keep = mask_keep_flags(src_pts, masks, params.mask_margin)
-            corrs = [c for c, k in zip(corrs, keep) if k]
+            corrs = corrs.select(mask_keep_flags(corrs.src, masks, params.mask_margin))
         if params.snn_ratio is not None:
             corrs = snn_filter(corrs, params.snn_ratio)
         rho = params.downscale
         est_pairs = corrs
         if rho < 1.0:
-            est_pairs = [
-                Correspondence(
-                    Point2(c.src.x * rho, c.src.y * rho),
-                    Point2(c.dst.x * rho, c.dst.y * rho),
-                )
-                for c in corrs
-            ]
+            est_pairs = corrs.scaled(rho)
         cfg = replace(params.ransac, seed=_frame_seed(seed, frame))
         try:
             report = ransac_homography(est_pairs, cfg)

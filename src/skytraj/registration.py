@@ -19,7 +19,7 @@ from .errors import (
     NoModelFound,
     SingularTransform,
 )
-from .geometry import DET_FLOOR, Z_TOL, BBox, Homography, Point2, project_array
+from .geometry import DET_FLOOR, Z_TOL, BBox, Homography, project_array
 
 # Minimal sample whose smallest triangle area falls below this fraction of
 # the sample bounding-box area is rejected as quasi-collinear.
@@ -32,14 +32,27 @@ FIRST_BLOCK = 8
 MAX_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """A matched point pair, optionally with descriptor distances d1 <= d2."""
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """Matched point pairs as columns: ``src`` and ``dst`` are (n, 2) pixel
+    coordinates, ``d1 <= d2`` are (n,) descriptor distances, NaN in a row
+    that has none."""
 
-    src: Point2
-    dst: Point2
-    d1: float | None = None
-    d2: float | None = None
+    src: np.ndarray
+    dst: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def select(self, rows) -> Matches:
+        """The rows a boolean mask or an index array picks, in its order."""
+        return Matches(self.src[rows], self.dst[rows], self.d1[rows], self.d2[rows])
+
+    def scaled(self, factor: float) -> Matches:
+        """Both point sets multiplied by ``factor``; distances unchanged."""
+        return Matches(self.src * factor, self.dst * factor, self.d1, self.d2)
 
 
 @dataclass(frozen=True)
@@ -70,48 +83,31 @@ class EstimateReport:
         return int(np.count_nonzero(self.inlier_flags))
 
 
-def snn_filter(matches: Sequence[Correspondence], ratio: float) -> list[Correspondence]:
+def snn_filter(matches: Matches, ratio: float) -> Matches:
     """Keep matches whose best distance is at most ``ratio`` times the second best."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
-    kept = []
-    for i, m in enumerate(matches):
-        if m.d1 is None or m.d2 is None:
-            raise MissingDistances(f"match {i} lacks descriptor distances")
-        if m.d1 <= ratio * m.d2:
-            kept.append(m)
-    return kept
+    missing = np.isnan(matches.d1) | np.isnan(matches.d2)
+    if missing.any():
+        raise MissingDistances(f"match {int(missing.argmax())} lacks descriptor distances")
+    return matches.select(matches.d1 <= ratio * matches.d2)
 
 
-def mask_keep_flags(
-    points: Sequence[Point2], masks: Sequence[BBox], margin: float
-) -> np.ndarray:
-    """Per-point flags: False when a point lies strictly inside an enlarged mask.
+def mask_keep_flags(points: np.ndarray, masks: Sequence[BBox], margin: float) -> np.ndarray:
+    """Flags for an (n, 2) point array: False where a point lies strictly
+    inside an enlarged mask.
 
     Each mask is grown about its center to w*(1+margin) x h*(1+margin).
     """
     keep = np.ones(len(points), dtype=bool)
-    if not masks or not len(points):
-        return keep
-    pts = np.asarray([(p.x, p.y) for p in points], dtype=float)
     for b in masks:
         hw = b.w * (1.0 + margin) / 2.0
         hh = b.h * (1.0 + margin) / 2.0
         inside = (
-            (np.abs(pts[:, 0] - b.cx) < hw) & (np.abs(pts[:, 1] - b.cy) < hh)
+            (np.abs(points[:, 0] - b.cx) < hw) & (np.abs(points[:, 1] - b.cy) < hh)
         )
         keep &= ~inside
     return keep
-
-
-def mask_filter(
-    points: Sequence[Point2], masks: Sequence[BBox], margin: float
-) -> list[Point2]:
-    """Drop points that fall strictly inside any enlarged exclusion box."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    flags = mask_keep_flags(points, masks, margin)
-    return [p for p, k in zip(points, flags) if k]
 
 
 def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +193,9 @@ def _dlt(src: np.ndarray, dst: np.ndarray, check_collinear: bool = True) -> Homo
         raise DegenerateConfiguration(str(exc)) from exc
 
 
-def dlt_homography(corrs: Sequence[Correspondence]) -> Homography:
+def dlt_homography(matches: Matches) -> Homography:
     """Least-squares homography via the normalized direct linear transform."""
-    src = np.asarray([(c.src.x, c.src.y) for c in corrs], dtype=float)
-    dst = np.asarray([(c.dst.x, c.dst.y) for c in corrs], dtype=float)
-    if len(corrs) < 4:
-        raise InsufficientPoints(f"need >= 4 correspondences, got {len(corrs)}")
-    return _dlt(src, dst)
+    return _dlt(matches.src, matches.dst)
 
 
 def _transfer_errors(
@@ -333,9 +325,7 @@ def _solve_block(s4: np.ndarray, d4: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return state, raw
 
 
-def ransac_homography(
-    corrs: Sequence[Correspondence], cfg: RansacConfig
-) -> EstimateReport:
+def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     """RANSAC over minimal 4-point DLT fits with adaptive termination.
 
     Inliers are pairs whose symmetric transfer error is at most the
@@ -348,11 +338,10 @@ def ransac_homography(
     visited in draw order under the sequential stopping rule, so
     the result and ``iterations_run`` are those of one-at-a-time RANSAC.
     """
-    n = len(corrs)
+    n = len(matches)
     if n < 4:
         raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
-    src = np.asarray([(c.src.x, c.src.y) for c in corrs], dtype=float)
-    dst = np.asarray([(c.dst.x, c.dst.y) for c in corrs], dtype=float)
+    src, dst = matches.src, matches.dst
 
     rng = np.random.default_rng(cfg.seed)
     pool = list(range(n))

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skytraj.geometry import BBox, Homography
@@ -162,6 +163,31 @@ def build_pipeline_fixture(root: Path) -> dict[str, Path]:
     write_registry(paths["registry"])
     write_segmentation(paths["segmentation"])
     return paths
+
+
+def write_correspondence_fixture(root: Path, frames=range(2, 6)):
+    """Per-frame grid correspondences with outliers and on-vehicle noise."""
+    root.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(99)
+    for k in frames:
+        dx, dy = drift(k)
+        rows = []
+        for gx in range(200, 3700, 320):
+            for gy in range(150, 2100, 320):
+                rows.append((gx - dx, gy - dy, gx, gy, 0.5, 1.0))
+        # corrupted matches on the moving vehicle (inside its raw box)
+        veh_cx, veh_cy = 600.0 + 23.0 * (k - 1), 1080.0 + (k - 1)
+        for _ in range(6):
+            sx = veh_cx + rng.uniform(-80, 80)
+            sy = veh_cy + rng.uniform(-35, 35)
+            rows.append((sx, sy, sx + rng.uniform(-400, 400), sy + rng.uniform(-400, 400), 0.5, 1.0))
+        # gross outliers that also fail the ratio test
+        for _ in range(5):
+            rows.append((*rng.uniform(0, 3000, 2), *rng.uniform(0, 3000, 2), 0.95, 1.0))
+        with open(root / f"{k}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["src_x", "src_y", "dst_x", "dst_y", "d1", "d2"])
+            writer.writerows(rows)
 
 
 PIPELINE_ARGS = [

@@ -41,7 +41,7 @@ from skytraj.metrics import (
     positional_deviation,
     speed_difference,
 )
-from skytraj.registration import Correspondence, RansacConfig, dlt_homography
+from skytraj.registration import Matches, RansacConfig, dlt_homography
 from skytraj.trackmodel import refine_classes
 from test_kinematics import smooth_oracle
 
@@ -113,17 +113,17 @@ def test_criterion_2_dlt_exactness():
                 ],
                 axis=1,
             )
-            corrs = [
-                Correspondence(Point2(*p), apply_homography(truth, Point2(*p)))
-                for p in pts
-            ]
+            no_dist = np.full(n, np.nan)
+            corrs = Matches(
+                pts, np.array([apply_homography(truth, Point2(*p)) for p in pts]), no_dist, no_dist
+            )
             est = dlt_homography(corrs).m
             inv = np.linalg.inv(est)
-            for c in corrs:
-                fx, fy, fz = est @ np.array([c.src.x, c.src.y, 1.0])
-                bx, by, bz = inv @ np.array([c.dst.x, c.dst.y, 1.0])
-                fwd = math.hypot(fx / fz - c.dst.x, fy / fz - c.dst.y)
-                bwd = math.hypot(bx / bz - c.src.x, by / bz - c.src.y)
+            for (sx, sy), (dx, dy) in zip(corrs.src, corrs.dst):
+                fx, fy, fz = est @ np.array([sx, sy, 1.0])
+                bx, by, bz = inv @ np.array([dx, dy, 1.0])
+                fwd = math.hypot(fx / fz - dx, fy / fz - dy)
+                bwd = math.hypot(bx / bz - sx, by / bz - sy)
                 worst = max(worst, (fwd + bwd) / 2)
         print(f"  max symmetric reprojection error = {worst:.3e} px")
         assert worst <= 1e-7

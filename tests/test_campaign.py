@@ -13,11 +13,19 @@ from skytraj.campaign import (
     synth_correspondences,
     synthetic_scenes,
 )
-from skytraj.geometry import apply_homography
+from skytraj.geometry import Point2, apply_homography
 from skytraj.registration import RansacConfig, snn_filter
 
 SCENES = synthetic_scenes(5, seed=7)
 RANGES = DistortionRanges()
+
+
+def residuals(h, corrs) -> list[float]:
+    """Per match: distance of dst from the true map of src."""
+    return [
+        math.hypot(*np.subtract(apply_homography(h, Point2(*s)), d))
+        for s, d in zip(corrs.src, corrs.dst)
+    ]
 
 
 def results_without_time(results):
@@ -67,22 +75,14 @@ class TestSynthCorrespondences:
             SCENES[0], h, SynthConfig(50, 0.0, 0.0, seed=2)
         )
         assert len(corrs) == 50
-        for c in corrs:
-            expect = apply_homography(h, c.src)
-            assert math.hypot(c.dst.x - expect.x, c.dst.y - expect.y) < 1e-9
+        assert max(residuals(h, corrs)) < 1e-9
 
     def test_exact_outlier_count(self):
         h = random_homography(RANGES, SCENES[0], seed=1)
         corrs = synth_correspondences(
             SCENES[0], h, SynthConfig(100, 0.0, 0.3, seed=4)
         )
-        off = sum(
-            1
-            for c in corrs
-            if math.hypot(
-                *(np.subtract(apply_homography(h, c.src), c.dst))
-            ) > 1e-6
-        )
+        off = sum(1 for r in residuals(h, corrs) if r > 1e-6)
         assert off == 30
 
     def test_deterministic(self):
@@ -90,21 +90,19 @@ class TestSynthCorrespondences:
         cfg = SynthConfig(40, 0.5, 0.2, seed=9)
         a = synth_correspondences(SCENES[0], h, cfg)
         b = synth_correspondences(SCENES[0], h, cfg)
-        assert a == b
+        for col in ("src", "dst", "d1", "d2"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
 
     def test_distance_invariant_and_snn_design(self):
         h = random_homography(RANGES, SCENES[0], seed=1)
         corrs = synth_correspondences(
             SCENES[0], h, SynthConfig(200, 0.0, 0.25, seed=11)
         )
-        assert all(c.d1 <= c.d2 for c in corrs)
+        assert (corrs.d1 <= corrs.d2).all()
         kept = snn_filter(corrs, 0.9)
-        truth = {
-            i
-            for i, c in enumerate(corrs)
-            if math.hypot(*(np.subtract(apply_homography(h, c.src), c.dst))) < 1e-6
-        }
-        kept_idx = {corrs.index(c) for c in kept}
+        truth = {i for i, r in enumerate(residuals(h, corrs)) if r < 1e-6}
+        kept_src = kept.src.tolist()
+        kept_idx = {i for i, s in enumerate(corrs.src.tolist()) if s in kept_src}
         # most passing matches are true inliers (10% flip noise)
         inlier_frac = len(kept_idx & truth) / len(kept_idx)
         assert inlier_frac > 0.85
@@ -116,13 +114,7 @@ class TestSynthCorrespondences:
             corrs = synth_correspondences(
                 SCENES[0], h, SynthConfig(100, 0.0, frac, seed=13)
             )
-            out[frac] = {
-                i
-                for i, c in enumerate(corrs)
-                if math.hypot(
-                    *(np.subtract(apply_homography(h, c.src), c.dst))
-                ) > 1e-6
-            }
+            out[frac] = {i for i, r in enumerate(residuals(h, corrs)) if r > 1e-6}
         assert out[0.1] <= out[0.3]
 
 

@@ -11,6 +11,7 @@ from conftest import (
     PIPELINE_ARGS,
     drift,
     scenario_points,
+    write_correspondence_fixture,
     write_sidecar,
     write_tracks_csv,
 )
@@ -155,31 +156,6 @@ class TestPipelineCommand:
         assert not out.exists()
 
 
-def write_correspondence_fixture(root: Path, frames=range(2, 6)):
-    """Per-frame grid correspondences with outliers and on-vehicle noise."""
-    root.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(99)
-    for k in frames:
-        dx, dy = drift(k)
-        rows = []
-        for gx in range(200, 3700, 320):
-            for gy in range(150, 2100, 320):
-                rows.append((gx - dx, gy - dy, gx, gy, 0.5, 1.0))
-        # corrupted matches on the moving vehicle (inside its raw box)
-        veh_cx, veh_cy = 600.0 + 23.0 * (k - 1), 1080.0 + (k - 1)
-        for _ in range(6):
-            sx = veh_cx + rng.uniform(-80, 80)
-            sy = veh_cy + rng.uniform(-35, 35)
-            rows.append((sx, sy, sx + rng.uniform(-400, 400), sy + rng.uniform(-400, 400), 0.5, 1.0))
-        # gross outliers that also fail the ratio test
-        for _ in range(5):
-            rows.append((*rng.uniform(0, 3000, 2), *rng.uniform(0, 3000, 2), 0.95, 1.0))
-        with open(root / f"{k}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["src_x", "src_y", "dst_x", "dst_y", "d1", "d2"])
-            writer.writerows(rows)
-
-
 class TestStabilizeCommand:
     def test_estimates_from_correspondences(self, tmp_path):
         points = [p for p in scenario_points() if p.frame <= 5 and p.track_id == 1]
@@ -261,6 +237,34 @@ class TestStabilizeCommand:
         )
         assert rc == 1
         assert "frame 4" in capsys.readouterr().err
+
+    def test_non_finite_correspondence_fails_cleanly(self, tmp_path, capsys):
+        points = [p for p in scenario_points() if p.frame <= 5 and p.track_id == 1]
+        tracks_csv = tmp_path / "tracks.csv"
+        sidecar = tmp_path / "video.yaml"
+        write_tracks_csv(tracks_csv, points)
+        write_sidecar(sidecar, n_frames=5)
+        corr_dir = tmp_path / "corrs"
+        write_correspondence_fixture(corr_dir)
+        frame5 = corr_dir / "5.csv"
+        lines = frame5.read_text().splitlines()
+        for i in range(1, len(lines), 3):  # every third match
+            lines[i] = "nan" + lines[i][lines[i].index(","):]
+        frame5.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "stab.csv"
+        rc = run_cli(
+            "stabilize",
+            "--tracks", tracks_csv,
+            "--sidecar", sidecar,
+            "--correspondences", corr_dir,
+            "--output", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error [stabilize]: ")
+        assert "line 2: match values must be finite" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value, needle",

@@ -135,18 +135,65 @@ class TestCorrespondences:
         p = tmp_path / "c.csv"
         p.write_text("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1.0\n")
         corrs = load_correspondences(p)
-        assert corrs[0].src == (1.0, 2.0)
-        assert corrs[0].d1 == 0.5
+        assert corrs.src[0].tolist() == [1.0, 2.0]
+        assert corrs.d1[0] == 0.5
 
     def test_without_distances(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("src_x,src_y,dst_x,dst_y\n1,2,3,4\n")
-        assert load_correspondences(p)[0].d1 is None
+        assert np.isnan(load_correspondences(p).d1[0])
 
     def test_distance_order_violation(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,1.5,1.0\n")
         with pytest.raises(InvariantViolation):
+            load_correspondences(p)
+
+    def test_columns_and_empty_distances(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text(
+            "src_x,src_y,dst_x,dst_y,d1,d2\n"
+            "1,2,3,4,0.5,1.0\n"
+            "\n"
+            "5,6,7,8,,\n"
+            "9,10,11,12,0.25\n"
+        )
+        corrs = load_correspondences(p)
+        assert len(corrs) == 3
+        assert corrs.src.tolist() == [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]]
+        assert corrs.dst.tolist() == [[3.0, 4.0], [7.0, 8.0], [11.0, 12.0]]
+        assert np.array_equal(corrs.d1, [0.5, np.nan, np.nan], equal_nan=True)
+        assert np.array_equal(corrs.d2, [1.0, np.nan, np.nan], equal_nan=True)
+
+    def test_empty_file_has_no_matches(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("src_x,src_y,dst_x,dst_y,d1,d2\n")
+        corrs = load_correspondences(p)
+        assert len(corrs) == 0
+        assert corrs.src.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "row", ["nan,2,3,4,0.5,1.0", "1,inf,3,4,0.5,1.0", "1,2,3,-inf,0.5,1.0",
+                "1,2,3,4,nan,1.0", "1,2,3,4,0.5,inf"],
+    )
+    def test_non_finite_rejected(self, tmp_path, row):
+        p = tmp_path / "c.csv"
+        p.write_text(f"src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1.0\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_correspondences(p)
+        assert exc.value.line == 3
+        assert "finite" in str(exc.value)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,-1,1.0\n1,2,x,4,0.5,1.0\n")
+        with pytest.raises(InvariantViolation, match="line 2: distances must be >= 0"):
+            load_correspondences(p)
+        p.write_text("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,x,4,0.5,1.0\n1,2,3,4,-1,1.0\n")
+        with pytest.raises(ParseError, match="line 2: malformed row"):
+            load_correspondences(p)
+        p.write_text("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3\n")
+        with pytest.raises(ParseError, match="line 2: malformed row"):
             load_correspondences(p)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skytraj.errors import (
     DegenerateConfiguration,
@@ -12,22 +14,33 @@ from skytraj.errors import (
 )
 from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.registration import (
-    Correspondence,
+    Matches,
     RansacConfig,
     dlt_homography,
-    mask_filter,
+    mask_keep_flags,
     ransac_homography,
     snn_filter,
     upscale_homography,
 )
 
 
-def corr(sx, sy, dx, dy, d1=None, d2=None):
-    return Correspondence(Point2(sx, sy), Point2(dx, dy), d1, d2)
+def corr(sx, sy, dx, dy, d1=math.nan, d2=math.nan):
+    """One match row; NaN distances mark a row without them."""
+    return (sx, sy, dx, dy, d1, d2)
 
 
-def exact_corrs(h: Homography, pts) -> list[Correspondence]:
-    return [Correspondence(Point2(*p), apply_homography(h, Point2(*p))) for p in pts]
+def stack(rows) -> Matches:
+    """Matches from (sx, sy, dx, dy[, d1, d2]) rows."""
+    table = np.array([[*r, math.nan, math.nan][:6] for r in rows], dtype=float).reshape(-1, 6)
+    return Matches(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5])
+
+
+def rows(m: Matches) -> list[tuple]:
+    return [tuple(r) for r in np.column_stack([m.src, m.dst, m.d1, m.d2]).tolist()]
+
+
+def exact_corrs(h: Homography, pts) -> Matches:
+    return stack([(*p, *apply_homography(h, Point2(*p))) for p in pts])
 
 
 def point_action_error(h_a: Homography, h_b: Homography, pts) -> float:
@@ -41,42 +54,162 @@ def point_action_error(h_a: Homography, h_b: Homography, pts) -> float:
 
 class TestSnnFilter:
     def test_kept_and_dropped(self):
-        matches = [corr(0, 0, 1, 1, 0.4, 1.0), corr(0, 0, 1, 1, 0.95, 1.0)]
+        matches = stack([corr(0, 0, 1, 1, 0.4, 1.0), corr(0, 0, 1, 1, 0.95, 1.0)])
         kept = snn_filter(matches, 0.9)
-        assert kept == [matches[0]]
+        assert rows(kept) == rows(matches)[:1]
 
     def test_ratio_one_keeps_everything(self):
-        matches = [corr(0, 0, 1, 1, d, 1.0) for d in (0.1, 0.5, 1.0)]
-        assert snn_filter(matches, 1.0) == matches
+        matches = stack([corr(0, 0, 1, 1, d, 1.0) for d in (0.1, 0.5, 1.0)])
+        assert rows(snn_filter(matches, 1.0)) == rows(matches)
 
     def test_order_preserved_and_idempotent(self):
-        matches = [corr(i, 0, i, 1, 0.1 * i, 1.0) for i in range(1, 9)]
+        matches = stack([corr(i, 0, i, 1, 0.1 * i, 1.0) for i in range(1, 9)])
         kept = snn_filter(matches, 0.55)
-        assert kept == [m for m in matches if m.d1 <= 0.55]
-        assert snn_filter(kept, 0.55) == kept
+        assert rows(kept) == [r for r in rows(matches) if r[4] <= 0.55]
+        assert rows(snn_filter(kept, 0.55)) == rows(kept)
 
     def test_missing_distances(self):
         with pytest.raises(MissingDistances):
-            snn_filter([corr(0, 0, 1, 1)], 0.9)
+            snn_filter(stack([corr(0, 0, 1, 1)]), 0.9)
 
 
 class TestMaskFilter:
+    """The exclusion-mask step: ``mask_keep_flags`` keeps a point unless it
+    lies strictly inside an enlarged mask."""
+
     def test_no_masks(self):
-        pts = [Point2(1, 2), Point2(3, 4)]
-        assert mask_filter(pts, [], 0.15) == pts
+        pts = np.array([(1.0, 2.0), (3.0, 4.0)])
+        assert mask_keep_flags(pts, [], 0.15).tolist() == [True, True]
 
     def test_enlarged_mask_removes(self):
         # half-width grows from 5.0 to 5.75 with a 15% margin
         mask = BBox(100, 100, 10, 10)
-        pts = [Point2(105.7, 100), Point2(106, 100)]
-        assert mask_filter(pts, [mask], 0.15) == [Point2(106, 100)]
+        pts = np.array([(105.7, 100.0), (106.0, 100.0)])
+        assert mask_keep_flags(pts, [mask], 0.15).tolist() == [False, True]
 
     def test_zero_margin_boundary(self):
         mask = BBox(100, 100, 10, 10)
-        assert mask_filter([Point2(106, 100)], [mask], 0.0) == [Point2(106, 100)]
+        assert mask_keep_flags(np.array([(106.0, 100.0)]), [mask], 0.0).tolist() == [True]
         # boundary itself is not strictly inside
-        assert mask_filter([Point2(105, 100)], [mask], 0.0) == [Point2(105, 100)]
-        assert mask_filter([Point2(104.9, 100)], [mask], 0.0) == []
+        assert mask_keep_flags(np.array([(105.0, 100.0)]), [mask], 0.0).tolist() == [True]
+        assert mask_keep_flags(np.array([(104.9, 100.0)]), [mask], 0.0).tolist() == [False]
+
+
+# --- Per-row reference of the columnar match steps --------------------------
+# Matches were once one object per row. These loops restate the mask, ratio
+# test and downscale steps row by row; the columnar versions must agree bit
+# for bit. A row is (sx, sy, dx, dy, d1, d2) with None for absent distances.
+
+
+def _ref_snn(rows, ratio):
+    kept = []
+    for i, r in enumerate(rows):
+        if r[4] is None or r[5] is None:
+            raise MissingDistances(f"match {i} lacks descriptor distances")
+        if r[4] <= ratio * r[5]:
+            kept.append(r)
+    return kept
+
+
+def _ref_mask_keep(points, masks, margin):
+    return [
+        not any(
+            abs(x - b.cx) < b.w * (1.0 + margin) / 2.0
+            and abs(y - b.cy) < b.h * (1.0 + margin) / 2.0
+            for b in masks
+        )
+        for x, y in points
+    ]
+
+
+def _ref_downscale(rows, rho):
+    return [(r[0] * rho, r[1] * rho, r[2] * rho, r[3] * rho, r[4], r[5]) for r in rows]
+
+
+def _from_rows(rows) -> Matches:
+    return stack([[math.nan if v is None else v for v in r] for r in rows])
+
+
+def _bits(rows) -> bytes:
+    table = [[math.nan if v is None else v for v in r] for r in rows]
+    return np.array(table, dtype=float).reshape(-1, 6).tobytes()
+
+
+def _columns_bits(m: Matches) -> bytes:
+    return np.column_stack([m.src, m.dst, m.d1, m.d2]).reshape(-1, 6).tobytes()
+
+
+# Quarter-pixel grid values hit mask edges and ties; free floats do not.
+_coord = st.one_of(
+    st.integers(-40, 40).map(lambda k: k / 4.0),
+    st.floats(-5e3, 5e3, allow_nan=False, allow_infinity=False),
+)
+_ratio = st.one_of(st.sampled_from([1.0, 0.9, 0.55]), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _match_rows(draw, ratio=0.9):
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        xy = [draw(_coord) for _ in range(4)]
+        d2 = draw(st.floats(0.0, 10.0))
+        kind = draw(st.sampled_from(["free", "tie", "none", "d2 only"]))
+        if kind == "free":
+            d1 = draw(st.floats(0.0, d2))
+        elif kind == "tie":
+            d1 = ratio * d2  # d1 == ratio * d2 exactly: kept
+        else:
+            d1 = None
+        rows.append((*xy, d1, None if kind == "none" else d2))
+    return rows
+
+
+class TestColumnarStepsMatchPerRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_snn_filter(self, data):
+        ratio = data.draw(_ratio)
+        rows = data.draw(_match_rows(ratio))
+        try:
+            expected = _ref_snn(rows, ratio)
+        except MissingDistances as exc:
+            with pytest.raises(MissingDistances) as got:
+                snn_filter(_from_rows(rows), ratio)
+            assert str(got.value) == str(exc)
+        else:
+            assert _columns_bits(snn_filter(_from_rows(rows), ratio)) == _bits(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mask_keep_flags(self, data):
+        side = st.integers(0, 12).map(float)
+        masks = data.draw(st.lists(st.builds(BBox, _coord, _coord, side, side), max_size=4))
+        margin = data.draw(st.one_of(st.sampled_from([0.0, 0.15, 1.0]), st.floats(0.0, 2.0)))
+        # corners, edge midpoints and centers of every enlarged mask
+        edges = [
+            (b.cx + i * b.w * (1.0 + margin) / 2.0, b.cy + j * b.h * (1.0 + margin) / 2.0)
+            for b in masks
+            for i in (-1, 0, 1)
+            for j in (-1, 0, 1)
+        ]
+        point = st.tuples(_coord, _coord)
+        if edges:
+            point = st.one_of(point, st.sampled_from(edges))
+        points = data.draw(st.lists(point, max_size=12))
+        flags = mask_keep_flags(np.array(points, dtype=float).reshape(-1, 2), masks, margin)
+        assert flags.tolist() == _ref_mask_keep(points, masks, margin)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_match_rows(), rho=st.one_of(st.just(0.5), st.floats(1e-3, 1.0)))
+    def test_downscale(self, rows, rho):
+        assert _columns_bits(_from_rows(rows).scaled(rho)) == _bits(_ref_downscale(rows, rho))
+
+    def test_empty_sets(self):
+        empty = _from_rows([])
+        assert len(empty) == 0
+        assert len(snn_filter(empty, 0.9)) == 0
+        assert mask_keep_flags(empty.src, [BBox(0, 0, 4, 4)], 0.15).shape == (0,)
+        assert empty.scaled(0.5).src.shape == (0, 2)
 
 
 class TestDlt:
@@ -138,22 +271,19 @@ class TestDlt:
         )
         pts = rng.uniform(0, 1500, (30, 2))
         noise = rng.normal(0, 0.5, (30, 2))
-        corrs = [
-            Correspondence(
-                Point2(*p), Point2(*(np.array(apply_homography(truth, Point2(*p))) + e))
-            )
-            for p, e in zip(pts, noise)
-        ]
+        corrs = stack(
+            [(*p, *(np.array(apply_homography(truth, Point2(*p))) + e)) for p, e in zip(pts, noise)]
+        )
         h_base = dlt_homography(corrs)
 
         scale, off = 3.0, np.array([5000.0, -2500.0])
         sim = Homography.from_matrix([[scale, 0, off[0]], [0, scale, off[1]], [0, 0, 1]])
-        moved = [
-            Correspondence(
-                apply_homography(sim, c.src), apply_homography(sim, c.dst)
-            )
-            for c in corrs
-        ]
+        moved = stack(
+            [
+                (*apply_homography(sim, Point2(*s)), *apply_homography(sim, Point2(*d)))
+                for s, d in zip(corrs.src, corrs.dst)
+            ]
+        )
         h_moved = dlt_homography(moved)
         h_back = Homography.from_matrix(
             np.linalg.inv(sim.m) @ h_moved.m @ sim.m
@@ -168,15 +298,10 @@ def build_noisy_set(rng, truth, n_in=70, n_out=30, noise=0.0, extent=2000.0):
         d = np.array(apply_homography(truth, Point2(*p)))
         if noise > 0:
             d = d + rng.normal(0, noise, 2)
-        corrs.append(Correspondence(Point2(*p), Point2(*d)))
+        corrs.append((*p, *d))
     for _ in range(n_out):
-        corrs.append(
-            Correspondence(
-                Point2(*rng.uniform(0, extent, 2)),
-                Point2(*rng.uniform(0, extent, 2)),
-            )
-        )
-    return corrs
+        corrs.append((*rng.uniform(0, extent, 2), *rng.uniform(0, extent, 2)))
+    return stack(corrs)
 
 
 class TestRansac:
@@ -189,8 +314,7 @@ class TestRansac:
         corrs = build_noisy_set(rng, self.truth, n_in=100, n_out=0)
         report = ransac_homography(corrs, RansacConfig(seed=1))
         assert report.inlier_flags.all()
-        pts = [(c.src.x, c.src.y) for c in corrs]
-        assert point_action_error(report.homography, self.truth, pts) < 1e-6
+        assert point_action_error(report.homography, self.truth, corrs.src) < 1e-6
         assert report.mean_reproj_error <= 1e-6
 
     def test_outliers_rejected_exactly(self):
@@ -199,13 +323,12 @@ class TestRansac:
         report = ransac_homography(corrs, RansacConfig(seed=2))
         assert report.inlier_flags[:70].all()
         assert not report.inlier_flags[70:].any()
-        pts = [(c.src.x, c.src.y) for c in corrs[:70]]
-        assert point_action_error(report.homography, self.truth, pts) < 1e-4
+        assert point_action_error(report.homography, self.truth, corrs.src[:70]) < 1e-4
 
     def test_insufficient(self):
         with pytest.raises(InsufficientPoints):
             ransac_homography(
-                [corr(0, 0, 0, 0), corr(1, 0, 1, 0), corr(0, 1, 0, 1)],
+                stack([corr(0, 0, 0, 0), corr(1, 0, 1, 0), corr(0, 1, 0, 1)]),
                 RansacConfig(),
             )
 
@@ -232,7 +355,7 @@ class TestRansac:
 
     def test_no_model_found(self):
         # every 4-point sample is collinear
-        corrs = [corr(i, i, i, i) for i in range(10)]
+        corrs = stack([corr(i, i, i, i) for i in range(10)])
         with pytest.raises(NoModelFound):
             ransac_homography(corrs, RansacConfig(max_iterations=50, seed=0))
 
@@ -400,8 +523,8 @@ def _ref_ransac(corrs, cfg):
     n = len(corrs)
     if n < 4:
         raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
-    src = np.asarray([(c.src.x, c.src.y) for c in corrs], dtype=float)
-    dst = np.asarray([(c.dst.x, c.dst.y) for c in corrs], dtype=float)
+    src = corrs.src
+    dst = corrs.dst
     rng = np.random.default_rng(cfg.seed)
     pool = np.arange(n)
     eta = cfg.reproj_threshold
@@ -483,7 +606,7 @@ def _problem(seed, n, outlier_fraction, variant):
     dst[n - k:] = rng.uniform(0, 2000, (k, 2))
     if variant == "all_collinear":
         dst[:, 1] = 0.3 * dst[:, 0] + 40.0
-    return [Correspondence(Point2(*a), Point2(*b)) for a, b in zip(src, dst)]
+    return stack(np.column_stack([src, dst]))
 
 
 class TestBlockRansacMatchesSequential:
@@ -527,7 +650,7 @@ class TestBlockRansacMatchesSequential:
 
     def test_non_finite_input_fails_as_before(self):
         corrs = _problem(5, 30, 0.2, "plain")
-        corrs[3] = Correspondence(Point2(float("nan"), 10.0), corrs[3].dst)
+        corrs.src[3] = (float("nan"), 10.0)
         cfg = RansacConfig(seed=5, max_iterations=200)
         with pytest.raises(np.linalg.LinAlgError) as ref:
             _ref_ransac(corrs, cfg)
