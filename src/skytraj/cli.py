@@ -11,29 +11,29 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import campaign as camp
 from . import dataio
-from .dimensions import DimConfig, estimate_dimensions
+from .dimensions import DimConfig, estimate_dimensions, visibility_set
 from .errors import ConfigError, SkytrajError
-from .geometry import Point2, apply_homography, pixel_to_world
-from .georeference import assign_segment, compose_ref_to_ortho
-from .kinematics import KinematicsConfig, compute_profile, gate_by_visibility
+from .kinematics import KinematicsConfig
 from .metrics import aggregate_comparison
 from .pipeline import (
+    GeoChain,
     IngestParams,
     StabilizeParams,
     build_comparison_samples,
     estimate_frame_homographies,
+    georeference_points,
+    kinematic_profile,
     log,
     run_pipeline,
 )
 from .registration import RansacConfig
-from .trackmodel import DEFAULT_FPS, denormalize_bbox, stabilize_tracks
+from .trackmodel import DEFAULT_FPS, stabilize_tracks
 
 
 def _schema() -> dict:
@@ -256,9 +256,7 @@ def cmd_dims(args) -> int:
         _path(cfg, args, "stabilized"), sidecar, require_unit_range=False
     )
     registry = dataio.load_registry(_path(cfg, args, "registry"))
-    video_id = _value(cfg, args, "video_id", kind=str, default="")
-    ref_to_ortho = compose_ref_to_ortho(registry, video_id)
-    geo_local = registry.intersection_for(video_id).geo_local
+    geo = GeoChain.for_video(registry, _value(cfg, args, "video_id", kind=str, default=""))
     raw_by_id = raw.by_id()
     stab_by_id = stab.by_id()
     out = _path(cfg, args, "output")
@@ -268,13 +266,15 @@ def cmd_dims(args) -> int:
             ["id", "n_samples", "path", "length_px", "width_px", "length_m", "width_m"]
         )
         for tid in sorted(raw_by_id):
+            points = raw_by_id[tid]
             est = estimate_dimensions(
-                raw_by_id[tid],
-                stab_by_id.get(tid, raw_by_id[tid]),
+                points,
+                stab_by_id.get(tid, points),
+                visibility_set(points, raw.frame_size, dims_cfg.visibility_margin),
                 dims_cfg,
                 raw.frame_size,
-                ref_to_ortho,
-                geo_local,
+                geo.ref_to_ortho,
+                geo.geo_local,
             )
             if est is None:
                 writer.writerow([tid, 0, "none", "", "", "", ""])
@@ -303,28 +303,19 @@ def cmd_kinematics(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "frame", "speed_ms", "speed_kmh", "accel_ms2"])
         for vid in sorted(points):
-            if len(points[vid]) < 2:
+            profile = kinematic_profile(points[vid], visible[vid], kin)
+            if profile is None:
                 log(f"id {vid}: fewer than 2 points, skipped")
                 continue
-            profile = gate_by_visibility(
-                compute_profile(points[vid], kin), visible[vid]
-            )
-            for i, frame in enumerate(profile.frames):
-                if not profile.exported[i]:
-                    continue
-                smooth = profile.speed_smooth[i]
-                accel = profile.accel[i]
+            for frame in profile.frames[profile.exported].tolist():
+                speed = profile.speed_ms(frame)
                 writer.writerow(
                     [
                         vid,
-                        int(frame),
-                        "" if math.isnan(smooth) else repr(float(smooth)),
-                        dataio.format_fixed(
-                            None if math.isnan(smooth) else float(smooth) * 3.6, 1
-                        ),
-                        dataio.format_fixed(
-                            None if math.isnan(accel) else float(accel), 2
-                        ),
+                        frame,
+                        "" if speed is None else repr(speed),
+                        dataio.format_fixed(profile.speed_kmh(frame), 1),
+                        dataio.format_fixed(profile.accel_ms2(frame), 2),
                     ]
                 )
     return 0
@@ -340,8 +331,8 @@ def cmd_georef(args) -> int:
     seg_path = _path(cfg, args, "segmentation", required=False)
     segmentation = dataio.load_segmentation(seg_path) if seg_path else None
     video_id = _value(cfg, args, "video_id", kind=str, default="")
-    h = compose_ref_to_ortho(registry, video_id)
-    inter = registry.intersection_for(video_id)
+    geo = GeoChain.for_video(registry, video_id, segmentation)
+    positions = georeference_points(stab.points, stab.frame_size, geo)
     out = _path(cfg, args, "output")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -349,24 +340,18 @@ def cmd_georef(args) -> int:
             ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
              "latitude", "longitude", "section", "lane"]
         )
-        for p in sorted(stab.points, key=lambda q: (q.track_id, q.frame)):
-            box = denormalize_bbox(p.detection.bbox, stab.frame_size)
-            ortho = apply_homography(h, Point2(box.cx, box.cy))
-            local = pixel_to_world(inter.geo_local, ortho)
-            wgs = pixel_to_world(inter.geo_wgs, ortho)
-            seg = assign_segment(segmentation, ortho) if segmentation else None
+        for p, g in zip(stab.points, positions):  # sorted by (id, frame)
             writer.writerow(
                 [
                     p.track_id,
                     p.frame,
-                    dataio.format_fixed(ortho.x, 1),
-                    dataio.format_fixed(ortho.y, 1),
-                    dataio.format_fixed(local.x, 2),
-                    dataio.format_fixed(local.y, 2),
-                    dataio.format_fixed(wgs.x, 7),
-                    dataio.format_fixed(wgs.y, 7),
-                    seg[0] if seg else "",
-                    seg[1] if seg else "",
+                    dataio.format_fixed(g.ortho.x, 1),
+                    dataio.format_fixed(g.ortho.y, 1),
+                    dataio.format_fixed(g.local.x, 2),
+                    dataio.format_fixed(g.local.y, 2),
+                    dataio.format_fixed(g.wgs.x, 7),
+                    dataio.format_fixed(g.wgs.y, 7),
+                    *(g.segment or ("", "")),
                 ]
             )
     return 0

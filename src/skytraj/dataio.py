@@ -243,7 +243,8 @@ def load_correspondences(path) -> Matches:
     """CSV with columns src_x,src_y,dst_x,dst_y and optional d1,d2.
 
     A row whose d1 or d2 cell is empty has no distances (NaN in both).
-    Every other value must be a finite number.
+    Every other value must be a finite number. Errors name the file and
+    the line.
     """
     rows: list[list[float]] = []
     lines: list[int] = []
@@ -255,7 +256,7 @@ def load_correspondences(path) -> Matches:
         required = ["src_x", "src_y", "dst_x", "dst_y"]
         missing = [c for c in required if c not in header]
         if missing:
-            raise ParseError(f"{path}: missing columns {missing}", line=1)
+            raise ParseError(f"missing columns {missing}", line=1, path=path)
         at = {name: i for i, name in enumerate(header)}
         dist = ["d1", "d2"] if "d1" in at and "d2" in at else []
         take = itemgetter(*(at[c] for c in required + dist))
@@ -272,7 +273,7 @@ def load_correspondences(path) -> Matches:
                 # 0.0 stands in for absent distances until the checks pass
                 rows.append([*map(float, cells), 0.0, 0.0][:6])
             except (TypeError, ValueError) as exc:
-                error = ParseError(f"malformed row: {exc}", line=reader.line_num)
+                error = ParseError(f"malformed row: {exc}", line=reader.line_num, path=path)
                 break
             lines.append(reader.line_num)
     table = np.array(rows, dtype=float).reshape(-1, 6)
@@ -287,11 +288,12 @@ def load_correspondences(path) -> Matches:
     failed = np.logical_or.reduce(list(checks.values()))
     if failed.any():
         i = int(failed.argmax())
-        raise InvariantViolation(next(m for m, bad in checks.items() if bad[i]), line=lines[i])
+        message = next(m for m, bad in checks.items() if bad[i])
+        raise InvariantViolation(message, line=lines[i], path=path)
     if error is not None:
         raise error
     table[bare, 4:] = np.nan
-    return Matches(table[:, 0:2], table[:, 2:4], d1, d2)
+    return Matches(table[:, 0:2], table[:, 2:4], d1, d2, lines)
 
 
 def _parse_floats(tokens: Sequence[str], n: int, line: int, what: str) -> list[float]:
@@ -512,10 +514,6 @@ def frame_to_timestamp(frame: int, meta: SessionMeta) -> str:
     return f"{hours:02d}:{minutes:02d}:{seconds:02d}.{millis:03d}"
 
 
-def songdo_filename(meta: SessionMeta) -> str:
-    return f"{meta.date}_{meta.intersection}_{meta.session}.csv"
-
-
 @dataclass(frozen=True)
 class ExportRow:
     """One exported trajectory point. ``frame`` orders rows, it is not a column."""
@@ -659,37 +657,37 @@ def _read_csv_rows(path, required: list[str]):
             yield reader.line_num, row
 
 
+def _require_finite(line: int, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvariantViolation(f"{name}={value} is not finite", line=line)
+
+
 def load_probe_trajectory(path) -> list[tuple[float, Point2, float]]:
-    """Probe CSV: t,x,y,speed (local meters, speed in km/h)."""
+    """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite."""
     out = []
     for line, row in _read_csv_rows(path, ["t", "x", "y", "speed"]):
         try:
-            out.append(
-                (
-                    float(row["t"]),
-                    Point2(float(row["x"]), float(row["y"])),
-                    float(row["speed"]),
-                )
-            )
+            t, x, y, speed = (float(row[c]) for c in ("t", "x", "y", "speed"))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed row: {exc}", line=line) from exc
+        _require_finite(line, t=t, x=x, y=y, speed=speed)
+        out.append((t, Point2(x, y), speed))
     return out
 
 
 def load_candidate_trajectory(path) -> list[tuple[int, Point2, float]]:
-    """Candidate CSV: frame,x,y,speed (local meters, smoothed speed km/h)."""
+    """Candidate CSV: frame,x,y,speed (local meters, smoothed speed km/h),
+    all finite."""
     out = []
     for line, row in _read_csv_rows(path, ["frame", "x", "y", "speed"]):
         try:
-            out.append(
-                (
-                    int(row["frame"]),
-                    Point2(float(row["x"]), float(row["y"])),
-                    float(row["speed"]),
-                )
-            )
+            frame = int(row["frame"])
+            x, y, speed = (float(row[c]) for c in ("x", "y", "speed"))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed row: {exc}", line=line) from exc
+        _require_finite(line, x=x, y=y, speed=speed)
+        out.append((frame, Point2(x, y), speed))
     out.sort(key=lambda item: item[0])
     return out
 
@@ -697,7 +695,8 @@ def load_candidate_trajectory(path) -> list[tuple[int, Point2, float]]:
 def load_local_trajectories(
     path,
 ) -> tuple[dict[int, dict[int, Point2]], dict[int, set[int]]]:
-    """Local-coordinate trajectories CSV: id,frame,x,y with optional visible.
+    """Local-coordinate trajectories CSV: id,frame,x,y (finite) with
+    optional visible.
 
     Returns per-vehicle frame->point maps plus per-vehicle visible frame
     sets (all frames visible when the column is absent).
@@ -708,15 +707,16 @@ def load_local_trajectories(
         try:
             vid = int(row["id"])
             frame = int(row["frame"])
-            pt = Point2(float(row["x"]), float(row["y"]))
+            x, y = float(row["x"]), float(row["y"])
             vis = int(row.get("visible") or 1)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed row: {exc}", line=line) from exc
+        _require_finite(line, x=x, y=y)
         if frame in points.setdefault(vid, {}):
             raise InvariantViolation(
                 f"duplicate frame {frame} for id {vid}", line=line
             )
-        points[vid][frame] = pt
+        points[vid][frame] = Point2(x, y)
         if vis:
             visible.setdefault(vid, set()).add(frame)
         else:

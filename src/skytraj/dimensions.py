@@ -211,11 +211,11 @@ def ratio_filter(samples: DimSamples, min_ratio: float) -> DimSamples:
     """Keep samples whose length/width ratio reaches ``min_ratio``.
 
     Used only when no heading is available; an infinite threshold rejects
-    everything, withholding the estimate.
+    everything, withholding the estimate. Zero-width samples carry no
+    shape and are dropped.
     """
-    if np.any(samples.widths == 0.0):
-        raise ZeroDivisionError("zero-width box in dimension samples")
-    keep = samples.lengths / samples.widths >= min_ratio
+    keep = samples.widths > 0.0
+    keep[keep] = samples.lengths[keep] / samples.widths[keep] >= min_ratio
     return DimSamples(samples.frames[keep], samples.lengths[keep], samples.widths[keep])
 
 
@@ -250,6 +250,7 @@ def dims_to_world(
 def estimate_dimensions(
     raw_points: Sequence[TrackPoint],
     stab_points: Sequence[TrackPoint],
+    visible: set[int],
     cfg: DimConfig,
     frame_size: tuple[int, int],
     ref_to_ortho: Homography,
@@ -257,11 +258,11 @@ def estimate_dimensions(
 ) -> Optional[DimensionEstimate]:
     """Run the full five-step estimator for one vehicle.
 
-    Returns None when no reliable samples survive (vehicles never fully
-    visible, moving diagonally throughout, or parked with square-ish
-    boxes); absence is a valid outcome.
+    ``visible`` holds the frames whose raw box clears the frame margins
+    (``visibility_set``). Returns None when no reliable samples survive
+    (vehicles never fully visible, moving diagonally throughout, or parked
+    with square-ish boxes); absence is a valid outcome.
     """
-    visible = visibility_set(raw_points, frame_size, cfg.visibility_margin)
     if not visible:
         return None
     samples = initial_dims(raw_points, visible, frame_size)

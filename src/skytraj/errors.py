@@ -28,6 +28,10 @@ class NonConvexInput(SkytrajError):
 class MissingDistances(SkytrajError):
     """A correspondence lacks the descriptor distances required by the ratio test."""
 
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row  # index of the match in the set that was tested
+        super().__init__(message)
+
 
 class InsufficientPoints(SkytrajError):
     """Fewer correspondences than the minimal sample size."""
@@ -76,10 +80,12 @@ class DegenerateSegment(SkytrajError):
 class ParseError(SkytrajError):
     """An input file is malformed."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

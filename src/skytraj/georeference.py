@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import UnknownIntersection, UnknownVideo
-from .geometry import (
-    GeoTransform,
-    Homography,
-    Point2,
-    apply_homography,
-    compose,
-    pixel_to_world,
-)
+from .geometry import GeoTransform, Homography, Point2, compose
 
 
 @dataclass(frozen=True)
@@ -59,14 +52,6 @@ class GeoRegistry:
 
 
 @dataclass(frozen=True)
-class GeoPoint:
-    ortho: Point2  # ortho cut-out pixels
-    local: Point2  # planar meters
-    lat: float
-    lon: float
-
-
-@dataclass(frozen=True)
 class LanePolygon:
     section: str
     lane: int
@@ -83,29 +68,6 @@ def compose_ref_to_ortho(registry: GeoRegistry, video_id: str) -> Homography:
     video = registry.video(video_id)
     inter = registry.intersection(video.intersection)
     return compose(inter.master_to_ortho, video.ref_to_master)
-
-
-def georeference_point(
-    registry: GeoRegistry,
-    video_id: str,
-    p_ref: Point2,
-    geo_local: GeoTransform | None = None,
-    geo_wgs: GeoTransform | None = None,
-) -> GeoPoint:
-    """Carry a reference-frame pixel into ortho px, local meters, and WGS84.
-
-    Both affine maps are applied independently to the same ortho pixel.
-    When omitted they are taken from the video's intersection entry.
-    """
-    if geo_local is None or geo_wgs is None:
-        inter = registry.intersection_for(video_id)
-        geo_local = geo_local or inter.geo_local
-        geo_wgs = geo_wgs or inter.geo_wgs
-    h = compose_ref_to_ortho(registry, video_id)
-    ortho = apply_homography(h, p_ref)
-    local = pixel_to_world(geo_local, ortho)
-    wgs = pixel_to_world(geo_wgs, ortho)
-    return GeoPoint(ortho=ortho, local=local, lat=wgs.x, lon=wgs.y)
 
 
 def _on_segment(p: Point2, a: Point2, b: Point2, tol: float = 1e-9) -> bool:

@@ -50,21 +50,24 @@ class KinematicProfile:
     accel: np.ndarray  # m/s^2
     exported: np.ndarray  # bool
 
-    def speed_kmh(self, frame: int) -> float | None:
+    def _cell(self, values: np.ndarray, frame: int) -> float | None:
+        """The frame's value; None if the frame is absent, not exported or NaN."""
         i = int(np.searchsorted(self.frames, frame))
         if i >= len(self.frames) or self.frames[i] != frame:
             return None
-        if not self.exported[i] or math.isnan(self.speed_smooth[i]):
+        if not self.exported[i] or math.isnan(values[i]):
             return None
-        return float(self.speed_smooth[i]) * 3.6
+        return float(values[i])
+
+    def speed_ms(self, frame: int) -> float | None:
+        return self._cell(self.speed_smooth, frame)
+
+    def speed_kmh(self, frame: int) -> float | None:
+        speed = self.speed_ms(frame)
+        return None if speed is None else speed * 3.6
 
     def accel_ms2(self, frame: int) -> float | None:
-        i = int(np.searchsorted(self.frames, frame))
-        if i >= len(self.frames) or self.frames[i] != frame:
-            return None
-        if not self.exported[i] or math.isnan(self.accel[i]):
-            return None
-        return float(self.accel[i])
+        return self._cell(self.accel, frame)
 
 
 def interpolate_gaps(points: Mapping[int, Point2]) -> dict[int, Point2]:

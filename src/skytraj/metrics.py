@@ -1,9 +1,10 @@
 """Registration and trajectory-comparison metrics.
 
-HEA scores the fraction of trials whose corner round-trip displacement
-(true map forward, estimated map back) stays under a pixel threshold;
-MIoU averages the overlap between scene boxes and their round-tripped
-counterparts. Trajectory comparison measures the perpendicular offset
+Per-trial registration scores: the mean corner round-trip displacement
+(true map forward, estimated map back), which HEA thresholds, and the
+mean overlap between scene boxes and their round-tripped counterparts,
+which MIoU averages; ``campaign.run_campaign`` aggregates both over a
+grid cell's trials. Trajectory comparison measures the perpendicular offset
 of a probe point from the segment between its nearest candidate point
 and that point's nearer sequence neighbor, plus a distance-weighted
 speed difference.
@@ -59,9 +60,6 @@ class SceneSpec:
         return Point2((self.xmin + self.xmax) / 2, (self.ymin + self.ymax) / 2)
 
 
-Trial = tuple[Homography, Homography, SceneSpec]  # (true, estimated, scene)
-
-
 def corner_displacement(
     h_true: Homography, h_est: Homography, corners: Sequence[Point2]
 ) -> float:
@@ -95,27 +93,6 @@ def scene_miou(h_true: Homography, h_est: Homography, boxes: Sequence[BBox]) -> 
         except (DegenerateProjection, NonConvexInput):
             pass
     return total / len(boxes)
-
-
-def hea(trials: Sequence[Trial], eps: float) -> float:
-    """Fraction of trials whose mean corner displacement is within ``eps`` px."""
-    if not trials:
-        raise ValueError("no trials")
-    hits = 0
-    for h_true, h_est, scene in trials:
-        try:
-            if corner_displacement(h_true, h_est, scene.corners) <= eps:
-                hits += 1
-        except DegenerateProjection:
-            pass
-    return hits / len(trials)
-
-
-def miou(trials: Sequence[Trial]) -> float:
-    """Grand mean of per-trial box IoU over all trials."""
-    if not trials:
-        raise ValueError("no trials")
-    return sum(scene_miou(h_t, h_e, s.boxes) for h_t, h_e, s in trials) / len(trials)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .dataio import (
     frame_to_timestamp,
     load_correspondences,
 )
-from .dimensions import DimConfig, estimate_dimensions, visibility_set
-from .errors import MissingHomography, SkytrajError
+from .dimensions import DimConfig, estimate_dimensions
+from .errors import MissingDistances, MissingHomography, SkytrajError
 from .geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
 from .georeference import (
     GeoRegistry,
@@ -31,7 +31,7 @@ from .georeference import (
     assign_segment,
     compose_ref_to_ortho,
 )
-from .kinematics import KinematicsConfig, compute_profile, gate_by_visibility
+from .kinematics import KinematicProfile, KinematicsConfig, compute_profile, gate_by_visibility
 from .metrics import ComparisonSample
 from .registration import (
     EstimateReport,
@@ -101,6 +101,7 @@ def estimate_frame_homographies(
     frame's own detection boxes act as exclusion masks around matches'
     source points; the optional ratio test runs next; estimation happens
     on coordinates scaled by ``downscale`` and the result is lifted back.
+    An error in reading or filtering a file names the file and the line.
     """
     corr_dir = Path(correspondence_dir)
     frames = sorted({p.frame for p in tracks.points if p.frame >= 2})
@@ -111,15 +112,23 @@ def estimate_frame_homographies(
         path = corr_dir / f"{frame}.csv"
         if not path.exists():
             raise MissingHomography(frame)
-        corrs = load_correspondences(path)
+        loaded = corrs = load_correspondences(path)
         masks = [
             denormalize_bbox(p.detection.bbox, tracks.frame_size)
             for p in by_frame.get(frame, [])
         ]
+        kept = None
         if masks:
-            corrs = corrs.select(mask_keep_flags(corrs.src, masks, params.mask_margin))
+            kept = mask_keep_flags(loaded.src, masks, params.mask_margin)
+            corrs = loaded.select(kept)
         if params.snn_ratio is not None:
-            corrs = snn_filter(corrs, params.snn_ratio)
+            try:
+                corrs = snn_filter(corrs, params.snn_ratio)
+            except MissingDistances as exc:
+                row = exc.row if kept is None else int(np.flatnonzero(kept)[exc.row])
+                raise MissingDistances(
+                    f"{path}: line {loaded.lines[row]}: match lacks descriptor distances"
+                ) from exc
         rho = params.downscale
         est_pairs = corrs
         if rho < 1.0:
@@ -138,14 +147,63 @@ def estimate_frame_homographies(
 
 
 @dataclass(frozen=True)
+class GeoChain:
+    """Reference-frame pixels to the world: the video's reference->ortho
+    homography, its intersection's two geotransforms (ortho px -> local
+    meters, ortho px -> WGS84 degrees) and the optional lane map."""
+
+    ref_to_ortho: Homography
+    geo_local: GeoTransform
+    geo_wgs: GeoTransform
+    segmentation: SegmentationMap | None = None
+
+    @classmethod
+    def for_video(cls, registry: GeoRegistry, video_id: str, segmentation=None) -> GeoChain:
+        inter = registry.intersection_for(video_id)
+        ref_to_ortho = compose_ref_to_ortho(registry, video_id)
+        return cls(ref_to_ortho, inter.geo_local, inter.geo_wgs, segmentation)
+
+
+class GeoPosition(NamedTuple):
+    ortho: Point2  # ortho cut-out pixels
+    local: Point2  # planar meters
+    wgs: Point2  # (latitude, longitude) degrees
+    segment: tuple[str, int] | None  # (section, lane); None off every lane
+
+
+def georeference_points(
+    stab_points: Sequence[TrackPoint], frame_size: tuple[int, int], geo: GeoChain
+) -> list[GeoPosition]:
+    """Carry each stabilized box center into ortho px, local meters, WGS84
+    and its lane, in input order. Both affine maps are applied to the same
+    ortho pixel; the first lane polygon containing it wins."""
+    out = []
+    for p in stab_points:
+        box = denormalize_bbox(p.detection.bbox, frame_size)
+        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx, box.cy))
+        local = pixel_to_world(geo.geo_local, ortho)
+        wgs = pixel_to_world(geo.geo_wgs, ortho)
+        seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
+        out.append(GeoPosition(ortho, local, wgs, seg))
+    return out
+
+
+def kinematic_profile(
+    local_points: Mapping[int, Point2], visible: set[int], cfg: KinematicsConfig
+) -> KinematicProfile | None:
+    """Speed and acceleration over one trajectory, exported on visible
+    frames only; None below two points."""
+    if len(local_points) < 2:
+        return None
+    return gate_by_visibility(compute_profile(local_points, cfg), visible)
+
+
+@dataclass(frozen=True)
 class VehicleContext:
     """Shared read-only inputs for per-vehicle processing."""
 
     frame_size: tuple[int, int]
-    ref_to_ortho: Homography
-    geo_local: GeoTransform
-    geo_wgs: GeoTransform
-    segmentation: SegmentationMap | None
+    geo: GeoChain
     meta: SessionMeta
     dims: DimConfig
     kinematics: KinematicsConfig
@@ -156,61 +214,44 @@ def process_vehicle(
     stab_points: Sequence[TrackPoint],
     ctx: VehicleContext,
 ) -> list[ExportRow]:
-    """Georeference, measure, and profile one vehicle; returns export rows."""
+    """Georeference, measure, and profile one vehicle; returns export rows.
+
+    Visibility is read from the ``visible`` flags that ``stabilize_tracks``
+    set on the stabilized points.
+    """
     raw_points = sorted(raw_points, key=lambda p: p.frame)
     stab_by_frame = {p.frame: p for p in stab_points}
-    visible = visibility_set(raw_points, ctx.frame_size, ctx.dims.visibility_margin)
-
-    ortho: dict[int, Point2] = {}
-    local: dict[int, Point2] = {}
-    wgs: dict[int, Point2] = {}
-    for p in raw_points:
-        sp = stab_by_frame[p.frame]
-        box = denormalize_bbox(sp.detection.bbox, ctx.frame_size)
-        o = apply_homography(ctx.ref_to_ortho, Point2(box.cx, box.cy))
-        ortho[p.frame] = o
-        local[p.frame] = pixel_to_world(ctx.geo_local, o)
-        wgs[p.frame] = pixel_to_world(ctx.geo_wgs, o)
-
+    stab_points = [stab_by_frame[p.frame] for p in raw_points]
+    visible = {p.frame for p in stab_points if p.visible}
+    positions = georeference_points(stab_points, ctx.frame_size, ctx.geo)
     estimate = estimate_dimensions(
-        raw_points,
-        [stab_by_frame[p.frame] for p in raw_points],
-        ctx.dims,
-        ctx.frame_size,
-        ctx.ref_to_ortho,
-        ctx.geo_local,
+        raw_points, stab_points, visible, ctx.dims, ctx.frame_size,
+        ctx.geo.ref_to_ortho, ctx.geo.geo_local,
     )
-
-    profile = None
-    if len(local) >= 2:
-        profile = gate_by_visibility(compute_profile(local, ctx.kinematics), visible)
+    local = {p.frame: g.local for p, g in zip(raw_points, positions)}
+    profile = kinematic_profile(local, visible, ctx.kinematics)
 
     rows = []
-    for p in raw_points:
-        seg = (
-            assign_segment(ctx.segmentation, ortho[p.frame])
-            if ctx.segmentation is not None
-            else None
-        )
+    for p, g in zip(raw_points, positions):
         rows.append(
             ExportRow(
                 vehicle_id=p.track_id,
                 frame=p.frame,
                 local_time=frame_to_timestamp(p.frame, ctx.meta),
                 drone_id=ctx.meta.drone_id,
-                ortho_x=ortho[p.frame].x,
-                ortho_y=ortho[p.frame].y,
-                local_x=local[p.frame].x,
-                local_y=local[p.frame].y,
-                latitude=wgs[p.frame].x,
-                longitude=wgs[p.frame].y,
+                ortho_x=g.ortho.x,
+                ortho_y=g.ortho.y,
+                local_x=g.local.x,
+                local_y=g.local.y,
+                latitude=g.wgs.x,
+                longitude=g.wgs.y,
                 length_m=estimate.length_m if estimate else None,
                 width_m=estimate.width_m if estimate else None,
                 vehicle_class=p.detection.cls,
                 speed_kmh=profile.speed_kmh(p.frame) if profile else None,
                 accel_ms2=profile.accel_ms2(p.frame) if profile else None,
-                road_section=seg[0] if seg else None,
-                lane_number=seg[1] if seg else None,
+                road_section=g.segment[0] if g.segment else None,
+                lane_number=g.segment[1] if g.segment else None,
                 visibility=p.frame in visible,
             )
         )
@@ -241,13 +282,9 @@ def run_pipeline(
     stabilized = stabilize_tracks(
         refined, homographies, visibility_margin=dims_cfg.visibility_margin
     )
-    inter = registry.intersection_for(video_id)
     ctx = VehicleContext(
         frame_size=tracks.frame_size,
-        ref_to_ortho=compose_ref_to_ortho(registry, video_id),
-        geo_local=inter.geo_local,
-        geo_wgs=inter.geo_wgs,
-        segmentation=segmentation,
+        geo=GeoChain.for_video(registry, video_id, segmentation),
         meta=meta,
         dims=dims_cfg,
         kinematics=kin_cfg,

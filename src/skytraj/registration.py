@@ -36,12 +36,14 @@ MAX_BLOCK = 32
 class Matches:
     """Matched point pairs as columns: ``src`` and ``dst`` are (n, 2) pixel
     coordinates, ``d1 <= d2`` are (n,) descriptor distances, NaN in a row
-    that has none."""
+    that has none. A set read from a file keeps each row's line in it in
+    ``lines``; derived sets have none."""
 
     src: np.ndarray
     dst: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    lines: Sequence[int] | None = None
 
     def __len__(self) -> int:
         return len(self.src)
@@ -89,7 +91,8 @@ def snn_filter(matches: Matches, ratio: float) -> Matches:
         raise ValueError("ratio must be in (0, 1]")
     missing = np.isnan(matches.d1) | np.isnan(matches.d2)
     if missing.any():
-        raise MissingDistances(f"match {int(missing.argmax())} lacks descriptor distances")
+        row = int(missing.argmax())
+        raise MissingDistances(f"match {row} lacks descriptor distances", row=row)
     return matches.select(matches.d1 <= ratio * matches.d2)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import MissingHomography
 from .geometry import BBox, Homography, transform_bbox
@@ -57,9 +57,6 @@ class VideoTracks:
             groups.setdefault(p.frame, []).append(p)
         return groups
 
-    def tracks(self) -> Iterator[tuple[int, list[TrackPoint]]]:
-        yield from sorted(self.by_id().items())
-
 
 def bbox_iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two axis-aligned boxes."""
@@ -94,13 +91,6 @@ def ingest_keep_indices(
         if all(bbox_iou(dets[i].bbox, dets[j].bbox) <= nms_iou for j in kept):
             kept.append(i)
     return sorted(kept)
-
-
-def ingest_filter(
-    dets: Sequence[Detection], score_min: float, nms_iou: float
-) -> list[Detection]:
-    """Apply the confidence threshold plus class-agnostic NMS to one frame."""
-    return [dets[i] for i in ingest_keep_indices(dets, score_min, nms_iou)]
 
 
 def refine_classes(tracks: VideoTracks) -> VideoTracks:
@@ -150,15 +140,6 @@ def denormalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
 def normalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
     w_img, h_img = frame_size
     return BBox(box.cx / w_img, box.cy / h_img, box.w / w_img, box.h / h_img)
-
-
-def visibility_flag(
-    p: TrackPoint, frame_size: tuple[int, int], margin: float
-) -> bool:
-    """True when the point's box sits strictly inside the frame margins."""
-    return bbox_visible_px(
-        denormalize_bbox(p.detection.bbox, frame_size), frame_size, margin
-    )
 
 
 def stabilize_tracks(

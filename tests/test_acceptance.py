@@ -27,7 +27,7 @@ from skytraj.dataio import (
     EXPORT_COLUMNS,
     write_campaign_results,
 )
-from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions
+from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions, visibility_set
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.kinematics import (
     KinematicsConfig,
@@ -165,22 +165,22 @@ def _mover(centers, w=180.0, h=80.0, track_id=1, cls=0):
 def test_criterion_4_dimension_oracle():
     with criterion("4 dimension estimator oracle"):
         cfg = DimConfig()
+
+        def estimate(pts):
+            visible = visibility_set(pts, SIZE, cfg.visibility_margin)
+            return estimate_dimensions(
+                pts, pts, visible, cfg, SIZE, Homography.identity(), GSD_GEO
+            )
+
         # axis-parallel mover, constant 180x80 box
-        pts = _mover([(600 + 50 * i, 1080) for i in range(20)])
-        est = estimate_dimensions(pts, pts, cfg, SIZE, Homography.identity(), GSD_GEO)
+        est = estimate(_mover([(600 + 50 * i, 1080) for i in range(20)]))
         assert est is not None and est.path is DimPath.AZIMUTH_FILTERED
         assert abs(est.length_m - 4.905) <= 1e-9
         assert abs(est.width_m - 2.180) <= 1e-9
         # 45-degree mover is withheld at a 15-degree tolerance
-        diag = _mover([(600 + 40 * i, 600 + 40 * i) for i in range(20)])
-        assert estimate_dimensions(
-            diag, diag, cfg, SIZE, Homography.identity(), GSD_GEO
-        ) is None
+        assert estimate(_mover([(600 + 40 * i, 600 + 40 * i) for i in range(20)])) is None
         # stationary elongated vehicle: ratio path reproduces the box dims
-        parked = _mover([(1000, 500)] * 18, w=160.0, h=80.0)
-        est = estimate_dimensions(
-            parked, parked, cfg, SIZE, Homography.identity(), GSD_GEO
-        )
+        est = estimate(_mover([(1000, 500)] * 18, w=160.0, h=80.0))
         assert est is not None and est.path is DimPath.RATIO_FILTERED
         assert abs(est.length_px - 160.0) <= 1e-9
         assert abs(est.width_px - 80.0) <= 1e-9

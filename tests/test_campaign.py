@@ -170,6 +170,29 @@ class TestRunCampaign:
         assert results[0].miou >= 0.999
         assert results[0].trials == 1
 
+    def test_cell_scores_aggregate_its_trials(self):
+        """HEA is the share of trials whose corner displacement is within
+        epsilon, MIoU the mean of their box IoUs; here some trials miss."""
+        grid = CampaignGrid(trials_per_scene=3, point_counts=(30,))
+        noise, frac, iterations, eps = 1.0, 0.3, 50, 3.0
+        (cell,) = run_campaign(
+            SCENES[:2], RANGES, grid, max_iterations=iterations,
+            noise_sigma=noise, outlier_fraction=frac, master_seed=4, hea_epsilon=eps,
+        )
+        outcomes = []
+        for s_idx, scene in enumerate(SCENES[:2]):
+            for t_idx in range(3):
+                seed_h, seed_c, seed_r = derive_trial_seeds(4, 0, s_idx, t_idx)
+                outcomes.append(run_trial(
+                    scene, RANGES, SynthConfig(30, noise, frac, seed_c),
+                    RansacConfig(max_iterations=iterations, seed=seed_r), seed_h,
+                ))
+        hits = [disp <= eps for disp, _, _ in outcomes]
+        assert 0 < sum(hits) < len(hits)
+        assert cell.hea == sum(hits) / 6
+        assert cell.miou == sum(iou for _, iou, _ in outcomes) / 6
+        assert cell.trials == 6
+
     def test_grid_cardinality(self):
         grid = CampaignGrid(
             snn_ratios=(0.8, 0.9),

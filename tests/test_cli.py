@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import (
     FRAME_H,
     FRAME_W,
     PIPELINE_ARGS,
+    build_pipeline_fixture,
     drift,
     scenario_points,
     write_correspondence_fixture,
@@ -155,6 +157,39 @@ class TestPipelineCommand:
         assert needle in err[0]
         assert not out.exists()
 
+    def test_zero_width_box_on_parked_vehicle(self, tmp_path):
+        """A zero-width box carries no shape: the ratio test drops it and the
+        parked vehicle keeps the estimate of its other boxes."""
+        points = [
+            replace(p, detection=replace(p.detection, bbox=replace(p.detection.bbox, w=0.0)))
+            if (p.track_id, p.frame) == (3, 5) else p
+            for p in scenario_points()
+        ]
+        paths = build_pipeline_fixture(tmp_path / "fixture")
+        write_tracks_csv(paths["tracks"], points)
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(paths, out)) == 0
+        v3 = [r for r in csv.DictReader(out.open()) if r["Vehicle_ID"] == "3"]
+        assert len(v3) == 18
+        assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
+
+    def test_visibility_computed_once_per_point(self, pipeline_fixture, tmp_path, monkeypatch):
+        from skytraj import dimensions, trackmodel
+
+        calls = []
+        original = trackmodel.bbox_visible_px
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(trackmodel, "bbox_visible_px", counted)
+        monkeypatch.setattr(dimensions, "bbox_visible_px", counted)
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(pipeline_fixture, out)) == 0
+        # vehicles 1-3 after the ingest filter drops vehicle 4
+        assert len(calls) == 20 + 15 + 18
+
 
 class TestStabilizeCommand:
     def test_estimates_from_correspondences(self, tmp_path):
@@ -263,8 +298,31 @@ class TestStabilizeCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error [stabilize]: ")
-        assert "line 2: match values must be finite" in err[0]
+        assert f"{frame5}: line 2: match values must be finite" in err[0]
         assert not out.exists()
+
+    def test_missing_distances_name_file_and_line(self, pipeline_fixture, tmp_path, capsys):
+        corr_dir = tmp_path / "corrs"
+        write_correspondence_fixture(corr_dir, frames=range(2, 21))
+        frame5 = corr_dir / "5.csv"
+        lines = frame5.read_text().splitlines()
+        lines[84] = lines[84].rsplit(",", 2)[0] + ",,"  # line 85: no d1, d2
+        frame5.write_text("\n".join(lines) + "\n")
+        rc = run_cli(
+            "stabilize",
+            "--tracks", pipeline_fixture["tracks"],
+            "--sidecar", pipeline_fixture["sidecar"],
+            "--correspondences", corr_dir,
+            "--snn-ratio", "0.9",
+            "--output", tmp_path / "stab.csv",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        # earlier rows of the file fall inside vehicle masks and are dropped
+        # before the ratio test; the error still counts lines of the file
+        assert err == [
+            f"error [stabilize]: {frame5}: line 85: match lacks descriptor distances"
+        ]
 
     @pytest.mark.parametrize(
         "flag, value, needle",
@@ -451,6 +509,32 @@ class TestAuxCommands:
         assert rows[0]["ortho_x"] != ""
         assert {r["id"] for r in rows} == {"1", "2", "3", "4"}
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trajectory_fails_cleanly(self, tmp_path, capsys, value):
+        traj = tmp_path / "local.csv"
+        rows = [f"1,{k},{0.5 * (k - 1)},0.0" for k in range(1, 31)]
+        rows[9] = f"1,10,{value},0.0"
+        traj.write_text("id,frame,x,y\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error [kinematics]: line 11: x={float(value)} is not finite"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["probe", "candidate"])
+    def test_non_finite_comparison_input_fails_cleanly(self, tmp_path, capsys, which):
+        probe, candidate = write_comparison_fixture(tmp_path)
+        path = probe if which == "probe" else candidate
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"  # line 6: speed
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        rc = run_cli("compare", "--probe", probe, "--candidate", candidate, "--output", out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [compare]: line 6: speed=nan is not finite"]
+        assert not out.exists()
+
     def test_unreadable_input_fails_cleanly(self, tmp_path, capsys):
         rc = run_cli(
             "kinematics", "--input", tmp_path / "nope.csv",
@@ -458,6 +542,58 @@ class TestAuxCommands:
         )
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
+
+
+class TestStagesMatchPipeline:
+    GEOREF_CELLS = {
+        "ortho_x": "Ortho_X", "ortho_y": "Ortho_Y", "local_x": "Local_X",
+        "local_y": "Local_Y", "latitude": "Latitude", "longitude": "Longitude",
+        "section": "Road_Section", "lane": "Lane_Number",
+    }
+    DIMS_CELLS = {"length_m": "Vehicle_Length", "width_m": "Vehicle_Width"}
+
+    @pytest.mark.parametrize("margin", [[], ["--visibility-margin", "700"]],
+                             ids=["default-margin", "wide-margin"])
+    def test_georef_and_dims_cells_equal_the_export(self, pipeline_fixture, tmp_path, margin):
+        """``stabilize`` then ``georef`` and ``dims`` write, for every exported
+        vehicle, the cells the ``pipeline`` export holds. A 700 px margin
+        hides part of vehicle 1 and all of vehicle 3 from the estimator."""
+        paths = pipeline_fixture
+        export, stab = tmp_path / "export.csv", tmp_path / "stab.csv"
+        geo, dims = tmp_path / "geo.csv", tmp_path / "dims.csv"
+        common = ["--sidecar", paths["sidecar"], "--registry", paths["registry"],
+                  "--video-id", "L1"]
+        assert run_cli(*pipeline_cmd(paths, export, margin)) == 0
+        assert run_cli(
+            "stabilize", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
+            "--homographies", paths["homographies"], "--output", stab,
+        ) == 0
+        assert run_cli(
+            "georef", "--tracks", stab, "--segmentation", paths["segmentation"], *common,
+            "--output", geo,
+        ) == 0
+        assert run_cli(
+            "dims", "--tracks", paths["tracks"], "--stabilized", stab, *common, *margin,
+            "--output", dims,
+        ) == 0
+        exported: dict[str, list[dict]] = {}
+        for row in csv.DictReader(export.open()):
+            exported.setdefault(row["Vehicle_ID"], []).append(row)
+        georef: dict[str, list[dict]] = {}
+        for row in csv.DictReader(geo.open()):  # sorted by (id, frame)
+            georef.setdefault(row["id"], []).append(row)
+        dims_rows = {row["id"]: row for row in csv.DictReader(dims.open())}
+        assert sum(map(len, exported.values())) == 38
+        for vid, rows in exported.items():
+            assert len(georef[vid]) == len(rows)  # the export keeps every point
+            for got, want in zip(georef[vid], rows):
+                assert {k: got[k] for k in self.GEOREF_CELLS} == {
+                    k: want[c] for k, c in self.GEOREF_CELLS.items()
+                }
+            for row in rows:
+                assert {k: dims_rows[vid][k] for k in self.DIMS_CELLS} == {
+                    k: row[c] for k, c in self.DIMS_CELLS.items()
+                }
 
 
 def readme_config_block() -> str:

@@ -12,15 +12,17 @@ from skytraj.dataio import (
     export_songdo,
     format_fixed,
     frame_to_timestamp,
+    load_candidate_trajectory,
     load_correspondences,
     load_homography_log,
+    load_local_trajectories,
+    load_probe_trajectory,
     load_registry,
     load_segmentation,
     load_sidecar,
     load_tracks,
     load_world_file,
     parse_fps,
-    songdo_filename,
     write_homography_log,
     write_tracks,
 )
@@ -196,6 +198,53 @@ class TestCorrespondences:
         with pytest.raises(ParseError, match="line 2: malformed row"):
             load_correspondences(p)
 
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("src_x,src_y,dst_x\n", 1, "missing columns"),
+            ("src_x,src_y,dst_x,dst_y\n1,2,3,4\n1,2,x,4\n", 3, "malformed row"),
+            ("src_x,src_y,dst_x,dst_y\n1,2,3,4\n\n1,2,3,nan\n", 4, "match values must be finite"),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,1\n", 2, "d1 must be <= d2"),
+        ],
+        ids=["columns", "malformed", "non-finite", "distance-order"],
+    )
+    def test_errors_name_the_file(self, tmp_path, body, line, message):
+        p = tmp_path / "7.csv"
+        p.write_text(body)
+        with pytest.raises(ParseError) as exc:
+            load_correspondences(p)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"{p}: line {line}: {message}")
+
+    def test_rows_keep_their_lines(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("src_x,src_y,dst_x,dst_y\n1,2,3,4\n\n5,6,7,8\n")
+        assert load_correspondences(p).lines == [2, 4]
+        assert load_correspondences(p).select(np.array([1])).lines is None
+
+
+class TestTrajectoryLoaders:
+    @pytest.mark.parametrize(
+        "loader, header, good, bad",
+        [
+            (load_local_trajectories, "id,frame,x,y", "1,1,0.0,0.0", "1,2,{},0.0"),
+            (load_local_trajectories, "id,frame,x,y,visible", "1,1,0,0,1", "1,2,0,{},1"),
+            (load_probe_trajectory, "t,x,y,speed", "0.0,1,2,30", "0.1,{},2,30"),
+            (load_probe_trajectory, "t,x,y,speed", "0.0,1,2,30", "{},1,2,30"),
+            (load_candidate_trajectory, "frame,x,y,speed", "1,1,2,30", "2,1,2,{}"),
+            (load_candidate_trajectory, "frame,x,y,speed", "1,1,2,30", "2,1,{},30"),
+        ],
+        ids=["local-x", "local-y", "probe-x", "probe-t", "candidate-speed", "candidate-y"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, loader, header, good, bad, value):
+        p = tmp_path / "traj.csv"
+        p.write_text(f"{header}\n{good}\n{bad.format(value)}\n")
+        with pytest.raises(InvariantViolation) as exc:
+            loader(p)
+        assert exc.value.line == 3
+        assert "is not finite" in str(exc.value)
+
 
 class TestTransformFiles:
     def test_homography_log_round_trip(self, tmp_path):
@@ -303,9 +352,6 @@ class TestTimestamps:
     def test_bad_start_time_rejected_at_construction(self):
         with pytest.raises(ValueError, match="garbage"):
             SessionMeta(1, "garbage", FPS, "L")
-
-    def test_filename(self):
-        assert songdo_filename(META) == "2022-10-04_L_AM1.csv"
 
 
 class TestFormatFixed:

@@ -153,10 +153,12 @@ class TestRatioFilter:
     def test_infinite_threshold_drops_all(self):
         assert len(ratio_filter(samples_at([1, 2, 3]), math.inf).frames) == 0
 
-    def test_zero_width_is_an_error(self):
-        bad = DimSamples(np.array([1]), np.array([10.0]), np.array([0.0]))
-        with pytest.raises(ZeroDivisionError):
-            ratio_filter(bad, 1.5)
+    def test_zero_width_is_dropped(self):
+        # a zero width has no shape: dropped even at a zero threshold
+        mixed = DimSamples(
+            np.array([1, 2, 3]), np.array([10.0, 10.0, 0.0]), np.array([0.0, 5.0, 0.0])
+        )
+        assert ratio_filter(mixed, 0.0).frames.tolist() == [2]
 
 
 class TestQuartile:
@@ -203,11 +205,18 @@ class TestDimsToWorld:
 CFG = DimConfig()
 
 
+def estimate(raw, stab=None, cfg=CFG):
+    """The estimator with the visible set its callers compute for it."""
+    stab = raw if stab is None else stab
+    visible = visibility_set(raw, SIZE, cfg.visibility_margin)
+    return estimate_dimensions(raw, stab, visible, cfg, SIZE, Homography.identity(), GEO_GSD)
+
+
 class TestEstimateDimensions:
     def test_axis_parallel_mover(self):
         centers = [(600 + 50 * i, 1080) for i in range(20)]
         pts = track_from_centers(centers)
-        est = estimate_dimensions(pts, pts, CFG, SIZE, Homography.identity(), GEO_GSD)
+        est = estimate(pts)
         assert est is not None
         assert est.path is DimPath.AZIMUTH_FILTERED
         assert est.length_px == pytest.approx(180.0, abs=1e-9)
@@ -218,12 +227,12 @@ class TestEstimateDimensions:
     def test_diagonal_mover_withheld(self):
         centers = [(600 + 40 * i, 600 + 40 * i) for i in range(20)]
         pts = track_from_centers(centers)
-        est = estimate_dimensions(pts, pts, CFG, SIZE, Homography.identity(), GEO_GSD)
+        est = estimate(pts)
         assert est is None
 
     def test_parked_elongated_uses_ratio_path(self):
         pts = track_from_centers([(1000, 500)] * 18, w=160, h=80)
-        est = estimate_dimensions(pts, pts, CFG, SIZE, Homography.identity(), GEO_GSD)
+        est = estimate(pts)
         assert est is not None
         assert est.path is DimPath.RATIO_FILTERED
         assert est.length_px == pytest.approx(160.0, abs=1e-9)
@@ -231,19 +240,17 @@ class TestEstimateDimensions:
 
     def test_parked_squarish_withheld(self):
         pts = track_from_centers([(1000, 500)] * 18, w=110, h=100)
-        est = estimate_dimensions(pts, pts, CFG, SIZE, Homography.identity(), GEO_GSD)
+        est = estimate(pts)
         assert est is None
 
     def test_strict_profile_withholds_stationary(self):
         pts = track_from_centers([(1000, 500)] * 18, w=160, h=80)
-        est = estimate_dimensions(
-            pts, pts, DimConfig.strict(), SIZE, Homography.identity(), GEO_GSD
-        )
+        est = estimate(pts, cfg=DimConfig.strict())
         assert est is None
 
     def test_never_visible_withheld(self):
         pts = track_from_centers([(30, 1000)] * 10, w=100, h=50)
-        est = estimate_dimensions(pts, pts, CFG, SIZE, Homography.identity(), GEO_GSD)
+        est = estimate(pts)
         assert est is None
 
     def test_length_never_below_width(self):
@@ -254,9 +261,7 @@ class TestEstimateDimensions:
             w, h = rng.uniform(40, 200, 2)
             centers = [(500 + step * i, 800) for i in range(n)]
             pts = track_from_centers(centers, w=w, h=h)
-            est = estimate_dimensions(
-                pts, pts, CFG, SIZE, Homography.identity(), GEO_GSD
-            )
+            est = estimate(pts)
             if est is not None:
                 assert est.length_px >= est.width_px
                 assert est.length_m >= est.width_m
@@ -267,7 +272,26 @@ class TestEstimateDimensions:
         raw = track_from_centers([(1500, 900)] * 10, w=180, h=80)
         stab = track_from_centers([(1500 + 50 * i, 900) for i in range(10)],
                                   w=180, h=80)
-        est = estimate_dimensions(raw, stab, CFG, SIZE, Homography.identity(), GEO_GSD)
+        est = estimate(raw, stab)
         assert est is not None
         assert est.path is DimPath.AZIMUTH_FILTERED
         assert est.length_px == pytest.approx(180.0, abs=1e-9)
+
+    def test_parked_zero_width_box_is_skipped(self):
+        pts = track_from_centers([(1000, 500)] * 18, w=160, h=80)
+        pts[4] = make_point(5, 1, 1000, 500, 0.0, 80)
+        est = estimate(pts)
+        assert est is not None and est.path is DimPath.RATIO_FILTERED
+        assert est.n_samples == 17
+        assert est.length_px == pytest.approx(160.0, abs=1e-9)
+        assert estimate(track_from_centers([(1000, 500)] * 18, w=0.0, h=80)) is None
+
+    def test_uses_the_given_visible_set(self):
+        pts = track_from_centers([(1000, 500)] * 18, w=160, h=80)
+        est = estimate_dimensions(
+            pts, pts, set(range(1, 6)), CFG, SIZE, Homography.identity(), GEO_GSD
+        )
+        assert est.n_samples == 5
+        assert estimate_dimensions(
+            pts, pts, set(), CFG, SIZE, Homography.identity(), GEO_GSD
+        ) is None

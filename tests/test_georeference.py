@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_point
 from skytraj.errors import UnknownIntersection, UnknownVideo
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.georeference import (
@@ -13,9 +14,20 @@ from skytraj.georeference import (
     VideoEntry,
     assign_segment,
     compose_ref_to_ortho,
-    georeference_point,
     point_in_polygon,
 )
+from skytraj.pipeline import GeoChain, georeference_points
+
+SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact
+
+
+def georef(reg, video_id, p, segmentation=None):
+    """One reference-frame pixel through the pipeline's georeference step."""
+    point = make_point(1, 1, p.x, p.y, 10, 10, frame_size=SIZE)
+    (position,) = georeference_points(
+        [point], SIZE, GeoChain.for_video(reg, video_id, segmentation)
+    )
+    return position
 
 
 def registry_with(master_to_ortho, ref_to_master, geo_local=None, geo_wgs=None):
@@ -77,7 +89,7 @@ class TestComposeRefToOrtho:
 class TestGeoreferencePoint:
     def test_identity_chain(self):
         reg = registry_with(Homography.identity(), Homography.identity())
-        gp = georeference_point(reg, "L1", Point2(12, 34))
+        gp = georef(reg, "L1", Point2(12, 34))
         assert gp.ortho == Point2(12.0, 34.0)
         assert gp.local == Point2(12.0, 34.0)
 
@@ -90,8 +102,8 @@ class TestGeoreferencePoint:
             Homography.identity(), Homography.translation(100, 0), geo_local=geo
         )
         p = Point2(500, 500)
-        a = georeference_point(base, "L1", p)
-        b = georeference_point(shifted, "L1", p)
+        a = georef(base, "L1", p)
+        b = georef(shifted, "L1", p)
         assert b.local.x - a.local.x == pytest.approx(2.725, abs=1e-12)
         assert b.local.y - a.local.y == pytest.approx(0.0, abs=1e-12)
 
@@ -100,7 +112,7 @@ class TestGeoreferencePoint:
         reg = registry_with(
             Homography.identity(), Homography.identity(), geo_local=geo
         )
-        gp = georeference_point(reg, "L1", Point2(0, 0))
+        gp = georef(reg, "L1", Point2(0, 0))
         assert gp.local == Point2(300.5, -20.25)
 
     def test_wgs_map_applied_to_same_ortho_pixel(self):
@@ -110,10 +122,10 @@ class TestGeoreferencePoint:
             Homography.identity(),
             geo_wgs=geo_wgs,
         )
-        gp = georeference_point(reg, "L1", Point2(0, 0))
+        gp = georef(reg, "L1", Point2(0, 0))
         assert gp.ortho == Point2(10.0, 20.0)
-        assert gp.lat == pytest.approx(37.38 + 10e-6, abs=1e-12)
-        assert gp.lon == pytest.approx(126.64 + 40e-6, abs=1e-12)
+        assert gp.wgs.x == pytest.approx(37.38 + 10e-6, abs=1e-12)
+        assert gp.wgs.y == pytest.approx(126.64 + 40e-6, abs=1e-12)
 
     def test_inverse_consistency(self):
         rng = np.random.default_rng(1)
@@ -148,9 +160,17 @@ class TestGeoreferencePoint:
             },
         )
         p = Point2(123.4, 567.8)
-        a = georeference_point(reg, "L1", p)
-        b = georeference_point(reg, "L2", p)
+        a = georef(reg, "L1", p)
+        b = georef(reg, "L2", p)
         assert a == b
+
+    def test_lane_of_the_ortho_pixel(self):
+        reg = registry_with(Homography.translation(10, 20), Homography.identity())
+        square = tuple(Point2(*xy) for xy in [(0, 0), (50, 0), (50, 50), (0, 50)])
+        lanes = SegmentationMap((LanePolygon("2_1", 1, square),))
+        assert georef(reg, "L1", Point2(0, 0), lanes).segment == ("2_1", 1)
+        assert georef(reg, "L1", Point2(45, 0), lanes).segment is None  # ortho x = 55
+        assert georef(reg, "L1", Point2(0, 0)).segment is None
 
 
 SQUARE = tuple(Point2(*xy) for xy in [(0, 0), (10, 0), (10, 10), (0, 10)])

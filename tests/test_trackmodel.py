@@ -9,11 +9,10 @@ from skytraj.geometry import BBox, Homography
 from skytraj.trackmodel import (
     Detection,
     bbox_iou,
-    ingest_filter,
+    bbox_visible_px,
     ingest_keep_indices,
     refine_classes,
     stabilize_tracks,
-    visibility_flag,
 )
 
 
@@ -24,24 +23,22 @@ def det(cx, cy, w, h, cls=0, score=0.9):
 class TestIngestFilter:
     def test_score_threshold_boundary(self):
         dets = [det(0.5, 0.5, 0.1, 0.1, score=0.24), det(0.2, 0.2, 0.1, 0.1, score=0.25)]
-        kept = ingest_filter(dets, 0.25, 0.7)
-        assert kept == [dets[1]]
+        assert ingest_keep_indices(dets, 0.25, 0.7) == [1]
 
     def test_identical_boxes_keep_best(self):
         dets = [det(0.5, 0.5, 0.1, 0.1, score=0.8), det(0.5, 0.5, 0.1, 0.1, score=0.9)]
-        kept = ingest_filter(dets, 0.25, 0.7)
-        assert kept == [dets[1]]
+        assert ingest_keep_indices(dets, 0.25, 0.7) == [1]
 
     def test_disjoint_boxes_kept(self):
         dets = [det(0.2, 0.2, 0.1, 0.1), det(0.8, 0.8, 0.1, 0.1, score=0.5)]
-        assert ingest_filter(dets, 0.25, 0.7) == dets
+        assert ingest_keep_indices(dets, 0.25, 0.7) == [0, 1]
 
     def test_class_agnostic(self):
         dets = [
             det(0.5, 0.5, 0.1, 0.1, cls=0, score=0.9),
             det(0.5, 0.5, 0.1, 0.1, cls=3, score=0.8),
         ]
-        assert ingest_filter(dets, 0.25, 0.7) == [dets[0]]
+        assert ingest_keep_indices(dets, 0.25, 0.7) == [0]
 
     def test_score_tie_prefers_input_order(self):
         dets = [det(0.5, 0.5, 0.1, 0.1, score=0.9), det(0.5, 0.5, 0.1, 0.1, score=0.9)]
@@ -55,7 +52,7 @@ class TestIngestFilter:
                     score=float(rng.uniform(0.05, 1.0)))
                 for _ in range(rng.integers(1, 20))
             ]
-            kept = ingest_filter(dets, 0.25, 0.5)
+            kept = [dets[i] for i in ingest_keep_indices(dets, 0.25, 0.5)]
             assert all(d.score >= 0.25 for d in kept)
             for i, a in enumerate(kept):
                 for b in kept[i + 1:]:
@@ -109,41 +106,33 @@ class TestVisibilityFlag:
     frame_size = (3840, 2160)
 
     def test_central_box_visible(self):
-        p = make_point(1, 1, 1920, 1080, 100, 50)
-        assert visibility_flag(p, self.frame_size, 4.0) is True
+        assert bbox_visible_px(BBox(1920, 1080, 100, 50), self.frame_size, 4.0) is True
 
     def test_left_edge_violation(self):
-        # pixel-exact construction: 1024 frame keeps /1024 coords exact
         size = (1024, 1024)
-        p = make_point(1, 1, 52, 512, 100, 50, frame_size=size)
-        assert visibility_flag(p, size, 4.0) is False  # xmin = 2
+        assert bbox_visible_px(BBox(52, 512, 100, 50), size, 4.0) is False  # xmin = 2
 
     def test_boundary_is_strict(self):
         size = (1024, 1024)
-        p = make_point(1, 1, 54, 512, 100, 50, frame_size=size)
-        assert visibility_flag(p, size, 4.0) is False  # xmin = 4 exactly
+        assert bbox_visible_px(BBox(54, 512, 100, 50), size, 4.0) is False  # xmin = 4 exactly
 
     def test_just_inside(self):
         size = (1024, 1024)
-        p = make_point(1, 1, 55, 512, 100, 50, frame_size=size)
-        assert visibility_flag(p, size, 4.0) is True  # xmin = 5 > 4
+        assert bbox_visible_px(BBox(55, 512, 100, 50), size, 4.0) is True  # xmin = 5 > 4
 
     def test_right_margin_uses_plus_one(self):
         size = (1024, 1024)
         # xmax must be < 1024 - 5 = 1019; cx = 969, w = 100 -> xmax = 1019
-        p = make_point(1, 1, 969, 512, 100, 50, frame_size=size)
-        assert visibility_flag(p, size, 4.0) is False
-        p = make_point(1, 1, 968, 512, 100, 50, frame_size=size)
-        assert visibility_flag(p, size, 4.0) is True
+        assert bbox_visible_px(BBox(969, 512, 100, 50), size, 4.0) is False
+        assert bbox_visible_px(BBox(968, 512, 100, 50), size, 4.0) is True
 
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(3)
         size = (1024, 1024)
         for _ in range(50):
-            p = make_point(1, 1, *rng.uniform(60, 960, 2), *rng.uniform(10, 100, 2),
-                           frame_size=size)
+            box = BBox(*rng.uniform(60, 960, 2), *rng.uniform(10, 100, 2))
             margins = [0.0, 2.0, 4.0, 8.0, 16.0]
-            flags = [visibility_flag(p, size, m) for m in margins]
+            flags = [bbox_visible_px(box, size, m) for m in margins]
             # once invisible at a margin, stays invisible for larger margins
             for a, b in zip(flags, flags[1:]):
                 assert a or not b
