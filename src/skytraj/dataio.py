@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -296,13 +297,19 @@ def load_correspondences(path) -> Matches:
     return Matches(table[:, 0:2], table[:, 2:4], d1, d2, lines)
 
 
-def _parse_floats(tokens: Sequence[str], n: int, line: int, what: str) -> list[float]:
+def _parse_floats(
+    tokens: Sequence[str], n: int, line: int, what: str, path=None
+) -> list[float]:
+    """``n`` finite numbers; errors carry the line and, if given, the file."""
     if len(tokens) != n:
-        raise ParseError(f"{what} needs {n} numbers, got {len(tokens)}", line=line)
+        raise ParseError(f"{what} needs {n} numbers, got {len(tokens)}", line=line, path=path)
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
-        raise ParseError(f"bad number in {what}: {exc}", line=line) from exc
+        raise ParseError(f"bad number in {what}: {exc}", line=line, path=path) from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{what} values must be finite", line=line, path=path)
+    return values
 
 
 def homography_from_row(values: Sequence[float]) -> Homography:
@@ -322,7 +329,7 @@ def load_world_file(path) -> GeoTransform:
     """Six-line world file; lines are a, c, b, d, tx, ty."""
     with _open_reader(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    vals = _parse_floats(lines, 6, 1, "world file")
+    vals = _parse_floats(lines, 6, 1, "world file", path)
     a, c, b, d, tx, ty = vals
     return GeoTransform(a, b, c, d, tx, ty)
 
@@ -339,10 +346,10 @@ def load_homography_log(path) -> dict[int, Homography]:
             try:
                 frame = int(tokens[0])
             except ValueError as exc:
-                raise ParseError(f"bad frame index: {exc}", line=i) from exc
-            vals = _parse_floats(tokens[1:], 9, i, "homography row")
+                raise ParseError(f"bad frame index: {exc}", line=i, path=path) from exc
+            vals = _parse_floats(tokens[1:], 9, i, "homography row", path)
             if frame in out:
-                raise InvariantViolation(f"duplicate frame {frame}", line=i)
+                raise InvariantViolation(f"duplicate frame {frame}", line=i, path=path)
             out[frame] = homography_from_row(vals)
     return out
 
@@ -384,7 +391,7 @@ def load_registry(path) -> GeoRegistry:
             needed = ("master_to_ortho", "geo_local", "geo_wgs")
             if any(k not in pending for k in needed):
                 raise ParseError(
-                    f"intersection {pending.get('label')!r} incomplete", line=line
+                    f"intersection {pending.get('label')!r} incomplete", line=line, path=path
                 )
             intersections[pending["label"]] = IntersectionEntry(
                 master_to_ortho=pending["master_to_ortho"],
@@ -393,7 +400,7 @@ def load_registry(path) -> GeoRegistry:
             )
         else:
             if "ref_to_master" not in pending:
-                raise ParseError(f"video {pending.get('label')!r} incomplete", line=line)
+                raise ParseError(f"video {pending.get('label')!r} incomplete", line=line, path=path)
             videos[pending["label"]] = VideoEntry(
                 intersection=pending["intersection"],
                 ref_to_master=pending["ref_to_master"],
@@ -411,36 +418,37 @@ def load_registry(path) -> GeoRegistry:
             if key == "intersection":
                 flush(line_no)
                 if len(tokens) != 2:
-                    raise ParseError("intersection needs a label", line=line_no)
+                    raise ParseError("intersection needs a label", line=line_no, path=path)
                 pending_kind, pending = "intersection", {"label": tokens[1]}
             elif key == "video":
                 flush(line_no)
                 if len(tokens) != 3:
                     raise ParseError(
-                        "video needs an id and an intersection label", line=line_no
+                        "video needs an id and an intersection label", line=line_no, path=path
                     )
                 pending_kind = "video"
                 pending = {"label": tokens[1], "intersection": tokens[2]}
             elif key == "master_to_ortho" and pending_kind == "intersection":
                 pending["master_to_ortho"] = homography_from_row(
-                    _parse_floats(tokens[1:], 9, line_no, key)
+                    _parse_floats(tokens[1:], 9, line_no, key, path)
                 )
             elif key in ("geo_local", "geo_wgs") and pending_kind == "intersection":
                 pending[key] = geotransform_from_row(
-                    _parse_floats(tokens[1:], 6, line_no, key)
+                    _parse_floats(tokens[1:], 6, line_no, key, path)
                 )
             elif key == "ref_to_master" and pending_kind == "video":
                 pending["ref_to_master"] = homography_from_row(
-                    _parse_floats(tokens[1:], 9, line_no, key)
+                    _parse_floats(tokens[1:], 9, line_no, key, path)
                 )
             else:
-                raise ParseError(f"unexpected directive {key!r}", line=line_no)
+                raise ParseError(f"unexpected directive {key!r}", line=line_no, path=path)
         flush(line_no)
 
     for vid, entry in videos.items():
         if entry.intersection not in intersections:
             raise ParseError(
-                f"video {vid!r} references unknown intersection {entry.intersection!r}"
+                f"video {vid!r} references unknown intersection {entry.intersection!r}",
+                path=path,
             )
     return GeoRegistry(intersections=intersections, videos=videos)
 
@@ -464,6 +472,8 @@ def load_segmentation(path) -> SegmentationMap:
             polygon = tuple(Point2(float(x), float(y)) for x, y in item["polygon"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad segmentation entry {i}: {exc}") from exc
+        if not all(math.isfinite(v) for p in polygon for v in p):
+            raise InvariantViolation(f"{path}: polygon {i} has a non-finite vertex")
         if lane < 1:
             raise InvariantViolation(f"{path}: lane numbers start at 1 (entry {i})")
         if len(polygon) < 3:
@@ -488,6 +498,16 @@ class SessionMeta:
             raise ValueError("fps must be positive")
         _parse_clock(self.start_time)
 
+    @cached_property
+    def ms_terms(self) -> tuple[int, int, int]:
+        """Integers (A, B, D) such that frame f starts (A + (f - 1) * B) / D
+        milliseconds after midnight: with the start clock a/b seconds and
+        the frame rate p/q, A = 1000*a*p, B = 1000*q*b and D = b*p > 0."""
+        clock, fps = _parse_clock(self.start_time), Fraction(self.fps)
+        a, b = clock.numerator, clock.denominator
+        p, q = fps.numerator, fps.denominator
+        return 1000 * a * p, 1000 * q * b, b * p
+
 
 def _parse_clock(text: str) -> Fraction:
     clock = text.split("T")[-1].split(" ")[-1]
@@ -502,12 +522,16 @@ def frame_to_timestamp(frame: int, meta: SessionMeta) -> str:
     """Local wall-clock time of a frame, 'hh:mm:ss.sss'.
 
     Exact rational arithmetic in the frame rate; milliseconds truncate
-    toward zero, and the clock wraps at midnight.
+    toward zero, and the clock wraps at midnight. The start clock is
+    parsed once per ``meta`` (`SessionMeta.ms_terms`); each call is then
+    one integer division, equal to truncating
+    ``(start + Fraction(frame - 1) / fps) * 1000``.
     """
     if frame < 1:
         raise ValueError("frame must be >= 1")
-    total = _parse_clock(meta.start_time) + Fraction(frame - 1) / meta.fps
-    total_ms = int(total * 1000) % (24 * 3600 * 1000)
+    base, step, den = meta.ms_terms
+    num = base + (frame - 1) * step
+    total_ms = (num // den if num >= 0 else -(-num // den)) % (24 * 3600 * 1000)
     hours, rem = divmod(total_ms, 3_600_000)
     minutes, rem = divmod(rem, 60_000)
     seconds, millis = divmod(rem, 1000)
@@ -539,14 +563,32 @@ class ExportRow:
 
 
 def format_fixed(value: float | None, places: int) -> str:
-    """Fixed-point decimal string, ties rounded away from zero; '' for None."""
+    """Fixed-point decimal string of ``repr(value)``, ties rounded away from
+    zero; '' for None; never '-0.00'.
+
+    Two fast paths give the bytes of the ``Decimal`` rounding of the repr
+    digits without building a ``Decimal``. When the repr has at most
+    ``places`` fractional digits, it is padded with zeros. When it has
+    more and does not end on a half at position ``places + 1``, no
+    rounding half lies between the float and its repr (the repr is the
+    shortest, nearest decimal that reads back as the float), so Python's
+    correctly rounded ``f"{x:.{places}f}"`` agrees. A repr with an
+    exponent, a non-finite value, and a repr ending on that half go
+    through ``Decimal``.
+    """
     if value is None:
         return ""
-    quantum = Decimal(1).scaleb(-places)
-    d = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
-    if d == 0:
-        d = abs(d)  # avoid '-0.00'
-    return f"{d:.{places}f}"
+    x = float(value)
+    text = repr(x)
+    _, dot, frac = text.partition(".")
+    if not dot or "e" in frac or (len(frac) == places + 1 and frac[-1] == "5"):
+        quantum = Decimal(1).scaleb(-places)
+        d = Decimal(text).quantize(quantum, rounding=ROUND_HALF_UP)
+        if d == 0:
+            d = abs(d)  # avoid '-0.00'
+        return f"{d:.{places}f}"
+    out = text + "0" * (places - len(frac)) if len(frac) <= places else f"{x:.{places}f}"
+    return out[1:] if out[0] == "-" and not out.strip("-0.") else out
 
 
 def _export_cells(row: ExportRow) -> list[str]:

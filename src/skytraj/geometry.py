@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,6 +85,13 @@ class Homography:
         fwd = Homography.translation(center.x, center.y)
         back = Homography.translation(-center.x, -center.y)
         return compose(fwd, compose(r, back))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[float, float, float], ...]:
+        """The matrix as rows of Python floats, for per-point arithmetic
+        (the same IEEE operations as on the numpy entries, without the
+        scalar indexing)."""
+        return tuple(tuple(row) for row in self.m.tolist())
 
     def inverse(self) -> "Homography":
         return Homography.from_matrix(np.linalg.inv(self.m))
@@ -183,17 +191,17 @@ class Quad:
         return (self.p1, self.p2, self.p3, self.p4)
 
 
+def _project(h: Homography, x: float, y: float) -> tuple[float, float]:
+    (a, b, c), (d, e, f), (g, k, m) = h.rows
+    z = g * x + k * y + m
+    if abs(z) < Z_TOL:
+        raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
+    return float((a * x + b * y + c) / z), float((d * x + e * y + f) / z)
+
+
 def apply_homography(h: Homography, p: Point2) -> Point2:
     """Map a point through ``h`` in homogeneous coordinates."""
-    m = h.m
-    x, y = p
-    z = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(z) < Z_TOL:
-        raise DegenerateProjection(f"point {p} maps to projective infinity")
-    return Point2(
-        float((m[0, 0] * x + m[0, 1] * y + m[0, 2]) / z),
-        float((m[1, 0] * x + m[1, 1] * y + m[1, 2]) / z),
-    )
+    return Point2(*_project(h, *p))
 
 
 def project_array(
@@ -236,15 +244,18 @@ def transform_bbox(h: Homography, b: BBox) -> BBox:
     Pure translations shift the center directly so box size is preserved
     exactly (the corner path would lose low bits to cancellation).
     """
-    m = h.m
-    if (
-        m[0, 0] == 1.0 and m[0, 1] == 0.0
-        and m[1, 0] == 0.0 and m[1, 1] == 1.0
-        and m[2, 0] == 0.0 and m[2, 1] == 0.0 and m[2, 2] == 1.0
-    ):
-        return BBox(b.cx + m[0, 2], b.cy + m[1, 2], b.w, b.h)
-    pts = [apply_homography(h, p) for p in b.corners().points()]
-    return BBox.from_corners([p.x for p in pts], [p.y for p in pts])
+    (m00, m01, tx), (m10, m11, ty), (m20, m21, m22) = h.rows
+    if (m00, m01, m10, m11, m20, m21, m22) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
+        return BBox(b.cx + tx, b.cy + ty, b.w, b.h)
+    xmin, xmax, ymin, ymax = b.xmin, b.xmax, b.ymin, b.ymax
+    # Corners in the order of BBox.corners(), so min/max pick the same values.
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = (
+        _project(h, xmin, ymin),
+        _project(h, xmax, ymin),
+        _project(h, xmax, ymax),
+        _project(h, xmin, ymax),
+    )
+    return BBox.from_corners((x1, x2, x3, x4), (y1, y2, y3, y4))
 
 
 def pixel_to_world(t: GeoTransform, p: Point2) -> Point2:

@@ -8,7 +8,9 @@ cut-out segmentation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import UnknownIntersection, UnknownVideo
@@ -51,11 +53,32 @@ class GeoRegistry:
         return self.intersection(self.video(video_id).intersection)
 
 
+# Relative margin by which a lane's bounding box is widened for the
+# prefilter in `assign_segment`: far above both the 1e-9 boundary tolerance
+# and the rounding error of the containment arithmetic.
+BOUNDS_MARGIN = 1e-6
+
+
 @dataclass(frozen=True)
 class LanePolygon:
     section: str
     lane: int
     polygon: tuple[Point2, ...]
+
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(xmin, ymin, xmax, ymax) of the vertices, widened by
+        ``BOUNDS_MARGIN`` times (1 + the largest vertex magnitude). No point
+        outside it is inside the polygon or on its boundary."""
+        xs = [p.x for p in self.polygon]
+        ys = [p.y for p in self.polygon]
+        pad = BOUNDS_MARGIN * (1.0 + max(map(abs, xs + ys), default=0.0))
+        return (
+            min(xs, default=math.inf) - pad,
+            min(ys, default=math.inf) - pad,
+            max(xs, default=-math.inf) + pad,
+            max(ys, default=-math.inf) + pad,
+        )
 
 
 @dataclass(frozen=True)
@@ -105,8 +128,14 @@ def point_in_polygon(p: Point2, polygon: Sequence[Point2]) -> bool:
 def assign_segment(
     seg: SegmentationMap, ortho_p: Point2
 ) -> Optional[tuple[str, int]]:
-    """First lane polygon (document order) containing the ortho-pixel point."""
+    """First lane polygon (document order) containing the ortho-pixel point.
+
+    A lane whose widened bounding box misses the point is skipped without
+    the polygon test, which could only answer False there.
+    """
+    x, y = ortho_p
     for lane in seg.lanes:
-        if point_in_polygon(ortho_p, lane.polygon):
+        xmin, ymin, xmax, ymax = lane.bounds
+        if xmin <= x <= xmax and ymin <= y <= ymax and point_in_polygon(ortho_p, lane.polygon):
             return (lane.section, lane.lane)
     return None

@@ -177,10 +177,11 @@ def georeference_points(
     """Carry each stabilized box center into ortho px, local meters, WGS84
     and its lane, in input order. Both affine maps are applied to the same
     ortho pixel; the first lane polygon containing it wins."""
+    w_img, h_img = frame_size
     out = []
     for p in stab_points:
-        box = denormalize_bbox(p.detection.bbox, frame_size)
-        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx, box.cy))
+        box = p.detection.bbox
+        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
         local = pixel_to_world(geo.geo_local, ortho)
         wgs = pixel_to_world(geo.geo_wgs, ortho)
         seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None

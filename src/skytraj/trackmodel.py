@@ -10,6 +10,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import MissingHomography
 from .geometry import BBox, Homography, transform_bbox
 
@@ -79,6 +81,12 @@ def ingest_keep_indices(
     Boxes are visited by descending score (input order on ties); a box is
     dropped when its IoU with an already kept box exceeds ``nms_iou``.
     Returned indices preserve input order.
+
+    The IoUs of a frame come from one matrix over the candidates, built
+    with `bbox_iou`'s element arithmetic (edges cx +- w/2, min/max,
+    inter/union, and the same three rules for 0.0), so the survivors equal
+    those of calling `bbox_iou` pair by pair for every box whose edges are
+    not NaN, which holds for any finite box.
     """
     if not 0.0 < score_min < 1.0:
         raise ValueError("score_min must be in (0, 1)")
@@ -86,11 +94,27 @@ def ingest_keep_indices(
         raise ValueError("nms_iou must be in (0, 1)")
     candidates = [i for i, d in enumerate(dets) if d.score >= score_min]
     order = sorted(candidates, key=lambda i: -dets[i].score)
-    kept: list[int] = []
-    for i in order:
-        if all(bbox_iou(dets[i].bbox, dets[j].bbox) <= nms_iou for j in kept):
-            kept.append(i)
-    return sorted(kept)
+    if len(order) < 2:
+        return order
+    cx, cy, w, h = np.array(
+        [(b.cx, b.cy, b.w, b.h) for b in (dets[i].bbox for i in order)]
+    ).T
+    with np.errstate(all="ignore"):  # Python floats do not warn either
+        xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+        ix = np.minimum(xmax[:, None], xmax) - np.maximum(xmin[:, None], xmin)
+        iy = np.minimum(ymax[:, None], ymax) - np.maximum(ymin[:, None], ymin)
+        inter = ix * iy
+        area = w * h
+        union = area[:, None] + area - inter
+        passes = (ix <= 0.0) | (iy <= 0.0) | (union <= 0.0) | (inter / union <= nms_iou)
+    # Pairs (k, l), k < l in visiting order, where k would drop l; row-major,
+    # so k's own fate is settled before its pairs come up.
+    first, second = np.nonzero(np.triu(~passes, 1))
+    dropped: set[int] = set()
+    for k, l in zip(first.tolist(), second.tolist()):
+        if k not in dropped:
+            dropped.add(l)
+    return sorted(i for k, i in enumerate(order) if k not in dropped)
 
 
 def refine_classes(tracks: VideoTracks) -> VideoTracks:
@@ -112,8 +136,8 @@ def refine_classes(tracks: VideoTracks) -> VideoTracks:
 
     new_points = tuple(
         p
-        if p.detection.cls == winner[p.track_id]
-        else replace(p, detection=replace(p.detection, cls=winner[p.track_id]))
+        if (d := p.detection).cls == (cls := winner[p.track_id])
+        else TrackPoint(p.frame, p.track_id, Detection(d.bbox, cls, d.score), p.visible)
         for p in tracks.points
     )
     return replace(tracks, points=new_points)
@@ -156,6 +180,7 @@ def stabilize_tracks(
     borders are physical only in the original footage.
     """
     identity = Homography.identity()
+    frame_size = tracks.frame_size
     new_points = []
     for p in tracks.points:
         h = per_frame_h.get(p.frame)
@@ -164,16 +189,11 @@ def stabilize_tracks(
                 h = identity
             else:
                 raise MissingHomography(p.frame)
-        box_px = denormalize_bbox(p.detection.bbox, tracks.frame_size)
-        stab_px = transform_bbox(h, box_px)
-        visible = bbox_visible_px(box_px, tracks.frame_size, visibility_margin)
+        d = p.detection
+        box_px = denormalize_bbox(d.bbox, frame_size)
+        box = normalize_bbox(transform_bbox(h, box_px), frame_size)
+        visible = bbox_visible_px(box_px, frame_size, visibility_margin)
         new_points.append(
-            replace(
-                p,
-                detection=replace(
-                    p.detection, bbox=normalize_bbox(stab_px, tracks.frame_size)
-                ),
-                visible=visible,
-            )
+            TrackPoint(p.frame, p.track_id, Detection(box, d.cls, d.score), visible)
         )
     return replace(tracks, points=tuple(new_points))

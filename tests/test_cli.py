@@ -1,4 +1,5 @@
 import csv
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,6 +157,50 @@ class TestPipelineCommand:
         assert err[0].startswith("error [pipeline]: ")
         assert needle in err[0]
         assert not out.exists()
+
+    def fails_with_one_line(self, paths, tmp_path, capsys) -> str:
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(paths, out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [pipeline]: ")
+        assert not out.exists()
+        return err[0]
+
+    def test_non_finite_lane_vertex_fails_cleanly(self, pipeline_fixture, tmp_path, capsys):
+        seg = Path(pipeline_fixture["segmentation"])
+        lanes = json.loads(seg.read_text())
+        lanes[1]["polygon"][2] = ["nan", 1]
+        seg.write_text(json.dumps(lanes))
+        err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
+        assert err == f"error [pipeline]: {seg}: polygon 1 has a non-finite vertex"
+
+    @pytest.mark.parametrize(
+        "directive, value, line",
+        [("geo_local", "nan", 4), ("master_to_ortho", "inf", 3), ("ref_to_master", "-inf", 8)],
+    )
+    def test_non_finite_registry_value_names_file_and_line(
+        self, pipeline_fixture, tmp_path, capsys, directive, value, line
+    ):
+        reg = Path(pipeline_fixture["registry"])
+        lines = reg.read_text().splitlines()
+        assert lines[line - 1].startswith(directive + " ")
+        tokens = lines[line - 1].split()
+        tokens[2] = value
+        lines[line - 1] = " ".join(tokens)
+        reg.write_text("\n".join(lines) + "\n")
+        err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
+        assert err == f"error [pipeline]: {reg}: line {line}: {directive} values must be finite"
+
+    def test_non_finite_homography_names_file_and_line(self, pipeline_fixture, tmp_path, capsys):
+        log = Path(pipeline_fixture["homographies"])
+        lines = log.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if text.startswith("7 "))
+        tokens = lines[line - 1].split()
+        tokens[3] = "nan"
+        lines[line - 1] = " ".join(tokens)
+        log.write_text("\n".join(lines) + "\n")
+        err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
+        assert err == f"error [pipeline]: {log}: line {line}: homography row values must be finite"
 
     def test_zero_width_box_on_parked_vehicle(self, tmp_path):
         """A zero-width box carries no shape: the ratio test drops it and the

@@ -1,7 +1,10 @@
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, write_registry, write_segmentation
 from skytraj.dataio import (
@@ -353,6 +356,38 @@ class TestTimestamps:
         with pytest.raises(ValueError, match="garbage"):
             SessionMeta(1, "garbage", FPS, "L")
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        fps=st.sampled_from([Fraction(30000, 1001), Fraction(24000, 1001), Fraction(25),
+                             Fraction(60)]),
+        hours=st.integers(0, 23),
+        minutes=st.integers(0, 59),
+        seconds=st.integers(0, 59),
+        millis=st.sampled_from(["", ".5", ".000", ".999", ".0625", ".123456789"]),
+        date=st.sampled_from(["", "2022-10-04T", "2022-10-04 "]),
+        frame=st.one_of(st.integers(1, 60), st.integers(1, 10**7)),
+    )
+    @example(fps=Fraction(30000, 1001), hours=23, minutes=59, seconds=59, millis=".999",
+             date="", frame=2)  # wraps past midnight
+    @example(fps=Fraction(25), hours=23, minutes=59, seconds=59, millis=".96",
+             date="2022-10-04T", frame=2)  # lands exactly on midnight
+    def test_equals_the_rational_formula(self, fps, hours, minutes, seconds, millis, date,
+                                         frame):
+        start = f"{date}{hours:02d}:{minutes:02d}:{seconds:02d}{millis}"
+        meta = SessionMeta(1, start, fps)
+        clock = Fraction(hours * 3600 + minutes * 60 + seconds) + Fraction(millis or "0")
+        total_ms = int((clock + Fraction(frame - 1) / fps) * 1000) % (24 * 3600 * 1000)
+        h, rest = divmod(total_ms, 3_600_000)
+        m, rest = divmod(rest, 60_000)
+        s, ms = divmod(rest, 1000)
+        assert frame_to_timestamp(frame, meta) == f"{h:02d}:{m:02d}:{s:02d}.{ms:03d}"
+
+    def test_negative_clock_truncates_toward_zero(self):
+        # -0.0005 s -> -0.5 ms truncates to 0 ms, not to -1 ms (23:59:59.999)
+        meta = SessionMeta(1, "00:00:-0.0005", Fraction(25))
+        assert frame_to_timestamp(1, meta) == "00:00:00.000"
+        assert frame_to_timestamp(2, meta) == "00:00:00.039"
+
 
 class TestFormatFixed:
     def test_round_half_away_from_zero(self):
@@ -370,6 +405,51 @@ class TestFormatFixed:
     def test_decimal_places(self):
         assert format_fixed(37.3800001, 7) == "37.3800001"
         assert format_fixed(5.0, 1) == "5.0"
+
+    @pytest.mark.parametrize("places", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "value", [0.125, 2.675, -0.125, -0.004, 1e16, 1e-7, -0.0, 1000000000.000004]
+    )
+    def test_pinned_cases_equal_decimal(self, value, places):
+        assert format_fixed(value, places) == decimal_format_fixed(value, places)
+
+    def test_pinned_values(self):
+        # repr ends on a half: rounded up although the float lies below it
+        assert format_fixed(2.675, 2) == "2.68"
+        assert format_fixed(0.125, 2) == "0.13"
+        assert format_fixed(-0.125, 2) == "-0.13"
+        assert format_fixed(-0.004, 2) == "0.00"
+        assert format_fixed(-0.0, 2) == "0.00"
+        assert format_fixed(1e16, 2) == "10000000000000000.00"
+        assert format_fixed(1e-7, 7) == "0.0000001"
+        assert format_fixed(1e-7, 3) == "0.000"
+        # a repr shorter than the places is written as is, not re-rounded from
+        # the float (f"{x:.7f}" would give 1000000000.0000041)
+        assert format_fixed(1000000000.000004, 7) == "1000000000.0000040"
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        value=st.one_of(
+            st.floats(-1e18, 1e18),
+            st.floats(-1.0, 1.0),
+            # short decimals, so many end exactly on a half
+            st.builds(lambda n, e: float(f"{n}e-{e}"), st.integers(-10**9, 10**9),
+                      st.integers(1, 9)),
+        ),
+        places=st.sampled_from([1, 2, 3, 7]),
+    )
+    def test_equals_decimal_rounding_of_the_repr(self, value, places):
+        assert format_fixed(value, places) == decimal_format_fixed(value, places)
+
+
+def decimal_format_fixed(value, places):
+    """``format_fixed`` as written before its fast paths: the repr digits
+    rounded half away from zero by ``Decimal``."""
+    quantum = Decimal(1).scaleb(-places)
+    d = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    if d == 0:
+        d = abs(d)
+    return f"{d:.{places}f}"
 
 
 def export_row(vehicle_id, frame, **over):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_point
 from skytraj.errors import UnknownIntersection, UnknownVideo
@@ -215,3 +217,67 @@ class TestAssignSegment:
 
     def test_shared_edge_first_in_document_order(self):
         assert assign_segment(self.seg, Point2(10, 5)) == ("3_1", 1)
+
+
+def unfiltered_assign(seg, p):
+    """`assign_segment` without its bounding-box prefilter: every polygon is
+    tested in document order."""
+    for lane in seg.lanes:
+        if point_in_polygon(p, lane.polygon):
+            return (lane.section, lane.lane)
+    return None
+
+
+def _lane(draw, scale, origin):
+    """A quadrilateral (convex, concave or self-touching) near ``origin``."""
+    coord = st.floats(-1.0, 1.0).map(lambda v: v * scale)
+    pts = [Point2(origin[0] + draw(coord), origin[1] + draw(coord)) for _ in range(4)]
+    return LanePolygon("1_1", draw(st.integers(1, 6)), tuple(pts))
+
+
+@st.composite
+def _segmentation_and_point(draw):
+    scale = draw(st.sampled_from([1.0, 128.0, 5000.0, 1e6]))
+    origin = draw(st.sampled_from([(0.0, 0.0), (3000.0, 1500.0), (-1e5, 2e5)]))
+    lanes = [_lane(draw, scale, origin) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):  # a lane sharing an edge with the first one
+        a, b = lanes[0].polygon[:2]
+        lanes.append(LanePolygon("1_2", 1, (b, a, Point2(a.x + scale, a.y - scale))))
+    lane = draw(st.sampled_from(lanes))
+    i = draw(st.integers(0, len(lane.polygon) - 1))
+    a, b = lane.polygon[i], lane.polygon[(i + 1) % len(lane.polygon)]
+    t = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    on_edge = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    # Off the edge along its normal by up to 2e-9, i.e. either side of the
+    # 1e-9 boundary tolerance, or anywhere around the lanes.
+    length = math.hypot(b.x - a.x, b.y - a.y) or 1.0
+    off = draw(st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -2e-9]))
+    near_edge = Point2(on_edge.x - off * (b.y - a.y) / length,
+                       on_edge.y + off * (b.x - a.x) / length)
+    coord = st.floats(-1.5, 1.5).map(lambda v: v * scale)
+    anywhere = Point2(origin[0] + draw(coord), origin[1] + draw(coord))
+    point = draw(st.sampled_from([a, on_edge, near_edge, anywhere]))
+    return SegmentationMap(tuple(lanes)), point
+
+
+class TestAssignSegmentPrefilter:
+    @settings(max_examples=600, deadline=None)
+    @given(case=_segmentation_and_point())
+    def test_equals_the_unfiltered_scan(self, case):
+        seg, p = case
+        assert assign_segment(seg, p) == unfiltered_assign(seg, p)
+
+    def test_points_within_tolerance_of_the_edge_count_inside(self):
+        lane = LanePolygon("1_1", 1, SQUARE)
+        seg = SegmentationMap((lane,))
+        for p in [Point2(10 + 5e-10, 5), Point2(-9e-10, 0), Point2(5, 10 + 9e-10)]:
+            assert assign_segment(seg, p) == ("1_1", 1) == unfiltered_assign(seg, p)
+        assert assign_segment(seg, Point2(10 + 2e-9, 5)) is None
+        xmin, ymin, xmax, ymax = lane.bounds
+        assert xmax - 10 > 1e-9 and -xmin > 1e-9 and ymax - 10 > 1e-9 and -ymin > 1e-9
+
+    def test_degenerate_polygons_match_nothing(self):
+        short = LanePolygon("1_1", 1, (Point2(0, 0), Point2(1, 1)))
+        empty = LanePolygon("1_1", 2, ())
+        seg = SegmentationMap((short, empty))
+        assert assign_segment(seg, Point2(0, 0)) is None

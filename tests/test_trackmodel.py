@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks
 from skytraj.errors import MissingHomography
@@ -57,6 +59,76 @@ class TestIngestFilter:
             for i, a in enumerate(kept):
                 for b in kept[i + 1:]:
                     assert bbox_iou(a.bbox, b.bbox) <= 0.5
+
+
+def pairwise_keep_indices(dets, score_min, nms_iou):
+    """The greedy loop calling `bbox_iou` pair by pair, as NMS ran before the
+    IoU matrix: the reference the matrix version must equal."""
+    candidates = [i for i, d in enumerate(dets) if d.score >= score_min]
+    order = sorted(candidates, key=lambda i: -dets[i].score)
+    kept = []
+    for i in order:
+        if all(bbox_iou(dets[i].bbox, dets[j].bbox) <= nms_iou for j in kept):
+            kept.append(i)
+    return sorted(kept)
+
+
+# Coordinates and sizes on a coarse grid (so boxes coincide, touch and
+# nest), with zero sizes; scores from a short list, so ties are common.
+_coord = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75]), st.floats(0.0, 1.0))
+_size = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.5]), st.floats(0.0, 0.6))
+_score = st.one_of(st.sampled_from([0.25, 0.5, 0.9, 1.0]), st.floats(0.01, 1.0))
+_dets = st.lists(
+    st.builds(det, _coord, _coord, _size, _size, score=_score), min_size=0, max_size=25
+)
+
+
+class TestMatrixNmsMatchesPairwise:
+    @settings(max_examples=300, deadline=None)
+    @given(dets=_dets, nms_iou=st.floats(0.01, 0.99), score_min=st.sampled_from([0.25, 0.5]))
+    def test_random_frames(self, dets, nms_iou, score_min):
+        assert ingest_keep_indices(dets, score_min, nms_iou) == pairwise_keep_indices(
+            dets, score_min, nms_iou
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(dets=_dets.filter(lambda d: len(d) >= 2), data=st.data())
+    def test_threshold_equal_to_an_iou(self, dets, data):
+        # nms_iou set to the exact IoU of one pair: that pair must not
+        # suppress (IoU <= nms_iou keeps), in both versions.
+        ious = sorted(
+            {iou for a in dets for b in dets if 0.0 < (iou := bbox_iou(a.bbox, b.bbox)) < 1.0}
+        )
+        if not ious:
+            return
+        nms_iou = data.draw(st.sampled_from(ious))
+        assert ingest_keep_indices(dets, 0.25, nms_iou) == pairwise_keep_indices(
+            dets, 0.25, nms_iou
+        )
+
+    def test_iou_exactly_at_threshold_keeps(self):
+        a, b = det(0.5, 0.5, 0.2, 0.2, score=0.9), det(0.55, 0.5, 0.2, 0.2, score=0.8)
+        iou = bbox_iou(a.bbox, b.bbox)
+        assert ingest_keep_indices([a, b], 0.25, iou) == [0, 1]
+        assert ingest_keep_indices([a, b], 0.25, math.nextafter(iou, 0.0)) == [0]
+
+    def test_duplicates_zero_area_and_ties(self):
+        dets = [
+            det(0.5, 0.5, 0.0, 0.2, score=0.9),  # zero width: IoU 0 with all
+            det(0.5, 0.5, 0.2, 0.2, score=0.8),
+            det(0.5, 0.5, 0.2, 0.2, score=0.8),  # duplicate, same score: later loses
+            det(0.5, 0.5, 0.0, 0.0, score=0.95),  # a point
+            det(0.52, 0.5, 0.2, 0.2, score=0.85),  # drops both of the 0.8 boxes
+        ]
+        assert ingest_keep_indices(dets, 0.25, 0.7) == [0, 3, 4]
+        assert pairwise_keep_indices(dets, 0.25, 0.7) == [0, 3, 4]
+
+    def test_suppressed_box_does_not_suppress(self):
+        # 0 drops 1; 1 would drop 2, but a dropped box drops nothing.
+        dets = [det(0.50, 0.5, 0.2, 0.2, score=0.9), det(0.53, 0.5, 0.2, 0.2, score=0.8),
+                det(0.56, 0.5, 0.2, 0.2, score=0.7)]
+        assert bbox_iou(dets[0].bbox, dets[2].bbox) <= 0.7 < bbox_iou(dets[1].bbox, dets[2].bbox)
+        assert ingest_keep_indices(dets, 0.25, 0.7) == [0, 2]
 
 
 class TestRefineClasses:
