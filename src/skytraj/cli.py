@@ -10,7 +10,6 @@ the exit code is 0 only when no stage failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -192,10 +191,7 @@ def cmd_pipeline(args) -> int:
     seg_path = _path(cfg, args, "segmentation", required=False)
     segmentation = dataio.load_segmentation(seg_path) if seg_path else None
     homs, _ = _resolve_homographies(cfg, args, tracks, params)
-    rows = run_pipeline(
-        tracks, homs, registry, video_id, segmentation, meta, ingest, dims, kin,
-        jobs=_value(cfg, args, "jobs", kind=int, default=1),
-    )
+    rows = run_pipeline(tracks, homs, registry, video_id, segmentation, meta, ingest, dims, kin)
     dataio.export_songdo(rows, _path(cfg, args, "output"))
     log(f"exported {len(rows)} candidate rows")
     return 0
@@ -259,12 +255,8 @@ def cmd_dims(args) -> int:
     geo = GeoChain.for_video(registry, _value(cfg, args, "video_id", kind=str, default=""))
     raw_by_id = raw.by_id()
     stab_by_id = stab.by_id()
-    out = _path(cfg, args, "output")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["id", "n_samples", "path", "length_px", "width_px", "length_m", "width_m"]
-        )
+
+    def rows():
         for tid in sorted(raw_by_id):
             points = raw_by_id[tid]
             est = estimate_dimensions(
@@ -277,19 +269,23 @@ def cmd_dims(args) -> int:
                 geo.geo_local,
             )
             if est is None:
-                writer.writerow([tid, 0, "none", "", "", "", ""])
+                yield [tid, 0, "none", "", "", "", ""]
             else:
-                writer.writerow(
-                    [
-                        tid,
-                        est.n_samples,
-                        est.path.value,
-                        dataio.format_fixed(est.length_px, 2),
-                        dataio.format_fixed(est.width_px, 2),
-                        dataio.format_fixed(est.length_m, 2),
-                        dataio.format_fixed(est.width_m, 2),
-                    ]
-                )
+                yield [
+                    tid,
+                    est.n_samples,
+                    est.path.value,
+                    dataio.format_fixed(est.length_px, 2),
+                    dataio.format_fixed(est.width_px, 2),
+                    dataio.format_fixed(est.length_m, 2),
+                    dataio.format_fixed(est.width_m, 2),
+                ]
+
+    dataio.write_csv(
+        _path(cfg, args, "output"),
+        ["id", "n_samples", "path", "length_px", "width_px", "length_m", "width_m"],
+        rows(),
+    )
     return 0
 
 
@@ -298,10 +294,8 @@ def cmd_kinematics(args) -> int:
     fps = _value(cfg, args, "fps", kind=dataio.parse_fps, default=DEFAULT_FPS)
     kin = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps)
     points, visible = dataio.load_local_trajectories(_path(cfg, args, "input"))
-    out = _path(cfg, args, "output")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "frame", "speed_ms", "speed_kmh", "accel_ms2"])
+
+    def rows():
         for vid in sorted(points):
             profile = kinematic_profile(points[vid], visible[vid], kin)
             if profile is None:
@@ -309,15 +303,19 @@ def cmd_kinematics(args) -> int:
                 continue
             for frame in profile.frames[profile.exported].tolist():
                 speed = profile.speed_ms(frame)
-                writer.writerow(
-                    [
-                        vid,
-                        frame,
-                        "" if speed is None else repr(speed),
-                        dataio.format_fixed(profile.speed_kmh(frame), 1),
-                        dataio.format_fixed(profile.accel_ms2(frame), 2),
-                    ]
-                )
+                yield [
+                    vid,
+                    frame,
+                    "" if speed is None else repr(speed),
+                    dataio.format_fixed(profile.speed_kmh(frame), 1),
+                    dataio.format_fixed(profile.accel_ms2(frame), 2),
+                ]
+
+    dataio.write_csv(
+        _path(cfg, args, "output"),
+        ["id", "frame", "speed_ms", "speed_kmh", "accel_ms2"],
+        rows(),
+    )
     return 0
 
 
@@ -333,27 +331,25 @@ def cmd_georef(args) -> int:
     video_id = _value(cfg, args, "video_id", kind=str, default="")
     geo = GeoChain.for_video(registry, video_id, segmentation)
     positions = georeference_points(stab.points, stab.frame_size, geo)
-    out = _path(cfg, args, "output")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
-             "latitude", "longitude", "section", "lane"]
-        )
-        for p, g in zip(stab.points, positions):  # sorted by (id, frame)
-            writer.writerow(
-                [
-                    p.track_id,
-                    p.frame,
-                    dataio.format_fixed(g.ortho.x, 1),
-                    dataio.format_fixed(g.ortho.y, 1),
-                    dataio.format_fixed(g.local.x, 2),
-                    dataio.format_fixed(g.local.y, 2),
-                    dataio.format_fixed(g.wgs.x, 7),
-                    dataio.format_fixed(g.wgs.y, 7),
-                    *(g.segment or ("", "")),
-                ]
-            )
+    dataio.write_csv(
+        _path(cfg, args, "output"),
+        ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
+         "latitude", "longitude", "section", "lane"],
+        (
+            [
+                p.track_id,
+                p.frame,
+                dataio.format_fixed(g.ortho.x, 1),
+                dataio.format_fixed(g.ortho.y, 1),
+                dataio.format_fixed(g.local.x, 2),
+                dataio.format_fixed(g.local.y, 2),
+                dataio.format_fixed(g.wgs.x, 7),
+                dataio.format_fixed(g.wgs.y, 7),
+                *(g.segment or ("", "")),
+            ]
+            for p, g in zip(stab.points, positions)  # sorted by (id, frame)
+        ),
+    )
     return 0
 
 
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file")
     common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    common.add_argument("--jobs", type=int, help="bench trial workers (default 1)")
     common.add_argument("--output", help="output file path")
 
     parser = argparse.ArgumentParser(

@@ -5,9 +5,7 @@ JSON, YAML configs, and the final trajectory CSV export.
 Conventions: CSVs are comma-separated UTF-8 with Unix newlines and a
 header row. Homographies serialize as 9 whitespace-separated numbers
 (row-major), geotransforms as 6 numbers ``a b c d tx ty`` meaning
-x' = a*x + b*y + tx, y' = c*x + d*y + ty. A 6-line ESRI-style world
-file is also accepted for geotransforms; its line order is a, c, b, d,
-tx, ty (x-scale, y-shear, x-shear, y-scale, then the offsets).
+x' = a*x + b*y + tx, y' = c*x + d*y + ty.
 """
 from __future__ import annotations
 
@@ -103,6 +101,14 @@ class VideoSidecar:
     n_frames: int | None = None
     n_classes: int = 4
 
+    def __post_init__(self):
+        if self.frame_width < 1 or self.frame_height < 1:
+            raise ValueError(
+                f"frame size must be >= 1, got {self.frame_width}x{self.frame_height}"
+            )
+        if self.fps <= 0:
+            raise ValueError(f"fps must be > 0, got {self.fps}")
+
 
 def load_sidecar(path) -> VideoSidecar:
     data = load_yaml(path)
@@ -116,7 +122,7 @@ def load_sidecar(path) -> VideoSidecar:
         )
     except KeyError as exc:
         raise ParseError(f"{path}: missing sidecar key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: bad sidecar value: {exc}") from exc
 
 
@@ -203,41 +209,34 @@ def load_tracks(
                 )
             )
     points.sort(key=lambda p: (p.track_id, p.frame))
-    n_frames = sidecar.n_frames
-    if n_frames is None:
-        n_frames = max((p.frame for p in points), default=0)
     return VideoTracks(
         frame_width=sidecar.frame_width,
         frame_height=sidecar.frame_height,
-        fps=sidecar.fps,
         points=tuple(points),
-        n_frames=n_frames,
     )
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then ``rows``, as comma-separated UTF-8 with
+    Unix newlines. A failed write raises IoFailure naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _track_cells(p: TrackPoint) -> list:
+    b = p.detection.bbox
+    return [p.frame, p.track_id, repr(b.cx), repr(b.cy), repr(b.w), repr(b.h),
+            p.detection.cls, repr(p.detection.score), int(p.visible)]
 
 
 def write_tracks(tracks: VideoTracks, path) -> None:
     """Write tracks at full float precision, including the visible flag."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRACK_COLUMNS + ["visible"])
-            for p in tracks.points:
-                b = p.detection.bbox
-                writer.writerow(
-                    [
-                        p.frame,
-                        p.track_id,
-                        repr(b.cx),
-                        repr(b.cy),
-                        repr(b.w),
-                        repr(b.h),
-                        p.detection.cls,
-                        repr(p.detection.score),
-                        int(p.visible),
-                    ]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_csv(path, TRACK_COLUMNS + ["visible"], map(_track_cells, tracks.points))
 
 
 def load_correspondences(path) -> Matches:
@@ -322,15 +321,6 @@ def homography_to_row(h: Homography) -> list[float]:
 
 def geotransform_from_row(values: Sequence[float]) -> GeoTransform:
     a, b, c, d, tx, ty = values
-    return GeoTransform(a, b, c, d, tx, ty)
-
-
-def load_world_file(path) -> GeoTransform:
-    """Six-line world file; lines are a, c, b, d, tx, ty."""
-    with _open_reader(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    vals = _parse_floats(lines, 6, 1, "world file", path)
-    a, c, b, d, tx, ty = vals
     return GeoTransform(a, b, c, d, tx, ty)
 
 
@@ -628,14 +618,7 @@ def export_songdo(rows: Iterable[ExportRow], destination) -> None:
         counts[r.vehicle_id] = counts.get(r.vehicle_id, 0) + 1
     kept = [r for r in rows if counts[r.vehicle_id] > MIN_EXPORT_POINTS]
     kept.sort(key=lambda r: (r.vehicle_id, r.frame))
-    try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(EXPORT_COLUMNS)
-            for r in kept:
-                writer.writerow(_export_cells(r))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {destination}: {exc}") from exc
+    write_csv(destination, EXPORT_COLUMNS, map(_export_cells, kept))
 
 
 CAMPAIGN_COLUMNS = [
@@ -654,38 +637,16 @@ def write_campaign_results(
 ) -> None:
     """Results CSV holds only seed-determined values so reruns are
     byte-identical; per-cell mean estimator time goes to a sidecar file."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CAMPAIGN_COLUMNS)
-            for r in results:
-                writer.writerow(
-                    [
-                        "" if r.snn_ratio is None else repr(r.snn_ratio),
-                        repr(r.downscale),
-                        repr(r.reproj_threshold),
-                        r.n_points,
-                        repr(r.hea),
-                        repr(r.miou),
-                        r.trials,
-                    ]
-                )
-        if timing_path is not None:
-            with open(timing_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(CAMPAIGN_COLUMNS[:4] + ["mean_time_ms"])
-                for r in results:
-                    writer.writerow(
-                        [
-                            "" if r.snn_ratio is None else repr(r.snn_ratio),
-                            repr(r.downscale),
-                            repr(r.reproj_threshold),
-                            r.n_points,
-                            format_fixed(r.mean_time_ms, 3),
-                        ]
-                    )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+    def cell(r: CellResult) -> list:
+        snn = "" if r.snn_ratio is None else repr(r.snn_ratio)
+        return [snn, repr(r.downscale), repr(r.reproj_threshold), r.n_points]
+
+    write_csv(path, CAMPAIGN_COLUMNS,
+              ([*cell(r), repr(r.hea), repr(r.miou), r.trials] for r in results))
+    if timing_path is not None:
+        write_csv(timing_path, CAMPAIGN_COLUMNS[:4] + ["mean_time_ms"],
+                  ([*cell(r), format_fixed(r.mean_time_ms, 3)] for r in results))
 
 
 def _read_csv_rows(path, required: list[str]):
@@ -781,23 +742,17 @@ COMPARISON_COLUMNS = [
 
 def write_comparison_report(reports: Sequence[GroupReport], path) -> None:
     """Mean +/- population sd per group, plus trajectory length/duration."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(COMPARISON_COLUMNS)
-            for r in reports:
-                writer.writerow(
-                    [
-                        r.key,
-                        r.n_samples,
-                        format_fixed(r.pos_dev_mean_m, 3),
-                        format_fixed(r.pos_dev_std_m, 3),
-                        format_fixed(r.speed_diff_mean_kmh, 3),
-                        format_fixed(r.speed_diff_std_kmh, 3),
-                        format_fixed(r.traj_length_m, 2),
-                        format_fixed(r.traj_duration_s, 2),
-                        r.skipped,
-                    ]
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_csv(path, COMPARISON_COLUMNS, (
+        [
+            r.key,
+            r.n_samples,
+            format_fixed(r.pos_dev_mean_m, 3),
+            format_fixed(r.pos_dev_std_m, 3),
+            format_fixed(r.speed_diff_mean_kmh, 3),
+            format_fixed(r.speed_diff_std_kmh, 3),
+            format_fixed(r.traj_length_m, 2),
+            format_fixed(r.traj_duration_s, 2),
+            r.skipped,
+        ]
+        for r in reports
+    ))

@@ -121,17 +121,18 @@ def initial_dims(
     """Instantaneous pixel dims: length = long box side, width = short side."""
     if not visible:
         raise EmptyVisibilitySet("no fully visible boxes")
+    w_img, h_img = frame_size
     rows = sorted(
         (
-            (p.frame, denormalize_bbox(p.detection.bbox, frame_size))
+            (p.frame, p.detection.bbox.w * w_img, p.detection.bbox.h * h_img)
             for p in points
             if p.frame in visible
         ),
         key=lambda row: row[0],
     )
-    frames = np.array([f for f, _ in rows], dtype=int)
-    ws = np.array([b.w for _, b in rows])
-    hs = np.array([b.h for _, b in rows])
+    frames = np.array([f for f, _, _ in rows], dtype=int)
+    ws = np.array([w for _, w, _ in rows])
+    hs = np.array([h for _, _, h in rows])
     return DimSamples(frames, np.maximum(ws, hs), np.minimum(ws, hs))
 
 
@@ -152,10 +153,11 @@ def azimuth_sequence(
     """
     if not visible:
         return []
-    centers: dict[int, Point2] = {}
-    for p in stab_points:
-        b = denormalize_bbox(p.detection.bbox, frame_size)
-        centers[p.frame] = Point2(b.cx, b.cy)
+    w_img, h_img = frame_size
+    centers = {
+        p.frame: Point2(p.detection.bbox.cx * w_img, p.detection.bbox.cy * h_img)
+        for p in stab_points
+    }
     frames = sorted(centers)
     last = max(visible)
     anchor = min(visible)

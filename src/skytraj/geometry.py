@@ -37,12 +37,10 @@ class Homography:
     """Invertible 3x3 projective map between pixel planes.
 
     The matrix is stored scaled so that m[2,2] == 1 whenever that entry
-    is usably nonzero; otherwise it is kept as-is and ``normalized`` is
-    False.
+    is usably nonzero; otherwise it is kept as-is.
     """
 
     m: np.ndarray
-    normalized: bool = True
 
     @staticmethod
     def from_matrix(m) -> "Homography":
@@ -57,34 +55,12 @@ class Homography:
             )
         if abs(a[2, 2]) > Z_TOL:
             a = a / a[2, 2]
-            norm = True
-        else:
-            norm = False
         a.setflags(write=False)
-        return Homography(a, norm)
+        return Homography(a)
 
     @staticmethod
     def identity() -> "Homography":
         return Homography.from_matrix(np.eye(3))
-
-    @staticmethod
-    def translation(tx: float, ty: float) -> "Homography":
-        return Homography.from_matrix([[1, 0, tx], [0, 1, ty], [0, 0, 1]])
-
-    @staticmethod
-    def scaling(sx: float, sy: float | None = None) -> "Homography":
-        sy = sx if sy is None else sy
-        return Homography.from_matrix([[sx, 0, 0], [0, sy, 0], [0, 0, 1]])
-
-    @staticmethod
-    def rotation(angle_rad: float, center: Point2 | None = None) -> "Homography":
-        c, s = math.cos(angle_rad), math.sin(angle_rad)
-        r = Homography.from_matrix([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-        if center is None:
-            return r
-        fwd = Homography.translation(center.x, center.y)
-        back = Homography.translation(-center.x, -center.y)
-        return compose(fwd, compose(r, back))
 
     @cached_property
     def rows(self) -> tuple[tuple[float, float, float], ...]:
@@ -92,12 +68,6 @@ class Homography:
         (the same IEEE operations as on the numpy entries, without the
         scalar indexing)."""
         return tuple(tuple(row) for row in self.m.tolist())
-
-    def inverse(self) -> "Homography":
-        return Homography.from_matrix(np.linalg.inv(self.m))
-
-    def __call__(self, p: Point2) -> Point2:
-        return apply_homography(self, p)
 
 
 @dataclass(frozen=True)
@@ -123,13 +93,6 @@ class GeoTransform:
         scale = self.a**2 + self.b**2 + self.c**2 + self.d**2
         if abs(det) <= 1e-15 * max(1.0, scale):
             raise SingularTransform("geotransform linear part is singular")
-
-    @staticmethod
-    def identity() -> "GeoTransform":
-        return GeoTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-
-    def __call__(self, p: Point2) -> Point2:
-        return pixel_to_world(self, p)
 
 
 @dataclass(frozen=True)

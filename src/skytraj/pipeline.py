@@ -1,15 +1,10 @@
 """Stage orchestration behind the CLI: per-frame homography estimation,
 track filtering/stabilization, georeferencing, per-vehicle dimensions and
 kinematics, and assembly of export rows.
-
-Per-vehicle work is independent; with jobs > 1 vehicles are processed in
-a process pool and results are collected in vehicle-id order, so output
-bytes never depend on the worker count.
 """
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -217,12 +212,10 @@ def process_vehicle(
 ) -> list[ExportRow]:
     """Georeference, measure, and profile one vehicle; returns export rows.
 
-    Visibility is read from the ``visible`` flags that ``stabilize_tracks``
-    set on the stabilized points.
+    ``raw_points`` and ``stab_points`` are one vehicle's raw and stabilized
+    points: the same frames, in frame order. Visibility is read from the
+    ``visible`` flags that ``stabilize_tracks`` set on the stabilized points.
     """
-    raw_points = sorted(raw_points, key=lambda p: p.frame)
-    stab_by_frame = {p.frame: p for p in stab_points}
-    stab_points = [stab_by_frame[p.frame] for p in raw_points]
     visible = {p.frame for p in stab_points if p.visible}
     positions = georeference_points(stab_points, ctx.frame_size, ctx.geo)
     estimate = estimate_dimensions(
@@ -259,11 +252,6 @@ def process_vehicle(
     return rows
 
 
-def _vehicle_worker(args) -> list[ExportRow]:
-    raw_points, stab_points, ctx = args
-    return process_vehicle(raw_points, stab_points, ctx)
-
-
 def run_pipeline(
     tracks: VideoTracks,
     homographies: Mapping[int, Homography],
@@ -274,7 +262,6 @@ def run_pipeline(
     ingest: IngestParams,
     dims_cfg: DimConfig,
     kin_cfg: KinematicsConfig,
-    jobs: int = 1,
 ) -> list[ExportRow]:
     """Full chain: ingest filter, class refinement, stabilization,
     georeferencing + lane lookup, dimensions, kinematics."""
@@ -290,20 +277,12 @@ def run_pipeline(
         dims=dims_cfg,
         kinematics=kin_cfg,
     )
+    # Both tables are sorted by (track_id, frame) and hold the same points.
     raw_by_id = refined.by_id()
     stab_by_id = stabilized.by_id()
-    tasks = [
-        (tuple(raw_by_id[tid]), tuple(stab_by_id[tid]), ctx)
-        for tid in sorted(raw_by_id)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_vehicle = list(pool.map(_vehicle_worker, tasks))
-    else:
-        per_vehicle = [_vehicle_worker(t) for t in tasks]
     rows: list[ExportRow] = []
-    for chunk in per_vehicle:
-        rows.extend(chunk)
+    for tid in sorted(raw_by_id):
+        rows.extend(process_vehicle(raw_by_id[tid], stab_by_id[tid], ctx))
     return rows
 
 

@@ -189,16 +189,13 @@ def _dlt_matrix(src: np.ndarray, dst: np.ndarray, check_collinear: bool = True) 
     return _denormalized_solve(_dlt_design(src, dst, t_src, t_dst), t_src, t_dst)
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray, check_collinear: bool = True) -> Homography:
+def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
+    """Least-squares homography mapping (n, 2) ``src`` onto ``dst`` via the
+    normalized direct linear transform."""
     try:
-        return Homography.from_matrix(_dlt_matrix(src, dst, check_collinear))
+        return Homography.from_matrix(_dlt_matrix(src, dst))
     except SingularTransform as exc:
         raise DegenerateConfiguration(str(exc)) from exc
-
-
-def dlt_homography(matches: Matches) -> Homography:
-    """Least-squares homography via the normalized direct linear transform."""
-    return _dlt(matches.src, matches.dst)
 
 
 def _transfer_errors(
@@ -291,13 +288,13 @@ _SKIPPED, _SOLVED, _REPLAY = 0, 1, 2
 def _solve_block(s4: np.ndarray, d4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimal-sample fits of a (K, 4, 2) block, as one batched solve.
 
-    Gives each sample the outcome of the screen, ``_dlt`` and
+    Gives each sample the outcome of the screen, ``_dlt_matrix`` and
     ``Homography.from_matrix`` one sample at a time would give:
     ``_SKIPPED`` for a degenerate sample or a singular fit, ``_SOLVED``
     with its raw (unscaled) matrix, or ``_REPLAY`` where the batched
     arithmetic cannot decide it exactly (non-finite values, all points
     coinciding, a determinant on the invertibility floor). Replayed
-    samples go through ``_dlt`` on their own.
+    samples go through ``_dlt_matrix`` on their own.
     """
     k = len(s4)
     state = np.full(k, _SKIPPED, dtype=np.int8)
@@ -400,7 +397,7 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
         raise NoModelFound(f"no consensus of >= 4 inliers in {it} iterations")
 
     try:
-        refit = _dlt(src[best_flags], dst[best_flags])
+        refit = dlt_homography(src[best_flags], dst[best_flags])
         errs = symmetric_errors(refit, src, dst)
         flags = errs <= eta
         if np.count_nonzero(flags) < 4:

@@ -39,9 +39,7 @@ class TrackPoint:
 class VideoTracks:
     frame_width: int
     frame_height: int
-    fps: Fraction
     points: tuple[TrackPoint, ...]  # sorted by (track_id, frame)
-    n_frames: int
 
     @property
     def frame_size(self) -> tuple[int, int]:

@@ -3,17 +3,37 @@ from __future__ import annotations
 
 import csv
 import json
-from fractions import Fraction
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skytraj.geometry import BBox, Homography
+from skytraj.geometry import BBox, GeoTransform, Homography
 from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
 
 FRAME_W, FRAME_H = 3840, 2160
-FPS = Fraction(30000, 1001)
+
+GEO_IDENTITY = GeoTransform(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def translation(tx: float, ty: float) -> Homography:
+    return Homography.from_matrix([[1, 0, tx], [0, 1, ty], [0, 0, 1]])
+
+
+def scaling(s: float) -> Homography:
+    return Homography.from_matrix([[s, 0, 0], [0, s, 0], [0, 0, 1]])
+
+
+def rotation(angle_rad: float) -> Homography:
+    """Rotation about the origin."""
+    c, s = math.cos(angle_rad), math.sin(angle_rad)
+    return Homography.from_matrix([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+
+
+def inverse(h: Homography) -> Homography:
+    return Homography.from_matrix(np.linalg.inv(h.m))
+
 
 # Camera drift of frame k relative to the reference frame, in pixels.
 def drift(frame: int) -> tuple[float, float]:
@@ -43,17 +63,9 @@ def make_point(
     )
 
 
-def make_tracks(points, frame_size=(FRAME_W, FRAME_H), fps=FPS, n_frames=None):
+def make_tracks(points, frame_size=(FRAME_W, FRAME_H)):
     pts = tuple(sorted(points, key=lambda p: (p.track_id, p.frame)))
-    if n_frames is None:
-        n_frames = max((p.frame for p in pts), default=0)
-    return VideoTracks(
-        frame_width=frame_size[0],
-        frame_height=frame_size[1],
-        fps=fps,
-        points=pts,
-        n_frames=n_frames,
-    )
+    return VideoTracks(frame_width=frame_size[0], frame_height=frame_size[1], points=pts)
 
 
 def scenario_points() -> list[TrackPoint]:
@@ -113,7 +125,7 @@ def write_homography_log_for_drift(path: Path, frames) -> None:
     from skytraj.dataio import write_homography_log
 
     write_homography_log(
-        {k: Homography.translation(*drift(k)) for k in frames}, path
+        {k: translation(*drift(k)) for k in frames}, path
     )
 
 

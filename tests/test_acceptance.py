@@ -41,7 +41,7 @@ from skytraj.metrics import (
     positional_deviation,
     speed_difference,
 )
-from skytraj.registration import Matches, RansacConfig, dlt_homography
+from skytraj.registration import RansacConfig, dlt_homography
 from skytraj.trackmodel import refine_classes
 from test_kinematics import smooth_oracle
 
@@ -113,13 +113,10 @@ def test_criterion_2_dlt_exactness():
                 ],
                 axis=1,
             )
-            no_dist = np.full(n, np.nan)
-            corrs = Matches(
-                pts, np.array([apply_homography(truth, Point2(*p)) for p in pts]), no_dist, no_dist
-            )
-            est = dlt_homography(corrs).m
+            dst = np.array([apply_homography(truth, Point2(*p)) for p in pts])
+            est = dlt_homography(pts, dst).m
             inv = np.linalg.inv(est)
-            for (sx, sy), (dx, dy) in zip(corrs.src, corrs.dst):
+            for (sx, sy), (dx, dy) in zip(pts, dst):
                 fx, fy, fz = est @ np.array([sx, sy, 1.0])
                 bx, by, bz = inv @ np.array([dx, dy, 1.0])
                 fwd = math.hypot(fx / fz - dx, fy / fz - dy)

@@ -14,13 +14,13 @@ from conftest import (
     build_pipeline_fixture,
     drift,
     scenario_points,
+    translation,
     write_correspondence_fixture,
     write_sidecar,
     write_tracks_csv,
 )
 from skytraj.cli import main
 from skytraj.dataio import EXPORT_COLUMNS, load_homography_log, load_tracks, VideoSidecar
-from skytraj.geometry import Homography
 
 
 def run_cli(*args) -> int:
@@ -202,6 +202,29 @@ class TestPipelineCommand:
         err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
         assert err == f"error [pipeline]: {log}: line {line}: homography row values must be finite"
 
+    @pytest.mark.parametrize(
+        "key, value, needle",
+        [
+            ("fps", "1/0", "Fraction(1, 0)"),
+            ("fps", "0", "fps must be > 0"),
+            ("frame_width", "0", "frame size must be >= 1, got 0x2160"),
+            ("frame_width", "-5", "frame size must be >= 1, got -5x2160"),
+            ("frame_height", "0", "frame size must be >= 1, got 3840x0"),
+        ],
+    )
+    def test_bad_sidecar_value_fails_cleanly(
+        self, pipeline_fixture, tmp_path, capsys, key, value, needle
+    ):
+        sidecar = Path(pipeline_fixture["sidecar"])
+        lines = [
+            f"{key}: {value}" if text.startswith(f"{key}:") else text
+            for text in sidecar.read_text().splitlines()
+        ]
+        sidecar.write_text("\n".join(lines) + "\n")
+        err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
+        assert err.startswith(f"error [pipeline]: {sidecar}: bad sidecar value: ")
+        assert needle in err
+
     def test_zero_width_box_on_parked_vehicle(self, tmp_path):
         """A zero-width box carries no shape: the ratio test drops it and the
         parked vehicle keeps the estimate of its other boxes."""
@@ -262,7 +285,7 @@ class TestStabilizeCommand:
         homs = load_homography_log(hom_log)
         for k in range(2, 6):
             dx, dy = drift(k)
-            expect = Homography.translation(dx, dy)
+            expect = translation(dx, dy)
             assert np.allclose(homs[k].m, expect.m, atol=1e-4)
         stab = load_tracks(
             out,
@@ -553,6 +576,24 @@ class TestAuxCommands:
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["ortho_x"] != ""
         assert {r["id"] for r in rows} == {"1", "2", "3", "4"}
+
+    @pytest.mark.parametrize("command", ["dims", "kinematics", "georef"])
+    def test_unwritable_output_names_the_file(self, pipeline_fixture, tmp_path, capsys, command):
+        traj = tmp_path / "local.csv"
+        traj.write_text("id,frame,x,y\n" + "".join(f"1,{k},{k},0\n" for k in range(1, 4)))
+        fixture = ["--sidecar", pipeline_fixture["sidecar"],
+                   "--registry", pipeline_fixture["registry"], "--video-id", "L1"]
+        inputs = {
+            "dims": ["--tracks", pipeline_fixture["tracks"],
+                     "--stabilized", pipeline_fixture["tracks"], *fixture],
+            "kinematics": ["--input", traj],
+            "georef": ["--tracks", pipeline_fixture["tracks"], *fixture],
+        }[command]
+        out = tmp_path / "missing" / "out.csv"
+        assert run_cli(command, *inputs, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error [{command}]: cannot write {out}: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_trajectory_fails_cleanly(self, tmp_path, capsys, value):

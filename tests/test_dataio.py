@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_point, make_tracks, write_registry, write_segmentation
+from conftest import make_point, make_tracks, translation, write_registry, write_segmentation
 from skytraj.dataio import (
     EXPORT_COLUMNS,
     ExportRow,
@@ -24,7 +24,6 @@ from skytraj.dataio import (
     load_segmentation,
     load_sidecar,
     load_tracks,
-    load_world_file,
     parse_fps,
     write_homography_log,
     write_tracks,
@@ -51,7 +50,6 @@ class TestLoadTracks:
         p.write_text(self.header + "1,1,0.5,0.5,0.05,0.02,0,0.9\n2,1,0.51,0.5,0.05,0.02,0,0.85\n")
         tracks = load_tracks(p, SIDECAR)
         assert len(tracks.points) == 2
-        assert tracks.fps == FPS
         assert tracks.points[0].detection.cls == 0
 
     def test_out_of_range_center(self, tmp_path):
@@ -128,7 +126,7 @@ class TestLoadTracks:
 
     def test_write_read_round_trip(self, tmp_path):
         pts = [make_point(k, 1, 600 + 25.3 * k, 1080.7, 180, 80) for k in range(1, 6)]
-        tracks = make_tracks(pts, n_frames=100)
+        tracks = make_tracks(pts)
         path = tmp_path / "out.csv"
         write_tracks(tracks, path)
         again = load_tracks(path, SIDECAR)
@@ -252,7 +250,7 @@ class TestTrajectoryLoaders:
 class TestTransformFiles:
     def test_homography_log_round_trip(self, tmp_path):
         homs = {
-            2: Homography.translation(2, -1),
+            2: translation(2, -1),
             3: Homography.from_matrix([[1.01, 0, 5], [0, 0.99, -3], [1e-6, 0, 1]]),
         }
         path = tmp_path / "h.txt"
@@ -267,13 +265,6 @@ class TestTransformFiles:
         path.write_text("2 1 0 0 0 1 0 0 0 1\n2 1 0 1 0 1 0 0 0 1\n")
         with pytest.raises(InvariantViolation):
             load_homography_log(path)
-
-    def test_world_file_reordering(self, tmp_path):
-        # world-file line order is a, c, b, d, tx, ty
-        path = tmp_path / "ortho.wld"
-        path.write_text("0.1\n0.02\n-0.03\n-0.1\n1000.5\n2000.25\n")
-        t = load_world_file(path)
-        assert (t.a, t.b, t.c, t.d, t.tx, t.ty) == (0.1, -0.03, 0.02, -0.1, 1000.5, 2000.25)
 
     def test_registry(self, tmp_path):
         path = tmp_path / "reg.txt"

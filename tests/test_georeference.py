@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_point
+from conftest import GEO_IDENTITY, inverse, make_point, translation
 from skytraj.errors import UnknownIntersection, UnknownVideo
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.georeference import (
@@ -37,7 +37,7 @@ def registry_with(master_to_ortho, ref_to_master, geo_local=None, geo_wgs=None):
         intersections={
             "L": IntersectionEntry(
                 master_to_ortho=master_to_ortho,
-                geo_local=geo_local or GeoTransform.identity(),
+                geo_local=geo_local or GEO_IDENTITY,
                 geo_wgs=geo_wgs or GeoTransform(1e-6, 0, 0, 1e-6, 37.0, 127.0),
             )
         },
@@ -53,10 +53,10 @@ class TestComposeRefToOrtho:
 
     def test_translations_add(self):
         reg = registry_with(
-            Homography.translation(10, 20), Homography.translation(-3, 4)
+            translation(10, 20), translation(-3, 4)
         )
         h = compose_ref_to_ortho(reg, "L1")
-        assert np.allclose(h.m, Homography.translation(7, 24).m)
+        assert np.allclose(h.m, translation(7, 24).m)
 
     def test_point_action_oracle(self):
         rng = np.random.default_rng(0)
@@ -101,7 +101,7 @@ class TestGeoreferencePoint:
             Homography.identity(), Homography.identity(), geo_local=geo
         )
         shifted = registry_with(
-            Homography.identity(), Homography.translation(100, 0), geo_local=geo
+            Homography.identity(), translation(100, 0), geo_local=geo
         )
         p = Point2(500, 500)
         a = georef(base, "L1", p)
@@ -120,7 +120,7 @@ class TestGeoreferencePoint:
     def test_wgs_map_applied_to_same_ortho_pixel(self):
         geo_wgs = GeoTransform(1e-6, 0, 0, 2e-6, 37.38, 126.64)
         reg = registry_with(
-            Homography.translation(10, 20),
+            translation(10, 20),
             Homography.identity(),
             geo_wgs=geo_wgs,
         )
@@ -139,7 +139,7 @@ class TestGeoreferencePoint:
         )
         reg = registry_with(m2o, r2m)
         h = compose_ref_to_ortho(reg, "L1")
-        inv = h.inverse()
+        inv = inverse(h)
         for _ in range(50):
             p = Point2(*rng.uniform(0, 3840, 2))
             back = apply_homography(inv, apply_homography(h, p))
@@ -149,11 +149,11 @@ class TestGeoreferencePoint:
         m2o = Homography.from_matrix(
             [[1.5, 0.02, 500], [0.01, 1.45, 700], [0, 0, 1]]
         )
-        r2m = Homography.translation(42, -17)
+        r2m = translation(42, -17)
         reg = GeoRegistry(
             intersections={
                 "L": IntersectionEntry(
-                    m2o, GeoTransform.identity(), GeoTransform(1e-6, 0, 0, 1e-6, 37, 127)
+                    m2o, GEO_IDENTITY, GeoTransform(1e-6, 0, 0, 1e-6, 37, 127)
                 )
             },
             videos={
@@ -167,7 +167,7 @@ class TestGeoreferencePoint:
         assert a == b
 
     def test_lane_of_the_ortho_pixel(self):
-        reg = registry_with(Homography.translation(10, 20), Homography.identity())
+        reg = registry_with(translation(10, 20), Homography.identity())
         square = tuple(Point2(*xy) for xy in [(0, 0), (50, 0), (50, 50), (0, 50)])
         lanes = SegmentationMap((LanePolygon("2_1", 1, square),))
         assert georef(reg, "L1", Point2(0, 0), lanes).segment == ("2_1", 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import inverse, translation
 from skytraj.errors import DegenerateSegment
 from skytraj.geometry import BBox, Homography, Point2
 from skytraj.metrics import (
@@ -38,16 +39,16 @@ class TestHea:
 
     def test_exact_inverse(self):
         h = Homography.from_matrix([[1.1, 0.02, 30], [0, 0.93, -10], [0, 0, 1]])
-        assert corner_displacement(h, h.inverse(), scene().corners) <= 3.0
+        assert corner_displacement(h, inverse(h), scene().corners) <= 3.0
 
     def test_ten_pixel_offset_fails_eps_five(self):
         h = Homography.identity()
-        off = Homography.translation(10, 0)
+        off = translation(10, 0)
         assert corner_displacement(h, off, scene().corners) == pytest.approx(10.0)
 
     def test_corner_displacement_is_mean(self):
         h = Homography.identity()
-        off = Homography.translation(3, 4)
+        off = translation(3, 4)
         assert corner_displacement(h, off, scene().corners) == pytest.approx(5.0)
 
 
@@ -57,16 +58,16 @@ class TestMiou:
 
     def test_perfect(self):
         h = Homography.from_matrix([[1.02, 0, 15], [0, 0.99, -5], [0, 0, 1]])
-        assert scene_miou(h, h.inverse(), scene().boxes) == pytest.approx(1.0, abs=1e-9)
+        assert scene_miou(h, inverse(h), scene().boxes) == pytest.approx(1.0, abs=1e-9)
 
     def test_full_width_shift_disjoint(self):
         sc = scene(boxes=((500, 500, 60, 30),))
-        off = Homography.translation(60, 0)
+        off = translation(60, 0)
         assert scene_miou(Homography.identity(), off, sc.boxes) == 0.0
 
     def test_half_width_shift_square(self):
         sc = scene(boxes=((500, 500, 50, 50),))
-        off = Homography.translation(25, 0)
+        off = translation(25, 0)
         assert scene_miou(Homography.identity(), off, sc.boxes) == pytest.approx(1 / 3)
 
     def test_invariant_to_box_order(self):
@@ -74,7 +75,7 @@ class TestMiou:
         sc1 = scene(boxes=boxes)
         sc2 = scene(boxes=boxes[::-1])
         h_t = Homography.identity()
-        h_e = Homography.translation(5, 3)
+        h_e = translation(5, 3)
         assert scene_miou(h_t, h_e, sc1.boxes) == pytest.approx(
             scene_miou(h_t, h_e, sc2.boxes), abs=1e-12
         )
@@ -90,8 +91,8 @@ class TestMiou:
                 ]
             )
             sc = scene(boxes=((700, 450, 70, 35), (1100, 600, 45, 90)))
-            assert corner_displacement(h, h.inverse(), sc.corners) <= 1e-6
-            assert scene_miou(h, h.inverse(), sc.boxes) == pytest.approx(1.0, abs=1e-6)
+            assert corner_displacement(h, inverse(h), sc.corners) <= 1e-6
+            assert scene_miou(h, inverse(h), sc.boxes) == pytest.approx(1.0, abs=1e-6)
 
 
 def sample(probe, speed, pts_speeds):

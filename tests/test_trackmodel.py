@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_point, make_tracks
+from conftest import make_point, make_tracks, rotation, translation
 from skytraj.errors import MissingHomography
 from skytraj.geometry import BBox, Homography
 from skytraj.trackmodel import (
@@ -221,7 +221,7 @@ class TestStabilizeTracks:
 
     def test_translation_shifts_normalized_center(self):
         tracks = make_tracks([make_point(2, 1, 100, 200, 20, 10)])
-        out = stabilize_tracks(tracks, {2: Homography.translation(10, 0)})
+        out = stabilize_tracks(tracks, {2: translation(10, 0)})
         box = out.points[0].detection.bbox
         assert box.cx == pytest.approx((100 + 10) / 3840, abs=1e-12)
         assert box.cy == pytest.approx(200 / 2160, abs=1e-12)
@@ -229,7 +229,7 @@ class TestStabilizeTracks:
 
     def test_rotation_swaps_box_sides(self):
         tracks = make_tracks([make_point(2, 1, 500, 500, 80, 40)])
-        out = stabilize_tracks(tracks, {2: Homography.rotation(math.pi / 2)})
+        out = stabilize_tracks(tracks, {2: rotation(math.pi / 2)})
         box = out.points[0].detection.bbox
         assert box.w * 3840 == pytest.approx(40, abs=1e-9)
         assert box.h * 2160 == pytest.approx(80, abs=1e-9)
@@ -249,7 +249,7 @@ class TestStabilizeTracks:
         pts = [make_point(k, tid, 300 + k, 400, 30, 15)
                for tid in (1, 2) for k in range(1, 6)]
         tracks = make_tracks(pts)
-        homs = {k: Homography.translation(k, -k) for k in range(2, 6)}
+        homs = {k: translation(k, -k) for k in range(2, 6)}
         out = stabilize_tracks(tracks, homs)
         assert len(out.points) == len(tracks.points)
         assert [(p.track_id, p.frame) for p in out.points] == [
@@ -259,16 +259,16 @@ class TestStabilizeTracks:
     def test_visibility_from_unstabilized_boxes(self):
         # box is central originally; the homography throws it out of frame
         tracks = make_tracks([make_point(2, 1, 1920, 1080, 100, 50)])
-        out = stabilize_tracks(tracks, {2: Homography.translation(5000, 0)})
+        out = stabilize_tracks(tracks, {2: translation(5000, 0)})
         assert out.points[0].detection.bbox.cx > 1.0
         assert out.points[0].visible is True
         # and the reverse: box near the border stays not-visible even if
         # stabilization recenters it
         tracks2 = make_tracks([make_point(2, 1, 30, 1080, 100, 50)])
-        out2 = stabilize_tracks(tracks2, {2: Homography.translation(1000, 0)})
+        out2 = stabilize_tracks(tracks2, {2: translation(1000, 0)})
         assert out2.points[0].visible is False
 
     def test_normalized_coordinates_may_leave_unit_range(self):
         tracks = make_tracks([make_point(2, 1, 3800, 1080, 100, 50)])
-        out = stabilize_tracks(tracks, {2: Homography.translation(500, 0)})
+        out = stabilize_tracks(tracks, {2: translation(500, 0)})
         assert out.points[0].detection.bbox.cx > 1.0
