@@ -17,7 +17,7 @@ from pathlib import Path
 from . import campaign as camp
 from . import dataio
 from .dimensions import DimConfig, estimate_dimensions, visibility_set
-from .errors import ConfigError, SkytrajError
+from .errors import ConfigError, ParseError, SkytrajError
 from .kinematics import KinematicsConfig
 from .metrics import aggregate_comparison
 from .pipeline import (
@@ -248,20 +248,23 @@ def cmd_dims(args) -> int:
     dims_cfg = _dims_config(cfg, args)
     sidecar = dataio.load_sidecar(_path(cfg, args, "sidecar"))
     raw = dataio.load_tracks(_path(cfg, args, "tracks"), sidecar)
-    stab = dataio.load_tracks(
-        _path(cfg, args, "stabilized"), sidecar, require_unit_range=False
-    )
+    stab_path = _path(cfg, args, "stabilized")
+    stab = dataio.load_tracks(stab_path, sidecar, require_unit_range=False)
     registry = dataio.load_registry(_path(cfg, args, "registry"))
     geo = GeoChain.for_video(registry, _value(cfg, args, "video_id", kind=str, default=""))
     raw_by_id = raw.by_id()
     stab_by_id = stab.by_id()
+    # stabilize writes every raw vehicle; a missing one means the files differ
+    unmatched = sorted(raw_by_id.keys() - stab_by_id.keys())
+    if unmatched:
+        raise ParseError(f"no points for vehicle {unmatched[0]}", path=stab_path)
 
     def rows():
         for tid in sorted(raw_by_id):
             points = raw_by_id[tid]
             est = estimate_dimensions(
                 points,
-                stab_by_id.get(tid, points),
+                stab_by_id[tid],
                 visibility_set(points, raw.frame_size, dims_cfg.visibility_margin),
                 dims_cfg,
                 raw.frame_size,

@@ -10,12 +10,15 @@ x' = a*x + b*y + tx, y' = c*x + d*y + ty.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -78,12 +81,59 @@ def parse_fps(value) -> Fraction:
     return Fraction(text)
 
 
-def load_yaml(path) -> dict:
+@contextmanager
+def _text_file(path, newline: str | None = ""):
+    """``path`` opened as UTF-8 text, with ``open``'s ``newline``.
+
+    Every loader reads its file in this block. A file that cannot be
+    opened raises IoFailure; a byte that is not UTF-8, met anywhere in
+    the block, raises ParseError at its line. Both name the file.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+        fh = open(path, "r", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
+
+
+def _not_utf8(path) -> ParseError:
+    """ParseError at the line of the first byte of ``path`` that is not
+    UTF-8. (A decoding error counts bytes from the start of the chunk it
+    decoded, so the whole file is decoded again.)"""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"not UTF-8 text: {exc}", line=line, path=path)
+    return ParseError("not UTF-8 text", path=path)  # the file changed since
+
+
+@contextmanager
+def _csv_errors(path, reader):
+    """Raise a CSV syntax error in the block (a field over the csv module's
+    size limit, say) as ParseError naming the file and ``reader``'s line."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise _csv_error(path, reader, exc) from exc
+
+
+def _csv_error(path, reader, exc: csv.Error) -> ParseError:
+    # A DictReader's own line_num stays at its last whole row.
+    line = getattr(reader, "reader", reader).line_num
+    return ParseError(f"bad CSV: {exc}", line=line, path=path)
+
+
+def load_yaml(path) -> dict:
+    try:
+        with _text_file(path, newline=None) as fh:
+            data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML in {path}: {exc}") from exc
     if data is None:
@@ -110,28 +160,27 @@ class VideoSidecar:
             raise ValueError(f"fps must be > 0, got {self.fps}")
 
 
+def _whole(name: str, value) -> int:
+    """``int(value)``, refusing a boolean and a non-integral float."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_sidecar(path) -> VideoSidecar:
     data = load_yaml(path)
     try:
         return VideoSidecar(
-            frame_width=int(data["frame_width"]),
-            frame_height=int(data["frame_height"]),
+            frame_width=_whole("frame_width", data["frame_width"]),
+            frame_height=_whole("frame_height", data["frame_height"]),
             fps=parse_fps(data.get("fps", DEFAULT_FPS)),
-            n_frames=int(data["n_frames"]) if "n_frames" in data else None,
-            n_classes=int(data.get("n_classes", 4)),
+            n_frames=_whole("n_frames", data["n_frames"]) if "n_frames" in data else None,
+            n_classes=_whole("n_classes", data.get("n_classes", 4)),
         )
     except KeyError as exc:
         raise ParseError(f"{path}: missing sidecar key {exc}") from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: bad sidecar value: {exc}") from exc
-
-
-def _open_reader(path):
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return fh
 
 
 def load_tracks(
@@ -150,8 +199,7 @@ def load_tracks(
         sidecar = load_sidecar(sidecar)
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
-    with _open_reader(path) as fh:
-        reader = csv.DictReader(fh)
+    with _text_file(path) as fh, _csv_errors(path, csv.DictReader(fh)) as reader:
         header = reader.fieldnames or []
         missing = [c for c in TRACK_COLUMNS if c not in header]
         if missing:
@@ -239,21 +287,92 @@ def write_tracks(tracks: VideoTracks, path) -> None:
     write_csv(path, TRACK_COLUMNS + ["visible"], map(_track_cells, tracks.points))
 
 
+MATCH_COLUMNS = ("src_x", "src_y", "dst_x", "dst_y", "d1", "d2")
+
+
 def load_correspondences(path) -> Matches:
     """CSV with columns src_x,src_y,dst_x,dst_y and optional d1,d2.
 
     A row whose d1 or d2 cell is empty has no distances (NaN in both).
     Every other value must be a finite number. Errors name the file and
     the line.
+
+    A plain file is converted in one pass (`_plain_match_table`). Any
+    other file, and a plain one that fails a check, is read again row by
+    row (`_match_rows`), which decides every error.
     """
+    with _text_file(path) as fh:
+        text = fh.read()
+    table = _plain_match_table(text)
+    if table is None:
+        return _match_rows(path, text)
+    d1, d2 = table[:, 4], table[:, 5]
+    return Matches(table[:, 0:2], table[:, 2:4], d1, d2, list(range(2, len(table) + 2)))
+
+
+def _plain_match_table(text: str) -> np.ndarray | None:
+    """The (n, 6) ``MATCH_COLUMNS`` table of a file whose rows the csv
+    module splits at each comma, or None.
+
+    Such a file has no quote and no carriage return, a header naming all
+    six columns (in any order, among others) and ``len(header) - 1``
+    commas on each line after it, so it has no blank, short or long row
+    and row k sits on line k + 2. None where the row-by-row reading must
+    decide: another file, a cell over the csv field size limit, one that
+    ``float()`` rejects (such as an empty distance), or a failed check.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    rows = text.split("\n")
+    header = rows[0].split(",")
+    at = {name: i for i, name in enumerate(header)}
+    if any(c not in at for c in MATCH_COLUMNS):
+        return None
+    if rows[-1] == "":
+        rows.pop()
+    if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, rows)) > limit:
+        return None
+    n = len(rows) - 1
+    flat = ",".join(rows[1:])
+    del rows  # hold the file's text and its cells, not its rows too
+    cells = flat.split(",") if flat else []
+    try:
+        table = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    table = table.reshape(n, len(header))[:, [at[c] for c in MATCH_COLUMNS]]
+    return None if _failed_check(table) else table
+
+
+def _failed_check(table: np.ndarray) -> tuple[int, str] | None:
+    """The first row of an (n, 6) match table that fails a check, with the
+    check it fails first, or None."""
+    d1, d2 = table[:, 4], table[:, 5]
+    checks = {
+        "match values must be finite": ~np.isfinite(table).all(axis=1),
+        "distances must be >= 0": (d1 < 0) | (d2 < 0),
+        "d1 must be <= d2": d1 > d2,
+    }
+    failed = np.logical_or.reduce(list(checks.values()))
+    if not failed.any():
+        return None
+    i = int(failed.argmax())
+    return i, next(m for m, bad in checks.items() if bad[i])
+
+
+def _match_rows(path, text: str) -> Matches:
+    """`load_correspondences` one csv row at a time."""
     rows: list[list[float]] = []
     lines: list[int] = []
     bare: list[int] = []  # rows without distances
     error = None
-    with _open_reader(path) as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, [])
-        required = ["src_x", "src_y", "dst_x", "dst_y"]
+        required = list(MATCH_COLUMNS[:4])
         missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"missing columns {missing}", line=1, path=path)
@@ -276,24 +395,19 @@ def load_correspondences(path) -> Matches:
                 error = ParseError(f"malformed row: {exc}", line=reader.line_num, path=path)
                 break
             lines.append(reader.line_num)
+    except csv.Error as exc:
+        error = _csv_error(path, reader, exc)
     table = np.array(rows, dtype=float).reshape(-1, 6)
-    d1, d2 = table[:, 4], table[:, 5]
     # In row order, the first row that fails a check, with the check it fails
     # first, wins over a malformed row further down.
-    checks = {
-        "match values must be finite": ~np.isfinite(table).all(axis=1),
-        "distances must be >= 0": (d1 < 0) | (d2 < 0),
-        "d1 must be <= d2": d1 > d2,
-    }
-    failed = np.logical_or.reduce(list(checks.values()))
-    if failed.any():
-        i = int(failed.argmax())
-        message = next(m for m, bad in checks.items() if bad[i])
+    failed = _failed_check(table)
+    if failed:
+        i, message = failed
         raise InvariantViolation(message, line=lines[i], path=path)
     if error is not None:
         raise error
     table[bare, 4:] = np.nan
-    return Matches(table[:, 0:2], table[:, 2:4], d1, d2, lines)
+    return Matches(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], lines)
 
 
 def _parse_floats(
@@ -327,7 +441,7 @@ def geotransform_from_row(values: Sequence[float]) -> GeoTransform:
 def load_homography_log(path) -> dict[int, Homography]:
     """Per-frame homographies: each line is a frame index plus 9 numbers."""
     out: dict[int, Homography] = {}
-    with _open_reader(path) as fh:
+    with _text_file(path) as fh:
         for i, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
@@ -397,7 +511,7 @@ def load_registry(path) -> GeoRegistry:
             )
         pending_kind, pending = None, {}
 
-    with _open_reader(path) as fh:
+    with _text_file(path) as fh:
         line_no = 0
         for line_no, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
@@ -446,10 +560,8 @@ def load_registry(path) -> GeoRegistry:
 def load_segmentation(path) -> SegmentationMap:
     """JSON list of {section, lane, polygon: [[x, y], ...]} in ortho pixels."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _text_file(path, newline=None) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
@@ -650,8 +762,7 @@ def write_campaign_results(
 
 
 def _read_csv_rows(path, required: list[str]):
-    with _open_reader(path) as fh:
-        reader = csv.DictReader(fh)
+    with _text_file(path) as fh, _csv_errors(path, csv.DictReader(fh)) as reader:
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
         if missing:

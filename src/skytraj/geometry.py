@@ -105,8 +105,9 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (type(self.cx) is type(self.cy) is type(self.w) is type(self.h) is float):
+            for name in ("cx", "cy", "w", "h"):
+                object.__setattr__(self, name, float(getattr(self, name)))
         if self.w < 0 or self.h < 0:
             raise InvalidGeometry(f"box size must be >= 0, got {self.w}x{self.h}")
 

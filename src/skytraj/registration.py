@@ -272,13 +272,23 @@ def _degenerate_samples(pts: np.ndarray) -> np.ndarray:
     return (area_box <= 0.0) | (_first_of(crosses, np.less) < floor)
 
 
-def _sample4(rng: np.random.Generator, pool: list[int]) -> list[int]:
-    # Partial Fisher-Yates shuffle; pool stays a permutation across calls.
-    n = len(pool)
-    for i in range(4):
-        j = int(rng.integers(i, n))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:4]
+def _draw_samples(rng: np.random.Generator, pool: list[int], size: int) -> np.ndarray:
+    """``size`` minimal samples as a (size, 4) index array, each a partial
+    Fisher-Yates shuffle of ``pool``, which stays a permutation across
+    calls.
+
+    Sample k's i-th swap partner is uniform on [i, n). All 4*size of them
+    come from one ``rng.integers`` call with per-draw lower bounds, which
+    yields the values, in order, and leaves the generator in the state of
+    4*size scalar ``rng.integers(i, n)`` calls.
+    """
+    partners = rng.integers(np.tile(np.arange(4), size), len(pool)).tolist()
+    samples = []
+    for k in range(0, 4 * size, 4):
+        for i, j in enumerate(partners[k:k + 4]):
+            pool[i], pool[j] = pool[j], pool[i]
+        samples.append(pool[:4])
+    return np.array(samples)
 
 
 # States of a minimal sample after `_solve_block`.
@@ -357,7 +367,7 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     while it < min(cfg.max_iterations, needed):
         size = min(block, min(cfg.max_iterations, needed) - it)
         block = min(2 * block, MAX_BLOCK)
-        idx = np.array([_sample4(rng, pool) for _ in range(size)])
+        idx = _draw_samples(rng, pool, size)
         s4, d4 = src[idx], dst[idx]
         state, raw = _solve_block(s4, d4)
         flags = np.zeros((size, n), dtype=bool)

@@ -19,6 +19,7 @@ from conftest import (
     write_sidecar,
     write_tracks_csv,
 )
+from skytraj import dataio
 from skytraj.cli import main
 from skytraj.dataio import EXPORT_COLUMNS, load_homography_log, load_tracks, VideoSidecar
 
@@ -628,6 +629,119 @@ class TestAuxCommands:
         )
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
+
+
+def _failing_input(kind, fixture, tmp_path):
+    """(command, argv, file) for a run that reads ``file`` as a ``kind`` input."""
+    out = tmp_path / "out.csv"
+    if kind in ("local", "probe", "candidate"):
+        if kind == "local":
+            traj = tmp_path / "local.csv"
+            traj.write_text("id,frame,x,y\n" + "".join(f"1,{k},{k},0\n" for k in range(1, 4)))
+            return "kinematics", ["kinematics", "--input", traj, "--output", out], traj
+        probe, candidate = write_comparison_fixture(tmp_path)
+        argv = ["compare", "--probe", probe, "--candidate", candidate, "--output", out]
+        return "compare", argv, probe if kind == "probe" else candidate
+    if kind == "config":
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("ingest:\n  score_min: 0.25\n")
+        return "pipeline", pipeline_cmd(fixture, out, ["--config", cfg]), cfg
+    if kind == "correspondences":
+        corr_dir = tmp_path / "corrs"
+        write_correspondence_fixture(corr_dir, frames=range(2, 21))
+        argv = pipeline_cmd(fixture, out)
+        at = argv.index("--homographies")
+        argv[at:at + 2] = ["--correspondences", corr_dir]
+        return "pipeline", argv, corr_dir / "2.csv"
+    return "pipeline", pipeline_cmd(fixture, out), Path(fixture[kind])
+
+
+INPUT_KINDS = ["tracks", "sidecar", "registry", "segmentation", "homographies", "config",
+               "correspondences", "local", "probe", "candidate"]
+
+
+class TestInputFailsCleanly:
+    """An input file that is not UTF-8, or a CSV field over the csv module's
+    size limit, ends the run with exit 1, one ``error [cmd]: <path>: line N:``
+    line and no output file."""
+
+    def fails_with(self, command, argv, tmp_path, capsys) -> str:
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert not (tmp_path / "out.csv").exists()
+        return err[0]
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_non_utf8_byte(self, pipeline_fixture, tmp_path, capsys, kind):
+        command, argv, path = _failing_input(kind, pipeline_fixture, tmp_path)
+        data = path.read_bytes()
+        at = data.find(b"\n") + 1  # start of line 2, or of a one-line file
+        path.write_bytes(data[:at] + b"\xe9" + data[at:])
+        line = data[:at].count(b"\n") + 1
+        assert self.fails_with(command, argv, tmp_path, capsys) == (
+            f"error [{command}]: {path}: line {line}: not UTF-8 text: 'utf-8' codec "
+            f"can't decode byte 0xe9 in position {at}: invalid continuation byte"
+        )
+
+    @pytest.mark.parametrize("kind", ["tracks", "correspondences"])
+    def test_oversized_csv_field(self, pipeline_fixture, tmp_path, capsys, kind):
+        command, argv, path = _failing_input(kind, pipeline_fixture, tmp_path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "1" * (csv.field_size_limit() + 1)
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert self.fails_with(command, argv, tmp_path, capsys) == (
+            f"error [{command}]: {path}: line 3: bad CSV: field larger than field limit "
+            f"({csv.field_size_limit()})"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("frame_width", "3840.9"), ("frame_height", "true"), ("n_frames", "20.5"),
+         ("n_classes", "false"), ("frame_width", ".inf")],
+    )
+    def test_non_integral_sidecar_value(self, pipeline_fixture, tmp_path, capsys, key, value):
+        sidecar = Path(pipeline_fixture["sidecar"])
+        text = "".join(
+            line for line in sidecar.read_text().splitlines(keepends=True)
+            if not line.startswith(f"{key}:")
+        )
+        sidecar.write_text(f"{text}{key}: {value}\n")
+        out = tmp_path / "out.csv"
+        err = self.fails_with("pipeline", pipeline_cmd(pipeline_fixture, out), tmp_path, capsys)
+        assert err == (
+            f"error [pipeline]: {sidecar}: bad sidecar value: {key} must be an integer, "
+            f"got {yaml.safe_load(value)!r}"
+        )
+
+    @pytest.mark.parametrize("value", ['"1920"', "1920.0", "1920"])
+    def test_integral_sidecar_value_is_accepted(self, pipeline_fixture, tmp_path, value):
+        sidecar = Path(pipeline_fixture["sidecar"])
+        text = sidecar.read_text().replace(f"frame_width: {FRAME_W}", f"frame_width: {value}")
+        sidecar.write_text(text)
+        assert dataio.load_sidecar(sidecar).frame_width == 1920
+
+    def test_dims_with_a_vehicle_missing_from_the_stabilized_file(
+        self, pipeline_fixture, tmp_path, capsys
+    ):
+        stab = tmp_path / "stab.csv"
+        assert run_cli(
+            "stabilize", "--tracks", pipeline_fixture["tracks"],
+            "--sidecar", pipeline_fixture["sidecar"],
+            "--homographies", pipeline_fixture["homographies"], "--output", stab,
+        ) == 0
+        lines = stab.read_text().splitlines()
+        kept = [lines[0]] + [line for line in lines[1:] if line.split(",")[1] != "1"]
+        assert len(kept) < len(lines)
+        stab.write_text("\n".join(kept) + "\n")
+        argv = ["dims", "--tracks", pipeline_fixture["tracks"], "--stabilized", stab,
+                "--sidecar", pipeline_fixture["sidecar"],
+                "--registry", pipeline_fixture["registry"], "--video-id", "L1",
+                "--output", tmp_path / "out.csv"]
+        err = self.fails_with("dims", argv, tmp_path, capsys)
+        assert err == f"error [dims]: {stab}: no points for vehicle 1"
 
 
 class TestStagesMatchPipeline:

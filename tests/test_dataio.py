@@ -1,5 +1,9 @@
+import csv
+import tempfile
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from skytraj.dataio import (
     ExportRow,
     SessionMeta,
     VideoSidecar,
+    _plain_match_table,
     export_songdo,
     format_fixed,
     frame_to_timestamp,
@@ -30,6 +35,7 @@ from skytraj.dataio import (
 )
 from skytraj.errors import InvariantViolation, ParseError
 from skytraj.geometry import Homography
+from skytraj.registration import Matches
 
 FPS = Fraction(30000, 1001)
 SIDECAR = VideoSidecar(frame_width=3840, frame_height=2160, fps=FPS, n_frames=100)
@@ -222,6 +228,197 @@ class TestCorrespondences:
         p.write_text("src_x,src_y,dst_x,dst_y\n1,2,3,4\n\n5,6,7,8\n")
         assert load_correspondences(p).lines == [2, 4]
         assert load_correspondences(p).select(np.array([1])).lines is None
+
+
+def _row_loop_correspondences(path) -> Matches:
+    """The csv row loop `load_correspondences` replays on a miss, as a
+    reference for its one-pass table."""
+    rows, lines, bare = [], [], []
+    error = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        required = ["src_x", "src_y", "dst_x", "dst_y"]
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(f"missing columns {missing}", line=1, path=path)
+        at = {name: i for i, name in enumerate(header)}
+        dist = ["d1", "d2"] if "d1" in at and "d2" in at else []
+        take = itemgetter(*(at[c] for c in required + dist))
+        pad = [None] * len(header)
+        for row in reader:
+            if not row:
+                continue
+            row += pad[len(row):]
+            cells = take(row)
+            if not dist or cells[4] in (None, "") or cells[5] in (None, ""):
+                cells = cells[:4]
+                bare.append(len(lines))
+            try:
+                rows.append([*map(float, cells), 0.0, 0.0][:6])
+            except (TypeError, ValueError) as exc:
+                error = ParseError(f"malformed row: {exc}", line=reader.line_num, path=path)
+                break
+            lines.append(reader.line_num)
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    d1, d2 = table[:, 4], table[:, 5]
+    checks = {
+        "match values must be finite": ~np.isfinite(table).all(axis=1),
+        "distances must be >= 0": (d1 < 0) | (d2 < 0),
+        "d1 must be <= d2": d1 > d2,
+    }
+    failed = np.logical_or.reduce(list(checks.values()))
+    if failed.any():
+        i = int(failed.argmax())
+        message = next(m for m, bad in checks.items() if bad[i])
+        raise InvariantViolation(message, line=lines[i], path=path)
+    if error is not None:
+        raise error
+    table[bare, 4:] = np.nan
+    return Matches(table[:, 0:2], table[:, 2:4], d1, d2, lines)
+
+
+def _load_outcome(loader, path):
+    try:
+        m = loader(path)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    return [(a.shape, a.tobytes()) for a in (m.src, m.dst, m.d1, m.d2)], m.lines
+
+
+# cells the csv row loop reads differently from a plain float, or rejects
+_ODD_CELLS = ["nan", "inf", "-inf", "", " 1.5", "2.5 ", "1_0", '"3"', '"4,5"', "x", "-1", "1e400"]
+
+
+@st.composite
+def _match_files(draw) -> str:
+    """Correspondence CSV text: mostly plain rows, with every way out of the
+    one-pass table mixed in."""
+    cols = ["src_x", "src_y", "dst_x", "dst_y"]
+    if draw(st.integers(0, 5)):
+        cols += ["d1", "d2"]
+    cols += draw(st.lists(st.sampled_from(["id", "score"]), unique=True, max_size=2))
+    header = draw(st.permutations(cols))
+    value = st.floats(-10.0, 4000.0, allow_nan=False).map(repr) | st.integers(0, 4000).map(str)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", ","])))  # blank-ish
+            continue
+        d1, d2 = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+        cells = [
+            repr(d1) if c == "d1" else repr(d2) if c == "d2" else draw(value) for c in header
+        ]
+        if kind == 1:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == 2:
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]  # short
+        elif kind == 3:
+            cells.append(draw(value))  # long
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+class TestCorrespondenceFastPath:
+    PLAIN = "dst_x,id,src_y,d2,src_x,d1,dst_y\n1,7,2,0.5,3,0.25,4\n5.5,8,-6,1,7e2,1,8\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_match_files())
+    @example(text=PLAIN)
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n")  # header only
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1")  # no final newline
+    @example(text='src_x,src_y,dst_x,dst_y,d1,d2\n"1",2,3,4,0.5,1\n')  # quotes
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\r\n1,2,3,4,0.5,1\r\n")  # \r
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n\n5,6,7,8,0.5,1\n")  # blank
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5\n")  # short
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1,9\n")  # long
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,,\n5,6,7,8,0.5,\n")  # empty d1/d2
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,nan,4,0.5,1\n1,2,3,4,0.5,inf\n")
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1_0,2,3,4,0.5,1\n")  # float() takes 1_0
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n 1,2 ,3,4,0.5,1\n")  # spaces
+    @example(text="src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,1,0.5\n1,2,x,4,0.5,1\n")
+    @example(text="src_x,src_y,dst_x,dst_y\n1,2,3,4\n")  # no distances
+    def test_equals_the_row_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "3.csv"
+            path.write_bytes(text.encode())
+            got = _load_outcome(load_correspondences, path)
+            assert got == _load_outcome(_row_loop_correspondences, path)
+
+    def test_plain_files_take_the_one_pass_table(self):
+        table = _plain_match_table(self.PLAIN)
+        assert table.tolist() == [[3, 2, 1, 4, 0.25, 0.5], [700, -6, 5.5, 8, 1, 1]]
+        assert _plain_match_table("src_x,src_y,dst_x,dst_y,d1,d2\n").shape == (0, 6)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'src_x,src_y,dst_x,dst_y,d1,d2\n"1",2,3,4,0.5,1\n',
+            "src_x,src_y,dst_x,dst_y,d1,d2\r\n1,2,3,4,0.5,1\r\n",
+            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n\n",
+            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5\n",
+            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1,9\n",
+            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,,\n",
+            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,nan\n",
+            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,1\n",
+            "src_x,src_y,dst_x,dst_y\n1,2,3,4\n",
+            "",
+        ],
+        ids=["quote", "cr", "blank", "short", "long", "empty-distance", "non-finite",
+             "distance-order", "no-distances", "empty"],
+    )
+    def test_other_files_go_row_by_row(self, text):
+        assert _plain_match_table(text) is None
+
+    def test_cell_over_the_field_limit_goes_row_by_row(self):
+        tiny = "0." + "0" * csv.field_size_limit() + "1"  # finite, but too long a field
+        text = f"src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n{tiny},2,3,4,0.5,1\n"
+        assert _plain_match_table(text) is None
+
+
+class TestOversizedField:
+    BIG = "1" * (131072 + 1)
+
+    @pytest.mark.parametrize(
+        "loader, header, good, bad",
+        [
+            (load_correspondences, "src_x,src_y,dst_x,dst_y,d1,d2", "1,2,3,4,0.5,1",
+             "1,2,3,4,0.5,{}"),
+            (lambda p: load_tracks(p, SIDECAR), "frame,id,cx,cy,w,h,class,score",
+             "1,1,0.5,0.5,0.1,0.1,0,0.9", "2,1,{},0.5,0.1,0.1,0,0.9"),
+            (load_local_trajectories, "id,frame,x,y", "1,1,0,0", "1,2,{},0"),
+            (load_probe_trajectory, "t,x,y,speed", "0.0,1,2,30", "0.1,{},2,30"),
+            (load_candidate_trajectory, "frame,x,y,speed", "1,1,2,30", "2,1,2,{}"),
+        ],
+        ids=["correspondences", "tracks", "local", "probe", "candidate"],
+    )
+    def test_names_the_file_and_line(self, tmp_path, loader, header, good, bad):
+        p = tmp_path / "big.csv"
+        p.write_text(f"{header}\n{good}\n{bad.format(self.BIG)}\n")
+        with pytest.raises(ParseError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 3: bad CSV: field larger than field limit (131072)"
+
+    def test_an_earlier_bad_match_wins(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text(f"src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,-1,1\n1,2,3,4,0.5,{self.BIG}\n")
+        with pytest.raises(InvariantViolation, match="line 2: distances must be >= 0"):
+            load_correspondences(p)
+
+
+class TestNotUtf8:
+    def test_names_the_line_past_the_first_decoded_chunk(self, tmp_path):
+        p = tmp_path / "tracks.csv"
+        rows = [f"{k},{i},0.5,0.5,0.1,0.1,0,0.9" for i in range(1, 31) for k in range(1, 101)]
+        rows[2498] += "\xe9"  # line 2500, some 80 kB into the file
+        text = "frame,id,cx,cy,w,h,class,score\n" + "\n".join(rows) + "\n"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            load_tracks(p, SIDECAR)
+        assert exc.value.line == 2500
+        assert str(exc.value).startswith(f"{p}: line 2500: not UTF-8 text: ")
 
 
 class TestTrajectoryLoaders:

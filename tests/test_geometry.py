@@ -6,6 +6,7 @@ import pytest
 from conftest import inverse, rotation, scaling, translation
 from skytraj.errors import (
     DegenerateProjection,
+    InvalidGeometry,
     NonConvexInput,
     SingularResult,
     SingularTransform,
@@ -120,6 +121,24 @@ class TestRoundTripProperties:
             a = apply_homography(compose(compose(h3, h2), h1), p)
             b = apply_homography(compose(h3, compose(h2, h1)), p)
             assert math.hypot(a.x - b.x, a.y - b.y) < 1e-9
+
+
+class TestBBox:
+    @pytest.mark.parametrize(
+        "values",
+        [(1.5, 2.0, 3.0, 4.0), (np.float64(1.5), 2, 3.0, 4.0), (1.5, 2.0, 3, np.float32(4.0)),
+         (True, 2.0, 3.0, 4.0)],
+        ids=["floats", "float64-and-int", "int-and-float32", "bool"],
+    )
+    def test_fields_hold_plain_floats(self, values):
+        b = BBox(*values)
+        assert [type(v) for v in (b.cx, b.cy, b.w, b.h)] == [float] * 4
+        assert (b.cx, b.cy, b.w, b.h) == tuple(float(v) for v in values)
+
+    @pytest.mark.parametrize("w, h", [(-1.0, 2.0), (1.0, np.float64(-2.0))])
+    def test_negative_size_rejected(self, w, h):
+        with pytest.raises(InvalidGeometry):
+            BBox(0.0, 0.0, w, h)
 
 
 class TestTransformBBox:

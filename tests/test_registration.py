@@ -17,6 +17,7 @@ from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.registration import (
     Matches,
     RansacConfig,
+    _draw_samples,
     dlt_homography,
     mask_keep_flags,
     ransac_homography,
@@ -520,6 +521,50 @@ def _ref_sample4(rng, pool):
         j = int(rng.integers(i, n))
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:4].copy()
+
+
+class _IdentityPool(dict):
+    """A permutation of range(n) that stores only the entries swaps moved,
+    so that a pool of 2**40 indices fits in memory."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __missing__(self, i):
+        return i
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(*key.indices(self.n))]
+        return super().__getitem__(key)
+
+
+class TestBatchedDraws:
+    """One ``rng.integers`` call per block gives the samples, and leaves the
+    generator state, of one scalar draw per swap."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 100, 1500, 70000, 2**31 + 5, 2**32, 2**40])
+    def test_equals_the_scalar_stream(self, n):
+        for seed in range(40):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            pool_b, pool_s = _IdentityPool(n), _IdentityPool(n)
+            for size in (1, 8, 32, 37):
+                got = _draw_samples(batched, pool_b, size)
+                want = [_ref_sample4(scalar, pool_s) for _ in range(size)]
+                assert got.tolist() == want
+                assert batched.bit_generator.state == scalar.bit_generator.state
+            assert pool_b == pool_s
+
+    def test_list_pool_stays_a_permutation(self):
+        pool = list(range(5))
+        samples = _draw_samples(np.random.default_rng(3), pool, 37)
+        assert samples.shape == (37, 4)
+        assert sorted(pool) == list(range(5))
+        assert all(len(set(row)) == 4 for row in samples.tolist())
 
 
 def _ref_ransac(corrs, cfg):
