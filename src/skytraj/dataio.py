@@ -86,8 +86,9 @@ def _text_file(path, newline: str | None = ""):
     """``path`` opened as UTF-8 text, with ``open``'s ``newline``.
 
     Every loader reads its file in this block. A file that cannot be
-    opened raises IoFailure; a byte that is not UTF-8, met anywhere in
-    the block, raises ParseError at its line. Both name the file.
+    opened or read raises IoFailure; a byte that is not UTF-8, met
+    anywhere in the block, raises ParseError at its line. Both name the
+    file.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline=newline)
@@ -98,6 +99,8 @@ def _text_file(path, newline: str | None = ""):
             yield fh
         except UnicodeDecodeError as exc:
             raise _not_utf8(path) from exc
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def _not_utf8(path) -> ParseError:

@@ -684,6 +684,17 @@ class TestInputFailsCleanly:
             f"can't decode byte 0xe9 in position {at}: invalid continuation byte"
         )
 
+    @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs /proc/self/mem")
+    @pytest.mark.parametrize(
+        "argv",
+        [["pipeline", "--config", "/proc/self/mem"], ["kinematics", "--input", "/proc/self/mem"]],
+        ids=["config", "trajectory"],
+    )
+    def test_read_error_names_the_file(self, tmp_path, capsys, argv):
+        """/proc/self/mem opens but fails on read."""
+        err = self.fails_with(argv[0], [*argv, "--output", tmp_path / "out.csv"], tmp_path, capsys)
+        assert err.startswith(f"error [{argv[0]}]: cannot read /proc/self/mem: ")
+
     @pytest.mark.parametrize("kind", ["tracks", "correspondences"])
     def test_oversized_csv_field(self, pipeline_fixture, tmp_path, capsys, kind):
         command, argv, path = _failing_input(kind, pipeline_fixture, tmp_path)
