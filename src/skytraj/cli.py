@@ -19,20 +19,23 @@ from . import dataio
 from .dimensions import DimConfig, estimate_dimensions, visibility_set
 from .errors import ConfigError, ParseError, SkytrajError
 from .kinematics import KinematicsConfig
-from .metrics import aggregate_comparison
+from .metrics import ComparisonSample, aggregate_comparison
 from .pipeline import (
     GeoChain,
     IngestParams,
     StabilizeParams,
-    build_comparison_samples,
     estimate_frame_homographies,
     georeference_points,
     kinematic_profile,
-    log,
     run_pipeline,
 )
 from .registration import RansacConfig
 from .trackmodel import DEFAULT_FPS, stabilize_tracks
+
+
+def log(msg: str) -> None:
+    """Diagnostics go to stderr; stdout stays clean for data."""
+    print(msg, file=sys.stderr)
 
 
 def _schema() -> dict:
@@ -228,8 +231,12 @@ def cmd_compare(args) -> int:
     group = _value(cfg, args, "group", "compare", str, default="all")
     probe = dataio.load_probe_trajectory(_path(cfg, args, "probe"))
     candidate_rows = dataio.load_candidate_trajectory(_path(cfg, args, "candidate"))
-    candidate = [(pt, speed) for _, pt, speed in candidate_rows]
-    samples = build_comparison_samples(probe, candidate)
+    candidate = tuple((pt, speed) for _, pt, speed in candidate_rows)
+    # every probe observation is compared with the whole candidate trajectory
+    samples = [
+        ComparisonSample(probe=pt, probe_speed_kmh=speed, candidate=candidate)
+        for _, pt, speed in probe
+    ]
     reports = aggregate_comparison({group: samples}, fps, speed_floor_kmh=floor)
     for r in reports:
         if r.skipped:
@@ -278,10 +285,10 @@ def cmd_dims(args) -> int:
                     tid,
                     est.n_samples,
                     est.path.value,
-                    dataio.format_fixed(est.length_px, 2),
-                    dataio.format_fixed(est.width_px, 2),
-                    dataio.format_fixed(est.length_m, 2),
-                    dataio.format_fixed(est.width_m, 2),
+                    dataio.format_fixed(est.length_px, dataio.DIM_PLACES),
+                    dataio.format_fixed(est.width_px, dataio.DIM_PLACES),
+                    dataio.format_fixed(est.length_m, dataio.DIM_PLACES),
+                    dataio.format_fixed(est.width_m, dataio.DIM_PLACES),
                 ]
 
     dataio.write_csv(
@@ -310,8 +317,8 @@ def cmd_kinematics(args) -> int:
                     vid,
                     frame,
                     "" if speed is None else repr(speed),
-                    dataio.format_fixed(profile.speed_kmh(frame), 1),
-                    dataio.format_fixed(profile.accel_ms2(frame), 2),
+                    dataio.format_fixed(profile.speed_kmh(frame), dataio.SPEED_PLACES),
+                    dataio.format_fixed(profile.accel_ms2(frame), dataio.ACCEL_PLACES),
                 ]
 
     dataio.write_csv(
@@ -342,12 +349,12 @@ def cmd_georef(args) -> int:
             [
                 p.track_id,
                 p.frame,
-                dataio.format_fixed(g.ortho.x, 1),
-                dataio.format_fixed(g.ortho.y, 1),
-                dataio.format_fixed(g.local.x, 2),
-                dataio.format_fixed(g.local.y, 2),
-                dataio.format_fixed(g.wgs.x, 7),
-                dataio.format_fixed(g.wgs.y, 7),
+                dataio.format_fixed(g.ortho.x, dataio.ORTHO_PLACES),
+                dataio.format_fixed(g.ortho.y, dataio.ORTHO_PLACES),
+                dataio.format_fixed(g.local.x, dataio.LOCAL_PLACES),
+                dataio.format_fixed(g.local.y, dataio.LOCAL_PLACES),
+                dataio.format_fixed(g.wgs.x, dataio.WGS84_PLACES),
+                dataio.format_fixed(g.wgs.y, dataio.WGS84_PLACES),
                 *(g.segment or ("", "")),
             ]
             for p, g in zip(stab.points, positions)  # sorted by (id, frame)

@@ -65,6 +65,15 @@ EXPORT_COLUMNS = [
 # Vehicles need more than this many points to be exported.
 MIN_EXPORT_POINTS = 15
 
+# Decimal places of each exported quantity, in the export and in the
+# georef, dims and kinematics outputs alike.
+ORTHO_PLACES = 1  # ortho cut-out pixels
+LOCAL_PLACES = 2  # local meters
+WGS84_PLACES = 7  # latitude and longitude degrees
+DIM_PLACES = 2  # vehicle length and width
+SPEED_PLACES = 1  # km/h
+ACCEL_PLACES = 2  # m/s^2
+
 
 def parse_fps(value) -> Fraction:
     """Accept '30000/1001', integers, or decimal strings/floats."""
@@ -142,7 +151,7 @@ def load_yaml(path) -> dict:
     if data is None:
         return {}
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: top level must be a mapping")
+        raise ParseError("top level must be a mapping", path=path)
     return data
 
 
@@ -161,6 +170,10 @@ class VideoSidecar:
             )
         if self.fps <= 0:
             raise ValueError(f"fps must be > 0, got {self.fps}")
+        if self.n_frames is not None and self.n_frames < 1:
+            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
 
 
 def _whole(name: str, value) -> int:
@@ -181,9 +194,9 @@ def load_sidecar(path) -> VideoSidecar:
             n_classes=_whole("n_classes", data.get("n_classes", 4)),
         )
     except KeyError as exc:
-        raise ParseError(f"{path}: missing sidecar key {exc}") from exc
+        raise ParseError(f"missing sidecar key {exc}", path=path) from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{path}: bad sidecar value: {exc}") from exc
+        raise ParseError(f"bad sidecar value: {exc}", path=path) from exc
 
 
 def load_tracks(
@@ -194,71 +207,52 @@ def load_tracks(
     Columns: frame,id,cx,cy,w,h,class,score (normalized floats), plus an
     optional 0/1 ``visible`` column as written by the stabilize stage.
     Malformed rows raise ParseError, out-of-range values
-    InvariantViolation; both carry the 1-based line number. Stabilized
-    tracks may leave the unit square, so their consumers pass
+    InvariantViolation; both name the file and the 1-based line.
+    Stabilized tracks may leave the unit square, so their consumers pass
     ``require_unit_range=False``.
     """
     if not isinstance(sidecar, VideoSidecar):
         sidecar = load_sidecar(sidecar)
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
-    with _text_file(path) as fh, _csv_errors(path, csv.DictReader(fh)) as reader:
-        header = reader.fieldnames or []
-        missing = [c for c in TRACK_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(f"{path}: missing columns {missing}", line=1)
-        has_visible = "visible" in header
-        for row in reader:
-            line = reader.line_num
-            try:
-                frame = int(row["frame"])
-                track_id = int(row["id"])
-                cx = float(row["cx"])
-                cy = float(row["cy"])
-                w = float(row["w"])
-                h = float(row["h"])
-                cls = int(row["class"])
-                score = float(row["score"])
-                visible = bool(int(row["visible"])) if has_visible else False
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ParseError(f"malformed row: {exc}", line=line) from exc
-            if frame < 1:
-                raise InvariantViolation("frame must be >= 1", line=line)
-            if sidecar.n_frames is not None and frame > sidecar.n_frames:
-                raise InvariantViolation(
-                    f"frame {frame} exceeds n_frames {sidecar.n_frames}", line=line
-                )
-            if track_id < 1:
-                raise InvariantViolation("id must be >= 1", line=line)
-            if require_unit_range:
-                for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
-                    if not 0.0 <= v <= 1.0:
-                        raise InvariantViolation(
-                            f"{name}={v} outside [0, 1]", line=line
-                        )
-            elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
-                raise InvariantViolation("box values must be finite", line=line)
-            elif w < 0 or h < 0:
-                raise InvariantViolation("box size must be >= 0", line=line)
-            if not 0 <= cls < sidecar.n_classes:
-                raise InvariantViolation(
-                    f"class {cls} outside 0..{sidecar.n_classes - 1}", line=line
-                )
-            if not 0.0 < score <= 1.0:
-                raise InvariantViolation(f"score {score} outside (0, 1]", line=line)
-            if (track_id, frame) in seen:
-                raise InvariantViolation(
-                    f"duplicate point for id {track_id} frame {frame}", line=line
-                )
-            seen.add((track_id, frame))
-            points.append(
-                TrackPoint(
-                    frame=frame,
-                    track_id=track_id,
-                    detection=Detection(BBox(cx, cy, w, h), cls, score),
-                    visible=visible,
-                )
+    for line, (frame, track_id, cx, cy, w, h, cls, score, visible) in _read_csv_rows(
+        path, TRACK_COLUMNS, _track_values
+    ):
+        if frame < 1:
+            raise InvariantViolation("frame must be >= 1", line=line, path=path)
+        if sidecar.n_frames is not None and frame > sidecar.n_frames:
+            raise InvariantViolation(
+                f"frame {frame} exceeds n_frames {sidecar.n_frames}", line=line, path=path
             )
+        if track_id < 1:
+            raise InvariantViolation("id must be >= 1", line=line, path=path)
+        if require_unit_range:
+            for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+                if not 0.0 <= v <= 1.0:
+                    raise InvariantViolation(f"{name}={v} outside [0, 1]", line=line, path=path)
+        elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
+            raise InvariantViolation("box values must be finite", line=line, path=path)
+        elif w < 0 or h < 0:
+            raise InvariantViolation("box size must be >= 0", line=line, path=path)
+        if not 0 <= cls < sidecar.n_classes:
+            raise InvariantViolation(
+                f"class {cls} outside 0..{sidecar.n_classes - 1}", line=line, path=path
+            )
+        if not 0.0 < score <= 1.0:
+            raise InvariantViolation(f"score {score} outside (0, 1]", line=line, path=path)
+        if (track_id, frame) in seen:
+            raise InvariantViolation(
+                f"duplicate point for id {track_id} frame {frame}", line=line, path=path
+            )
+        seen.add((track_id, frame))
+        points.append(
+            TrackPoint(
+                frame=frame,
+                track_id=track_id,
+                detection=Detection(BBox(cx, cy, w, h), cls, score),
+                visible=visible,
+            )
+        )
     points.sort(key=lambda p: (p.track_id, p.frame))
     return VideoTracks(
         frame_width=sidecar.frame_width,
@@ -267,16 +261,61 @@ def load_tracks(
     )
 
 
+def _track_values(row: dict) -> tuple:
+    """The typed cells of a track CSV row; not visible without the column."""
+    return (
+        int(row["frame"]),
+        int(row["id"]),
+        float(row["cx"]),
+        float(row["cy"]),
+        float(row["w"]),
+        float(row["h"]),
+        int(row["class"]),
+        float(row["score"]),
+        bool(int(row["visible"])) if "visible" in row else False,
+    )
+
+
+def _read_csv_rows(path, required: Sequence[str], convert):
+    """(line, ``convert(row)``) for each row of the CSV table at ``path``,
+    whose header must name every ``required`` column. A row is a dict of
+    header names to cells (None past the end of a short row); a cell that
+    ``convert`` cannot read raises ParseError "malformed row". Errors name
+    the file and the line."""
+    with _text_file(path) as fh, _csv_errors(path, csv.DictReader(fh)) as reader:
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(f"missing columns {missing}", line=1, path=path)
+        for row in reader:
+            try:
+                values = convert(row)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(
+                    f"malformed row: {exc}", line=reader.line_num, path=path
+                ) from exc
+            yield reader.line_num, values
+
+
+@contextmanager
+def _output_file(path):
+    """``path`` opened for writing UTF-8 text as written (no newline
+    translation). A failed open or write in the block raises IoFailure
+    naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header row, then ``rows``, as comma-separated UTF-8 with
     Unix newlines. A failed write raises IoFailure naming the file."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _output_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _track_cells(p: TrackPoint) -> list:
@@ -441,34 +480,48 @@ def geotransform_from_row(values: Sequence[float]) -> GeoTransform:
     return GeoTransform(a, b, c, d, tx, ty)
 
 
+def _directives(fh):
+    """(line number, whitespace-separated tokens) of each line of ``fh``
+    that holds more than blanks and a comment ('#' to the end of the line)."""
+    for line, raw in enumerate(fh, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line, tokens
+
+
 def load_homography_log(path) -> dict[int, Homography]:
     """Per-frame homographies: each line is a frame index plus 9 numbers."""
     out: dict[int, Homography] = {}
     with _text_file(path) as fh:
-        for i, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
+        for line, tokens in _directives(fh):
             try:
                 frame = int(tokens[0])
             except ValueError as exc:
-                raise ParseError(f"bad frame index: {exc}", line=i, path=path) from exc
-            vals = _parse_floats(tokens[1:], 9, i, "homography row", path)
+                raise ParseError(f"bad frame index: {exc}", line=line, path=path) from exc
+            vals = _parse_floats(tokens[1:], 9, line, "homography row", path)
             if frame in out:
-                raise InvariantViolation(f"duplicate frame {frame}", line=i, path=path)
+                raise InvariantViolation(f"duplicate frame {frame}", line=line, path=path)
             out[frame] = homography_from_row(vals)
     return out
 
 
 def write_homography_log(homs: Mapping[int, Homography], path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for frame in sorted(homs):
-                row = " ".join(repr(v) for v in homography_to_row(homs[frame]))
-                fh.write(f"{frame} {row}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _output_file(path) as fh:
+        for frame in sorted(homs):
+            row = " ".join(repr(v) for v in homography_to_row(homs[frame]))
+            fh.write(f"{frame} {row}\n")
+
+
+# Each registry block: the entry it builds, and per directive the count
+# of numbers it takes and the transform it reads them as.
+_REGISTRY_BLOCKS = {
+    "intersection": (IntersectionEntry, {
+        "master_to_ortho": (9, homography_from_row),
+        "geo_local": (6, geotransform_from_row),
+        "geo_wgs": (6, geotransform_from_row),
+    }),
+    "video": (VideoEntry, {"ref_to_master": (9, homography_from_row)}),
+}
 
 
 def load_registry(path) -> GeoRegistry:
@@ -483,74 +536,47 @@ def load_registry(path) -> GeoRegistry:
         video <video_id> <intersection_label>
         ref_to_master <9 numbers>
 
-    Lines starting with '#' and blank lines are ignored.
+    Comments ('#' to the end of a line) and blank lines are ignored. An
+    incomplete block is reported at its header line.
     """
-    intersections: dict[str, IntersectionEntry] = {}
-    videos: dict[str, VideoEntry] = {}
-    pending_kind: str | None = None
-    pending: dict = {}
+    entries: dict[str, dict] = {"intersection": {}, "video": {}}
+    block = None  # (kind, label, header line) of the block being read
+    directives: dict = {}  # the directives it takes
+    fields: dict = {}  # its entry's fields read so far
 
-    def flush(line: int):
-        nonlocal pending_kind, pending
-        if pending_kind is None:
+    def close():
+        if block is None:
             return
-        if pending_kind == "intersection":
-            needed = ("master_to_ortho", "geo_local", "geo_wgs")
-            if any(k not in pending for k in needed):
-                raise ParseError(
-                    f"intersection {pending.get('label')!r} incomplete", line=line, path=path
-                )
-            intersections[pending["label"]] = IntersectionEntry(
-                master_to_ortho=pending["master_to_ortho"],
-                geo_local=pending["geo_local"],
-                geo_wgs=pending["geo_wgs"],
-            )
-        else:
-            if "ref_to_master" not in pending:
-                raise ParseError(f"video {pending.get('label')!r} incomplete", line=line, path=path)
-            videos[pending["label"]] = VideoEntry(
-                intersection=pending["intersection"],
-                ref_to_master=pending["ref_to_master"],
-            )
-        pending_kind, pending = None, {}
+        kind, label, line = block
+        if any(k not in fields for k in directives):
+            raise ParseError(f"{kind} {label!r} incomplete", line=line, path=path)
+        entries[kind][label] = _REGISTRY_BLOCKS[kind][0](**fields)
 
     with _text_file(path) as fh:
-        line_no = 0
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
+        for line, tokens in _directives(fh):
             key = tokens[0]
             if key == "intersection":
-                flush(line_no)
+                close()
                 if len(tokens) != 2:
-                    raise ParseError("intersection needs a label", line=line_no, path=path)
-                pending_kind, pending = "intersection", {"label": tokens[1]}
+                    raise ParseError("intersection needs a label", line=line, path=path)
+                block, fields = (key, tokens[1], line), {}
+                directives = _REGISTRY_BLOCKS[key][1]
             elif key == "video":
-                flush(line_no)
+                close()
                 if len(tokens) != 3:
                     raise ParseError(
-                        "video needs an id and an intersection label", line=line_no, path=path
+                        "video needs an id and an intersection label", line=line, path=path
                     )
-                pending_kind = "video"
-                pending = {"label": tokens[1], "intersection": tokens[2]}
-            elif key == "master_to_ortho" and pending_kind == "intersection":
-                pending["master_to_ortho"] = homography_from_row(
-                    _parse_floats(tokens[1:], 9, line_no, key, path)
-                )
-            elif key in ("geo_local", "geo_wgs") and pending_kind == "intersection":
-                pending[key] = geotransform_from_row(
-                    _parse_floats(tokens[1:], 6, line_no, key, path)
-                )
-            elif key == "ref_to_master" and pending_kind == "video":
-                pending["ref_to_master"] = homography_from_row(
-                    _parse_floats(tokens[1:], 9, line_no, key, path)
-                )
+                block, fields = (key, tokens[1], line), {"intersection": tokens[2]}
+                directives = _REGISTRY_BLOCKS[key][1]
+            elif key in directives:
+                n, read = directives[key]
+                fields[key] = read(_parse_floats(tokens[1:], n, line, key, path))
             else:
-                raise ParseError(f"unexpected directive {key!r}", line=line_no, path=path)
-        flush(line_no)
+                raise ParseError(f"unexpected directive {key!r}", line=line, path=path)
+        close()
 
+    intersections, videos = entries["intersection"], entries["video"]
     for vid, entry in videos.items():
         if entry.intersection not in intersections:
             raise ParseError(
@@ -566,9 +592,9 @@ def load_segmentation(path) -> SegmentationMap:
         with _text_file(path, newline=None) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, list):
-        raise ParseError(f"{path}: segmentation must be a JSON list")
+        raise ParseError("segmentation must be a JSON list", path=path)
     lanes = []
     for i, item in enumerate(data):
         try:
@@ -576,13 +602,13 @@ def load_segmentation(path) -> SegmentationMap:
             lane = int(item["lane"])
             polygon = tuple(Point2(float(x), float(y)) for x, y in item["polygon"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad segmentation entry {i}: {exc}") from exc
+            raise ParseError(f"bad segmentation entry {i}: {exc}", path=path) from exc
         if not all(math.isfinite(v) for p in polygon for v in p):
-            raise InvariantViolation(f"{path}: polygon {i} has a non-finite vertex")
+            raise InvariantViolation(f"polygon {i} has a non-finite vertex", path=path)
         if lane < 1:
-            raise InvariantViolation(f"{path}: lane numbers start at 1 (entry {i})")
+            raise InvariantViolation(f"lane numbers start at 1 (entry {i})", path=path)
         if len(polygon) < 3:
-            raise InvariantViolation(f"{path}: polygon {i} needs >= 3 vertices")
+            raise InvariantViolation(f"polygon {i} needs >= 3 vertices", path=path)
         lanes.append(LanePolygon(section=section, lane=lane, polygon=polygon))
     return SegmentationMap(lanes=tuple(lanes))
 
@@ -701,17 +727,17 @@ def _export_cells(row: ExportRow) -> list[str]:
         str(row.vehicle_id),
         row.local_time,
         str(row.drone_id),
-        format_fixed(row.ortho_x, 1),
-        format_fixed(row.ortho_y, 1),
-        format_fixed(row.local_x, 2),
-        format_fixed(row.local_y, 2),
-        format_fixed(row.latitude, 7),
-        format_fixed(row.longitude, 7),
-        format_fixed(row.length_m, 2),
-        format_fixed(row.width_m, 2),
+        format_fixed(row.ortho_x, ORTHO_PLACES),
+        format_fixed(row.ortho_y, ORTHO_PLACES),
+        format_fixed(row.local_x, LOCAL_PLACES),
+        format_fixed(row.local_y, LOCAL_PLACES),
+        format_fixed(row.latitude, WGS84_PLACES),
+        format_fixed(row.longitude, WGS84_PLACES),
+        format_fixed(row.length_m, DIM_PLACES),
+        format_fixed(row.width_m, DIM_PLACES),
         str(row.vehicle_class),
-        format_fixed(row.speed_kmh, 1),
-        format_fixed(row.accel_ms2, 2),
+        format_fixed(row.speed_kmh, SPEED_PLACES),
+        format_fixed(row.accel_ms2, ACCEL_PLACES),
         row.road_section or "",
         str(row.lane_number) if row.lane_number is not None else "",
         str(int(row.visibility)),
@@ -722,10 +748,9 @@ def export_songdo(rows: Iterable[ExportRow], destination) -> None:
     """Write the final trajectory CSV.
 
     Vehicles with 15 or fewer points are dropped; remaining rows are
-    stable-sorted by (vehicle id, frame). Column rounding: ortho pixels
-    1 d.p., local meters 2 d.p., lat/lon 7 d.p., dimensions 2 d.p.,
-    speed (km/h) 1 d.p., acceleration 2 d.p. Optional values serialize
-    as empty cells.
+    stable-sorted by (vehicle id, frame). Numbers are rounded to the
+    ``*_PLACES`` decimal places above. Optional values serialize as empty
+    cells.
     """
     rows = list(rows)
     counts: dict[int, int] = {}
@@ -764,31 +789,20 @@ def write_campaign_results(
                   ([*cell(r), format_fixed(r.mean_time_ms, 3)] for r in results))
 
 
-def _read_csv_rows(path, required: list[str]):
-    with _text_file(path) as fh, _csv_errors(path, csv.DictReader(fh)) as reader:
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ParseError(f"{path}: missing columns {missing}", line=1)
-        for row in reader:
-            yield reader.line_num, row
-
-
-def _require_finite(line: int, **values: float) -> None:
+def _require_finite(path, line: int, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise InvariantViolation(f"{name}={value} is not finite", line=line)
+            raise InvariantViolation(f"{name}={value} is not finite", line=line, path=path)
 
 
 def load_probe_trajectory(path) -> list[tuple[float, Point2, float]]:
     """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite."""
+    columns = ["t", "x", "y", "speed"]
     out = []
-    for line, row in _read_csv_rows(path, ["t", "x", "y", "speed"]):
-        try:
-            t, x, y, speed = (float(row[c]) for c in ("t", "x", "y", "speed"))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed row: {exc}", line=line) from exc
-        _require_finite(line, t=t, x=x, y=y, speed=speed)
+    for line, (t, x, y, speed) in _read_csv_rows(
+        path, columns, lambda row: [float(row[c]) for c in columns]
+    ):
+        _require_finite(path, line, t=t, x=x, y=y, speed=speed)
         out.append((t, Point2(x, y), speed))
     return out
 
@@ -797,13 +811,12 @@ def load_candidate_trajectory(path) -> list[tuple[int, Point2, float]]:
     """Candidate CSV: frame,x,y,speed (local meters, smoothed speed km/h),
     all finite."""
     out = []
-    for line, row in _read_csv_rows(path, ["frame", "x", "y", "speed"]):
-        try:
-            frame = int(row["frame"])
-            x, y, speed = (float(row[c]) for c in ("x", "y", "speed"))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed row: {exc}", line=line) from exc
-        _require_finite(line, x=x, y=y, speed=speed)
+    for line, (frame, x, y, speed) in _read_csv_rows(
+        path,
+        ["frame", "x", "y", "speed"],
+        lambda row: (int(row["frame"]), float(row["x"]), float(row["y"]), float(row["speed"])),
+    ):
+        _require_finite(path, line, x=x, y=y, speed=speed)
         out.append((frame, Point2(x, y), speed))
     out.sort(key=lambda item: item[0])
     return out
@@ -820,19 +833,15 @@ def load_local_trajectories(
     """
     points: dict[int, dict[int, Point2]] = {}
     visible: dict[int, set[int]] = {}
-    for line, row in _read_csv_rows(path, ["id", "frame", "x", "y"]):
-        try:
-            vid = int(row["id"])
-            frame = int(row["frame"])
-            x, y = float(row["x"]), float(row["y"])
-            vis = int(row.get("visible") or 1)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed row: {exc}", line=line) from exc
-        _require_finite(line, x=x, y=y)
+    for line, (vid, frame, x, y, vis) in _read_csv_rows(
+        path,
+        ["id", "frame", "x", "y"],
+        lambda row: (int(row["id"]), int(row["frame"]), float(row["x"]), float(row["y"]),
+                     int(row.get("visible") or 1)),
+    ):
+        _require_finite(path, line, x=x, y=y)
         if frame in points.setdefault(vid, {}):
-            raise InvariantViolation(
-                f"duplicate frame {frame} for id {vid}", line=line
-            )
+            raise InvariantViolation(f"duplicate frame {frame} for id {vid}", line=line, path=path)
         points[vid][frame] = Point2(x, y)
         if vis:
             visible.setdefault(vid, set()).add(frame)

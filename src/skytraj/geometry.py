@@ -228,15 +228,9 @@ def pixel_to_world(t: GeoTransform, p: Point2) -> Point2:
 
 def _shoelace(pts: Sequence[tuple[float, float]]) -> float:
     """Absolute polygon area."""
-    n = len(pts)
-    if n < 3:
+    if len(pts) < 3:
         return 0.0
-    acc = 0.0
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return abs(acc) / 2.0
+    return abs(_signed_area(pts))
 
 
 def _signed_area(pts: Sequence[tuple[float, float]]) -> float:

@@ -4,7 +4,6 @@ kinematics, and assembly of export rows.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -27,7 +26,6 @@ from .georeference import (
     compose_ref_to_ortho,
 )
 from .kinematics import KinematicProfile, KinematicsConfig, compute_profile, gate_by_visibility
-from .metrics import ComparisonSample
 from .registration import (
     EstimateReport,
     RansacConfig,
@@ -285,19 +283,3 @@ def run_pipeline(
         rows.extend(process_vehicle(raw_by_id[tid], stab_by_id[tid], ctx))
     return rows
 
-
-def build_comparison_samples(
-    probe: Sequence[tuple[float, Point2, float]],
-    candidate: Sequence[tuple[Point2, float]],
-) -> list[ComparisonSample]:
-    """Pair every probe observation with the full candidate trajectory."""
-    traj = tuple(candidate)
-    return [
-        ComparisonSample(probe=pt, probe_speed_kmh=speed, candidate=traj)
-        for _, pt, speed in probe
-    ]
-
-
-def log(msg: str) -> None:
-    """Diagnostics go to stderr; stdout stays clean for data."""
-    print(msg, file=sys.stderr)

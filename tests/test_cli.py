@@ -211,6 +211,8 @@ class TestPipelineCommand:
             ("frame_width", "0", "frame size must be >= 1, got 0x2160"),
             ("frame_width", "-5", "frame size must be >= 1, got -5x2160"),
             ("frame_height", "0", "frame size must be >= 1, got 3840x0"),
+            ("n_frames", "0", "n_frames must be >= 1, got 0"),
+            ("n_classes", "0", "n_classes must be >= 1, got 0"),
         ],
     )
     def test_bad_sidecar_value_fails_cleanly(
@@ -218,10 +220,9 @@ class TestPipelineCommand:
     ):
         sidecar = Path(pipeline_fixture["sidecar"])
         lines = [
-            f"{key}: {value}" if text.startswith(f"{key}:") else text
-            for text in sidecar.read_text().splitlines()
+            text for text in sidecar.read_text().splitlines() if not text.startswith(f"{key}:")
         ]
-        sidecar.write_text("\n".join(lines) + "\n")
+        sidecar.write_text("\n".join([*lines, f"{key}: {value}"]) + "\n")
         err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
         assert err.startswith(f"error [pipeline]: {sidecar}: bad sidecar value: ")
         assert needle in err
@@ -605,7 +606,7 @@ class TestAuxCommands:
         out = tmp_path / "kin.csv"
         assert run_cli("kinematics", "--input", traj, "--output", out) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error [kinematics]: line 11: x={float(value)} is not finite"]
+        assert err == [f"error [kinematics]: {traj}: line 11: x={float(value)} is not finite"]
         assert not out.exists()
 
     @pytest.mark.parametrize("which", ["probe", "candidate"])
@@ -619,7 +620,7 @@ class TestAuxCommands:
         rc = run_cli("compare", "--probe", probe, "--candidate", candidate, "--output", out)
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error [compare]: line 6: speed=nan is not finite"]
+        assert err == [f"error [compare]: {path}: line 6: speed=nan is not finite"]
         assert not out.exists()
 
     def test_unreadable_input_fails_cleanly(self, tmp_path, capsys):

@@ -421,6 +421,40 @@ class TestNotUtf8:
         assert str(exc.value).startswith(f"{p}: line 2500: not UTF-8 text: ")
 
 
+class TestRowErrorsNameFileAndLine:
+    """Every row and header error of a track or trajectory table starts
+    with the file and the line."""
+
+    LOADERS = {
+        "tracks": (lambda p: load_tracks(p, SIDECAR), "frame,id,cx,cy,w,h,class,score",
+                   "1,1,0.5,0.5,0.1,0.1,0,0.9", "2,1,{},0.5,0.1,0.1,0,0.9", "inf"),
+        "stabilized": (lambda p: load_tracks(p, SIDECAR, require_unit_range=False),
+                       "frame,id,cx,cy,w,h,class,score,visible",
+                       "1,1,0.5,0.5,0.1,0.1,0,0.9,1", "2,1,{},0.5,0.1,0.1,0,0.9,1", "nan"),
+        "local": (load_local_trajectories, "id,frame,x,y", "1,1,0,0", "1,2,{},0", "nan"),
+        "probe": (load_probe_trajectory, "t,x,y,speed", "0.0,1,2,30", "0.1,{},2,30", "inf"),
+        "candidate": (load_candidate_trajectory, "frame,x,y,speed", "1,1,2,30", "2,1,2,{}",
+                      "-inf"),
+    }
+
+    @pytest.mark.parametrize("fault", ["malformed", "non-finite", "missing-column"])
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_error_starts_with_path_and_line(self, tmp_path, kind, fault):
+        loader, header, good, bad, non_finite = self.LOADERS[kind]
+        p = tmp_path / f"{kind}.csv"
+        if fault == "missing-column":
+            header = header.split(",", 1)[1]
+            line = 1
+        else:
+            line = 3
+        cell = {"malformed": "x1", "non-finite": non_finite, "missing-column": "1"}[fault]
+        p.write_text(f"{header}\n{good}\n{bad.format(cell)}\n")
+        with pytest.raises(ParseError) as exc:
+            loader(p)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"{p}: line {line}: ")
+
+
 class TestTrajectoryLoaders:
     @pytest.mark.parametrize(
         "loader, header, good, bad",
@@ -478,10 +512,22 @@ class TestTransformFiles:
             load_registry(path)
 
     def test_registry_incomplete_block(self, tmp_path):
+        """An incomplete block is reported at its own header line, whatever
+        follows it."""
         path = tmp_path / "reg.txt"
-        path.write_text("intersection L\nmaster_to_ortho 1 0 0 0 1 0 0 0 1\n")
-        with pytest.raises(ParseError):
-            load_registry(path)
+        intersection = "intersection L\nmaster_to_ortho 1 0 0 0 1 0 0 0 1\n"
+        for text, line in [
+            (intersection, 1),
+            (f"# L\n{intersection}\n# end\n", 2),
+            (f"\n{intersection}\nvideo V1 L\nref_to_master 1 0 0 0 1 0 0 0 1\n", 2),
+            (f"{intersection}geo_local 1 0 0 1 0 0\ngeo_wgs 1 0 0 1 0 0\n# V1\nvideo V1 L\n\n", 6),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ParseError) as exc:
+                load_registry(path)
+            assert exc.value.line == line
+            assert str(exc.value).startswith(f"{path}: line {line}: ")
+            assert str(exc.value).endswith(" incomplete")
 
     def test_segmentation(self, tmp_path):
         path = tmp_path / "seg.json"
