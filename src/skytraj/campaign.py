@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -75,6 +76,10 @@ class SynthConfig:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CampaignGrid:
     snn_ratios: tuple[float | None, ...] = (None,)
@@ -86,9 +91,23 @@ class CampaignGrid:
     def __post_init__(self):
         if self.trials_per_scene < 1:
             raise ValueError("trials_per_scene must be >= 1")
-        for name in ("snn_ratios", "downscales", "reproj_thresholds", "point_counts"):
-            if not getattr(self, name):
+        # The ranges StabilizeParams, RansacConfig and SynthConfig enforce.
+        rules = {
+            "snn_ratios": ("null or in (0, 1]", lambda v: v is None or _real(v) and 0 < v <= 1),
+            "downscales": ("in (0, 1]", lambda v: _real(v) and 0 < v <= 1),
+            "reproj_thresholds": ("> 0", lambda v: _real(v) and v > 0),
+            "point_counts": (
+                "integers >= 8",
+                lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 8,
+            ),
+        }
+        for name, (rule, ok) in rules.items():
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            bad = [v for v in values if not ok(v)]
+            if bad:
+                raise ValueError(f"{name} must be {rule}, got {bad[0]!r}")
 
     def cells(self) -> list[tuple[float | None, float, float, int]]:
         return list(
@@ -258,56 +277,56 @@ def _trial_worker(args) -> tuple[float, float, float]:
 
 
 def run_campaign(
-    scenes: Sequence[SceneSpec],
+    bench: BenchParams,
     ranges: DistortionRanges,
     grid: CampaignGrid,
+    synth: SynthConfig,
+    ransac: RansacConfig,
     *,
-    confidence: float = RansacConfig.confidence,
-    max_iterations: int = RansacConfig.max_iterations,
-    noise_sigma: float = SynthConfig.noise_sigma,
-    outlier_fraction: float = SynthConfig.outlier_fraction,
     master_seed: int = 0,
-    hea_epsilon: float = BenchParams.hea_epsilon,
     jobs: int = 1,
 ) -> list[CellResult]:
-    """Score every grid cell over scenes x trials; one result row per cell.
+    """Score every grid cell over the bench's scenes x trials; one result
+    row per cell.
 
-    Results depend only on (master seed, grid, scenes, noise model),
-    never on ``jobs``.
+    Each trial takes ``synth`` and ``ransac`` with its cell's point count
+    and threshold and its own seeds. All trials of the grid go through one
+    worker pool when ``jobs`` > 1. Results depend only on (master seed,
+    bench, grid, noise model), never on ``jobs``.
     """
-    if not scenes:
-        raise ValueError("need at least one scene")
+    scenes = synthetic_scenes(bench.scenes, bench.scene_seed)
+    cells = grid.cells()
+
+    def tasks():
+        """``run_trial`` arguments of every trial, cell by cell."""
+        for cell_idx, (snn_ratio, rho, eta, n_pts) in enumerate(cells):
+            for s_idx, scene in enumerate(scenes):
+                for t_idx in range(grid.trials_per_scene):
+                    seed_h, seed_c, seed_r = derive_trial_seeds(master_seed, cell_idx, s_idx, t_idx)
+                    trial_synth = replace(synth, n_points=n_pts, seed=seed_c)
+                    trial_ransac = replace(ransac, reproj_threshold=eta, seed=seed_r)
+                    yield scene, ranges, trial_synth, trial_ransac, seed_h, snn_ratio, rho
+
+    n = len(scenes) * grid.trials_per_scene  # trials per cell
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+            chunk = max(1, len(cells) * n // (jobs * 8))
+            outcomes = list(pool.map(_trial_worker, tasks(), chunksize=chunk))
+    else:
+        outcomes = list(map(_trial_worker, tasks()))
     results = []
-    for cell_idx, (snn_ratio, rho, eta, n_pts) in enumerate(grid.cells()):
-        tasks = []
-        for s_idx, scene in enumerate(scenes):
-            for t_idx in range(grid.trials_per_scene):
-                seed_h, seed_c, seed_r = derive_trial_seeds(
-                    master_seed, cell_idx, s_idx, t_idx
-                )
-                synth = SynthConfig(n_pts, noise_sigma, outlier_fraction, seed_c)
-                rcfg = RansacConfig(confidence, max_iterations, eta, seed_r)
-                tasks.append((scene, ranges, synth, rcfg, seed_h, snn_ratio, rho))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(tasks) // (jobs * 8))
-                outcomes = list(pool.map(_trial_worker, tasks, chunksize=chunk))
-        else:
-            outcomes = [_trial_worker(t) for t in tasks]
-        hits = sum(1 for disp, _, _ in outcomes if disp <= hea_epsilon)
-        iou_sum = sum(iou for _, iou, _ in outcomes)
-        time_sum = sum(ms for _, _, ms in outcomes)
-        n = len(outcomes)
+    for cell_idx, (snn_ratio, rho, eta, n_pts) in enumerate(cells):
+        cell = outcomes[cell_idx * n : (cell_idx + 1) * n]
         results.append(
             CellResult(
                 snn_ratio=snn_ratio,
                 downscale=rho,
                 reproj_threshold=eta,
                 n_points=n_pts,
-                hea=hits / n,
-                miou=iou_sum / n,
+                hea=sum(1 for disp, _, _ in cell if disp <= bench.hea_epsilon) / n,
+                miou=sum(iou for _, iou, _ in cell) / n,
                 trials=n,
-                mean_time_ms=time_sum / n,
+                mean_time_ms=sum(ms for _, _, ms in cell) / n,
             )
         )
     return results

@@ -21,7 +21,6 @@ from .errors import ConfigError, ParseError, SkytrajError
 from .kinematics import KinematicsConfig
 from .metrics import ComparisonSample, aggregate_comparison
 from .pipeline import (
-    GeoChain,
     IngestParams,
     StabilizeParams,
     estimate_frame_homographies,
@@ -192,9 +191,9 @@ def cmd_pipeline(args) -> int:
     tracks = dataio.load_tracks(_path(cfg, args, "tracks"), sidecar)
     registry = dataio.load_registry(_path(cfg, args, "registry"))
     seg_path = _path(cfg, args, "segmentation", required=False)
-    segmentation = dataio.load_segmentation(seg_path) if seg_path else None
+    geo = registry.chain(video_id, dataio.load_segmentation(seg_path) if seg_path else None)
     homs, _ = _resolve_homographies(cfg, args, tracks, params)
-    rows = run_pipeline(tracks, homs, registry, video_id, segmentation, meta, ingest, dims, kin)
+    rows = run_pipeline(tracks, homs, geo, meta, ingest, dims, kin)
     dataio.export_songdo(rows, _path(cfg, args, "output"))
     log(f"exported {len(rows)} candidate rows")
     return 0
@@ -202,19 +201,13 @@ def cmd_pipeline(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    bench = _resolve(camp.BenchParams, cfg, "bench", args)
-    synth = _resolve(camp.SynthConfig, cfg, "bench", args)
-    ransac = _resolve(RansacConfig, cfg, "bench", args)
     results = camp.run_campaign(
-        camp.synthetic_scenes(bench.scenes, bench.scene_seed),
+        _resolve(camp.BenchParams, cfg, "bench", args),
         _resolve(camp.DistortionRanges, cfg, "bench", args),
         _resolve(camp.CampaignGrid, cfg, "bench", args),
-        confidence=ransac.confidence,
-        max_iterations=ransac.max_iterations,
-        noise_sigma=synth.noise_sigma,
-        outlier_fraction=synth.outlier_fraction,
+        _resolve(camp.SynthConfig, cfg, "bench", args),
+        _resolve(RansacConfig, cfg, "bench", args),
         master_seed=_value(cfg, args, "seed", kind=int, default=0),
-        hea_epsilon=bench.hea_epsilon,
         jobs=_value(cfg, args, "jobs", kind=int, default=1),
     )
     out = Path(_path(cfg, args, "output"))
@@ -227,7 +220,7 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     fps = _value(cfg, args, "fps", kind=dataio.parse_fps, default=DEFAULT_FPS)
-    floor = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps).speed_floor_kmh
+    kin = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps)
     group = _value(cfg, args, "group", "compare", str, default="all")
     probe = dataio.load_probe_trajectory(_path(cfg, args, "probe"))
     candidate_rows = dataio.load_candidate_trajectory(_path(cfg, args, "candidate"))
@@ -237,13 +230,13 @@ def cmd_compare(args) -> int:
         ComparisonSample(probe=pt, probe_speed_kmh=speed, candidate=candidate)
         for _, pt, speed in probe
     ]
-    reports = aggregate_comparison({group: samples}, fps, speed_floor_kmh=floor)
+    reports = aggregate_comparison({group: samples}, kin)
     for r in reports:
         if r.skipped:
             log(f"group {r.key}: skipped {r.skipped} degenerate samples")
         if r.speed_diff_mean_kmh is None:
             log(
-                f"group {r.key}: all probe speeds at or below {floor} km/h; "
+                f"group {r.key}: all probe speeds at or below {kin.speed_floor_kmh} km/h; "
                 "speed-difference columns left empty"
             )
     dataio.write_comparison_report(reports, _path(cfg, args, "output"))
@@ -258,7 +251,7 @@ def cmd_dims(args) -> int:
     stab_path = _path(cfg, args, "stabilized")
     stab = dataio.load_tracks(stab_path, sidecar, require_unit_range=False)
     registry = dataio.load_registry(_path(cfg, args, "registry"))
-    geo = GeoChain.for_video(registry, _value(cfg, args, "video_id", kind=str, default=""))
+    geo = registry.chain(_value(cfg, args, "video_id", kind=str, default=""))
     raw_by_id = raw.by_id()
     stab_by_id = stab.by_id()
     # stabilize writes every raw vehicle; a missing one means the files differ
@@ -337,9 +330,10 @@ def cmd_georef(args) -> int:
     )
     registry = dataio.load_registry(_path(cfg, args, "registry"))
     seg_path = _path(cfg, args, "segmentation", required=False)
-    segmentation = dataio.load_segmentation(seg_path) if seg_path else None
-    video_id = _value(cfg, args, "video_id", kind=str, default="")
-    geo = GeoChain.for_video(registry, video_id, segmentation)
+    geo = registry.chain(
+        _value(cfg, args, "video_id", kind=str, default=""),
+        dataio.load_segmentation(seg_path) if seg_path else None,
+    )
     positions = georeference_points(stab.points, stab.frame_size, geo)
     dataio.write_csv(
         _path(cfg, args, "output"),
@@ -412,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score-min", type=float)
     p.add_argument("--nms-iou", type=float)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--speed-floor", type=float, dest="speed_floor_kmh")
     p.add_argument("--drone-id", type=int)
     p.add_argument("--start-time")
     p.add_argument("--date")
@@ -453,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="CSV id,frame,x,y[,visible] in local meters")
     p.add_argument("--fps")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--speed-floor", type=float, dest="speed_floor_kmh")
     p.set_defaults(func=cmd_kinematics)
 
     p = sub.add_parser("georef", parents=[common], help="stabilized tracks to world CSV")

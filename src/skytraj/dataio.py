@@ -272,8 +272,19 @@ def _track_values(row: dict) -> tuple:
         float(row["h"]),
         int(row["class"]),
         float(row["score"]),
-        bool(int(row["visible"])) if "visible" in row else False,
+        _visible(row, default=False),
     )
+
+
+def _visible(row: dict, default: bool) -> bool:
+    """The row's 0/1 ``visible`` cell; ``default`` in a table without the
+    column."""
+    if "visible" not in row:
+        return default
+    cell = row["visible"]
+    if cell not in ("0", "1"):
+        raise ValueError(f"visible must be 0 or 1, got {cell!r}")
+    return cell == "1"
 
 
 def _read_csv_rows(path, required: Sequence[str], convert):
@@ -537,7 +548,8 @@ def load_registry(path) -> GeoRegistry:
         ref_to_master <9 numbers>
 
     Comments ('#' to the end of a line) and blank lines are ignored. An
-    incomplete block is reported at its header line.
+    incomplete block is reported at its header line, a repeated label or
+    a repeated directive within one block at the repeating line.
     """
     entries: dict[str, dict] = {"intersection": {}, "video": {}}
     block = None  # (kind, label, header line) of the block being read
@@ -548,6 +560,8 @@ def load_registry(path) -> GeoRegistry:
         if block is None:
             return
         kind, label, line = block
+        if label in entries[kind]:
+            raise ParseError(f"repeated {kind} {label!r}", line=line, path=path)
         if any(k not in fields for k in directives):
             raise ParseError(f"{kind} {label!r} incomplete", line=line, path=path)
         entries[kind][label] = _REGISTRY_BLOCKS[kind][0](**fields)
@@ -570,6 +584,9 @@ def load_registry(path) -> GeoRegistry:
                 block, fields = (key, tokens[1], line), {"intersection": tokens[2]}
                 directives = _REGISTRY_BLOCKS[key][1]
             elif key in directives:
+                if key in fields:
+                    kind, label, _ = block
+                    raise ParseError(f"repeated {key} in {kind} {label!r}", line=line, path=path)
                 n, read = directives[key]
                 fields[key] = read(_parse_floats(tokens[1:], n, line, key, path))
             else:
@@ -826,7 +843,7 @@ def load_local_trajectories(
     path,
 ) -> tuple[dict[int, dict[int, Point2]], dict[int, set[int]]]:
     """Local-coordinate trajectories CSV: id,frame,x,y (finite) with
-    optional visible.
+    an optional 0/1 visible column.
 
     Returns per-vehicle frame->point maps plus per-vehicle visible frame
     sets (all frames visible when the column is absent).
@@ -837,7 +854,7 @@ def load_local_trajectories(
         path,
         ["id", "frame", "x", "y"],
         lambda row: (int(row["id"]), int(row["frame"]), float(row["x"]), float(row["y"]),
-                     int(row.get("visible") or 1)),
+                     _visible(row, default=True)),
     ):
         _require_finite(path, line, x=x, y=y)
         if frame in points.setdefault(vid, {}):

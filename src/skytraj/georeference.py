@@ -2,7 +2,8 @@
 
 Each intersection owns one master->orthophoto homography plus two affine
 geotransforms (ortho pixels -> local planar meters, ortho pixels ->
-WGS84 degrees); each video owns a reference->master homography. Road
+WGS84 degrees); each video owns a reference->master homography.
+``GeoRegistry.chain`` joins them into one video's ``GeoChain``. Road
 section / lane labels come from point-in-polygon lookup on the ortho
 cut-out segmentation.
 """
@@ -35,22 +36,27 @@ class GeoRegistry:
     intersections: Mapping[str, IntersectionEntry]
     videos: Mapping[str, VideoEntry]
 
-    def video(self, video_id: str) -> VideoEntry:
+    def chain(
+        self, video_id: str, segmentation: SegmentationMap | None = None
+    ) -> GeoChain:
+        """The video's chain: reference frame -> master frame -> orthophoto,
+        then its intersection's two geotransforms, plus the lane map."""
+        inter = self.intersection_for(video_id)
+        ref_to_ortho = compose(inter.master_to_ortho, self.videos[video_id].ref_to_master)
+        return GeoChain(ref_to_ortho, inter.geo_local, inter.geo_wgs, segmentation)
+
+    def intersection_for(self, video_id: str) -> IntersectionEntry:
+        """The entry of the intersection the video was registered to."""
         try:
-            return self.videos[video_id]
+            label = self.videos[video_id].intersection
         except KeyError:
             raise UnknownVideo(f"video {video_id!r} not in registry") from None
-
-    def intersection(self, label: str) -> IntersectionEntry:
         try:
             return self.intersections[label]
         except KeyError:
             raise UnknownIntersection(
                 f"intersection {label!r} not in registry"
             ) from None
-
-    def intersection_for(self, video_id: str) -> IntersectionEntry:
-        return self.intersection(self.video(video_id).intersection)
 
 
 # Relative margin by which a lane's bounding box is widened for the
@@ -86,11 +92,16 @@ class SegmentationMap:
     lanes: tuple[LanePolygon, ...]
 
 
-def compose_ref_to_ortho(registry: GeoRegistry, video_id: str) -> Homography:
-    """Composite map: reference frame -> master frame -> orthophoto."""
-    video = registry.video(video_id)
-    inter = registry.intersection(video.intersection)
-    return compose(inter.master_to_ortho, video.ref_to_master)
+@dataclass(frozen=True)
+class GeoChain:
+    """Reference-frame pixels to the world: the video's reference->ortho
+    homography, its intersection's two geotransforms (ortho px -> local
+    meters, ortho px -> WGS84 degrees) and the optional lane map."""
+
+    ref_to_ortho: Homography
+    geo_local: GeoTransform
+    geo_wgs: GeoTransform
+    segmentation: SegmentationMap | None = None
 
 
 def _on_segment(p: Point2, a: Point2, b: Point2, tol: float = 1e-9) -> bool:

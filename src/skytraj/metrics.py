@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -175,17 +174,15 @@ def _trajectory_length(pts: Sequence[tuple[Point2, float]]) -> float:
 
 
 def aggregate_comparison(
-    groups: Mapping[str, Sequence[ComparisonSample]],
-    fps: Fraction,
-    speed_floor_kmh: float = KinematicsConfig.speed_floor_kmh,
+    groups: Mapping[str, Sequence[ComparisonSample]], kin: KinematicsConfig
 ) -> list[GroupReport]:
     """Per-group mean +/- population sd of the two deviations.
 
-    Speed differences for probe speeds at or below the floor are excluded.
-    Degenerate samples are skipped and counted. Trajectory length sums
-    consecutive-point distances over the distinct candidate trajectories
-    in the group; duration is their point count over fps. Empty groups
-    are dropped.
+    Speed differences for probe speeds at or below ``kin.speed_floor_kmh``
+    are excluded. Degenerate samples are skipped and counted. Trajectory
+    length sums consecutive-point distances over the distinct candidate
+    trajectories in the group; duration is their point count over
+    ``kin.fps``. Empty groups are dropped.
     """
     reports = []
     for key in sorted(groups):
@@ -201,14 +198,14 @@ def aggregate_comparison(
             trajectories.setdefault(s.candidate, None)
             try:
                 devs.append(positional_deviation(s))
-                if s.probe_speed_kmh > speed_floor_kmh:
+                if s.probe_speed_kmh > kin.speed_floor_kmh:
                     dvs.append(speed_difference(s))
             except DegenerateSegment:
                 skipped += 1
         if not devs:
             continue
         length = sum(_trajectory_length(t) for t in trajectories)
-        duration = sum(len(t) for t in trajectories) / float(fps)
+        duration = sum(len(t) for t in trajectories) / float(kin.fps)
         dev_arr = np.asarray(devs)
         dv_arr = np.asarray(dvs) if dvs else None
         reports.append(

@@ -18,13 +18,8 @@ from .dataio import (
 )
 from .dimensions import DimConfig, estimate_dimensions
 from .errors import MissingDistances, MissingHomography, SkytrajError
-from .geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
-from .georeference import (
-    GeoRegistry,
-    SegmentationMap,
-    assign_segment,
-    compose_ref_to_ortho,
-)
+from .geometry import Homography, Point2, apply_homography, pixel_to_world
+from .georeference import GeoChain, assign_segment
 from .kinematics import KinematicProfile, KinematicsConfig, compute_profile, gate_by_visibility
 from .registration import (
     EstimateReport,
@@ -139,24 +134,6 @@ def estimate_frame_homographies(
     return homs, reports
 
 
-@dataclass(frozen=True)
-class GeoChain:
-    """Reference-frame pixels to the world: the video's reference->ortho
-    homography, its intersection's two geotransforms (ortho px -> local
-    meters, ortho px -> WGS84 degrees) and the optional lane map."""
-
-    ref_to_ortho: Homography
-    geo_local: GeoTransform
-    geo_wgs: GeoTransform
-    segmentation: SegmentationMap | None = None
-
-    @classmethod
-    def for_video(cls, registry: GeoRegistry, video_id: str, segmentation=None) -> GeoChain:
-        inter = registry.intersection_for(video_id)
-        ref_to_ortho = compose_ref_to_ortho(registry, video_id)
-        return cls(ref_to_ortho, inter.geo_local, inter.geo_wgs, segmentation)
-
-
 class GeoPosition(NamedTuple):
     ortho: Point2  # ortho cut-out pixels
     local: Point2  # planar meters
@@ -253,9 +230,7 @@ def process_vehicle(
 def run_pipeline(
     tracks: VideoTracks,
     homographies: Mapping[int, Homography],
-    registry: GeoRegistry,
-    video_id: str,
-    segmentation: SegmentationMap | None,
+    geo: GeoChain,
     meta: SessionMeta,
     ingest: IngestParams,
     dims_cfg: DimConfig,
@@ -270,7 +245,7 @@ def run_pipeline(
     )
     ctx = VehicleContext(
         frame_size=tracks.frame_size,
-        geo=GeoChain.for_video(registry, video_id, segmentation),
+        geo=geo,
         meta=meta,
         dims=dims_cfg,
         kinematics=kin_cfg,

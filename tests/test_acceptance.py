@@ -12,6 +12,7 @@ import pytest
 
 from conftest import PIPELINE_ARGS, build_pipeline_fixture, make_point, make_tracks
 from skytraj.campaign import (
+    BenchParams,
     CampaignGrid,
     DistortionRanges,
     SynthConfig,
@@ -371,19 +372,16 @@ def test_criterion_8_export_fidelity(tmp_path):
 
 def test_criterion_9_campaign_reproducibility(tmp_path):
     with criterion("9 campaign byte-identical and paper-scale trial count"):
-        scenes = synthetic_scenes(29, seed=7)
         grid = CampaignGrid(trials_per_scene=100, point_counts=(30,))
         outs = []
         for run in range(2):
             results = run_campaign(
-                scenes,
+                BenchParams(scenes=29, scene_seed=7, hea_epsilon=3.0),
                 DistortionRanges(),
                 grid,
-                noise_sigma=0.0,
-                outlier_fraction=0.0,
-                max_iterations=100,
+                SynthConfig(noise_sigma=0.0, outlier_fraction=0.0),
+                RansacConfig(max_iterations=100),
                 master_seed=4242,
-                hea_epsilon=3.0,
             )
             assert results[0].trials == 2900
             path = tmp_path / f"campaign{run}.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from skytraj.campaign import (
+    BenchParams,
     CampaignGrid,
     DistortionRanges,
     SynthConfig,
@@ -146,24 +147,30 @@ class TestRunTrial:
         assert iou == 0.0
 
 
+def bench(scenes, **kwargs):
+    """The first ``scenes`` of SCENES."""
+    return BenchParams(scenes=scenes, scene_seed=7, **kwargs)
+
+
 class TestRunCampaign:
     grid = CampaignGrid(
-        snn_ratios=(None,),
+        snn_ratios=(None, 0.9),
         downscales=(1.0,),
-        reproj_thresholds=(2.0,),
+        reproj_thresholds=(1.0, 2.0),
         point_counts=(60,),
         trials_per_scene=2,
     )
+    noisy = SynthConfig(noise_sigma=0.5, outlier_fraction=0.2)
+    clean = SynthConfig(noise_sigma=0.0, outlier_fraction=0.0)
 
     def test_single_clean_cell(self):
         results = run_campaign(
-            SCENES[:1],
+            bench(1, hea_epsilon=1.0),
             RANGES,
             CampaignGrid(trials_per_scene=1, point_counts=(60,)),
-            noise_sigma=0.0,
-            outlier_fraction=0.0,
+            self.clean,
+            RansacConfig(),
             master_seed=5,
-            hea_epsilon=1.0,
         )
         assert len(results) == 1
         assert results[0].hea == 1.0
@@ -176,8 +183,9 @@ class TestRunCampaign:
         grid = CampaignGrid(trials_per_scene=3, point_counts=(30,))
         noise, frac, iterations, eps = 1.0, 0.3, 50, 3.0
         (cell,) = run_campaign(
-            SCENES[:2], RANGES, grid, max_iterations=iterations,
-            noise_sigma=noise, outlier_fraction=frac, master_seed=4, hea_epsilon=eps,
+            bench(2, hea_epsilon=eps), RANGES, grid,
+            SynthConfig(noise_sigma=noise, outlier_fraction=frac),
+            RansacConfig(max_iterations=iterations), master_seed=4,
         )
         outcomes = []
         for s_idx, scene in enumerate(SCENES[:2]):
@@ -201,23 +209,22 @@ class TestRunCampaign:
             point_counts=(60,),
             trials_per_scene=1,
         )
-        results = run_campaign(
-            SCENES[:2], RANGES, grid, noise_sigma=0.0, outlier_fraction=0.0,
-            master_seed=1,
-        )
+        results = run_campaign(bench(2), RANGES, grid, self.clean, RansacConfig(), master_seed=1)
         assert len(results) == 4
         assert [r.trials for r in results] == [2, 2, 2, 2]
 
     def test_deterministic_across_runs(self):
-        kwargs = dict(noise_sigma=0.5, outlier_fraction=0.2, master_seed=17)
-        a = run_campaign(SCENES[:2], RANGES, self.grid, **kwargs)
-        b = run_campaign(SCENES[:2], RANGES, self.grid, **kwargs)
+        a = run_campaign(bench(2), RANGES, self.grid, self.noisy, RansacConfig(), master_seed=17)
+        b = run_campaign(bench(2), RANGES, self.grid, self.noisy, RansacConfig(), master_seed=17)
         assert results_without_time(a) == results_without_time(b)
 
     def test_deterministic_across_jobs(self):
-        kwargs = dict(noise_sigma=0.5, outlier_fraction=0.2, master_seed=17)
-        a = run_campaign(SCENES[:2], RANGES, self.grid, jobs=1, **kwargs)
-        b = run_campaign(SCENES[:2], RANGES, self.grid, jobs=2, **kwargs)
+        """All cells of a 2x2 grid share one pool; each row is the same as
+        with no pool."""
+        args = (bench(2), RANGES, self.grid, self.noisy, RansacConfig())
+        a = run_campaign(*args, master_seed=17, jobs=1)
+        b = run_campaign(*args, master_seed=17, jobs=2)
+        assert len(a) == 4
         assert results_without_time(a) == results_without_time(b)
 
     def test_miou_nonincreasing_in_outliers_with_matched_seeds(self):
@@ -225,8 +232,9 @@ class TestRunCampaign:
         mious = []
         for frac in (0.0, 0.2, 0.45):
             res = run_campaign(
-                SCENES[:3], RANGES, grid,
-                noise_sigma=0.5, outlier_fraction=frac, master_seed=23,
+                bench(3), RANGES, grid,
+                SynthConfig(noise_sigma=0.5, outlier_fraction=frac), RansacConfig(),
+                master_seed=23,
             )
             mious.append(res[0].miou)
         assert mious[0] >= mious[1] >= mious[2]
@@ -236,9 +244,7 @@ class TestRunCampaign:
             downscales=(0.5,), trials_per_scene=2, point_counts=(60,)
         )
         res = run_campaign(
-            SCENES[:3], RANGES, grid,
-            noise_sigma=0.0, outlier_fraction=0.0, master_seed=3,
-            hea_epsilon=1.0,
+            bench(3, hea_epsilon=1.0), RANGES, grid, self.clean, RansacConfig(), master_seed=3,
         )
         assert res[0].hea == 1.0
 

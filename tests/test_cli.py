@@ -460,6 +460,27 @@ class TestBenchCommand:
         assert timing.exists()
         assert timing.read_text().splitlines()[0].endswith("mean_time_ms")
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("point_counts: [4]", "point_counts must be integers >= 8, got 4"),
+            ("point_counts: [40.5]", "point_counts must be integers >= 8, got 40.5"),
+            ("reproj_thresholds: [-1]", "reproj_thresholds must be > 0, got -1"),
+            ("snn_ratios: [2]", "snn_ratios must be null or in (0, 1], got 2"),
+            ("snn_ratios: [0]", "snn_ratios must be null or in (0, 1], got 0"),
+            ("downscales: [1.5]", "downscales must be in (0, 1], got 1.5"),
+            ("downscales: [0]", "downscales must be in (0, 1], got 0"),
+            ("downscales: [x]", "downscales must be in (0, 1], got 'x'"),
+        ],
+    )
+    def test_bad_grid_value_fails_cleanly(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"bench: {{scenes: 1, trials_per_scene: 1, {entry}}}\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("bench", "--config", cfg, "--output", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error [bench]: bench: {message}"]
+        assert not out.exists()
+
 
 def write_comparison_fixture(tmp_path, probe_speed=40.0, offset=5.0):
     candidate = tmp_path / "candidate.csv"
@@ -518,6 +539,22 @@ class TestCompareCommand:
         assert cells["speed_diff_mean_kmh"] == ""
         assert cells["pos_dev_mean_m"] == "5.000"
         assert "speed" in capsys.readouterr().err
+
+    def test_speed_floor_flag(self, tmp_path):
+        probe, candidate = write_comparison_fixture(tmp_path, probe_speed=0.5)
+        out = tmp_path / "report.csv"
+        assert run_cli(
+            "compare", "--probe", probe, "--candidate", candidate, "--speed-floor", "0.4",
+            "--output", out,
+        ) == 0
+        header, row = out.read_text().strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["speed_diff_mean_kmh"] != ""
+
+    @pytest.mark.parametrize("command", ["pipeline", "kinematics"])
+    def test_speed_floor_is_a_compare_flag_only(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--speed-floor", "50")
+        assert "unrecognized arguments: --speed-floor 50" in capsys.readouterr().err
 
 
 class TestAuxCommands:

@@ -455,6 +455,46 @@ class TestRowErrorsNameFileAndLine:
         assert str(exc.value).startswith(f"{p}: line {line}: ")
 
 
+class TestVisibleColumn:
+    """Both loaders read ``visible`` as 0 or 1; a table without the column
+    keeps each loader's default (tracks not visible, trajectories visible)."""
+
+    LOADERS = {
+        "tracks": (lambda p: load_tracks(p, SIDECAR, require_unit_range=False),
+                   "frame,id,cx,cy,w,h,class,score", "{},1,0.5,0.5,0.1,0.1,0,0.9"),
+        "local": (load_local_trajectories, "id,frame,x,y", "1,{},0,0"),
+    }
+
+    def load(self, tmp_path, kind, cells):
+        """Two rows of one vehicle (frames 1 and 2), with a visible column
+        holding ``cells`` unless it is None."""
+        loader, header, row = self.LOADERS[kind]
+        lines = [header if cells is None else header + ",visible"]
+        for frame in (1, 2):
+            lines.append(row.format(frame) + ("" if cells is None else f",{cells[frame - 1]}"))
+        p = tmp_path / f"{kind}.csv"
+        p.write_text("\n".join(lines) + "\n")
+        return loader(p)
+
+    def test_flags_and_defaults(self, tmp_path):
+        def tracks(cells):
+            return [pt.visible for pt in self.load(tmp_path, "tracks", cells).points]
+
+        assert tracks(["0", "1"]) == [False, True]
+        assert tracks(None) == [False, False]
+        assert self.load(tmp_path, "local", ["0", "1"])[1] == {1: {2}}
+        assert self.load(tmp_path, "local", None)[1] == {1: {1, 2}}
+
+    @pytest.mark.parametrize("cell", ["7", "", "-1", "true", "1.0", " 1"])
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_other_values_rejected(self, tmp_path, kind, cell):
+        with pytest.raises(ParseError) as exc:
+            self.load(tmp_path, kind, ["1", cell])
+        assert str(exc.value) == (
+            f"{tmp_path / kind}.csv: line 3: malformed row: visible must be 0 or 1, got {cell!r}"
+        )
+
+
 class TestTrajectoryLoaders:
     @pytest.mark.parametrize(
         "loader, header, good, bad",
@@ -510,6 +550,28 @@ class TestTransformFiles:
         path.write_text("video V1 Z\nref_to_master 1 0 0 0 1 0 0 0 1\n")
         with pytest.raises(ParseError):
             load_registry(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("intersection L\nmaster_to_ortho 1 0 0 0 1 0 0 0 1\ngeo_local 2 0 0 2 0 0\n"
+             "geo_wgs 1 0 0 1 0 0\n", 9, "repeated intersection 'L'"),
+            ("video L1 L\nref_to_master 1 0 0 0 1 0 0 0 1\n", 9, "repeated video 'L1'"),
+            ("ref_to_master 1 0 0 0 1 0 0 0 1\n", 9, "repeated ref_to_master in video 'L1'"),
+            ("intersection M\ngeo_local 1 0 0 1 0 0\n\ngeo_local 2 0 0 2 0 0\n", 12,
+             "repeated geo_local in intersection 'M'"),
+        ],
+        ids=["intersection", "video", "video-directive", "intersection-directive"],
+    )
+    def test_registry_repeated_entry(self, tmp_path, text, line, message):
+        """A repeated label, or a directive repeated within its block, is
+        reported at the repeating line instead of the later entry winning."""
+        path = tmp_path / "reg.txt"
+        write_registry(path)  # 8 lines: intersection L, then video L1
+        path.write_text(path.read_text() + text)
+        with pytest.raises(ParseError) as exc:
+            load_registry(path)
+        assert str(exc.value) == f"{path}: line {line}: {message}"
 
     def test_registry_incomplete_block(self, tmp_path):
         """An incomplete block is reported at its own header line, whatever

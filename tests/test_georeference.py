@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GEO_IDENTITY, inverse, make_point, translation
-from skytraj.errors import UnknownIntersection, UnknownVideo
+from skytraj.errors import SingularResult, UnknownIntersection, UnknownVideo
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.georeference import (
     GeoRegistry,
@@ -15,10 +15,9 @@ from skytraj.georeference import (
     SegmentationMap,
     VideoEntry,
     assign_segment,
-    compose_ref_to_ortho,
     point_in_polygon,
 )
-from skytraj.pipeline import GeoChain, georeference_points
+from skytraj.pipeline import georeference_points
 
 SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact
 
@@ -27,7 +26,7 @@ def georef(reg, video_id, p, segmentation=None):
     """One reference-frame pixel through the pipeline's georeference step."""
     point = make_point(1, 1, p.x, p.y, 10, 10, frame_size=SIZE)
     (position,) = georeference_points(
-        [point], SIZE, GeoChain.for_video(reg, video_id, segmentation)
+        [point], SIZE, reg.chain(video_id, segmentation)
     )
     return position
 
@@ -49,13 +48,13 @@ class TestComposeRefToOrtho:
     def test_identity_master(self):
         ref = Homography.from_matrix([[1.1, 0, 5], [0, 0.9, -2], [0, 0, 1]])
         reg = registry_with(Homography.identity(), ref)
-        assert np.allclose(compose_ref_to_ortho(reg, "L1").m, ref.m)
+        assert np.allclose(reg.chain("L1").ref_to_ortho.m, ref.m)
 
     def test_translations_add(self):
         reg = registry_with(
             translation(10, 20), translation(-3, 4)
         )
-        h = compose_ref_to_ortho(reg, "L1")
+        h = reg.chain("L1").ref_to_ortho
         assert np.allclose(h.m, translation(7, 24).m)
 
     def test_point_action_oracle(self):
@@ -67,7 +66,7 @@ class TestComposeRefToOrtho:
             [[0.99, -0.02, 55], [0.04, 1.01, -35], [0, 0, 1]]
         )
         reg = registry_with(m2o, r2m)
-        h = compose_ref_to_ortho(reg, "L1")
+        h = reg.chain("L1").ref_to_ortho
         for _ in range(20):
             p = Point2(*rng.uniform(0, 3000, 2))
             direct = apply_homography(h, p)
@@ -76,16 +75,21 @@ class TestComposeRefToOrtho:
 
     def test_unknown_video(self):
         reg = registry_with(Homography.identity(), Homography.identity())
-        with pytest.raises(UnknownVideo):
-            compose_ref_to_ortho(reg, "nope")
+        with pytest.raises(UnknownVideo, match="video 'nope' not in registry"):
+            reg.chain("nope")
 
     def test_unknown_intersection(self):
         reg = GeoRegistry(
             intersections={},
             videos={"L1": VideoEntry("L", Homography.identity())},
         )
-        with pytest.raises(UnknownIntersection):
-            compose_ref_to_ortho(reg, "L1")
+        with pytest.raises(UnknownIntersection, match="intersection 'L' not in registry"):
+            reg.chain("L1")
+
+    def test_singular_composite(self):
+        h = Homography.from_matrix([[1e-3, 0, 0], [0, 1e3, 0], [0, 0, 1]])
+        with pytest.raises(SingularResult):
+            registry_with(h, h).chain("L1")
 
 
 class TestGeoreferencePoint:
@@ -138,7 +142,7 @@ class TestGeoreferencePoint:
             [[1.01, 0.05, -40], [-0.03, 0.97, 60], [0, 0, 1]]
         )
         reg = registry_with(m2o, r2m)
-        h = compose_ref_to_ortho(reg, "L1")
+        h = reg.chain("L1").ref_to_ortho
         inv = inverse(h)
         for _ in range(50):
             p = Point2(*rng.uniform(0, 3840, 2))

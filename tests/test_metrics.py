@@ -7,6 +7,7 @@ import pytest
 from conftest import inverse, translation
 from skytraj.errors import DegenerateSegment
 from skytraj.geometry import BBox, Homography, Point2
+from skytraj.kinematics import KinematicsConfig
 from skytraj.metrics import (
     ComparisonSample,
     SceneSpec,
@@ -19,6 +20,7 @@ from skytraj.metrics import (
 )
 
 FPS = Fraction(30000, 1001)
+KIN = KinematicsConfig(fps=FPS)
 
 
 def scene(width=2000.0, height=1000.0, boxes=((500, 500, 60, 30),)):
@@ -207,7 +209,7 @@ class TestSpeedDifference:
 class TestAggregateComparison:
     def test_single_sample_zero_sd(self):
         samples = [sample((0, 2), 30, [(0, 0, 28), (10, 0, 28)])]
-        reports = aggregate_comparison({"E": samples}, FPS)
+        reports = aggregate_comparison({"E": samples}, KIN)
         assert len(reports) == 1
         r = reports[0]
         assert r.pos_dev_mean_m == pytest.approx(2.0)
@@ -217,30 +219,33 @@ class TestAggregateComparison:
     def test_population_sd(self):
         cand = [(0, 0, 30), (10, 0, 30)]
         samples = [sample((0, 1), 30, cand), sample((1, 3), 30, cand)]
-        r = aggregate_comparison({"G": samples}, FPS)[0]
+        r = aggregate_comparison({"G": samples}, KIN)[0]
         assert r.pos_dev_mean_m == pytest.approx(2.0)
         assert r.pos_dev_std_m == pytest.approx(1.0)
 
     def test_empty_group_excluded(self):
-        assert aggregate_comparison({"E": []}, FPS) == []
+        assert aggregate_comparison({"E": []}, KIN) == []
 
     def test_speed_floor_excludes_slow_probes(self):
         cand = [(0, 0, 30), (10, 0, 30)]
         samples = [sample((0, 1), 0.5, cand), sample((1, 1), 0.9, cand)]
-        r = aggregate_comparison({"E": samples}, FPS, speed_floor_kmh=1.0)[0]
+        r = aggregate_comparison({"E": samples}, KIN)[0]  # floor 1 km/h
         assert r.speed_diff_mean_kmh is None
         assert r.n_samples == 2  # positional stats still reported
+        lower = KinematicsConfig(fps=FPS, speed_floor_kmh=0.7)
+        r = aggregate_comparison({"E": samples}, lower)[0]
+        assert r.speed_diff_mean_kmh == pytest.approx(0.9 - 30)
 
     def test_trajectory_stats(self):
         cand = [(0, 0, 30), (3, 4, 30), (6, 8, 30)]
         samples = [sample((0, 1), 30, cand)]
-        r = aggregate_comparison({"E": samples}, FPS)[0]
+        r = aggregate_comparison({"E": samples}, KIN)[0]
         assert r.traj_length_m == pytest.approx(10.0)
         assert r.traj_duration_s == pytest.approx(3 / float(FPS))
 
     def test_degenerate_samples_skipped_and_counted(self):
         good = sample((0, 1), 30, [(0, 0, 30), (10, 0, 30)])
         bad = sample((0, 1), 30, [(0, 0, 30), (0, 0, 30)])
-        r = aggregate_comparison({"E": [good, bad]}, FPS)[0]
+        r = aggregate_comparison({"E": [good, bad]}, KIN)[0]
         assert r.n_samples == 1
         assert r.skipped == 1
