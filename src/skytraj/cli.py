@@ -85,7 +85,7 @@ def _load_config(args) -> dict:
 
 def _value(cfg: dict, args, key: str, section=None, kind=None, default=None):
     """Flag (``dest`` = key) > config entry > ``default``; a given value is
-    converted with ``kind``."""
+    converted with ``kind``, an ``int`` one by `dataio.whole`."""
     value = getattr(args, key, None)
     if value is None:
         value = (cfg.get(section) or {}).get(key) if section else cfg.get(key)
@@ -93,11 +93,12 @@ def _value(cfg: dict, args, key: str, section=None, kind=None, default=None):
         return default
     if kind is None:
         return value
+    name = f"{section}.{key}" if section else key
     try:
-        return kind(value)
+        return dataio.whole(name, value) if kind is int else kind(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        name = f"{section}.{key}" if section else key
-        raise ConfigError(f"{name}: bad value {value!r}: {exc}") from exc
+        message = str(exc) if kind is int else f"{name}: bad value {value!r}: {exc}"
+        raise ConfigError(message) from exc
 
 
 def _path(cfg: dict, args, key: str, required: bool = True):
@@ -201,6 +202,9 @@ def cmd_pipeline(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    jobs = _value(cfg, args, "jobs", kind=int, default=1)
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     results = camp.run_campaign(
         _resolve(camp.BenchParams, cfg, "bench", args),
         _resolve(camp.DistortionRanges, cfg, "bench", args),
@@ -208,7 +212,7 @@ def cmd_bench(args) -> int:
         _resolve(camp.SynthConfig, cfg, "bench", args),
         _resolve(RansacConfig, cfg, "bench", args),
         master_seed=_value(cfg, args, "seed", kind=int, default=0),
-        jobs=_value(cfg, args, "jobs", kind=int, default=1),
+        jobs=jobs,
     )
     out = Path(_path(cfg, args, "output"))
     timing = out.with_name(out.stem + "_timing" + out.suffix)

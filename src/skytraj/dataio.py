@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -137,9 +137,7 @@ def _csv_errors(path, reader):
 
 
 def _csv_error(path, reader, exc: csv.Error) -> ParseError:
-    # A DictReader's own line_num stays at its last whole row.
-    line = getattr(reader, "reader", reader).line_num
-    return ParseError(f"bad CSV: {exc}", line=line, path=path)
+    return ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path)
 
 
 def load_yaml(path) -> dict:
@@ -176,22 +174,27 @@ class VideoSidecar:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
 
 
-def _whole(name: str, value) -> int:
-    """``int(value)``, refusing a boolean and a non-integral float."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def whole(name: str, value) -> int:
+    """``int(value)``, refusing a boolean and a non-integral float (which
+    ``int`` reads as 0 or 1, or truncates). Any refusal raises ValueError
+    "<name> must be an integer, got <value>"."""
+    if not (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def load_sidecar(path) -> VideoSidecar:
     data = load_yaml(path)
     try:
         return VideoSidecar(
-            frame_width=_whole("frame_width", data["frame_width"]),
-            frame_height=_whole("frame_height", data["frame_height"]),
+            frame_width=whole("frame_width", data["frame_width"]),
+            frame_height=whole("frame_height", data["frame_height"]),
             fps=parse_fps(data.get("fps", DEFAULT_FPS)),
-            n_frames=_whole("n_frames", data["n_frames"]) if "n_frames" in data else None,
-            n_classes=_whole("n_classes", data.get("n_classes", 4)),
+            n_frames=whole("n_frames", data["n_frames"]) if "n_frames" in data else None,
+            n_classes=whole("n_classes", data.get("n_classes", 4)),
         )
     except KeyError as exc:
         raise ParseError(f"missing sidecar key {exc}", path=path) from exc
@@ -213,47 +216,44 @@ def load_tracks(
     """
     if not isinstance(sidecar, VideoSidecar):
         sidecar = load_sidecar(sidecar)
+    n_frames, n_classes = sidecar.n_frames, sidecar.n_classes
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
     for line, (frame, track_id, cx, cy, w, h, cls, score, visible) in _read_csv_rows(
-        path, TRACK_COLUMNS, _track_values
+        path, TRACK_COLUMNS, _track_values, optional=["visible"]
     ):
         if frame < 1:
             raise InvariantViolation("frame must be >= 1", line=line, path=path)
-        if sidecar.n_frames is not None and frame > sidecar.n_frames:
+        if n_frames is not None and frame > n_frames:
             raise InvariantViolation(
-                f"frame {frame} exceeds n_frames {sidecar.n_frames}", line=line, path=path
+                f"frame {frame} exceeds n_frames {n_frames}", line=line, path=path
             )
         if track_id < 1:
             raise InvariantViolation("id must be >= 1", line=line, path=path)
         if require_unit_range:
-            for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
-                if not 0.0 <= v <= 1.0:
-                    raise InvariantViolation(f"{name}={v} outside [0, 1]", line=line, path=path)
+            if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0 and 0.0 <= w <= 1.0 and 0.0 <= h <= 1.0):
+                name, v = next((name, v) for name, v in zip(("cx", "cy", "w", "h"), (cx, cy, w, h))
+                               if not 0.0 <= v <= 1.0)
+                raise InvariantViolation(f"{name}={v} outside [0, 1]", line=line, path=path)
         elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
             raise InvariantViolation("box values must be finite", line=line, path=path)
         elif w < 0 or h < 0:
             raise InvariantViolation("box size must be >= 0", line=line, path=path)
-        if not 0 <= cls < sidecar.n_classes:
+        if not 0 <= cls < n_classes:
             raise InvariantViolation(
-                f"class {cls} outside 0..{sidecar.n_classes - 1}", line=line, path=path
+                f"class {cls} outside 0..{n_classes - 1}", line=line, path=path
             )
         if not 0.0 < score <= 1.0:
             raise InvariantViolation(f"score {score} outside (0, 1]", line=line, path=path)
-        if (track_id, frame) in seen:
+        key = (track_id, frame)
+        if key in seen:
             raise InvariantViolation(
                 f"duplicate point for id {track_id} frame {frame}", line=line, path=path
             )
-        seen.add((track_id, frame))
-        points.append(
-            TrackPoint(
-                frame=frame,
-                track_id=track_id,
-                detection=Detection(BBox(cx, cy, w, h), cls, score),
-                visible=visible,
-            )
-        )
-    points.sort(key=lambda p: (p.track_id, p.frame))
+        seen.add(key)
+        box = BBox(cx, cy, w, h)
+        points.append(TrackPoint(frame, track_id, Detection(box, cls, score), visible))
+    points.sort(key=attrgetter("track_id", "frame"))
     return VideoTracks(
         frame_width=sidecar.frame_width,
         frame_height=sidecar.frame_height,
@@ -261,46 +261,56 @@ def load_tracks(
     )
 
 
-def _track_values(row: dict) -> tuple:
+def _track_values(cells: Sequence) -> tuple:
     """The typed cells of a track CSV row; not visible without the column."""
     return (
-        int(row["frame"]),
-        int(row["id"]),
-        float(row["cx"]),
-        float(row["cy"]),
-        float(row["w"]),
-        float(row["h"]),
-        int(row["class"]),
-        float(row["score"]),
-        _visible(row, default=False),
+        int(cells[0]),  # frame
+        int(cells[1]),  # id
+        float(cells[2]),  # cx
+        float(cells[3]),  # cy
+        float(cells[4]),  # w
+        float(cells[5]),  # h
+        int(cells[6]),  # class
+        float(cells[7]),  # score
+        _visible(cells[8:], False),
     )
 
 
-def _visible(row: dict, default: bool) -> bool:
-    """The row's 0/1 ``visible`` cell; ``default`` in a table without the
-    column."""
-    if "visible" not in row:
+def _visible(cells: Sequence, default: bool) -> bool:
+    """The 0/1 ``visible`` cell, the one item of ``cells``; ``default``
+    when ``cells`` is empty (a table without the column)."""
+    if not cells:
         return default
-    cell = row["visible"]
+    (cell,) = cells
     if cell not in ("0", "1"):
         raise ValueError(f"visible must be 0 or 1, got {cell!r}")
     return cell == "1"
 
 
-def _read_csv_rows(path, required: Sequence[str], convert):
-    """(line, ``convert(row)``) for each row of the CSV table at ``path``,
-    whose header must name every ``required`` column. A row is a dict of
-    header names to cells (None past the end of a short row); a cell that
-    ``convert`` cannot read raises ParseError "malformed row". Errors name
-    the file and the line."""
-    with _text_file(path) as fh, _csv_errors(path, csv.DictReader(fh)) as reader:
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+def _read_csv_rows(path, required: Sequence[str], convert, optional: Sequence[str] = ()):
+    """(line, ``convert(cells)``) for each non-blank row of the CSV table at
+    ``path``, whose header must name every ``required`` column (two or
+    more). ``cells`` holds the row's cells of the ``required`` columns, then
+    of each ``optional`` column the header names, in that order; a repeated
+    header name means its last column, cells past the end of a short row are
+    None and extra cells are ignored. A cell that ``convert`` cannot read
+    raises ParseError "malformed row". Errors name the file and the line."""
+    with _text_file(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
+        header = next(reader, [])
+        at = {name: i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in at]
         if missing:
             raise ParseError(f"missing columns {missing}", line=1, path=path)
+        columns = [at[c] for c in (*required, *(c for c in optional if c in at))]
+        take = itemgetter(*columns)
+        pad = [None] * (max(columns) + 1)
         for row in reader:
+            if not row:
+                continue
+            if len(row) < len(pad):
+                row += pad[len(row):]
             try:
-                values = convert(row)
+                values = convert(take(row))
             except (TypeError, ValueError) as exc:
                 raise ParseError(
                     f"malformed row: {exc}", line=reader.line_num, path=path
@@ -814,10 +824,9 @@ def _require_finite(path, line: int, **values: float) -> None:
 
 def load_probe_trajectory(path) -> list[tuple[float, Point2, float]]:
     """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite."""
-    columns = ["t", "x", "y", "speed"]
     out = []
     for line, (t, x, y, speed) in _read_csv_rows(
-        path, columns, lambda row: [float(row[c]) for c in columns]
+        path, ["t", "x", "y", "speed"], lambda cells: [*map(float, cells)]
     ):
         _require_finite(path, line, t=t, x=x, y=y, speed=speed)
         out.append((t, Point2(x, y), speed))
@@ -831,7 +840,7 @@ def load_candidate_trajectory(path) -> list[tuple[int, Point2, float]]:
     for line, (frame, x, y, speed) in _read_csv_rows(
         path,
         ["frame", "x", "y", "speed"],
-        lambda row: (int(row["frame"]), float(row["x"]), float(row["y"]), float(row["speed"])),
+        lambda cells: (int(cells[0]), *map(float, cells[1:])),
     ):
         _require_finite(path, line, x=x, y=y, speed=speed)
         out.append((frame, Point2(x, y), speed))
@@ -853,8 +862,9 @@ def load_local_trajectories(
     for line, (vid, frame, x, y, vis) in _read_csv_rows(
         path,
         ["id", "frame", "x", "y"],
-        lambda row: (int(row["id"]), int(row["frame"]), float(row["x"]), float(row["y"]),
-                     _visible(row, default=True)),
+        lambda cells: (int(cells[0]), int(cells[1]), float(cells[2]), float(cells[3]),
+                       _visible(cells[4:], True)),
+        optional=["visible"],
     ):
         _require_finite(path, line, x=x, y=y)
         if frame in points.setdefault(vid, {}):

@@ -222,10 +222,12 @@ def ratio_filter(samples: DimSamples, min_ratio: float) -> DimSamples:
 
 
 def quartile_dims(lengths: np.ndarray, widths: np.ndarray) -> tuple[float, float]:
-    """First quartile of each set (linear interpolation between ranks)."""
+    """First quartile of each of two equally long sets (linear
+    interpolation between ranks), in one `np.percentile` call."""
     if len(lengths) == 0 or len(widths) == 0:
         raise EmptySampleSet("no samples to aggregate")
-    return float(np.percentile(lengths, 25)), float(np.percentile(widths, 25))
+    length, width = np.percentile(np.stack((lengths, widths)), 25, axis=1).tolist()
+    return length, width
 
 
 def dims_to_world(

@@ -135,12 +135,6 @@ class BBox:
             Point2(self.xmin, self.ymax),
         )
 
-    @staticmethod
-    def from_corners(xs: Sequence[float], ys: Sequence[float]) -> "BBox":
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        return BBox((xmin + xmax) / 2, (ymin + ymax) / 2, xmax - xmin, ymax - ymin)
-
 
 @dataclass(frozen=True)
 class Quad:
@@ -202,24 +196,47 @@ def compose(h2: Homography, h1: Homography) -> Homography:
         raise SingularResult(str(exc)) from exc
 
 
-def transform_bbox(h: Homography, b: BBox) -> BBox:
-    """Transform the four corners and refit the minimal axis-aligned box.
+# Entries (0,0), (0,1), (1,0), (1,1), (2,0), (2,1), (2,2) of a pure translation.
+_SHIFT_ENTRIES = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 
-    Pure translations shift the center directly so box size is preserved
-    exactly (the corner path would lose low bits to cancellation).
+
+def transform_boxes(homs: Sequence[Homography], which, boxes: np.ndarray) -> np.ndarray:
+    """Map row i ``cx, cy, w, h`` of the (n, 4) float array ``boxes`` through
+    ``homs[which[i]]`` and refit the minimal axis-aligned box; (n, 4) out.
+
+    A pure translation shifts the center and keeps the size exactly (the
+    corner path would lose low bits to cancellation). Other boxes map
+    their four corners, in `BBox.corners` order, with `project_array`,
+    which does `apply_homography`'s operations in the same order, so each
+    box equals mapping its corners one at a time. A box with a corner at
+    projective infinity, or with a mapped corner coordinate that is zero
+    or not finite, is refit corner by corner with Python's ``min`` and
+    ``max`` (which, unlike numpy's, pick a signed zero or a NaN by its
+    position); the first corner at infinity raises DegenerateProjection.
     """
-    (m00, m01, tx), (m10, m11, ty), (m20, m21, m22) = h.rows
-    if (m00, m01, m10, m11, m20, m21, m22) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
-        return BBox(b.cx + tx, b.cy + ty, b.w, b.h)
-    xmin, xmax, ymin, ymax = b.xmin, b.xmax, b.ymin, b.ymax
-    # Corners in the order of BBox.corners(), so min/max pick the same values.
-    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = (
-        _project(h, xmin, ymin),
-        _project(h, xmax, ymin),
-        _project(h, xmax, ymax),
-        _project(h, xmin, ymax),
-    )
-    return BBox.from_corners((x1, x2, x3, x4), (y1, y2, y3, y4))
+    if len(boxes) == 0:
+        return np.zeros((0, 4))
+    which = np.asarray(which, dtype=np.intp)
+    shift = np.array(
+        [hom.rows[0][:2] + hom.rows[1][:2] + hom.rows[2] == _SHIFT_ENTRIES for hom in homs]
+    )[which]
+    m = np.stack([h.m for h in homs])[which]
+    cx, cy, w, h = boxes.T
+    with np.errstate(all="ignore"):  # Python floats do not warn either
+        xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+        corners = np.stack(
+            [np.stack([xmin, xmax, xmax, xmin], 1), np.stack([ymin, ymin, ymax, ymax], 1)], 2
+        )
+        px, py, z = project_array(m, corners)
+        x0, x1, y0, y1 = px.min(1), px.max(1), py.min(1), py.max(1)
+        out = np.stack([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0], 1)
+        out[shift] = np.stack([cx + m[:, 0, 2], cy + m[:, 1, 2], w, h], 1)[shift]
+        odd = (np.abs(z) < Z_TOL) | ~np.isfinite(px) | ~np.isfinite(py) | (px == 0) | (py == 0)
+    for i in np.flatnonzero(~shift & odd.any(1)).tolist():
+        xs, ys = zip(*(_project(homs[which[i]], x, y) for x, y in corners[i].tolist()))
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        out[i] = ((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
+    return out
 
 
 def pixel_to_world(t: GeoTransform, p: Point2) -> Point2:

@@ -51,9 +51,12 @@ class KinematicProfile:
     exported: np.ndarray  # bool
 
     def _cell(self, values: np.ndarray, frame: int) -> float | None:
-        """The frame's value; None if the frame is absent, not exported or NaN."""
-        i = int(np.searchsorted(self.frames, frame))
-        if i >= len(self.frames) or self.frames[i] != frame:
+        """The frame's value; None if the frame is absent, not exported or NaN.
+        ``frames`` run one by one, so a frame's index is its offset from
+        the first."""
+        n = len(self.frames)
+        i = frame - int(self.frames[0]) if n else -1
+        if not 0 <= i < n or self.frames[i] != frame:
             return None
         if not self.exported[i] or math.isnan(values[i]):
             return None

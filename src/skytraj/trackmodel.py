@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MissingHomography
-from .geometry import BBox, Homography, transform_bbox
+from .geometry import BBox, Homography, transform_boxes
 
 DEFAULT_FPS = Fraction(30000, 1001)
 # Pixels a box must keep from every frame edge to count as visible.
@@ -159,11 +159,6 @@ def denormalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
     return BBox(box.cx * w_img, box.cy * h_img, box.w * w_img, box.h * h_img)
 
 
-def normalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
-    w_img, h_img = frame_size
-    return BBox(box.cx / w_img, box.cy / h_img, box.w / w_img, box.h / h_img)
-
-
 def stabilize_tracks(
     tracks: VideoTracks,
     per_frame_h: Mapping[int, Homography],
@@ -176,22 +171,45 @@ def stabilize_tracks(
     size (centers may leave [0, 1] when motion exits the reference extent).
     Visibility flags are recomputed on the un-stabilized boxes, since frame
     borders are physical only in the original footage.
+
+    All boxes are mapped in one `transform_boxes` pass, each through its
+    frame's matrix. Errors come in point order: a point without a
+    homography raises only after every box before it has been mapped.
     """
     identity = Homography.identity()
-    frame_size = tracks.frame_size
-    new_points = []
+    frame_size = w_img, h_img = tracks.frame_size
+    slot_of: dict[int, int] = {}  # frame -> its index in homs
+    homs: list[Homography] = []
+    which: list[int] = []
+    missing = None
     for p in tracks.points:
-        h = per_frame_h.get(p.frame)
-        if h is None:
-            if p.frame == 1:
+        slot = slot_of.get(p.frame)
+        if slot is None:
+            h = per_frame_h.get(p.frame)
+            if h is None:
+                if p.frame != 1:
+                    missing = MissingHomography(p.frame)
+                    break
                 h = identity
-            else:
-                raise MissingHomography(p.frame)
-        d = p.detection
-        box_px = denormalize_bbox(d.bbox, frame_size)
-        box = normalize_bbox(transform_bbox(h, box_px), frame_size)
-        visible = bbox_visible_px(box_px, frame_size, visibility_margin)
-        new_points.append(
-            TrackPoint(p.frame, p.track_id, Detection(box, d.cls, d.score), visible)
+            slot = slot_of[p.frame] = len(homs)
+            homs.append(h)
+        which.append(slot)
+    points = tracks.points[: len(which)]
+    scale = np.array([w_img, h_img, w_img, h_img], dtype=float)
+    boxes = np.fromiter(
+        ((b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in points)),
+        dtype=(float, 4), count=len(points),
+    )
+    boxes = transform_boxes(homs, which, boxes * scale) / scale
+    if missing is not None:
+        raise missing
+    return replace(tracks, points=tuple(
+        TrackPoint(
+            p.frame,
+            p.track_id,
+            Detection(box, p.detection.cls, p.detection.score),
+            bbox_visible_px(denormalize_bbox(p.detection.bbox, frame_size), frame_size,
+                            visibility_margin),
         )
-    return replace(tracks, points=tuple(new_points))
+        for p, box in zip(points, map(BBox, *boxes.T.tolist()))
+    ))

@@ -461,6 +461,51 @@ class TestBenchCommand:
         assert timing.read_text().splitlines()[0].endswith("mean_time_ms")
 
     @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("bench: {scenes: 1.7}", "bench.scenes must be an integer, got 1.7"),
+            ("bench: {trials_per_scene: 1.9}",
+             "bench.trials_per_scene must be an integer, got 1.9"),
+            ("bench: {max_iterations: 10.5}", "bench.max_iterations must be an integer, got 10.5"),
+            ("bench: {scenes: true}", "bench.scenes must be an integer, got True"),
+            ("jobs: 1.5", "jobs must be an integer, got 1.5"),
+            ("seed: 2.5", "seed must be an integer, got 2.5"),
+            ("jobs: two", "jobs must be an integer, got 'two'"),
+        ],
+        ids=["scenes", "trials", "max-iterations", "bool", "jobs", "seed", "jobs-text"],
+    )
+    def test_fractional_integer_fails_cleanly(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("bench", "--config", cfg, "--output", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error [bench]: {message}"]
+        assert not out.exists()
+
+    def test_whole_float_integer_is_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("bench: {scenes: 1.0, trials_per_scene: 1}\njobs: 1.0\n")
+        out = tmp_path / "out.csv"
+        assert run_cli("bench", "--config", cfg, "--output", out) == 0
+        assert out.read_text().splitlines()[1].split(",")[-1] == "1"
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--jobs", "-3"], None), (["--jobs", "0"], None), ([], "jobs: 0"), ([], "jobs: -1")],
+        ids=["flag-negative", "flag-zero", "config-zero", "config-negative"],
+    )
+    def test_jobs_below_one_fails_cleanly(self, tmp_path, capsys, flags, config):
+        args = ["bench", "--scenes", "1", "--trials", "1", *flags]
+        if config is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config + "\n")
+            args += ["--config", cfg]
+        out = tmp_path / "out.csv"
+        assert run_cli(*args, "--output", out) == 1
+        assert capsys.readouterr().err.splitlines() == ["error [bench]: jobs must be >= 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "entry, message",
         [
             ("point_counts: [4]", "point_counts must be integers >= 8, got 4"),

@@ -1,9 +1,11 @@
 import csv
 import tempfile
+from dataclasses import astuple
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, translation, write_registry, write_segmentation
+from skytraj import dataio
 from skytraj.dataio import (
     EXPORT_COLUMNS,
     ExportRow,
@@ -837,3 +840,143 @@ class TestExport:
         sc = load_sidecar(p)
         assert sc.fps == FPS
         assert sc.n_frames is None
+
+
+# --- DictReader reference of the table reader ---------------------------------
+
+
+def _dict_reader_rows(path, required, convert, optional=()):
+    """The `csv.DictReader` loop `_read_csv_rows` ran before it took cells by
+    header index: a repeated name means its last column, a short row's
+    missing cells are None, extra cells go to the None key, blank rows are
+    skipped. ``convert`` gets the same cells the index reader hands it."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(f"missing columns {missing}", line=1, path=path)
+        for row in reader:
+            cells = [row[c] for c in required] + [row[c] for c in optional if c in row]
+            try:
+                values = convert(cells)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(
+                    f"malformed row: {exc}", line=reader.line_num, path=path
+                ) from exc
+            yield reader.line_num, values
+
+
+def _tracks_outcome(load, path):
+    try:
+        tracks = load(path)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    return [
+        (p.frame, p.track_id, p.detection.cls, p.visible,
+         *(v.hex() for v in (*astuple(p.detection.bbox), p.detection.score)))
+        for p in tracks.points
+    ]
+
+
+def _both_readers(load, path):
+    with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
+        ref = _tracks_outcome(load, path)
+    return _tracks_outcome(load, path), ref
+
+
+# cells that a track row reads differently from a number, or rejects
+_ODD_TRACK_CELLS = ["nan", "inf", "", "x", " 0.5", "1.0", '"2"', "-1", "0", "2"]
+
+
+@st.composite
+def _track_files(draw) -> str:
+    """Track CSV text: valid rows with short, long, blank, bad-cell, NaN and
+    duplicate rows mixed in, under a shuffled header that may carry an
+    extra, a repeated or a ``visible`` column."""
+    cols = list(dataio.TRACK_COLUMNS)
+    extra = draw(st.lists(st.sampled_from(["visible", "note", "cx"]), unique=True, max_size=2))
+    header = draw(st.permutations(cols + [c for c in extra if c != "cx"]))
+    if "cx" in extra:
+        header.insert(draw(st.integers(0, len(header))), "cx")  # a repeated name
+    lines = [",".join(header)]
+    unit = st.sampled_from(["0.0", "0.25", "0.5", "1.0"]) | st.floats(0.0, 1.0).map(repr)
+    cell_of = {
+        "frame": st.integers(1, 4).map(str), "id": st.integers(1, 3).map(str),
+        "class": st.integers(0, 3).map(str), "score": st.sampled_from(["0.5", "1.0", "0.9"]),
+        "visible": st.sampled_from(["0", "1"]), "note": st.sampled_from(["a", ""]),
+    }
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 14))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", ","])))  # blank-ish
+            continue
+        if kind == 1 and len(lines) > 1:
+            lines.append(draw(st.sampled_from(lines[1:])))  # a repeated row
+            continue
+        cells = [draw(cell_of.get(c, unit)) for c in header]
+        if kind == 2:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_ODD_TRACK_CELLS))
+        elif kind == 3:
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]  # short
+        elif kind == 4:
+            cells += draw(st.lists(unit, min_size=1, max_size=2))  # long
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+class TestTableReaderMatchesDictReader:
+    LOADERS = [
+        lambda p: load_tracks(p, SIDECAR),
+        lambda p: load_tracks(p, SIDECAR, require_unit_range=False),
+    ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_track_files(), unit_range=st.booleans())
+    @example(text="frame,id,cx,cy,w,h,class,score\n", unit_range=True)  # header only
+    @example(text="", unit_range=True)  # no header
+    @example(text="frame,id,cx,cy,w,h,class,score\n1,1,0.5,0.5,0.1,0.1,0\n", unit_range=True)
+    @example(text="frame,id,cx,cy,w,h,class,score,visible\n1,1,0.5,0.5,0.1,0.1,0,0.9\n",
+             unit_range=False)  # short row: visible reads as None
+    @example(text="frame,id,cx,cy,w,h,class,score\n1,1,0.5,0.5,0.1,0.1,0,0.9,7,8\n",
+             unit_range=True)  # long row
+    @example(text="frame,id,cx,cy,w,h,class,score\n\n1,1,0.5,0.5,0.1,0.1,0,0.9\n\n"
+                  "2,1,x,0.5,0.1,0.1,0,0.9\n", unit_range=True)  # blank rows keep lines
+    @example(text="frame,id,cx,cy,w,h,class,score\n1,1,nan,0.5,0.1,0.1,0,0.9\n",
+             unit_range=False)
+    @example(text="frame,id,cx,cy,w,h,class,score\n1,1,0.5,0.5,0.1,0.1,0,0.9\n"
+                  "1,1,0.5,0.5,0.1,0.1,0,0.9\n", unit_range=True)  # duplicate
+    @example(text="frame,cx,id,cx,cy,w,h,class,score\n1,9,1,0.5,0.5,0.1,0.1,0,0.9\n",
+             unit_range=True)  # a repeated name reads its last column
+    def test_track_files(self, text, unit_range):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.csv"
+            path.write_bytes(text.encode())
+            got, ref = _both_readers(self.LOADERS[unit_range], path)
+            assert got == ref
+
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_local_trajectories, "id,frame,x,y,visible\n1,1,0,0,1\n\n1,2,3\n"),
+            (load_local_trajectories, "frame,id,x,y,note\n1,1,0,0\n2,1,1,1,a,b\n"),
+            (load_probe_trajectory, "t,x,y,speed\n0,1,2,30\n0.1,1,2\n"),
+            (load_probe_trajectory, "speed,t,x,y\n30,0,1,2,9\n\n31,0.1,1,x\n"),
+            (load_candidate_trajectory, "frame,x,y,speed\n1,1,2,30\n2,nan,2,30\n"),
+            (load_candidate_trajectory, "frame,x,y,speed\n1.5,1,2,30\n"),
+        ],
+    )
+    def test_trajectory_files(self, tmp_path, loader, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+
+        def outcome():
+            try:
+                return loader(path)
+            except ParseError as exc:
+                return type(exc).__name__, str(exc)
+
+        with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
+            ref = outcome()
+        assert outcome() == ref

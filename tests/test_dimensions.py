@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_point
 from skytraj.dimensions import (
@@ -176,6 +178,17 @@ class TestQuartile:
     def test_empty(self):
         with pytest.raises(EmptySampleSet):
             quartile_dims(np.array([]), np.array([]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(
+        st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0, 80.5]), st.floats(0.0, 1e4))] * 2),
+        min_size=1, max_size=40,
+    ))
+    def test_one_call_equals_two(self, pairs):
+        """The stacked call equals one `np.percentile` call per set, bit for bit."""
+        lengths, widths = (np.array(v) for v in zip(*pairs))
+        ref = (float(np.percentile(lengths, 25)), float(np.percentile(widths, 25)))
+        assert [v.hex() for v in quartile_dims(lengths, widths)] == [v.hex() for v in ref]
 
 
 class TestDimsToWorld:

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skytraj.errors import TooShort
 from skytraj.geometry import Point2
 from skytraj.kinematics import (
+    KinematicProfile,
     KinematicsConfig,
     acceleration,
     compute_profile,
@@ -189,3 +192,73 @@ class TestProfileAndGating:
         assert profile.speed_kmh(1) is None
         assert profile.accel_ms2(2) is None
         assert profile.accel_ms2(3) is not None
+
+
+# --- searchsorted reference of the profile lookups ----------------------------
+
+
+def _ref_cell(profile, values, frame):
+    """A profile cell found by `np.searchsorted`, as before the index
+    arithmetic."""
+    i = int(np.searchsorted(profile.frames, frame))
+    if i >= len(profile.frames) or profile.frames[i] != frame:
+        return None
+    if not profile.exported[i] or math.isnan(values[i]):
+        return None
+    return float(values[i])
+
+
+def _cells(profile, frames):
+    return [
+        (profile.speed_ms(f), profile.accel_ms2(f), profile.speed_kmh(f),
+         profile._cell(profile.speed_raw, f))
+        for f in frames
+    ]
+
+
+def _ref_cells(profile, frames):
+    out = []
+    for f in frames:
+        speed = _ref_cell(profile, profile.speed_smooth, f)
+        out.append((speed, _ref_cell(profile, profile.accel, f),
+                    None if speed is None else speed * 3.6,
+                    _ref_cell(profile, profile.speed_raw, f)))
+    return out
+
+
+@st.composite
+def _tracks(draw):
+    frames = draw(st.lists(st.integers(1, 60), min_size=2, max_size=12, unique=True))
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-50, 50))
+    points = {f: Point2(draw(coord), draw(coord)) for f in frames}
+    visible = set(draw(st.lists(st.sampled_from(sorted(frames)), unique=True)))
+    return points, visible
+
+
+class TestProfileCellsMatchSearchsorted:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_tracks(), sigma=st.sampled_from([0.4, 2.0, 14.0]))
+    def test_every_frame_around_the_track(self, case, sigma):
+        points, visible = case
+        profile = gate_by_visibility(compute_profile(points, KinematicsConfig(sigma=sigma)),
+                                     visible)
+        lo, hi = min(points), max(points)
+        frames = range(lo - 3, hi + 4)  # absent frames on both sides
+        assert _cells(profile, frames) == _ref_cells(profile, frames)
+
+    def test_absent_ungated_and_undefined_cells(self):
+        points = {1: Point2(0, 0), 2: Point2(1, 0), 5: Point2(4, 0)}
+        profile = gate_by_visibility(compute_profile(points, KinematicsConfig(sigma=1.0)),
+                                     {2, 3, 5})
+        assert profile.speed_ms(0) is None and profile.speed_ms(6) is None  # absent
+        assert profile.speed_ms(4) is None  # interpolated, not exported
+        assert profile.speed_ms(1) is None  # exported but undefined
+        assert profile.accel_ms2(2) is None
+        assert profile.speed_ms(3) is not None
+        assert _cells(profile, range(-1, 8)) == _ref_cells(profile, range(-1, 8))
+
+    def test_empty_profile_has_no_cells(self):
+        empty = np.zeros(0)
+        profile = KinematicProfile(np.zeros(0, dtype=int), empty, empty, empty,
+                                   np.zeros(0, dtype=bool))
+        assert _cells(profile, [0, 1]) == _ref_cells(profile, [0, 1]) == [(None,) * 4] * 2

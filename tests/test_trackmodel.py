@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, rotation, translation
-from skytraj.errors import MissingHomography
-from skytraj.geometry import BBox, Homography
+from skytraj.errors import DegenerateProjection, MissingHomography, SkytrajError
+from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.trackmodel import (
     Detection,
+    TrackPoint,
     bbox_iou,
     bbox_visible_px,
+    denormalize_bbox,
     ingest_keep_indices,
     refine_classes,
     stabilize_tracks,
@@ -272,3 +274,166 @@ class TestStabilizeTracks:
         tracks = make_tracks([make_point(2, 1, 3800, 1080, 100, 50)])
         out = stabilize_tracks(tracks, {2: translation(500, 0)})
         assert out.points[0].detection.bbox.cx > 1.0
+
+
+# --- Per-point reference of the array stabilization --------------------------
+
+
+def _ref_transform_bbox(h, b):
+    """One box mapped corner by corner, the rule `transform_boxes` keeps."""
+    (m00, m01, tx), (m10, m11, ty), (m20, m21, m22) = h.rows
+    if (m00, m01, m10, m11, m20, m21, m22) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
+        return BBox(b.cx + tx, b.cy + ty, b.w, b.h)
+    xs, ys = zip(*(apply_homography(h, p) for p in b.corners().points()))
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    return BBox((xmin + xmax) / 2, (ymin + ymax) / 2, xmax - xmin, ymax - ymin)
+
+
+def _ref_stabilize_tracks(tracks, per_frame_h, visibility_margin=4.0):
+    """The per-point loop `stabilize_tracks` ran before its array pass."""
+    w_img, h_img = frame_size = tracks.frame_size
+    out = []
+    for p in tracks.points:
+        h = per_frame_h.get(p.frame)
+        if h is None:
+            if p.frame != 1:
+                raise MissingHomography(p.frame)
+            h = Homography.identity()
+        d = p.detection
+        box_px = denormalize_bbox(d.bbox, frame_size)
+        b = _ref_transform_bbox(h, box_px)
+        box = BBox(b.cx / w_img, b.cy / h_img, b.w / w_img, b.h / h_img)
+        visible = bbox_visible_px(box_px, frame_size, visibility_margin)
+        out.append(TrackPoint(p.frame, p.track_id, Detection(box, d.cls, d.score), visible))
+    return tuple(out)
+
+
+def _bits(x: float) -> str:
+    """A float by its bits: tells -0.0 from 0.0 and matches a NaN to itself."""
+    return float(x).hex()
+
+
+def _stabilize_outcome(fn, tracks, homs):
+    try:
+        points = fn(tracks, homs)
+    except SkytrajError as exc:
+        return type(exc).__name__, str(exc)
+    points = getattr(points, "points", points)
+    return [
+        (p.frame, p.track_id, p.detection.cls, _bits(p.detection.score), p.visible,
+         *map(_bits, (p.detection.bbox.cx, p.detection.bbox.cy,
+                      p.detection.bbox.w, p.detection.bbox.h)))
+        for p in points
+    ]
+
+
+# Box values on a coarse grid (corners land on 0 and on each other), plus
+# wide floats and a few non-finite values.
+_finite_norm = st.one_of(st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0]), st.floats(-0.5, 1.5))
+_norm = st.one_of(_finite_norm, st.sampled_from([math.nan, math.inf]))
+_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _homographies(draw, corners):
+    kind = draw(st.sampled_from(["shift", "affine", "projective", "infinity"]))
+    if kind == "shift":
+        m = [[1, 0, draw(st.floats(-500, 500))], [0, 1, draw(st.floats(-500, 500))], [0, 0, 1]]
+    elif kind == "infinity" and corners:
+        # z = 1 - x / x0 is 0 (or within rounding of it) at the corner x0
+        x0, _ = draw(st.sampled_from(corners))
+        m = [[1, 0, 0], [0, 1, 0], [-1 / x0 if abs(x0) > 1e-3 else 1e-3, 0, 1]]
+    else:
+        m = [[draw(_entry), draw(_entry), draw(st.floats(-100, 100))],
+             [draw(_entry), draw(_entry), draw(st.floats(-100, 100))],
+             [draw(st.floats(-1e-3, 1e-3)) if kind == "projective" else 0.0,
+              draw(st.floats(-1e-3, 1e-3)) if kind == "projective" else 0.0, 1.0]]
+    try:
+        with np.errstate(all="ignore"):  # det of an exactly singular draw
+            return Homography.from_matrix(m)
+    except SkytrajError:
+        return Homography.identity()
+
+
+@st.composite
+def _sessions(draw):
+    size = draw(st.sampled_from([(64, 32), (3840, 2160)]))
+    n_frames = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([_finite_norm, _finite_norm, _norm]))
+    points = []
+    for tid in range(1, draw(st.integers(1, 4)) + 1):
+        for frame in draw(st.lists(st.integers(1, n_frames), unique=True, max_size=4)):
+            box = BBox(draw(value), draw(value), abs(draw(value)), abs(draw(value)))
+            points.append(TrackPoint(frame, tid, Detection(box, 0, 0.5)))
+    tracks = make_tracks(points, frame_size=size)
+    homs = {}
+    for frame in range(2 - draw(st.integers(0, 1)), n_frames + 1):
+        if draw(st.integers(0, 9)):  # now and then a frame has no homography
+            px = [denormalize_bbox(p.detection.bbox, size) for p in points if p.frame == frame]
+            corners = [tuple(c) for b in px for c in b.corners().points()
+                       if math.isfinite(c.x) and math.isfinite(c.y)]
+            homs[frame] = draw(_homographies(corners))
+    return tracks, homs
+
+
+class TestStabilizeMatchesPerPointReference:
+    @settings(max_examples=400, deadline=None)
+    @given(session=_sessions())
+    def test_random_sessions(self, session):
+        tracks, homs = session
+        assert _stabilize_outcome(stabilize_tracks, tracks, homs) == _stabilize_outcome(
+            _ref_stabilize_tracks, tracks, homs
+        )
+
+    def test_first_corner_at_infinity_names_its_point(self):
+        # the first box is fine, the second has its right corners on z = 0
+        h = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-0.01, 0, 1]])
+        tracks = make_tracks([make_point(2, 1, 40, 5, 10, 10, frame_size=(128, 64)),
+                              make_point(2, 2, 95, 5, 10, 10, frame_size=(128, 64))],
+                             frame_size=(128, 64))
+        with pytest.raises(DegenerateProjection) as err:
+            stabilize_tracks(tracks, {2: h})
+        assert str(err.value) == f"point {Point2(100.0, 0.0)} maps to projective infinity"
+        assert _stabilize_outcome(stabilize_tracks, tracks, {2: h}) == _stabilize_outcome(
+            _ref_stabilize_tracks, tracks, {2: h}
+        )
+
+    def test_earlier_degenerate_box_wins_over_later_missing_homography(self):
+        h = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-0.01, 0, 1]])
+        size = (128, 64)
+        tracks = make_tracks([make_point(2, 1, 95, 5, 10, 10, frame_size=size),
+                              make_point(3, 1, 40, 5, 10, 10, frame_size=size)], frame_size=size)
+        with pytest.raises(DegenerateProjection):
+            stabilize_tracks(tracks, {2: h})
+        with pytest.raises(MissingHomography):
+            stabilize_tracks(tracks, {2: translation(1, 1)})
+
+    def test_signed_zero_corners_follow_python_min_max(self):
+        # mapped corner x values are (0.0, 0.0, -0.0, -0.0): Python's min and
+        # max keep the first zero, numpy's pick -0.0
+        h = Homography.from_matrix([[-1.0, -0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        tracks = make_tracks([TrackPoint(2, 1, Detection(BBox(0.0, -0.0, 0.0, 0.0), 0, 0.5))])
+        (p,) = stabilize_tracks(tracks, {2: h}).points
+        assert _bits(p.detection.bbox.cx) == _bits(0.0)
+        assert _stabilize_outcome(stabilize_tracks, tracks, {2: h}) == _stabilize_outcome(
+            _ref_stabilize_tracks, tracks, {2: h}
+        )
+
+    def test_corner_overflow_follows_python_min_max(self):
+        # mapped corner x values are (finite, inf, nan, -inf): Python's min and
+        # max skip the NaN by its position, numpy's return it
+        size = (64, 32)
+        h = Homography.from_matrix([[2.0, -2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        box = BBox(8.9e307 / 64, 8.85e307 / 32, 2e306 / 64, 3e306 / 32)
+        tracks = make_tracks([TrackPoint(2, 1, Detection(box, 0, 0.5))], frame_size=size)
+        (ref,) = _ref_stabilize_tracks(tracks, {2: h})
+        assert ref.detection.bbox.w == math.inf
+        assert _stabilize_outcome(stabilize_tracks, tracks, {2: h}) == _stabilize_outcome(
+            _ref_stabilize_tracks, tracks, {2: h}
+        )
+
+    def test_translation_keeps_size_bits(self):
+        tracks = make_tracks([make_point(2, 1, 100.1, 200.3, 20.7, 10.9)])
+        (p,) = stabilize_tracks(tracks, {2: translation(0.1, -0.3)}).points
+        (q,) = _ref_stabilize_tracks(tracks, {2: translation(0.1, -0.3)})
+        assert p == q
