@@ -19,7 +19,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import DegenerateProjection, SkytrajError
+from .errors import ConfigError, DegenerateProjection, SkytrajError
 from .geometry import BBox, Homography, Point2, apply_homography_array
 from .metrics import SceneSpec, corner_displacement, scene_miou
 from .registration import (
@@ -292,8 +292,11 @@ def run_campaign(
     Each trial takes ``synth`` and ``ransac`` with its cell's point count
     and threshold and its own seeds. All trials of the grid go through one
     worker pool when ``jobs`` > 1. Results depend only on (master seed,
-    bench, grid, noise model), never on ``jobs``.
+    bench, grid, noise model), never on ``jobs``. ``jobs`` < 1 raises
+    ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     scenes = synthetic_scenes(bench.scenes, bench.scene_seed)
     cells = grid.cells()
 

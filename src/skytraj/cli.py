@@ -202,9 +202,6 @@ def cmd_pipeline(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    jobs = _value(cfg, args, "jobs", kind=int, default=1)
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     results = camp.run_campaign(
         _resolve(camp.BenchParams, cfg, "bench", args),
         _resolve(camp.DistortionRanges, cfg, "bench", args),
@@ -212,7 +209,7 @@ def cmd_bench(args) -> int:
         _resolve(camp.SynthConfig, cfg, "bench", args),
         _resolve(RansacConfig, cfg, "bench", args),
         master_seed=_value(cfg, args, "seed", kind=int, default=0),
-        jobs=jobs,
+        jobs=_value(cfg, args, "jobs", kind=int, default=1),
     )
     out = Path(_path(cfg, args, "output"))
     timing = out.with_name(out.stem + "_timing" + out.suffix)

@@ -231,10 +231,9 @@ def load_tracks(
         if track_id < 1:
             raise InvariantViolation("id must be >= 1", line=line, path=path)
         if require_unit_range:
-            if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0 and 0.0 <= w <= 1.0 and 0.0 <= h <= 1.0):
-                name, v = next((name, v) for name, v in zip(("cx", "cy", "w", "h"), (cx, cy, w, h))
-                               if not 0.0 <= v <= 1.0)
-                raise InvariantViolation(f"{name}={v} outside [0, 1]", line=line, path=path)
+            for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+                if not 0.0 <= v <= 1.0:
+                    raise InvariantViolation(f"{name}={v} outside [0, 1]", line=line, path=path)
         elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
             raise InvariantViolation("box values must be finite", line=line, path=path)
         elif w < 0 or h < 0:

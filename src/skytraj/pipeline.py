@@ -18,7 +18,7 @@ from .dataio import (
 )
 from .dimensions import DimConfig, estimate_dimensions
 from .errors import MissingDistances, MissingHomography, SkytrajError
-from .geometry import Z_TOL, Homography, Point2, apply_homography, project_array
+from .geometry import Homography, Point2, apply_homography, pixel_to_world
 from .georeference import GeoChain, assign_segment
 from .kinematics import KinematicProfile, KinematicsConfig, compute_profile, gate_by_visibility
 from .registration import (
@@ -146,28 +146,17 @@ def georeference_points(
 ) -> list[GeoPosition]:
     """Carry each stabilized box center into ortho px, local meters, WGS84
     and its lane, in input order. Both affine maps are applied to the same
-    ortho pixel; the first lane polygon containing it wins.
-
-    The centers go through `project_array` and the affine maps on arrays,
-    with `apply_homography`'s and `pixel_to_world`'s operations in their
-    order, so every value equals mapping the points one at a time."""
+    ortho pixel; the first lane polygon containing it wins."""
     w_img, h_img = frame_size
-    centers = np.array(
-        [(b.cx * w_img, b.cy * h_img) for b in (p.detection.bbox for p in stab_points)]
-    ).reshape(-1, 2)
-    ox, oy, z = project_array(geo.ref_to_ortho.m, centers)
-    at_infinity = np.flatnonzero(np.abs(z) < Z_TOL)
-    if at_infinity.size:  # the per-point map raises its DegenerateProjection
-        apply_homography(geo.ref_to_ortho, Point2(*centers[at_infinity[0]].tolist()))
-    # rows: local x, local y, WGS84 latitude, longitude; columns: x, y, 1
-    coef = np.array([(t.a, t.b, t.tx, t.c, t.d, t.ty) for t in (geo.geo_local, geo.geo_wgs)])
-    coef = coef.reshape(4, 3, 1)
-    with np.errstate(all="ignore"):  # Python floats do not warn either
-        lx, ly, lat, lon = (coef[:, 0] * ox + coef[:, 1] * oy + coef[:, 2]).tolist()
-    ortho = list(map(Point2, ox.tolist(), oy.tolist()))
-    seg = geo.segmentation
-    segments = [assign_segment(seg, o) for o in ortho] if seg else [None] * len(ortho)
-    return list(map(GeoPosition, ortho, map(Point2, lx, ly), map(Point2, lat, lon), segments))
+    out = []
+    for p in stab_points:
+        box = p.detection.bbox
+        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
+        local = pixel_to_world(geo.geo_local, ortho)
+        wgs = pixel_to_world(geo.geo_wgs, ortho)
+        seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
+        out.append(GeoPosition(ortho, local, wgs, seg))
+    return out
 
 
 def kinematic_profile(

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from skytraj.campaign import (
     BenchParams,
@@ -14,6 +15,7 @@ from skytraj.campaign import (
     synth_correspondences,
     synthetic_scenes,
 )
+from skytraj.errors import ConfigError
 from skytraj.geometry import Point2, apply_homography
 from skytraj.registration import RansacConfig, snn_filter
 
@@ -226,6 +228,11 @@ class TestRunCampaign:
         b = run_campaign(*args, master_seed=17, jobs=2)
         assert len(a) == 4
         assert results_without_time(a) == results_without_time(b)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=r"^jobs must be >= 1$"):
+            run_campaign(bench(1), RANGES, self.grid, self.noisy, RansacConfig(), jobs=jobs)
 
     def test_miou_nonincreasing_in_outliers_with_matched_seeds(self):
         grid = CampaignGrid(trials_per_scene=5, point_counts=(80,))

@@ -457,6 +457,21 @@ class TestRowErrorsNameFileAndLine:
         assert exc.value.line == line
         assert str(exc.value).startswith(f"{p}: line {line}: ")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("fault", ["malformed", "non-finite"])
+    @pytest.mark.parametrize("kind", list(LOADERS))
+    def test_blank_rows_count_as_lines(self, tmp_path, kind, fault, newline):
+        """A bad row after blank rows is reported at its own line (5 here),
+        not at the first blank one."""
+        loader, header, good, bad, non_finite = self.LOADERS[kind]
+        p = tmp_path / f"{kind}.csv"
+        cell = {"malformed": "x1", "non-finite": non_finite}[fault]
+        p.write_bytes(newline.join([header, "", good, "", bad.format(cell), ""]).encode())
+        with pytest.raises(ParseError) as exc:
+            loader(p)
+        assert exc.value.line == 5
+        assert str(exc.value).startswith(f"{p}: line 5: ")
+
 
 class TestVisibleColumn:
     """Both loaders read ``visible`` as 0 or 1; a table without the column
@@ -849,7 +864,12 @@ def _dict_reader_rows(path, required, convert, optional=()):
     """The `csv.DictReader` loop `_read_csv_rows` ran before it took cells by
     header index: a repeated name means its last column, a short row's
     missing cells are None, extra cells go to the None key, blank rows are
-    skipped. ``convert`` gets the same cells the index reader hands it."""
+    skipped. ``convert`` gets the same cells the index reader hands it.
+
+    ``reader.line_num`` is the returned row's own line even after blank
+    rows: `DictReader.__next__` copies the count before it skips them, but
+    reads its ``fieldnames`` property again to build the dict, and that
+    copies it once more."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []

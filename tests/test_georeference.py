@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GEO_IDENTITY, inverse, make_point, make_tracks, translation
-from skytraj.errors import SingularResult, SkytrajError, UnknownIntersection, UnknownVideo
-from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
+from conftest import GEO_IDENTITY, inverse, make_point, translation
+from skytraj.errors import SingularResult, UnknownIntersection, UnknownVideo
+from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.georeference import (
-    GeoChain,
     GeoRegistry,
     IntersectionEntry,
     LanePolygon,
@@ -18,7 +17,7 @@ from skytraj.georeference import (
     assign_segment,
     point_in_polygon,
 )
-from skytraj.pipeline import GeoPosition, georeference_points
+from skytraj.pipeline import georeference_points
 
 SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact
 
@@ -286,95 +285,3 @@ class TestAssignSegmentPrefilter:
         empty = LanePolygon("1_1", 2, ())
         seg = SegmentationMap((short, empty))
         assert assign_segment(seg, Point2(0, 0)) is None
-
-
-# --- Per-point reference of the array georeference ---------------------------
-
-
-def _ref_georeference_points(stab_points, frame_size, geo):
-    """The per-point loop `georeference_points` ran before its array pass."""
-    w_img, h_img = frame_size
-    out = []
-    for p in stab_points:
-        box = p.detection.bbox
-        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
-        local = pixel_to_world(geo.geo_local, ortho)
-        wgs = pixel_to_world(geo.geo_wgs, ortho)
-        seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
-        out.append(GeoPosition(ortho, local, wgs, seg))
-    return out
-
-
-def _georef_outcome(fn, points, size, geo):
-    try:
-        positions = fn(points, size, geo)
-    except SkytrajError as exc:
-        return type(exc).__name__, str(exc)
-    return [
-        (tuple(v.hex() for q in (g.ortho, g.local, g.wgs) for v in q), g.segment)
-        for g in positions
-    ]
-
-
-_coef = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
-
-
-@st.composite
-def _georef_cases(draw):
-    size = draw(st.sampled_from([(64, 32), (3840, 2160)]))
-    centers = draw(st.lists(
-        st.tuples(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-1.0, 2.0)),
-                  st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-1.0, 2.0))),
-        max_size=12,
-    ))
-    points = [make_point(k + 1, 1, cx * size[0], cy * size[1], 4, 4, frame_size=size)
-              for k, (cx, cy) in enumerate(centers)]
-    m = [[draw(_coef), draw(_coef), draw(st.floats(-500, 500))],
-         [draw(_coef), draw(_coef), draw(st.floats(-500, 500))],
-         [draw(st.floats(-1e-3, 1e-3)), draw(st.floats(-1e-3, 1e-3)), 1.0]]
-    if points and draw(st.booleans()):
-        # put one center on z = 0: g * x + 1 == 0
-        b = draw(st.sampled_from(points)).detection.bbox
-        x = b.cx * size[0]
-        if abs(x) > 1e-3:
-            m[2] = [-1 / x, 0.0, 1.0]
-    try:
-        with np.errstate(all="ignore"):  # det of an exactly singular draw
-            ref_to_ortho = Homography.from_matrix(m)
-    except SkytrajError:
-        ref_to_ortho = Homography.identity()
-    local = GeoTransform(draw(st.floats(0.01, 2)), draw(_coef), draw(_coef),
-                         draw(st.floats(0.01, 2)), draw(st.floats(-1e3, 1e3)), 0.0)
-    wgs = GeoTransform(1e-6, 0, 0, 2e-6, 37.38, 126.64)
-    seg = None
-    if draw(st.booleans()):
-        square = tuple(Point2(*xy) for xy in [(0, 0), (800, 0), (800, 800), (0, 800)])
-        seg = SegmentationMap((LanePolygon("1_1", 1, square),))
-    return points, size, GeoChain(ref_to_ortho, local, wgs, seg)
-
-
-class TestGeoreferenceMatchesPerPointReference:
-    @settings(max_examples=400, deadline=None)
-    @given(case=_georef_cases())
-    def test_random_vehicles(self, case):
-        assert _georef_outcome(georeference_points, *case) == _georef_outcome(
-            _ref_georeference_points, *case
-        )
-
-    def test_center_at_infinity_names_its_point(self):
-        size = (64, 32)
-        points = make_tracks([make_point(k, 1, cx, 8, 4, 4, frame_size=size)
-                              for k, cx in enumerate([10, 40, 20], start=1)],
-                             frame_size=size).points
-        reg = registry_with(Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 40, 0, 1]]),
-                            Homography.identity())
-        geo = reg.chain("L1")
-        with pytest.raises(SkytrajError, match=r"point Point2\(x=40\.0, y=8\.0\) maps"):
-            georeference_points(points, size, geo)
-        assert _georef_outcome(georeference_points, points, size, geo) == _georef_outcome(
-            _ref_georeference_points, points, size, geo
-        )
-
-    def test_empty_vehicle(self):
-        reg = registry_with(Homography.identity(), Homography.identity())
-        assert georeference_points([], (64, 32), reg.chain("L1")) == []
