@@ -48,6 +48,8 @@ class BenchParams:
     def __post_init__(self):
         if self.scenes < 1:
             raise ValueError("scenes must be >= 1")
+        if not self.hea_epsilon > 0:
+            raise ValueError("hea_epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class DistortionRanges:
     persp_max: float = 5e-5
 
     def __post_init__(self):
-        if min(self.rot_max_deg, self.trans_max_frac, self.scale_max_frac, self.persp_max) < 0:
+        ranges = (self.rot_max_deg, self.trans_max_frac, self.scale_max_frac, self.persp_max)
+        if not all(r >= 0 for r in ranges):
             raise ValueError("distortion ranges must be >= 0")
 
 
@@ -72,6 +75,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_points < 8:
             raise ValueError("n_points must be >= 8")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError("noise_sigma must be >= 0")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
 

@@ -26,6 +26,7 @@ from .pipeline import (
     estimate_frame_homographies,
     georeference_points,
     kinematic_profile,
+    position_cells,
     run_pipeline,
 )
 from .registration import RansacConfig
@@ -196,7 +197,7 @@ def cmd_pipeline(args) -> int:
     homs, _ = _resolve_homographies(cfg, args, tracks, params)
     rows = run_pipeline(tracks, homs, geo, meta, ingest, dims, kin)
     dataio.export_songdo(rows, _path(cfg, args, "output"))
-    log(f"exported {len(rows)} candidate rows")
+    log(f"exported {len(rows)} rows")
     return 0
 
 
@@ -341,17 +342,7 @@ def cmd_georef(args) -> int:
         ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
          "latitude", "longitude", "section", "lane"],
         (
-            [
-                p.track_id,
-                p.frame,
-                dataio.format_fixed(g.ortho.x, dataio.ORTHO_PLACES),
-                dataio.format_fixed(g.ortho.y, dataio.ORTHO_PLACES),
-                dataio.format_fixed(g.local.x, dataio.LOCAL_PLACES),
-                dataio.format_fixed(g.local.y, dataio.LOCAL_PLACES),
-                dataio.format_fixed(g.wgs.x, dataio.WGS84_PLACES),
-                dataio.format_fixed(g.wgs.y, dataio.WGS84_PLACES),
-                *(g.segment or ("", "")),
-            ]
+            [p.track_id, p.frame, *position_cells(g), *(g.segment or ("", ""))]
             for p, g in zip(stab.points, positions)  # sorted by (id, frame)
         ),
     )

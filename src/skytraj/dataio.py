@@ -62,9 +62,6 @@ EXPORT_COLUMNS = [
     "Visibility",
 ]
 
-# Vehicles need more than this many points to be exported.
-MIN_EXPORT_POINTS = 15
-
 # Decimal places of each exported quantity, in the export and in the
 # georef, dims and kinematics outputs alike.
 ORTHO_PLACES = 1  # ortho cut-out pixels
@@ -695,30 +692,6 @@ def frame_to_timestamp(frame: int, meta: SessionMeta) -> str:
     return f"{hours:02d}:{minutes:02d}:{seconds:02d}.{millis:03d}"
 
 
-@dataclass(frozen=True)
-class ExportRow:
-    """One exported trajectory point. ``frame`` orders rows, it is not a column."""
-
-    vehicle_id: int
-    frame: int
-    local_time: str
-    drone_id: int
-    ortho_x: float
-    ortho_y: float
-    local_x: float
-    local_y: float
-    latitude: float
-    longitude: float
-    length_m: float | None
-    width_m: float | None
-    vehicle_class: int
-    speed_kmh: float | None
-    accel_ms2: float | None
-    road_section: str | None
-    lane_number: int | None
-    visibility: bool
-
-
 def format_fixed(value: float | None, places: int) -> str:
     """Fixed-point decimal string of ``repr(value)``, ties rounded away from
     zero; '' for None; never '-0.00'.
@@ -748,43 +721,10 @@ def format_fixed(value: float | None, places: int) -> str:
     return out[1:] if out[0] == "-" and not out.strip("-0.") else out
 
 
-def _export_cells(row: ExportRow) -> list[str]:
-    return [
-        str(row.vehicle_id),
-        row.local_time,
-        str(row.drone_id),
-        format_fixed(row.ortho_x, ORTHO_PLACES),
-        format_fixed(row.ortho_y, ORTHO_PLACES),
-        format_fixed(row.local_x, LOCAL_PLACES),
-        format_fixed(row.local_y, LOCAL_PLACES),
-        format_fixed(row.latitude, WGS84_PLACES),
-        format_fixed(row.longitude, WGS84_PLACES),
-        format_fixed(row.length_m, DIM_PLACES),
-        format_fixed(row.width_m, DIM_PLACES),
-        str(row.vehicle_class),
-        format_fixed(row.speed_kmh, SPEED_PLACES),
-        format_fixed(row.accel_ms2, ACCEL_PLACES),
-        row.road_section or "",
-        str(row.lane_number) if row.lane_number is not None else "",
-        str(int(row.visibility)),
-    ]
-
-
-def export_songdo(rows: Iterable[ExportRow], destination) -> None:
-    """Write the final trajectory CSV.
-
-    Vehicles with 15 or fewer points are dropped; remaining rows are
-    stable-sorted by (vehicle id, frame). Numbers are rounded to the
-    ``*_PLACES`` decimal places above. Optional values serialize as empty
-    cells.
-    """
-    rows = list(rows)
-    counts: dict[int, int] = {}
-    for r in rows:
-        counts[r.vehicle_id] = counts.get(r.vehicle_id, 0) + 1
-    kept = [r for r in rows if counts[r.vehicle_id] > MIN_EXPORT_POINTS]
-    kept.sort(key=lambda r: (r.vehicle_id, r.frame))
-    write_csv(destination, EXPORT_COLUMNS, map(_export_cells, kept))
+def export_songdo(rows: Iterable[Sequence[str]], destination) -> None:
+    """Write the final trajectory CSV: the header, then ``rows`` as given,
+    the cells `pipeline.run_pipeline` returns."""
+    write_csv(destination, EXPORT_COLUMNS, rows)
 
 
 CAMPAIGN_COLUMNS = [

@@ -48,10 +48,12 @@ class DimConfig:
     )
 
     def __post_init__(self):
-        if self.gsd <= 0 or self.min_travel_m <= 0:
+        if not (self.gsd > 0 and self.min_travel_m > 0):
             raise ValueError("gsd and min_travel_m must be positive")
-        if self.azimuth_tolerance_deg <= 0:
+        if not self.azimuth_tolerance_deg > 0:
             raise ValueError("azimuth_tolerance_deg must be positive")
+        if math.isnan(self.visibility_margin):
+            raise ValueError("visibility_margin must not be NaN")
         # class id -> threshold, whatever key and number types a config gave
         try:
             thresholds = {int(k): float(v) for k, v in dict(self.ratio_thresholds).items()}

@@ -29,8 +29,9 @@ class KinematicsConfig:
     speed_floor_kmh: float = 1.0  # comparison filtering only
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # the smoothing kernel spans round(3 * sigma) frames each side
+        if not (self.sigma > 0 and math.isfinite(3.0 * self.sigma)):
+            raise ValueError("sigma must be positive and finite")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
 

@@ -1,6 +1,6 @@
 """Stage orchestration behind the CLI: per-frame homography estimation,
 track filtering/stabilization, georeferencing, per-vehicle dimensions and
-kinematics, and assembly of export rows.
+kinematics, and the cells of the export rows.
 """
 from __future__ import annotations
 
@@ -11,8 +11,14 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataio import (
-    ExportRow,
+    ACCEL_PLACES,
+    DIM_PLACES,
+    LOCAL_PLACES,
+    ORTHO_PLACES,
+    SPEED_PLACES,
+    WGS84_PLACES,
     SessionMeta,
+    format_fixed,
     frame_to_timestamp,
     load_correspondences,
 )
@@ -44,6 +50,12 @@ class IngestParams:
     score_min: float = 0.25
     nms_iou: float = 0.7
 
+    def __post_init__(self):
+        if not 0.0 < self.score_min < 1.0:
+            raise ValueError("score_min must be in (0, 1)")
+        if not 0.0 < self.nms_iou < 1.0:
+            raise ValueError("nms_iou must be in (0, 1)")
+
 
 @dataclass(frozen=True)
 class StabilizeParams:
@@ -55,7 +67,7 @@ class StabilizeParams:
     def __post_init__(self):
         if self.snn_ratio is not None and not 0.0 < self.snn_ratio <= 1.0:
             raise ValueError("snn_ratio must be in (0, 1]")
-        if self.mask_margin < 0.0:
+        if not self.mask_margin >= 0.0:
             raise ValueError("mask_margin must be >= 0")
         if not 0.0 < self.downscale <= 1.0:
             raise ValueError("downscale must be in (0, 1]")
@@ -169,62 +181,69 @@ def kinematic_profile(
     return gate_by_visibility(compute_profile(local_points, cfg), visible)
 
 
-@dataclass(frozen=True)
-class VehicleContext:
-    """Shared read-only inputs for per-vehicle processing."""
-
-    frame_size: tuple[int, int]
-    geo: GeoChain
-    meta: SessionMeta
-    dims: DimConfig
-    kinematics: KinematicsConfig
+def position_cells(g: GeoPosition) -> list[str]:
+    """The ortho, local and WGS84 cells of one point, (x, y) each, as the
+    export and ``georef`` write them."""
+    return [
+        format_fixed(g.ortho.x, ORTHO_PLACES),
+        format_fixed(g.ortho.y, ORTHO_PLACES),
+        format_fixed(g.local.x, LOCAL_PLACES),
+        format_fixed(g.local.y, LOCAL_PLACES),
+        format_fixed(g.wgs.x, WGS84_PLACES),
+        format_fixed(g.wgs.y, WGS84_PLACES),
+    ]
 
 
 def process_vehicle(
     raw_points: Sequence[TrackPoint],
     stab_points: Sequence[TrackPoint],
-    ctx: VehicleContext,
-) -> list[ExportRow]:
-    """Georeference, measure, and profile one vehicle; returns export rows.
+    frame_size: tuple[int, int],
+    geo: GeoChain,
+    meta: SessionMeta,
+    dims: DimConfig,
+    kinematics: KinematicsConfig,
+) -> list[list[str]]:
+    """Georeference, measure, and profile one vehicle; returns the export
+    cells of its points, one row per point in frame order.
 
     ``raw_points`` and ``stab_points`` are one vehicle's raw and stabilized
     points: the same frames, in frame order. Visibility is read from the
     ``visible`` flags that ``stabilize_tracks`` set on the stabilized points.
     """
     visible = {p.frame for p in stab_points if p.visible}
-    positions = georeference_points(stab_points, ctx.frame_size, ctx.geo)
+    positions = georeference_points(stab_points, frame_size, geo)
     estimate = estimate_dimensions(
-        raw_points, stab_points, visible, ctx.dims, ctx.frame_size,
-        ctx.geo.ref_to_ortho, ctx.geo.geo_local,
+        raw_points, stab_points, visible, dims, frame_size, geo.ref_to_ortho, geo.geo_local
     )
     local = {p.frame: g.local for p, g in zip(raw_points, positions)}
-    profile = kinematic_profile(local, visible, ctx.kinematics)
+    profile = kinematic_profile(local, visible, kinematics)
 
+    drone = str(meta.drone_id)
+    length = format_fixed(estimate.length_m, DIM_PLACES) if estimate else ""
+    width = format_fixed(estimate.width_m, DIM_PLACES) if estimate else ""
     rows = []
     for p, g in zip(raw_points, positions):
-        rows.append(
-            ExportRow(
-                vehicle_id=p.track_id,
-                frame=p.frame,
-                local_time=frame_to_timestamp(p.frame, ctx.meta),
-                drone_id=ctx.meta.drone_id,
-                ortho_x=g.ortho.x,
-                ortho_y=g.ortho.y,
-                local_x=g.local.x,
-                local_y=g.local.y,
-                latitude=g.wgs.x,
-                longitude=g.wgs.y,
-                length_m=estimate.length_m if estimate else None,
-                width_m=estimate.width_m if estimate else None,
-                vehicle_class=p.detection.cls,
-                speed_kmh=profile.speed_kmh(p.frame) if profile else None,
-                accel_ms2=profile.accel_ms2(p.frame) if profile else None,
-                road_section=g.segment[0] if g.segment else None,
-                lane_number=g.segment[1] if g.segment else None,
-                visibility=p.frame in visible,
-            )
-        )
+        frame = p.frame
+        section, lane = g.segment or ("", "")
+        rows.append([
+            str(p.track_id),
+            frame_to_timestamp(frame, meta),
+            drone,
+            *position_cells(g),
+            length,
+            width,
+            str(p.detection.cls),
+            format_fixed(profile.speed_kmh(frame), SPEED_PLACES) if profile else "",
+            format_fixed(profile.accel_ms2(frame), ACCEL_PLACES) if profile else "",
+            section,
+            str(lane),
+            "1" if frame in visible else "0",
+        ])
     return rows
+
+
+# Vehicles need more than this many points to be exported.
+MIN_EXPORT_POINTS = 15
 
 
 def run_pipeline(
@@ -235,26 +254,24 @@ def run_pipeline(
     ingest: IngestParams,
     dims_cfg: DimConfig,
     kin_cfg: KinematicsConfig,
-) -> list[ExportRow]:
+) -> list[list[str]]:
     """Full chain: ingest filter, class refinement, stabilization,
-    georeferencing + lane lookup, dimensions, kinematics."""
+    georeferencing + lane lookup, dimensions, kinematics. Returns the export
+    cells of every vehicle with more than ``MIN_EXPORT_POINTS`` points, in
+    (vehicle id, frame) order."""
     filtered = ingest_tracks(tracks, ingest)
     refined = refine_classes(filtered)
     stabilized = stabilize_tracks(
         refined, homographies, visibility_margin=dims_cfg.visibility_margin
     )
-    ctx = VehicleContext(
-        frame_size=tracks.frame_size,
-        geo=geo,
-        meta=meta,
-        dims=dims_cfg,
-        kinematics=kin_cfg,
-    )
     # Both tables are sorted by (track_id, frame) and hold the same points.
     raw_by_id = refined.by_id()
     stab_by_id = stabilized.by_id()
-    rows: list[ExportRow] = []
+    rows: list[list[str]] = []
     for tid in sorted(raw_by_id):
-        rows.extend(process_vehicle(raw_by_id[tid], stab_by_id[tid], ctx))
+        cells = process_vehicle(
+            raw_by_id[tid], stab_by_id[tid], tracks.frame_size, geo, meta, dims_cfg, kin_cfg
+        )
+        if len(cells) > MIN_EXPORT_POINTS:
+            rows.extend(cells)
     return rows
-

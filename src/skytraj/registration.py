@@ -69,7 +69,7 @@ class RansacConfig:
             raise ValueError("confidence must be in (0, 1)")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.reproj_threshold <= 0.0:
+        if not self.reproj_threshold > 0.0:
             raise ValueError("reproj_threshold must be positive")
 
 

@@ -141,8 +141,19 @@ class TestPipelineCommand:
             (["--sigma", "-1"], None, "sigma"),
             ([], "kinematics: {sigmaa: 2}\n", "kinematics.sigmaa"),
             ([], "ingest: {score_mn: 0.95}\n", "ingest.score_mn"),
+            (["--score-min", "2"], None, "ingest: score_min must be in (0, 1)"),
+            (["--nms-iou", "0"], None, "ingest: nms_iou must be in (0, 1)"),
+            (["--sigma", "nan"], None, "kinematics: sigma"),
+            (["--sigma", "inf"], None, "kinematics: sigma"),
+            (["--sigma", "1e308"], None, "kinematics: sigma"),
+            (["--gsd", "nan"], None, "dimensions: gsd"),
+            (["--min-travel-m", "nan"], None, "dimensions: gsd and min_travel_m"),
+            (["--azimuth-tolerance", "nan"], None, "dimensions: azimuth_tolerance_deg"),
+            (["--visibility-margin", "nan"], None, "dimensions: visibility_margin"),
         ],
-        ids=["start-time", "drone-id", "sigma", "kinematics-key", "ingest-key"],
+        ids=["start-time", "drone-id", "sigma", "kinematics-key", "ingest-key",
+             "score-min", "nms-iou", "sigma-nan", "sigma-inf", "sigma-1e308", "gsd-nan",
+             "min-travel-nan", "azimuth-tolerance-nan", "visibility-margin-nan"],
     )
     def test_bad_parameter_fails_cleanly(
         self, pipeline_fixture, tmp_path, capsys, extra, config, needle
@@ -402,6 +413,8 @@ class TestStabilizeCommand:
             ("--mask-margin", "-0.1", "mask_margin"),
             ("--downscale", "1.5", "downscale"),
             ("--downscale", "0", "downscale"),
+            ("--mask-margin", "nan", "mask_margin"),
+            ("--reproj-threshold", "nan", "reproj_threshold"),
         ],
     )
     def test_bad_parameter_fails_cleanly(self, tmp_path, capsys, flag, value, needle):
@@ -516,6 +529,11 @@ class TestBenchCommand:
             ("downscales: [1.5]", "downscales must be in (0, 1], got 1.5"),
             ("downscales: [0]", "downscales must be in (0, 1], got 0"),
             ("downscales: [x]", "downscales must be in (0, 1], got 'x'"),
+            ("noise_sigma: -1", "noise_sigma must be >= 0"),
+            ("noise_sigma: .nan", "noise_sigma must be >= 0"),
+            ("hea_epsilon: .nan", "hea_epsilon must be > 0"),
+            ("rot_max_deg: .nan", "distortion ranges must be >= 0"),
+            ("persp_max: .nan", "distortion ranges must be >= 0"),
         ],
     )
     def test_bad_grid_value_fails_cleanly(self, tmp_path, capsys, entry, message):

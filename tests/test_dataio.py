@@ -1,6 +1,7 @@
 import csv
+import re
 import tempfile
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from operator import itemgetter
@@ -16,7 +17,6 @@ from conftest import make_point, make_tracks, translation, write_registry, write
 from skytraj import dataio
 from skytraj.dataio import (
     EXPORT_COLUMNS,
-    ExportRow,
     SessionMeta,
     VideoSidecar,
     _plain_match_table,
@@ -36,9 +36,20 @@ from skytraj.dataio import (
     write_homography_log,
     write_tracks,
 )
+from skytraj.dimensions import DimConfig
 from skytraj.errors import InvariantViolation, ParseError
-from skytraj.geometry import Homography
+from skytraj.geometry import GeoTransform, Homography, Point2
+from skytraj.georeference import GeoChain, LanePolygon, SegmentationMap
+from skytraj.kinematics import KinematicsConfig
+from skytraj.pipeline import (
+    IngestParams,
+    georeference_points,
+    kinematic_profile,
+    process_vehicle,
+    run_pipeline,
+)
 from skytraj.registration import Matches
+from skytraj.trackmodel import stabilize_tracks
 
 FPS = Fraction(30000, 1001)
 SIDECAR = VideoSidecar(frame_width=3840, frame_height=2160, fps=FPS, n_frames=100)
@@ -766,37 +777,37 @@ def decimal_format_fixed(value, places):
     return f"{d:.{places}f}"
 
 
-def export_row(vehicle_id, frame, **over):
-    base = dict(
-        vehicle_id=vehicle_id,
-        frame=frame,
-        local_time="08:00:00.000",
-        drone_id=7,
-        ortho_x=1234.56,
-        ortho_y=789.01,
-        local_x=123.456789,
-        local_y=-5.5,
-        latitude=37.38123456,
-        longitude=126.64123456,
-        length_m=4.905,
-        width_m=2.18,
-        vehicle_class=0,
-        speed_kmh=47.25,
-        accel_ms2=-0.125,
-        road_section="2_1",
-        lane_number=1,
-        visibility=True,
+# 10 ortho px per local meter; latitude and longitude 1e-6 degrees per px
+GEO = GeoChain(
+    Homography.identity(),
+    GeoTransform(0.1, 0.0, 0.0, 0.1, 0.0, 0.0),
+    GeoTransform(1e-6, 0.0, 0.0, 1e-6, 37.38, 126.64),
+)
+LANE = SegmentationMap(lanes=(LanePolygon(
+    "2_1", 1, (Point2(0, 1000), Point2(4000, 1000), Point2(4000, 1200), Point2(0, 1200))
+),))
+
+
+def drive(track_id, n, y=1080.0, x0=600.0, step=25.0):
+    """``n`` frames of one vehicle moving along +x from (x0, y)."""
+    return [make_point(k, track_id, x0 + step * (k - 1), y, 180.0, 80.0) for k in range(1, n + 1)]
+
+
+def export_cells(points, geo=GEO):
+    """`run_pipeline`'s cells for a still camera over tracks of ``points``."""
+    tracks = make_tracks(points)
+    homs = {p.frame: Homography.identity() for p in tracks.points}
+    return run_pipeline(
+        tracks, homs, geo, SessionMeta(drone_id=7), IngestParams(), DimConfig(), KinematicsConfig()
     )
-    base.update(over)
-    return ExportRow(**base)
 
 
 class TestExport:
     def test_length_filter_boundary(self, tmp_path):
-        rows = [export_row(1, k) for k in range(1, 16)]  # 15 points: dropped
-        rows += [export_row(2, k) for k in range(1, 17)]  # 16 points: kept
+        points = drive(1, 15, y=500.0)  # 15 points: dropped
+        points += drive(2, 16, y=1500.0)  # 16 points: kept
         out = tmp_path / "songdo.csv"
-        export_songdo(rows, out)
+        export_songdo(export_cells(points), out)
         text = out.read_text()
         lines = text.strip().split("\n")
         assert lines[0] == ",".join(EXPORT_COLUMNS)
@@ -804,50 +815,70 @@ class TestExport:
         assert all(line.startswith("2,") for line in lines[1:])
 
     def test_rounding_and_empty_cells(self, tmp_path):
-        rows = [
-            export_row(
-                1, k,
-                length_m=None, width_m=None, speed_kmh=None, accel_ms2=None,
-                road_section=None, lane_number=None, visibility=False,
-            )
-            for k in range(1, 18)
-        ]
+        # vehicle 1 crosses the top border on every frame: never visible, so
+        # it has no dimensions, no speed or acceleration and is off the lane
+        points = [make_point(k, 1, 1234.56, 20.0, 180.0, 80.0) for k in range(1, 18)]
+        points += drive(2, 17)  # visible, moving along the lane
         out = tmp_path / "songdo.csv"
-        export_songdo(rows, out)
-        first = out.read_text().strip().split("\n")[1].split(",")
-        row = dict(zip(EXPORT_COLUMNS, first))
-        assert row["Ortho_X"] == "1234.6"
-        assert row["Local_X"] == "123.46"
-        assert row["Latitude"] == "37.3812346"
-        assert row["Vehicle_Length"] == ""
-        assert row["Vehicle_Speed"] == ""
-        assert row["Vehicle_Acceleration"] == ""
-        assert row["Road_Section"] == ""
-        assert row["Lane_Number"] == ""
-        assert row["Visibility"] == "0"
+        export_songdo(export_cells(points, replace(GEO, segmentation=LANE)), out)
+        body = [dict(zip(EXPORT_COLUMNS, line.split(",")))
+                for line in out.read_text().strip().split("\n")[1:]]
+        hidden, moving = body[0], body[-1]
+        assert hidden["Ortho_X"] == "1234.6"
+        assert hidden["Local_X"] == "123.46"
+        assert hidden["Latitude"] == "37.3812346"
+        for column in ["Vehicle_Length", "Vehicle_Width", "Vehicle_Speed",
+                       "Vehicle_Acceleration", "Road_Section", "Lane_Number"]:
+            assert hidden[column] == ""
+        assert hidden["Visibility"] == "0"
+        # places: 1 for ortho px and km/h, 2 for meters and m/s^2, 7 for degrees
+        for column, places in [("Ortho_Y", 1), ("Local_Y", 2), ("Longitude", 7),
+                               ("Vehicle_Length", 2), ("Vehicle_Width", 2),
+                               ("Vehicle_Speed", 1), ("Vehicle_Acceleration", 2)]:
+            assert re.fullmatch(rf"-?\d+\.\d{{{places}}}", moving[column]), column
+        assert (moving["Road_Section"], moving["Lane_Number"]) == ("2_1", "1")
+        assert moving["Visibility"] == "1"
 
     def test_sorted_and_deterministic(self, tmp_path):
-        rows = [export_row(2, k) for k in range(1, 17)]
-        rows += [export_row(1, k) for k in range(16, 0, -1)]
+        points = drive(9, 16, y=300.0) + drive(3, 18, y=900.0) + drive(5, 17, y=1500.0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_songdo(rows, a)
-        export_songdo(list(reversed(rows)), b)
+        export_songdo(export_cells(points), a)
+        export_songdo(export_cells(points), b)
         assert a.read_bytes() == b.read_bytes()
-        body = a.read_text().strip().split("\n")[1:]
-        ids = [int(line.split(",")[0]) for line in body]
-        assert ids == sorted(ids)
+        body = [line.split(",") for line in a.read_text().strip().split("\n")[1:]]
+        # (id, frame) order: Local_Time grows with the frame
+        keys = [(int(cells[0]), cells[1]) for cells in body]
+        assert keys == sorted(keys)
+        assert [k[0] for k in keys] == [3] * 18 + [5] * 17 + [9] * 16
 
     def test_reparse_round_trip_at_printed_precision(self, tmp_path):
-        rows = [export_row(1, k, speed_kmh=10.0 + k) for k in range(1, 17)]
+        tracks = make_tracks(drive(1, 20))
+        stab = stabilize_tracks(tracks, {k: Homography.identity() for k in range(2, 21)})
+        kin = KinematicsConfig()
         out = tmp_path / "songdo.csv"
-        export_songdo(rows, out)
-        lines = out.read_text().strip().split("\n")
-        for line, row in zip(lines[1:], sorted(rows, key=lambda r: r.frame)):
-            cells = dict(zip(EXPORT_COLUMNS, line.split(",")))
-            assert float(cells["Vehicle_Speed"]) == pytest.approx(
-                row.speed_kmh, abs=0.05
-            )
-            assert float(cells["Local_X"]) == pytest.approx(row.local_x, abs=0.005)
+        export_songdo(process_vehicle(
+            tracks.points, stab.points, tracks.frame_size, GEO, SessionMeta(), DimConfig(), kin
+        ), out)
+        positions = georeference_points(stab.points, tracks.frame_size, GEO)
+        profile = kinematic_profile(
+            {p.frame: g.local for p, g in zip(tracks.points, positions)},
+            {p.frame for p in stab.points if p.visible}, kin,
+        )
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20
+        speeds = 0
+        for cells, p, g in zip(rows, tracks.points, positions):
+            assert float(cells["Ortho_X"]) == pytest.approx(g.ortho.x, abs=0.05)
+            assert float(cells["Local_X"]) == pytest.approx(g.local.x, abs=0.005)
+            assert float(cells["Latitude"]) == pytest.approx(g.wgs.x, abs=5e-8)
+            speed = profile.speed_kmh(p.frame)
+            if speed is None:
+                assert cells["Vehicle_Speed"] == ""
+            else:
+                speeds += 1
+                assert float(cells["Vehicle_Speed"]) == pytest.approx(speed, abs=0.05)
+        assert speeds == 19  # frame 1 has no predecessor
 
     def test_sidecar_loader(self, tmp_path):
         p = tmp_path / "v.yaml"
