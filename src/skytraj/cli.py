@@ -24,9 +24,11 @@ from .pipeline import (
     IngestParams,
     StabilizeParams,
     estimate_frame_homographies,
-    georeference_points,
+    georeference,
     kinematic_profile,
-    position_cells,
+    lane_columns,
+    position_columns,
+    raise_at_infinity,
     run_pipeline,
 )
 from .registration import RansacConfig
@@ -336,14 +338,18 @@ def cmd_georef(args) -> int:
         _value(cfg, args, "video_id", kind=str, default=""),
         dataio.load_segmentation(seg_path) if seg_path else None,
     )
-    positions = georeference_points(stab.points, stab.frame_size, geo)
+    positions, at_infinity = georeference(stab.points, stab.frame_size, geo)
+    if at_infinity.any():
+        raise_at_infinity(stab.points[at_infinity.argmax()], stab.frame_size, geo)
     dataio.write_csv(
         _path(cfg, args, "output"),
         ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
          "latitude", "longitude", "section", "lane"],
-        (
-            [p.track_id, p.frame, *position_cells(g), *(g.segment or ("", ""))]
-            for p, g in zip(stab.points, positions)  # sorted by (id, frame)
+        zip(
+            [p.track_id for p in stab.points],  # sorted by (id, frame)
+            [p.frame for p in stab.points],
+            *position_columns(positions),
+            *lane_columns(positions, geo.segmentation),
         ),
     )
     return 0

@@ -328,7 +328,12 @@ def _output_file(path):
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header row, then ``rows``, as comma-separated UTF-8 with
-    Unix newlines. A failed write raises IoFailure naming the file."""
+    Unix newlines. A failed write raises IoFailure naming the file.
+
+    ``rows`` is consumed in full before the file is opened, so an error
+    raised while producing them leaves no partial file and an existing
+    one untouched."""
+    rows = list(rows)
     with _output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -719,6 +724,35 @@ def format_fixed(value: float | None, places: int) -> str:
         return f"{d:.{places}f}"
     out = text + "0" * (places - len(frac)) if len(frac) <= places else f"{x:.{places}f}"
     return out[1:] if out[0] == "-" and not out.strip("-0.") else out
+
+
+def format_column(values, places: int) -> list[str]:
+    """`format_fixed` of every value of a float array, in order.
+
+    A value whose repr has more than ``places + 1`` fractional digits and
+    no exponent, and that does not round to a negative zero, takes
+    `format_fixed`'s correctly rounded ``f``-format path, which is
+    ``"%.{places}f"``. A vectorized screen sends every other value, and
+    some more, through `format_fixed` itself: non-finite values, |x| <
+    1e-4 and |x| >= 1e15 (exponent reprs, zeros, subnormals and the
+    padding of short reprs at huge magnitudes), values within a few ulps
+    of a ``places + 1``-digit decimal (every repr that short, so every
+    tie), and negatives below ``10**-places``.
+    """
+    x = np.asarray(values, dtype=float)
+    fmt = f"%.{places}f"
+    cells = [fmt % v for v in x.tolist()]
+    ax = np.abs(x)
+    # A repr with at most places + 1 fractional digits lies within half an
+    # ulp of x, which scales to less than 1.5 ulps of ``scaled``.
+    scaled = ax * 10.0 ** (places + 1)
+    with np.errstate(invalid="ignore"):
+        slow = ~((ax >= 1e-4) & (ax < 1e15))
+        slow |= np.abs(scaled - np.rint(scaled)) <= 4.0 * np.spacing(scaled)
+        slow |= (x < 0.0) & (ax < 10.0 ** -places)
+    for i in np.flatnonzero(slow).tolist():
+        cells[i] = format_fixed(x[i], places)
+    return cells
 
 
 def export_songdo(rows: Iterable[Sequence[str]], destination) -> None:

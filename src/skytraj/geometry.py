@@ -240,6 +240,8 @@ def transform_boxes(homs: Sequence[Homography], which, boxes: np.ndarray) -> np.
 
 
 def pixel_to_world(t: GeoTransform, p: Point2) -> Point2:
+    """Map a point through ``t``; a Point2 of coordinate arrays maps
+    elementwise, with the same operations in the same order."""
     return Point2(t.a * p.x + t.b * p.y + t.tx, t.c * p.x + t.d * p.y + t.ty)
 
 

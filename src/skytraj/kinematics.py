@@ -22,6 +22,11 @@ from .geometry import Point2
 from .trackmodel import DEFAULT_FPS
 
 
+# Largest smoothing-kernel radius round(3 * sigma), in frames: about 56
+# minutes at 29.97 fps, far beyond any session.
+MAX_KERNEL_RADIUS = 100_000
+
+
 @dataclass(frozen=True)
 class KinematicsConfig:
     sigma: float = 14.0  # frames
@@ -30,8 +35,14 @@ class KinematicsConfig:
 
     def __post_init__(self):
         # the smoothing kernel spans round(3 * sigma) frames each side
-        if not (self.sigma > 0 and math.isfinite(3.0 * self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        if not (
+            self.sigma > 0
+            and math.isfinite(3.0 * self.sigma)
+            and round(3.0 * self.sigma) <= MAX_KERNEL_RADIUS
+        ):
+            raise ValueError(
+                f"sigma must be positive, with round(3 * sigma) <= {MAX_KERNEL_RADIUS} frames"
+            )
         if self.fps <= 0:
             raise ValueError("fps must be positive")
 

@@ -5,8 +5,9 @@ kinematics, and the cells of the export rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,14 +19,14 @@ from .dataio import (
     SPEED_PLACES,
     WGS84_PLACES,
     SessionMeta,
-    format_fixed,
+    format_column,
     frame_to_timestamp,
     load_correspondences,
 )
 from .dimensions import DimConfig, estimate_dimensions
 from .errors import MissingDistances, MissingHomography, SkytrajError
-from .geometry import Homography, Point2, apply_homography, pixel_to_world
-from .georeference import GeoChain, assign_segment
+from .geometry import Z_TOL, Homography, Point2, apply_homography, pixel_to_world, project_array
+from .georeference import GeoChain, SegmentationMap, assign_segment
 from .kinematics import KinematicProfile, KinematicsConfig, compute_profile, gate_by_visibility
 from .registration import (
     EstimateReport,
@@ -146,29 +147,60 @@ def estimate_frame_homographies(
     return homs, reports
 
 
-class GeoPosition(NamedTuple):
-    ortho: Point2  # ortho cut-out pixels
-    local: Point2  # planar meters
-    wgs: Point2  # (latitude, longitude) degrees
-    segment: tuple[str, int] | None  # (section, lane); None off every lane
+# Decimal places of the position columns: ortho x, y, local x, y,
+# latitude, longitude.
+POSITION_PLACES = (ORTHO_PLACES,) * 2 + (LOCAL_PLACES,) * 2 + (WGS84_PLACES,) * 2
 
 
-def georeference_points(
-    stab_points: Sequence[TrackPoint], frame_size: tuple[int, int], geo: GeoChain
-) -> list[GeoPosition]:
-    """Carry each stabilized box center into ortho px, local meters, WGS84
-    and its lane, in input order. Both affine maps are applied to the same
-    ortho pixel; the first lane polygon containing it wins."""
+def georeference(
+    points: Sequence[TrackPoint], frame_size: tuple[int, int], geo: GeoChain
+) -> tuple[np.ndarray, np.ndarray]:
+    """Carry the box centers of stabilized ``points`` (``cx * w_img``,
+    ``cy * h_img`` reference-frame pixels) into ortho pixels, local meters
+    and WGS84 degrees in one pass.
+
+    Returns the (N, 6) columns ortho x, y, local x, y, latitude, longitude
+    (the `POSITION_PLACES` order) and the (N,) flags of the centers at
+    projective infinity, whose rows hold no position. `project_array` and
+    `pixel_to_world` on arrays do the operations of `apply_homography` and
+    `pixel_to_world` per point in the same order, so every other row holds
+    the same floats.
+    """
+    centers = np.fromiter(
+        ((b.cx, b.cy) for b in (p.detection.bbox for p in points)),
+        dtype=(float, 2), count=len(points),
+    ) * np.array(frame_size, dtype=float)
+    x, y, z = project_array(geo.ref_to_ortho.m, centers)
+    ortho = Point2(x, y)
+    with np.errstate(invalid="ignore", over="ignore"):
+        positions = np.column_stack(
+            [x, y, *pixel_to_world(geo.geo_local, ortho), *pixel_to_world(geo.geo_wgs, ortho)]
+        )
+    return positions, np.abs(z) < Z_TOL
+
+
+def raise_at_infinity(point: TrackPoint, frame_size: tuple[int, int], geo: GeoChain) -> None:
+    """Raise the DegenerateProjection of a point that `georeference`
+    flagged: `apply_homography` makes the same z test on its center."""
     w_img, h_img = frame_size
-    out = []
-    for p in stab_points:
-        box = p.detection.bbox
-        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
-        local = pixel_to_world(geo.geo_local, ortho)
-        wgs = pixel_to_world(geo.geo_wgs, ortho)
-        seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
-        out.append(GeoPosition(ortho, local, wgs, seg))
-    return out
+    box = point.detection.bbox
+    apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
+
+
+def lane_columns(positions: np.ndarray, seg: SegmentationMap | None) -> tuple[list, list]:
+    """Section and lane cells of each ortho point (columns 0 and 1 of
+    `georeference`'s positions); both '' off every lane or without a map."""
+    hits = [("", "")] * len(positions)
+    if seg is not None:
+        hits = [assign_segment(seg, Point2(x, y)) or ("", "")
+                for x, y in positions[:, :2].tolist()]
+    return [section for section, _ in hits], [str(lane) for _, lane in hits]
+
+
+def position_columns(positions: np.ndarray) -> list[list[str]]:
+    """The ortho, local and WGS84 cell columns of `georeference`'s
+    positions, as the export and ``georef`` write them."""
+    return [format_column(positions[:, k], places) for k, places in enumerate(POSITION_PLACES)]
 
 
 def kinematic_profile(
@@ -181,65 +213,43 @@ def kinematic_profile(
     return gate_by_visibility(compute_profile(local_points, cfg), visible)
 
 
-def position_cells(g: GeoPosition) -> list[str]:
-    """The ortho, local and WGS84 cells of one point, (x, y) each, as the
-    export and ``georef`` write them."""
-    return [
-        format_fixed(g.ortho.x, ORTHO_PLACES),
-        format_fixed(g.ortho.y, ORTHO_PLACES),
-        format_fixed(g.local.x, LOCAL_PLACES),
-        format_fixed(g.local.y, LOCAL_PLACES),
-        format_fixed(g.wgs.x, WGS84_PLACES),
-        format_fixed(g.wgs.y, WGS84_PLACES),
-    ]
-
-
 def process_vehicle(
     raw_points: Sequence[TrackPoint],
     stab_points: Sequence[TrackPoint],
     frame_size: tuple[int, int],
     geo: GeoChain,
-    meta: SessionMeta,
+    local: np.ndarray,
     dims: DimConfig,
     kinematics: KinematicsConfig,
-) -> list[list[str]]:
-    """Georeference, measure, and profile one vehicle; returns the export
-    cells of its points, one row per point in frame order.
+) -> np.ndarray:
+    """Measure and profile one vehicle; returns its (n, 4) per-point
+    columns length m, width m, speed km/h and acceleration m/s^2, in frame
+    order, NaN where the export cell is empty.
 
     ``raw_points`` and ``stab_points`` are one vehicle's raw and stabilized
-    points: the same frames, in frame order. Visibility is read from the
-    ``visible`` flags that ``stabilize_tracks`` set on the stabilized points.
+    points: the same frames, in frame order; ``local`` holds the (n, 2)
+    local-meter positions of the stabilized centers. Visibility is read
+    from the ``visible`` flags that ``stabilize_tracks`` set on the
+    stabilized points.
     """
     visible = {p.frame for p in stab_points if p.visible}
-    positions = georeference_points(stab_points, frame_size, geo)
     estimate = estimate_dimensions(
         raw_points, stab_points, visible, dims, frame_size, geo.ref_to_ortho, geo.geo_local
     )
-    local = {p.frame: g.local for p, g in zip(raw_points, positions)}
-    profile = kinematic_profile(local, visible, kinematics)
-
-    drone = str(meta.drone_id)
-    length = format_fixed(estimate.length_m, DIM_PLACES) if estimate else ""
-    width = format_fixed(estimate.width_m, DIM_PLACES) if estimate else ""
-    rows = []
-    for p, g in zip(raw_points, positions):
-        frame = p.frame
-        section, lane = g.segment or ("", "")
-        rows.append([
-            str(p.track_id),
-            frame_to_timestamp(frame, meta),
-            drone,
-            *position_cells(g),
-            length,
-            width,
-            str(p.detection.cls),
-            format_fixed(profile.speed_kmh(frame), SPEED_PLACES) if profile else "",
-            format_fixed(profile.accel_ms2(frame), ACCEL_PLACES) if profile else "",
-            section,
-            str(lane),
-            "1" if frame in visible else "0",
-        ])
-    return rows
+    frames = [p.frame for p in raw_points]
+    profile = kinematic_profile(dict(zip(frames, map(Point2, *local.T.tolist()))), visible,
+                                kinematics)
+    columns = np.full((len(frames), 4), np.nan)
+    if estimate is not None:
+        columns[:, 0] = estimate.length_m
+        columns[:, 1] = estimate.width_m
+    if profile is not None:
+        # `KinematicProfile.speed_kmh` and `.accel_ms2` of every row's frame
+        at = np.array(frames) - profile.frames[0]
+        shown = profile.exported[at]
+        columns[shown, 2] = profile.speed_smooth[at[shown]] * 3.6
+        columns[shown, 3] = profile.accel[at[shown]]
+    return columns
 
 
 # Vehicles need more than this many points to be exported.
@@ -254,24 +264,72 @@ def run_pipeline(
     ingest: IngestParams,
     dims_cfg: DimConfig,
     kin_cfg: KinematicsConfig,
-) -> list[list[str]]:
+) -> list[tuple[str, ...]]:
     """Full chain: ingest filter, class refinement, stabilization,
     georeferencing + lane lookup, dimensions, kinematics. Returns the export
     cells of every vehicle with more than ``MIN_EXPORT_POINTS`` points, in
-    (vehicle id, frame) order."""
+    (vehicle id, frame) order.
+
+    The session's centers are georeferenced in one pass; a vehicle with a
+    center at projective infinity raises before its dimension step, after
+    every earlier vehicle's errors. Each export column is formatted once,
+    over the exported rows.
+    """
     filtered = ingest_tracks(tracks, ingest)
     refined = refine_classes(filtered)
     stabilized = stabilize_tracks(
         refined, homographies, visibility_margin=dims_cfg.visibility_margin
     )
-    # Both tables are sorted by (track_id, frame) and hold the same points.
+    positions, at_infinity = georeference(stabilized.points, tracks.frame_size, geo)
+    flagged = np.flatnonzero(at_infinity)
+    first_flagged = int(flagged[0]) if len(flagged) else len(positions)
+    # Both tables are sorted by (track_id, frame) and hold the same points,
+    # so a vehicle's points are one slice of the session arrays.
     raw_by_id = refined.by_id()
     stab_by_id = stabilized.by_id()
-    rows: list[list[str]] = []
+    kept = np.zeros(len(positions), dtype=bool)
+    vehicle_columns = [np.zeros((0, 4))]
+    start = 0
     for tid in sorted(raw_by_id):
-        cells = process_vehicle(
-            raw_by_id[tid], stab_by_id[tid], tracks.frame_size, geo, meta, dims_cfg, kin_cfg
-        )
-        if len(cells) > MIN_EXPORT_POINTS:
-            rows.extend(cells)
-    return rows
+        end = start + len(raw_by_id[tid])
+        if end > first_flagged:
+            raise_at_infinity(stabilized.points[first_flagged], tracks.frame_size, geo)
+        columns = process_vehicle(raw_by_id[tid], stab_by_id[tid], tracks.frame_size, geo,
+                                  positions[start:end, 2:4], dims_cfg, kin_cfg)
+        if len(columns) > MIN_EXPORT_POINTS:
+            kept[start:end] = True
+            vehicle_columns.append(columns)
+        start = end
+    sections, lanes = lane_columns(positions, geo.segmentation)
+
+    rows = np.flatnonzero(kept).tolist()
+    raw = [refined.points[i] for i in rows]
+    frames = [p.frame for p in raw]
+    stamps = {f: frame_to_timestamp(f, meta) for f in sorted(set(frames))}
+    vehicle = np.concatenate(vehicle_columns)
+    length, width, speed, accel = (
+        _optional_cells(vehicle[:, k], places)
+        for k, places in enumerate((DIM_PLACES, DIM_PLACES, SPEED_PLACES, ACCEL_PLACES))
+    )
+    return list(zip(
+        [str(p.track_id) for p in raw],
+        [stamps[f] for f in frames],
+        repeat(str(meta.drone_id)),
+        *position_columns(positions[rows]),
+        length,
+        width,
+        [str(p.detection.cls) for p in raw],
+        speed,
+        accel,
+        [sections[i] for i in rows],
+        [lanes[i] for i in rows],
+        ["1" if stabilized.points[i].visible else "0" for i in rows],
+    ))
+
+
+def _optional_cells(values: np.ndarray, places: int) -> list[str]:
+    """`format_column` cells of ``values``, '' where a value is NaN."""
+    filled = ~np.isnan(values)
+    cells = np.full(len(values), "", dtype=object)
+    cells[filled] = format_column(values[filled], places)
+    return cells.tolist()

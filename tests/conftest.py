@@ -5,11 +5,13 @@ import csv
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from skytraj.geometry import BBox, GeoTransform, Homography
+from skytraj.geometry import BBox, GeoTransform, Homography, Point2, apply_homography, pixel_to_world
+from skytraj.georeference import GeoChain, assign_segment
 from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
 
 FRAME_W, FRAME_H = 3840, 2160
@@ -66,6 +68,30 @@ def make_point(
 def make_tracks(points, frame_size=(FRAME_W, FRAME_H)):
     pts = tuple(sorted(points, key=lambda p: (p.track_id, p.frame)))
     return VideoTracks(frame_width=frame_size[0], frame_height=frame_size[1], points=pts)
+
+
+class GeoPosition(NamedTuple):
+    ortho: Point2  # ortho cut-out pixels
+    local: Point2  # planar meters
+    wgs: Point2  # (latitude, longitude) degrees
+    segment: tuple[str, int] | None  # (section, lane); None off every lane
+
+
+def georeference_points(stab_points, frame_size, geo: GeoChain) -> list[GeoPosition]:
+    """The per-point georeference loop that `pipeline.georeference` replaced,
+    kept as its bit-level reference: each stabilized box center into ortho
+    px, local meters, WGS84 and its lane, in input order. A center at
+    projective infinity raises `apply_homography`'s DegenerateProjection."""
+    w_img, h_img = frame_size
+    out = []
+    for p in stab_points:
+        box = p.detection.bbox
+        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
+        local = pixel_to_world(geo.geo_local, ortho)
+        wgs = pixel_to_world(geo.geo_wgs, ortho)
+        seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
+        out.append(GeoPosition(ortho, local, wgs, seg))
+    return out
 
 
 def scenario_points() -> list[TrackPoint]:

@@ -146,13 +146,15 @@ class TestPipelineCommand:
             (["--sigma", "nan"], None, "kinematics: sigma"),
             (["--sigma", "inf"], None, "kinematics: sigma"),
             (["--sigma", "1e308"], None, "kinematics: sigma"),
+            (["--sigma", "1e20"], None, "kinematics: sigma must be positive, with round"),
             (["--gsd", "nan"], None, "dimensions: gsd"),
             (["--min-travel-m", "nan"], None, "dimensions: gsd and min_travel_m"),
             (["--azimuth-tolerance", "nan"], None, "dimensions: azimuth_tolerance_deg"),
             (["--visibility-margin", "nan"], None, "dimensions: visibility_margin"),
         ],
         ids=["start-time", "drone-id", "sigma", "kinematics-key", "ingest-key",
-             "score-min", "nms-iou", "sigma-nan", "sigma-inf", "sigma-1e308", "gsd-nan",
+             "score-min", "nms-iou", "sigma-nan", "sigma-inf", "sigma-1e308", "sigma-1e20",
+             "gsd-nan",
              "min-travel-nan", "azimuth-tolerance-nan", "visibility-margin-nan"],
     )
     def test_bad_parameter_fails_cleanly(
@@ -662,6 +664,19 @@ class TestAuxCommands:
         expected = 0.5 * 30000 / 1001 * 3.6
         for r in rows[1:]:
             assert float(r["speed_kmh"]) == pytest.approx(expected, abs=0.1)
+
+    @pytest.mark.parametrize("sigma", ["1e20", "1e7", "33334"])
+    def test_huge_sigma_fails_cleanly(self, tmp_path, capsys, sigma):
+        # a kernel radius round(3 * sigma) above 100000 frames is refused
+        # before any smoothing, and no output file is written
+        traj = tmp_path / "local.csv"
+        traj.write_text("id,frame,x,y\n" + "".join(f"1,{k},{k},0\n" for k in range(1, 31)))
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--sigma", sigma, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [kinematics]: kinematics: sigma must be positive, "
+                       "with round(3 * sigma) <= 100000 frames"]
+        assert not out.exists()
 
     def test_georef_command(self, pipeline_fixture, tmp_path):
         out = tmp_path / "geo.csv"

@@ -1,8 +1,9 @@
 import csv
+import math
 import re
 import tempfile
 from dataclasses import astuple, replace
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_point, make_tracks, translation, write_registry, write_segmentation
+from conftest import (
+    georeference_points,
+    make_point,
+    make_tracks,
+    translation,
+    write_registry,
+    write_segmentation,
+)
 from skytraj import dataio
 from skytraj.dataio import (
     EXPORT_COLUMNS,
@@ -21,6 +29,7 @@ from skytraj.dataio import (
     VideoSidecar,
     _plain_match_table,
     export_songdo,
+    format_column,
     format_fixed,
     frame_to_timestamp,
     load_candidate_trajectory,
@@ -37,17 +46,11 @@ from skytraj.dataio import (
     write_tracks,
 )
 from skytraj.dimensions import DimConfig
-from skytraj.errors import InvariantViolation, ParseError
+from skytraj.errors import DegenerateProjection, InvariantViolation, ParseError, SkytrajError
 from skytraj.geometry import GeoTransform, Homography, Point2
 from skytraj.georeference import GeoChain, LanePolygon, SegmentationMap
 from skytraj.kinematics import KinematicsConfig
-from skytraj.pipeline import (
-    IngestParams,
-    georeference_points,
-    kinematic_profile,
-    process_vehicle,
-    run_pipeline,
-)
+from skytraj.pipeline import IngestParams, kinematic_profile, run_pipeline
 from skytraj.registration import Matches
 from skytraj.trackmodel import stabilize_tracks
 
@@ -151,6 +154,26 @@ class TestLoadTracks:
         write_tracks(tracks, path)
         again = load_tracks(path, SIDECAR)
         assert again.points == tracks.points
+
+
+class TestWriteCsv:
+    @staticmethod
+    def rows_then_error():
+        yield ["1", "a"]
+        raise SkytrajError("bad vehicle")
+
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SkytrajError, match="bad vehicle"):
+            dataio.write_csv(out, ["id", "v"], self.rows_then_error())
+        assert not out.exists()
+
+    def test_failing_rows_leave_an_existing_file_untouched(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"id,v\n7,old\n")
+        with pytest.raises(SkytrajError, match="bad vehicle"):
+            dataio.write_csv(out, ["id", "v"], self.rows_then_error())
+        assert out.read_bytes() == b"id,v\n7,old\n"
 
 
 class TestCorrespondences:
@@ -767,6 +790,65 @@ class TestFormatFixed:
         assert format_fixed(value, places) == decimal_format_fixed(value, places)
 
 
+def _nudged(x, ulps):
+    """``x`` moved by ``ulps`` representable steps (down when negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Values that take each branch of `format_column`'s screen and of
+# `format_fixed`: ties at every places + 1, a few ulps around short
+# decimals, signed zeros, subnormals, |x| >= 1e15, |x| < 1e-4 and NaN.
+COLUMN_EDGES = [
+    0.125, 2.675, -0.125, 0.5, 1.5, -2.5, 0.05, 1.0000000005, 12.34567895,
+    _nudged(0.125, 1), _nudged(0.125, -1), _nudged(-0.125, 2), _nudged(2.5, -3),
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
+    1e15, -1e15, 123456789012345.67, 1e16, -9.999999999999998e17, 1000000000.000004,
+    1e-5, -4e-5, 9.99e-5, 0.0001, -0.0001, -0.004, -0.049, -0.0000000049,
+    math.nan, 37.3800001, 126.6400004, -1234.56,
+]
+# (Beyond ~1e19 the 28-digit Decimal context refuses some places, in
+# `format_fixed` and in the reference alike.)
+COLUMN_VALUES = st.one_of(
+    st.floats(-1e18, 1e18),
+    st.just(math.nan),
+    st.floats(-1e4, 1e4),
+    st.floats(-1e-3, 1e-3),
+    # decimals of up to 10 fractional digits: ties and short reprs at every places
+    st.builds(lambda n, e: float(f"{n}e-{e}"), st.integers(-10**12, 10**12),
+              st.integers(0, 10)),
+    st.builds(lambda n, e, k: _nudged(float(f"{n}5e-{e}"), k), st.integers(-10**6, 10**6),
+              st.integers(1, 9), st.integers(-4, 4)),
+)
+
+
+class TestFormatColumn:
+    @pytest.mark.parametrize("places", range(9))
+    def test_edge_values_equal_decimal(self, places):
+        assert format_column(np.array(COLUMN_EDGES), places) == [
+            decimal_format_fixed(v, places) for v in COLUMN_EDGES
+        ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(COLUMN_VALUES, max_size=30), places=st.integers(0, 8))
+    @example(values=[-0.0, 0.0, math.nan, 5e-324, 1e15, 0.00005], places=0)
+    @example(values=[2.675, -2.675, 1.005, 0.125], places=2)
+    def test_equals_decimal_rounding_of_every_value(self, values, places):
+        assert format_column(np.array(values, dtype=float), places) == [
+            decimal_format_fixed(v, places) for v in values
+        ]
+
+    def test_empty_column(self):
+        assert format_column(np.zeros(0), 2) == []
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 1e28])
+    def test_values_format_fixed_refuses_raise_the_same(self, value):
+        for call in (format_fixed, lambda v, p: format_column(np.array([v]), p)):
+            with pytest.raises(InvalidOperation):
+                call(value, 0)
+
+
 def decimal_format_fixed(value, places):
     """``format_fixed`` as written before its fast paths: the repr digits
     rounded half away from zero by ``Decimal``."""
@@ -851,14 +933,32 @@ class TestExport:
         assert keys == sorted(keys)
         assert [k[0] for k in keys] == [3] * 18 + [5] * 17 + [9] * 16
 
+    @pytest.mark.parametrize(
+        "first_y, message",
+        [
+            # vehicle 1 is visible: its dimension step maps the frame center,
+            # which lies on the horizon, before vehicle 2 comes up
+            (1080.0, "point Point2(x=1920.0, y=1080.0) maps to projective infinity"),
+            # vehicle 1 crosses the top border, so it has no dimension step
+            (20.0, "point Point2(x=1920.0, y=20.0) maps to projective infinity"),
+        ],
+        ids=["earlier-dimension-error", "later-vehicle-center"],
+    )
+    def test_projective_infinity_raises_in_vehicle_order(self, first_y, message):
+        # the ref->ortho map sends the line x = 1920 to projective infinity;
+        # vehicle 2 (hidden) has its frame-9 center on it
+        horizon = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 1920, 0, 1]])
+        points = drive(1, 17, y=first_y) + drive(2, 17, y=20.0, x0=1720.0)
+        with pytest.raises(DegenerateProjection) as err:
+            export_cells(points, replace(GEO, ref_to_ortho=horizon))
+        assert str(err.value) == message
+
     def test_reparse_round_trip_at_printed_precision(self, tmp_path):
         tracks = make_tracks(drive(1, 20))
         stab = stabilize_tracks(tracks, {k: Homography.identity() for k in range(2, 21)})
         kin = KinematicsConfig()
         out = tmp_path / "songdo.csv"
-        export_songdo(process_vehicle(
-            tracks.points, stab.points, tracks.frame_size, GEO, SessionMeta(), DimConfig(), kin
-        ), out)
+        export_songdo(export_cells(tracks.points), out)
         positions = georeference_points(stab.points, tracks.frame_size, GEO)
         profile = kinematic_profile(
             {p.frame: g.local for p, g in zip(tracks.points, positions)},

@@ -5,10 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GEO_IDENTITY, inverse, make_point, translation
-from skytraj.errors import SingularResult, UnknownIntersection, UnknownVideo
+from conftest import (
+    GEO_IDENTITY,
+    GeoPosition,
+    georeference_points,
+    inverse,
+    make_point,
+    translation,
+)
+from skytraj.errors import (
+    DegenerateProjection,
+    SingularResult,
+    SkytrajError,
+    UnknownIntersection,
+    UnknownVideo,
+)
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.georeference import (
+    GeoChain,
     GeoRegistry,
     IntersectionEntry,
     LanePolygon,
@@ -17,18 +31,21 @@ from skytraj.georeference import (
     assign_segment,
     point_in_polygon,
 )
-from skytraj.pipeline import georeference_points
+from skytraj.pipeline import georeference, lane_columns, raise_at_infinity
 
 SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact
 
 
 def georef(reg, video_id, p, segmentation=None):
-    """One reference-frame pixel through the pipeline's georeference step."""
+    """One reference-frame pixel through the pipeline's session georeference;
+    ``segment`` holds the (section, lane) cells."""
+    chain = reg.chain(video_id, segmentation)
     point = make_point(1, 1, p.x, p.y, 10, 10, frame_size=SIZE)
-    (position,) = georeference_points(
-        [point], SIZE, reg.chain(video_id, segmentation)
-    )
-    return position
+    positions, at_infinity = georeference([point], SIZE, chain)
+    assert not at_infinity.any()
+    sections, lanes = lane_columns(positions, segmentation)
+    ox, oy, lx, ly, lat, lon = positions[0].tolist()
+    return GeoPosition(Point2(ox, oy), Point2(lx, ly), Point2(lat, lon), (sections[0], lanes[0]))
 
 
 def registry_with(master_to_ortho, ref_to_master, geo_local=None, geo_wgs=None):
@@ -174,9 +191,73 @@ class TestGeoreferencePoint:
         reg = registry_with(translation(10, 20), Homography.identity())
         square = tuple(Point2(*xy) for xy in [(0, 0), (50, 0), (50, 50), (0, 50)])
         lanes = SegmentationMap((LanePolygon("2_1", 1, square),))
-        assert georef(reg, "L1", Point2(0, 0), lanes).segment == ("2_1", 1)
-        assert georef(reg, "L1", Point2(45, 0), lanes).segment is None  # ortho x = 55
-        assert georef(reg, "L1", Point2(0, 0)).segment is None
+        assert georef(reg, "L1", Point2(0, 0), lanes).segment == ("2_1", "1")
+        assert georef(reg, "L1", Point2(45, 0), lanes).segment == ("", "")  # ortho x = 55
+        assert georef(reg, "L1", Point2(0, 0)).segment == ("", "")
+
+
+# A projective map whose homogeneous scale is 0 on the line x = 512.
+HORIZON_512 = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 512, 0, 1]])
+
+
+@st.composite
+def _session(draw):
+    """A chain with a random projective ref->ortho map and random
+    geotransforms, and stabilized points around (and on) its horizon."""
+    if draw(st.booleans()):
+        h = HORIZON_512
+    else:
+        entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
+        m = np.array([*entries, 1.0]).reshape(3, 3)
+        m[:2, 2] *= 1000.0
+        m[2, :2] *= 1e-3
+        try:
+            h = Homography.from_matrix(m)
+        except SkytrajError:
+            h = Homography.identity()
+    coef = st.floats(-10.0, 10.0).filter(lambda v: abs(v) > 1e-3)
+    a, d = draw(coef), draw(coef)
+    b, c = draw(st.sampled_from([0.0, 1e-4])), draw(st.sampled_from([0.0, -2e-4]))
+    geo_local = GeoTransform(a, b, c, d, draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)))
+    degrees = st.sampled_from([1e-6, -3.1e-7, 2.5e-6])
+    geo_wgs = GeoTransform(draw(degrees), 0.0, 0.0, draw(degrees), 37.38, 126.64)
+    xy = st.one_of(st.floats(-4096.0, 4096.0), st.just(512.0))
+    points = [
+        make_point(k, 1, draw(xy), draw(xy), 10, 10, frame_size=SIZE)
+        for k in range(1, draw(st.integers(1, 12)) + 1)
+    ]
+    return GeoChain(h, geo_local, geo_wgs), points
+
+
+class TestSessionGeoreference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_session())
+    def test_equals_the_per_point_loop_bit_for_bit(self, case):
+        chain, points = case
+        positions, at_infinity = georeference(points, SIZE, chain)
+        assert positions.shape == (len(points), 6)
+        for p, row, flagged in zip(points, positions, at_infinity.tolist()):
+            try:
+                (ref,) = georeference_points([p], SIZE, chain)
+            except DegenerateProjection:
+                assert flagged
+                continue
+            assert not flagged
+            assert row.tobytes() == np.array([*ref.ortho, *ref.local, *ref.wgs]).tobytes()
+
+    def test_flagged_center_raises_the_per_point_error(self):
+        chain = GeoChain(HORIZON_512, GEO_IDENTITY, GEO_IDENTITY)
+        points = [make_point(1, 1, 100.0, 7.0, 10, 10, frame_size=SIZE),
+                  make_point(2, 1, 512.0, 9.0, 10, 10, frame_size=SIZE)]
+        _, at_infinity = georeference(points, SIZE, chain)
+        assert at_infinity.tolist() == [False, True]
+        with pytest.raises(DegenerateProjection) as ref:
+            georeference_points(points, SIZE, chain)
+        with pytest.raises(DegenerateProjection) as got:
+            raise_at_infinity(points[1], SIZE, chain)
+        assert str(got.value) == str(ref.value) == (
+            "point Point2(x=512.0, y=9.0) maps to projective infinity"
+        )
 
 
 SQUARE = tuple(Point2(*xy) for xy in [(0, 0), (10, 0), (10, 10), (0, 10)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skytraj.errors import TooShort
 from skytraj.geometry import Point2
 from skytraj.kinematics import (
+    MAX_KERNEL_RADIUS,
     KinematicProfile,
     KinematicsConfig,
     acceleration,
@@ -123,6 +124,17 @@ class TestGaussianSmooth:
         out = gaussian_smooth(v, 14.0)
         assert np.all(np.isfinite(out))
         assert np.allclose(out, smooth_oracle([1.0, 2.0, 3.0], 14.0), atol=1e-12)
+
+
+class TestSigmaBound:
+    @pytest.mark.parametrize("sigma", [MAX_KERNEL_RADIUS / 3, 33333.5, 0.1])
+    def test_kernel_radius_up_to_the_bound_is_accepted(self, sigma):
+        assert round(3.0 * KinematicsConfig(sigma=sigma).sigma) <= MAX_KERNEL_RADIUS
+
+    @pytest.mark.parametrize("sigma", [33334.0, 1e7, 1e20, 1e308, math.inf, math.nan, 0.0, -1.0])
+    def test_larger_radius_or_bad_sigma_is_refused(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive, with round"):
+            KinematicsConfig(sigma=sigma)
 
 
 class TestAcceleration:
