@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import campaign as camp
 from . import dataio
-from .dimensions import DimConfig, estimate_dimensions, visibility_set
+from .dimensions import DimConfig, box_columns, center_columns, estimate_dimensions, rows_of
 from .errors import ConfigError, ParseError, SkytrajError
 from .kinematics import KinematicsConfig
 from .metrics import ComparisonSample, aggregate_comparison
@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .registration import RansacConfig
-from .trackmodel import DEFAULT_FPS, stabilize_tracks
+from .trackmodel import DEFAULT_FPS, pixel_boxes, stabilize_tracks, visible_flags
 
 
 def log(msg: str) -> None:
@@ -256,20 +256,22 @@ def cmd_dims(args) -> int:
     stab = dataio.load_tracks(stab_path, sidecar, require_unit_range=False)
     registry = dataio.load_registry(_path(cfg, args, "registry"))
     geo = registry.chain(_value(cfg, args, "video_id", kind=str, default=""))
-    raw_by_id = raw.by_id()
-    stab_by_id = stab.by_id()
+    raw_rows = raw.id_rows()
+    stab_rows = stab.id_rows()
     # stabilize writes every raw vehicle; a missing one means the files differ
-    unmatched = sorted(raw_by_id.keys() - stab_by_id.keys())
+    unmatched = sorted(raw_rows.keys() - stab_rows.keys())
     if unmatched:
         raise ParseError(f"no points for vehicle {unmatched[0]}", path=stab_path)
+    # the stabilized file may hold frames the raw one lacks, and the reverse
+    boxes = box_columns(raw.points, raw.frame_size, visible_flags(
+        pixel_boxes(raw.points, raw.frame_size), raw.frame_size, dims_cfg.visibility_margin))
+    centers = center_columns(stab.points, raw.frame_size)
 
     def rows():
-        for tid in sorted(raw_by_id):
-            points = raw_by_id[tid]
+        for tid, span in raw_rows.items():
             est = estimate_dimensions(
-                points,
-                stab_by_id[tid],
-                visibility_set(points, raw.frame_size, dims_cfg.visibility_margin),
+                rows_of(boxes, span),
+                rows_of(centers, stab_rows[tid]),
                 dims_cfg,
                 raw.frame_size,
                 geo.ref_to_ortho,
@@ -300,23 +302,29 @@ def cmd_kinematics(args) -> int:
     cfg = _load_config(args)
     fps = _value(cfg, args, "fps", kind=dataio.parse_fps, default=DEFAULT_FPS)
     kin = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps)
-    points, visible = dataio.load_local_trajectories(_path(cfg, args, "input"))
+    tracks = dataio.load_local_trajectories(_path(cfg, args, "input"))
+
+    def vehicle_rows(vid, track):
+        profile = kinematic_profile(*track, kin)
+        if profile is None:
+            log(f"id {vid}: fewer than 2 points, skipped")
+            return
+        for frame in profile.frames[profile.exported].tolist():
+            speed = profile.speed_ms(frame)
+            yield [
+                vid,
+                frame,
+                "" if speed is None else repr(speed),
+                dataio.format_fixed(profile.speed_kmh(frame), dataio.SPEED_PLACES),
+                dataio.format_fixed(profile.accel_ms2(frame), dataio.ACCEL_PLACES),
+            ]
 
     def rows():
-        for vid in sorted(points):
-            profile = kinematic_profile(points[vid], visible[vid], kin)
-            if profile is None:
-                log(f"id {vid}: fewer than 2 points, skipped")
-                continue
-            for frame in profile.frames[profile.exported].tolist():
-                speed = profile.speed_ms(frame)
-                yield [
-                    vid,
-                    frame,
-                    "" if speed is None else repr(speed),
-                    dataio.format_fixed(profile.speed_kmh(frame), dataio.SPEED_PLACES),
-                    dataio.format_fixed(profile.accel_ms2(frame), dataio.ACCEL_PLACES),
-                ]
+        for vid, track in sorted(tracks.items()):
+            try:
+                yield from vehicle_rows(vid, track)
+            except SkytrajError as exc:
+                raise SkytrajError(f"id {vid}: {exc}") from exc
 
     dataio.write_csv(
         _path(cfg, args, "output"),
@@ -338,9 +346,10 @@ def cmd_georef(args) -> int:
         _value(cfg, args, "video_id", kind=str, default=""),
         dataio.load_segmentation(seg_path) if seg_path else None,
     )
-    positions, at_infinity = georeference(stab.points, stab.frame_size, geo)
+    centers = center_columns(stab.points, stab.frame_size)
+    positions, at_infinity = georeference(centers, geo)
     if at_infinity.any():
-        raise_at_infinity(stab.points[at_infinity.argmax()], stab.frame_size, geo)
+        raise_at_infinity(centers, int(at_infinity.argmax()), geo)
     dataio.write_csv(
         _path(cfg, args, "output"),
         ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",

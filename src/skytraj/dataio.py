@@ -15,19 +15,19 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
 
 from .campaign import CellResult
-from .errors import InvariantViolation, IoFailure, ParseError
+from .errors import InvariantViolation, IoFailure, ParseError, SkytrajError
 from .geometry import GeoTransform, Homography, Point2, BBox
 from .georeference import (
     GeoRegistry,
@@ -221,6 +221,7 @@ def load_tracks(
     ):
         if frame < 1:
             raise InvariantViolation("frame must be >= 1", line=line, path=path)
+        _require_frame_range(path, line, frame)
         if n_frames is not None and frame > n_frames:
             raise InvariantViolation(
                 f"frame {frame} exceeds n_frames {n_frames}", line=line, path=path
@@ -697,6 +698,11 @@ def frame_to_timestamp(frame: int, meta: SessionMeta) -> str:
     return f"{hours:02d}:{minutes:02d}:{seconds:02d}.{millis:03d}"
 
 
+# A finite double has at most 309 integer digits; this precision holds
+# them with up to 31 places.
+_FIXED_POINT = Context(prec=340)
+
+
 def format_fixed(value: float | None, places: int) -> str:
     """Fixed-point decimal string of ``repr(value)``, ties rounded away from
     zero; '' for None; never '-0.00'.
@@ -709,7 +715,9 @@ def format_fixed(value: float | None, places: int) -> str:
     shortest, nearest decimal that reads back as the float), so Python's
     correctly rounded ``f"{x:.{places}f}"`` agrees. A repr with an
     exponent, a non-finite value, and a repr ending on that half go
-    through ``Decimal``.
+    through ``Decimal``, in a context wide enough for every digit of any
+    finite double, so quantizing is exact. NaN gives 'NaN'; an infinite
+    value raises SkytrajError.
     """
     if value is None:
         return ""
@@ -717,8 +725,10 @@ def format_fixed(value: float | None, places: int) -> str:
     text = repr(x)
     _, dot, frac = text.partition(".")
     if not dot or "e" in frac or (len(frac) == places + 1 and frac[-1] == "5"):
+        if math.isinf(x):
+            raise SkytrajError(f"cannot write {x} as a fixed-point number")
         quantum = Decimal(1).scaleb(-places)
-        d = Decimal(text).quantize(quantum, rounding=ROUND_HALF_UP)
+        d = Decimal(text).quantize(quantum, rounding=ROUND_HALF_UP, context=_FIXED_POINT)
         if d == 0:
             d = abs(d)  # avoid '-0.00'
         return f"{d:.{places}f}"
@@ -743,10 +753,10 @@ def format_column(values, places: int) -> list[str]:
     fmt = f"%.{places}f"
     cells = [fmt % v for v in x.tolist()]
     ax = np.abs(x)
-    # A repr with at most places + 1 fractional digits lies within half an
-    # ulp of x, which scales to less than 1.5 ulps of ``scaled``.
-    scaled = ax * 10.0 ** (places + 1)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
+        # A repr with at most places + 1 fractional digits lies within half
+        # an ulp of x, which scales to less than 1.5 ulps of ``scaled``.
+        scaled = ax * 10.0 ** (places + 1)
         slow = ~((ax >= 1e-4) & (ax < 1e15))
         slow |= np.abs(scaled - np.rint(scaled)) <= 4.0 * np.spacing(scaled)
         slow |= (x < 0.0) & (ax < 10.0 ** -places)
@@ -795,6 +805,16 @@ def _require_finite(path, line: int, **values: float) -> None:
             raise InvariantViolation(f"{name}={value} is not finite", line=line, path=path)
 
 
+# Largest frame number magnitude the loaders accept: frame columns are
+# 64-bit integers.
+MAX_FRAME = 2**62
+
+
+def _require_frame_range(path, line: int, frame: int) -> None:
+    if abs(frame) > MAX_FRAME:
+        raise InvariantViolation(f"frame {frame} beyond +-2**62", line=line, path=path)
+
+
 def load_probe_trajectory(path) -> list[tuple[float, Point2, float]]:
     """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite."""
     out = []
@@ -821,17 +841,22 @@ def load_candidate_trajectory(path) -> list[tuple[int, Point2, float]]:
     return out
 
 
-def load_local_trajectories(
-    path,
-) -> tuple[dict[int, dict[int, Point2]], dict[int, set[int]]]:
-    """Local-coordinate trajectories CSV: id,frame,x,y (finite) with
-    an optional 0/1 visible column.
+class LocalTrack(NamedTuple):
+    """One vehicle's local-coordinate trajectory, in frame order."""
 
-    Returns per-vehicle frame->point maps plus per-vehicle visible frame
-    sets (all frames visible when the column is absent).
+    frames: np.ndarray  # ascending frame numbers
+    x: np.ndarray  # m
+    y: np.ndarray  # m
+    visible: np.ndarray  # bool
+
+
+def load_local_trajectories(path) -> dict[int, LocalTrack]:
+    """Local-coordinate trajectories CSV: id,frame,x,y (finite) with
+    an optional 0/1 visible column (every frame visible when it is absent).
+
+    Returns each vehicle's trajectory, by id.
     """
-    points: dict[int, dict[int, Point2]] = {}
-    visible: dict[int, set[int]] = {}
+    rows: dict[int, dict[int, tuple[float, float, bool]]] = {}
     for line, (vid, frame, x, y, vis) in _read_csv_rows(
         path,
         ["id", "frame", "x", "y"],
@@ -840,14 +865,18 @@ def load_local_trajectories(
         optional=["visible"],
     ):
         _require_finite(path, line, x=x, y=y)
-        if frame in points.setdefault(vid, {}):
+        _require_frame_range(path, line, frame)
+        track = rows.setdefault(vid, {})
+        if frame in track:
             raise InvariantViolation(f"duplicate frame {frame} for id {vid}", line=line, path=path)
-        points[vid][frame] = Point2(x, y)
-        if vis:
-            visible.setdefault(vid, set()).add(frame)
-        else:
-            visible.setdefault(vid, set())
-    return points, visible
+        track[frame] = (x, y, vis)
+    tracks = {}
+    for vid, track in rows.items():
+        frames = sorted(track)
+        x, y, vis = zip(*map(track.__getitem__, frames))
+        tracks[vid] = LocalTrack(np.array(frames, dtype=np.int64), np.array(x), np.array(y),
+                                 np.array(vis, dtype=bool))
+    return tracks
 
 
 COMPARISON_COLUMNS = [

@@ -15,6 +15,7 @@ which come from the stabilized centers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -23,12 +24,7 @@ import numpy as np
 
 from .errors import EmptySampleSet, EmptyVisibilitySet
 from .geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
-from .trackmodel import (
-    DEFAULT_VISIBILITY_MARGIN,
-    TrackPoint,
-    bbox_visible_px,
-    denormalize_bbox,
-)
+from .trackmodel import DEFAULT_VISIBILITY_MARGIN, TrackPoint, pixel_boxes
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
 # angles near a full turn stay within tolerance of an axis.
@@ -104,85 +100,94 @@ class AzimuthWindow(NamedTuple):
     end: int
 
 
-def visibility_set(
-    points: Sequence[TrackPoint], frame_size: tuple[int, int], margin: float
-) -> set[int]:
-    """Frame numbers whose (un-stabilized) box clears the frame margins."""
-    return {
-        p.frame
-        for p in points
-        if bbox_visible_px(denormalize_bbox(p.detection.bbox, frame_size), frame_size, margin)
-    }
+class BoxColumns(NamedTuple):
+    """Raw boxes of a session or of one vehicle, in (id, frame) order."""
+
+    frames: np.ndarray  # frame numbers
+    w: np.ndarray  # box width, px
+    h: np.ndarray  # box height, px
+    visible: np.ndarray  # bool: the box clears the frame margins
+    cls: np.ndarray  # class id
 
 
-def initial_dims(
-    points: Sequence[TrackPoint],
-    visible: set[int],
-    frame_size: tuple[int, int],
-) -> DimSamples:
-    """Instantaneous pixel dims: length = long box side, width = short side."""
-    if not visible:
-        raise EmptyVisibilitySet("no fully visible boxes")
-    w_img, h_img = frame_size
-    rows = sorted(
-        (
-            (p.frame, p.detection.bbox.w * w_img, p.detection.bbox.h * h_img)
-            for p in points
-            if p.frame in visible
-        ),
-        key=lambda row: row[0],
+class CenterColumns(NamedTuple):
+    """Stabilized box centers of a session or of one vehicle, in (id,
+    frame) order."""
+
+    frames: np.ndarray  # frame numbers
+    x: np.ndarray  # reference-frame px
+    y: np.ndarray  # reference-frame px
+
+
+def box_columns(
+    points: Sequence[TrackPoint], frame_size: tuple[int, int], visible: Sequence[bool]
+) -> BoxColumns:
+    """The columns of raw ``points``, with their ``visible`` flags."""
+    boxes = pixel_boxes(points, frame_size)
+    return BoxColumns(
+        _frames(points), boxes[:, 2], boxes[:, 3], np.asarray(visible, dtype=bool),
+        np.fromiter((p.detection.cls for p in points), dtype=np.int64, count=len(points)),
     )
-    frames = np.array([f for f, _, _ in rows], dtype=int)
-    ws = np.array([w for _, w, _ in rows])
-    hs = np.array([h for _, _, h in rows])
-    return DimSamples(frames, np.maximum(ws, hs), np.minimum(ws, hs))
+
+
+def center_columns(points: Sequence[TrackPoint], frame_size: tuple[int, int]) -> CenterColumns:
+    """The box centers of stabilized ``points``."""
+    boxes = pixel_boxes(points, frame_size)
+    return CenterColumns(_frames(points), boxes[:, 0], boxes[:, 1])
+
+
+def _frames(points: Sequence[TrackPoint]) -> np.ndarray:
+    return np.fromiter((p.frame for p in points), dtype=np.int64, count=len(points))
+
+
+def rows_of(columns, rows: slice):
+    """The ``rows`` of every column of a `BoxColumns` or `CenterColumns`."""
+    return columns._make(c[rows] for c in columns)
+
+
+def initial_dims(boxes: BoxColumns) -> DimSamples:
+    """Instantaneous pixel dims of the visible boxes: length = long box
+    side, width = short side."""
+    keep = boxes.visible
+    if not keep.any():
+        raise EmptyVisibilitySet("no fully visible boxes")
+    w, h = boxes.w[keep], boxes.h[keep]
+    return DimSamples(boxes.frames[keep], np.maximum(w, h), np.minimum(w, h))
 
 
 def azimuth_sequence(
-    stab_points: Sequence[TrackPoint],
-    visible: set[int],
-    min_travel_px: float,
-    frame_size: tuple[int, int],
+    centers: CenterColumns, first: int, last: int, min_travel_px: float
 ) -> list[AzimuthWindow]:
     """Headings over anchor-to-anchor windows of the stabilized trajectory.
 
-    The first anchor is the first visible frame; each subsequent anchor is
-    the earliest later frame displaced by at least ``min_travel_px`` from
-    the previous one, never beyond the last visible frame. The angle uses
-    image coordinates (y down), so it reads as the standard mathematical
-    angle of the physical heading, wrapped into [0, 2*pi). Stationary
-    vehicles yield an empty list.
+    The first anchor is the ``first`` visible frame; each subsequent anchor
+    is the earliest later frame displaced by at least ``min_travel_px``
+    from the previous one, never beyond the ``last`` visible frame. The
+    angle uses image coordinates (y down), so it reads as the standard
+    mathematical angle of the physical heading, wrapped into [0, 2*pi).
+    Stationary vehicles, and tracks without a center at ``first``, yield
+    an empty list. The walk runs on Python floats with `math.hypot` and
+    `math.atan2` per step.
     """
-    if not visible:
-        return []
-    w_img, h_img = frame_size
-    centers = {
-        p.frame: Point2(p.detection.bbox.cx * w_img, p.detection.bbox.cy * h_img)
-        for p in stab_points
-    }
-    frames = sorted(centers)
-    last = max(visible)
-    anchor = min(visible)
-    if anchor not in centers:
+    frames = centers.frames.tolist()
+    xs = centers.x.tolist()
+    ys = centers.y.tolist()
+    i = bisect_left(frames, first)
+    if i == len(frames) or frames[i] != first:
         return []
     windows: list[AzimuthWindow] = []
-    i = frames.index(anchor)
     while True:
-        ax, ay = centers[frames[i]]
+        ax, ay = xs[i], ys[i]
         nxt = None
         for j in range(i + 1, len(frames)):
-            f = frames[j]
-            if f > last:
+            if frames[j] > last:
                 break
-            dx = centers[f].x - ax
-            dy = centers[f].y - ay
-            if math.hypot(dx, dy) >= min_travel_px:
+            if math.hypot(xs[j] - ax, ys[j] - ay) >= min_travel_px:
                 nxt = j
                 break
         if nxt is None:
             break
-        bx, by = centers[frames[nxt]]
-        theta = math.atan2(ay - by, bx - ax)
+        theta = math.atan2(ay - ys[nxt], xs[nxt] - ax)
         if theta < 0.0:
             theta += 2 * math.pi
         windows.append(AzimuthWindow(theta, frames[i], frames[nxt]))
@@ -198,16 +203,15 @@ def azimuth_filter(
     """Keep samples inside windows whose heading is near a cardinal direction.
 
     Samples outside every window (including the trailing stretch after the
-    last anchor) are dropped.
+    last anchor) are dropped. The samples are in frame order, so each
+    accepted window keeps one run of them.
     """
     tol = math.radians(tolerance_deg)
-    accepted = [
-        w for w in windows
-        if min(abs(w.theta - phi) for phi in CARDINAL_DIRECTIONS) <= tol
-    ]
-    keep = np.zeros(len(samples.frames), dtype=bool)
-    for w in accepted:
-        keep |= (samples.frames >= w.start) & (samples.frames < w.end)
+    frames = samples.frames.tolist()
+    keep = np.zeros(len(frames), dtype=bool)
+    for w in windows:
+        if min(abs(w.theta - phi) for phi in CARDINAL_DIRECTIONS) <= tol:
+            keep[bisect_left(frames, w.start):bisect_left(frames, w.end)] = True
     return DimSamples(samples.frames[keep], samples.lengths[keep], samples.widths[keep])
 
 
@@ -224,12 +228,39 @@ def ratio_filter(samples: DimSamples, min_ratio: float) -> DimSamples:
 
 
 def quartile_dims(lengths: np.ndarray, widths: np.ndarray) -> tuple[float, float]:
-    """First quartile of each of two equally long sets (linear
-    interpolation between ranks), in one `np.percentile` call."""
+    """First quartile of each of two equally long sets of finite values."""
     if len(lengths) == 0 or len(widths) == 0:
         raise EmptySampleSet("no samples to aggregate")
-    length, width = np.percentile(np.stack((lengths, widths)), 25, axis=1).tolist()
-    return length, width
+    return first_quartile(lengths.tolist()), first_quartile(widths.tolist())
+
+
+def first_quartile(values: list[float]) -> float:
+    """``np.percentile(values, 25)`` of finite floats, computed exactly as
+    numpy's default "linear" method (definition 7 of Hyndman & Fan, "Sample
+    Quantiles in Statistical Packages", 1996) on the sorted values.
+
+    The virtual index is ``n * 0.25 + 0.75 - 1``; the value is the `_lerp`
+    of the two order statistics around it, by its fractional part. Past the
+    last index (n = 1) both neighbours are the last value, and the weight is
+    the index minus -1, as numpy takes it.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    index = n * 0.25 + 0.75 - 1
+    if index >= n - 1:
+        below = -1
+        a = b = ordered[-1]
+    else:
+        below = math.floor(index)
+        a, b = ordered[below], ordered[below + 1]
+    return _lerp(a, b, index - below)
+
+
+def _lerp(a: float, b: float, g: float) -> float:
+    """numpy's quantile interpolation between ``a`` and ``b`` at weight
+    ``g``, anchored at the nearer end."""
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def dims_to_world(
@@ -254,9 +285,8 @@ def dims_to_world(
 
 
 def estimate_dimensions(
-    raw_points: Sequence[TrackPoint],
-    stab_points: Sequence[TrackPoint],
-    visible: set[int],
+    boxes: BoxColumns,
+    centers: CenterColumns,
     cfg: DimConfig,
     frame_size: tuple[int, int],
     ref_to_ortho: Homography,
@@ -264,21 +294,24 @@ def estimate_dimensions(
 ) -> Optional[DimensionEstimate]:
     """Run the full five-step estimator for one vehicle.
 
-    ``visible`` holds the frames whose raw box clears the frame margins
-    (``visibility_set``). Returns None when no reliable samples survive
-    (vehicles never fully visible, moving diagonally throughout, or parked
-    with square-ish boxes); absence is a valid outcome.
+    ``boxes`` are the vehicle's raw boxes and ``centers`` its stabilized
+    centers, each in frame order; the two may hold different frames. The
+    heading windows run from the first to the last visible frame. Returns
+    None when no reliable samples survive (vehicles never fully visible,
+    moving diagonally throughout, or parked with square-ish boxes);
+    absence is a valid outcome.
     """
-    if not visible:
+    if not boxes.visible.any():
         return None
-    samples = initial_dims(raw_points, visible, frame_size)
-    windows = azimuth_sequence(stab_points, visible, cfg.min_travel_px, frame_size)
+    samples = initial_dims(boxes)
+    windows = azimuth_sequence(
+        centers, int(samples.frames[0]), int(samples.frames[-1]), cfg.min_travel_px
+    )
     if windows:
         filtered = azimuth_filter(samples, windows, cfg.azimuth_tolerance_deg)
         path = DimPath.AZIMUTH_FILTERED
     else:
-        cls = raw_points[0].detection.cls
-        min_ratio = cfg.ratio_thresholds.get(cls, math.inf)
+        min_ratio = cfg.ratio_thresholds.get(int(boxes.cls[0]), math.inf)
         filtered = ratio_filter(samples, min_ratio)
         path = DimPath.RATIO_FILTERED
     if len(filtered.frames) == 0:

@@ -4,27 +4,29 @@ Gaps are filled by linear interpolation, raw speed is the distance
 between consecutive points times the frame rate, the speed sequence is
 smoothed by a truncated Gaussian kernel with mirror-reflected ends, and
 acceleration is the backward difference of smoothed speeds. Exported
-values are gated by the per-frame visibility set; internal computation
+values are gated by the per-frame visibility flags; internal computation
 always runs over the full dense track so that box growth at the frame
 borders cannot leak into interior values.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import TooShort
-from .geometry import Point2
+from .errors import SkytrajError, TooShort
 from .trackmodel import DEFAULT_FPS
 
 
 # Largest smoothing-kernel radius round(3 * sigma), in frames: about 56
 # minutes at 29.97 fps, far beyond any session.
 MAX_KERNEL_RADIUS = 100_000
+# Most frames one trajectory may span from first to last: about 9.3 hours
+# at 29.97 fps. Gap filling allocates every frame in between.
+MAX_DENSE_FRAMES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -85,42 +87,74 @@ class KinematicProfile:
         return self._cell(self.accel, frame)
 
 
-def interpolate_gaps(points: Mapping[int, Point2]) -> dict[int, Point2]:
-    """Fill interior frame gaps linearly; never extrapolates."""
-    if len(points) < 2:
-        raise TooShort(f"need >= 2 trajectory points, got {len(points)}")
-    frames = sorted(points)
-    dense: dict[int, Point2] = {}
-    for a, b in zip(frames, frames[1:]):
-        pa, pb = points[a], points[b]
-        dense[a] = pa
-        span = b - a
-        for k in range(a + 1, b):
-            t = (k - a) / span
-            dense[k] = Point2(pa.x + t * (pb.x - pa.x), pa.y + t * (pb.y - pa.y))
-    dense[frames[-1]] = points[frames[-1]]
-    return dense
+def interpolate_gaps(
+    frames: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill interior frame gaps linearly; never extrapolates.
+
+    ``frames`` are ascending frame numbers and ``x``, ``y`` the positions
+    there. Returns every frame from the first to the last with its
+    position: observed ones as given, a frame ``k`` between observed ``a``
+    and ``b`` at ``pa + t * (pb - pa)`` with ``t = (k - a) / (b - a)``. A
+    track spanning more than ``MAX_DENSE_FRAMES`` frames is refused before
+    anything is allocated.
+    """
+    n = len(frames)
+    if n < 2:
+        raise TooShort(f"need >= 2 trajectory points, got {n}")
+    first, last = int(frames[0]), int(frames[-1])
+    if last - first >= MAX_DENSE_FRAMES:
+        raise SkytrajError(
+            f"trajectory spans frames {first} to {last}, more than {MAX_DENSE_FRAMES} frames"
+        )
+    dense = np.arange(first, last + 1)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(dense) == n:
+        return dense, x, y
+    offsets = np.asarray(frames, dtype=np.int64) - first
+    spans = offsets[1:] - offsets[:-1]
+    # the observed segment [a, b) of every frame but the last
+    seg = np.repeat(np.arange(n - 1), spans)
+    t = (np.arange(len(seg)) - offsets[seg]) / spans[seg]
+    dense_x = np.empty(len(dense))
+    dense_y = np.empty(len(dense))
+    dense_x[:-1] = x[seg] + t * (x[1:] - x[:-1])[seg]
+    dense_y[:-1] = y[seg] + t * (y[1:] - y[:-1])[seg]
+    dense_x[offsets] = x
+    dense_y[offsets] = y
+    return dense, dense_x, dense_y
 
 
-def raw_speed(dense: Mapping[int, Point2], fps: Fraction) -> dict[int, float]:
-    """Speed in m/s at every frame after the first of a dense trajectory."""
-    frames = sorted(dense)
-    rate = float(fps)
-    out: dict[int, float] = {}
-    for a, b in zip(frames, frames[1:]):
-        pa, pb = dense[a], dense[b]
-        out[b] = math.hypot(pb.x - pa.x, pb.y - pa.y) * rate
-    return out
+def raw_speed(x: np.ndarray, y: np.ndarray, fps: Fraction) -> np.ndarray:
+    """Speed in m/s at every frame after the first of a dense trajectory:
+    `math.hypot` of each step, times the frame rate."""
+    steps = map(math.hypot, (x[1:] - x[:-1]).tolist(), (y[1:] - y[:-1]).tolist())
+    return np.fromiter(steps, dtype=float, count=max(len(x) - 1, 0)) * float(fps)
 
 
-def _reflect_index(j: int, n: int) -> int:
-    # Mirror about the end samples (no edge duplication), repeated as
-    # often as needed for kernels wider than the sequence.
+@lru_cache(maxsize=8)
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """Unit-sum Gaussian kernel over offsets -round(3*sigma)..round(3*sigma),
+    computed once per sigma and read-only."""
+    half = int(round(3.0 * sigma))
+    offsets = np.arange(-half, half + 1)
+    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel /= kernel.sum()
+    kernel.flags.writeable = False
+    return kernel
+
+
+def reflect_indices(n: int, half: int) -> np.ndarray:
+    """Indices of positions -half..n+half-1 mirrored about the end samples
+    (no edge duplication), repeated as often as needed for kernels wider
+    than the sequence."""
+    j = np.arange(-half, n + half)
     if n == 1:
-        return 0
+        return np.zeros_like(j)
     period = 2 * (n - 1)
-    j = abs(j) % period
-    return period - j if j >= n else j
+    j = np.abs(j) % period
+    return np.where(j >= n, period - j, j)
 
 
 def gaussian_smooth(values, sigma: float) -> np.ndarray:
@@ -131,16 +165,10 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     n = len(v)
-    if n == 0:
-        return v.copy()
     half = int(round(3.0 * sigma))
-    if half == 0:
+    if n == 0 or half == 0:
         return v.copy()
-    offsets = np.arange(-half, half + 1)
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
-    kernel /= kernel.sum()
-    padded = v[[_reflect_index(j, n) for j in range(-half, n + half)]]
-    return np.convolve(padded, kernel, mode="valid")
+    return np.convolve(v[reflect_indices(n, half)], gaussian_kernel(sigma), mode="valid")
 
 
 def acceleration(smooth_speeds, fps: Fraction) -> np.ndarray:
@@ -148,39 +176,34 @@ def acceleration(smooth_speeds, fps: Fraction) -> np.ndarray:
     v = np.asarray(smooth_speeds, dtype=float)
     if len(v) < 2:
         raise TooShort("need >= 2 speed values for acceleration")
-    return np.diff(v) * float(fps)
+    return (v[1:] - v[:-1]) * float(fps)
 
 
 def compute_profile(
-    local_points: Mapping[int, Point2], cfg: KinematicsConfig
+    frames: np.ndarray, x: np.ndarray, y: np.ndarray, cfg: KinematicsConfig
 ) -> KinematicProfile:
-    """Interpolate, differentiate, and smooth one vehicle's local trajectory."""
-    dense = interpolate_gaps(local_points)
-    frames = np.array(sorted(dense), dtype=int)
-    n = len(frames)
-    speeds = raw_speed(dense, cfg.fps)
-    seq = np.array([speeds[f] for f in frames[1:]])
-    smooth_seq = gaussian_smooth(seq, cfg.sigma)
-
-    speed_raw = np.full(n, np.nan)
-    speed_smooth = np.full(n, np.nan)
-    accel = np.full(n, np.nan)
+    """Interpolate, differentiate, and smooth one vehicle's local trajectory:
+    positions ``x``, ``y`` (m) at the ascending observed ``frames``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as on Python floats
+        dense, dense_x, dense_y = interpolate_gaps(frames, x, y)
+        seq = raw_speed(dense_x, dense_y, cfg.fps)
+        smooth_seq = gaussian_smooth(seq, cfg.sigma)
+        accel_seq = acceleration(smooth_seq, cfg.fps) if len(seq) >= 2 else seq[:0]
+    n = len(dense)
+    speed_raw, speed_smooth, accel = np.full((3, n), np.nan)
     speed_raw[1:] = seq
     speed_smooth[1:] = smooth_seq
-    if n >= 3:
-        accel[2:] = acceleration(smooth_seq, cfg.fps)
-    return KinematicProfile(
-        frames=frames,
-        speed_raw=speed_raw,
-        speed_smooth=speed_smooth,
-        accel=accel,
-        exported=np.ones(n, dtype=bool),
-    )
+    accel[2:] = accel_seq
+    return KinematicProfile(dense, speed_raw, speed_smooth, accel, np.ones(n, dtype=bool))
 
 
 def gate_by_visibility(
-    profile: KinematicProfile, visible: set[int]
+    profile: KinematicProfile, frames: np.ndarray, visible: np.ndarray
 ) -> KinematicProfile:
-    """Restrict exported values to frames in the visibility set."""
-    exported = np.array([f in visible for f in profile.frames], dtype=bool)
-    return replace(profile, exported=exported)
+    """Restrict exported values to the observed ``frames`` whose ``visible``
+    flag is set."""
+    exported = np.zeros(len(profile.frames), dtype=bool)
+    if len(profile.frames):
+        exported[np.asarray(frames)[visible] - profile.frames[0]] = True
+    return KinematicProfile(profile.frames, profile.speed_raw, profile.speed_smooth,
+                            profile.accel, exported)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -23,7 +23,15 @@ from .dataio import (
     frame_to_timestamp,
     load_correspondences,
 )
-from .dimensions import DimConfig, estimate_dimensions
+from .dimensions import (
+    BoxColumns,
+    CenterColumns,
+    DimConfig,
+    box_columns,
+    center_columns,
+    estimate_dimensions,
+    rows_of,
+)
 from .errors import MissingDistances, MissingHomography, SkytrajError
 from .geometry import Z_TOL, Homography, Point2, apply_homography, pixel_to_world, project_array
 from .georeference import GeoChain, SegmentationMap, assign_segment
@@ -153,11 +161,10 @@ POSITION_PLACES = (ORTHO_PLACES,) * 2 + (LOCAL_PLACES,) * 2 + (WGS84_PLACES,) * 
 
 
 def georeference(
-    points: Sequence[TrackPoint], frame_size: tuple[int, int], geo: GeoChain
+    centers: CenterColumns, geo: GeoChain
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Carry the box centers of stabilized ``points`` (``cx * w_img``,
-    ``cy * h_img`` reference-frame pixels) into ortho pixels, local meters
-    and WGS84 degrees in one pass.
+    """Carry stabilized box ``centers`` (reference-frame pixels) into ortho
+    pixels, local meters and WGS84 degrees in one pass.
 
     Returns the (N, 6) columns ortho x, y, local x, y, latitude, longitude
     (the `POSITION_PLACES` order) and the (N,) flags of the centers at
@@ -166,11 +173,7 @@ def georeference(
     `pixel_to_world` per point in the same order, so every other row holds
     the same floats.
     """
-    centers = np.fromiter(
-        ((b.cx, b.cy) for b in (p.detection.bbox for p in points)),
-        dtype=(float, 2), count=len(points),
-    ) * np.array(frame_size, dtype=float)
-    x, y, z = project_array(geo.ref_to_ortho.m, centers)
+    x, y, z = project_array(geo.ref_to_ortho.m, np.column_stack((centers.x, centers.y)))
     ortho = Point2(x, y)
     with np.errstate(invalid="ignore", over="ignore"):
         positions = np.column_stack(
@@ -179,12 +182,10 @@ def georeference(
     return positions, np.abs(z) < Z_TOL
 
 
-def raise_at_infinity(point: TrackPoint, frame_size: tuple[int, int], geo: GeoChain) -> None:
-    """Raise the DegenerateProjection of a point that `georeference`
-    flagged: `apply_homography` makes the same z test on its center."""
-    w_img, h_img = frame_size
-    box = point.detection.bbox
-    apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
+def raise_at_infinity(centers: CenterColumns, row: int, geo: GeoChain) -> None:
+    """Raise the DegenerateProjection of a center that `georeference`
+    flagged: `apply_homography` makes the same z test on it."""
+    apply_homography(geo.ref_to_ortho, Point2(float(centers.x[row]), float(centers.y[row])))
 
 
 def lane_columns(positions: np.ndarray, seg: SegmentationMap | None) -> tuple[list, list]:
@@ -204,18 +205,20 @@ def position_columns(positions: np.ndarray) -> list[list[str]]:
 
 
 def kinematic_profile(
-    local_points: Mapping[int, Point2], visible: set[int], cfg: KinematicsConfig
+    frames: np.ndarray, x: np.ndarray, y: np.ndarray, visible: np.ndarray,
+    cfg: KinematicsConfig,
 ) -> KinematicProfile | None:
-    """Speed and acceleration over one trajectory, exported on visible
-    frames only; None below two points."""
-    if len(local_points) < 2:
+    """Speed and acceleration over one trajectory (positions ``x``, ``y`` at
+    the ascending ``frames``), exported on the frames flagged ``visible``
+    only; None below two points."""
+    if len(frames) < 2:
         return None
-    return gate_by_visibility(compute_profile(local_points, cfg), visible)
+    return gate_by_visibility(compute_profile(frames, x, y, cfg), frames, visible)
 
 
 def process_vehicle(
-    raw_points: Sequence[TrackPoint],
-    stab_points: Sequence[TrackPoint],
+    boxes: BoxColumns,
+    centers: CenterColumns,
     frame_size: tuple[int, int],
     geo: GeoChain,
     local: np.ndarray,
@@ -226,26 +229,23 @@ def process_vehicle(
     columns length m, width m, speed km/h and acceleration m/s^2, in frame
     order, NaN where the export cell is empty.
 
-    ``raw_points`` and ``stab_points`` are one vehicle's raw and stabilized
-    points: the same frames, in frame order; ``local`` holds the (n, 2)
-    local-meter positions of the stabilized centers. Visibility is read
-    from the ``visible`` flags that ``stabilize_tracks`` set on the
-    stabilized points.
+    ``boxes`` and ``centers`` are one vehicle's rows of the session's raw
+    boxes and stabilized centers: the same frames, in frame order, with the
+    ``visible`` flags that ``stabilize_tracks`` set; ``local`` holds the
+    (n, 2) local-meter positions of the stabilized centers.
     """
-    visible = {p.frame for p in stab_points if p.visible}
     estimate = estimate_dimensions(
-        raw_points, stab_points, visible, dims, frame_size, geo.ref_to_ortho, geo.geo_local
+        boxes, centers, dims, frame_size, geo.ref_to_ortho, geo.geo_local
     )
-    frames = [p.frame for p in raw_points]
-    profile = kinematic_profile(dict(zip(frames, map(Point2, *local.T.tolist()))), visible,
-                                kinematics)
+    frames = boxes.frames
+    profile = kinematic_profile(frames, local[:, 0], local[:, 1], boxes.visible, kinematics)
     columns = np.full((len(frames), 4), np.nan)
     if estimate is not None:
         columns[:, 0] = estimate.length_m
         columns[:, 1] = estimate.width_m
     if profile is not None:
         # `KinematicProfile.speed_kmh` and `.accel_ms2` of every row's frame
-        at = np.array(frames) - profile.frames[0]
+        at = frames - profile.frames[0]
         shown = profile.exported[at]
         columns[shown, 2] = profile.speed_smooth[at[shown]] * 3.6
         columns[shown, 3] = profile.accel[at[shown]]
@@ -280,26 +280,26 @@ def run_pipeline(
     stabilized = stabilize_tracks(
         refined, homographies, visibility_margin=dims_cfg.visibility_margin
     )
-    positions, at_infinity = georeference(stabilized.points, tracks.frame_size, geo)
+    size = tracks.frame_size
+    # Both tables are sorted by (track_id, frame) and hold the same points,
+    # so a vehicle's points are one slice of these session columns.
+    visible = np.fromiter((p.visible for p in stabilized.points), dtype=bool,
+                          count=len(stabilized.points))
+    boxes = box_columns(refined.points, size, visible)
+    centers = center_columns(stabilized.points, size)
+    positions, at_infinity = georeference(centers, geo)
     flagged = np.flatnonzero(at_infinity)
     first_flagged = int(flagged[0]) if len(flagged) else len(positions)
-    # Both tables are sorted by (track_id, frame) and hold the same points,
-    # so a vehicle's points are one slice of the session arrays.
-    raw_by_id = refined.by_id()
-    stab_by_id = stabilized.by_id()
     kept = np.zeros(len(positions), dtype=bool)
     vehicle_columns = [np.zeros((0, 4))]
-    start = 0
-    for tid in sorted(raw_by_id):
-        end = start + len(raw_by_id[tid])
-        if end > first_flagged:
-            raise_at_infinity(stabilized.points[first_flagged], tracks.frame_size, geo)
-        columns = process_vehicle(raw_by_id[tid], stab_by_id[tid], tracks.frame_size, geo,
-                                  positions[start:end, 2:4], dims_cfg, kin_cfg)
+    for span in refined.id_rows().values():
+        if span.stop > first_flagged:
+            raise_at_infinity(centers, first_flagged, geo)
+        columns = process_vehicle(rows_of(boxes, span), rows_of(centers, span), size, geo,
+                                  positions[span, 2:4], dims_cfg, kin_cfg)
         if len(columns) > MIN_EXPORT_POINTS:
-            kept[start:end] = True
+            kept[span] = True
             vehicle_columns.append(columns)
-        start = end
     sections, lanes = lane_columns(positions, geo.segmentation)
 
     rows = np.flatnonzero(kept).tolist()
@@ -323,7 +323,7 @@ def run_pipeline(
         accel,
         [sections[i] for i in rows],
         [lanes[i] for i in rows],
-        ["1" if stabilized.points[i].visible else "0" for i in rows],
+        ["1" if v else "0" for v in visible[rows].tolist()],
     ))
 
 

@@ -45,11 +45,12 @@ class VideoTracks:
     def frame_size(self) -> tuple[int, int]:
         return (self.frame_width, self.frame_height)
 
-    def by_id(self) -> dict[int, list[TrackPoint]]:
-        groups: dict[int, list[TrackPoint]] = {}
-        for p in self.points:
-            groups.setdefault(p.track_id, []).append(p)
-        return groups
+    def id_rows(self) -> dict[int, slice]:
+        """Each track id's run of ``points``, in id order."""
+        ids = np.fromiter((p.track_id for p in self.points), dtype=np.int64,
+                          count=len(self.points))
+        bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+        return {int(ids[a]): slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a}
 
     def by_frame(self) -> dict[int, list[TrackPoint]]:
         groups: dict[int, list[TrackPoint]] = {}
@@ -141,22 +142,34 @@ def refine_classes(tracks: VideoTracks) -> VideoTracks:
     return replace(tracks, points=new_points)
 
 
-def bbox_visible_px(
-    box: BBox, frame_size: tuple[int, int], margin: float
-) -> bool:
-    """Strict interior test for a pixel-space box against frame borders."""
-    w_img, h_img = frame_size
-    return (
-        box.cx - box.w / 2 > margin
-        and box.cx + box.w / 2 < w_img - (margin + 1)
-        and box.cy - box.h / 2 > margin
-        and box.cy + box.h / 2 < h_img - (margin + 1)
-    )
-
-
 def denormalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
     w_img, h_img = frame_size
     return BBox(box.cx * w_img, box.cy * h_img, box.w * w_img, box.h * h_img)
+
+
+def pixel_boxes(points: Sequence[TrackPoint], frame_size: tuple[int, int]) -> np.ndarray:
+    """The (N, 4) ``cx, cy, w, h`` of the points' boxes in pixels, each
+    scaled as `denormalize_bbox` scales it."""
+    w_img, h_img = frame_size
+    return np.fromiter(
+        ((b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in points)),
+        dtype=(float, 4), count=len(points),
+    ) * np.array([w_img, h_img, w_img, h_img], dtype=float)
+
+
+def visible_flags(boxes: np.ndarray, frame_size: tuple[int, int], margin: float) -> np.ndarray:
+    """Strict interior test of each (un-stabilized) pixel box ``cx, cy, w, h``
+    against the frame borders: every edge at more than ``margin`` px inside
+    the frame, where the far edges end at ``size - 1``."""
+    w_img, h_img = frame_size
+    cx, cy, w, h = boxes.T
+    with np.errstate(all="ignore"):  # Python floats do not warn either
+        return (
+            (cx - w / 2 > margin)
+            & (cx + w / 2 < w_img - (margin + 1))
+            & (cy - h / 2 > margin)
+            & (cy + h / 2 < h_img - (margin + 1))
+        )
 
 
 def stabilize_tracks(
@@ -195,21 +208,14 @@ def stabilize_tracks(
             homs.append(h)
         which.append(slot)
     points = tracks.points[: len(which)]
-    scale = np.array([w_img, h_img, w_img, h_img], dtype=float)
-    boxes = np.fromiter(
-        ((b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in points)),
-        dtype=(float, 4), count=len(points),
-    )
-    boxes = transform_boxes(homs, which, boxes * scale) / scale
+    raw = pixel_boxes(points, frame_size)
+    boxes = transform_boxes(homs, which, raw) / np.array([w_img, h_img, w_img, h_img], dtype=float)
     if missing is not None:
         raise missing
     return replace(tracks, points=tuple(
-        TrackPoint(
-            p.frame,
-            p.track_id,
-            Detection(box, p.detection.cls, p.detection.score),
-            bbox_visible_px(denormalize_bbox(p.detection.bbox, frame_size), frame_size,
-                            visibility_margin),
+        TrackPoint(p.frame, p.track_id, Detection(box, p.detection.cls, p.detection.score), visible)
+        for p, box, visible in zip(
+            points, map(BBox, *boxes.T.tolist()),
+            visible_flags(raw, frame_size, visibility_margin).tolist(),
         )
-        for p, box in zip(points, map(BBox, *boxes.T.tolist()))
     ))

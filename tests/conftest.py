@@ -10,9 +10,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from skytraj.dimensions import BoxColumns, CenterColumns, box_columns, center_columns
 from skytraj.geometry import BBox, GeoTransform, Homography, Point2, apply_homography, pixel_to_world
 from skytraj.georeference import GeoChain, assign_segment
-from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
+from skytraj.trackmodel import Detection, TrackPoint, VideoTracks, pixel_boxes, visible_flags
 
 FRAME_W, FRAME_H = 3840, 2160
 
@@ -68,6 +69,32 @@ def make_point(
 def make_tracks(points, frame_size=(FRAME_W, FRAME_H)):
     pts = tuple(sorted(points, key=lambda p: (p.track_id, p.frame)))
     return VideoTracks(frame_width=frame_size[0], frame_height=frame_size[1], points=pts)
+
+
+def dim_columns(
+    raw, stab=None, frame_size=(FRAME_W, FRAME_H), visible=None, margin=4.0
+) -> tuple[BoxColumns, CenterColumns]:
+    """The columns `estimate_dimensions` takes for one vehicle's raw and
+    stabilized points (``stab`` defaults to ``raw``): the frames in the set
+    ``visible`` are visible, or by default those whose raw box clears
+    ``margin``."""
+    flags = (visible_flags(pixel_boxes(raw, frame_size), frame_size, margin) if visible is None
+             else [p.frame in visible for p in raw])
+    return box_columns(raw, frame_size, flags), center_columns(raw if stab is None else stab,
+                                                               frame_size)
+
+
+def track_columns(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending frames and the x and y columns of a frame -> Point2 map,
+    as `compute_profile` takes them."""
+    frames = sorted(points)
+    return (np.array(frames, dtype=np.int64), np.array([points[f].x for f in frames], dtype=float),
+            np.array([points[f].y for f in frames], dtype=float))
+
+
+def visible_column(frames, visible) -> np.ndarray:
+    """Flags of the ``frames`` that are in the set ``visible``."""
+    return np.array([f in visible for f in np.asarray(frames).tolist()], dtype=bool)
 
 
 class GeoPosition(NamedTuple):

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PIPELINE_ARGS, build_pipeline_fixture, make_point, make_tracks
+from conftest import (
+    PIPELINE_ARGS,
+    build_pipeline_fixture,
+    dim_columns,
+    make_point,
+    make_tracks,
+    track_columns,
+)
 from skytraj.campaign import (
     BenchParams,
     CampaignGrid,
@@ -28,7 +35,7 @@ from skytraj.dataio import (
     EXPORT_COLUMNS,
     write_campaign_results,
 )
-from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions, visibility_set
+from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.kinematics import (
     KinematicsConfig,
@@ -165,9 +172,9 @@ def test_criterion_4_dimension_oracle():
         cfg = DimConfig()
 
         def estimate(pts):
-            visible = visibility_set(pts, SIZE, cfg.visibility_margin)
             return estimate_dimensions(
-                pts, pts, visible, cfg, SIZE, Homography.identity(), GSD_GEO
+                *dim_columns(pts, frame_size=SIZE, margin=cfg.visibility_margin),
+                cfg, SIZE, Homography.identity(), GSD_GEO,
             )
 
         # axis-parallel mover, constant 180x80 box
@@ -189,8 +196,9 @@ def test_criterion_5_kinematics():
         cfg = KinematicsConfig(sigma=14.0, fps=FPS)
         speed_truth = 2.5 * float(FPS)
         pts = {k: Point2(2.5 * (k - 1), 0.0) for k in range(1, 61)}
+        frames, x, y = track_columns(pts)
         profile = gate_by_visibility(
-            compute_profile(pts, cfg), set(range(1, 61))
+            compute_profile(frames, x, y, cfg), frames, np.ones(60, dtype=bool)
         )
         smooth = profile.speed_smooth[1:]
         accel = profile.accel[2:]

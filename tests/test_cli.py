@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -257,21 +260,37 @@ class TestPipelineCommand:
         assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
 
     def test_visibility_computed_once_per_point(self, pipeline_fixture, tmp_path, monkeypatch):
-        from skytraj import dimensions, trackmodel
+        from skytraj import trackmodel
 
         calls = []
-        original = trackmodel.bbox_visible_px
+        original = trackmodel.visible_flags
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(boxes, *args):
+            calls.append(len(boxes))
+            return original(boxes, *args)
 
-        monkeypatch.setattr(trackmodel, "bbox_visible_px", counted)
-        monkeypatch.setattr(dimensions, "bbox_visible_px", counted)
+        monkeypatch.setattr(trackmodel, "visible_flags", counted)
         out = tmp_path / "out.csv"
         assert run_cli(*pipeline_cmd(pipeline_fixture, out)) == 0
-        # vehicles 1-3 after the ingest filter drops vehicle 4
-        assert len(calls) == 20 + 15 + 18
+        # one pass over vehicles 1-3 after the ingest filter drops vehicle 4
+        assert calls == [20 + 15 + 18]
+
+
+def test_pipeline_does_not_import_numpy_ma(pipeline_fixture, tmp_path):
+    """The per-vehicle stage computes its quartile without `np.percentile`,
+    whose first call imports `numpy.ma` (about 2 MB of peak RSS)."""
+    out = tmp_path / "songdo.csv"
+    script = (
+        "import sys\n"
+        "from skytraj.cli import main\n"
+        f"assert main({[str(a) for a in pipeline_cmd(pipeline_fixture, out)]!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert len(out.read_text().splitlines()) == 1 + 38
 
 
 class TestStabilizeCommand:
@@ -723,6 +742,47 @@ class TestAuxCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error [kinematics]: {traj}: line 11: x={float(value)} is not finite"]
         assert not out.exists()
+
+    def test_huge_finite_trajectory_writes_every_digit(self, tmp_path, capsys):
+        traj = tmp_path / "local.csv"
+        traj.write_text("id,frame,x,y\n1,1,0,0\n1,2,1e300,0\n1,3,-1e300,0\n")
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--output", out) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.open()))
+        assert [r["frame"] for r in rows] == ["1", "2", "3"]
+        speed = float(rows[2]["speed_ms"]) * 3.6
+        assert float(rows[2]["speed_kmh"]) == pytest.approx(speed, rel=1e-15)
+        assert len(rows[2]["speed_kmh"].split(".")[0]) == 303  # ~2.2e302 km/h
+
+    def test_overflowing_speed_fails_cleanly(self, tmp_path, capsys):
+        # the step from 1e308 to -1e308 overflows to an infinite speed
+        traj = tmp_path / "local.csv"
+        traj.write_text("id,frame,x,y\n1,1,0,0\n1,2,1e308,0\n1,3,-1e308,0\n")
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [kinematics]: id 1: cannot write inf as a fixed-point number"]
+        assert not out.exists()
+
+    def test_span_beyond_a_million_frames_fails_cleanly(self, tmp_path, capsys):
+        traj = tmp_path / "local.csv"
+        traj.write_text("id,frame,x,y\n1,1,0,0\n1,1000000000000,5,0\n")
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [kinematics]: id 1: trajectory spans frames 1 to 1000000000000, "
+                       "more than 1000000 frames"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame", [2**62 + 1, -(2**62) - 1, 10**30])
+    def test_frame_beyond_int64_columns_fails_cleanly(self, tmp_path, capsys, frame):
+        traj = tmp_path / "local.csv"
+        traj.write_text(f"id,frame,x,y\n1,1,0,0\n1,{frame},5,0\n")
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--output", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error [kinematics]: {traj}: line 3: frame {frame} beyond +-2**62"]
 
     @pytest.mark.parametrize("which", ["probe", "candidate"])
     def test_non_finite_comparison_input_fails_cleanly(self, tmp_path, capsys, which):

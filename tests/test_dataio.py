@@ -1,9 +1,10 @@
 import csv
 import math
 import re
+import sys
 import tempfile
 from dataclasses import astuple, replace
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -116,6 +117,15 @@ class TestLoadTracks:
         p.write_text(self.header + "101,1,0.5,0.5,0.05,0.02,0,0.9\n")
         with pytest.raises(InvariantViolation):
             load_tracks(p, SIDECAR)
+
+    def test_frame_beyond_int64_columns_without_n_frames(self, tmp_path):
+        p = tmp_path / "t.csv"
+        open_ended = VideoSidecar(3840, 2160, FPS)
+        p.write_text(self.header + f"{2**62},1,0.5,0.5,0.05,0.02,0,0.9\n")
+        assert load_tracks(p, open_ended).points[0].frame == 2**62
+        p.write_text(self.header + f"{2**62 + 1},1,0.5,0.5,0.05,0.02,0,0.9\n")
+        with pytest.raises(InvariantViolation, match=r"line 2: frame \d+ beyond \+-2\*\*62$"):
+            load_tracks(p, open_ended)
 
     def test_class_range_from_sidecar(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -534,8 +544,8 @@ class TestVisibleColumn:
 
         assert tracks(["0", "1"]) == [False, True]
         assert tracks(None) == [False, False]
-        assert self.load(tmp_path, "local", ["0", "1"])[1] == {1: {2}}
-        assert self.load(tmp_path, "local", None)[1] == {1: {1, 2}}
+        assert self.load(tmp_path, "local", ["0", "1"])[1].visible.tolist() == [False, True]
+        assert self.load(tmp_path, "local", None)[1].visible.tolist() == [True, True]
 
     @pytest.mark.parametrize("cell", ["7", "", "-1", "true", "1.0", " 1"])
     @pytest.mark.parametrize("kind", list(LOADERS))
@@ -808,10 +818,14 @@ COLUMN_EDGES = [
     1e-5, -4e-5, 9.99e-5, 0.0001, -0.0001, -0.004, -0.049, -0.0000000049,
     math.nan, 37.3800001, 126.6400004, -1234.56,
 ]
-# (Beyond ~1e19 the 28-digit Decimal context refuses some places, in
-# `format_fixed` and in the reference alike.)
+# Finite doubles up to the largest, each written with all its digits.
+HUGE_VALUES = st.one_of(
+    st.floats(1e19, sys.float_info.max), st.floats(-sys.float_info.max, -1e19),
+    st.builds(lambda n, e: float(f"{n}e{e}"), st.integers(-10**9, 10**9), st.integers(19, 298)),
+)
 COLUMN_VALUES = st.one_of(
     st.floats(-1e18, 1e18),
+    HUGE_VALUES,
     st.just(math.nan),
     st.floats(-1e4, 1e4),
     st.floats(-1e-3, 1e-3),
@@ -842,18 +856,34 @@ class TestFormatColumn:
     def test_empty_column(self):
         assert format_column(np.zeros(0), 2) == []
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, 1e28])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_values_format_fixed_refuses_raise_the_same(self, value):
         for call in (format_fixed, lambda v, p: format_column(np.array([v]), p)):
-            with pytest.raises(InvalidOperation):
+            with pytest.raises(SkytrajError, match=f"^cannot write {value} as a fixed-point"):
                 call(value, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=HUGE_VALUES, places=st.integers(0, 8))
+    @example(value=1e19, places=8)
+    @example(value=1e28, places=0)
+    @example(value=-1.7976931348623157e308, places=8)
+    def test_huge_values_keep_every_digit(self, value, places):
+        cell = format_fixed(value, places)
+        assert cell == decimal_format_fixed(value, places)
+        assert format_column(np.array([value]), places) == [cell]
+        assert Decimal(cell) == Decimal(repr(value))  # integers at this size
+
+    def test_nan_formats_as_before(self):
+        assert format_fixed(math.nan, 2) == format_column(np.array([math.nan]), 2)[0] == "NaN"
 
 
 def decimal_format_fixed(value, places):
     """``format_fixed`` as written before its fast paths: the repr digits
-    rounded half away from zero by ``Decimal``."""
+    rounded half away from zero by ``Decimal``, with every digit of any
+    finite double kept."""
     quantum = Decimal(1).scaleb(-places)
-    d = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
+    d = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP,
+                                             context=Context(prec=400))
     if d == 0:
         d = abs(d)
     return f"{d:.{places}f}"
@@ -961,8 +991,9 @@ class TestExport:
         export_songdo(export_cells(tracks.points), out)
         positions = georeference_points(stab.points, tracks.frame_size, GEO)
         profile = kinematic_profile(
-            {p.frame: g.local for p, g in zip(tracks.points, positions)},
-            {p.frame for p in stab.points if p.visible}, kin,
+            np.array([p.frame for p in tracks.points]),
+            np.array([g.local.x for g in positions]), np.array([g.local.y for g in positions]),
+            np.array([p.visible for p in stab.points]), kin,
         )
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -1124,9 +1155,12 @@ class TestTableReaderMatchesDictReader:
 
         def outcome():
             try:
-                return loader(path)
+                got = loader(path)
             except ParseError as exc:
                 return type(exc).__name__, str(exc)
+            if isinstance(got, dict):  # trajectories by id, as column lists
+                return {vid: [c.tolist() for c in track] for vid, track in got.items()}
+            return got
 
         with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
             ref = outcome()

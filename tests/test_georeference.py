@@ -31,6 +31,7 @@ from skytraj.georeference import (
     assign_segment,
     point_in_polygon,
 )
+from skytraj.dimensions import center_columns
 from skytraj.pipeline import georeference, lane_columns, raise_at_infinity
 
 SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact
@@ -41,7 +42,7 @@ def georef(reg, video_id, p, segmentation=None):
     ``segment`` holds the (section, lane) cells."""
     chain = reg.chain(video_id, segmentation)
     point = make_point(1, 1, p.x, p.y, 10, 10, frame_size=SIZE)
-    positions, at_infinity = georeference([point], SIZE, chain)
+    positions, at_infinity = georeference(center_columns([point], SIZE), chain)
     assert not at_infinity.any()
     sections, lanes = lane_columns(positions, segmentation)
     ox, oy, lx, ly, lat, lon = positions[0].tolist()
@@ -234,7 +235,7 @@ class TestSessionGeoreference:
     @given(case=_session())
     def test_equals_the_per_point_loop_bit_for_bit(self, case):
         chain, points = case
-        positions, at_infinity = georeference(points, SIZE, chain)
+        positions, at_infinity = georeference(center_columns(points, SIZE), chain)
         assert positions.shape == (len(points), 6)
         for p, row, flagged in zip(points, positions, at_infinity.tolist()):
             try:
@@ -249,12 +250,13 @@ class TestSessionGeoreference:
         chain = GeoChain(HORIZON_512, GEO_IDENTITY, GEO_IDENTITY)
         points = [make_point(1, 1, 100.0, 7.0, 10, 10, frame_size=SIZE),
                   make_point(2, 1, 512.0, 9.0, 10, 10, frame_size=SIZE)]
-        _, at_infinity = georeference(points, SIZE, chain)
+        centers = center_columns(points, SIZE)
+        _, at_infinity = georeference(centers, chain)
         assert at_infinity.tolist() == [False, True]
         with pytest.raises(DegenerateProjection) as ref:
             georeference_points(points, SIZE, chain)
         with pytest.raises(DegenerateProjection) as got:
-            raise_at_infinity(points[1], SIZE, chain)
+            raise_at_infinity(centers, 1, chain)
         assert str(got.value) == str(ref.value) == (
             "point Point2(x=512.0, y=9.0) maps to projective infinity"
         )

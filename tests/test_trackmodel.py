@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, rotation, translation
+from reference import bbox_visible_px
 from skytraj.errors import DegenerateProjection, MissingHomography, SkytrajError
 from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.trackmodel import (
     Detection,
     TrackPoint,
     bbox_iou,
-    bbox_visible_px,
     denormalize_bbox,
     ingest_keep_indices,
+    pixel_boxes,
     refine_classes,
     stabilize_tracks,
+    visible_flags,
 )
 
 
@@ -176,29 +179,47 @@ class TestRefineClasses:
             assert before.detection.bbox == after.detection.bbox
 
 
+def visible(box, frame_size, margin):
+    """`visible_flags` of one pixel box."""
+    return bool(visible_flags(np.array([[box.cx, box.cy, box.w, box.h]]), frame_size, margin)[0])
+
+
+class PixelBox(NamedTuple):
+    """Any four floats as a box, negative sides included (``BBox`` refuses them)."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+
+EDGE = st.one_of(st.sampled_from([0.0, 4.0, 5.0, 50.0, 1019.0, 1024.0, math.inf, -math.inf,
+                                  math.nan]), st.floats(-50.0, 1100.0))
+
+
 class TestVisibilityFlag:
     frame_size = (3840, 2160)
 
     def test_central_box_visible(self):
-        assert bbox_visible_px(BBox(1920, 1080, 100, 50), self.frame_size, 4.0) is True
+        assert visible(BBox(1920, 1080, 100, 50), self.frame_size, 4.0) is True
 
     def test_left_edge_violation(self):
         size = (1024, 1024)
-        assert bbox_visible_px(BBox(52, 512, 100, 50), size, 4.0) is False  # xmin = 2
+        assert visible(BBox(52, 512, 100, 50), size, 4.0) is False  # xmin = 2
 
     def test_boundary_is_strict(self):
         size = (1024, 1024)
-        assert bbox_visible_px(BBox(54, 512, 100, 50), size, 4.0) is False  # xmin = 4 exactly
+        assert visible(BBox(54, 512, 100, 50), size, 4.0) is False  # xmin = 4 exactly
 
     def test_just_inside(self):
         size = (1024, 1024)
-        assert bbox_visible_px(BBox(55, 512, 100, 50), size, 4.0) is True  # xmin = 5 > 4
+        assert visible(BBox(55, 512, 100, 50), size, 4.0) is True  # xmin = 5 > 4
 
     def test_right_margin_uses_plus_one(self):
         size = (1024, 1024)
         # xmax must be < 1024 - 5 = 1019; cx = 969, w = 100 -> xmax = 1019
-        assert bbox_visible_px(BBox(969, 512, 100, 50), size, 4.0) is False
-        assert bbox_visible_px(BBox(968, 512, 100, 50), size, 4.0) is True
+        assert visible(BBox(969, 512, 100, 50), size, 4.0) is False
+        assert visible(BBox(968, 512, 100, 50), size, 4.0) is True
 
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(3)
@@ -206,10 +227,27 @@ class TestVisibilityFlag:
         for _ in range(50):
             box = BBox(*rng.uniform(60, 960, 2), *rng.uniform(10, 100, 2))
             margins = [0.0, 2.0, 4.0, 8.0, 16.0]
-            flags = [bbox_visible_px(box, size, m) for m in margins]
+            flags = [visible(box, size, m) for m in margins]
             # once invisible at a margin, stays invisible for larger margins
             for a, b in zip(flags, flags[1:]):
                 assert a or not b
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(boxes=st.lists(st.tuples(EDGE, EDGE, EDGE, EDGE), max_size=20),
+           margin=st.sampled_from([0.0, 4.0, 4.5, -1.0]))
+    def test_flags_equal_the_per_box_test(self, boxes, margin):
+        size = (1024, 768)
+        got = visible_flags(np.array(boxes, dtype=float).reshape(-1, 4), size, margin)
+        assert got.tolist() == [bbox_visible_px(PixelBox(*b), size, margin) for b in boxes]
+
+    def test_pixel_boxes_scale_as_denormalize(self):
+        size = (3840, 2160)
+        pts = [make_point(k, 1, 100.3 * k, 7.1 * k, 3.3 * k, 0.7 * k, frame_size=size)
+               for k in range(1, 30)]
+        want = [[b.cx, b.cy, b.w, b.h] for b in (denormalize_bbox(p.detection.bbox, size)
+                                                 for p in pts)]
+        assert pixel_boxes(pts, size).tolist() == want
 
 
 class TestStabilizeTracks:
