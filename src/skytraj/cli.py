@@ -10,13 +10,17 @@ the exit code is 0 only when no stage failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import campaign as camp
 from . import dataio
-from .dimensions import DimConfig, box_columns, center_columns, estimate_dimensions, rows_of
+from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import ConfigError, ParseError, SkytrajError
 from .kinematics import KinematicsConfig
 from .metrics import ComparisonSample, aggregate_comparison
@@ -32,7 +36,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .registration import RansacConfig
-from .trackmodel import DEFAULT_FPS, pixel_boxes, stabilize_tracks, visible_flags
+from .trackmodel import DEFAULT_FPS, stabilize_tracks, visible_flags
 
 
 def log(msg: str) -> None:
@@ -151,7 +155,7 @@ def _resolve_homographies(cfg, args, tracks, params):
         return dataio.load_homography_log(hom_path), {}
     if corr_dir is not None:
         seed = _value(cfg, args, "seed", kind=int, default=0)
-        return estimate_frame_homographies(tracks, corr_dir, params, seed=seed)
+        return estimate_frame_homographies(tracks.columns(), corr_dir, params, seed=seed)
     raise SkytrajError("need either a homography log or a correspondence directory")
 
 
@@ -167,9 +171,11 @@ def cmd_stabilize(args) -> int:
             f"frame {frame}: {r.inlier_count}/{len(r.inlier_flags)} inliers, "
             f"mean error {r.mean_reproj_error:.4f} px, {r.iterations_run} iterations"
         )
-    stabilized = stabilize_tracks(tracks, homs, visibility_margin=margin)
+    boxes, visible = stabilize_tracks(
+        tracks.columns(), tracks.frame_size, homs, visibility_margin=margin
+    )
     out = _path(cfg, args, "output")
-    dataio.write_tracks(stabilized, out)
+    dataio.write_tracks(tracks, boxes, visible, out)
     log_path = _path(cfg, args, "homography_log", required=False)
     if log_path is None and reports:
         # homographies were estimated here; keep them next to the output
@@ -256,16 +262,19 @@ def cmd_dims(args) -> int:
     stab = dataio.load_tracks(stab_path, sidecar, require_unit_range=False)
     registry = dataio.load_registry(_path(cfg, args, "registry"))
     geo = registry.chain(_value(cfg, args, "video_id", kind=str, default=""))
-    raw_rows = raw.id_rows()
-    stab_rows = stab.id_rows()
+    raw_cols, stab_cols = raw.columns(), stab.columns()
+    raw_rows = raw_cols.id_rows()
+    stab_rows = stab_cols.id_rows()
     # stabilize writes every raw vehicle; a missing one means the files differ
     unmatched = sorted(raw_rows.keys() - stab_rows.keys())
     if unmatched:
         raise ParseError(f"no points for vehicle {unmatched[0]}", path=stab_path)
     # the stabilized file may hold frames the raw one lacks, and the reverse
-    boxes = box_columns(raw.points, raw.frame_size, visible_flags(
-        pixel_boxes(raw.points, raw.frame_size), raw.frame_size, dims_cfg.visibility_margin))
-    centers = center_columns(stab.points, raw.frame_size)
+    raw_px = raw_cols.boxes_px
+    boxes = BoxColumns(raw_cols.frames, raw_px[:, 2], raw_px[:, 3],
+                       visible_flags(raw_px, raw.frame_size, dims_cfg.visibility_margin),
+                       raw_cols.cls)
+    centers = CenterColumns(stab_cols.frames, stab_cols.boxes_px[:, 0], stab_cols.boxes_px[:, 1])
 
     def rows():
         for tid, span in raw_rows.items():
@@ -308,16 +317,18 @@ def cmd_kinematics(args) -> int:
         profile = kinematic_profile(*track, kin)
         if profile is None:
             log(f"id {vid}: fewer than 2 points, skipped")
-            return
-        for frame in profile.frames[profile.exported].tolist():
-            speed = profile.speed_ms(frame)
-            yield [
-                vid,
-                frame,
-                "" if speed is None else repr(speed),
-                dataio.format_fixed(profile.speed_kmh(frame), dataio.SPEED_PLACES),
-                dataio.format_fixed(profile.accel_ms2(frame), dataio.ACCEL_PLACES),
-            ]
+            return []
+        shown = profile.exported
+        speed, accel = profile.speed_smooth[shown], profile.accel[shown]
+        with np.errstate(over="ignore"):  # as on Python floats
+            speed_kmh = speed * 3.6
+        return zip(
+            repeat(vid),
+            profile.frames[shown].tolist(),
+            ["" if math.isnan(v) else repr(v) for v in speed.tolist()],
+            dataio.optional_cells(speed_kmh, dataio.SPEED_PLACES),
+            dataio.optional_cells(accel, dataio.ACCEL_PLACES),
+        )
 
     def rows():
         for vid, track in sorted(tracks.items()):
@@ -346,7 +357,8 @@ def cmd_georef(args) -> int:
         _value(cfg, args, "video_id", kind=str, default=""),
         dataio.load_segmentation(seg_path) if seg_path else None,
     )
-    centers = center_columns(stab.points, stab.frame_size)
+    columns = stab.columns()
+    centers = CenterColumns(columns.frames, columns.boxes_px[:, 0], columns.boxes_px[:, 1])
     positions, at_infinity = georeference(centers, geo)
     if at_infinity.any():
         raise_at_infinity(centers, int(at_infinity.argmax()), geo)
@@ -355,8 +367,8 @@ def cmd_georef(args) -> int:
         ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
          "latitude", "longitude", "section", "lane"],
         zip(
-            [p.track_id for p in stab.points],  # sorted by (id, frame)
-            [p.frame for p in stab.points],
+            columns.ids.tolist(),  # sorted by (id, frame)
+            columns.frames.tolist(),
             *position_columns(positions),
             *lane_columns(positions, geo.segmentation),
         ),

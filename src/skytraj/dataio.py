@@ -221,13 +221,14 @@ def load_tracks(
     ):
         if frame < 1:
             raise InvariantViolation("frame must be >= 1", line=line, path=path)
-        _require_frame_range(path, line, frame)
+        _require_key_range(path, line, "frame", frame)
         if n_frames is not None and frame > n_frames:
             raise InvariantViolation(
                 f"frame {frame} exceeds n_frames {n_frames}", line=line, path=path
             )
         if track_id < 1:
             raise InvariantViolation("id must be >= 1", line=line, path=path)
+        _require_key_range(path, line, "id", track_id)
         if require_unit_range:
             for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
                 if not 0.0 <= v <= 1.0:
@@ -341,15 +342,13 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _track_cells(p: TrackPoint) -> list:
-    b = p.detection.bbox
-    return [p.frame, p.track_id, repr(b.cx), repr(b.cy), repr(b.w), repr(b.h),
-            p.detection.cls, repr(p.detection.score), int(p.visible)]
-
-
-def write_tracks(tracks: VideoTracks, path) -> None:
-    """Write tracks at full float precision, including the visible flag."""
-    write_csv(path, TRACK_COLUMNS + ["visible"], map(_track_cells, tracks.points))
+def write_tracks(tracks: VideoTracks, boxes: np.ndarray, visible: np.ndarray, path) -> None:
+    """Write ``tracks`` with the (n, 4) normalized ``boxes`` and the
+    ``visible`` flags in place of their own, floats at full precision."""
+    write_csv(path, TRACK_COLUMNS + ["visible"], (
+        [p.frame, p.track_id, *map(repr, box), p.detection.cls, repr(p.detection.score), int(v)]
+        for p, box, v in zip(tracks.points, boxes.tolist(), visible.tolist())
+    ))
 
 
 MATCH_COLUMNS = ("src_x", "src_y", "dst_x", "dst_y", "d1", "d2")
@@ -765,6 +764,14 @@ def format_column(values, places: int) -> list[str]:
     return cells
 
 
+def optional_cells(values: np.ndarray, places: int) -> list[str]:
+    """`format_column` cells of ``values``, '' where a value is NaN."""
+    filled = ~np.isnan(values)
+    cells = np.full(len(values), "", dtype=object)
+    cells[filled] = format_column(values[filled], places)
+    return cells.tolist()
+
+
 def export_songdo(rows: Iterable[Sequence[str]], destination) -> None:
     """Write the final trajectory CSV: the header, then ``rows`` as given,
     the cells `pipeline.run_pipeline` returns."""
@@ -805,14 +812,14 @@ def _require_finite(path, line: int, **values: float) -> None:
             raise InvariantViolation(f"{name}={value} is not finite", line=line, path=path)
 
 
-# Largest frame number magnitude the loaders accept: frame columns are
-# 64-bit integers.
-MAX_FRAME = 2**62
+# Largest frame number or track id magnitude the loaders accept: frame and
+# id columns are 64-bit integers.
+MAX_KEY = 2**62
 
 
-def _require_frame_range(path, line: int, frame: int) -> None:
-    if abs(frame) > MAX_FRAME:
-        raise InvariantViolation(f"frame {frame} beyond +-2**62", line=line, path=path)
+def _require_key_range(path, line: int, name: str, value: int) -> None:
+    if abs(value) > MAX_KEY:
+        raise InvariantViolation(f"{name} {value} beyond +-2**62", line=line, path=path)
 
 
 def load_probe_trajectory(path) -> list[tuple[float, Point2, float]]:
@@ -865,7 +872,7 @@ def load_local_trajectories(path) -> dict[int, LocalTrack]:
         optional=["visible"],
     ):
         _require_finite(path, line, x=x, y=y)
-        _require_frame_range(path, line, frame)
+        _require_key_range(path, line, "frame", frame)
         track = rows.setdefault(vid, {})
         if frame in track:
             raise InvariantViolation(f"duplicate frame {frame} for id {vid}", line=line, path=path)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptySampleSet, EmptyVisibilitySet
 from .geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
-from .trackmodel import DEFAULT_VISIBILITY_MARGIN, TrackPoint, pixel_boxes
+from .trackmodel import DEFAULT_VISIBILITY_MARGIN
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
 # angles near a full turn stay within tolerance of an axis.
@@ -119,27 +119,6 @@ class CenterColumns(NamedTuple):
     y: np.ndarray  # reference-frame px
 
 
-def box_columns(
-    points: Sequence[TrackPoint], frame_size: tuple[int, int], visible: Sequence[bool]
-) -> BoxColumns:
-    """The columns of raw ``points``, with their ``visible`` flags."""
-    boxes = pixel_boxes(points, frame_size)
-    return BoxColumns(
-        _frames(points), boxes[:, 2], boxes[:, 3], np.asarray(visible, dtype=bool),
-        np.fromiter((p.detection.cls for p in points), dtype=np.int64, count=len(points)),
-    )
-
-
-def center_columns(points: Sequence[TrackPoint], frame_size: tuple[int, int]) -> CenterColumns:
-    """The box centers of stabilized ``points``."""
-    boxes = pixel_boxes(points, frame_size)
-    return CenterColumns(_frames(points), boxes[:, 0], boxes[:, 1])
-
-
-def _frames(points: Sequence[TrackPoint]) -> np.ndarray:
-    return np.fromiter((p.frame for p in points), dtype=np.int64, count=len(points))
-
-
 def rows_of(columns, rows: slice):
     """The ``rows`` of every column of a `BoxColumns` or `CenterColumns`."""
     return columns._make(c[rows] for c in columns)
@@ -223,7 +202,8 @@ def ratio_filter(samples: DimSamples, min_ratio: float) -> DimSamples:
     shape and are dropped.
     """
     keep = samples.widths > 0.0
-    keep[keep] = samples.lengths[keep] / samples.widths[keep] >= min_ratio
+    with np.errstate(over="ignore"):  # a tiny width gives an infinite ratio, kept
+        keep[keep] = samples.lengths[keep] / samples.widths[keep] >= min_ratio
     return DimSamples(samples.frames[keep], samples.lengths[keep], samples.widths[keep])
 
 

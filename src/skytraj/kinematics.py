@@ -64,28 +64,6 @@ class KinematicProfile:
     accel: np.ndarray  # m/s^2
     exported: np.ndarray  # bool
 
-    def _cell(self, values: np.ndarray, frame: int) -> float | None:
-        """The frame's value; None if the frame is absent, not exported or NaN.
-        ``frames`` run one by one, so a frame's index is its offset from
-        the first."""
-        n = len(self.frames)
-        i = frame - int(self.frames[0]) if n else -1
-        if not 0 <= i < n or self.frames[i] != frame:
-            return None
-        if not self.exported[i] or math.isnan(values[i]):
-            return None
-        return float(values[i])
-
-    def speed_ms(self, frame: int) -> float | None:
-        return self._cell(self.speed_smooth, frame)
-
-    def speed_kmh(self, frame: int) -> float | None:
-        speed = self.speed_ms(frame)
-        return None if speed is None else speed * 3.6
-
-    def accel_ms2(self, frame: int) -> float | None:
-        return self._cell(self.accel, frame)
-
 
 def interpolate_gaps(
     frames: np.ndarray, x: np.ndarray, y: np.ndarray

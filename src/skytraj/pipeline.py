@@ -22,16 +22,9 @@ from .dataio import (
     format_column,
     frame_to_timestamp,
     load_correspondences,
+    optional_cells,
 )
-from .dimensions import (
-    BoxColumns,
-    CenterColumns,
-    DimConfig,
-    box_columns,
-    center_columns,
-    estimate_dimensions,
-    rows_of,
-)
+from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import MissingDistances, MissingHomography, SkytrajError
 from .geometry import Z_TOL, Homography, Point2, apply_homography, pixel_to_world, project_array
 from .georeference import GeoChain, SegmentationMap, assign_segment
@@ -45,9 +38,9 @@ from .registration import (
     upscale_homography,
 )
 from .trackmodel import (
-    TrackPoint,
+    TrackColumns,
     VideoTracks,
-    denormalize_bbox,
+    frame_groups,
     ingest_keep_indices,
     refine_classes,
     stabilize_tracks,
@@ -83,14 +76,16 @@ class StabilizeParams:
 
 
 def ingest_tracks(tracks: VideoTracks, params: IngestParams) -> VideoTracks:
-    """Apply the per-frame confidence + NMS filter to tracked points."""
-    kept: list[TrackPoint] = []
-    for _, pts in sorted(tracks.by_frame().items()):
-        dets = [p.detection for p in pts]
-        for i in ingest_keep_indices(dets, params.score_min, params.nms_iou):
-            kept.append(pts[i])
-    kept.sort(key=lambda p: (p.track_id, p.frame))
-    return replace(tracks, points=tuple(kept))
+    """Apply the per-frame confidence + NMS filter to tracked points, frame
+    by frame, each frame's detections in point order."""
+    points = tracks.points
+    frames = np.fromiter((p.frame for p in points), dtype=np.int64, count=len(points))
+    kept: list[int] = []
+    for rows in frame_groups(frames).values():
+        rows = rows.tolist()
+        dets = [points[i].detection for i in rows]
+        kept += [rows[k] for k in ingest_keep_indices(dets, params.score_min, params.nms_iou)]
+    return replace(tracks, points=tuple(points[i] for i in sorted(kept)))
 
 
 def _frame_seed(seed: int, frame: int) -> int:
@@ -99,7 +94,7 @@ def _frame_seed(seed: int, frame: int) -> int:
 
 
 def estimate_frame_homographies(
-    tracks: VideoTracks,
+    columns: TrackColumns,
     correspondence_dir,
     params: StabilizeParams,
     seed: int = 0,
@@ -107,34 +102,29 @@ def estimate_frame_homographies(
     """Estimate one reference-frame homography per frame that has points.
 
     Correspondence files are ``<frame>.csv`` inside the directory. The
-    frame's own detection boxes act as exclusion masks around matches'
-    source points; the optional ratio test runs next; estimation happens
-    on coordinates scaled by ``downscale`` and the result is lifted back.
+    frame's own pixel boxes in ``columns`` act as exclusion masks around
+    matches' source points; the optional ratio test runs next; estimation
+    happens on coordinates scaled by ``downscale`` and the result is lifted
+    back.
     An error in reading or filtering a file names the file and the line.
     """
     corr_dir = Path(correspondence_dir)
-    frames = sorted({p.frame for p in tracks.points if p.frame >= 2})
-    by_frame = tracks.by_frame()
     homs: dict[int, Homography] = {}
     reports: dict[int, EstimateReport] = {}
-    for frame in frames:
+    for frame, rows in frame_groups(columns.frames).items():
+        if frame < 2:
+            continue
         path = corr_dir / f"{frame}.csv"
         if not path.exists():
             raise MissingHomography(frame)
-        loaded = corrs = load_correspondences(path)
-        masks = [
-            denormalize_bbox(p.detection.bbox, tracks.frame_size)
-            for p in by_frame.get(frame, [])
-        ]
-        kept = None
-        if masks:
-            kept = mask_keep_flags(loaded.src, masks, params.mask_margin)
-            corrs = loaded.select(kept)
+        loaded = load_correspondences(path)
+        kept = mask_keep_flags(loaded.src, columns.boxes_px[rows], params.mask_margin)
+        corrs = loaded.select(kept)
         if params.snn_ratio is not None:
             try:
                 corrs = snn_filter(corrs, params.snn_ratio)
             except MissingDistances as exc:
-                row = exc.row if kept is None else int(np.flatnonzero(kept)[exc.row])
+                row = int(np.flatnonzero(kept)[exc.row])
                 raise MissingDistances(
                     f"{path}: line {loaded.lines[row]}: match lacks descriptor distances"
                 ) from exc
@@ -231,7 +221,7 @@ def process_vehicle(
 
     ``boxes`` and ``centers`` are one vehicle's rows of the session's raw
     boxes and stabilized centers: the same frames, in frame order, with the
-    ``visible`` flags that ``stabilize_tracks`` set; ``local`` holds the
+    ``visible`` flags that ``stabilize_tracks`` returns; ``local`` holds the
     (n, 2) local-meter positions of the stabilized centers.
     """
     estimate = estimate_dimensions(
@@ -244,10 +234,11 @@ def process_vehicle(
         columns[:, 0] = estimate.length_m
         columns[:, 1] = estimate.width_m
     if profile is not None:
-        # `KinematicProfile.speed_kmh` and `.accel_ms2` of every row's frame
+        # the smoothed speed in km/h and the acceleration of every exported row
         at = frames - profile.frames[0]
         shown = profile.exported[at]
-        columns[shown, 2] = profile.speed_smooth[at[shown]] * 3.6
+        with np.errstate(over="ignore"):  # as on Python floats
+            columns[shown, 2] = profile.speed_smooth[at[shown]] * 3.6
         columns[shown, 3] = profile.accel[at[shown]]
     return columns
 
@@ -275,61 +266,53 @@ def run_pipeline(
     every earlier vehicle's errors. Each export column is formatted once,
     over the exported rows.
     """
-    filtered = ingest_tracks(tracks, ingest)
-    refined = refine_classes(filtered)
-    stabilized = stabilize_tracks(
-        refined, homographies, visibility_margin=dims_cfg.visibility_margin
-    )
+    refined = refine_classes(ingest_tracks(tracks, ingest)).columns()
     size = tracks.frame_size
-    # Both tables are sorted by (track_id, frame) and hold the same points,
-    # so a vehicle's points are one slice of these session columns.
-    visible = np.fromiter((p.visible for p in stabilized.points), dtype=bool,
-                          count=len(stabilized.points))
-    boxes = box_columns(refined.points, size, visible)
-    centers = center_columns(stabilized.points, size)
+    stabilized, visible = stabilize_tracks(
+        refined, size, homographies, visibility_margin=dims_cfg.visibility_margin
+    )
+    # One row per point, in (track_id, frame) order, so a vehicle's points
+    # are one slice of every session column.
+    boxes = BoxColumns(refined.frames, refined.boxes_px[:, 2], refined.boxes_px[:, 3], visible,
+                       refined.cls)
+    centers = CenterColumns(refined.frames, *(stabilized[:, :2] * size).T)
     positions, at_infinity = georeference(centers, geo)
     flagged = np.flatnonzero(at_infinity)
     first_flagged = int(flagged[0]) if len(flagged) else len(positions)
     kept = np.zeros(len(positions), dtype=bool)
     vehicle_columns = [np.zeros((0, 4))]
-    for span in refined.id_rows().values():
-        if span.stop > first_flagged:
-            raise_at_infinity(centers, first_flagged, geo)
-        columns = process_vehicle(rows_of(boxes, span), rows_of(centers, span), size, geo,
-                                  positions[span, 2:4], dims_cfg, kin_cfg)
+    for vid, span in refined.id_rows().items():
+        try:
+            if span.stop > first_flagged:
+                raise_at_infinity(centers, first_flagged, geo)
+            columns = process_vehicle(rows_of(boxes, span), rows_of(centers, span), size, geo,
+                                      positions[span, 2:4], dims_cfg, kin_cfg)
+        except SkytrajError as exc:
+            raise SkytrajError(f"id {vid}: {exc}") from exc
         if len(columns) > MIN_EXPORT_POINTS:
             kept[span] = True
             vehicle_columns.append(columns)
     sections, lanes = lane_columns(positions, geo.segmentation)
 
     rows = np.flatnonzero(kept).tolist()
-    raw = [refined.points[i] for i in rows]
-    frames = [p.frame for p in raw]
+    frames = refined.frames[rows].tolist()
     stamps = {f: frame_to_timestamp(f, meta) for f in sorted(set(frames))}
     vehicle = np.concatenate(vehicle_columns)
     length, width, speed, accel = (
-        _optional_cells(vehicle[:, k], places)
+        optional_cells(vehicle[:, k], places)
         for k, places in enumerate((DIM_PLACES, DIM_PLACES, SPEED_PLACES, ACCEL_PLACES))
     )
     return list(zip(
-        [str(p.track_id) for p in raw],
+        map(str, refined.ids[rows].tolist()),
         [stamps[f] for f in frames],
         repeat(str(meta.drone_id)),
         *position_columns(positions[rows]),
         length,
         width,
-        [str(p.detection.cls) for p in raw],
+        map(str, refined.cls[rows].tolist()),
         speed,
         accel,
         [sections[i] for i in rows],
         [lanes[i] for i in rows],
         ["1" if v else "0" for v in visible[rows].tolist()],
     ))
-
-
-def _optional_cells(values: np.ndarray, places: int) -> list[str]:
-    """`format_column` cells of ``values``, '' where a value is NaN."""
-    filled = ~np.isnan(values)
-    cells = np.full(len(values), "", dtype=object)
-    cells[filled] = format_column(values[filled], places)
-    return cells.tolist()

@@ -19,7 +19,7 @@ from .errors import (
     NoModelFound,
     SingularTransform,
 )
-from .geometry import DET_FLOOR, Z_TOL, BBox, Homography, project_array
+from .geometry import DET_FLOOR, Z_TOL, Homography, project_array
 
 # Minimal sample whose smallest triangle area falls below this fraction of
 # the sample bounding-box area is rejected as quasi-collinear.
@@ -96,18 +96,19 @@ def snn_filter(matches: Matches, ratio: float) -> Matches:
     return matches.select(matches.d1 <= ratio * matches.d2)
 
 
-def mask_keep_flags(points: np.ndarray, masks: Sequence[BBox], margin: float) -> np.ndarray:
+def mask_keep_flags(points: np.ndarray, masks: np.ndarray, margin: float) -> np.ndarray:
     """Flags for an (n, 2) point array: False where a point lies strictly
     inside an enlarged mask.
 
-    Each mask is grown about its center to w*(1+margin) x h*(1+margin).
+    ``masks`` holds (m, 4) boxes ``cx, cy, w, h``; each is grown about its
+    center to w*(1+margin) x h*(1+margin).
     """
     keep = np.ones(len(points), dtype=bool)
-    for b in masks:
-        hw = b.w * (1.0 + margin) / 2.0
-        hh = b.h * (1.0 + margin) / 2.0
+    for cx, cy, w, h in masks.tolist():
+        hw = w * (1.0 + margin) / 2.0
+        hh = h * (1.0 + margin) / 2.0
         inside = (
-            (np.abs(points[:, 0] - b.cx) < hw) & (np.abs(points[:, 1] - b.cy) < hh)
+            (np.abs(points[:, 0] - cx) < hw) & (np.abs(points[:, 1] - cy) < hh)
         )
         keep &= ~inside
     return keep

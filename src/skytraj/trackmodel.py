@@ -1,14 +1,15 @@
 """Detection/track data model and per-track processing.
 
-Detections are stored frame-normalized (0..1); pixel-space work happens
-behind the operations. Tracks are immutable; every operation returns a
-new VideoTracks.
+Detections are stored frame-normalized (0..1) as per-point objects up to
+class refinement; every later stage reads the session's `TrackColumns`,
+with boxes in pixels. Tracks are immutable; every operation on them
+returns a new VideoTracks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,18 +46,45 @@ class VideoTracks:
     def frame_size(self) -> tuple[int, int]:
         return (self.frame_width, self.frame_height)
 
-    def id_rows(self) -> dict[int, slice]:
-        """Each track id's run of ``points``, in id order."""
-        ids = np.fromiter((p.track_id for p in self.points), dtype=np.int64,
-                          count=len(self.points))
-        bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-        return {int(ids[a]): slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a}
+    def columns(self) -> TrackColumns:
+        """The points as columns, in point order, boxes scaled to pixels."""
+        points = self.points
+        n = len(points)
+        keys = np.fromiter(((p.frame, p.track_id, p.detection.cls) for p in points),
+                           dtype=(np.int64, 3), count=n)
+        boxes = np.fromiter(
+            ((b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in points)),
+            dtype=(float, 4), count=n,
+        )
+        w_img, h_img = self.frame_size
+        return TrackColumns(keys[:, 0], keys[:, 1], keys[:, 2],
+                            boxes * np.array([w_img, h_img, w_img, h_img], dtype=float))
 
-    def by_frame(self) -> dict[int, list[TrackPoint]]:
-        groups: dict[int, list[TrackPoint]] = {}
-        for p in self.points:
-            groups.setdefault(p.frame, []).append(p)
-        return groups
+
+class TrackColumns(NamedTuple):
+    """A session's points as columns, in (track_id, frame) order."""
+
+    frames: np.ndarray  # frame numbers
+    ids: np.ndarray  # track ids
+    cls: np.ndarray  # class ids
+    boxes_px: np.ndarray  # (n, 4) cx, cy, w, h in pixels
+
+    def id_rows(self) -> dict[int, slice]:
+        """Each track id's run of rows, in id order."""
+        return _runs(self.ids)
+
+
+def _runs(values: np.ndarray) -> dict[int, slice]:
+    """Each value's run of the grouped ``values``, in order of appearance."""
+    bounds = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist(), len(values)]
+    return {int(values[a]): slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a}
+
+
+def frame_groups(frames: np.ndarray) -> dict[int, np.ndarray]:
+    """The rows of each frame number in ``frames``, ascending by frame; a
+    frame's rows keep their order."""
+    order = np.argsort(frames, kind="stable")
+    return {frame: order[rows] for frame, rows in _runs(frames[order]).items()}
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
@@ -142,21 +170,6 @@ def refine_classes(tracks: VideoTracks) -> VideoTracks:
     return replace(tracks, points=new_points)
 
 
-def denormalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
-    w_img, h_img = frame_size
-    return BBox(box.cx * w_img, box.cy * h_img, box.w * w_img, box.h * h_img)
-
-
-def pixel_boxes(points: Sequence[TrackPoint], frame_size: tuple[int, int]) -> np.ndarray:
-    """The (N, 4) ``cx, cy, w, h`` of the points' boxes in pixels, each
-    scaled as `denormalize_bbox` scales it."""
-    w_img, h_img = frame_size
-    return np.fromiter(
-        ((b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in points)),
-        dtype=(float, 4), count=len(points),
-    ) * np.array([w_img, h_img, w_img, h_img], dtype=float)
-
-
 def visible_flags(boxes: np.ndarray, frame_size: tuple[int, int], margin: float) -> np.ndarray:
     """Strict interior test of each (un-stabilized) pixel box ``cx, cy, w, h``
     against the frame borders: every edge at more than ``margin`` px inside
@@ -173,49 +186,33 @@ def visible_flags(boxes: np.ndarray, frame_size: tuple[int, int], margin: float)
 
 
 def stabilize_tracks(
-    tracks: VideoTracks,
+    columns: TrackColumns,
+    frame_size: tuple[int, int],
     per_frame_h: Mapping[int, Homography],
     visibility_margin: float = DEFAULT_VISIBILITY_MARGIN,
-) -> VideoTracks:
+) -> tuple[np.ndarray, np.ndarray]:
     """Map every box into the reference frame of the video's first frame.
 
     ``per_frame_h`` must cover every frame >= 2 that carries points; frame 1
-    defaults to the identity. Output boxes are re-normalized by the frame
-    size (centers may leave [0, 1] when motion exits the reference extent).
-    Visibility flags are recomputed on the un-stabilized boxes, since frame
-    borders are physical only in the original footage.
+    defaults to the identity. Returns the (n, 4) stabilized boxes ``cx, cy,
+    w, h`` re-normalized by the frame size (centers may leave [0, 1] when
+    motion exits the reference extent) and the (n,) visibility flags, which
+    are computed on the un-stabilized boxes, since frame borders are
+    physical only in the original footage.
 
     All boxes are mapped in one `transform_boxes` pass, each through its
-    frame's matrix. Errors come in point order: a point without a
-    homography raises only after every box before it has been mapped.
+    frame's matrix. Errors come in row order: a row without a homography
+    raises only after every box before it has been mapped.
     """
     identity = Homography.identity()
-    frame_size = w_img, h_img = tracks.frame_size
-    slot_of: dict[int, int] = {}  # frame -> its index in homs
-    homs: list[Homography] = []
-    which: list[int] = []
-    missing = None
-    for p in tracks.points:
-        slot = slot_of.get(p.frame)
-        if slot is None:
-            h = per_frame_h.get(p.frame)
-            if h is None:
-                if p.frame != 1:
-                    missing = MissingHomography(p.frame)
-                    break
-                h = identity
-            slot = slot_of[p.frame] = len(homs)
-            homs.append(h)
-        which.append(slot)
-    points = tracks.points[: len(which)]
-    raw = pixel_boxes(points, frame_size)
-    boxes = transform_boxes(homs, which, raw) / np.array([w_img, h_img, w_img, h_img], dtype=float)
-    if missing is not None:
-        raise missing
-    return replace(tracks, points=tuple(
-        TrackPoint(p.frame, p.track_id, Detection(box, p.detection.cls, p.detection.score), visible)
-        for p, box, visible in zip(
-            points, map(BBox, *boxes.T.tolist()),
-            visible_flags(raw, frame_size, visibility_margin).tolist(),
-        )
-    ))
+    frames, which = np.unique(columns.frames, return_inverse=True)
+    homs = [per_frame_h.get(f, identity if f == 1 else None) for f in frames.tolist()]
+    lacking = np.flatnonzero(np.isin(which, [i for i, h in enumerate(homs) if h is None]))
+    n = int(lacking[0]) if len(lacking) else len(which)
+    w_img, h_img = frame_size
+    boxes = transform_boxes(
+        [identity if h is None else h for h in homs], which[:n], columns.boxes_px[:n]
+    ) / np.array([w_img, h_img, w_img, h_img], dtype=float)
+    if n < len(which):
+        raise MissingHomography(int(columns.frames[n]))
+    return boxes, visible_flags(columns.boxes_px, frame_size, visibility_margin)

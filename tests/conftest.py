@@ -10,10 +10,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from skytraj.dimensions import BoxColumns, CenterColumns, box_columns, center_columns
+from skytraj.dimensions import BoxColumns, CenterColumns
 from skytraj.geometry import BBox, GeoTransform, Homography, Point2, apply_homography, pixel_to_world
 from skytraj.georeference import GeoChain, assign_segment
-from skytraj.trackmodel import Detection, TrackPoint, VideoTracks, pixel_boxes, visible_flags
+from skytraj.trackmodel import Detection, TrackColumns, TrackPoint, VideoTracks, visible_flags
 
 FRAME_W, FRAME_H = 3840, 2160
 
@@ -71,6 +71,17 @@ def make_tracks(points, frame_size=(FRAME_W, FRAME_H)):
     return VideoTracks(frame_width=frame_size[0], frame_height=frame_size[1], points=pts)
 
 
+def columns_of(points, frame_size=(FRAME_W, FRAME_H)) -> TrackColumns:
+    """The `TrackColumns` of ``points``, in the given order."""
+    return VideoTracks(*frame_size, tuple(points)).columns()
+
+
+def center_columns(points, frame_size=(FRAME_W, FRAME_H)) -> CenterColumns:
+    """The pixel box centers of ``points``, in the given order."""
+    columns = columns_of(points, frame_size)
+    return CenterColumns(columns.frames, columns.boxes_px[:, 0], columns.boxes_px[:, 1])
+
+
 def dim_columns(
     raw, stab=None, frame_size=(FRAME_W, FRAME_H), visible=None, margin=4.0
 ) -> tuple[BoxColumns, CenterColumns]:
@@ -78,10 +89,12 @@ def dim_columns(
     stabilized points (``stab`` defaults to ``raw``): the frames in the set
     ``visible`` are visible, or by default those whose raw box clears
     ``margin``."""
-    flags = (visible_flags(pixel_boxes(raw, frame_size), frame_size, margin) if visible is None
-             else [p.frame in visible for p in raw])
-    return box_columns(raw, frame_size, flags), center_columns(raw if stab is None else stab,
-                                                               frame_size)
+    columns = columns_of(raw, frame_size)
+    px = columns.boxes_px
+    flags = (visible_flags(px, frame_size, margin) if visible is None
+             else np.array([p.frame in visible for p in raw], dtype=bool))
+    return (BoxColumns(columns.frames, px[:, 2], px[:, 3], flags, columns.cls),
+            center_columns(raw if stab is None else stab, frame_size))
 
 
 def track_columns(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Per-point reference implementations of the vehicle measurement stages.
 
-These are the visibility test and the dimension and kinematics steps as
-they ran on per-point objects (``TrackPoint`` lists, frame->``Point2``
-maps, visible-frame sets) before they moved onto columns. The tests
+These are the box scaling, the visibility test and the dimension and
+kinematics steps as they ran on per-point objects (``TrackPoint`` lists,
+frame->``Point2`` maps, visible-frame sets) before they moved onto
+columns. The tests
 compare the array code in ``skytraj.trackmodel``, ``skytraj.dimensions``
 and ``skytraj.kinematics`` against them bit for bit; the steps that did
 not change (``ratio_filter``, ``dims_to_world``, ``acceleration``) are
@@ -30,9 +31,15 @@ from skytraj.dimensions import (
 from skytraj.errors import EmptySampleSet, EmptyVisibilitySet, TooShort
 from skytraj.geometry import BBox, GeoTransform, Homography, Point2
 from skytraj.kinematics import KinematicProfile, KinematicsConfig, acceleration
-from skytraj.trackmodel import TrackPoint, denormalize_bbox
+from skytraj.trackmodel import TrackPoint
 
 # --- visibility and dimensions -------------------------------------------------
+
+
+def denormalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
+    """A normalized box in pixels."""
+    w_img, h_img = frame_size
+    return BBox(box.cx * w_img, box.cy * h_img, box.w * w_img, box.h * h_img)
 
 
 def bbox_visible_px(box: BBox, frame_size: tuple[int, int], margin: float) -> bool:
@@ -247,7 +254,8 @@ def compute_profile(
     speed_raw[1:] = seq
     speed_smooth[1:] = smooth_seq
     if n >= 3:
-        accel[2:] = acceleration(smooth_seq, cfg.fps)
+        with np.errstate(over="ignore", invalid="ignore"):  # as `compute_profile` runs it
+            accel[2:] = acceleration(smooth_seq, cfg.fps)
     return KinematicProfile(frames, speed_raw, speed_smooth, accel, np.ones(n, dtype=bool))
 
 

@@ -16,6 +16,7 @@ from conftest import (
     PIPELINE_ARGS,
     build_pipeline_fixture,
     drift,
+    make_point,
     scenario_points,
     translation,
     write_correspondence_fixture,
@@ -24,7 +25,13 @@ from conftest import (
 )
 from skytraj import dataio
 from skytraj.cli import main
-from skytraj.dataio import EXPORT_COLUMNS, load_homography_log, load_tracks, VideoSidecar
+from skytraj.dataio import (
+    EXPORT_COLUMNS,
+    VideoSidecar,
+    load_homography_log,
+    load_tracks,
+    write_homography_log,
+)
 
 
 def run_cli(*args) -> int:
@@ -258,6 +265,49 @@ class TestPipelineCommand:
         v3 = [r for r in csv.DictReader(out.open()) if r["Vehicle_ID"] == "3"]
         assert len(v3) == 18
         assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
+
+    def test_tiny_box_side_prints_no_warning(self, tmp_path):
+        """A box side of 1e-310 gives an infinite length/width ratio on the
+        parked vehicle's ratio path: the box is kept, and stderr holds only
+        the row count, also outside the test runner's warning filters."""
+        points = [
+            replace(p, detection=replace(p.detection, bbox=replace(p.detection.bbox, h=1e-310)))
+            if (p.track_id, p.frame) == (3, 7) else p
+            for p in scenario_points()
+        ]
+        paths = build_pipeline_fixture(tmp_path / "fixture")
+        write_tracks_csv(paths["tracks"], points)
+        out = tmp_path / "out.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "skytraj", *map(str, pipeline_cmd(paths, out))],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stderr) == (0, "exported 38 rows\n")
+        v3 = [r for r in csv.DictReader(out.open()) if r["Vehicle_ID"] == "3"]
+        assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
+
+    def test_vehicle_error_names_the_vehicle(self, pipeline_fixture, tmp_path, capsys):
+        """A trajectory spanning more than a million frames (the sidecar
+        gives no n_frames) fails its vehicle's kinematics step, by id."""
+        paths = pipeline_fixture
+        far = 1_000_002
+        points = scenario_points() + [
+            make_point(k, 5, 1900.0 - drift(k)[0], 1000.0 - drift(k)[1], 180.0, 80.0)
+            for k in (1, 2)
+        ] + [make_point(far, 5, 1900.0, 1000.0, 180.0, 80.0)]
+        write_tracks_csv(paths["tracks"], points)
+        Path(paths["sidecar"]).write_text(
+            f"frame_width: {FRAME_W}\nframe_height: {FRAME_H}\nfps: 30000/1001\n")
+        homs = {k: translation(*drift(k)) for k in range(2, 21)}
+        write_homography_log({**homs, far: translation(0.0, 0.0)}, paths["homographies"])
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(paths, out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error [pipeline]: id 5: trajectory spans frames 1 to {far}, "
+            "more than 1000000 frames"
+        ]
+        assert not out.exists()
 
     def test_visibility_computed_once_per_point(self, pipeline_fixture, tmp_path, monkeypatch):
         from skytraj import trackmodel

@@ -48,7 +48,7 @@ from skytraj.dataio import (
 )
 from skytraj.dimensions import DimConfig
 from skytraj.errors import DegenerateProjection, InvariantViolation, ParseError, SkytrajError
-from skytraj.geometry import GeoTransform, Homography, Point2
+from skytraj.geometry import BBox, GeoTransform, Homography, Point2
 from skytraj.georeference import GeoChain, LanePolygon, SegmentationMap
 from skytraj.kinematics import KinematicsConfig
 from skytraj.pipeline import IngestParams, kinematic_profile, run_pipeline
@@ -127,6 +127,14 @@ class TestLoadTracks:
         with pytest.raises(InvariantViolation, match=r"line 2: frame \d+ beyond \+-2\*\*62$"):
             load_tracks(p, open_ended)
 
+    def test_id_beyond_int64_columns(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(self.header + f"1,{2**62},0.5,0.5,0.05,0.02,0,0.9\n")
+        assert load_tracks(p, SIDECAR).columns().ids.tolist() == [2**62]
+        p.write_text(self.header + f"1,{10**30},0.5,0.5,0.05,0.02,0,0.9\n")
+        with pytest.raises(InvariantViolation, match=r"line 2: id \d+ beyond \+-2\*\*62$"):
+            load_tracks(p, SIDECAR)
+
     def test_class_range_from_sidecar(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(self.header + "1,1,0.5,0.5,0.05,0.02,4,0.9\n")
@@ -161,9 +169,10 @@ class TestLoadTracks:
         pts = [make_point(k, 1, 600 + 25.3 * k, 1080.7, 180, 80) for k in range(1, 6)]
         tracks = make_tracks(pts)
         path = tmp_path / "out.csv"
-        write_tracks(tracks, path)
+        boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in pts)])
+        write_tracks(tracks, boxes, np.array([k % 2 == 0 for k in range(1, 6)]), path)
         again = load_tracks(path, SIDECAR)
-        assert again.points == tracks.points
+        assert again.points == tuple(replace(p, visible=p.frame % 2 == 0) for p in tracks.points)
 
 
 class TestWriteCsv:
@@ -968,9 +977,9 @@ class TestExport:
         [
             # vehicle 1 is visible: its dimension step maps the frame center,
             # which lies on the horizon, before vehicle 2 comes up
-            (1080.0, "point Point2(x=1920.0, y=1080.0) maps to projective infinity"),
+            (1080.0, "id 1: point Point2(x=1920.0, y=1080.0) maps to projective infinity"),
             # vehicle 1 crosses the top border, so it has no dimension step
-            (20.0, "point Point2(x=1920.0, y=20.0) maps to projective infinity"),
+            (20.0, "id 2: point Point2(x=1920.0, y=20.0) maps to projective infinity"),
         ],
         ids=["earlier-dimension-error", "later-vehicle-center"],
     )
@@ -979,21 +988,25 @@ class TestExport:
         # vehicle 2 (hidden) has its frame-9 center on it
         horizon = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 1920, 0, 1]])
         points = drive(1, 17, y=first_y) + drive(2, 17, y=20.0, x0=1720.0)
-        with pytest.raises(DegenerateProjection) as err:
+        with pytest.raises(SkytrajError) as err:
             export_cells(points, replace(GEO, ref_to_ortho=horizon))
         assert str(err.value) == message
+        assert isinstance(err.value.__cause__, DegenerateProjection)
 
     def test_reparse_round_trip_at_printed_precision(self, tmp_path):
         tracks = make_tracks(drive(1, 20))
-        stab = stabilize_tracks(tracks, {k: Homography.identity() for k in range(2, 21)})
+        boxes, visible = stabilize_tracks(tracks.columns(), tracks.frame_size,
+                                          {k: Homography.identity() for k in range(2, 21)})
+        stab = [replace(p, detection=replace(p.detection, bbox=BBox(*box)))
+                for p, box in zip(tracks.points, boxes.tolist())]
         kin = KinematicsConfig()
         out = tmp_path / "songdo.csv"
         export_songdo(export_cells(tracks.points), out)
-        positions = georeference_points(stab.points, tracks.frame_size, GEO)
+        positions = georeference_points(stab, tracks.frame_size, GEO)
         profile = kinematic_profile(
             np.array([p.frame for p in tracks.points]),
             np.array([g.local.x for g in positions]), np.array([g.local.y for g in positions]),
-            np.array([p.visible for p in stab.points]), kin,
+            visible, kin,
         )
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -1003,8 +1016,9 @@ class TestExport:
             assert float(cells["Ortho_X"]) == pytest.approx(g.ortho.x, abs=0.05)
             assert float(cells["Local_X"]) == pytest.approx(g.local.x, abs=0.005)
             assert float(cells["Latitude"]) == pytest.approx(g.wgs.x, abs=5e-8)
-            speed = profile.speed_kmh(p.frame)
-            if speed is None:
+            at = p.frame - profile.frames[0]
+            speed = profile.speed_smooth[at] * 3.6
+            if not profile.exported[at] or math.isnan(speed):
                 assert cells["Vehicle_Speed"] == ""
             else:
                 speeds += 1

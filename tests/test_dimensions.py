@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import dim_columns, make_point
+from conftest import center_columns, columns_of, dim_columns, make_point
 from skytraj.dimensions import (
     DimConfig,
     DimPath,
     DimSamples,
     azimuth_filter,
     azimuth_sequence,
-    center_columns,
     dims_to_world,
     estimate_dimensions,
     first_quartile,
@@ -23,7 +22,7 @@ from skytraj.dimensions import (
 )
 from skytraj.errors import EmptySampleSet, EmptyVisibilitySet
 from skytraj.geometry import GeoTransform, Homography
-from skytraj.trackmodel import pixel_boxes, visible_flags
+from skytraj.trackmodel import visible_flags
 
 SIZE = (3840, 2160)
 GSD = 0.02725
@@ -38,7 +37,7 @@ def track_from_centers(centers, w=180.0, h=80.0, cls=0, track_id=1):
 
 
 def visible_frames(points, margin=4.0):
-    flags = visible_flags(pixel_boxes(points, SIZE), SIZE, margin)
+    flags = visible_flags(columns_of(points, SIZE).boxes_px, SIZE, margin)
     return {p.frame for p, v in zip(points, flags.tolist()) if v}
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     GEO_IDENTITY,
     GeoPosition,
+    center_columns,
     georeference_points,
     inverse,
     make_point,
@@ -31,7 +32,6 @@ from skytraj.georeference import (
     assign_segment,
     point_in_polygon,
 )
-from skytraj.dimensions import center_columns
 from skytraj.pipeline import georeference, lane_columns, raise_at_infinity
 
 SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact

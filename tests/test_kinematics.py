@@ -14,7 +14,6 @@ from skytraj.geometry import Point2
 from skytraj.kinematics import (
     MAX_DENSE_FRAMES,
     MAX_KERNEL_RADIUS,
-    KinematicProfile,
     KinematicsConfig,
     acceleration,
     compute_profile,
@@ -208,8 +207,8 @@ class TestProfileAndGating:
         pts = {k: Point2(0.5 * k, 0.0) for k in range(1, 11)}
         profile = profile_of(pts, self.cfg)
         partial = gated(profile, pts, set(range(6, 11)))
-        assert partial.speed_kmh(3) is None
-        assert partial.speed_kmh(7) is not None
+        assert partial.exported.tolist() == [False] * 5 + [True] * 5
+        assert not math.isnan(partial.speed_smooth[6])  # frame 7
         # internal values unchanged by gating
         assert np.array_equal(partial.speed_smooth, profile.speed_smooth, equal_nan=True)
 
@@ -217,7 +216,6 @@ class TestProfileAndGating:
         pts = {k: Point2(0.5 * k, 0.0) for k in range(1, 6)}
         hidden = gated(profile_of(pts, self.cfg), pts, set())
         assert not hidden.exported.any()
-        assert hidden.speed_kmh(3) is None
 
     def test_interpolated_frames_present(self):
         pts = {1: Point2(0, 0), 4: Point2(3, 0), 5: Point2(4, 0)}
@@ -228,77 +226,10 @@ class TestProfileAndGating:
     def test_first_frame_speed_undefined(self):
         pts = {k: Point2(2.0 * k, 0.0) for k in range(1, 6)}
         profile = gated(profile_of(pts, self.cfg), pts, set(range(1, 6)))
-        assert profile.speed_kmh(1) is None
-        assert profile.accel_ms2(2) is None
-        assert profile.accel_ms2(3) is not None
-
-
-# --- searchsorted reference of the profile lookups ----------------------------
-
-
-def _ref_cell(profile, values, frame):
-    """A profile cell found by `np.searchsorted`, as before the index
-    arithmetic."""
-    i = int(np.searchsorted(profile.frames, frame))
-    if i >= len(profile.frames) or profile.frames[i] != frame:
-        return None
-    if not profile.exported[i] or math.isnan(values[i]):
-        return None
-    return float(values[i])
-
-
-def _cells(profile, frames):
-    return [
-        (profile.speed_ms(f), profile.accel_ms2(f), profile.speed_kmh(f),
-         profile._cell(profile.speed_raw, f))
-        for f in frames
-    ]
-
-
-def _ref_cells(profile, frames):
-    out = []
-    for f in frames:
-        speed = _ref_cell(profile, profile.speed_smooth, f)
-        out.append((speed, _ref_cell(profile, profile.accel, f),
-                    None if speed is None else speed * 3.6,
-                    _ref_cell(profile, profile.speed_raw, f)))
-    return out
-
-
-@st.composite
-def _tracks(draw):
-    frames = draw(st.lists(st.integers(1, 60), min_size=2, max_size=12, unique=True))
-    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-50, 50))
-    points = {f: Point2(draw(coord), draw(coord)) for f in frames}
-    visible = set(draw(st.lists(st.sampled_from(sorted(frames)), unique=True)))
-    return points, visible
-
-
-class TestProfileCellsMatchSearchsorted:
-    @settings(max_examples=300, deadline=None)
-    @given(case=_tracks(), sigma=st.sampled_from([0.4, 2.0, 14.0]))
-    def test_every_frame_around_the_track(self, case, sigma):
-        points, visible = case
-        profile = gated(profile_of(points, KinematicsConfig(sigma=sigma)), points, visible)
-        lo, hi = min(points), max(points)
-        frames = range(lo - 3, hi + 4)  # absent frames on both sides
-        assert _cells(profile, frames) == _ref_cells(profile, frames)
-
-    def test_absent_ungated_and_undefined_cells(self):
-        points = {1: Point2(0, 0), 2: Point2(1, 0), 5: Point2(4, 0)}
-        profile = gated(profile_of(points, KinematicsConfig(sigma=1.0)), points, {1, 2, 5})
-        assert profile.speed_ms(0) is None and profile.speed_ms(6) is None  # absent
-        assert profile.speed_ms(4) is None  # interpolated, not exported
-        assert profile.speed_ms(1) is None  # exported but undefined
-        assert profile.accel_ms2(2) is None
-        assert profile.speed_ms(5) is not None
-        assert _cells(profile, range(-1, 8)) == _ref_cells(profile, range(-1, 8))
-
-    def test_empty_profile_has_no_cells(self):
-        empty = np.zeros(0)
-        profile = KinematicProfile(np.zeros(0, dtype=int), empty, empty, empty,
-                                   np.zeros(0, dtype=bool))
-        assert _cells(profile, [0, 1]) == _ref_cells(profile, [0, 1]) == [(None,) * 4] * 2
+        assert profile.exported.all()
+        assert math.isnan(profile.speed_smooth[0])  # frame 1
+        assert math.isnan(profile.accel[1])  # frame 2
+        assert not math.isnan(profile.accel[2])  # frame 3
 
 
 # --- the column stage against the per-point reference -------------------------

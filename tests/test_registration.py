@@ -81,20 +81,20 @@ class TestMaskFilter:
 
     def test_no_masks(self):
         pts = np.array([(1.0, 2.0), (3.0, 4.0)])
-        assert mask_keep_flags(pts, [], 0.15).tolist() == [True, True]
+        assert mask_keep_flags(pts, np.zeros((0, 4)), 0.15).tolist() == [True, True]
 
     def test_enlarged_mask_removes(self):
         # half-width grows from 5.0 to 5.75 with a 15% margin
-        mask = BBox(100, 100, 10, 10)
+        mask = np.array([(100.0, 100.0, 10.0, 10.0)])
         pts = np.array([(105.7, 100.0), (106.0, 100.0)])
-        assert mask_keep_flags(pts, [mask], 0.15).tolist() == [False, True]
+        assert mask_keep_flags(pts, mask, 0.15).tolist() == [False, True]
 
     def test_zero_margin_boundary(self):
-        mask = BBox(100, 100, 10, 10)
-        assert mask_keep_flags(np.array([(106.0, 100.0)]), [mask], 0.0).tolist() == [True]
+        mask = np.array([(100.0, 100.0, 10.0, 10.0)])
+        assert mask_keep_flags(np.array([(106.0, 100.0)]), mask, 0.0).tolist() == [True]
         # boundary itself is not strictly inside
-        assert mask_keep_flags(np.array([(105.0, 100.0)]), [mask], 0.0).tolist() == [True]
-        assert mask_keep_flags(np.array([(104.9, 100.0)]), [mask], 0.0).tolist() == [False]
+        assert mask_keep_flags(np.array([(105.0, 100.0)]), mask, 0.0).tolist() == [True]
+        assert mask_keep_flags(np.array([(104.9, 100.0)]), mask, 0.0).tolist() == [False]
 
 
 # --- Per-row reference of the columnar match steps --------------------------
@@ -198,7 +198,8 @@ class TestColumnarStepsMatchPerRowReference:
         if edges:
             point = st.one_of(point, st.sampled_from(edges))
         points = data.draw(st.lists(point, max_size=12))
-        flags = mask_keep_flags(np.array(points, dtype=float).reshape(-1, 2), masks, margin)
+        boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in masks], dtype=float).reshape(-1, 4)
+        flags = mask_keep_flags(np.array(points, dtype=float).reshape(-1, 2), boxes, margin)
         assert flags.tolist() == _ref_mask_keep(points, masks, margin)
 
     @settings(max_examples=100, deadline=None)
@@ -210,7 +211,7 @@ class TestColumnarStepsMatchPerRowReference:
         empty = _from_rows([])
         assert len(empty) == 0
         assert len(snn_filter(empty, 0.9)) == 0
-        assert mask_keep_flags(empty.src, [BBox(0, 0, 4, 4)], 0.15).shape == (0,)
+        assert mask_keep_flags(empty.src, np.array([(0.0, 0.0, 4.0, 4.0)]), 0.15).shape == (0,)
         assert empty.scaled(0.5).src.shape == (0, 2)
 
 

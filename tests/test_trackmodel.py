@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, rotation, translation
-from reference import bbox_visible_px
+from reference import bbox_visible_px, denormalize_bbox
 from skytraj.errors import DegenerateProjection, MissingHomography, SkytrajError
 from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.trackmodel import (
     Detection,
     TrackPoint,
+    VideoTracks,
     bbox_iou,
-    denormalize_bbox,
+    frame_groups,
     ingest_keep_indices,
-    pixel_boxes,
     refine_classes,
     stabilize_tracks,
     visible_flags,
@@ -247,71 +247,128 @@ class TestVisibilityFlag:
                for k in range(1, 30)]
         want = [[b.cx, b.cy, b.w, b.h] for b in (denormalize_bbox(p.detection.bbox, size)
                                                  for p in pts)]
-        assert pixel_boxes(pts, size).tolist() == want
+        assert make_tracks(pts, frame_size=size).columns().boxes_px.tolist() == want
+
+
+class TestTrackColumns:
+    def test_columns_follow_point_order(self):
+        pts = [make_point(k, tid, 10.0 * k, 20.0, 4.0, 2.0, cls=tid % 3)
+               for tid in (7, 2, 5) for k in (3, 1, 2)]
+        tracks = make_tracks(pts)
+        columns = tracks.columns()
+        assert columns.frames.tolist() == [p.frame for p in tracks.points]
+        assert columns.ids.tolist() == [p.track_id for p in tracks.points]
+        assert columns.cls.tolist() == [p.detection.cls for p in tracks.points]
+        assert columns.id_rows() == {2: slice(0, 3), 5: slice(3, 6), 7: slice(6, 9)}
+
+    def test_empty_session(self):
+        columns = VideoTracks(64, 32, ()).columns()
+        assert columns.boxes_px.shape == (0, 4)
+        assert columns.id_rows() == {}
+        assert frame_groups(columns.frames) == {}
+
+    def test_frame_groups_are_stable(self):
+        groups = frame_groups(np.array([3, 1, 3, 2, 1, 3]))
+        assert list(groups) == [1, 2, 3]
+        assert {f: rows.tolist() for f, rows in groups.items()} == {
+            1: [1, 4], 2: [3], 3: [0, 2, 5]}
+
+
+def stabilize(tracks, per_frame_h, visibility_margin=4.0):
+    """`stabilize_tracks` on the columns of ``tracks``, its rows rebuilt as
+    points for comparison with the per-point reference."""
+    boxes, visible = stabilize_tracks(
+        tracks.columns(), tracks.frame_size, per_frame_h, visibility_margin
+    )
+    return tuple(
+        TrackPoint(p.frame, p.track_id, Detection(BBox(*box), p.detection.cls,
+                                                  p.detection.score), v)
+        for p, box, v in zip(tracks.points, boxes.tolist(), visible.tolist())
+    )
 
 
 class TestStabilizeTracks:
+    def test_returns_arrays_and_builds_no_point_objects(self, monkeypatch):
+        pts = [make_point(k, tid, 300 + k, 400, 30, 15) for tid in (1, 2) for k in range(1, 6)]
+        tracks = make_tracks(pts)
+        columns = tracks.columns()
+        built = []
+
+        def counted(init):
+            def wrapped(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return wrapped
+
+        for cls in (TrackPoint, Detection, BBox):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        boxes, visible = stabilize_tracks(columns, tracks.frame_size,
+                                          {k: rotation(0.1) for k in range(2, 6)})
+        assert built == []
+        assert boxes.shape == (10, 4) and boxes.dtype == float
+        assert visible.shape == (10,) and visible.dtype == bool
+
     def test_identity_unchanged(self):
         pts = [make_point(k, 1, 100 + k, 200, 20, 10) for k in range(1, 4)]
         tracks = make_tracks(pts)
         homs = {k: Homography.identity() for k in range(2, 4)}
-        out = stabilize_tracks(tracks, homs)
-        for before, after in zip(tracks.points, out.points):
+        out = stabilize(tracks, homs)
+        for before, after in zip(tracks.points, out):
             assert before.detection.bbox == after.detection.bbox
 
     def test_translation_shifts_normalized_center(self):
         tracks = make_tracks([make_point(2, 1, 100, 200, 20, 10)])
-        out = stabilize_tracks(tracks, {2: translation(10, 0)})
-        box = out.points[0].detection.bbox
+        out = stabilize(tracks, {2: translation(10, 0)})
+        box = out[0].detection.bbox
         assert box.cx == pytest.approx((100 + 10) / 3840, abs=1e-12)
         assert box.cy == pytest.approx(200 / 2160, abs=1e-12)
         assert box.w == pytest.approx(20 / 3840, abs=1e-12)
 
     def test_rotation_swaps_box_sides(self):
         tracks = make_tracks([make_point(2, 1, 500, 500, 80, 40)])
-        out = stabilize_tracks(tracks, {2: rotation(math.pi / 2)})
-        box = out.points[0].detection.bbox
+        out = stabilize(tracks, {2: rotation(math.pi / 2)})
+        box = out[0].detection.bbox
         assert box.w * 3840 == pytest.approx(40, abs=1e-9)
         assert box.h * 2160 == pytest.approx(80, abs=1e-9)
 
     def test_missing_homography(self):
         tracks = make_tracks([make_point(7, 1, 100, 100, 10, 10)])
         with pytest.raises(MissingHomography) as err:
-            stabilize_tracks(tracks, {})
+            stabilize(tracks, {})
         assert err.value.frame == 7
 
     def test_frame_one_defaults_to_identity(self):
         tracks = make_tracks([make_point(1, 1, 100, 100, 10, 10)])
-        out = stabilize_tracks(tracks, {})
-        assert out.points[0].detection.bbox == tracks.points[0].detection.bbox
+        out = stabilize(tracks, {})
+        assert out[0].detection.bbox == tracks.points[0].detection.bbox
 
     def test_preserves_points_and_ids(self):
         pts = [make_point(k, tid, 300 + k, 400, 30, 15)
                for tid in (1, 2) for k in range(1, 6)]
         tracks = make_tracks(pts)
         homs = {k: translation(k, -k) for k in range(2, 6)}
-        out = stabilize_tracks(tracks, homs)
-        assert len(out.points) == len(tracks.points)
-        assert [(p.track_id, p.frame) for p in out.points] == [
+        out = stabilize(tracks, homs)
+        assert len(out) == len(tracks.points)
+        assert [(p.track_id, p.frame) for p in out] == [
             (p.track_id, p.frame) for p in tracks.points
         ]
 
     def test_visibility_from_unstabilized_boxes(self):
         # box is central originally; the homography throws it out of frame
         tracks = make_tracks([make_point(2, 1, 1920, 1080, 100, 50)])
-        out = stabilize_tracks(tracks, {2: translation(5000, 0)})
-        assert out.points[0].detection.bbox.cx > 1.0
-        assert out.points[0].visible is True
+        out = stabilize(tracks, {2: translation(5000, 0)})
+        assert out[0].detection.bbox.cx > 1.0
+        assert out[0].visible is True
         # and the reverse: box near the border stays not-visible even if
         # stabilization recenters it
         tracks2 = make_tracks([make_point(2, 1, 30, 1080, 100, 50)])
-        out2 = stabilize_tracks(tracks2, {2: translation(1000, 0)})
-        assert out2.points[0].visible is False
+        out2 = stabilize(tracks2, {2: translation(1000, 0)})
+        assert out2[0].visible is False
 
     def test_normalized_coordinates_may_leave_unit_range(self):
         tracks = make_tracks([make_point(2, 1, 3800, 1080, 100, 50)])
-        out = stabilize_tracks(tracks, {2: translation(500, 0)})
-        assert out.points[0].detection.bbox.cx > 1.0
+        out = stabilize(tracks, {2: translation(500, 0)})
+        assert out[0].detection.bbox.cx > 1.0
 
 
 # --- Per-point reference of the array stabilization --------------------------
@@ -356,7 +413,6 @@ def _stabilize_outcome(fn, tracks, homs):
         points = fn(tracks, homs)
     except SkytrajError as exc:
         return type(exc).__name__, str(exc)
-    points = getattr(points, "points", points)
     return [
         (p.frame, p.track_id, p.detection.cls, _bits(p.detection.score), p.visible,
          *map(_bits, (p.detection.bbox.cx, p.detection.bbox.cy,
@@ -419,7 +475,7 @@ class TestStabilizeMatchesPerPointReference:
     @given(session=_sessions())
     def test_random_sessions(self, session):
         tracks, homs = session
-        assert _stabilize_outcome(stabilize_tracks, tracks, homs) == _stabilize_outcome(
+        assert _stabilize_outcome(stabilize, tracks, homs) == _stabilize_outcome(
             _ref_stabilize_tracks, tracks, homs
         )
 
@@ -430,9 +486,9 @@ class TestStabilizeMatchesPerPointReference:
                               make_point(2, 2, 95, 5, 10, 10, frame_size=(128, 64))],
                              frame_size=(128, 64))
         with pytest.raises(DegenerateProjection) as err:
-            stabilize_tracks(tracks, {2: h})
+            stabilize(tracks, {2: h})
         assert str(err.value) == f"point {Point2(100.0, 0.0)} maps to projective infinity"
-        assert _stabilize_outcome(stabilize_tracks, tracks, {2: h}) == _stabilize_outcome(
+        assert _stabilize_outcome(stabilize, tracks, {2: h}) == _stabilize_outcome(
             _ref_stabilize_tracks, tracks, {2: h}
         )
 
@@ -442,18 +498,18 @@ class TestStabilizeMatchesPerPointReference:
         tracks = make_tracks([make_point(2, 1, 95, 5, 10, 10, frame_size=size),
                               make_point(3, 1, 40, 5, 10, 10, frame_size=size)], frame_size=size)
         with pytest.raises(DegenerateProjection):
-            stabilize_tracks(tracks, {2: h})
+            stabilize(tracks, {2: h})
         with pytest.raises(MissingHomography):
-            stabilize_tracks(tracks, {2: translation(1, 1)})
+            stabilize(tracks, {2: translation(1, 1)})
 
     def test_signed_zero_corners_follow_python_min_max(self):
         # mapped corner x values are (0.0, 0.0, -0.0, -0.0): Python's min and
         # max keep the first zero, numpy's pick -0.0
         h = Homography.from_matrix([[-1.0, -0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         tracks = make_tracks([TrackPoint(2, 1, Detection(BBox(0.0, -0.0, 0.0, 0.0), 0, 0.5))])
-        (p,) = stabilize_tracks(tracks, {2: h}).points
+        (p,) = stabilize(tracks, {2: h})
         assert _bits(p.detection.bbox.cx) == _bits(0.0)
-        assert _stabilize_outcome(stabilize_tracks, tracks, {2: h}) == _stabilize_outcome(
+        assert _stabilize_outcome(stabilize, tracks, {2: h}) == _stabilize_outcome(
             _ref_stabilize_tracks, tracks, {2: h}
         )
 
@@ -466,12 +522,12 @@ class TestStabilizeMatchesPerPointReference:
         tracks = make_tracks([TrackPoint(2, 1, Detection(box, 0, 0.5))], frame_size=size)
         (ref,) = _ref_stabilize_tracks(tracks, {2: h})
         assert ref.detection.bbox.w == math.inf
-        assert _stabilize_outcome(stabilize_tracks, tracks, {2: h}) == _stabilize_outcome(
+        assert _stabilize_outcome(stabilize, tracks, {2: h}) == _stabilize_outcome(
             _ref_stabilize_tracks, tracks, {2: h}
         )
 
     def test_translation_keeps_size_bits(self):
         tracks = make_tracks([make_point(2, 1, 100.1, 200.3, 20.7, 10.9)])
-        (p,) = stabilize_tracks(tracks, {2: translation(0.1, -0.3)}).points
+        (p,) = stabilize(tracks, {2: translation(0.1, -0.3)})
         (q,) = _ref_stabilize_tracks(tracks, {2: translation(0.1, -0.3)})
         assert p == q
