@@ -204,15 +204,16 @@ def stabilize_tracks(
     frame's matrix. Errors come in row order: a row without a homography
     raises only after every box before it has been mapped.
     """
-    identity = Homography.identity()
     frames, which = np.unique(columns.frames, return_inverse=True)
-    homs = [per_frame_h.get(f, identity if f == 1 else None) for f in frames.tolist()]
-    lacking = np.flatnonzero(np.isin(which, [i for i, h in enumerate(homs) if h is None]))
-    n = int(lacking[0]) if len(lacking) else len(which)
+    frames = frames.tolist()
+    missing = [f for f in frames if f != 1 and f not in per_frame_h]
+    n = int(np.isin(columns.frames, missing).argmax()) if missing else len(which)
+    identity = Homography.identity()
+    homs = [per_frame_h.get(f, identity) for f in frames]
     w_img, h_img = frame_size
-    boxes = transform_boxes(
-        [identity if h is None else h for h in homs], which[:n], columns.boxes_px[:n]
-    ) / np.array([w_img, h_img, w_img, h_img], dtype=float)
+    boxes = transform_boxes(homs, which[:n], columns.boxes_px[:n]) / np.array(
+        [w_img, h_img, w_img, h_img], dtype=float
+    )
     if n < len(which):
         raise MissingHomography(int(columns.frames[n]))
     return boxes, visible_flags(columns.boxes_px, frame_size, visibility_margin)

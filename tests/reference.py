@@ -3,11 +3,10 @@
 These are the box scaling, the visibility test and the dimension and
 kinematics steps as they ran on per-point objects (``TrackPoint`` lists,
 frame->``Point2`` maps, visible-frame sets) before they moved onto
-columns. The tests
-compare the array code in ``skytraj.trackmodel``, ``skytraj.dimensions``
-and ``skytraj.kinematics`` against them bit for bit; the steps that did
-not change (``ratio_filter``, ``dims_to_world``, ``acceleration``) are
-shared.
+columns. The tests compare the array code in ``skytraj.trackmodel``,
+``skytraj.dimensions`` and ``skytraj.kinematics`` against them bit for
+bit; the steps that did not change (``ratio_filter``, ``dims_to_world``,
+``acceleration``) are shared.
 """
 from __future__ import annotations
 
