@@ -22,14 +22,13 @@ from . import campaign as camp
 from . import dataio
 from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import ConfigError, ParseError, SkytrajError
-from .kinematics import KinematicsConfig
+from .kinematics import KinematicsConfig, compute_profile
 from .metrics import ComparisonSample, aggregate_comparison
 from .pipeline import (
     IngestParams,
     StabilizeParams,
     estimate_frame_homographies,
     georeference,
-    kinematic_profile,
     lane_columns,
     position_columns,
     raise_at_infinity,
@@ -314,17 +313,19 @@ def cmd_kinematics(args) -> int:
     tracks = dataio.load_local_trajectories(_path(cfg, args, "input"))
 
     def vehicle_rows(vid, track):
-        profile = kinematic_profile(*track, kin)
-        if profile is None:
+        frames, x, y, shown = track
+        if len(frames) < 2:
             log(f"id {vid}: fewer than 2 points, skipped")
             return []
-        shown = profile.exported
-        speed, accel = profile.speed_smooth[shown], profile.accel[shown]
+        profile = compute_profile(frames, x, y, kin)
+        # frames are unique per id, so each visible row has its own dense entry
+        at = (frames - frames[0])[shown]
+        speed, accel = profile.speed_smooth[at], profile.accel[at]
         with np.errstate(over="ignore"):  # as on Python floats
             speed_kmh = speed * 3.6
         return zip(
             repeat(vid),
-            profile.frames[shown].tolist(),
+            frames[shown].tolist(),
             ["" if math.isnan(v) else repr(v) for v in speed.tolist()],
             dataio.optional_cells(speed_kmh, dataio.SPEED_PLACES),
             dataio.optional_cells(accel, dataio.ACCEL_PLACES),

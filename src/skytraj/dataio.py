@@ -205,8 +205,8 @@ def load_tracks(
     """Read a per-video track CSV, validating every row.
 
     Columns: frame,id,cx,cy,w,h,class,score (normalized floats), plus an
-    optional 0/1 ``visible`` column as written by the stabilize stage.
-    Malformed rows raise ParseError, out-of-range values
+    optional 0/1 ``visible`` column as written by the stabilize stage,
+    checked but not kept. Malformed rows raise ParseError, out-of-range values
     InvariantViolation; both name the file and the 1-based line.
     Stabilized tracks may leave the unit square, so their consumers pass
     ``require_unit_range=False``.
@@ -216,7 +216,7 @@ def load_tracks(
     n_frames, n_classes = sidecar.n_frames, sidecar.n_classes
     points: list[TrackPoint] = []
     seen: set[tuple[int, int]] = set()
-    for line, (frame, track_id, cx, cy, w, h, cls, score, visible) in _read_csv_rows(
+    for line, (frame, track_id, cx, cy, w, h, cls, score) in _read_csv_rows(
         path, TRACK_COLUMNS, _track_values, optional=["visible"]
     ):
         if frame < 1:
@@ -250,7 +250,7 @@ def load_tracks(
             )
         seen.add(key)
         box = BBox(cx, cy, w, h)
-        points.append(TrackPoint(frame, track_id, Detection(box, cls, score), visible))
+        points.append(TrackPoint(frame, track_id, Detection(box, cls, score)))
     points.sort(key=attrgetter("track_id", "frame"))
     return VideoTracks(
         frame_width=sidecar.frame_width,
@@ -260,8 +260,9 @@ def load_tracks(
 
 
 def _track_values(cells: Sequence) -> tuple:
-    """The typed cells of a track CSV row; not visible without the column."""
-    return (
+    """The typed cells of a track CSV row. A ``visible`` cell is checked
+    last and not kept: the stages compute visibility from the boxes."""
+    values = (
         int(cells[0]),  # frame
         int(cells[1]),  # id
         float(cells[2]),  # cx
@@ -270,8 +271,9 @@ def _track_values(cells: Sequence) -> tuple:
         float(cells[5]),  # h
         int(cells[6]),  # class
         float(cells[7]),  # score
-        _visible(cells[8:], False),
     )
+    _visible(cells[8:], False)
+    return values
 
 
 def _visible(cells: Sequence, default: bool) -> bool:

@@ -3,9 +3,9 @@
 Gaps are filled by linear interpolation, raw speed is the distance
 between consecutive points times the frame rate, the speed sequence is
 smoothed by a truncated Gaussian kernel with mirror-reflected ends, and
-acceleration is the backward difference of smoothed speeds. Exported
-values are gated by the per-frame visibility flags; internal computation
-always runs over the full dense track so that box growth at the frame
+acceleration is the backward difference of smoothed speeds. The
+profile always covers the full dense track; callers export it on the
+rows whose box is fully visible only, so that box growth at the frame
 borders cannot leak into interior values.
 """
 from __future__ import annotations
@@ -54,15 +54,12 @@ class KinematicProfile:
     """Per-frame kinematics over the dense frame range of one vehicle.
 
     Arrays align with ``frames``; NaN marks undefined entries (speed needs
-    one predecessor, acceleration two). ``exported`` marks frames whose
-    values survive visibility gating.
+    one predecessor, acceleration two).
     """
 
     frames: np.ndarray
-    speed_raw: np.ndarray  # m/s
     speed_smooth: np.ndarray  # m/s
     accel: np.ndarray  # m/s^2
-    exported: np.ndarray  # bool
 
 
 def interpolate_gaps(
@@ -167,21 +164,7 @@ def compute_profile(
         seq = raw_speed(dense_x, dense_y, cfg.fps)
         smooth_seq = gaussian_smooth(seq, cfg.sigma)
         accel_seq = acceleration(smooth_seq, cfg.fps) if len(seq) >= 2 else seq[:0]
-    n = len(dense)
-    speed_raw, speed_smooth, accel = np.full((3, n), np.nan)
-    speed_raw[1:] = seq
+    speed_smooth, accel = np.full((2, len(dense)), np.nan)
     speed_smooth[1:] = smooth_seq
     accel[2:] = accel_seq
-    return KinematicProfile(dense, speed_raw, speed_smooth, accel, np.ones(n, dtype=bool))
-
-
-def gate_by_visibility(
-    profile: KinematicProfile, frames: np.ndarray, visible: np.ndarray
-) -> KinematicProfile:
-    """Restrict exported values to the observed ``frames`` whose ``visible``
-    flag is set."""
-    exported = np.zeros(len(profile.frames), dtype=bool)
-    if len(profile.frames):
-        exported[np.asarray(frames)[visible] - profile.frames[0]] = True
-    return KinematicProfile(profile.frames, profile.speed_raw, profile.speed_smooth,
-                            profile.accel, exported)
+    return KinematicProfile(dense, speed_smooth, accel)

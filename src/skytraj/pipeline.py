@@ -28,7 +28,7 @@ from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimension
 from .errors import MissingDistances, MissingHomography, SkytrajError
 from .geometry import Z_TOL, Homography, Point2, apply_homography, pixel_to_world, project_array
 from .georeference import GeoChain, SegmentationMap, assign_segment
-from .kinematics import KinematicProfile, KinematicsConfig, compute_profile, gate_by_visibility
+from .kinematics import KinematicsConfig, compute_profile
 from .registration import (
     EstimateReport,
     RansacConfig,
@@ -105,7 +105,8 @@ def estimate_frame_homographies(
     frame's own pixel boxes in ``columns`` act as exclusion masks around
     matches' source points; the optional ratio test runs next; estimation
     happens on coordinates scaled by ``downscale`` and the result is lifted
-    back.
+    back. Each frame's report holds the lifted homography and its mean
+    error in full-resolution pixels.
     An error in reading or filtering a file names the file and the line.
     """
     corr_dir = Path(correspondence_dir)
@@ -137,10 +138,12 @@ def estimate_frame_homographies(
             report = ransac_homography(est_pairs, cfg)
         except SkytrajError as exc:
             raise SkytrajError(f"frame {frame}: {exc}") from exc
-        h = report.homography
         if rho < 1.0:
-            h = upscale_homography(h, rho)
-        homs[frame] = h
+            # the symmetric error of the lifted matrix on full-resolution
+            # points is that of the estimate divided by rho
+            report = replace(report, homography=upscale_homography(report.homography, rho),
+                             mean_reproj_error=report.mean_reproj_error / rho)
+        homs[frame] = report.homography
         reports[frame] = report
     return homs, reports
 
@@ -194,18 +197,6 @@ def position_columns(positions: np.ndarray) -> list[list[str]]:
     return [format_column(positions[:, k], places) for k, places in enumerate(POSITION_PLACES)]
 
 
-def kinematic_profile(
-    frames: np.ndarray, x: np.ndarray, y: np.ndarray, visible: np.ndarray,
-    cfg: KinematicsConfig,
-) -> KinematicProfile | None:
-    """Speed and acceleration over one trajectory (positions ``x``, ``y`` at
-    the ascending ``frames``), exported on the frames flagged ``visible``
-    only; None below two points."""
-    if len(frames) < 2:
-        return None
-    return gate_by_visibility(compute_profile(frames, x, y, cfg), frames, visible)
-
-
 def process_vehicle(
     boxes: BoxColumns,
     centers: CenterColumns,
@@ -222,24 +213,26 @@ def process_vehicle(
     ``boxes`` and ``centers`` are one vehicle's rows of the session's raw
     boxes and stabilized centers: the same frames, in frame order, with the
     ``visible`` flags that ``stabilize_tracks`` returns; ``local`` holds the
-    (n, 2) local-meter positions of the stabilized centers.
+    (n, 2) local-meter positions of the stabilized centers. Speed and
+    acceleration run over the whole dense track and are kept on the
+    visible rows only; a vehicle of one row has neither.
     """
     estimate = estimate_dimensions(
         boxes, centers, dims, frame_size, geo.ref_to_ortho, geo.geo_local
     )
-    frames = boxes.frames
-    profile = kinematic_profile(frames, local[:, 0], local[:, 1], boxes.visible, kinematics)
+    frames, shown = boxes.frames, boxes.visible
     columns = np.full((len(frames), 4), np.nan)
     if estimate is not None:
         columns[:, 0] = estimate.length_m
         columns[:, 1] = estimate.width_m
-    if profile is not None:
-        # the smoothed speed in km/h and the acceleration of every exported row
-        at = frames - profile.frames[0]
-        shown = profile.exported[at]
+    if len(frames) >= 2:
+        # the smoothed speed in km/h and the acceleration of every visible
+        # row; frames are unique, so each row has its own dense entry
+        profile = compute_profile(frames, local[:, 0], local[:, 1], kinematics)
+        at = (frames - frames[0])[shown]
         with np.errstate(over="ignore"):  # as on Python floats
-            columns[shown, 2] = profile.speed_smooth[at[shown]] * 3.6
-        columns[shown, 3] = profile.accel[at[shown]]
+            columns[shown, 2] = profile.speed_smooth[at] * 3.6
+        columns[shown, 3] = profile.accel[at]
     return columns
 
 

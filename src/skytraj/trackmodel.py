@@ -33,7 +33,6 @@ class TrackPoint:
     frame: int
     track_id: int
     detection: Detection
-    visible: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,19 +86,6 @@ def frame_groups(frames: np.ndarray) -> dict[int, np.ndarray]:
     return {frame: order[rows] for frame, rows in _runs(frames[order]).items()}
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two axis-aligned boxes."""
-    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.w * a.h + b.w * b.h - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def ingest_keep_indices(
     dets: Sequence[Detection], score_min: float, nms_iou: float
 ) -> list[int]:
@@ -110,10 +96,10 @@ def ingest_keep_indices(
     Returned indices preserve input order.
 
     The IoUs of a frame come from one matrix over the candidates, built
-    with `bbox_iou`'s element arithmetic (edges cx +- w/2, min/max,
-    inter/union, and the same three rules for 0.0), so the survivors equal
-    those of calling `bbox_iou` pair by pair for every box whose edges are
-    not NaN, which holds for any finite box.
+    with the element arithmetic of the pairwise IoU in ``tests/reference.py``
+    (edges cx +- w/2, min/max, inter/union, and the same three rules for
+    0.0), so the survivors equal those of the pairwise loop for every box
+    whose edges are not NaN, which holds for any finite box.
     """
     if not 0.0 < score_min < 1.0:
         raise ValueError("score_min must be in (0, 1)")
@@ -164,7 +150,7 @@ def refine_classes(tracks: VideoTracks) -> VideoTracks:
     new_points = tuple(
         p
         if (d := p.detection).cls == (cls := winner[p.track_id])
-        else TrackPoint(p.frame, p.track_id, Detection(d.bbox, cls, d.score), p.visible)
+        else TrackPoint(p.frame, p.track_id, Detection(d.bbox, cls, d.score))
         for p in tracks.points
     )
     return replace(tracks, points=new_points)

@@ -1,19 +1,19 @@
 """Per-point reference implementations of the vehicle measurement stages.
 
-These are the box scaling, the visibility test and the dimension and
-kinematics steps as they ran on per-point objects (``TrackPoint`` lists,
-frame->``Point2`` maps, visible-frame sets) before they moved onto
-columns. The tests compare the array code in ``skytraj.trackmodel``,
-``skytraj.dimensions`` and ``skytraj.kinematics`` against them bit for
-bit; the steps that did not change (``ratio_filter``, ``dims_to_world``,
-``acceleration``) are shared.
+These are the pairwise box IoU of NMS, the box scaling, the visibility
+test and the dimension and kinematics steps as they ran on per-point
+objects (``TrackPoint`` lists, frame->``Point2`` maps, visible-frame sets)
+before they moved onto columns. The tests compare the array code in
+``skytraj.trackmodel``, ``skytraj.dimensions``, ``skytraj.kinematics`` and
+the callers' visible-row gate against them bit for bit; the steps that did
+not change (``ratio_filter``, ``dims_to_world``, ``acceleration``) are
+shared.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,25 @@ from skytraj.dimensions import (
 )
 from skytraj.errors import EmptySampleSet, EmptyVisibilitySet, TooShort
 from skytraj.geometry import BBox, GeoTransform, Homography, Point2
-from skytraj.kinematics import KinematicProfile, KinematicsConfig, acceleration
+from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.trackmodel import TrackPoint
+
+# --- NMS ---------------------------------------------------------------------
+
+
+def bbox_iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two axis-aligned boxes, the pairwise test
+    that `trackmodel.ingest_keep_indices` evaluates as one matrix."""
+    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    union = a.w * a.h + b.w * b.h - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
 
 # --- visibility and dimensions -------------------------------------------------
 
@@ -237,38 +254,35 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")
 
 
-def compute_profile(
-    local_points: Mapping[int, Point2], cfg: KinematicsConfig
-) -> KinematicProfile:
-    """Interpolate, differentiate, and smooth one vehicle's local trajectory."""
+class Profile(NamedTuple):
+    """Per-frame kinematics over the dense frame range, NaN where undefined,
+    with the flags of the frames whose values are exported."""
+
+    frames: np.ndarray
+    speed_smooth: np.ndarray  # m/s
+    accel: np.ndarray  # m/s^2
+    exported: np.ndarray  # bool
+
+
+def compute_profile(local_points: Mapping[int, Point2], cfg: KinematicsConfig) -> Profile:
+    """Interpolate, differentiate, and smooth one vehicle's local trajectory;
+    every frame exported."""
     dense = interpolate_gaps(local_points)
     frames = np.array(sorted(dense), dtype=int)
     n = len(frames)
     speeds = raw_speed(dense, cfg.fps)
     seq = np.array([speeds[f] for f in frames[1:]])
     smooth_seq = gaussian_smooth(seq, cfg.sigma)
-    speed_raw = np.full(n, np.nan)
     speed_smooth = np.full(n, np.nan)
     accel = np.full(n, np.nan)
-    speed_raw[1:] = seq
     speed_smooth[1:] = smooth_seq
     if n >= 3:
         with np.errstate(over="ignore", invalid="ignore"):  # as `compute_profile` runs it
             accel[2:] = acceleration(smooth_seq, cfg.fps)
-    return KinematicProfile(frames, speed_raw, speed_smooth, accel, np.ones(n, dtype=bool))
+    return Profile(frames, speed_smooth, accel, np.ones(n, dtype=bool))
 
 
-def gate_by_visibility(profile: KinematicProfile, visible: set[int]) -> KinematicProfile:
+def gate_by_visibility(profile: Profile, visible: set[int]) -> Profile:
     """Restrict exported values to frames in the visibility set."""
     exported = np.array([f in visible for f in profile.frames], dtype=bool)
-    return replace(profile, exported=exported)
-
-
-def kinematic_profile(
-    local_points: Mapping[int, Point2], visible: set[int], cfg: KinematicsConfig
-) -> KinematicProfile | None:
-    """Speed and acceleration over one trajectory, exported on visible
-    frames only; None below two points."""
-    if len(local_points) < 2:
-        return None
-    return gate_by_visibility(compute_profile(local_points, cfg), visible)
+    return profile._replace(exported=exported)

@@ -37,12 +37,7 @@ from skytraj.dataio import (
 )
 from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
-from skytraj.kinematics import (
-    KinematicsConfig,
-    compute_profile,
-    gate_by_visibility,
-    gaussian_smooth,
-)
+from skytraj.kinematics import KinematicsConfig, compute_profile, gaussian_smooth
 from skytraj.metrics import (
     ComparisonSample,
     nearest_segment,
@@ -197,9 +192,7 @@ def test_criterion_5_kinematics():
         speed_truth = 2.5 * float(FPS)
         pts = {k: Point2(2.5 * (k - 1), 0.0) for k in range(1, 61)}
         frames, x, y = track_columns(pts)
-        profile = gate_by_visibility(
-            compute_profile(frames, x, y, cfg), frames, np.ones(60, dtype=bool)
-        )
+        profile = compute_profile(frames, x, y, cfg)
         smooth = profile.speed_smooth[1:]
         accel = profile.accel[2:]
         assert np.all(np.abs(smooth - speed_truth) <= 1e-9)

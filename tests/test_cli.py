@@ -380,7 +380,8 @@ class TestStabilizeCommand:
             ref_x = 600.0 + 25.0 * (p.frame - 1)
             assert p.detection.bbox.cx * FRAME_W == pytest.approx(ref_x, abs=1e-3)
             assert p.detection.bbox.cy * FRAME_H == pytest.approx(1080.0, abs=1e-3)
-            assert p.visible
+        with open(out, newline="") as fh:
+            assert {row["visible"] for row in csv.DictReader(fh)} == {"1"}
 
     def test_identity_homographies_leave_tracks_unchanged(self, tmp_path):
         points = [p for p in scenario_points() if p.track_id == 1]

@@ -50,8 +50,8 @@ from skytraj.dimensions import DimConfig
 from skytraj.errors import DegenerateProjection, InvariantViolation, ParseError, SkytrajError
 from skytraj.geometry import BBox, GeoTransform, Homography, Point2
 from skytraj.georeference import GeoChain, LanePolygon, SegmentationMap
-from skytraj.kinematics import KinematicsConfig
-from skytraj.pipeline import IngestParams, kinematic_profile, run_pipeline
+from skytraj.kinematics import KinematicsConfig, compute_profile
+from skytraj.pipeline import IngestParams, run_pipeline
 from skytraj.registration import Matches
 from skytraj.trackmodel import stabilize_tracks
 
@@ -171,8 +171,9 @@ class TestLoadTracks:
         path = tmp_path / "out.csv"
         boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in pts)])
         write_tracks(tracks, boxes, np.array([k % 2 == 0 for k in range(1, 6)]), path)
-        again = load_tracks(path, SIDECAR)
-        assert again.points == tuple(replace(p, visible=p.frame % 2 == 0) for p in tracks.points)
+        with open(path, newline="") as fh:
+            assert [row["visible"] for row in csv.DictReader(fh)] == ["0", "1", "0", "1", "0"]
+        assert load_tracks(path, SIDECAR).points == tracks.points
 
 
 class TestWriteCsv:
@@ -527,8 +528,9 @@ class TestRowErrorsNameFileAndLine:
 
 
 class TestVisibleColumn:
-    """Both loaders read ``visible`` as 0 or 1; a table without the column
-    keeps each loader's default (tracks not visible, trajectories visible)."""
+    """Both loaders accept ``visible`` cells of 0 or 1 only. Trajectories
+    keep the flags, every frame visible without the column; tracks keep
+    none, since the stages compute visibility from the boxes."""
 
     LOADERS = {
         "tracks": (lambda p: load_tracks(p, SIDECAR, require_unit_range=False),
@@ -549,10 +551,9 @@ class TestVisibleColumn:
 
     def test_flags_and_defaults(self, tmp_path):
         def tracks(cells):
-            return [pt.visible for pt in self.load(tmp_path, "tracks", cells).points]
+            return self.load(tmp_path, "tracks", cells).points
 
-        assert tracks(["0", "1"]) == [False, True]
-        assert tracks(None) == [False, False]
+        assert tracks(["0", "1"]) == tracks(["1", "1"]) == tracks(None)
         assert self.load(tmp_path, "local", ["0", "1"])[1].visible.tolist() == [False, True]
         assert self.load(tmp_path, "local", None)[1].visible.tolist() == [True, True]
 
@@ -1003,22 +1004,22 @@ class TestExport:
         out = tmp_path / "songdo.csv"
         export_songdo(export_cells(tracks.points), out)
         positions = georeference_points(stab, tracks.frame_size, GEO)
-        profile = kinematic_profile(
+        profile = compute_profile(
             np.array([p.frame for p in tracks.points]),
             np.array([g.local.x for g in positions]), np.array([g.local.y for g in positions]),
-            visible, kin,
+            kin,
         )
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
         speeds = 0
-        for cells, p, g in zip(rows, tracks.points, positions):
+        for cells, p, g, shown in zip(rows, tracks.points, positions, visible.tolist()):
             assert float(cells["Ortho_X"]) == pytest.approx(g.ortho.x, abs=0.05)
             assert float(cells["Local_X"]) == pytest.approx(g.local.x, abs=0.005)
             assert float(cells["Latitude"]) == pytest.approx(g.wgs.x, abs=5e-8)
             at = p.frame - profile.frames[0]
             speed = profile.speed_smooth[at] * 3.6
-            if not profile.exported[at] or math.isnan(speed):
+            if not shown or math.isnan(speed):
                 assert cells["Vehicle_Speed"] == ""
             else:
                 speeds += 1
@@ -1069,7 +1070,7 @@ def _tracks_outcome(load, path):
     except ParseError as exc:
         return type(exc).__name__, str(exc)
     return [
-        (p.frame, p.track_id, p.detection.cls, p.visible,
+        (p.frame, p.track_id, p.detection.cls,
          *(v.hex() for v in (*astuple(p.detection.bbox), p.detection.score)))
         for p in tracks.points
     ]

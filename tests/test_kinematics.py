@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -7,24 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import track_columns, visible_column
+from conftest import (
+    FRAME_H,
+    FRAME_W,
+    GEO_IDENTITY,
+    dim_columns,
+    make_point,
+    track_columns,
+    visible_column,
+)
 from skytraj import kinematics
+from skytraj.cli import main as cli_main
+from skytraj.dimensions import DimConfig
 from skytraj.errors import SkytrajError, TooShort
-from skytraj.geometry import Point2
+from skytraj.geometry import Homography, Point2
+from skytraj.georeference import GeoChain
 from skytraj.kinematics import (
     MAX_DENSE_FRAMES,
     MAX_KERNEL_RADIUS,
     KinematicsConfig,
     acceleration,
     compute_profile,
-    gate_by_visibility,
     gaussian_kernel,
     gaussian_smooth,
     interpolate_gaps,
     raw_speed,
     reflect_indices,
 )
-from skytraj.pipeline import kinematic_profile
+from skytraj.pipeline import process_vehicle
 
 FPS = Fraction(30000, 1001)
 
@@ -45,11 +56,20 @@ def profile_of(points, cfg):
     return compute_profile(*track_columns(points), cfg)
 
 
-def gated(profile, points, visible):
-    """``profile`` gated to the observed frames of ``points`` that are in the
-    set ``visible``."""
-    frames = np.array(sorted(points))
-    return gate_by_visibility(profile, frames, visible_column(frames, visible))
+def kinematics_rows(tmp_path, points, visible, sigma=14.0):
+    """The rows the ``kinematics`` command writes for one vehicle at the
+    frame -> Point2 map ``points``, with the frames in the set ``visible``
+    flagged visible: each row's frame, then its cells."""
+    traj, out = tmp_path / "local.csv", tmp_path / "kin.csv"
+    with open(traj, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "frame", "x", "y", "visible"])
+        for f in sorted(points):
+            writer.writerow([1, f, repr(points[f].x), repr(points[f].y), int(f in visible)])
+    assert cli_main(["kinematics", "--input", str(traj), "--sigma", str(sigma),
+                     "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        return {int(r["frame"]): r for r in csv.DictReader(fh)}
 
 
 class TestInterpolateGaps:
@@ -89,14 +109,6 @@ class TestRawSpeed:
         assert speeds_of(dense, FPS)[2] == pytest.approx(5 * float(FPS), abs=1e-9)
 
 
-def reflect_oracle(j, n):
-    if n == 1:
-        return 0
-    period = 2 * (n - 1)
-    j = abs(j) % period
-    return period - j if j >= n else j
-
-
 def smooth_oracle(values, sigma):
     n = len(values)
     half = int(round(3.0 * sigma))
@@ -108,7 +120,7 @@ def smooth_oracle(values, sigma):
     for k in range(n):
         acc = 0.0
         for idx, i in enumerate(range(-half, half + 1)):
-            acc += values[reflect_oracle(k + i, n)] * weights[idx]
+            acc += values[reference.reflect_index(k + i, n)] * weights[idx]
         out.append(acc / total)
     return out
 
@@ -198,38 +210,84 @@ class TestProfileAndGating:
         assert np.allclose(profile.accel[2:], 0.0, atol=1e-9)
         assert math.isnan(profile.accel[1])
 
-    def test_full_visibility_unchanged(self):
+    def test_full_visibility_unchanged(self, tmp_path):
         pts = {k: Point2(0.5 * k, 0.0) for k in range(1, 10)}
         profile = profile_of(pts, self.cfg)
-        assert gated(profile, pts, set(range(1, 10))).exported.all()
+        rows = kinematics_rows(tmp_path, pts, set(range(1, 10)))
+        assert list(rows) == list(range(1, 10))
+        assert [r["speed_ms"] for r in rows.values()] == [
+            "" if math.isnan(v) else repr(v) for v in profile.speed_smooth.tolist()]
 
-    def test_partial_gating(self):
+    def test_partial_gating(self, tmp_path):
         pts = {k: Point2(0.5 * k, 0.0) for k in range(1, 11)}
         profile = profile_of(pts, self.cfg)
-        partial = gated(profile, pts, set(range(6, 11)))
-        assert partial.exported.tolist() == [False] * 5 + [True] * 5
-        assert not math.isnan(partial.speed_smooth[6])  # frame 7
-        # internal values unchanged by gating
-        assert np.array_equal(partial.speed_smooth, profile.speed_smooth, equal_nan=True)
+        rows = kinematics_rows(tmp_path, pts, set(range(6, 11)))
+        assert list(rows) == [6, 7, 8, 9, 10]
+        # exported values are those of the whole dense track
+        assert rows[7]["speed_ms"] == repr(float(profile.speed_smooth[6]))
+        assert rows[7]["accel_ms2"] != ""
 
-    def test_empty_visibility_exports_nothing(self):
+    def test_empty_visibility_exports_nothing(self, tmp_path):
         pts = {k: Point2(0.5 * k, 0.0) for k in range(1, 6)}
-        hidden = gated(profile_of(pts, self.cfg), pts, set())
-        assert not hidden.exported.any()
+        assert kinematics_rows(tmp_path, pts, set()) == {}
 
     def test_interpolated_frames_present(self):
         pts = {1: Point2(0, 0), 4: Point2(3, 0), 5: Point2(4, 0)}
         profile = profile_of(pts, self.cfg)
         assert list(profile.frames) == [1, 2, 3, 4, 5]
-        assert np.allclose(profile.speed_raw[1:], float(FPS), atol=1e-9)
+        assert np.allclose(profile.speed_smooth[1:], float(FPS), atol=1e-9)
 
-    def test_first_frame_speed_undefined(self):
+    def test_first_frame_speed_undefined(self, tmp_path):
         pts = {k: Point2(2.0 * k, 0.0) for k in range(1, 6)}
-        profile = gated(profile_of(pts, self.cfg), pts, set(range(1, 6)))
-        assert profile.exported.all()
-        assert math.isnan(profile.speed_smooth[0])  # frame 1
-        assert math.isnan(profile.accel[1])  # frame 2
-        assert not math.isnan(profile.accel[2])  # frame 3
+        rows = kinematics_rows(tmp_path, pts, set(range(1, 6)))
+        assert list(rows) == [1, 2, 3, 4, 5]
+        assert rows[1]["speed_ms"] == rows[1]["speed_kmh"] == ""
+        assert rows[2]["speed_ms"] != "" and rows[2]["accel_ms2"] == ""
+        assert rows[3]["accel_ms2"] != ""
+
+
+class TestVisibleRowGate:
+    """A vehicle whose first two and last rows are not visible, with a gap of
+    frames: speed and acceleration run over the whole dense track and are
+    written on the visible rows only, by both callers."""
+
+    frames = [1, 2, 3, 6, 7, 8, 9, 12]
+    visible = {3, 6, 7, 8, 9}
+    cfg = KinematicsConfig(sigma=2.0)
+    geo = GeoChain(Homography.identity(), GEO_IDENTITY, GEO_IDENTITY)
+
+    def points(self):
+        return {f: Point2(0.25 * f * f, 3.0 - 0.5 * f) for f in self.frames}
+
+    def test_process_vehicle_cells_are_empty_exactly_on_hidden_rows(self):
+        pts = self.points()
+        raw = [make_point(f, 1, 600.0 + 25.0 * f, 1080.0, 180.0, 80.0) for f in self.frames]
+        boxes, centers = dim_columns(raw, visible=self.visible)
+        local = np.column_stack(track_columns(pts)[1:])
+        columns = process_vehicle(boxes, centers, (FRAME_W, FRAME_H), self.geo, local,
+                                  DimConfig(), self.cfg)
+        shown = visible_column(self.frames, self.visible)
+        assert np.isnan(columns[:, 2]).tolist() == (~shown).tolist()
+        assert np.isnan(columns[:, 3]).tolist() == (~shown).tolist()
+        profile = profile_of(pts, self.cfg)
+        at = [f - 1 for f in sorted(self.visible)]
+        assert columns[shown, 2].tobytes() == (profile.speed_smooth[at] * 3.6).tobytes()
+        assert columns[shown, 3].tobytes() == profile.accel[at].tobytes()
+
+    def test_kinematics_writes_exactly_the_visible_frames(self, tmp_path):
+        pts = self.points()
+        profile = profile_of(pts, self.cfg)
+        rows = kinematics_rows(tmp_path, pts, self.visible, sigma=self.cfg.sigma)
+        assert list(rows) == sorted(self.visible)
+        assert [rows[f]["speed_ms"] for f in rows] == [
+            repr(float(profile.speed_smooth[f - 1])) for f in rows]
+
+    def test_one_row_has_no_speed(self):
+        raw = [make_point(5, 1, 600.0, 1080.0, 180.0, 80.0)]
+        boxes, centers = dim_columns(raw, visible={5})
+        columns = process_vehicle(boxes, centers, (FRAME_W, FRAME_H), self.geo,
+                                  np.zeros((1, 2)), DimConfig(), self.cfg)
+        assert np.isnan(columns[:, 2:]).all()
 
 
 # --- the column stage against the per-point reference -------------------------
@@ -254,8 +312,7 @@ SIGMAS = st.one_of(st.sampled_from([0.1, 0.4, 2.0, 14.0, 40.0]), st.floats(0.1, 
 
 
 def _bytes(profile):
-    return [a.tobytes() for a in (profile.frames, profile.speed_raw, profile.speed_smooth,
-                                  profile.accel, profile.exported)]
+    return [a.tobytes() for a in (profile.frames, profile.speed_smooth, profile.accel)]
 
 
 def _outcome(call):
@@ -273,12 +330,15 @@ class TestMatchesPerPointReference:
         cfg = KinematicsConfig(sigma=sigma)
         assert _outcome(lambda: profile_of(points, cfg)) == _outcome(
             lambda: reference.compute_profile(points, cfg))
+        if len(points) < 2:
+            return
+        # the callers' gate: the dense entries of the visible rows
         frames, x, y = track_columns(points)
-        got = kinematic_profile(frames, x, y, visible_column(frames, visible), cfg)
-        ref = reference.kinematic_profile(points, visible, cfg)
-        assert (got is None) == (ref is None)
-        if ref is not None:
-            assert _bytes(got) == _bytes(ref)
+        got = compute_profile(frames, x, y, cfg)
+        at = (frames - frames[0])[visible_column(frames, visible)]
+        ref = reference.gate_by_visibility(reference.compute_profile(points, cfg), visible)
+        assert [a[at].tobytes() for a in (got.frames, got.speed_smooth, got.accel)] == [
+            a[ref.exported].tobytes() for a in (ref.frames, ref.speed_smooth, ref.accel)]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_tracks(self, n):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import translation
+from conftest import columns_of, make_point, translation
 from skytraj.errors import (
     DegenerateConfiguration,
     InsufficientPoints,
@@ -14,6 +15,7 @@ from skytraj.errors import (
     SingularTransform,
 )
 from skytraj.geometry import BBox, Homography, Point2, apply_homography
+from skytraj.pipeline import StabilizeParams, estimate_frame_homographies
 from skytraj.registration import (
     Matches,
     RansacConfig,
@@ -22,6 +24,7 @@ from skytraj.registration import (
     mask_keep_flags,
     ransac_homography,
     snn_filter,
+    symmetric_errors,
     upscale_homography,
 )
 
@@ -706,3 +709,34 @@ class TestBlockRansacMatchesSequential:
         with pytest.raises(np.linalg.LinAlgError) as new:
             ransac_homography(corrs, cfg)
         assert str(new.value) == str(ref.value)
+
+
+class TestFrameEstimateReports:
+    """`estimate_frame_homographies` reports each frame in full-resolution
+    pixels, whatever the downscale of the estimate."""
+
+    def test_downscaled_report_is_in_full_resolution_pixels(self, tmp_path):
+        rng = np.random.default_rng(3)
+        truth = translation(14.0, -9.0)
+        rows = []
+        for gx in range(200, 3700, 160):
+            for gy in range(150, 2100, 160):
+                dst = apply_homography(truth, Point2(gx, gy))
+                rows.append((gx, gy, dst.x + rng.normal(0, 0.6), dst.y + rng.normal(0, 0.6)))
+        rows += [tuple(rng.uniform(0, 2000, 4)) for _ in range(30)]
+        with open(tmp_path / "2.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["src_x", "src_y", "dst_x", "dst_y"])
+            writer.writerows(rows)
+        # one small box in a corner the grid does not reach: nothing is masked
+        columns = columns_of([make_point(2, 1, 3820.0, 2140.0, 10.0, 10.0)])
+        homs, reports = estimate_frame_homographies(
+            columns, tmp_path, StabilizeParams(downscale=0.5), seed=4)
+        report = reports[2]
+        assert report.homography is homs[2]
+        assert len(report.inlier_flags) == len(rows)
+        table = np.array(rows, dtype=float)
+        errors = symmetric_errors(homs[2], table[:, :2], table[:, 2:])
+        assert 0.3 < report.mean_reproj_error < 2.0
+        assert report.mean_reproj_error == pytest.approx(
+            errors[report.inlier_flags].mean(), rel=1e-9)

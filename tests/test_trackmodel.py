@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, rotation, translation
-from reference import bbox_visible_px, denormalize_bbox
+from reference import bbox_iou, bbox_visible_px, denormalize_bbox
 from skytraj.errors import DegenerateProjection, MissingHomography, SkytrajError
 from skytraj.geometry import BBox, Homography, Point2, apply_homography
 from skytraj.trackmodel import (
     Detection,
     TrackPoint,
     VideoTracks,
-    bbox_iou,
     frame_groups,
     ingest_keep_indices,
     refine_classes,
@@ -274,6 +273,15 @@ class TestTrackColumns:
             1: [1, 4], 2: [3], 3: [0, 2, 5]}
 
 
+class StabilizedPoint(NamedTuple):
+    """A stabilized point with the visibility flag of its raw box."""
+
+    frame: int
+    track_id: int
+    detection: Detection
+    visible: bool
+
+
 def stabilize(tracks, per_frame_h, visibility_margin=4.0):
     """`stabilize_tracks` on the columns of ``tracks``, its rows rebuilt as
     points for comparison with the per-point reference."""
@@ -281,8 +289,8 @@ def stabilize(tracks, per_frame_h, visibility_margin=4.0):
         tracks.columns(), tracks.frame_size, per_frame_h, visibility_margin
     )
     return tuple(
-        TrackPoint(p.frame, p.track_id, Detection(BBox(*box), p.detection.cls,
-                                                  p.detection.score), v)
+        StabilizedPoint(p.frame, p.track_id, Detection(BBox(*box), p.detection.cls,
+                                                       p.detection.score), v)
         for p, box, v in zip(tracks.points, boxes.tolist(), visible.tolist())
     )
 
@@ -399,7 +407,7 @@ def _ref_stabilize_tracks(tracks, per_frame_h, visibility_margin=4.0):
         b = _ref_transform_bbox(h, box_px)
         box = BBox(b.cx / w_img, b.cy / h_img, b.w / w_img, b.h / h_img)
         visible = bbox_visible_px(box_px, frame_size, visibility_margin)
-        out.append(TrackPoint(p.frame, p.track_id, Detection(box, d.cls, d.score), visible))
+        out.append(StabilizedPoint(p.frame, p.track_id, Detection(box, d.cls, d.score), visible))
     return tuple(out)
 
 
