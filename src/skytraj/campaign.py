@@ -13,9 +13,7 @@ import itertools
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -317,6 +315,10 @@ def run_campaign(
 
     n = len(scenes) * grid.trials_per_scene  # trials per cell
     if jobs > 1:
+        # Imported here: only a pooled run needs multiprocessing loaded.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
             chunk = max(1, len(cells) * n // (jobs * 8))
             outcomes = list(pool.map(_trial_worker, tasks(), chunksize=chunk))

@@ -27,9 +27,13 @@ SAMPLE_AREA_FLOOR = 1e-9
 
 # `ransac_homography` draws, solves and scores minimal samples in blocks:
 # the first holds FIRST_BLOCK samples, each next one twice as many, up to
-# MAX_BLOCK. Small first blocks waste few samples past an early stop.
-FIRST_BLOCK = 8
-MAX_BLOCK = 32
+# a cap of about BLOCK_PAIRS scored sample-pairs, kept within MIN_BLOCK
+# and MAX_BLOCK samples. The split does not change the result; it trades
+# numpy calls per block against samples drawn past an early stop.
+FIRST_BLOCK = 32
+MIN_BLOCK = 8
+MAX_BLOCK = 64
+BLOCK_PAIRS = 32768
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +176,19 @@ def _denormalized_solve(a: np.ndarray, t_src: np.ndarray, t_dst: np.ndarray) -> 
 
 
 def _collinear(pts: np.ndarray) -> bool:
+    """True when the smaller singular value of the centered (n, 2) set is at
+    most 1e-9 of the larger one."""
     centered = pts - pts.mean(axis=0)
+    # (sv[1] / sv[0])**2, the eigenvalue ratio of the 2 x 2 scatter matrix,
+    # is at least det / trace**2. Rounding moves the computed det by about
+    # n * 2**-53 * trace**2 at most, so a det above 1e-6 * trace**2 proves a
+    # ratio far above the 1e-18 boundary. Other sets, near the boundary or
+    # with a zero, tiny, huge or non-finite trace, go to the SVD.
+    with np.errstate(all="ignore"):
+        (a, b), (_, c) = (centered.T @ centered).tolist()
+    trace = a + c
+    if 1e-140 < trace < 1e140 and a * c - b * b > 1e-6 * trace * trace:
+        return False
     sv = np.linalg.svd(centered, compute_uv=False)
     return sv[1] <= 1e-9 * max(sv[0], 1e-30)
 
@@ -199,12 +215,10 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
         raise DegenerateConfiguration(str(exc)) from exc
 
 
-def _transfer_errors(
-    m: np.ndarray, m_inv: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    # Broadcasts like `project_array`; +inf where a projection degenerates.
-    fx, fy, zf = project_array(m, src)
-    bx, by, zb = project_array(m_inv, dst)
+def _combined_errors(fx, fy, zf, bx, by, zb, src, dst) -> np.ndarray:
+    # Mean of the forward and backward residuals of the projections
+    # (fx, fy, zf) of ``src`` and (bx, by, zb) of ``dst``; +inf where a
+    # projection degenerates.
     ok = (np.abs(zf) > 1e-12) & (np.abs(zb) > 1e-12)
     with np.errstate(invalid="ignore"):
         fwd = np.hypot(fx - dst[..., 0], fy - dst[..., 1])
@@ -217,7 +231,8 @@ def symmetric_errors(h: Homography, src: np.ndarray, dst: np.ndarray) -> np.ndar
 
     Pairs whose projection degenerates get +inf instead of raising.
     """
-    return _transfer_errors(h.m, np.linalg.inv(h.m), src, dst)
+    return _combined_errors(
+        *project_array(h.m, src), *project_array(np.linalg.inv(h.m), dst), src, dst)
 
 
 def _inlier_flags(
@@ -226,20 +241,27 @@ def _inlier_flags(
     """``symmetric_errors(.) <= eta`` for each matrix of a (K, 3, 3) stack.
 
     A pair is an inlier only if its forward residual, and so each of its
-    coordinate offsets, is at most 2*eta: the forward projection rules
-    out most pairs, and the full error is computed for the rest alone.
-    The screen is looser by 1e-6 so that a hypot off by an ulp cannot
-    drop an inlier.
+    coordinate offsets, is at most 2*eta. The mapped x rules out most
+    pairs; the mapped y is computed for the rest, and the backward
+    projection only for pairs near on both axes. Those reuse their
+    forward values, with the arithmetic of `symmetric_errors`. The
+    screen is looser by 1e-6 so that a hypot off by an ulp cannot drop
+    an inlier.
     """
-    fx, fy, _ = project_array(m, src)
+    x, y = src[:, 0], src[:, 1]
     reach = 2.0 * eta * (1.0 + 1e-6)
-    with np.errstate(invalid="ignore"):
-        near = (np.abs(fx - dst[:, 0]) <= reach) & (np.abs(fy - dst[:, 1]) <= reach)
-    rows, cols = np.nonzero(near)
-    m_inv = np.linalg.inv(m)[rows]
-    errs = _transfer_errors(m[rows], m_inv, src[cols, None], dst[cols, None])
-    flags = np.zeros(near.shape, dtype=bool)
-    flags[rows, cols] = errs[:, 0] <= eta
+    z = m[:, 2, 0, None] * x + m[:, 2, 1, None] * y + m[:, 2, 2, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fx = (m[:, 0, 0, None] * x + m[:, 0, 1, None] * y + m[:, 0, 2, None]) / z
+        rows, cols = np.nonzero(np.abs(fx - dst[:, 0]) <= reach)
+        z, fx = z[rows, cols], fx[rows, cols]
+        fy = (m[rows, 1, 0] * x[cols] + m[rows, 1, 1] * y[cols] + m[rows, 1, 2]) / z
+        near = np.abs(fy - dst[cols, 1]) <= reach
+    rows, cols, z, fx, fy = rows[near], cols[near], z[near], fx[near], fy[near]
+    bx, by, zb = project_array(np.linalg.inv(m)[rows], dst[cols, None])
+    errs = _combined_errors(fx, fy, z, bx[:, 0], by[:, 0], zb[:, 0], src[cols], dst[cols])
+    flags = np.zeros((len(m), len(src)), dtype=bool)
+    flags[rows, cols] = errs <= eta
     return flags
 
 
@@ -252,25 +274,26 @@ def _first_of(cols, better) -> np.ndarray:
     return pick
 
 
+# Corners (a, b, c) of the four triangles of a minimal sample, in the
+# order 1,2,3 / 0,2,3 / 0,1,3 / 0,1,2.
+_TRI_A, _TRI_B, _TRI_C = [1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]
+
+
 def _degenerate_samples(pts: np.ndarray) -> np.ndarray:
     """Per (4, 2) sample of a stack: True when any three of the four points
     are quasi-collinear (the smallest triangle area is below
     ``SAMPLE_AREA_FLOOR`` of the sample's bounding-box area)."""
-    x = [pts[:, i, 0] for i in range(4)]
-    y = [pts[:, i, 1] for i in range(4)]
-    area_box = (_first_of(x, np.greater) - _first_of(x, np.less)) * (
-        _first_of(y, np.greater) - _first_of(y, np.less)
-    )
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    crosses = (
-        np.abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)),  # 1,2,3
-        np.abs((x2 - x0) * (y3 - y0) - (y2 - y0) * (x3 - x0)),  # 0,2,3
-        np.abs((x1 - x0) * (y3 - y0) - (y1 - y0) * (x3 - x0)),  # 0,1,3
-        np.abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)),  # 0,1,2
-    )
+    x, y = pts[..., 0], pts[..., 1]
+    xa, xb, xc = x[:, _TRI_A], x[:, _TRI_B], x[:, _TRI_C]
+    ya, yb, yc = y[:, _TRI_A], y[:, _TRI_B], y[:, _TRI_C]
+    crosses = np.abs((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa))
+    # One pass picks max x, -min x, max y, -min y and -(smallest cross):
+    # c < pick exactly when -c > -pick, NaN included, and negation is exact.
+    cols = np.stack((x, -x, y, -y, -crosses))
+    top = _first_of([cols[..., i] for i in range(4)], np.greater)
+    area_box = (top[0] + top[1]) * (top[2] + top[3])
     floor = SAMPLE_AREA_FLOOR * area_box
-    return (area_box <= 0.0) | (_first_of(crosses, np.less) < floor)
+    return (area_box <= 0.0) | (-top[4] < floor)
 
 
 def _draw_samples(rng: np.random.Generator, pool: list[int], size: int) -> np.ndarray:
@@ -310,14 +333,19 @@ def _solve_block(s4: np.ndarray, d4: np.ndarray) -> tuple[np.ndarray, np.ndarray
     k = len(s4)
     state = np.full(k, _SKIPPED, dtype=np.int8)
     raw = np.zeros((k, 3, 3))
+    both = np.concatenate((s4, d4))
     with np.errstate(all="ignore"):
-        screened = ~(_degenerate_samples(s4) | _degenerate_samples(d4))
-        state[screened] = _REPLAY
-        t_src, spread_src = _hartley(s4[screened])
-        t_dst, spread_dst = _hartley(d4[screened])
-        a = _dlt_design(s4[screened], d4[screened], t_src, t_dst)
-        ok = (spread_src > 0.0) & (spread_dst > 0.0) & np.isfinite(a).all(axis=(1, 2))
-        usable = np.flatnonzero(screened)[ok]
+        degenerate = _degenerate_samples(both)
+        picked = np.flatnonzero(~(degenerate[:k] | degenerate[k:]))
+        state[picked] = _REPLAY
+        # the screened source sets, then their destination sets
+        pts = both[np.concatenate((picked, picked + k))]
+        t, spread = _hartley(pts)
+        j = len(picked)
+        t_src, t_dst = t[:j], t[j:]
+        a = _dlt_design(pts[:j], pts[j:], t_src, t_dst)
+        ok = (spread[:j] > 0.0) & (spread[j:] > 0.0) & np.isfinite(a).all(axis=(1, 2))
+        usable = picked[ok]
         if not len(usable):
             return state, raw
         try:
@@ -364,10 +392,11 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     best_raw: np.ndarray | None = None
     needed = cfg.max_iterations
     it = 0
-    block = FIRST_BLOCK
+    cap = min(MAX_BLOCK, max(MIN_BLOCK, BLOCK_PAIRS // n))
+    block = min(FIRST_BLOCK, cap)
     while it < min(cfg.max_iterations, needed):
         size = min(block, min(cfg.max_iterations, needed) - it)
-        block = min(2 * block, MAX_BLOCK)
+        block = min(2 * block, cap)
         idx = _draw_samples(rng, pool, size)
         s4, d4 = src[idx], dst[idx]
         state, raw = _solve_block(s4, d4)
@@ -380,20 +409,20 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
             with np.errstate(divide="ignore", invalid="ignore"):
                 m = np.where(np.abs(z) > Z_TOL, m / z, m)
             flags[solved] = _inlier_flags(m, src, dst, eta)
-        counts = np.count_nonzero(flags, axis=1)
-        for j in range(size):
+        counts = np.count_nonzero(flags, axis=1).tolist()
+        for j, sample_state in enumerate(state.tolist()):
             it += 1
-            if state[j] == _REPLAY:
+            if sample_state == _REPLAY:
                 try:
                     raw[j] = _dlt_matrix(s4[j], d4[j], check_collinear=False)
                     h = Homography.from_matrix(raw[j])
                 except (DegenerateConfiguration, SingularTransform):
-                    state[j] = _SKIPPED
+                    sample_state = _SKIPPED
                 else:
                     flags[j] = symmetric_errors(h, src, dst) <= eta
-                    counts[j] = np.count_nonzero(flags[j])
-            if state[j] != _SKIPPED:
-                count = int(counts[j])
+                    counts[j] = int(np.count_nonzero(flags[j]))
+            if sample_state != _SKIPPED:
+                count = counts[j]
                 if count >= 4 and count > best_count:
                     best_count, best_flags, best_raw = count, flags[j].copy(), raw[j].copy()
                     w4 = (count / n) ** 4

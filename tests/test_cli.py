@@ -343,6 +343,21 @@ def test_pipeline_does_not_import_numpy_ma(pipeline_fixture, tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 38
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only `bench --jobs N` with N > 1 needs a worker pool, so importing the
+    CLI leaves `multiprocessing` and the process executor unloaded."""
+    script = (
+        "import sys\n"
+        "import skytraj.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestStabilizeCommand:
     def test_estimates_from_correspondences(self, tmp_path):
         points = [p for p in scenario_points() if p.frame <= 5 and p.track_id == 1]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 
 import numpy as np
@@ -14,12 +15,16 @@ from skytraj.errors import (
     NoModelFound,
     SingularTransform,
 )
-from skytraj.geometry import BBox, Homography, Point2, apply_homography
+from skytraj import registration
+from skytraj.geometry import BBox, Homography, Point2, apply_homography, project_array
 from skytraj.pipeline import StabilizeParams, estimate_frame_homographies
 from skytraj.registration import (
     Matches,
     RansacConfig,
+    _collinear,
+    _degenerate_samples,
     _draw_samples,
+    _inlier_flags,
     dlt_homography,
     mask_keep_flags,
     ransac_homography,
@@ -661,15 +666,49 @@ def _problem(seed, n, outlier_fraction, variant):
     return stack(np.column_stack([src, dst]))
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_outcome(seed, n, fraction, variant, max_iterations):
+    """The sequential estimator's outcome on one `_problem`, computed once
+    for all block splits."""
+    corrs = _problem(seed, n, fraction, variant)
+    return _outcome(_ref_ransac, corrs, RansacConfig(seed=seed, max_iterations=max_iterations))
+
+
+# Block constants of `ransac_homography`: one sample per block, the
+# doubling 8-16-32 schedule without a pair cap, the module defaults, and
+# 64 samples in every block.
+BLOCK_SPLITS = {
+    "1/1": dict(FIRST_BLOCK=1, MIN_BLOCK=1, MAX_BLOCK=1),
+    "8/32": dict(FIRST_BLOCK=8, MIN_BLOCK=8, MAX_BLOCK=32, BLOCK_PAIRS=10**9),
+    "default": {},
+    "64/64": dict(FIRST_BLOCK=64, MIN_BLOCK=64, MAX_BLOCK=64),
+}
+
+
 class TestBlockRansacMatchesSequential:
     """Block evaluation must not change a single output bit."""
 
     def check(self, seed, n, fraction, variant, max_iterations):
         corrs = _problem(seed, n, fraction, variant)
         cfg = RansacConfig(seed=seed, max_iterations=max_iterations)
-        expected = _outcome(_ref_ransac, corrs, cfg)
+        expected = _ref_outcome(seed, n, fraction, variant, max_iterations)
         assert _outcome(ransac_homography, corrs, cfg) == expected
         return expected
+
+    @pytest.mark.parametrize("split", BLOCK_SPLITS)
+    def test_block_split_changes_nothing(self, split, monkeypatch):
+        """The draws and the stop do not depend on how the samples are
+        split into blocks, so neither does any outcome."""
+        for name, value in BLOCK_SPLITS[split].items():
+            monkeypatch.setattr(registration, name, value)
+        for n, seeds, cap in ((8, range(12), 30), (100, range(10), 90), (1500, range(3), 40)):
+            capped = 0
+            for seed in seeds:
+                fraction = (0.0, 0.3, 0.6)[seed % 3]
+                variant = ("plain", "collinear", "duplicate")[(seed // 3) % 3]
+                out = self.check(2000 + seed, n, fraction, variant, cap if seed % 2 else 5000)
+                capped += out[-2] == cap
+            assert capped > 0
 
     @pytest.mark.parametrize("n, problems", [(8, 120), (100, 60)])
     def test_small_and_campaign_sizes(self, n, problems):
@@ -709,6 +748,121 @@ class TestBlockRansacMatchesSequential:
         with pytest.raises(np.linalg.LinAlgError) as new:
             ransac_homography(corrs, cfg)
         assert str(new.value) == str(ref.value)
+
+
+def _edge_samples(rng, k):
+    """(k, 4, 2) minimal samples: random points with NaN, +-inf, -0.0, huge
+    and tiny entries mixed in, samples whose points all coincide, samples
+    with three exactly collinear points, and samples a 10**-j offset away
+    from that."""
+    pts = rng.uniform(-10.0, 10.0, (k, 4, 2))
+    palette = np.array([0.0, -0.0, 1.0, -1.0, 3.0, 1e-300, 1e300, np.nan, np.inf, -np.inf])
+    special = rng.random(pts.shape) < 0.15
+    pts[special] = rng.choice(palette, int(special.sum()))
+    pts[0::7] = pts[0::7, :1]
+    line = rng.integers(-50, 50, pts[1::5].shape).astype(float)
+    line[:, 2] = 2.0 * line[:, 0] - line[:, 1]
+    pts[1::5] = line
+    near = rng.integers(-50, 50, pts[2::5].shape).astype(float)
+    near[:, 3] = 2.0 * near[:, 1] - near[:, 2]
+    near[:, 3, 1] += 10.0 ** -rng.integers(0, 16, len(near)) * rng.choice([-1.0, 1.0], len(near))
+    pts[2::5] = near
+    return pts
+
+
+def _decision(fn, pts):
+    """``fn(pts)``, or the type and message of the error it raises."""
+    try:
+        return bool(fn(pts))
+    except np.linalg.LinAlgError as exc:
+        return ("LinAlgError", str(exc))
+
+
+class TestKernelsAtTheirEdges:
+    """The batched kernels of the block evaluation against their one-at-a-time
+    references, on inputs where IEEE corner cases decide the outcome."""
+
+    def test_degenerate_screen_per_sample(self):
+        rng = np.random.default_rng(11)
+        pts = _edge_samples(rng, 6000)
+        with np.errstate(all="ignore"):
+            got = _degenerate_samples(pts)
+        want = [_ref_sample_degenerate(sample) for sample in pts.tolist()]
+        assert got.tolist() == want
+        # both outcomes occur, and on samples holding NaN and inf too
+        nonfinite = ~np.isfinite(pts).all(axis=(1, 2))
+        assert 0 < got[nonfinite].sum() < nonfinite.sum()
+        assert 0 < got[~nonfinite].sum() < (~nonfinite).sum()
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("gain", [1.0, 1e5])
+    def test_inlier_flags_per_matrix(self, eta, gain):
+        """A map that enlarges by ``gain`` puts inliers' forward residuals
+        up to almost 2*eta, the reach of the screen."""
+        rng = np.random.default_rng(int(eta * 10))
+        n = 400
+        src = rng.uniform(0, 2000 / gain, (n, 2))
+        truth = np.diag([gain, gain, 1.0]) @ (
+            np.eye(3) + rng.normal(0, [[0.05, 0.05, 30 / gain], [0.05, 0.05, 30 / gain],
+                                       [2e-5 * gain, 2e-5 * gain, 0]]))
+        px, py, _ = project_array(truth, src)
+        # offsets on the scale of eta, and 60 of length just below 2*eta
+        offsets = rng.normal(0, eta, (n, 2))
+        angle = rng.uniform(0, 2 * np.pi, 60)
+        length = 2 * eta * (1 - 10.0 ** -rng.uniform(1, 7, 60))
+        offsets[:60] = length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        dst = np.column_stack([px, py]) + offsets
+        dst[-100:] = rng.uniform(0, 2000, (100, 2))
+        ms = [truth @ (np.eye(3) + rng.normal(0, [[1e-4, 1e-4, 0.5 / gain],
+                                                  [1e-4, 1e-4, 0.5 / gain], [0, 0, 0]]))
+              for _ in range(12)]
+        # matrices whose z is ~0 at some source points
+        for i in (0, 17, 250):
+            m = truth.copy()
+            m[2, 0] = -(m[2, 1] * src[i, 1] + m[2, 2]) / src[i, 0]
+            ms.append(m)
+        ms.append(truth)
+        flags = _inlier_flags(np.stack(ms), src, dst, eta)
+        degenerate = 0
+        for m, row in zip(ms, flags):
+            errs = symmetric_errors(Homography(m), src, dst)
+            assert row.tolist() == (errs <= eta).tolist()
+            degenerate += np.isinf(errs).sum()
+        assert degenerate > 0
+        assert 0 < flags[-1].sum() < n
+
+    def test_collinear_matches_the_svd_decision(self):
+        rng = np.random.default_rng(5)
+        sets = []
+        for n in (3, 4, 50, 1500):
+            t = rng.uniform(-1.0, 1.0, n)
+            origin, step = rng.uniform(-3000, 3000, 2), rng.uniform(-2000, 2000, 2)
+            line = origin + t[:, None] * step
+            normal = np.array([-step[1], step[0]]) / np.hypot(*step)
+            span = np.ptp(t) * np.hypot(*step)
+            # offsets of 10**-k of the span straddle the 1e-9 ratio near k = 9
+            for k in range(0, 17):
+                for spread in (rng.normal(0, 1, n), np.where(np.arange(n) == 1, 1.0, 0.0)):
+                    sets.append(line + (10.0 ** -k * span * spread)[:, None] * normal)
+            sets.append(line)
+            # traces whose square underflows or overflows
+            for scale in (1e-80, 1e80):
+                sets.append(line * scale)
+                sets.append(rng.uniform(0, 1, (n, 2)) * scale)
+            sets.append(np.repeat(origin[None], n, axis=0))
+            sets.append(np.zeros((n, 2)))
+            for bad in (np.nan, np.inf, -np.inf, 1e300):
+                pts = rng.uniform(0, 2000, (n, 2))
+                pts[n // 2, n % 2] = bad
+                sets.append(pts)
+        decisions = []
+        for pts in sets:
+            with np.errstate(all="ignore"):
+                want, got = _decision(_ref_collinear, pts), _decision(_collinear, pts)
+            assert got == want
+            decisions.append(want)
+        assert {True, False} <= set(decisions)
+        assert any(isinstance(d, tuple) for d in decisions)
 
 
 class TestFrameEstimateReports:
