@@ -4,7 +4,9 @@
 (from the homography log, and from correspondences together with the
 homography log it writes), ``georef`` with lanes, ``dims`` and
 ``kinematics`` (on a gapped, partly visible trajectory) write for the
-fixture of ``conftest.build_pipeline_fixture``. A change to the program
+fixture of ``conftest.build_pipeline_fixture``, and what ``compare`` writes
+for a probe and candidate pair, at the default speed floor and at a raised
+one. A change to the program
 that moves one byte of these outputs fails this test.
 
 Run this file as a script to print the digests of the current program.
@@ -37,6 +39,32 @@ def write_gapped_trajectories(path: Path) -> None:
                     + "".join(",".join(map(str, r)) + "\n" for r in rows))
 
 
+def write_comparison_pair(probe: Path, candidate: Path) -> None:
+    """A curved candidate on the integer grid at even frames, out of frame
+    order, with one point repeated at the next odd frame; probes on and beside it, some at a
+    candidate point's tie (two nearest points, or two equidistant
+    neighbors), one on the repeated point (skipped) and some below 1 km/h."""
+    cand = [(2 * k, float(k), float(k * k // 16), 30.0 + 0.5 * k) for k in range(1, 41)]
+    cand.append((51, *cand[24][1:3], 99.0))  # frame 50's point again at frame 51
+    cand[3], cand[9] = cand[9], cand[3]
+    candidate.write_text("frame,x,y,speed\n"
+                         + "".join(f"{f},{x!r},{y!r},{v!r}\n" for f, x, y, v in cand))
+    probes = []
+    for i in range(1, 39):
+        x, y = i + 0.3, (i * i // 16) + 0.7 + 0.01 * i
+        probes.append((x, y, 0.5 if i % 7 == 0 else 28.0 + 0.6 * i))
+    probes += [
+        (2.0, 0.5, 31.0),  # nearest (2, 0); neighbors (1, 0) and (3, 0) tie
+        (2.5, 0.0, 33.0),  # (2, 0) and (3, 0) tie for nearest
+        (25.0, 39.0, 44.0),  # on the repeated point: skipped
+        (25.5, 42.0, 0.25),
+        (-3.0, -2.0, 20.0),  # beyond the first point
+        (45.0, 100.0, 55.0),  # beyond the last point
+    ]
+    probe.write_text("t,x,y,speed\n" + "".join(
+        f"{0.1 * n!r},{x!r},{y!r},{v!r}\n" for n, (x, y, v) in enumerate(probes)))
+
+
 def stage_outputs(work: Path) -> dict[str, Path]:
     """Run every gated stage on the fixture under ``work``; returns the
     written files by digest key."""
@@ -53,9 +81,14 @@ def stage_outputs(work: Path) -> dict[str, Path]:
         "dims": work / "dims.csv",
         "dims_wide_margin": work / "dims_wide.csv",
         "kinematics": work / "kin.csv",
+        "compare": work / "compare.csv",
+        "compare_speed_floor": work / "compare_floor.csv",
     }
     traj = work / "local.csv"
     write_gapped_trajectories(traj)
+    probe, candidate = work / "probe.csv", work / "candidate.csv"
+    write_comparison_pair(probe, candidate)
+    pair = ["compare", "--probe", probe, "--candidate", candidate]
     commands = [
         ["stabilize", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
          "--homographies", paths["homographies"], "--output", out["stabilize_log"]],
@@ -69,6 +102,9 @@ def stage_outputs(work: Path) -> dict[str, Path]:
         ["dims", "--tracks", paths["tracks"], "--stabilized", out["stabilize_log"], *common,
          "--visibility-margin", "700", "--output", out["dims_wide_margin"]],
         ["kinematics", "--input", traj, "--output", out["kinematics"]],
+        [*pair, "--output", out["compare"]],
+        [*pair, "--group", "probe-7", "--speed-floor", "40", "--output",
+         out["compare_speed_floor"]],
     ]
     for argv in commands:
         assert main([str(a) for a in argv]) == 0, argv
