@@ -23,7 +23,7 @@ from . import dataio
 from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import ConfigError, ParseError, SkytrajError
 from .kinematics import KinematicsConfig, compute_profile
-from .metrics import ComparisonSample, aggregate_comparison
+from .metrics import compare_trajectory
 from .pipeline import (
     IngestParams,
     StabilizeParams,
@@ -232,23 +232,16 @@ def cmd_compare(args) -> int:
     kin = _resolve(KinematicsConfig, cfg, "kinematics", args, fps=fps)
     group = _value(cfg, args, "group", "compare", str, default="all")
     probe = dataio.load_probe_trajectory(_path(cfg, args, "probe"))
-    candidate_rows = dataio.load_candidate_trajectory(_path(cfg, args, "candidate"))
-    candidate = tuple((pt, speed) for _, pt, speed in candidate_rows)
-    # every probe observation is compared with the whole candidate trajectory
-    samples = [
-        ComparisonSample(probe=pt, probe_speed_kmh=speed, candidate=candidate)
-        for _, pt, speed in probe
-    ]
-    reports = aggregate_comparison({group: samples}, kin)
-    for r in reports:
-        if r.skipped:
-            log(f"group {r.key}: skipped {r.skipped} degenerate samples")
-        if r.speed_diff_mean_kmh is None:
-            log(
-                f"group {r.key}: all probe speeds at or below {kin.speed_floor_kmh} km/h; "
-                "speed-difference columns left empty"
-            )
-    dataio.write_comparison_report(reports, _path(cfg, args, "output"))
+    candidate = dataio.load_candidate_trajectory(_path(cfg, args, "candidate"))
+    report = compare_trajectory(group, probe, candidate, kin)
+    if report.skipped:
+        log(f"group {group}: skipped {report.skipped} degenerate samples")
+    if report.speed_diff_mean_kmh is None:
+        log(
+            f"group {group}: all probe speeds at or below {kin.speed_floor_kmh} km/h; "
+            "speed-difference columns left empty"
+        )
+    dataio.write_comparison_report(report, _path(cfg, args, "output"))
     return 0
 
 

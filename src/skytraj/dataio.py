@@ -824,30 +824,36 @@ def _require_key_range(path, line: int, name: str, value: int) -> None:
         raise InvariantViolation(f"{name} {value} beyond +-2**62", line=line, path=path)
 
 
-def load_probe_trajectory(path) -> list[tuple[float, Point2, float]]:
-    """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite."""
-    out = []
+def load_probe_trajectory(path) -> np.ndarray:
+    """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite.
+
+    Returns the (n, 3) rows ``x, y, speed`` in file order."""
+    rows = []
     for line, (t, x, y, speed) in _read_csv_rows(
         path, ["t", "x", "y", "speed"], lambda cells: [*map(float, cells)]
     ):
         _require_finite(path, line, t=t, x=x, y=y, speed=speed)
-        out.append((t, Point2(x, y), speed))
-    return out
+        rows.append((x, y, speed))
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
-def load_candidate_trajectory(path) -> list[tuple[int, Point2, float]]:
+def load_candidate_trajectory(path) -> np.ndarray:
     """Candidate CSV: frame,x,y,speed (local meters, smoothed speed km/h),
-    all finite."""
-    out = []
+    all finite, one row per frame, ``|frame|`` at most 2**62.
+
+    Returns the (n, 3) rows ``x, y, speed`` in frame order."""
+    rows: dict[int, tuple[float, float, float]] = {}
     for line, (frame, x, y, speed) in _read_csv_rows(
         path,
         ["frame", "x", "y", "speed"],
         lambda cells: (int(cells[0]), *map(float, cells[1:])),
     ):
         _require_finite(path, line, x=x, y=y, speed=speed)
-        out.append((frame, Point2(x, y), speed))
-    out.sort(key=lambda item: item[0])
-    return out
+        _require_key_range(path, line, "frame", frame)
+        if frame in rows:
+            raise InvariantViolation(f"duplicate frame {frame}", line=line, path=path)
+        rows[frame] = (x, y, speed)
+    return np.array([rows[f] for f in sorted(rows)], dtype=float).reshape(-1, 3)
 
 
 class LocalTrack(NamedTuple):
@@ -901,19 +907,17 @@ COMPARISON_COLUMNS = [
 ]
 
 
-def write_comparison_report(reports: Sequence[GroupReport], path) -> None:
-    """Mean +/- population sd per group, plus trajectory length/duration."""
-    write_csv(path, COMPARISON_COLUMNS, (
-        [
-            r.key,
-            r.n_samples,
-            format_fixed(r.pos_dev_mean_m, 3),
-            format_fixed(r.pos_dev_std_m, 3),
-            format_fixed(r.speed_diff_mean_kmh, 3),
-            format_fixed(r.speed_diff_std_kmh, 3),
-            format_fixed(r.traj_length_m, 2),
-            format_fixed(r.traj_duration_s, 2),
-            r.skipped,
-        ]
-        for r in reports
-    ))
+def write_comparison_report(r: GroupReport, path) -> None:
+    """The report's mean +/- population sd of both deviations, plus the
+    trajectory length/duration, under the header."""
+    write_csv(path, COMPARISON_COLUMNS, [[
+        r.key,
+        r.n_samples,
+        format_fixed(r.pos_dev_mean_m, 3),
+        format_fixed(r.pos_dev_std_m, 3),
+        format_fixed(r.speed_diff_mean_kmh, 3),
+        format_fixed(r.speed_diff_std_kmh, 3),
+        format_fixed(r.traj_length_m, 2),
+        format_fixed(r.traj_duration_s, 2),
+        r.skipped,
+    ]])

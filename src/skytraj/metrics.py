@@ -7,17 +7,18 @@ which MIoU averages; ``campaign.run_campaign`` aggregates both over a
 grid cell's trials. Trajectory comparison measures the perpendicular offset
 of a probe point from the segment between its nearest candidate point
 and that point's nearer sequence neighbor, plus a distance-weighted
-speed difference.
+speed difference; `compare_trajectory` reports both over all of a probe's
+points at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateProjection, DegenerateSegment, NonConvexInput
+from .errors import DegenerateProjection, DegenerateSegment, NonConvexInput, TooShort
 from .geometry import BBox, Homography, Point2, apply_homography, quad_iou
 from .geometry import Quad
 from .kinematics import KinematicsConfig
@@ -95,66 +96,6 @@ def scene_miou(h_true: Homography, h_est: Homography, boxes: Sequence[BBox]) -> 
 
 
 @dataclass(frozen=True)
-class ComparisonSample:
-    """One probe observation against a full candidate trajectory.
-
-    Candidate entries are (point in local meters, smoothed speed in km/h),
-    in trajectory order.
-    """
-
-    probe: Point2
-    probe_speed_kmh: float
-    candidate: tuple[tuple[Point2, float], ...]
-
-
-def nearest_segment(
-    sample: ComparisonSample,
-) -> tuple[Point2, float, Point2, float, float, float]:
-    """Nearest candidate point and its nearer sequence neighbor.
-
-    Returns (p1, v1, p2, v2, d1, d2) where p1 is the closest candidate
-    point to the probe and p2 is whichever of p1's index neighbors is
-    second closest (endpoints have a single neighbor).
-    """
-    pts = sample.candidate
-    if len(pts) < 2:
-        raise DegenerateSegment("candidate trajectory needs >= 2 points")
-    px, py = sample.probe
-    dists = [math.hypot(p.x - px, p.y - py) for p, _ in pts]
-    i1 = min(range(len(pts)), key=lambda i: (dists[i], i))
-    neighbors = [i for i in (i1 - 1, i1 + 1) if 0 <= i < len(pts)]
-    i2 = min(neighbors, key=lambda i: (dists[i], i))
-    p1, v1 = pts[i1]
-    p2, v2 = pts[i2]
-    if math.hypot(p2.x - p1.x, p2.y - p1.y) <= 0.0:
-        raise DegenerateSegment("nearest candidate points coincide")
-    return p1, v1, p2, v2, dists[i1], dists[i2]
-
-
-def positional_deviation(sample: ComparisonSample) -> float:
-    """Perpendicular distance from the probe to the nearest candidate segment line."""
-    p1, _, p2, _, _, _ = nearest_segment(sample)
-    sx, sy = p2.x - p1.x, p2.y - p1.y
-    rx, ry = p1.x - sample.probe.x, p1.y - sample.probe.y
-    return abs(sx * ry - sy * rx) / math.hypot(sx, sy)
-
-
-def speed_difference(sample: ComparisonSample) -> float:
-    """Probe speed minus the distance-weighted candidate speed, km/h.
-
-    The nearer of the two candidate points receives the larger weight;
-    weights sum to one.
-    """
-    _, v1, _, v2, d1, d2 = nearest_segment(sample)
-    denom = d1 + d2
-    if denom <= 0.0:
-        raise DegenerateSegment("probe coincides with a duplicated candidate point")
-    w1 = d2 / denom
-    w2 = d1 / denom
-    return sample.probe_speed_kmh - (w1 * v1 + w2 * v2)
-
-
-@dataclass(frozen=True)
 class GroupReport:
     key: str
     n_samples: int
@@ -167,58 +108,113 @@ class GroupReport:
     skipped: int
 
 
-def _trajectory_length(pts: Sequence[tuple[Point2, float]]) -> float:
-    return sum(
-        math.hypot(b[0].x - a[0].x, b[0].y - a[0].y) for a, b in zip(pts, pts[1:])
-    )
+# Entries of one block's probe x candidate squared-distance matrix in the
+# nearest-point screen; the probe rows are split into blocks of this size.
+_SCREEN_ENTRIES = 1 << 18
 
 
-def aggregate_comparison(
-    groups: Mapping[str, Sequence[ComparisonSample]], kin: KinematicsConfig
-) -> list[GroupReport]:
-    """Per-group mean +/- population sd of the two deviations.
+def _hypots(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair, which ``np.hypot`` does not always match."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
 
-    Speed differences for probe speeds at or below ``kin.speed_floor_kmh``
-    are excluded. Degenerate samples are skipped and counted. Trajectory
-    length sums consecutive-point distances over the distinct candidate
-    trajectories in the group; duration is their point count over
-    ``kin.fps``. Empty groups are dropped.
+
+def _nearest_points(probe: np.ndarray, candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and distance of each probe point's nearest candidate point: the
+    lowest index of the least ``math.hypot`` distance.
+
+    Squared distances screen the candidates. Only those within 1e-9 of a
+    row's least square, or below 1e-290, are measured with ``math.hypot``:
+    both roundings stay within a few ulps of the exact distance, except
+    where squares underflow and lose their relative precision, which the
+    absolute floor covers.
     """
-    reports = []
-    for key in sorted(groups):
-        samples = groups[key]
-        if not samples:
-            continue
-        devs: list[float] = []
-        dvs: list[float] = []
-        skipped = 0
-        # dedupe by value, insertion-ordered so float sums stay stable
-        trajectories: dict[tuple[tuple[Point2, float], ...], None] = {}
-        for s in samples:
-            trajectories.setdefault(s.candidate, None)
-            try:
-                devs.append(positional_deviation(s))
-                if s.probe_speed_kmh > kin.speed_floor_kmh:
-                    dvs.append(speed_difference(s))
-            except DegenerateSegment:
-                skipped += 1
-        if not devs:
-            continue
-        length = sum(_trajectory_length(t) for t in trajectories)
-        duration = sum(len(t) for t in trajectories) / float(kin.fps)
-        dev_arr = np.asarray(devs)
-        dv_arr = np.asarray(dvs) if dvs else None
-        reports.append(
-            GroupReport(
-                key=key,
-                n_samples=len(devs),
-                pos_dev_mean_m=float(dev_arr.mean()),
-                pos_dev_std_m=float(dev_arr.std()),
-                speed_diff_mean_kmh=float(dv_arr.mean()) if dv_arr is not None else None,
-                speed_diff_std_kmh=float(dv_arr.std()) if dv_arr is not None else None,
-                traj_length_m=length,
-                traj_duration_s=duration,
-                skipped=skipped,
+    cx, cy = candidate[:, 0], candidate[:, 1]
+    xs, ys = cx.tolist(), cy.tolist()
+    nearest: list[int] = []
+    dist: list[float] = []
+    step = max(1, _SCREEN_ENTRIES // len(candidate))
+    for lo in range(0, len(probe), step):
+        block = probe[lo:lo + step]
+        dx = cx - block[:, :1]
+        sq = dx * dx
+        dy = cy - block[:, 1:2]
+        sq += dy * dy
+        reach = np.maximum(sq.min(axis=1) * (1.0 + 1e-9), 1e-290)
+        rows, cols = np.nonzero(sq <= reach[:, None])
+        pxs, pys = block[:, 0].tolist(), block[:, 1].tolist()
+        last = -1
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            d = math.hypot(xs[c] - pxs[r], ys[c] - pys[r])
+            if r != last:
+                nearest.append(c)
+                dist.append(d)
+                last = r
+            elif d < dist[-1]:
+                nearest[-1], dist[-1] = c, d
+    return np.array(nearest), np.array(dist)
+
+
+def compare_trajectory(
+    key: str, probe: np.ndarray, candidate: np.ndarray, kin: KinematicsConfig
+) -> GroupReport:
+    """Mean +/- population sd of the positional deviation and the speed
+    difference of every probe point against one candidate trajectory.
+
+    ``probe`` and ``candidate`` are (n, 3) rows of ``x, y, speed`` (local
+    meters, km/h), the candidate in frame order. Each probe point is
+    measured against the segment from its nearest candidate point p1 to
+    whichever of p1's sequence neighbors is nearer (the lower index on a
+    tie): the deviation is its distance from that segment's line, and the
+    speed difference is the probe speed minus the candidate speeds
+    weighted by the other point's distance. A probe point whose p1 and p2
+    coincide is skipped and counted; probe speeds at or below
+    ``kin.speed_floor_kmh`` give no speed difference. Trajectory length
+    sums the candidate's consecutive-point distances; duration is its
+    point count over ``kin.fps``.
+
+    Every step runs the IEEE operations of the per-point definition in
+    the same order, distances through ``math.hypot``. The weights need no
+    check of ``d1 + d2 > 0``: once p1 != p2, the probe cannot lie on both,
+    since a float difference is zero only between equal floats.
+
+    Raises TooShort for an empty probe or a candidate of fewer than two
+    points, and DegenerateSegment when every probe point is skipped.
+    """
+    if not len(probe):
+        raise TooShort("probe trajectory has no points")
+    if len(candidate) < 2:
+        raise TooShort(f"candidate trajectory needs >= 2 points, got {len(candidate)}")
+    last = len(candidate) - 1
+    with np.errstate(all="ignore"):  # skipped rows divide by zero; Python floats overflow silently
+        x, y, v = candidate.T
+        px, py, speed = probe.T
+        i1, d1 = _nearest_points(probe, candidate)
+        prev, after = np.maximum(i1 - 1, 0), np.minimum(i1 + 1, last)
+        d_prev = _hypots(x[prev] - px, y[prev] - py)
+        d_after = _hypots(x[after] - px, y[after] - py)
+        take_prev = (i1 == last) | ((i1 > 0) & (d_prev <= d_after))
+        i2, d2 = np.where(take_prev, prev, after), np.where(take_prev, d_prev, d_after)
+        sx, sy = x[i2] - x[i1], y[i2] - y[i1]
+        seg = _hypots(sx, sy)
+        kept = seg > 0.0
+        if not kept.any():
+            raise DegenerateSegment(
+                f"all {len(probe)} probe points skipped: their nearest candidate points coincide"
             )
-        )
-    return reports
+        rx, ry = x[i1] - px, y[i1] - py
+        devs = (np.abs(sx * ry - sy * rx) / seg)[kept]
+        denom = d1 + d2
+        dvs = speed - (d2 / denom * v[i1] + d1 / denom * v[i2])
+        dvs = dvs[kept & (speed > kin.speed_floor_kmh)]
+        length = sum(map(math.hypot, np.diff(x).tolist(), np.diff(y).tolist()))
+    return GroupReport(
+        key=key,
+        n_samples=len(devs),
+        pos_dev_mean_m=float(devs.mean()),
+        pos_dev_std_m=float(devs.std()),
+        speed_diff_mean_kmh=float(dvs.mean()) if len(dvs) else None,
+        speed_diff_std_kmh=float(dvs.std()) if len(dvs) else None,
+        traj_length_m=length,
+        traj_duration_s=len(candidate) / float(kin.fps),
+        skipped=len(probe) - len(devs),
+    )

@@ -1,18 +1,20 @@
 """Per-point reference implementations of the vehicle measurement stages.
 
 These are the pairwise box IoU of NMS, the box scaling, the visibility
-test and the dimension and kinematics steps as they ran on per-point
-objects (``TrackPoint`` lists, frame->``Point2`` maps, visible-frame sets)
-before they moved onto columns. The tests compare the array code in
-``skytraj.trackmodel``, ``skytraj.dimensions``, ``skytraj.kinematics`` and
-the callers' visible-row gate against them bit for bit; the steps that did
-not change (``ratio_filter``, ``dims_to_world``, ``acceleration``) are
-shared.
+test, the dimension and kinematics steps and the probe comparison as they
+ran on per-point objects (``TrackPoint`` lists, frame->``Point2`` maps,
+visible-frame sets, one ``ComparisonSample`` per probe point) before they
+moved onto columns. The tests compare the array code in
+``skytraj.trackmodel``, ``skytraj.dimensions``, ``skytraj.kinematics``,
+``skytraj.metrics`` and the callers' visible-row gate against them bit for
+bit; the steps that did not change (``ratio_filter``, ``dims_to_world``,
+``acceleration``) and the ``GroupReport`` record are shared.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -27,9 +29,10 @@ from skytraj.dimensions import (
     dims_to_world,
     ratio_filter,
 )
-from skytraj.errors import EmptySampleSet, EmptyVisibilitySet, TooShort
+from skytraj.errors import DegenerateSegment, EmptySampleSet, EmptyVisibilitySet, TooShort
 from skytraj.geometry import BBox, GeoTransform, Homography, Point2
 from skytraj.kinematics import KinematicsConfig, acceleration
+from skytraj.metrics import GroupReport
 from skytraj.trackmodel import TrackPoint
 
 # --- NMS ---------------------------------------------------------------------
@@ -286,3 +289,123 @@ def gate_by_visibility(profile: Profile, visible: set[int]) -> Profile:
     """Restrict exported values to frames in the visibility set."""
     exported = np.array([f in visible for f in profile.frames], dtype=bool)
     return profile._replace(exported=exported)
+
+
+# --- probe comparison -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComparisonSample:
+    """One probe observation against a full candidate trajectory.
+
+    Candidate entries are (point in local meters, smoothed speed in km/h),
+    in trajectory order.
+    """
+
+    probe: Point2
+    probe_speed_kmh: float
+    candidate: tuple[tuple[Point2, float], ...]
+
+
+def nearest_segment(
+    sample: ComparisonSample,
+) -> tuple[Point2, float, Point2, float, float, float]:
+    """Nearest candidate point and its nearer sequence neighbor.
+
+    Returns (p1, v1, p2, v2, d1, d2) where p1 is the closest candidate
+    point to the probe and p2 is whichever of p1's index neighbors is
+    second closest (endpoints have a single neighbor).
+    """
+    pts = sample.candidate
+    if len(pts) < 2:
+        raise DegenerateSegment("candidate trajectory needs >= 2 points")
+    px, py = sample.probe
+    dists = [math.hypot(p.x - px, p.y - py) for p, _ in pts]
+    i1 = min(range(len(pts)), key=lambda i: (dists[i], i))
+    neighbors = [i for i in (i1 - 1, i1 + 1) if 0 <= i < len(pts)]
+    i2 = min(neighbors, key=lambda i: (dists[i], i))
+    p1, v1 = pts[i1]
+    p2, v2 = pts[i2]
+    if math.hypot(p2.x - p1.x, p2.y - p1.y) <= 0.0:
+        raise DegenerateSegment("nearest candidate points coincide")
+    return p1, v1, p2, v2, dists[i1], dists[i2]
+
+
+def positional_deviation(sample: ComparisonSample) -> float:
+    """Perpendicular distance from the probe to the nearest candidate segment line."""
+    p1, _, p2, _, _, _ = nearest_segment(sample)
+    sx, sy = p2.x - p1.x, p2.y - p1.y
+    rx, ry = p1.x - sample.probe.x, p1.y - sample.probe.y
+    return abs(sx * ry - sy * rx) / math.hypot(sx, sy)
+
+
+def speed_difference(sample: ComparisonSample) -> float:
+    """Probe speed minus the distance-weighted candidate speed, km/h.
+
+    The nearer of the two candidate points receives the larger weight;
+    weights sum to one.
+    """
+    _, v1, _, v2, d1, d2 = nearest_segment(sample)
+    denom = d1 + d2
+    if denom <= 0.0:
+        raise DegenerateSegment("probe coincides with a duplicated candidate point")
+    w1 = d2 / denom
+    w2 = d1 / denom
+    return sample.probe_speed_kmh - (w1 * v1 + w2 * v2)
+
+
+def trajectory_length(pts: Sequence[tuple[Point2, float]]) -> float:
+    return sum(
+        math.hypot(b[0].x - a[0].x, b[0].y - a[0].y) for a, b in zip(pts, pts[1:])
+    )
+
+
+def aggregate_comparison(
+    groups: Mapping[str, Sequence[ComparisonSample]], kin: KinematicsConfig
+) -> list[GroupReport]:
+    """Per-group mean +/- population sd of the two deviations.
+
+    Speed differences for probe speeds at or below ``kin.speed_floor_kmh``
+    are excluded. Degenerate samples are skipped and counted. Trajectory
+    length sums consecutive-point distances over the distinct candidate
+    trajectories in the group; duration is their point count over
+    ``kin.fps``. Empty groups are dropped.
+    """
+    reports = []
+    for key in sorted(groups):
+        samples = groups[key]
+        if not samples:
+            continue
+        devs: list[float] = []
+        dvs: list[float] = []
+        skipped = 0
+        # dedupe by value, insertion-ordered so float sums stay stable
+        trajectories: dict[tuple[tuple[Point2, float], ...], None] = {}
+        for s in samples:
+            trajectories.setdefault(s.candidate, None)
+            try:
+                devs.append(positional_deviation(s))
+                if s.probe_speed_kmh > kin.speed_floor_kmh:
+                    dvs.append(speed_difference(s))
+            except DegenerateSegment:
+                skipped += 1
+        if not devs:
+            continue
+        length = sum(trajectory_length(t) for t in trajectories)
+        duration = sum(len(t) for t in trajectories) / float(kin.fps)
+        dev_arr = np.asarray(devs)
+        dv_arr = np.asarray(dvs) if dvs else None
+        reports.append(
+            GroupReport(
+                key=key,
+                n_samples=len(devs),
+                pos_dev_mean_m=float(dev_arr.mean()),
+                pos_dev_std_m=float(dev_arr.std()),
+                speed_diff_mean_kmh=float(dv_arr.mean()) if dv_arr is not None else None,
+                speed_diff_std_kmh=float(dv_arr.std()) if dv_arr is not None else None,
+                traj_length_m=length,
+                traj_duration_s=duration,
+                skipped=skipped,
+            )
+        )
+    return reports

@@ -38,12 +38,7 @@ from skytraj.dataio import (
 from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
 from skytraj.kinematics import KinematicsConfig, compute_profile, gaussian_smooth
-from skytraj.metrics import (
-    ComparisonSample,
-    nearest_segment,
-    positional_deviation,
-    speed_difference,
-)
+from skytraj.metrics import compare_trajectory
 from skytraj.registration import RansacConfig, dlt_homography
 from skytraj.trackmodel import refine_classes
 from test_kinematics import smooth_oracle
@@ -227,35 +222,36 @@ def test_criterion_6_comparison_metrics():
                 ]
             )
             shift = rng.uniform(-500, 500, 2)
-            sample = ComparisonSample(
-                probe=Point2(*(rot @ probe + shift)),
-                probe_speed_kmh=30.0,
-                candidate=tuple(
-                    (Point2(*(rot @ p + shift)), 30.0) for p in pts
-                ),
+            report = compare_trajectory(
+                "E",
+                np.array([[*(rot @ probe + shift), 30.0]]),
+                np.column_stack([pts @ rot.T + shift, np.full(len(pts), 30.0)]),
+                KinematicsConfig(fps=FPS),
             )
-            assert abs(positional_deviation(sample) - offset) <= 1e-12
+            assert abs(report.pos_dev_mean_m - offset) <= 1e-12
 
-        # interpolation weight identities on random samples
+        # interpolation weight identities on random samples; every probe
+        # speed counts, so the speed difference of a probe at 0 km/h is
+        # minus the interpolated candidate speed
+        every_speed = KinematicsConfig(fps=FPS, speed_floor_kmh=-math.inf)
         for _ in range(1000):
             step = rng.uniform(0.5, 4.0)
             xs = np.arange(8.0) * step
             i = int(rng.integers(0, 7))
             u = rng.uniform(0.05, 0.45)
             probe = (xs[i] + u * step, rng.uniform(0, 0.5))
-            base = [(x, 0.0, 0.0) for x in xs]
-            s0 = ComparisonSample(
-                Point2(*probe), 0.0, tuple((Point2(x, y), v) for x, y, v in base)
-            )
-            p1, _, p2, _, d1, d2 = nearest_segment(s0)
+            # u < 0.5: point i is nearest, point i + 1 its nearer neighbor
+            d1 = math.hypot(xs[i] - probe[0], -probe[1])
+            d2 = math.hypot(xs[i + 1] - probe[0], -probe[1])
             w1 = d2 / (d1 + d2)
-            mk = lambda hot: ComparisonSample(
-                Point2(*probe),
-                0.0,
-                tuple((Point2(x, 0.0), 1.0 if x == hot else 0.0) for x in xs),
-            )
-            got_w1 = -speed_difference(mk(p1.x))
-            got_w2 = -speed_difference(mk(p2.x))
+            mk = lambda hot: -compare_trajectory(
+                "E",
+                np.array([[*probe, 0.0]]),
+                np.column_stack([xs, np.zeros_like(xs), (np.arange(8) == hot).astype(float)]),
+                every_speed,
+            ).speed_diff_mean_kmh
+            got_w1 = mk(i)
+            got_w2 = mk(i + 1)
             assert abs(got_w1 + got_w2 - 1.0) <= 1e-12
             assert abs(got_w1 - w1) <= 1e-12
             if d1 < d2:

@@ -700,6 +700,48 @@ class TestCompareCommand:
         header, row = out.read_text().strip().split("\n")
         assert dict(zip(header.split(","), row.split(",")))["speed_diff_mean_kmh"] != ""
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty-probe", "probe trajectory has no points"),
+            ("one-candidate", "candidate trajectory needs >= 2 points, got 1"),
+            ("all-skipped",
+             "all 40 probe points skipped: their nearest candidate points coincide"),
+        ],
+    )
+    def test_nothing_to_compare_fails_cleanly(self, tmp_path, capsys, case, message):
+        probe, candidate = write_comparison_fixture(tmp_path)
+        if case == "empty-probe":
+            probe.write_text("t,x,y,speed\n")
+        elif case == "one-candidate":
+            candidate.write_text("frame,x,y,speed\n1,0.0,0.0,40.0\n")
+        else:  # every candidate point repeated at the next frame
+            candidate.write_text("frame,x,y,speed\n" + "".join(
+                f"{2 * i + k},{float(i)},0.0,40.0\n" for i in range(101) for k in (1, 2)))
+        out = tmp_path / "report.csv"
+        rc = run_cli("compare", "--probe", probe, "--candidate", candidate, "--output", out)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error [compare]: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("3,1.0,0.0,40.0", "duplicate frame 3"),
+         (f"{2**62 + 1},1.0,0.0,40.0", f"frame {2**62 + 1} beyond +-2**62")],
+        ids=["repeated", "beyond-int64"],
+    )
+    def test_bad_candidate_frame_fails_cleanly(self, tmp_path, capsys, row, message):
+        probe, candidate = write_comparison_fixture(tmp_path)
+        lines = candidate.read_text().splitlines()
+        lines.insert(6, row)  # line 7
+        candidate.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.csv"
+        rc = run_cli("compare", "--probe", probe, "--candidate", candidate, "--output", out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error [compare]: {candidate}: line 7: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pipeline", "kinematics"])
     def test_speed_floor_is_a_compare_flag_only(self, command, capsys):
         with pytest.raises(SystemExit):

@@ -590,6 +590,35 @@ class TestTrajectoryLoaders:
         assert "is not finite" in str(exc.value)
 
 
+    def test_probe_rows_in_file_order(self, tmp_path):
+        p = tmp_path / "probe.csv"
+        p.write_text("speed,t,x,y\n30,0.2,1,2\n\n31.5,0.1,-3,4\n")
+        got = load_probe_trajectory(p)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[1.0, 2.0, 30.0], [-3.0, 4.0, 31.5]]
+        p.write_text("t,x,y,speed\n")
+        assert load_probe_trajectory(p).shape == (0, 3)
+
+    def test_candidate_rows_in_frame_order(self, tmp_path):
+        p = tmp_path / "candidate.csv"
+        p.write_text("frame,x,y,speed\n7,1,2,30\n-2,3,4,31\n5,5,6,32\n")
+        assert load_candidate_trajectory(p).tolist() == [
+            [3.0, 4.0, 31.0], [5.0, 6.0, 32.0], [1.0, 2.0, 30.0]
+        ]
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [("7", "duplicate frame 7"), (str(-2**62 - 1), f"frame {-2**62 - 1} beyond +-2**62")],
+        ids=["repeated", "beyond-int64"],
+    )
+    def test_candidate_frame_checks(self, tmp_path, frame, message):
+        p = tmp_path / "candidate.csv"
+        p.write_text(f"frame,x,y,speed\n7,1,2,30\n{2**62},3,4,31\n{frame},5,6,32\n")
+        with pytest.raises(InvariantViolation) as exc:
+            load_candidate_trajectory(p)
+        assert str(exc.value) == f"{p}: line 4: {message}"
+
+
 class TestTransformFiles:
     def test_homography_log_round_trip(self, tmp_path):
         homs = {
@@ -1175,7 +1204,7 @@ class TestTableReaderMatchesDictReader:
                 return type(exc).__name__, str(exc)
             if isinstance(got, dict):  # trajectories by id, as column lists
                 return {vid: [c.tolist() for c in track] for vid, track in got.items()}
-            return got
+            return got.tolist() if isinstance(got, np.ndarray) else got
 
         with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
             ref = outcome()
