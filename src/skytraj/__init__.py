@@ -8,16 +8,14 @@ export. A synthetic benchmark harness scores the registration stage.
 """
 
 from .errors import SkytrajError
-from .geometry import BBox, GeoTransform, Homography, Point2, Quad
+from .geometry import GeoTransform, Homography, Point2
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox",
     "GeoTransform",
     "Homography",
     "Point2",
-    "Quad",
     "SkytrajError",
     "__version__",
 ]

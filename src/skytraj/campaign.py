@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DegenerateProjection, SkytrajError
-from .geometry import BBox, Homography, Point2, apply_homography_array
+from .geometry import Homography, apply_homography_array
 from .metrics import SceneSpec, corner_displacement, scene_miou
 from .registration import (
     Matches,
@@ -155,9 +155,9 @@ def random_homography(ranges: DistortionRanges, scene: SceneSpec, seed) -> Homog
     affine = np.array([[s * c, -s * sn, 0.0], [s * sn, s * c, 0.0], [0.0, 0.0, 1.0]])
     affine[0, 2] = s * (c * tx - sn * ty)
     affine[1, 2] = s * (sn * tx + c * ty)
-    center = scene.center
-    to_center = np.array([[1, 0, -center.x], [0, 1, -center.y], [0, 0, 1]], dtype=float)
-    from_center = np.array([[1, 0, center.x], [0, 1, center.y], [0, 0, 1]], dtype=float)
+    cx, cy = scene.width / 2, scene.height / 2
+    to_center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]], dtype=float)
+    from_center = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1]], dtype=float)
     m = from_center @ affine @ to_center
     m[2, 0] = gx
     m[2, 1] = gy
@@ -178,11 +178,11 @@ def synth_correspondences(
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_points
-    xs = rng.uniform(scene.xmin, scene.xmax, n)
-    ys = rng.uniform(scene.ymin, scene.ymax, n)
+    xs = rng.uniform(0.0, scene.width, n)
+    ys = rng.uniform(0.0, scene.height, n)
     noise = rng.normal(0.0, cfg.noise_sigma, (n, 2))  # scale 0 yields zeros
-    out_xs = rng.uniform(scene.xmin, scene.xmax, n)
-    out_ys = rng.uniform(scene.ymin, scene.ymax, n)
+    out_xs = rng.uniform(0.0, scene.width, n)
+    out_ys = rng.uniform(0.0, scene.height, n)
     d_pass = rng.uniform(0.2, SNN_DESIGN_RATIO - 0.1, n)
     d_fail = rng.uniform(SNN_DESIGN_RATIO + 0.02, 1.0, n)
     flip = rng.uniform(0.0, 1.0, n) < SNN_LABEL_NOISE
@@ -202,22 +202,19 @@ def synth_correspondences(
 
 
 def synthetic_scenes(count: int, seed: int = 0) -> list[SceneSpec]:
-    """Deterministic set of rectangular scenes with a handful of boxes each."""
+    """Deterministic set of rectangular scenes with a handful of boxes each.
+
+    Each scene draws its width, height and box count, then each box its
+    width, height and center, in that order.
+    """
     rng = np.random.default_rng(seed)
     scenes = []
     for _ in range(count):
         w = float(rng.uniform(1600, 3840))
         h = float(rng.uniform(900, 2160))
-        corners = (Point2(0, 0), Point2(w, 0), Point2(w, h), Point2(0, h))
         n_boxes = int(rng.integers(4, 13))
-        boxes = []
-        for _ in range(n_boxes):
-            bw = float(rng.uniform(30, 140))
-            bh = float(rng.uniform(20, 70))
-            cx = float(rng.uniform(0.1 * w, 0.9 * w))
-            cy = float(rng.uniform(0.1 * h, 0.9 * h))
-            boxes.append(BBox(cx, cy, bw, bh))
-        scenes.append(SceneSpec(corners, tuple(boxes)))
+        draws = rng.uniform((30, 20, 0.1 * w, 0.1 * h), (140, 70, 0.9 * w, 0.9 * h), (n_boxes, 4))
+        scenes.append(SceneSpec(w, h, draws[:, [2, 3, 0, 1]]))
     return scenes
 
 

@@ -28,7 +28,7 @@ import yaml
 
 from .campaign import CellResult
 from .errors import InvariantViolation, IoFailure, ParseError, SkytrajError
-from .geometry import GeoTransform, Homography, Point2, BBox
+from .geometry import GeoTransform, Homography, Point2
 from .georeference import (
     GeoRegistry,
     IntersectionEntry,
@@ -249,8 +249,7 @@ def load_tracks(
                 f"duplicate point for id {track_id} frame {frame}", line=line, path=path
             )
         seen.add(key)
-        box = BBox(cx, cy, w, h)
-        points.append(TrackPoint(frame, track_id, Detection(box, cls, score)))
+        points.append(TrackPoint(frame, track_id, Detection((cx, cy, w, h), cls, score)))
     points.sort(key=attrgetter("track_id", "frame"))
     return VideoTracks(
         frame_width=sidecar.frame_width,

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySampleSet, EmptyVisibilitySet
-from .geometry import GeoTransform, Homography, Point2, apply_homography, pixel_to_world
+from .geometry import GeoTransform, Homography, Point2, apply_homography_array, pixel_to_world
 from .trackmodel import DEFAULT_VISIBILITY_MARGIN
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
@@ -252,15 +252,16 @@ def dims_to_world(
 ) -> tuple[float, float]:
     """Convert pixel dims to meters via a frame-centered 3-point decomposition."""
     w_img, h_img = frame_size
-    p1 = Point2(w_img / 2.0, h_img / 2.0)
-    p2 = Point2(w_img / 2.0, (h_img + width_px) / 2.0)
-    p3 = Point2((w_img + length_px) / 2.0, h_img / 2.0)
-    q1, q2, q3 = (
-        pixel_to_world(geo_local, apply_homography(ref_to_ortho, p))
-        for p in (p1, p2, p3)
-    )
-    length_m = 2.0 * math.hypot(q3.x - q1.x, q3.y - q1.y)
-    width_m = 2.0 * math.hypot(q2.x - q1.x, q2.y - q1.y)
+    pts = [
+        (w_img / 2.0, h_img / 2.0),
+        (w_img / 2.0, (h_img + width_px) / 2.0),
+        ((w_img + length_px) / 2.0, h_img / 2.0),
+    ]
+    ortho = Point2(*apply_homography_array(ref_to_ortho, pts).T)
+    with np.errstate(all="ignore"):  # Python floats do not warn either
+        (x1, x2, x3), (y1, y2, y3) = (v.tolist() for v in pixel_to_world(geo_local, ortho))
+    length_m = 2.0 * math.hypot(x3 - x1, y3 - y1)
+    width_m = 2.0 * math.hypot(x2 - x1, y2 - y1)
     return length_m, width_m
 
 

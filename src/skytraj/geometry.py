@@ -1,14 +1,14 @@
 """Planar projective and affine geometry primitives.
 
-Points, 3x3 homographies, 2x3 affine geotransforms, axis-aligned boxes,
-corner quads, and exact convex-polygon IoU via Sutherland-Hodgman
-clipping. Everything here is a pure function on immutable values.
+Points, 3x3 homographies, 2x3 affine geotransforms, one projection
+kernel for arrays of points, box mapping on ``cx, cy, w, h`` rows, and
+exact convex-polygon IoU via Sutherland-Hodgman clipping. Everything
+here is a pure function on immutable values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,13 +62,6 @@ class Homography:
     def identity() -> "Homography":
         return Homography.from_matrix(np.eye(3))
 
-    @cached_property
-    def rows(self) -> tuple[tuple[float, float, float], ...]:
-        """The matrix as rows of Python floats, for per-point arithmetic
-        (the same IEEE operations as on the numpy entries, without the
-        scalar indexing)."""
-        return tuple(tuple(row) for row in self.m.tolist())
-
 
 @dataclass(frozen=True)
 class GeoTransform:
@@ -95,96 +88,40 @@ class GeoTransform:
             raise SingularTransform("geotransform linear part is singular")
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box encoded as center + size; units depend on context."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (type(self.cx) is type(self.cy) is type(self.w) is type(self.h) is float):
-            for name in ("cx", "cy", "w", "h"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-        if self.w < 0 or self.h < 0:
-            raise InvalidGeometry(f"box size must be >= 0, got {self.w}x{self.h}")
-
-    @property
-    def xmin(self) -> float:
-        return self.cx - self.w / 2
-
-    @property
-    def xmax(self) -> float:
-        return self.cx + self.w / 2
-
-    @property
-    def ymin(self) -> float:
-        return self.cy - self.h / 2
-
-    @property
-    def ymax(self) -> float:
-        return self.cy + self.h / 2
-
-    def corners(self) -> "Quad":
-        return Quad(
-            Point2(self.xmin, self.ymin),
-            Point2(self.xmax, self.ymin),
-            Point2(self.xmax, self.ymax),
-            Point2(self.xmin, self.ymax),
-        )
-
-
-@dataclass(frozen=True)
-class Quad:
-    """Four-corner polygon, vertices in order (either winding)."""
-
-    p1: Point2
-    p2: Point2
-    p3: Point2
-    p4: Point2
-
-    def points(self) -> tuple[Point2, Point2, Point2, Point2]:
-        return (self.p1, self.p2, self.p3, self.p4)
-
-
-def _project(h: Homography, x: float, y: float) -> tuple[float, float]:
-    (a, b, c), (d, e, f), (g, k, m) = h.rows
-    z = g * x + k * y + m
-    if abs(z) < Z_TOL:
-        raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
-    return float((a * x + b * y + c) / z), float((d * x + e * y + f) / z)
-
-
-def apply_homography(h: Homography, p: Point2) -> Point2:
-    """Map a point through ``h`` in homogeneous coordinates."""
-    return Point2(*_project(h, *p))
-
-
 def project_array(
     m: np.ndarray, pts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map (..., N, 2) points through (..., 3, 3) matrices, stacks broadcast.
 
     Returns the mapped x and y and the homogeneous scale z, each of shape
-    (..., N). Where z is 0 the mapped coordinates are inf or nan; no
-    check is made and no warning is raised.
+    (..., N): ``(a*x + b*y + c) / z`` with ``z = g*x + k*y + m``, the IEEE
+    operations of the per-point map in its order. Where z is 0 the mapped
+    coordinates are inf or nan; no check is made and no warning is raised.
     """
     x, y = pts[..., 0], pts[..., 1]
     m = m[..., None]
-    z = m[..., 2, 0, :] * x + m[..., 2, 1, :] * y + m[..., 2, 2, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # Python floats do not warn either
+        z = m[..., 2, 0, :] * x + m[..., 2, 1, :] * y + m[..., 2, 2, :]
         px = (m[..., 0, 0, :] * x + m[..., 0, 1, :] * y + m[..., 0, 2, :]) / z
         py = (m[..., 1, 0, :] * x + m[..., 1, 1, :] * y + m[..., 1, 2, :]) / z
     return px, py, z
 
 
-def apply_homography_array(h: Homography, pts: np.ndarray) -> np.ndarray:
-    """Vectorized `apply_homography` for an (N, 2) array."""
-    px, py, z = project_array(h.m, np.asarray(pts, dtype=float))
-    if np.any(np.abs(z) < Z_TOL):
-        raise DegenerateProjection("some points map to projective infinity")
+def reject_infinity(pts: np.ndarray, z: np.ndarray) -> None:
+    """Raise DegenerateProjection naming the first of the (N, 2) ``pts``
+    whose homogeneous scale in the (N,) ``z`` is below ``Z_TOL``."""
+    at_infinity = np.abs(z) < Z_TOL
+    if at_infinity.any():
+        x, y = pts[int(at_infinity.argmax())].tolist()
+        raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
+
+
+def apply_homography_array(h: Homography, pts) -> np.ndarray:
+    """Map (N, 2) points through ``h``; (N, 2) out. Raises
+    DegenerateProjection for the first point at projective infinity."""
+    pts = np.asarray(pts, dtype=float)
+    px, py, z = project_array(h.m, pts)
+    reject_infinity(pts, z)
     return np.stack([px, py], axis=-1)
 
 
@@ -196,8 +133,16 @@ def compose(h2: Homography, h1: Homography) -> Homography:
         raise SingularResult(str(exc)) from exc
 
 
-# Entries (0,0), (0,1), (1,0), (1,1), (2,0), (2,1), (2,2) of a pure translation.
-_SHIFT_ENTRIES = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+def box_corners(boxes: np.ndarray) -> np.ndarray:
+    """The (n, 4, 2) corners of (n, 4) ``cx, cy, w, h`` rows, in the order
+    (xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax), with the edges
+    at ``cx -+ w / 2`` and ``cy -+ h / 2``."""
+    cx, cy, w, h = boxes.T
+    with np.errstate(all="ignore"):  # Python floats do not warn either
+        xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+    return np.stack(
+        [np.stack([xmin, xmax, xmax, xmin], 1), np.stack([ymin, ymin, ymax, ymax], 1)], 2
+    )
 
 
 def transform_boxes(homs: Sequence[Homography], which, boxes: np.ndarray) -> np.ndarray:
@@ -206,34 +151,32 @@ def transform_boxes(homs: Sequence[Homography], which, boxes: np.ndarray) -> np.
 
     A pure translation shifts the center and keeps the size exactly (the
     corner path would lose low bits to cancellation). Other boxes map
-    their four corners, in `BBox.corners` order, with `project_array`,
-    which does `apply_homography`'s operations in the same order, so each
-    box equals mapping its corners one at a time. A box with a corner at
-    projective infinity, or with a mapped corner coordinate that is zero
-    or not finite, is refit corner by corner with Python's ``min`` and
-    ``max`` (which, unlike numpy's, pick a signed zero or a NaN by its
-    position); the first corner at infinity raises DegenerateProjection.
+    their four `box_corners` with `project_array`, so each box equals
+    mapping its corners one at a time. A box with a corner at projective
+    infinity, or with a mapped corner coordinate that is zero or not
+    finite, is refit with Python's ``min`` and ``max`` on its mapped
+    corners (which, unlike numpy's, pick a signed zero or a NaN by its
+    position); its first corner at infinity raises DegenerateProjection.
     """
     if len(boxes) == 0:
         return np.zeros((0, 4))
     which = np.asarray(which, dtype=np.intp)
-    shift = np.array(
-        [hom.rows[0][:2] + hom.rows[1][:2] + hom.rows[2] == _SHIFT_ENTRIES for hom in homs]
-    )[which]
-    m = np.stack([h.m for h in homs])[which]
+    ms = np.stack([h.m for h in homs])
+    linear = ms.copy()
+    linear[:, :2, 2] = 0.0  # a pure translation is the identity but for these
+    shift = (linear == np.eye(3)).all((1, 2))[which]
+    m = ms[which]
     cx, cy, w, h = boxes.T
+    corners = box_corners(boxes)
+    px, py, z = project_array(m, corners)
     with np.errstate(all="ignore"):  # Python floats do not warn either
-        xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
-        corners = np.stack(
-            [np.stack([xmin, xmax, xmax, xmin], 1), np.stack([ymin, ymin, ymax, ymax], 1)], 2
-        )
-        px, py, z = project_array(m, corners)
         x0, x1, y0, y1 = px.min(1), px.max(1), py.min(1), py.max(1)
         out = np.stack([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0], 1)
         out[shift] = np.stack([cx + m[:, 0, 2], cy + m[:, 1, 2], w, h], 1)[shift]
         odd = (np.abs(z) < Z_TOL) | ~np.isfinite(px) | ~np.isfinite(py) | (px == 0) | (py == 0)
     for i in np.flatnonzero(~shift & odd.any(1)).tolist():
-        xs, ys = zip(*(_project(homs[which[i]], x, y) for x, y in corners[i].tolist()))
+        reject_infinity(corners[i], z[i])
+        xs, ys = px[i].tolist(), py[i].tolist()
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         out[i] = ((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
     return out
@@ -320,10 +263,9 @@ def _clip_convex(subject, clip):
     return output
 
 
-def quad_iou(q1: Quad, q2: Quad) -> float:
-    """Exact intersection-over-union of two convex quadrilaterals."""
-    a = [(p.x, p.y) for p in q1.points()]
-    b = [(p.x, p.y) for p in q2.points()]
+def quad_iou(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) -> float:
+    """Exact intersection-over-union of two convex quadrilaterals, each
+    given as four ``(x, y)`` vertices in order (either winding)."""
     _require_convex(a)
     _require_convex(b)
     if _signed_area(b) < 0:

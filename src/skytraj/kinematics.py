@@ -47,6 +47,8 @@ class KinematicsConfig:
             )
         if self.fps <= 0:
             raise ValueError("fps must be positive")
+        if math.isnan(self.speed_floor_kmh):  # every comparison with NaN is false
+            raise ValueError("speed_floor_kmh must not be NaN")
 
 
 @dataclass(frozen=True)

@@ -14,84 +14,80 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateProjection, DegenerateSegment, NonConvexInput, TooShort
-from .geometry import BBox, Homography, Point2, apply_homography, quad_iou
-from .geometry import Quad
+from .errors import DegenerateSegment, NonConvexInput, TooShort
+from .geometry import Z_TOL, Homography, box_corners, project_array, quad_iou, reject_infinity
 from .kinematics import KinematicsConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Scene extent (four corner points) plus its vehicle boxes."""
+    """A ``width`` x ``height`` scene with its corner at the origin, and its
+    vehicle boxes: an (m, 4) float array of ``cx, cy, w, h`` rows."""
 
-    corners: tuple[Point2, Point2, Point2, Point2]
-    boxes: tuple[BBox, ...]
-
-    @property
-    def xmin(self) -> float:
-        return min(p.x for p in self.corners)
+    width: float
+    height: float
+    boxes: np.ndarray
 
     @property
-    def xmax(self) -> float:
-        return max(p.x for p in self.corners)
-
-    @property
-    def ymin(self) -> float:
-        return min(p.y for p in self.corners)
-
-    @property
-    def ymax(self) -> float:
-        return max(p.y for p in self.corners)
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
-
-    @property
-    def center(self) -> Point2:
-        return Point2((self.xmin + self.xmax) / 2, (self.ymin + self.ymax) / 2)
+    def corners(self) -> np.ndarray:
+        """The (4, 2) scene corners, counterclockwise from the origin."""
+        w, h = self.width, self.height
+        return np.array([(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)])
 
 
-def corner_displacement(
-    h_true: Homography, h_est: Homography, corners: Sequence[Point2]
-) -> float:
-    """Mean round-trip displacement of the scene corners, in pixels."""
+def _round_trip(
+    h_true: Homography, h_est: Homography, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Map the (N, 2) ``pts`` through ``h_true``, then back through ``h_est``.
+
+    Returns the mapped x and y (N,), and the (N, 2, 2) start point and the
+    (N, 2) homogeneous scale of each point's two legs, in the order the
+    per-point round trip meets them.
+    """
+    mx, my, z_true = project_array(h_true.m, pts)
+    mid = np.stack([mx, my], axis=-1)
+    x, y, z_est = project_array(h_est.m, mid)
+    return x, y, np.stack([pts, mid], axis=1), np.stack([z_true, z_est], axis=1)
+
+
+def corner_displacement(h_true: Homography, h_est: Homography, corners: np.ndarray) -> float:
+    """Mean round-trip displacement of the (4, 2) scene corners, in pixels.
+
+    Raises DegenerateProjection for the first leg that meets projective
+    infinity, corner by corner.
+    """
+    corners = np.asarray(corners, dtype=float)
+    x, y, starts, z = _round_trip(h_true, h_est, corners)
+    reject_infinity(starts.reshape(-1, 2), z.ravel())
     total = 0.0
-    for p in corners:
-        q = apply_homography(h_est, apply_homography(h_true, p))
-        total += math.hypot(q.x - p.x, q.y - p.y)
+    for qx, qy, (px, py) in zip(x.tolist(), y.tolist(), corners.tolist()):
+        total += math.hypot(qx - px, qy - py)
     return total / len(corners)
 
 
-def scene_miou(h_true: Homography, h_est: Homography, boxes: Sequence[BBox]) -> float:
-    """Mean IoU between scene boxes and their round-tripped quadrilaterals.
+def scene_miou(h_true: Homography, h_est: Homography, boxes: np.ndarray) -> float:
+    """Mean IoU between the (m, 4) scene boxes and their round-tripped
+    quadrilaterals.
 
-    A box whose round trip degenerates (projective infinity, non-convex
-    result) contributes zero overlap.
+    A box whose round trip degenerates (a corner at projective infinity on
+    either leg, a non-convex result) contributes zero overlap.
     """
-    if not boxes:
+    if not len(boxes):
         raise ValueError("scene has no boxes")
+    corners = box_corners(boxes)
+    x, y, _, z = _round_trip(h_true, h_est, corners.reshape(-1, 2))
+    finite = ~(np.abs(z) < Z_TOL).reshape(-1, 8).any(axis=1)
+    warped = np.stack([x, y], axis=-1).reshape(-1, 4, 2)
     total = 0.0
-    for b in boxes:
-        quad = b.corners()
-        try:
-            warped = Quad(
-                *(
-                    apply_homography(h_est, apply_homography(h_true, p))
-                    for p in quad.points()
-                )
-            )
-            total += quad_iou(quad, warped)
-        except (DegenerateProjection, NonConvexInput):
-            pass
+    for quad, warp, ok in zip(corners.tolist(), warped.tolist(), finite.tolist()):
+        if ok:
+            try:
+                total += quad_iou(quad, warp)
+            except NonConvexInput:
+                pass
     return total / len(boxes)
 
 

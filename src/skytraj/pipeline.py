@@ -26,7 +26,14 @@ from .dataio import (
 )
 from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import MissingDistances, MissingHomography, SkytrajError
-from .geometry import Z_TOL, Homography, Point2, apply_homography, pixel_to_world, project_array
+from .geometry import (
+    Z_TOL,
+    Homography,
+    Point2,
+    apply_homography_array,
+    pixel_to_world,
+    project_array,
+)
 from .georeference import GeoChain, SegmentationMap, assign_segment
 from .kinematics import KinematicsConfig, compute_profile
 from .registration import (
@@ -162,9 +169,8 @@ def georeference(
     Returns the (N, 6) columns ortho x, y, local x, y, latitude, longitude
     (the `POSITION_PLACES` order) and the (N,) flags of the centers at
     projective infinity, whose rows hold no position. `project_array` and
-    `pixel_to_world` on arrays do the operations of `apply_homography` and
-    `pixel_to_world` per point in the same order, so every other row holds
-    the same floats.
+    `pixel_to_world` on arrays do the operations of the per-point maps in
+    the same order, so every other row holds the same floats.
     """
     x, y, z = project_array(geo.ref_to_ortho.m, np.column_stack((centers.x, centers.y)))
     ortho = Point2(x, y)
@@ -177,8 +183,8 @@ def georeference(
 
 def raise_at_infinity(centers: CenterColumns, row: int, geo: GeoChain) -> None:
     """Raise the DegenerateProjection of a center that `georeference`
-    flagged: `apply_homography` makes the same z test on it."""
-    apply_homography(geo.ref_to_ortho, Point2(float(centers.x[row]), float(centers.y[row])))
+    flagged: `apply_homography_array` makes the same z test on it."""
+    apply_homography_array(geo.ref_to_ortho, [[centers.x[row], centers.y[row]]])
 
 
 def lane_columns(positions: np.ndarray, seg: SegmentationMap | None) -> tuple[list, list]:

@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import MissingHomography
-from .geometry import BBox, Homography, transform_boxes
+from .geometry import Homography, transform_boxes
 
 DEFAULT_FPS = Fraction(30000, 1001)
 # Pixels a box must keep from every frame edge to count as visible.
@@ -23,7 +23,7 @@ DEFAULT_VISIBILITY_MARGIN = 4.0
 
 @dataclass(frozen=True)
 class Detection:
-    bbox: BBox  # normalized to frame size
+    bbox: tuple[float, float, float, float]  # cx, cy, w, h normalized to frame size
     cls: int
     score: float
 
@@ -51,10 +51,7 @@ class VideoTracks:
         n = len(points)
         keys = np.fromiter(((p.frame, p.track_id, p.detection.cls) for p in points),
                            dtype=(np.int64, 3), count=n)
-        boxes = np.fromiter(
-            ((b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in points)),
-            dtype=(float, 4), count=n,
-        )
+        boxes = np.fromiter((p.detection.bbox for p in points), dtype=(float, 4), count=n)
         w_img, h_img = self.frame_size
         return TrackColumns(keys[:, 0], keys[:, 1], keys[:, 2],
                             boxes * np.array([w_img, h_img, w_img, h_img], dtype=float))
@@ -109,9 +106,7 @@ def ingest_keep_indices(
     order = sorted(candidates, key=lambda i: -dets[i].score)
     if len(order) < 2:
         return order
-    cx, cy, w, h = np.array(
-        [(b.cx, b.cy, b.w, b.h) for b in (dets[i].bbox for i in order)]
-    ).T
+    cx, cy, w, h = np.array([dets[i].bbox for i in order]).T
     with np.errstate(all="ignore"):  # Python floats do not warn either
         xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
         ix = np.minimum(xmax[:, None], xmax) - np.maximum(xmin[:, None], xmin)

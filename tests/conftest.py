@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from skytraj.dimensions import BoxColumns, CenterColumns
-from skytraj.geometry import BBox, GeoTransform, Homography, Point2, apply_homography, pixel_to_world
+from skytraj.errors import SkytrajError
+from reference import apply_homography
+from skytraj.geometry import GeoTransform, Homography, Point2, pixel_to_world
 from skytraj.georeference import GeoChain, assign_segment
 from skytraj.trackmodel import Detection, TrackColumns, TrackPoint, VideoTracks, visible_flags
 
@@ -59,11 +62,24 @@ def make_point(
         frame=frame,
         track_id=track_id,
         detection=Detection(
-            BBox(cx_px / w_img, cy_px / h_img, w_px / w_img, h_px / h_img),
-            cls,
-            score,
+            (cx_px / w_img, cy_px / h_img, w_px / w_img, h_px / h_img), cls, score
         ),
     )
+
+
+def outcome(fn, *args):
+    """The error type and text ``fn`` raises, or the bits of its float
+    result (a tuple's items one by one): equal outcomes are equal bit for bit."""
+    try:
+        value = fn(*args)
+    except SkytrajError as exc:
+        return type(exc).__name__, str(exc)
+    return [float(v).hex() for v in (value if isinstance(value, tuple) else (value,))]
+
+
+def with_box(p: TrackPoint, box) -> TrackPoint:
+    """``p`` with the normalized box ``cx, cy, w, h``."""
+    return replace(p, detection=replace(p.detection, bbox=tuple(box)))
 
 
 def make_tracks(points, frame_size=(FRAME_W, FRAME_H)):
@@ -121,12 +137,12 @@ def georeference_points(stab_points, frame_size, geo: GeoChain) -> list[GeoPosit
     """The per-point georeference loop that `pipeline.georeference` replaced,
     kept as its bit-level reference: each stabilized box center into ortho
     px, local meters, WGS84 and its lane, in input order. A center at
-    projective infinity raises `apply_homography`'s DegenerateProjection."""
+    projective infinity raises `reference.apply_homography`'s DegenerateProjection."""
     w_img, h_img = frame_size
     out = []
     for p in stab_points:
-        box = p.detection.bbox
-        ortho = apply_homography(geo.ref_to_ortho, Point2(box.cx * w_img, box.cy * h_img))
+        cx, cy, _, _ = p.detection.bbox
+        ortho = apply_homography(geo.ref_to_ortho, Point2(cx * w_img, cy * h_img))
         local = pixel_to_world(geo.geo_local, ortho)
         wgs = pixel_to_world(geo.geo_wgs, ortho)
         seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
@@ -173,9 +189,8 @@ def write_tracks_csv(path: Path, points) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["frame", "id", "cx", "cy", "w", "h", "class", "score"])
         for p in sorted(points, key=lambda q: (q.track_id, q.frame)):
-            b = p.detection.bbox
             writer.writerow(
-                [p.frame, p.track_id, repr(b.cx), repr(b.cy), repr(b.w), repr(b.h),
+                [p.frame, p.track_id, *map(repr, p.detection.bbox),
                  p.detection.cls, repr(p.detection.score)]
             )
 

@@ -1,14 +1,19 @@
-"""Per-point reference implementations of the vehicle measurement stages.
+"""Per-point reference implementations of the projection and the vehicle
+measurement stages.
 
-These are the pairwise box IoU of NMS, the box scaling, the visibility
-test, the dimension and kinematics steps and the probe comparison as they
-ran on per-point objects (``TrackPoint`` lists, frame->``Point2`` maps,
-visible-frame sets, one ``ComparisonSample`` per probe point) before they
-moved onto columns. The tests compare the array code in
-``skytraj.trackmodel``, ``skytraj.dimensions``, ``skytraj.kinematics``,
-``skytraj.metrics`` and the callers' visible-row gate against them bit for
-bit; the steps that did not change (``ratio_filter``, ``dims_to_world``,
-``acceleration``) and the ``GroupReport`` record are shared.
+These are the point map through a homography on Python floats, the box
+corners and their refit, the HEA/MIoU round trip corner by corner, the
+synthetic scene draws, the pairwise box IoU of NMS, the box scaling, the
+visibility test, the dimension and kinematics steps and the probe
+comparison as they ran on per-point objects (``Point2`` values, box
+tuples, ``TrackPoint`` lists, frame->``Point2`` maps, visible-frame sets,
+one ``ComparisonSample`` per probe point) before they moved onto arrays.
+The tests compare the array code in ``skytraj.geometry``,
+``skytraj.metrics``, ``skytraj.campaign``, ``skytraj.trackmodel``,
+``skytraj.dimensions``, ``skytraj.kinematics`` and the callers'
+visible-row gate against them bit for bit; the steps that did not change
+(``ratio_filter``, ``quad_iou``, ``acceleration``) and the ``GroupReport``
+record are shared.
 """
 from __future__ import annotations
 
@@ -26,27 +31,117 @@ from skytraj.dimensions import (
     DimensionEstimate,
     DimPath,
     DimSamples,
-    dims_to_world,
     ratio_filter,
 )
-from skytraj.errors import DegenerateSegment, EmptySampleSet, EmptyVisibilitySet, TooShort
-from skytraj.geometry import BBox, GeoTransform, Homography, Point2
+from skytraj.errors import (
+    DegenerateProjection,
+    DegenerateSegment,
+    EmptySampleSet,
+    EmptyVisibilitySet,
+    NonConvexInput,
+    TooShort,
+)
+from skytraj.geometry import Z_TOL, GeoTransform, Homography, Point2, pixel_to_world, quad_iou
 from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.metrics import GroupReport
 from skytraj.trackmodel import TrackPoint
 
+Box = tuple[float, float, float, float]  # cx, cy, w, h
+
+# --- projection and boxes -------------------------------------------------------
+
+
+def apply_homography(h: Homography, p: Point2) -> Point2:
+    """Map one point through ``h`` in homogeneous coordinates, on Python
+    floats. A homogeneous scale below ``Z_TOL`` raises DegenerateProjection."""
+    (a, b, c), (d, e, f), (g, k, m) = h.m.tolist()
+    x, y = p
+    z = g * x + k * y + m
+    if abs(z) < Z_TOL:
+        raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
+    return Point2(float((a * x + b * y + c) / z), float((d * x + e * y + f) / z))
+
+
+def box_corners(box: Box) -> tuple[Point2, Point2, Point2, Point2]:
+    """The corners (xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)."""
+    cx, cy, w, h = box
+    xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+    return (Point2(xmin, ymin), Point2(xmax, ymin), Point2(xmax, ymax), Point2(xmin, ymax))
+
+
+def transform_bbox(h: Homography, box: Box) -> Box:
+    """One box through ``h``: a pure translation shifts the center and keeps
+    the size, any other map refits the minimal box around its mapped corners."""
+    (m00, m01, tx), (m10, m11, ty), (m20, m21, m22) = h.m.tolist()
+    cx, cy, w, bh = box
+    if (m00, m01, m10, m11, m20, m21, m22) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
+        return (cx + tx, cy + ty, w, bh)
+    xs, ys = zip(*(apply_homography(h, p) for p in box_corners(box)))
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    return ((xmin + xmax) / 2, (ymin + ymax) / 2, xmax - xmin, ymax - ymin)
+
+
+# --- registration scores ----------------------------------------------------------
+
+
+def corner_displacement(
+    h_true: Homography, h_est: Homography, corners: Sequence[Point2]
+) -> float:
+    """Mean round-trip displacement of the scene corners, in pixels."""
+    total = 0.0
+    for p in corners:
+        q = apply_homography(h_est, apply_homography(h_true, p))
+        total += math.hypot(q.x - p.x, q.y - p.y)
+    return total / len(corners)
+
+
+def scene_miou(h_true: Homography, h_est: Homography, boxes: Sequence[Box]) -> float:
+    """Mean IoU between scene boxes and their round-tripped quadrilaterals;
+    a box whose round trip degenerates contributes zero overlap."""
+    if not boxes:
+        raise ValueError("scene has no boxes")
+    total = 0.0
+    for b in boxes:
+        quad = box_corners(b)
+        try:
+            warped = [apply_homography(h_est, apply_homography(h_true, p)) for p in quad]
+            total += quad_iou(quad, warped)
+        except (DegenerateProjection, NonConvexInput):
+            pass
+    return total / len(boxes)
+
+
+def synthetic_scenes(count: int, seed: int = 0) -> list[tuple[float, float, list[Box]]]:
+    """(width, height, boxes) of each scene, drawn one value at a time."""
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for _ in range(count):
+        w = float(rng.uniform(1600, 3840))
+        h = float(rng.uniform(900, 2160))
+        boxes = []
+        for _ in range(int(rng.integers(4, 13))):
+            bw = float(rng.uniform(30, 140))
+            bh = float(rng.uniform(20, 70))
+            cx = float(rng.uniform(0.1 * w, 0.9 * w))
+            cy = float(rng.uniform(0.1 * h, 0.9 * h))
+            boxes.append((cx, cy, bw, bh))
+        scenes.append((w, h, boxes))
+    return scenes
+
+
 # --- NMS ---------------------------------------------------------------------
 
 
-def bbox_iou(a: BBox, b: BBox) -> float:
+def bbox_iou(a: Box, b: Box) -> float:
     """Intersection over union of two axis-aligned boxes, the pairwise test
     that `trackmodel.ingest_keep_indices` evaluates as one matrix."""
-    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
+    ix = min(acx + aw / 2, bcx + bw / 2) - max(acx - aw / 2, bcx - bw / 2)
+    iy = min(acy + ah / 2, bcy + bh / 2) - max(acy - ah / 2, bcy - bh / 2)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    union = a.w * a.h + b.w * b.h - inter
+    union = aw * ah + bw * bh - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -55,20 +150,22 @@ def bbox_iou(a: BBox, b: BBox) -> float:
 # --- visibility and dimensions -------------------------------------------------
 
 
-def denormalize_bbox(box: BBox, frame_size: tuple[int, int]) -> BBox:
+def denormalize_bbox(box: Box, frame_size: tuple[int, int]) -> Box:
     """A normalized box in pixels."""
     w_img, h_img = frame_size
-    return BBox(box.cx * w_img, box.cy * h_img, box.w * w_img, box.h * h_img)
+    cx, cy, w, h = box
+    return (cx * w_img, cy * h_img, w * w_img, h * h_img)
 
 
-def bbox_visible_px(box: BBox, frame_size: tuple[int, int], margin: float) -> bool:
+def bbox_visible_px(box: Box, frame_size: tuple[int, int], margin: float) -> bool:
     """Strict interior test for a pixel-space box against frame borders."""
     w_img, h_img = frame_size
+    cx, cy, w, h = box
     return (
-        box.cx - box.w / 2 > margin
-        and box.cx + box.w / 2 < w_img - (margin + 1)
-        and box.cy - box.h / 2 > margin
-        and box.cy + box.h / 2 < h_img - (margin + 1)
+        cx - w / 2 > margin
+        and cx + w / 2 < w_img - (margin + 1)
+        and cy - h / 2 > margin
+        and cy + h / 2 < h_img - (margin + 1)
     )
 
 
@@ -92,7 +189,7 @@ def initial_dims(
     w_img, h_img = frame_size
     rows = sorted(
         (
-            (p.frame, p.detection.bbox.w * w_img, p.detection.bbox.h * h_img)
+            (p.frame, p.detection.bbox[2] * w_img, p.detection.bbox[3] * h_img)
             for p in points
             if p.frame in visible
         ),
@@ -115,7 +212,7 @@ def azimuth_sequence(
         return []
     w_img, h_img = frame_size
     centers = {
-        p.frame: Point2(p.detection.bbox.cx * w_img, p.detection.bbox.cy * h_img)
+        p.frame: Point2(p.detection.bbox[0] * w_img, p.detection.bbox[1] * h_img)
         for p in stab_points
     }
     frames = sorted(centers)
@@ -169,6 +266,27 @@ def quartile_dims(lengths: np.ndarray, widths: np.ndarray) -> tuple[float, float
         raise EmptySampleSet("no samples to aggregate")
     length, width = np.percentile(np.stack((lengths, widths)), 25, axis=1).tolist()
     return length, width
+
+
+def dims_to_world(
+    length_px: float,
+    width_px: float,
+    frame_size: tuple[int, int],
+    ref_to_ortho: Homography,
+    geo_local: GeoTransform,
+) -> tuple[float, float]:
+    """Pixel dims to meters via a frame-centered 3-point decomposition,
+    one point at a time."""
+    w_img, h_img = frame_size
+    p1 = Point2(w_img / 2.0, h_img / 2.0)
+    p2 = Point2(w_img / 2.0, (h_img + width_px) / 2.0)
+    p3 = Point2((w_img + length_px) / 2.0, h_img / 2.0)
+    q1, q2, q3 = (
+        pixel_to_world(geo_local, apply_homography(ref_to_ortho, p)) for p in (p1, p2, p3)
+    )
+    length_m = 2.0 * math.hypot(q3.x - q1.x, q3.y - q1.y)
+    width_m = 2.0 * math.hypot(q2.x - q1.x, q2.y - q1.y)
+    return length_m, width_m
 
 
 def estimate_dimensions(

@@ -36,7 +36,7 @@ from skytraj.dataio import (
     write_campaign_results,
 )
 from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions
-from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
+from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography_array
 from skytraj.kinematics import KinematicsConfig, compute_profile, gaussian_smooth
 from skytraj.metrics import compare_trajectory
 from skytraj.registration import RansacConfig, dlt_homography
@@ -106,12 +106,12 @@ def test_criterion_2_dlt_exactness():
             n = int(rng.integers(4, 21))
             pts = np.stack(
                 [
-                    rng.uniform(scene.xmin, scene.xmax, n),
-                    rng.uniform(scene.ymin, scene.ymax, n),
+                    rng.uniform(0.0, scene.width, n),
+                    rng.uniform(0.0, scene.height, n),
                 ],
                 axis=1,
             )
-            dst = np.array([apply_homography(truth, Point2(*p)) for p in pts])
+            dst = apply_homography_array(truth, pts)
             est = dlt_homography(pts, dst).m
             inv = np.linalg.inv(est)
             for (sx, sy), (dx, dy) in zip(pts, dst):

@@ -16,7 +16,8 @@ from skytraj.campaign import (
     synthetic_scenes,
 )
 from skytraj.errors import ConfigError
-from skytraj.geometry import Point2, apply_homography
+from reference import apply_homography
+from skytraj.geometry import Point2
 from skytraj.registration import RansacConfig, snn_filter
 
 SCENES = synthetic_scenes(5, seed=7)

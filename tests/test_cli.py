@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from conftest import (
     make_point,
     scenario_points,
     translation,
+    with_box,
     write_correspondence_fixture,
     write_sidecar,
     write_tracks_csv,
@@ -36,6 +36,12 @@ from skytraj.dataio import (
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def read_rows(path) -> list[dict[str, str]]:
+    """The rows of the CSV table at ``path``; the file is closed on return."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def pipeline_cmd(paths, output, extra=()):
@@ -254,7 +260,7 @@ class TestPipelineCommand:
         """A zero-width box carries no shape: the ratio test drops it and the
         parked vehicle keeps the estimate of its other boxes."""
         points = [
-            replace(p, detection=replace(p.detection, bbox=replace(p.detection.bbox, w=0.0)))
+            with_box(p, (*p.detection.bbox[:2], 0.0, p.detection.bbox[3]))
             if (p.track_id, p.frame) == (3, 5) else p
             for p in scenario_points()
         ]
@@ -262,7 +268,7 @@ class TestPipelineCommand:
         write_tracks_csv(paths["tracks"], points)
         out = tmp_path / "out.csv"
         assert run_cli(*pipeline_cmd(paths, out)) == 0
-        v3 = [r for r in csv.DictReader(out.open()) if r["Vehicle_ID"] == "3"]
+        v3 = [r for r in read_rows(out) if r["Vehicle_ID"] == "3"]
         assert len(v3) == 18
         assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
 
@@ -271,7 +277,7 @@ class TestPipelineCommand:
         parked vehicle's ratio path: the box is kept, and stderr holds only
         the row count, also outside the test runner's warning filters."""
         points = [
-            replace(p, detection=replace(p.detection, bbox=replace(p.detection.bbox, h=1e-310)))
+            with_box(p, (*p.detection.bbox[:3], 1e-310))
             if (p.track_id, p.frame) == (3, 7) else p
             for p in scenario_points()
         ]
@@ -284,7 +290,7 @@ class TestPipelineCommand:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert (done.returncode, done.stderr) == (0, "exported 38 rows\n")
-        v3 = [r for r in csv.DictReader(out.open()) if r["Vehicle_ID"] == "3"]
+        v3 = [r for r in read_rows(out) if r["Vehicle_ID"] == "3"]
         assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
 
     def test_vehicle_error_names_the_vehicle(self, pipeline_fixture, tmp_path, capsys):
@@ -393,8 +399,9 @@ class TestStabilizeCommand:
         )
         for p in stab.points:
             ref_x = 600.0 + 25.0 * (p.frame - 1)
-            assert p.detection.bbox.cx * FRAME_W == pytest.approx(ref_x, abs=1e-3)
-            assert p.detection.bbox.cy * FRAME_H == pytest.approx(1080.0, abs=1e-3)
+            cx, cy, _, _ = p.detection.bbox
+            assert cx * FRAME_W == pytest.approx(ref_x, abs=1e-3)
+            assert cy * FRAME_H == pytest.approx(1080.0, abs=1e-3)
         with open(out, newline="") as fh:
             assert {row["visible"] for row in csv.DictReader(fh)} == {"1"}
 
@@ -742,6 +749,17 @@ class TestCompareCommand:
         assert err == [f"error [compare]: {candidate}: line 7: {message}"]
         assert not out.exists()
 
+    def test_nan_speed_floor_fails_cleanly(self, tmp_path, capsys):
+        probe, candidate = write_comparison_fixture(tmp_path)
+        out = tmp_path / "report.csv"
+        rc = run_cli("compare", "--probe", probe, "--candidate", candidate,
+                     "--speed-floor", "nan", "--output", out)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error [compare]: kinematics: speed_floor_kmh must not be NaN"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pipeline", "kinematics"])
     def test_speed_floor_is_a_compare_flag_only(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -771,7 +789,7 @@ class TestAuxCommands:
             "--output", out,
         )
         assert rc == 0
-        rows = {r["id"]: r for r in csv.DictReader(out.open())}
+        rows = {r["id"]: r for r in read_rows(out)}
         assert rows["1"]["path"] == "azimuth_filtered"
         assert float(rows["1"]["length_m"]) == pytest.approx(4.905, abs=0.01)
         assert rows["3"]["path"] == "ratio_filtered"
@@ -786,7 +804,7 @@ class TestAuxCommands:
                 writer.writerow([1, k, 0.5 * (k - 1), 0.0])
         out = tmp_path / "kin.csv"
         assert run_cli("kinematics", "--input", traj, "--output", out) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert rows[0]["speed_kmh"] == ""  # first frame undefined
         expected = 0.5 * 30000 / 1001 * 3.6
         for r in rows[1:]:
@@ -817,7 +835,7 @@ class TestAuxCommands:
             "--output", out,
         )
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert rows[0]["ortho_x"] != ""
         assert {r["id"] for r in rows} == {"1", "2", "3", "4"}
 
@@ -857,7 +875,7 @@ class TestAuxCommands:
         out = tmp_path / "kin.csv"
         assert run_cli("kinematics", "--input", traj, "--output", out) == 0
         assert capsys.readouterr().err == ""
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert [r["frame"] for r in rows] == ["1", "2", "3"]
         speed = float(rows[2]["speed_ms"]) * 3.6
         assert float(rows[2]["speed_kmh"]) == pytest.approx(speed, rel=1e-15)
@@ -1072,12 +1090,12 @@ class TestStagesMatchPipeline:
             "--output", dims,
         ) == 0
         exported: dict[str, list[dict]] = {}
-        for row in csv.DictReader(export.open()):
+        for row in read_rows(export):
             exported.setdefault(row["Vehicle_ID"], []).append(row)
         georef: dict[str, list[dict]] = {}
-        for row in csv.DictReader(geo.open()):  # sorted by (id, frame)
+        for row in read_rows(geo):  # sorted by (id, frame)
             georef.setdefault(row["id"], []).append(row)
-        dims_rows = {row["id"]: row for row in csv.DictReader(dims.open())}
+        dims_rows = {row["id"]: row for row in read_rows(dims)}
         assert sum(map(len, exported.values())) == 38
         for vid, rows in exported.items():
             assert len(georef[vid]) == len(rows)  # the export keeps every point

@@ -3,7 +3,7 @@ import math
 import re
 import sys
 import tempfile
-from dataclasses import astuple, replace
+from dataclasses import replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from operator import itemgetter
@@ -20,6 +20,7 @@ from conftest import (
     make_point,
     make_tracks,
     translation,
+    with_box,
     write_registry,
     write_segmentation,
 )
@@ -48,7 +49,7 @@ from skytraj.dataio import (
 )
 from skytraj.dimensions import DimConfig
 from skytraj.errors import DegenerateProjection, InvariantViolation, ParseError, SkytrajError
-from skytraj.geometry import BBox, GeoTransform, Homography, Point2
+from skytraj.geometry import GeoTransform, Homography, Point2
 from skytraj.georeference import GeoChain, LanePolygon, SegmentationMap
 from skytraj.kinematics import KinematicsConfig, compute_profile
 from skytraj.pipeline import IngestParams, run_pipeline
@@ -147,7 +148,7 @@ class TestLoadTracks:
         p = tmp_path / "t.csv"
         p.write_text(self.header + "1,1,1.2,0.5,0.05,0.02,0,0.9\n")
         tracks = load_tracks(p, SIDECAR, require_unit_range=False)
-        assert tracks.points[0].detection.bbox.cx == 1.2
+        assert tracks.points[0].detection.bbox[0] == 1.2
 
     @pytest.mark.parametrize(
         "row",
@@ -165,11 +166,27 @@ class TestLoadTracks:
             load_tracks(p, SIDECAR, require_unit_range=False)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "row", ["2,1,0.5,0.5,-0.05,0.02,0,0.9", "2,1,0.5,0.5,0.05,-1e-300,0,0.9"], ids=["w", "h"]
+    )
+    def test_negative_size_rejected_for_stabilized(self, tmp_path, row):
+        p = tmp_path / "t.csv"
+        p.write_text(self.header + row + "\n")
+        with pytest.raises(InvariantViolation, match="box size must be >= 0"):
+            load_tracks(p, SIDECAR, require_unit_range=False)
+
+    def test_boxes_are_plain_float_tuples(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(self.header + "1,1,1,0.5,5e-2,2E-2,0,0.9\n")
+        (point,) = load_tracks(p, SIDECAR).points
+        assert point.detection.bbox == (1.0, 0.5, 0.05, 0.02)
+        assert [type(v) for v in point.detection.bbox] == [float] * 4
+
     def test_write_read_round_trip(self, tmp_path):
         pts = [make_point(k, 1, 600 + 25.3 * k, 1080.7, 180, 80) for k in range(1, 6)]
         tracks = make_tracks(pts)
         path = tmp_path / "out.csv"
-        boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in (p.detection.bbox for p in pts)])
+        boxes = np.array([p.detection.bbox for p in pts])
         write_tracks(tracks, boxes, np.array([k % 2 == 0 for k in range(1, 6)]), path)
         with open(path, newline="") as fh:
             assert [row["visible"] for row in csv.DictReader(fh)] == ["0", "1", "0", "1", "0"]
@@ -1027,8 +1044,7 @@ class TestExport:
         tracks = make_tracks(drive(1, 20))
         boxes, visible = stabilize_tracks(tracks.columns(), tracks.frame_size,
                                           {k: Homography.identity() for k in range(2, 21)})
-        stab = [replace(p, detection=replace(p.detection, bbox=BBox(*box)))
-                for p, box in zip(tracks.points, boxes.tolist())]
+        stab = [with_box(p, box) for p, box in zip(tracks.points, boxes.tolist())]
         kin = KinematicsConfig()
         out = tmp_path / "songdo.csv"
         export_songdo(export_cells(tracks.points), out)
@@ -1100,7 +1116,7 @@ def _tracks_outcome(load, path):
         return type(exc).__name__, str(exc)
     return [
         (p.frame, p.track_id, p.detection.cls,
-         *(v.hex() for v in (*astuple(p.detection.bbox), p.detection.score)))
+         *(v.hex() for v in (*p.detection.bbox, p.detection.score)))
         for p in tracks.points
     ]
 

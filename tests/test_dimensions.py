@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import center_columns, columns_of, dim_columns, make_point
+from conftest import center_columns, columns_of, dim_columns, make_point, outcome
 from skytraj.dimensions import (
     DimConfig,
     DimPath,
@@ -108,9 +108,9 @@ class TestAzimuthSequence:
         windows = azimuth_sequence_of(pts, vis, R_PX)
         centers = {p.frame: p for p in pts}
         for w in windows:
-            a = centers[w.start].detection.bbox
-            b = centers[w.end].detection.bbox
-            dist = math.hypot((b.cx - a.cx) * SIZE[0], (b.cy - a.cy) * SIZE[1])
+            ax, ay, _, _ = centers[w.start].detection.bbox
+            bx, by, _, _ = centers[w.end].detection.bbox
+            dist = math.hypot((bx - ax) * SIZE[0], (by - ay) * SIZE[1])
             assert dist >= R_PX - 1e-9
 
     def test_slow_motion_grows_window(self):
@@ -231,6 +231,32 @@ class TestDimsToWorld:
         b = dims_to_world(120, 60, SIZE, Homography.identity(), doubled)
         assert b[0] == pytest.approx(2 * a[0], rel=1e-12)
         assert b[1] == pytest.approx(2 * a[1], rel=1e-12)
+
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(17)
+        geos = [GEO_GSD, GeoTransform(0.02, 0.01, -0.01, 0.02, 5.0, 7.0),
+                GeoTransform(1e150, 0, 0, 1e150, 0, 0)]
+        cases = [
+            # (length px, width px, ref_to_ortho); the last five meet infinity
+            # at the center, at the width point, at the length point, or
+            # overflow or carry NaN
+            *((*rng.uniform(0, 400, 2), Homography.from_matrix(
+                [[*rng.uniform(0.8, 1.2, 1), *rng.uniform(-0.1, 0.1, 1), *rng.uniform(-99, 99, 1)],
+                 [*rng.uniform(-0.1, 0.1, 1), *rng.uniform(0.8, 1.2, 1), *rng.uniform(-99, 99, 1)],
+                 [*rng.uniform(-1e-4, 1e-4, 2), 1.0]])) for _ in range(40)),
+            (120.0, 60.0, Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 1920, 0, 1]])),
+            (120.0, 40.0, Homography.from_matrix([[1, 0, 0], [0, 1, 0], [0, -1 / 1100, 1]])),
+            (200.0, 60.0, Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 2020, 0, 1]])),
+            (1e308, 1e200, Homography.from_matrix([[10, 0, 0], [0, 10, 0], [0, 0, 1]])),
+            (math.nan, 60.0, Homography.identity()),
+        ]
+        infinite = 0
+        for length, width, h in cases:
+            for geo in geos:
+                got = outcome(dims_to_world, length, width, SIZE, h, geo)
+                assert got == outcome(reference.dims_to_world, length, width, SIZE, h, geo)
+                infinite += got[0] == "DegenerateProjection"
+        assert infinite == 3 * len(geos)
 
 
 CFG = DimConfig()

@@ -6,18 +6,16 @@ import pytest
 from conftest import inverse, rotation, scaling, translation
 from skytraj.errors import (
     DegenerateProjection,
-    InvalidGeometry,
     NonConvexInput,
     SingularResult,
     SingularTransform,
 )
 from skytraj.geometry import (
-    BBox,
     GeoTransform,
     Homography,
     Point2,
-    Quad,
-    apply_homography,
+    apply_homography_array,
+    box_corners,
     compose,
     pixel_to_world,
     quad_iou,
@@ -40,25 +38,37 @@ def random_homography_matrix(rng):
     return Homography.from_matrix(m)
 
 
+def apply(h: Homography, p) -> Point2:
+    """One point through `apply_homography_array`."""
+    return Point2(*apply_homography_array(h, [p])[0].tolist())
+
+
 class TestApplyHomography:
     def test_identity(self):
-        p = apply_homography(Homography.identity(), Point2(5, 7))
+        p = apply(Homography.identity(), Point2(5, 7))
         assert p == Point2(5.0, 7.0)
 
     def test_translation(self):
         h = translation(10, -3)
-        assert apply_homography(h, Point2(0, 0)) == Point2(10.0, -3.0)
+        assert apply(h, Point2(0, 0)) == Point2(10.0, -3.0)
 
     def test_perspective_division(self):
         h = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [0.001, 0, 1]])
-        p = apply_homography(h, Point2(100, 50))
+        p = apply(h, Point2(100, 50))
         assert p.x == pytest.approx(100 / 1.1, abs=1e-12)
         assert p.y == pytest.approx(50 / 1.1, abs=1e-12)
 
     def test_projective_infinity(self):
+        # the line x = 100 maps to infinity; the first point on it is named
         h = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-0.01, 0, 1]])
-        with pytest.raises(DegenerateProjection):
-            apply_homography(h, Point2(100, 5))
+        with pytest.raises(DegenerateProjection) as err:
+            apply_homography_array(h, [(50, 1), (100, 5), (100, 7)])
+        assert str(err.value) == "point Point2(x=100.0, y=5.0) maps to projective infinity"
+
+    def test_array_shape(self):
+        h = translation(1, 2)
+        assert apply_homography_array(h, np.zeros((0, 2))).shape == (0, 2)
+        assert apply_homography_array(h, [(0, 0), (1, 1)]).tolist() == [[1, 2], [2, 3]]
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularTransform):
@@ -85,7 +95,7 @@ class TestCompose:
 
     def test_sequential_application(self):
         c = compose(scaling(2), translation(1, 0))
-        assert apply_homography(c, Point2(0, 0)) == Point2(2.0, 0.0)
+        assert apply(c, Point2(0, 0)) == Point2(2.0, 0.0)
 
     def test_matches_pointwise_application(self):
         rng = np.random.default_rng(3)
@@ -93,8 +103,8 @@ class TestCompose:
             h1 = random_homography_matrix(rng)
             h2 = random_homography_matrix(rng)
             p = Point2(*rng.uniform(-500, 500, 2))
-            lhs = apply_homography(compose(h2, h1), p)
-            rhs = apply_homography(h2, apply_homography(h1, p))
+            lhs = apply(compose(h2, h1), p)
+            rhs = apply(h2, apply(h1, p))
             assert lhs.x == pytest.approx(rhs.x, abs=1e-8)
             assert lhs.y == pytest.approx(rhs.y, abs=1e-8)
 
@@ -110,7 +120,7 @@ class TestRoundTripProperties:
         for _ in range(100):
             h = random_homography_matrix(rng)
             p = Point2(*rng.uniform(-1000, 1000, 2))
-            q = apply_homography(inverse(h), apply_homography(h, p))
+            q = apply(inverse(h), apply(h, p))
             assert math.hypot(q.x - p.x, q.y - p.y) < 1e-9
 
     def test_composition_associativity(self):
@@ -118,63 +128,50 @@ class TestRoundTripProperties:
         for _ in range(50):
             h1, h2, h3 = (random_homography_matrix(rng) for _ in range(3))
             p = Point2(*rng.uniform(-300, 300, 2))
-            a = apply_homography(compose(compose(h3, h2), h1), p)
-            b = apply_homography(compose(h3, compose(h2, h1)), p)
+            a = apply(compose(compose(h3, h2), h1), p)
+            b = apply(compose(h3, compose(h2, h1)), p)
             assert math.hypot(a.x - b.x, a.y - b.y) < 1e-9
 
 
-class TestBBox:
-    @pytest.mark.parametrize(
-        "values",
-        [(1.5, 2.0, 3.0, 4.0), (np.float64(1.5), 2, 3.0, 4.0), (1.5, 2.0, 3, np.float32(4.0)),
-         (True, 2.0, 3.0, 4.0)],
-        ids=["floats", "float64-and-int", "int-and-float32", "bool"],
-    )
-    def test_fields_hold_plain_floats(self, values):
-        b = BBox(*values)
-        assert [type(v) for v in (b.cx, b.cy, b.w, b.h)] == [float] * 4
-        assert (b.cx, b.cy, b.w, b.h) == tuple(float(v) for v in values)
-
-    @pytest.mark.parametrize("w, h", [(-1.0, 2.0), (1.0, np.float64(-2.0))])
-    def test_negative_size_rejected(self, w, h):
-        with pytest.raises(InvalidGeometry):
-            BBox(0.0, 0.0, w, h)
+def map_box(h: Homography, box) -> list[float]:
+    """One ``cx, cy, w, h`` box through `transform_boxes`."""
+    (row,) = transform_boxes([h], [0], np.array([box], dtype=float)).tolist()
+    return row
 
 
-def map_box(h: Homography, b: BBox) -> BBox:
-    """One box through `transform_boxes`."""
-    (row,) = transform_boxes([h], [0], np.array([[b.cx, b.cy, b.w, b.h]])).tolist()
-    return BBox(*row)
+def corners(box) -> list[list[float]]:
+    """The four `box_corners` of one box."""
+    return box_corners(np.array([box], dtype=float))[0].tolist()
 
 
 class TestTransformBBox:
     def test_identity(self):
-        b = BBox(50, 50, 20, 10)
-        out = map_box(Homography.identity(), b)
-        assert (out.cx, out.cy, out.w, out.h) == (50, 50, 20, 10)
+        assert map_box(Homography.identity(), (50, 50, 20, 10)) == [50, 50, 20, 10]
 
     def test_translation(self):
-        out = map_box(translation(10, 0), BBox(50, 50, 20, 10))
-        assert (out.cx, out.cy, out.w, out.h) == (60, 50, 20, 10)
+        assert map_box(translation(10, 0), (50, 50, 20, 10)) == [60, 50, 20, 10]
 
     def test_rotation_swaps_sides(self):
-        out = map_box(rotation(math.pi / 2), BBox(50, 50, 20, 10))
-        assert out.w == pytest.approx(10, abs=1e-9)
-        assert out.h == pytest.approx(20, abs=1e-9)
+        _, _, w, h = map_box(rotation(math.pi / 2), (50, 50, 20, 10))
+        assert w == pytest.approx(10, abs=1e-9)
+        assert h == pytest.approx(20, abs=1e-9)
 
     def test_translation_preserves_size_exactly(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            b = BBox(*rng.uniform(10, 100, 2), *rng.uniform(1, 40, 2))
+            b = (*rng.uniform(10, 100, 2), *rng.uniform(1, 40, 2))
             h = translation(*rng.uniform(-50, 50, 2))
-            out = map_box(h, b)
-            assert out.w == b.w and out.h == b.h
+            _, _, w, bh = map_box(h, b)
+            assert w == b[2] and bh == b[3]
 
     def test_degenerate_projection_propagates(self):
         # right corners sit at x = 100, exactly on the line z = 0
         h = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-0.01, 0, 1]])
         with pytest.raises(DegenerateProjection, match=r"point Point2\(x=100\.0, y=0\.0\)"):
-            map_box(h, BBox(95, 5, 10, 10))
+            map_box(h, (95, 5, 10, 10))
+
+    def test_corner_order(self):
+        assert corners((5, 10, 4, 2)) == [[3, 9], [7, 9], [7, 11], [3, 11]]
 
 
 class TestGeoTransform:
@@ -215,12 +212,12 @@ class TestGeoTransform:
 
 
 def unit_square(offset_x=0.0, offset_y=0.0):
-    return Quad(
-        Point2(offset_x, offset_y),
-        Point2(offset_x + 1, offset_y),
-        Point2(offset_x + 1, offset_y + 1),
-        Point2(offset_x, offset_y + 1),
-    )
+    return [
+        (offset_x, offset_y),
+        (offset_x + 1, offset_y),
+        (offset_x + 1, offset_y + 1),
+        (offset_x, offset_y + 1),
+    ]
 
 
 class TestQuadIoU:
@@ -236,10 +233,10 @@ class TestQuadIoU:
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            b1 = BBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
-            b2 = BBox(*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
-            q1 = map_box(rotation(rng.uniform(0, 3)), b1).corners()
-            q2 = map_box(rotation(rng.uniform(0, 3)), b2).corners()
+            b1 = (*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
+            b2 = (*rng.uniform(0, 10, 2), *rng.uniform(0.5, 5, 2))
+            q1 = corners(map_box(rotation(rng.uniform(0, 3)), b1))
+            q2 = corners(map_box(rotation(rng.uniform(0, 3)), b2))
             a = quad_iou(q1, q2)
             b = quad_iou(q2, q1)
             assert 0.0 <= a <= 1.0
@@ -249,15 +246,13 @@ class TestQuadIoU:
     def test_rotated_overlap(self):
         # square vs itself rotated 45 degrees about its center: area ratio
         # of the octagon intersection is 2*(sqrt(2)-1)/(2-(sqrt(2)-1)*2)
-        sq = BBox(0, 0, 2, 2)
-        q1 = sq.corners()
-        h = rotation(math.pi / 4)
-        q2 = Quad(*(apply_homography(h, p) for p in q1.points()))
+        q1 = corners((0, 0, 2, 2))
+        q2 = apply_homography_array(rotation(math.pi / 4), q1).tolist()
         inter = 8 * (math.sqrt(2) - 1)  # octagon area for side 2
         union = 4 + 4 - inter
         assert quad_iou(q1, q2) == pytest.approx(inter / union, rel=1e-9)
 
     def test_non_convex_rejected(self):
-        bowtie = Quad(Point2(0, 0), Point2(1, 1), Point2(1, 0), Point2(0, 1))
+        bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
         with pytest.raises(NonConvexInput):
             quad_iou(bowtie, unit_square())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import apply_homography
 from conftest import (
     GEO_IDENTITY,
     GeoPosition,
@@ -21,7 +22,7 @@ from skytraj.errors import (
     UnknownIntersection,
     UnknownVideo,
 )
-from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography
+from skytraj.geometry import GeoTransform, Homography, Point2
 from skytraj.georeference import (
     GeoChain,
     GeoRegistry,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import inverse, translation
+from conftest import inverse, outcome, translation
 from skytraj import metrics
 from skytraj.dataio import write_comparison_report
-from skytraj.errors import DegenerateSegment, TooShort
-from skytraj.geometry import BBox, Homography, Point2
+from skytraj.campaign import DistortionRanges, random_homography, synthetic_scenes
+from skytraj.errors import DegenerateSegment, NonConvexInput, TooShort
+from skytraj.geometry import Homography, Point2, quad_iou
 from skytraj.kinematics import KinematicsConfig
 from skytraj.metrics import SceneSpec, compare_trajectory, corner_displacement, scene_miou
 
@@ -19,15 +20,7 @@ NO_FLOOR = KinematicsConfig(fps=FPS, speed_floor_kmh=-math.inf)
 
 
 def scene(width=2000.0, height=1000.0, boxes=((500, 500, 60, 30),)):
-    return SceneSpec(
-        corners=(
-            Point2(0, 0),
-            Point2(width, 0),
-            Point2(width, height),
-            Point2(0, height),
-        ),
-        boxes=tuple(BBox(*b) for b in boxes),
-    )
+    return SceneSpec(width, height, np.array(boxes, dtype=float).reshape(-1, 4))
 
 
 class TestHea:
@@ -90,6 +83,117 @@ class TestMiou:
             sc = scene(boxes=((700, 450, 70, 35), (1100, 600, 45, 90)))
             assert corner_displacement(h, inverse(h), sc.corners) <= 1e-6
             assert scene_miou(h, inverse(h), sc.boxes) == pytest.approx(1.0, abs=1e-6)
+
+
+def scores(h_true, h_est, sc):
+    """`corner_displacement` and `scene_miou` of one scene, each as `outcome`."""
+    return (outcome(corner_displacement, h_true, h_est, sc.corners),
+            outcome(scene_miou, h_true, h_est, sc.boxes))
+
+
+def reference_scores(h_true, h_est, sc):
+    """The per-corner reference scores of one scene, as `scores` gives them."""
+    corners = [Point2(*c) for c in sc.corners.tolist()]
+    return (outcome(reference.corner_displacement, h_true, h_est, corners),
+            outcome(reference.scene_miou, h_true, h_est, [tuple(b) for b in sc.boxes.tolist()]))
+
+
+def matrix(rows) -> Homography:
+    return Homography.from_matrix(rows)
+
+
+class TestScoresMatchPerPointReference:
+    """The array round trip of HEA and MIoU against the corner-by-corner
+    reference, bit for bit, on warps the campaign digests never reach."""
+
+    def test_scene_draws(self):
+        ref = reference.synthetic_scenes(12, seed=3)
+        for sc, (w, h, boxes) in zip(synthetic_scenes(12, seed=3), ref):
+            assert (sc.width, sc.height) == (w, h)
+            assert sc.boxes.tolist() == [list(b) for b in boxes]
+            assert sc.corners.tolist() == [[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]]
+
+    @pytest.mark.parametrize("persp", [5e-5, 1e-3])
+    def test_seeded_trials(self, persp):
+        # persp 1e-3 tilts the horizon into most scenes: corners and boxes
+        # at infinity and non-convex round trips are common
+        ranges = DistortionRanges(30.0, 0.3, 0.2, persp)
+        for i, sc in enumerate(synthetic_scenes(6, seed=11)):
+            for k in range(25):
+                h_true = random_homography(ranges, sc, seed=(i, k))
+                h_est = random_homography(ranges, sc, seed=(i, k, 1))
+                assert scores(h_true, h_est, sc) == reference_scores(h_true, h_est, sc)
+
+    def test_seeded_horizons(self):
+        # the line x = x0 goes to infinity on one leg, x0 a corner of a box
+        # or of the scene as that leg sees it
+        def horizon(x0):
+            return matrix([[1, 0, 0], [0, 1, 0], [-1 / x0, 0, 1]])
+
+        ranges = DistortionRanges(persp_max=1e-4)
+        degenerate = 0
+        for i, sc in enumerate(synthetic_scenes(6, seed=13)):
+            for k in range(12):
+                h_rand = random_homography(ranges, sc, seed=(i, k))
+                cx, cy, w, h = sc.boxes[k % len(sc.boxes)].tolist()
+                x0, y0 = (sc.width, 0.0) if k % 3 == 0 else (cx + w / 2, cy - h / 2)
+                if k % 2:
+                    h_true, h_est = h_rand, horizon(reference.apply_homography(h_rand, (x0, y0)).x)
+                else:
+                    h_true, h_est = horizon(x0), h_rand
+                got = scores(h_true, h_est, sc)
+                assert got == reference_scores(h_true, h_est, sc)
+                degenerate += got[0][0] == "DegenerateProjection"
+        assert degenerate == 24  # every scene-corner horizon, on either leg
+
+    def test_first_leg_at_infinity(self):
+        # h_true sends x = 2000, the right scene edge, to infinity
+        sc = scene(boxes=((500, 500, 60, 30), (1990, 500, 20, 10)))
+        h_true = matrix([[1, 0, 0], [0, 1, 0], [-1 / 2000, 0, 1]])
+        h_est = inverse(h_true)
+        got = scores(h_true, h_est, sc)
+        assert got == reference_scores(h_true, h_est, sc)
+        assert got[0] == ("DegenerateProjection",
+                          "point Point2(x=2000.0, y=0.0) maps to projective infinity")
+        assert float.fromhex(got[1][0]) == pytest.approx(0.5)  # the edge box scores 0
+
+    def test_second_leg_at_infinity(self):
+        # corner 0 maps to (100, 0), where h_est meets infinity, before
+        # corner 1 meets it on its first leg
+        sc = scene(boxes=((100, 300, 40, 20), (700, 300, 40, 20)))
+        h_true = matrix([[1, 0, 100], [0, 1, 0], [-1 / 2000, 0, 1]])
+        h_est = matrix([[1, 0, 0], [0, 1, 0], [-0.01, 0, 1]])
+        got = scores(h_true, h_est, sc)
+        assert got == reference_scores(h_true, h_est, sc)
+        assert got[0] == ("DegenerateProjection",
+                          "point Point2(x=100.0, y=0.0) maps to projective infinity")
+
+    def test_non_convex_warp_scores_zero(self):
+        # the line x = 1000 crosses the first box: its corners land on both
+        # sides of infinity and the round trip is a bow tie
+        sc = scene(boxes=((1000, 500, 200, 100), (400, 500, 60, 30)))
+        h_true = matrix([[1, 0, 0], [0, 1, 0], [-1 / 1000, 1e-6, 1]])
+        h_est = matrix([[1, 0.2, 0], [0, 1, 0], [0, 0, 1]])
+        quad = reference.box_corners(tuple(sc.boxes[0].tolist()))
+        warped = [reference.apply_homography(h_est, reference.apply_homography(h_true, p))
+                  for p in quad]
+        with pytest.raises(NonConvexInput):
+            quad_iou(quad, warped)
+        assert scores(h_true, h_est, sc) == reference_scores(h_true, h_est, sc)
+
+    def test_nan_and_overflow(self):
+        boxes = ((math.nan, 500, 60, 30), (500, 500, 60, 30), (1e308, 500, 1e308, 30),
+                 (-1.7e308, 1e308, 2e307, 1e308))
+        for sc in (scene(boxes=boxes), scene(width=math.nan, boxes=boxes),
+                   scene(width=1.7e308, height=1e308, boxes=boxes)):
+            for h_true, h_est in [
+                (Homography.identity(), translation(3, 4)),
+                (matrix([[10, 1, 0], [0, 10, 0], [1e-9, 0, 1]]),
+                 matrix([[0.1, 0, 5], [0, 0.1, 0], [0, 0, 1]])),
+                (matrix([[1, 0, 0], [0, 1, 0], [1e-300, -1e-300, 1]]),
+                 matrix([[1e5, 0, -1e5], [0, 1e5, 0], [0, 0, 1]])),
+            ]:
+                assert scores(h_true, h_est, sc) == reference_scores(h_true, h_est, sc)
 
 
 def compare(probes, pts_speeds, kin=KIN):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns_of, make_point, translation
+from reference import apply_homography
 from skytraj.errors import (
     DegenerateConfiguration,
     InsufficientPoints,
@@ -16,7 +17,7 @@ from skytraj.errors import (
     SingularTransform,
 )
 from skytraj import registration
-from skytraj.geometry import BBox, Homography, Point2, apply_homography, project_array
+from skytraj.geometry import Homography, Point2, project_array
 from skytraj.pipeline import StabilizeParams, estimate_frame_homographies
 from skytraj.registration import (
     Matches,
@@ -124,9 +125,9 @@ def _ref_snn(rows, ratio):
 def _ref_mask_keep(points, masks, margin):
     return [
         not any(
-            abs(x - b.cx) < b.w * (1.0 + margin) / 2.0
-            and abs(y - b.cy) < b.h * (1.0 + margin) / 2.0
-            for b in masks
+            abs(x - cx) < w * (1.0 + margin) / 2.0
+            and abs(y - cy) < h * (1.0 + margin) / 2.0
+            for cx, cy, w, h in masks
         )
         for x, y in points
     ]
@@ -193,12 +194,12 @@ class TestColumnarStepsMatchPerRowReference:
     @given(data=st.data())
     def test_mask_keep_flags(self, data):
         side = st.integers(0, 12).map(float)
-        masks = data.draw(st.lists(st.builds(BBox, _coord, _coord, side, side), max_size=4))
+        masks = data.draw(st.lists(st.tuples(_coord, _coord, side, side), max_size=4))
         margin = data.draw(st.one_of(st.sampled_from([0.0, 0.15, 1.0]), st.floats(0.0, 2.0)))
         # corners, edge midpoints and centers of every enlarged mask
         edges = [
-            (b.cx + i * b.w * (1.0 + margin) / 2.0, b.cy + j * b.h * (1.0 + margin) / 2.0)
-            for b in masks
+            (cx + i * w * (1.0 + margin) / 2.0, cy + j * h * (1.0 + margin) / 2.0)
+            for cx, cy, w, h in masks
             for i in (-1, 0, 1)
             for j in (-1, 0, 1)
         ]
@@ -206,7 +207,7 @@ class TestColumnarStepsMatchPerRowReference:
         if edges:
             point = st.one_of(point, st.sampled_from(edges))
         points = data.draw(st.lists(point, max_size=12))
-        boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in masks], dtype=float).reshape(-1, 4)
+        boxes = np.array(masks, dtype=float).reshape(-1, 4)
         flags = mask_keep_flags(np.array(points, dtype=float).reshape(-1, 2), boxes, margin)
         assert flags.tolist() == _ref_mask_keep(points, masks, margin)
 

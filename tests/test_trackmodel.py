@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_point, make_tracks, rotation, translation
-from reference import bbox_iou, bbox_visible_px, denormalize_bbox
+from reference import bbox_iou, bbox_visible_px, box_corners, denormalize_bbox, transform_bbox
 from skytraj.errors import DegenerateProjection, MissingHomography, SkytrajError
-from skytraj.geometry import BBox, Homography, Point2, apply_homography
+from skytraj.geometry import Homography, Point2
 from skytraj.trackmodel import (
     Detection,
     TrackPoint,
@@ -23,7 +23,7 @@ from skytraj.trackmodel import (
 
 
 def det(cx, cy, w, h, cls=0, score=0.9):
-    return Detection(BBox(cx, cy, w, h), cls, score)
+    return Detection((float(cx), float(cy), float(w), float(h)), cls, score)
 
 
 class TestIngestFilter:
@@ -180,16 +180,7 @@ class TestRefineClasses:
 
 def visible(box, frame_size, margin):
     """`visible_flags` of one pixel box."""
-    return bool(visible_flags(np.array([[box.cx, box.cy, box.w, box.h]]), frame_size, margin)[0])
-
-
-class PixelBox(NamedTuple):
-    """Any four floats as a box, negative sides included (``BBox`` refuses them)."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
+    return bool(visible_flags(np.array([box], dtype=float), frame_size, margin)[0])
 
 
 EDGE = st.one_of(st.sampled_from([0.0, 4.0, 5.0, 50.0, 1019.0, 1024.0, math.inf, -math.inf,
@@ -200,31 +191,31 @@ class TestVisibilityFlag:
     frame_size = (3840, 2160)
 
     def test_central_box_visible(self):
-        assert visible(BBox(1920, 1080, 100, 50), self.frame_size, 4.0) is True
+        assert visible((1920, 1080, 100, 50), self.frame_size, 4.0) is True
 
     def test_left_edge_violation(self):
         size = (1024, 1024)
-        assert visible(BBox(52, 512, 100, 50), size, 4.0) is False  # xmin = 2
+        assert visible((52, 512, 100, 50), size, 4.0) is False  # xmin = 2
 
     def test_boundary_is_strict(self):
         size = (1024, 1024)
-        assert visible(BBox(54, 512, 100, 50), size, 4.0) is False  # xmin = 4 exactly
+        assert visible((54, 512, 100, 50), size, 4.0) is False  # xmin = 4 exactly
 
     def test_just_inside(self):
         size = (1024, 1024)
-        assert visible(BBox(55, 512, 100, 50), size, 4.0) is True  # xmin = 5 > 4
+        assert visible((55, 512, 100, 50), size, 4.0) is True  # xmin = 5 > 4
 
     def test_right_margin_uses_plus_one(self):
         size = (1024, 1024)
         # xmax must be < 1024 - 5 = 1019; cx = 969, w = 100 -> xmax = 1019
-        assert visible(BBox(969, 512, 100, 50), size, 4.0) is False
-        assert visible(BBox(968, 512, 100, 50), size, 4.0) is True
+        assert visible((969, 512, 100, 50), size, 4.0) is False
+        assert visible((968, 512, 100, 50), size, 4.0) is True
 
     def test_monotone_in_margin(self):
         rng = np.random.default_rng(3)
         size = (1024, 1024)
         for _ in range(50):
-            box = BBox(*rng.uniform(60, 960, 2), *rng.uniform(10, 100, 2))
+            box = (*rng.uniform(60, 960, 2), *rng.uniform(10, 100, 2))
             margins = [0.0, 2.0, 4.0, 8.0, 16.0]
             flags = [visible(box, size, m) for m in margins]
             # once invisible at a margin, stays invisible for larger margins
@@ -238,14 +229,13 @@ class TestVisibilityFlag:
     def test_flags_equal_the_per_box_test(self, boxes, margin):
         size = (1024, 768)
         got = visible_flags(np.array(boxes, dtype=float).reshape(-1, 4), size, margin)
-        assert got.tolist() == [bbox_visible_px(PixelBox(*b), size, margin) for b in boxes]
+        assert got.tolist() == [bbox_visible_px(b, size, margin) for b in boxes]
 
     def test_pixel_boxes_scale_as_denormalize(self):
         size = (3840, 2160)
         pts = [make_point(k, 1, 100.3 * k, 7.1 * k, 3.3 * k, 0.7 * k, frame_size=size)
                for k in range(1, 30)]
-        want = [[b.cx, b.cy, b.w, b.h] for b in (denormalize_bbox(p.detection.bbox, size)
-                                                 for p in pts)]
+        want = [list(denormalize_bbox(p.detection.bbox, size)) for p in pts]
         assert make_tracks(pts, frame_size=size).columns().boxes_px.tolist() == want
 
 
@@ -289,7 +279,7 @@ def stabilize(tracks, per_frame_h, visibility_margin=4.0):
         tracks.columns(), tracks.frame_size, per_frame_h, visibility_margin
     )
     return tuple(
-        StabilizedPoint(p.frame, p.track_id, Detection(BBox(*box), p.detection.cls,
+        StabilizedPoint(p.frame, p.track_id, Detection(tuple(box), p.detection.cls,
                                                        p.detection.score), v)
         for p, box, v in zip(tracks.points, boxes.tolist(), visible.tolist())
     )
@@ -308,7 +298,7 @@ class TestStabilizeTracks:
                 init(self, *args, **kwargs)
             return wrapped
 
-        for cls in (TrackPoint, Detection, BBox):
+        for cls in (TrackPoint, Detection):
             monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
         boxes, visible = stabilize_tracks(columns, tracks.frame_size,
                                           {k: rotation(0.1) for k in range(2, 6)})
@@ -327,17 +317,17 @@ class TestStabilizeTracks:
     def test_translation_shifts_normalized_center(self):
         tracks = make_tracks([make_point(2, 1, 100, 200, 20, 10)])
         out = stabilize(tracks, {2: translation(10, 0)})
-        box = out[0].detection.bbox
-        assert box.cx == pytest.approx((100 + 10) / 3840, abs=1e-12)
-        assert box.cy == pytest.approx(200 / 2160, abs=1e-12)
-        assert box.w == pytest.approx(20 / 3840, abs=1e-12)
+        cx, cy, w, _ = out[0].detection.bbox
+        assert cx == pytest.approx((100 + 10) / 3840, abs=1e-12)
+        assert cy == pytest.approx(200 / 2160, abs=1e-12)
+        assert w == pytest.approx(20 / 3840, abs=1e-12)
 
     def test_rotation_swaps_box_sides(self):
         tracks = make_tracks([make_point(2, 1, 500, 500, 80, 40)])
         out = stabilize(tracks, {2: rotation(math.pi / 2)})
-        box = out[0].detection.bbox
-        assert box.w * 3840 == pytest.approx(40, abs=1e-9)
-        assert box.h * 2160 == pytest.approx(80, abs=1e-9)
+        _, _, w, h = out[0].detection.bbox
+        assert w * 3840 == pytest.approx(40, abs=1e-9)
+        assert h * 2160 == pytest.approx(80, abs=1e-9)
 
     def test_missing_homography(self):
         tracks = make_tracks([make_point(7, 1, 100, 100, 10, 10)])
@@ -365,7 +355,7 @@ class TestStabilizeTracks:
         # box is central originally; the homography throws it out of frame
         tracks = make_tracks([make_point(2, 1, 1920, 1080, 100, 50)])
         out = stabilize(tracks, {2: translation(5000, 0)})
-        assert out[0].detection.bbox.cx > 1.0
+        assert out[0].detection.bbox[0] > 1.0
         assert out[0].visible is True
         # and the reverse: box near the border stays not-visible even if
         # stabilization recenters it
@@ -376,20 +366,10 @@ class TestStabilizeTracks:
     def test_normalized_coordinates_may_leave_unit_range(self):
         tracks = make_tracks([make_point(2, 1, 3800, 1080, 100, 50)])
         out = stabilize(tracks, {2: translation(500, 0)})
-        assert out[0].detection.bbox.cx > 1.0
+        assert out[0].detection.bbox[0] > 1.0
 
 
 # --- Per-point reference of the array stabilization --------------------------
-
-
-def _ref_transform_bbox(h, b):
-    """One box mapped corner by corner, the rule `transform_boxes` keeps."""
-    (m00, m01, tx), (m10, m11, ty), (m20, m21, m22) = h.rows
-    if (m00, m01, m10, m11, m20, m21, m22) == (1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0):
-        return BBox(b.cx + tx, b.cy + ty, b.w, b.h)
-    xs, ys = zip(*(apply_homography(h, p) for p in b.corners().points()))
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
-    return BBox((xmin + xmax) / 2, (ymin + ymax) / 2, xmax - xmin, ymax - ymin)
 
 
 def _ref_stabilize_tracks(tracks, per_frame_h, visibility_margin=4.0):
@@ -404,8 +384,8 @@ def _ref_stabilize_tracks(tracks, per_frame_h, visibility_margin=4.0):
             h = Homography.identity()
         d = p.detection
         box_px = denormalize_bbox(d.bbox, frame_size)
-        b = _ref_transform_bbox(h, box_px)
-        box = BBox(b.cx / w_img, b.cy / h_img, b.w / w_img, b.h / h_img)
+        cx, cy, w, bh = transform_bbox(h, box_px)
+        box = (cx / w_img, cy / h_img, w / w_img, bh / h_img)
         visible = bbox_visible_px(box_px, frame_size, visibility_margin)
         out.append(StabilizedPoint(p.frame, p.track_id, Detection(box, d.cls, d.score), visible))
     return tuple(out)
@@ -423,8 +403,7 @@ def _stabilize_outcome(fn, tracks, homs):
         return type(exc).__name__, str(exc)
     return [
         (p.frame, p.track_id, p.detection.cls, _bits(p.detection.score), p.visible,
-         *map(_bits, (p.detection.bbox.cx, p.detection.bbox.cy,
-                      p.detection.bbox.w, p.detection.bbox.h)))
+         *map(_bits, p.detection.bbox))
         for p in points
     ]
 
@@ -465,14 +444,14 @@ def _sessions(draw):
     points = []
     for tid in range(1, draw(st.integers(1, 4)) + 1):
         for frame in draw(st.lists(st.integers(1, n_frames), unique=True, max_size=4)):
-            box = BBox(draw(value), draw(value), abs(draw(value)), abs(draw(value)))
+            box = (draw(value), draw(value), abs(draw(value)), abs(draw(value)))
             points.append(TrackPoint(frame, tid, Detection(box, 0, 0.5)))
     tracks = make_tracks(points, frame_size=size)
     homs = {}
     for frame in range(2 - draw(st.integers(0, 1)), n_frames + 1):
         if draw(st.integers(0, 9)):  # now and then a frame has no homography
             px = [denormalize_bbox(p.detection.bbox, size) for p in points if p.frame == frame]
-            corners = [tuple(c) for b in px for c in b.corners().points()
+            corners = [tuple(c) for b in px for c in box_corners(b)
                        if math.isfinite(c.x) and math.isfinite(c.y)]
             homs[frame] = draw(_homographies(corners))
     return tracks, homs
@@ -514,9 +493,9 @@ class TestStabilizeMatchesPerPointReference:
         # mapped corner x values are (0.0, 0.0, -0.0, -0.0): Python's min and
         # max keep the first zero, numpy's pick -0.0
         h = Homography.from_matrix([[-1.0, -0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        tracks = make_tracks([TrackPoint(2, 1, Detection(BBox(0.0, -0.0, 0.0, 0.0), 0, 0.5))])
+        tracks = make_tracks([TrackPoint(2, 1, Detection((0.0, -0.0, 0.0, 0.0), 0, 0.5))])
         (p,) = stabilize(tracks, {2: h})
-        assert _bits(p.detection.bbox.cx) == _bits(0.0)
+        assert _bits(p.detection.bbox[0]) == _bits(0.0)
         assert _stabilize_outcome(stabilize, tracks, {2: h}) == _stabilize_outcome(
             _ref_stabilize_tracks, tracks, {2: h}
         )
@@ -526,10 +505,10 @@ class TestStabilizeMatchesPerPointReference:
         # max skip the NaN by its position, numpy's return it
         size = (64, 32)
         h = Homography.from_matrix([[2.0, -2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        box = BBox(8.9e307 / 64, 8.85e307 / 32, 2e306 / 64, 3e306 / 32)
+        box = (8.9e307 / 64, 8.85e307 / 32, 2e306 / 64, 3e306 / 32)
         tracks = make_tracks([TrackPoint(2, 1, Detection(box, 0, 0.5))], frame_size=size)
         (ref,) = _ref_stabilize_tracks(tracks, {2: h})
-        assert ref.detection.bbox.w == math.inf
+        assert ref.detection.bbox[2] == math.inf
         assert _stabilize_outcome(stabilize, tracks, {2: h}) == _stabilize_outcome(
             _ref_stabilize_tracks, tracks, {2: h}
         )
