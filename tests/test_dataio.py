@@ -175,11 +175,21 @@ class TestLoadTracks:
         with pytest.raises(InvariantViolation, match="box size must be >= 0"):
             load_tracks(p, SIDECAR, require_unit_range=False)
 
-    def test_boxes_are_plain_float_tuples(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cells, box",
+        [
+            ("0.25,0.5,0.05,0.02", (0.25, 0.5, 0.05, 0.02)),
+            ("1,0.5,5e-2,2E-2", (1.0, 0.5, 0.05, 0.02)),
+            ("1,0,1,0", (1.0, 0.0, 1.0, 0.0)),
+            ("+0.5,0.50,+5e-2,0.020", (0.5, 0.5, 0.05, 0.02)),
+        ],
+        ids=["decimals", "exponents", "integers", "signs-and-padding"],
+    )
+    def test_boxes_are_plain_float_tuples(self, tmp_path, cells, box):
         p = tmp_path / "t.csv"
-        p.write_text(self.header + "1,1,1,0.5,5e-2,2E-2,0,0.9\n")
+        p.write_text(self.header + f"1,1,{cells},0,0.9\n")
         (point,) = load_tracks(p, SIDECAR).points
-        assert point.detection.bbox == (1.0, 0.5, 0.05, 0.02)
+        assert point.detection.bbox == box
         assert [type(v) for v in point.detection.bbox] == [float] * 4
 
     def test_write_read_round_trip(self, tmp_path):
