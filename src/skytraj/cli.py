@@ -373,9 +373,11 @@ def cmd_georef(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file")
-    common.add_argument("--seed", type=int, help="master random seed")
-    common.add_argument("--jobs", type=int, help="bench trial workers (default 1)")
     common.add_argument("--output", help="output file path")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="master random seed")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--jobs", type=int, help="bench trial workers (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="skytraj",
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gsd", type=float)
         p.add_argument("--strict", action="store_const", const=True, default=None)
 
-    p = sub.add_parser("stabilize", parents=[common], help="align tracks to frame 1")
+    p = sub.add_parser("stabilize", parents=[common, seeded], help="align tracks to frame 1")
     p.add_argument("--tracks")
     p.add_argument("--sidecar")
     p.add_argument("--correspondences", help="directory of per-frame <k>.csv files")
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_ransac_flags(p)
     p.set_defaults(func=cmd_stabilize)
 
-    p = sub.add_parser("pipeline", parents=[common], help="tracks to final CSV")
+    p = sub.add_parser("pipeline", parents=[common, seeded, pooled], help="tracks to final CSV")
     p.add_argument("--tracks")
     p.add_argument("--sidecar")
     p.add_argument("--correspondences")
@@ -428,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_dim_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("bench", parents=[common], help="synthetic registration benchmark")
+    p = sub.add_parser(
+        "bench", parents=[common, seeded, pooled], help="synthetic registration benchmark"
+    )
     p.add_argument("--scenes", type=int)
     p.add_argument("--trials", type=int, dest="trials_per_scene")
     p.add_argument("--noise-sigma", type=float)

@@ -10,7 +10,6 @@ x' = a*x + b*y + tx, y' = c*x + d*y + ty.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from contextlib import contextmanager
@@ -27,7 +26,7 @@ import numpy as np
 import yaml
 
 from .campaign import CellResult
-from .errors import InvariantViolation, IoFailure, ParseError, SkytrajError
+from .errors import InvalidGeometry, InvariantViolation, IoFailure, ParseError, SkytrajError
 from .geometry import GeoTransform, Homography, Point2
 from .georeference import (
     GeoRegistry,
@@ -130,11 +129,7 @@ def _csv_errors(path, reader):
     try:
         yield reader
     except csv.Error as exc:
-        raise _csv_error(path, reader, exc) from exc
-
-
-def _csv_error(path, reader, exc: csv.Error) -> ParseError:
-    return ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path)
+        raise ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path) from exc
 
 
 def load_yaml(path) -> dict:
@@ -362,29 +357,38 @@ def load_correspondences(path) -> Matches:
     Every other value must be a finite number. Errors name the file and
     the line.
 
-    A plain file is converted in one pass (`_plain_match_table`). Any
-    other file, and a plain one that fails a check, is read again row by
-    row (`_match_rows`), which decides every error.
+    A plain file is converted in one pass (`_plain_match_table`); any
+    other file is read row by row (`_match_rows`). The checks then run
+    once on the table read: in row order, the first row that fails one,
+    with the check it fails first, wins over a malformed row further down.
     """
     with _text_file(path) as fh:
         text = fh.read()
     table = _plain_match_table(text)
     if table is None:
-        return _match_rows(path, text)
-    d1, d2 = table[:, 4], table[:, 5]
-    return Matches(table[:, 0:2], table[:, 2:4], d1, d2, list(range(2, len(table) + 2)))
+        table, lines, bare, error = _match_rows(path)
+    else:
+        lines, bare, error = list(range(2, len(table) + 2)), [], None
+    failed = _failed_check(table)
+    if failed:
+        i, message = failed
+        raise InvariantViolation(message, line=lines[i], path=path)
+    if error is not None:
+        raise error
+    table[bare, 4:] = np.nan
+    return Matches(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], lines)
 
 
 def _plain_match_table(text: str) -> np.ndarray | None:
     """The (n, 6) ``MATCH_COLUMNS`` table of a file whose rows the csv
-    module splits at each comma, or None.
+    module splits at each comma, or None; its values are not checked.
 
     Such a file has no quote and no carriage return, a header naming all
     six columns (in any order, among others) and ``len(header) - 1``
     commas on each line after it, so it has no blank, short or long row
     and row k sits on line k + 2. None where the row-by-row reading must
-    decide: another file, a cell over the csv field size limit, one that
-    ``float()`` rejects (such as an empty distance), or a failed check.
+    decide: another file, a cell over the csv field size limit, or one
+    that ``float()`` rejects (such as an empty distance).
     """
     if '"' in text or "\r" in text:
         return None
@@ -408,8 +412,7 @@ def _plain_match_table(text: str) -> np.ndarray | None:
         table = np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:
         return None
-    table = table.reshape(n, len(header))[:, [at[c] for c in MATCH_COLUMNS]]
-    return None if _failed_check(table) else table
+    return table.reshape(n, len(header))[:, [at[c] for c in MATCH_COLUMNS]]
 
 
 def _failed_check(table: np.ndarray) -> tuple[int, str] | None:
@@ -428,51 +431,35 @@ def _failed_check(table: np.ndarray) -> tuple[int, str] | None:
     return i, next(m for m, bad in checks.items() if bad[i])
 
 
-def _match_rows(path, text: str) -> Matches:
-    """`load_correspondences` one csv row at a time."""
+def _match_rows(path) -> tuple[np.ndarray, list[int], list[int], ParseError | None]:
+    """The match table of ``path`` read one csv row at a time: the (n, 6)
+    table, each row's line, the indices of the rows without distances
+    (0.0 in both until the checks pass) and the ParseError that ended the
+    reading, or None. The rows read before that error are returned."""
     rows: list[list[float]] = []
     lines: list[int] = []
-    bare: list[int] = []  # rows without distances
+    bare: list[int] = []
     error = None
-    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader, [])
-        required = list(MATCH_COLUMNS[:4])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ParseError(f"missing columns {missing}", line=1, path=path)
-        at = {name: i for i, name in enumerate(header)}
-        dist = ["d1", "d2"] if "d1" in at and "d2" in at else []
-        take = itemgetter(*(at[c] for c in required + dist))
-        pad = [None] * len(header)
-        for row in reader:
-            if not row:
-                continue
-            row += pad[len(row):]  # a short row's missing cells read as None
-            cells = take(row)
-            if not dist or cells[4] in (None, "") or cells[5] in (None, ""):
-                cells = cells[:4]
-                bare.append(len(lines))
-            try:
-                # 0.0 stands in for absent distances until the checks pass
-                rows.append([*map(float, cells), 0.0, 0.0][:6])
-            except (TypeError, ValueError) as exc:
-                error = ParseError(f"malformed row: {exc}", line=reader.line_num, path=path)
-                break
-            lines.append(reader.line_num)
-    except csv.Error as exc:
-        error = _csv_error(path, reader, exc)
-    table = np.array(rows, dtype=float).reshape(-1, 6)
-    # In row order, the first row that fails a check, with the check it fails
-    # first, wins over a malformed row further down.
-    failed = _failed_check(table)
-    if failed:
-        i, message = failed
-        raise InvariantViolation(message, line=lines[i], path=path)
-    if error is not None:
-        raise error
-    table[bare, 4:] = np.nan
-    return Matches(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], lines)
+        for line, values in _read_csv_rows(
+            path, MATCH_COLUMNS[:4], _match_values, optional=MATCH_COLUMNS[4:]
+        ):
+            if len(values) == 4:
+                bare.append(len(rows))
+                values += [0.0, 0.0]
+            rows.append(values)
+            lines.append(line)
+    except ParseError as exc:
+        error = exc
+    return np.array(rows, dtype=float).reshape(-1, 6), lines, bare, error
+
+
+def _match_values(cells: Sequence) -> list[float]:
+    """The numbers of a match row: all six, or the four coordinates of a
+    row without a d1 cell and a d2 cell that are both filled."""
+    if len(cells) < 6 or cells[4] in (None, "") or cells[5] in (None, ""):
+        cells = cells[:4]
+    return [*map(float, cells)]
 
 
 def _parse_floats(
@@ -524,8 +511,17 @@ def load_homography_log(path) -> dict[int, Homography]:
             vals = _parse_floats(tokens[1:], 9, line, "homography row", path)
             if frame in out:
                 raise InvariantViolation(f"duplicate frame {frame}", line=line, path=path)
-            out[frame] = homography_from_row(vals)
+            out[frame] = _transform(homography_from_row, vals, line, path)
     return out
+
+
+def _transform(read, values: Sequence[float], line: int, path):
+    """``read(values)``, a transform; InvalidGeometry (a singular map, say)
+    raises as InvariantViolation at ``line`` of ``path``."""
+    try:
+        return read(values)
+    except InvalidGeometry as exc:
+        raise InvariantViolation(str(exc), line=line, path=path) from exc
 
 
 def write_homography_log(homs: Mapping[int, Homography], path) -> None:
@@ -600,7 +596,8 @@ def load_registry(path) -> GeoRegistry:
                     kind, label, _ = block
                     raise ParseError(f"repeated {key} in {kind} {label!r}", line=line, path=path)
                 n, read = directives[key]
-                fields[key] = read(_parse_floats(tokens[1:], n, line, key, path))
+                values = _parse_floats(tokens[1:], n, line, key, path)
+                fields[key] = _transform(read, values, line, path)
             else:
                 raise ParseError(f"unexpected directive {key!r}", line=line, path=path)
         close()

@@ -23,7 +23,7 @@ from .errors import (
 
 # Homogeneous scale below this magnitude counts as projective infinity.
 Z_TOL = 1e-12
-# |det| must exceed this fraction of the Frobenius norm cubed.
+# |det| must reach this fraction of the Frobenius norm cubed.
 DET_FLOOR = 1e-12
 
 
@@ -47,12 +47,14 @@ class Homography:
         a = np.array(m, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(a)):
             raise InvalidGeometry("homography entries must be finite")
-        det = np.linalg.det(a)
-        fro = float(np.linalg.norm(a))
-        if abs(det) < DET_FLOOR * fro**3:
-            raise SingularTransform(
-                f"matrix below invertibility floor (|det|={abs(det):.3e})"
-            )
+        # |det| / fro**3 does not change with scale, so it is taken on the
+        # matrix scaled to a largest entry of 1, where neither can overflow.
+        peak = np.abs(a).max()
+        unit = a / peak if peak > 0.0 else a
+        with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+            det = abs(float(np.linalg.det(unit)))
+        if peak == 0.0 or det < DET_FLOOR * float(np.linalg.norm(unit)) ** 3:
+            raise SingularTransform(f"matrix below invertibility floor (|det|={det:.3e})")
         if abs(a[2, 2]) > Z_TOL:
             a = a / a[2, 2]
         a.setflags(write=False)
@@ -82,9 +84,11 @@ class GeoTransform:
         vals = (self.a, self.b, self.c, self.d, self.tx, self.ty)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidGeometry("geotransform coefficients must be finite")
-        det = self.a * self.d - self.b * self.c
-        scale = self.a**2 + self.b**2 + self.c**2 + self.d**2
-        if abs(det) <= 1e-15 * max(1.0, scale):
+        # |det| <= 1e-15 * max(1, a**2 + b**2 + c**2 + d**2), divided through
+        # by the largest entry squared so that nothing overflows
+        peak = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) or 1.0
+        a, b, c, d = (v / peak for v in vals[:4])
+        if abs(a * d - b * c) <= 1e-15 * max(1.0 / peak / peak, a * a + b * b + c * c + d * d):
             raise SingularTransform("geotransform linear part is singular")
 
 

@@ -291,9 +291,8 @@ def run_pipeline(
         if len(columns) > MIN_EXPORT_POINTS:
             kept[span] = True
             vehicle_columns.append(columns)
-    sections, lanes = lane_columns(positions, geo.segmentation)
-
     rows = np.flatnonzero(kept).tolist()
+    exported = positions[rows]
     frames = refined.frames[rows].tolist()
     stamps = {f: frame_to_timestamp(f, meta) for f in sorted(set(frames))}
     vehicle = np.concatenate(vehicle_columns)
@@ -305,13 +304,12 @@ def run_pipeline(
         map(str, refined.ids[rows].tolist()),
         [stamps[f] for f in frames],
         repeat(str(meta.drone_id)),
-        *position_columns(positions[rows]),
+        *position_columns(exported),
         length,
         width,
         map(str, refined.cls[rows].tolist()),
         speed,
         accel,
-        [sections[i] for i in rows],
-        [lanes[i] for i in rows],
+        *lane_columns(exported, geo.segmentation),
         ["1" if v else "0" for v in visible[rows].tolist()],
     ))

@@ -179,16 +179,6 @@ def _collinear(pts: np.ndarray) -> bool:
     """True when the smaller singular value of the centered (n, 2) set is at
     most 1e-9 of the larger one."""
     centered = pts - pts.mean(axis=0)
-    # (sv[1] / sv[0])**2, the eigenvalue ratio of the 2 x 2 scatter matrix,
-    # is at least det / trace**2. Rounding moves the computed det by about
-    # n * 2**-53 * trace**2 at most, so a det above 1e-6 * trace**2 proves a
-    # ratio far above the 1e-18 boundary. Other sets, near the boundary or
-    # with a zero, tiny, huge or non-finite trace, go to the SVD.
-    with np.errstate(all="ignore"):
-        (a, b), (_, c) = (centered.T @ centered).tolist()
-    trace = a + c
-    if 1e-140 < trace < 1e140 and a * c - b * b > 1e-6 * trace * trace:
-        return False
     sv = np.linalg.svd(centered, compute_uv=False)
     return sv[1] <= 1e-9 * max(sv[0], 1e-30)
 
@@ -352,13 +342,16 @@ def _solve_block(s4: np.ndarray, d4: np.ndarray) -> tuple[np.ndarray, np.ndarray
             h = _denormalized_solve(a[ok], t_src[ok], t_dst[ok])
         except np.linalg.LinAlgError:
             return state, raw
-        # Homography.from_matrix's finite and invertibility checks. Its
-        # Frobenius norm is a BLAS dot product; summed in another order
-        # here, it decides only determinants clear of the floor.
-        finite = np.isfinite(h).all(axis=(1, 2))
-        det = np.abs(np.linalg.det(np.where(finite[:, None, None], h, 1.0)))
-        floor = DET_FLOOR * np.sqrt((h * h).sum(axis=(1, 2))) ** 3
-        decided = finite & (np.abs(det - floor) > 1e-6 * floor)
+        # Homography.from_matrix's finite and invertibility checks, on each
+        # matrix scaled to a largest entry of 1. Its Frobenius norm is a
+        # BLAS dot product; summed in another order here, it decides only
+        # determinants clear of the floor.
+        peak = np.abs(h).max(axis=(1, 2))
+        checked = np.isfinite(h).all(axis=(1, 2)) & (peak > 0.0)
+        unit = np.where(checked[:, None, None], h / peak[:, None, None], 1.0)
+        det = np.abs(np.linalg.det(unit))
+        floor = DET_FLOOR * np.sqrt((unit * unit).sum(axis=(1, 2))) ** 3
+        decided = checked & (np.abs(det - floor) > 1e-6 * floor)
     state[usable] = np.where(decided, np.where(det >= floor, _SOLVED, _SKIPPED), _REPLAY)
     raw[usable] = h
     return state, raw

@@ -1,6 +1,9 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FRAME_H,
@@ -330,6 +335,153 @@ class TestPipelineCommand:
         assert run_cli(*pipeline_cmd(pipeline_fixture, out)) == 0
         # one pass over vehicles 1-3 after the ingest filter drops vehicle 4
         assert calls == [20 + 15 + 18]
+
+
+    def test_lanes_looked_up_for_exported_rows_only(self, pipeline_fixture, tmp_path, monkeypatch):
+        from skytraj import pipeline
+
+        calls = []
+        original = pipeline.assign_segment
+
+        def counted(seg, point):
+            calls.append(point)
+            return original(seg, point)
+
+        monkeypatch.setattr(pipeline, "assign_segment", counted)
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(pipeline_fixture, out)) == 0
+        # vehicle 2's 15 points are not exported
+        assert len(calls) == len(read_rows(out)) == 20 + 18
+
+
+def _replace_row(path: Path, directive: str, values) -> int:
+    """Put ``values`` in place of the numbers of the first line of ``path``
+    that starts with ``directive``; returns that line's number."""
+    lines = path.read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.split()[:1] == [directive])
+    lines[line - 1] = " ".join([directive, *map(repr, values)])
+    path.write_text("\n".join(lines) + "\n")
+    return line
+
+
+# Entries of the corrupted transform rows: zeros, subnormals, magnitudes
+# whose squares or cubes overflow, and plain numbers.
+_EDGE_VALUES = [0.0, 1e-310, -1e-310, 1e103, -1e103, 1e200, -1e200, 1.0, -2.5]
+
+
+@st.composite
+def _singular_rows(draw, size: int):
+    """The numbers of a transform row whose ``size`` x ``size`` linear part
+    is singular (a zero row or column, two equal rows) or, for a
+    homography, a translation so large that the map is below the floor."""
+    value = st.sampled_from(_EDGE_VALUES)
+    m = [[draw(value) for _ in range(size)] for _ in range(size)]
+    i, j = draw(st.permutations(range(size)))[:2]
+    patterns = ["zero-row", "zero-column", "equal-rows"] + ["translation"] * (size == 3)
+    pattern = draw(st.sampled_from(patterns))
+    if pattern == "zero-row":
+        m[i] = [0.0] * size
+    elif pattern == "zero-column":
+        for row in m:
+            row[i] = 0.0
+    elif pattern == "equal-rows":
+        m[j] = list(m[i])
+    else:
+        m = [[1.0, 0.0, draw(st.sampled_from([1e103, -1e103, 1e200, -1e200]))],
+             [0.0, 1.0, draw(value)],
+             [0.0, 0.0, 1.0]]
+    flat = [v for row in m for v in row]
+    return flat if size == 3 else flat + [draw(value), draw(value)]
+
+
+class TestTransformRowsNameFileAndLine:
+    """A homography-log or registry row whose transform is singular, or
+    overflows on the way to the invertibility floor, exits 1 with one
+    error line naming the file and the line."""
+
+    def stabilize(self, paths, tmp_path):
+        out = tmp_path / "stab.csv"
+        argv = ["stabilize", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
+                "--homographies", paths["homographies"], "--output", out]
+        return argv, out
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1, 0, 1e103, 0, 1, 0, 0, 0, 1], "matrix below invertibility floor (|det|=1.000e-309)"),
+            ([1, 0, 1e200, 0, 1, 0, 0, 0, 1], "matrix below invertibility floor (|det|=0.000e+00)"),
+            ([0] * 9, "matrix below invertibility floor (|det|=0.000e+00)"),
+            ([1, 2, 3, 2, 4, 6, 0, 0, 1], "matrix below invertibility floor (|det|=0.000e+00)"),
+            # numpy's det takes the log of the zero pivot and warns
+            ([0, 0, 0, 0, 0, 0, 1e-310, 1, 1], "matrix below invertibility floor (|det|=0.000e+00)"),
+        ],
+        ids=["overflow", "huge", "zero", "singular", "zero-pivot"],
+    )
+    def test_homography_log_row(self, pipeline_fixture, tmp_path, capsys, values, message):
+        log = Path(pipeline_fixture["homographies"])
+        line = _replace_row(log, "7", values)
+        argv, out = self.stabilize(pipeline_fixture, tmp_path)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error [stabilize]: {log}: line {line}: {message}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "directive, values, message",
+        [
+            ("master_to_ortho", [0] * 9, "matrix below invertibility floor (|det|=0.000e+00)"),
+            ("ref_to_master", [1, 0, 1e103, 0, 1, 0, 0, 0, 1],
+             "matrix below invertibility floor (|det|=1.000e-309)"),
+            ("geo_local", [1, 2, 2, 4, 300, 400], "geotransform linear part is singular"),
+            ("geo_wgs", [1e200, 1e200, 1e200, 1e200, 0, 0], "geotransform linear part is singular"),
+        ],
+        ids=["master-zero", "video-overflow", "local-singular", "wgs-overflow"],
+    )
+    def test_registry_row(self, pipeline_fixture, tmp_path, capsys, directive, values, message):
+        reg = Path(pipeline_fixture["registry"])
+        line = _replace_row(reg, directive, values)
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(pipeline_fixture, out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error [pipeline]: {reg}: line {line}: {message}"
+        ]
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_singular_row(self, pipeline_fixture, tmp_path, data):
+        where = data.draw(st.sampled_from(
+            ["log", "master_to_ortho", "geo_local", "geo_wgs", "ref_to_master"]))
+        size = 2 if where.startswith("geo_") else 3
+        values = data.draw(_singular_rows(size))
+        if where == "log":
+            path = Path(pipeline_fixture["homographies"])
+            argv, out = self.stabilize(pipeline_fixture, tmp_path)
+            command, directive = "stabilize", "7"
+        else:
+            path = Path(pipeline_fixture["registry"])
+            out = tmp_path / "out.csv"
+            argv = pipeline_cmd(pipeline_fixture, out)
+            command, directive = "pipeline", where
+        original = path.read_text()
+        try:
+            line = _replace_row(path, directive, values)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_cli(*argv) == 1
+        finally:
+            path.write_text(original)
+        (message,) = err.getvalue().splitlines()
+        prefix = f"error [{command}]: {path}: line {line}: "
+        assert message.startswith(prefix)
+        assert re.fullmatch(
+            r"matrix below invertibility floor \(\|det\|=\d\.\d{3}e[+-]\d+\)"
+            r"|geotransform linear part is singular",
+            message[len(prefix):],
+        )
+        assert not out.exists()
 
 
 def test_pipeline_does_not_import_numpy_ma(pipeline_fixture, tmp_path):
@@ -759,6 +911,17 @@ class TestCompareCommand:
             "error [compare]: kinematics: speed_floor_kmh must not be NaN"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("compare", "--seed"), ("dims", "--seed"), ("kinematics", "--seed"),
+         ("georef", "--seed"), ("stabilize", "--jobs"), ("compare", "--jobs"),
+         ("dims", "--jobs"), ("kinematics", "--jobs"), ("georef", "--jobs")],
+    )
+    def test_flag_without_effect_is_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, flag, "3")
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pipeline", "kinematics"])
     def test_speed_floor_is_a_compare_flag_only(self, command, capsys):

@@ -437,24 +437,38 @@ class TestCorrespondenceFastPath:
         assert _plain_match_table("src_x,src_y,dst_x,dst_y,d1,d2\n").shape == (0, 6)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, failed_line",
         [
-            'src_x,src_y,dst_x,dst_y,d1,d2\n"1",2,3,4,0.5,1\n',
-            "src_x,src_y,dst_x,dst_y,d1,d2\r\n1,2,3,4,0.5,1\r\n",
-            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n\n",
-            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5\n",
-            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1,9\n",
-            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,,\n",
-            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,nan\n",
-            "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,1\n",
-            "src_x,src_y,dst_x,dst_y\n1,2,3,4\n",
-            "",
+            ('src_x,src_y,dst_x,dst_y,d1,d2\n"1",2,3,4,0.5,1\n', None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\r\n1,2,3,4,0.5,1\r\n", None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n\n", None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5\n", None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1,9\n", None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,,\n", None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,nan\n", 2),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,1\n", 2),
+            ("src_x,src_y,dst_x,dst_y\n1,2,3,4\n", None),
+            ("", None),
         ],
         ids=["quote", "cr", "blank", "short", "long", "empty-distance", "non-finite",
              "distance-order", "no-distances", "empty"],
     )
-    def test_other_files_go_row_by_row(self, text):
-        assert _plain_match_table(text) is None
+    def test_other_files_go_row_by_row(self, tmp_path, text, failed_line):
+        """Only plain files take the one-pass table. A plain file whose
+        values fail a check keeps it (``failed_line`` is set), and
+        `load_correspondences` raises at that row's line without reading
+        the file again."""
+        table = _plain_match_table(text)
+        if failed_line is None:
+            assert table is None
+            return
+        assert table is not None
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with mock.patch.object(dataio, "_match_rows", side_effect=AssertionError("read again")):
+            with pytest.raises(InvariantViolation) as exc:
+                load_correspondences(path)
+        assert exc.value.line == failed_line
 
     def test_cell_over_the_field_limit_goes_row_by_row(self):
         tiny = "0." + "0" * csv.field_size_limit() + "1"  # finite, but too long a field

@@ -74,6 +74,30 @@ class TestApplyHomography:
         with pytest.raises(SingularTransform):
             Homography.from_matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(SingularTransform) as err:
+            Homography.from_matrix(np.zeros((3, 3)))
+        assert str(err.value) == "matrix below invertibility floor (|det|=0.000e+00)"
+
+    def test_floor_does_not_depend_on_scale(self):
+        # 1e-110 * I has |det| and fro**3 below the smallest double; it is
+        # stored as given, since its corner entry is below Z_TOL
+        h = Homography.from_matrix(1e-110 * np.eye(3))
+        assert np.array_equal(h.m, 1e-110 * np.eye(3))
+        assert np.array_equal(Homography.from_matrix(1e200 * np.eye(3)).m, np.eye(3))
+        with pytest.raises(SingularTransform):
+            Homography.from_matrix(1e200 * np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+
+    @pytest.mark.parametrize(
+        "shift, det", [(1e103, "1.000e-309"), (1e200, "0.000e+00"), (-1e200, "0.000e+00")]
+    )
+    def test_huge_translation_rejected_without_overflow(self, shift, det):
+        # |det| / fro**3 is about shift**-3, far below the floor; neither
+        # fro**3 nor the norm overflows on the way
+        with pytest.raises(SingularTransform) as err:
+            Homography.from_matrix([[1, 0, shift], [0, 1, 0], [0, 0, 1]])
+        assert str(err.value) == f"matrix below invertibility floor (|det|={det})"
+
     def test_zero_corner_entry_leaves_matrix_unnormalized(self):
         h = Homography.from_matrix([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
         assert h.m[2, 2] == 0.0
@@ -190,6 +214,25 @@ class TestGeoTransform:
     def test_singular_rejected(self):
         with pytest.raises(SingularTransform):
             GeoTransform(1, 2, 2, 4, 0, 0)
+
+    @pytest.mark.parametrize(
+        "coefficients, singular",
+        [
+            ((1e200, 0, 0, 1e200, 0, 0), False),
+            ((1e200, -1e200, 3e199, 1e200, 1e300, -1e300), False),
+            ((1e200, 1e200, 1e200, 1e200, 0, 0), True),
+            ((1e200, 0, -1e200, 0, 0, 0), True),
+            ((0, 0, 0, 0, 1, 1), True),
+            ((1e-9, 0, 0, 1e-9, 0, 0), True),  # |det| = 1e-18 is below 1e-15
+            ((1e-7, 0, 0, 1e-7, 0, 0), False),
+        ],
+    )
+    def test_floor_without_overflow(self, coefficients, singular):
+        if singular:
+            with pytest.raises(SingularTransform, match="linear part is singular"):
+                GeoTransform(*coefficients)
+        else:
+            assert GeoTransform(*coefficients).a == coefficients[0]
 
     def test_affine_combination(self):
         rng = np.random.default_rng(5)
