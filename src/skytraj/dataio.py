@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -205,51 +205,148 @@ def load_tracks(
     InvariantViolation; both name the file and the 1-based line.
     Stabilized tracks may leave the unit square, so their consumers pass
     ``require_unit_range=False``.
+
+    A plain file is converted in one pass (`_plain_track_table`); any
+    other file is read row by row up to its first malformed row
+    (`_track_rows`). The checks then run once on the table read
+    (`_failed_track_check`): in row order, the first row that fails one,
+    with the check it fails first, wins over a malformed row further down.
+    The points are built in one pass, in (track_id, frame) order.
     """
     if not isinstance(sidecar, VideoSidecar):
         sidecar = load_sidecar(sidecar)
-    n_frames, n_classes = sidecar.n_frames, sidecar.n_classes
-    points: list[TrackPoint] = []
-    seen: set[tuple[int, int]] = set()
-    for line, (frame, track_id, cx, cy, w, h, cls, score) in _read_csv_rows(
-        path, TRACK_COLUMNS, _track_values, optional=["visible"]
-    ):
-        if frame < 1:
-            raise InvariantViolation("frame must be >= 1", line=line, path=path)
-        _require_key_range(path, line, "frame", frame)
-        if n_frames is not None and frame > n_frames:
-            raise InvariantViolation(
-                f"frame {frame} exceeds n_frames {n_frames}", line=line, path=path
-            )
-        if track_id < 1:
-            raise InvariantViolation("id must be >= 1", line=line, path=path)
-        _require_key_range(path, line, "id", track_id)
-        if require_unit_range:
-            for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
-                if not 0.0 <= v <= 1.0:
-                    raise InvariantViolation(f"{name}={v} outside [0, 1]", line=line, path=path)
-        elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
-            raise InvariantViolation("box values must be finite", line=line, path=path)
-        elif w < 0 or h < 0:
-            raise InvariantViolation("box size must be >= 0", line=line, path=path)
-        if not 0 <= cls < n_classes:
-            raise InvariantViolation(
-                f"class {cls} outside 0..{n_classes - 1}", line=line, path=path
-            )
-        if not 0.0 < score <= 1.0:
-            raise InvariantViolation(f"score {score} outside (0, 1]", line=line, path=path)
-        key = (track_id, frame)
-        if key in seen:
-            raise InvariantViolation(
-                f"duplicate point for id {track_id} frame {frame}", line=line, path=path
-            )
-        seen.add(key)
-        points.append(TrackPoint(frame, track_id, Detection((cx, cy, w, h), cls, score)))
-    points.sort(key=attrgetter("track_id", "frame"))
+    try:
+        with _text_file(path) as fh:
+            table = _plain_track_table(fh.read())
+    except ParseError:  # not UTF-8: the row loop checks the rows before the byte first
+        table = None
+    if table is None:
+        table, lines, error = _track_rows(path)
+    else:
+        lines, error = range(2, len(table.frames) + 2), None
+    order = np.lexsort((table.frames, table.ids))
+    failed = _failed_track_check(table, order, sidecar, require_unit_range)
+    if failed:
+        i, message = failed
+        raise InvariantViolation(message, line=lines[i], path=path)
+    if error is not None:
+        raise error
+    frames, ids, boxes, cls, score = (column[order].tolist() for column in table)
     return VideoTracks(
         frame_width=sidecar.frame_width,
         frame_height=sidecar.frame_height,
-        points=tuple(points),
+        points=tuple(map(TrackPoint, frames, ids, map(Detection, map(tuple, boxes), cls, score))),
+    )
+
+
+class _TrackTable(NamedTuple):
+    """The rows of a track file as columns, in file order. An int column is
+    int64, or Python ints (dtype object) where a value does not fit, so
+    that every comparison with it is exact."""
+
+    frames: np.ndarray
+    ids: np.ndarray
+    boxes: np.ndarray  # (n, 4) cx, cy, w, h
+    cls: np.ndarray
+    score: np.ndarray
+
+
+def _track_table(columns: Sequence[Sequence]) -> _TrackTable:
+    """The table of the cells of the eight ``TRACK_COLUMNS``, each read
+    with ``int()`` or ``float()``; a cell that one rejects raises
+    ValueError."""
+    frames, ids, cx, cy, w, h, cls, score = columns
+    cx, cy, w, h, score = (
+        np.fromiter(map(float, c), dtype=float, count=len(c)) for c in (cx, cy, w, h, score)
+    )
+    return _TrackTable(
+        _int_column(frames), _int_column(ids), np.stack([cx, cy, w, h], axis=1),
+        _int_column(cls), score,
+    )
+
+
+def _int_column(cells: Sequence) -> np.ndarray:
+    """``int()`` of each cell, as int64 or, where a value does not fit, as
+    Python ints (dtype object)."""
+    try:
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    except OverflowError:
+        return np.array([*map(int, cells)], dtype=object)
+
+
+def _plain_track_table(text: str) -> _TrackTable | None:
+    """The `_TrackTable` of a plain file (`_plain_cells`), or None; its
+    values are not checked. None also where the row-by-row reading must
+    decide: a cell that ``int()`` or ``float()`` rejects, or a ``visible``
+    cell other than 0 or 1."""
+    plain = _plain_cells(text, TRACK_COLUMNS)
+    if plain is None:
+        return None
+    at, width, cells = plain
+    if "visible" in at and not set(cells[at["visible"]::width]) <= {"0", "1"}:
+        return None
+    try:
+        return _track_table([cells[at[c]::width] for c in TRACK_COLUMNS])
+    except ValueError:
+        return None
+
+
+def _track_rows(path) -> tuple[_TrackTable, list[int], ParseError | None]:
+    """The track table of ``path`` read one csv row at a time, each row's
+    line and the ParseError that ended the reading, or None. The rows read
+    before that error are returned."""
+    rows: list[tuple] = []
+    lines: list[int] = []
+    error = None
+    try:
+        for line, values in _read_csv_rows(
+            path, TRACK_COLUMNS, _track_values, optional=["visible"]
+        ):
+            rows.append(values)
+            lines.append(line)
+    except ParseError as exc:
+        error = exc
+    return _track_table([*zip(*rows)] or [()] * len(TRACK_COLUMNS)), lines, error
+
+
+def _failed_track_check(
+    table: _TrackTable, order: np.ndarray, sidecar: VideoSidecar, unit_range: bool
+) -> tuple[int, str] | None:
+    """The first row of ``table`` that fails a check, with the message of
+    the check it fails first, or None. ``order`` sorts the rows by
+    (id, frame), equal keys in row order; the later row of an equal pair
+    is a duplicate point."""
+    frames, ids, boxes, cls, score = table
+    sorted_frames, sorted_ids = frames[order], ids[order]
+    duplicate = np.zeros(len(order), dtype=bool)
+    duplicate[order[1:]] = (sorted_frames[1:] == sorted_frames[:-1]) & (
+        sorted_ids[1:] == sorted_ids[:-1]
+    )
+    # Each check's message, in the order a row takes them. A key beyond
+    # MAX_KEY is positive here: a negative one fails the ">= 1" check first.
+    checks = {"frame must be >= 1": frames < 1, "frame {frame} beyond +-2**62": frames > MAX_KEY}
+    if sidecar.n_frames is not None:
+        checks["frame {frame} exceeds n_frames {n_frames}"] = frames > sidecar.n_frames
+    checks["id must be >= 1"] = ids < 1
+    checks["id {id} beyond +-2**62"] = ids > MAX_KEY
+    if unit_range:
+        for name, v in zip(("cx", "cy", "w", "h"), boxes.T):
+            checks[f"{name}={{{name}}} outside [0, 1]"] = ~((0.0 <= v) & (v <= 1.0))
+    else:
+        checks["box values must be finite"] = ~np.isfinite(boxes).all(axis=1)
+        checks["box size must be >= 0"] = (boxes[:, 2] < 0) | (boxes[:, 3] < 0)
+    checks["class {cls} outside 0..{top}"] = (cls < 0) | (cls >= sidecar.n_classes)
+    checks["score {score} outside (0, 1]"] = ~((0.0 < score) & (score <= 1.0))
+    checks["duplicate point for id {id} frame {frame}"] = duplicate
+    failed = np.logical_or.reduce(list(checks.values()))
+    if not failed.any():
+        return None
+    i = int(failed.argmax())
+    message = next(m for m, bad in checks.items() if bad[i])
+    cx, cy, w, h = boxes[i].tolist()
+    return i, message.format(
+        frame=int(frames[i]), id=int(ids[i]), cx=cx, cy=cy, w=w, h=h, cls=int(cls[i]),
+        score=float(score[i]), n_frames=sidecar.n_frames, top=sidecar.n_classes - 1,
     )
 
 
@@ -380,22 +477,40 @@ def load_correspondences(path) -> Matches:
 
 
 def _plain_match_table(text: str) -> np.ndarray | None:
-    """The (n, 6) ``MATCH_COLUMNS`` table of a file whose rows the csv
-    module splits at each comma, or None; its values are not checked.
+    """The (n, 6) ``MATCH_COLUMNS`` table of a plain file (`_plain_cells`),
+    or None; its values are not checked. None also where the row-by-row
+    reading must decide: a cell that ``float()`` rejects (such as an empty
+    distance)."""
+    plain = _plain_cells(text, MATCH_COLUMNS)
+    if plain is None:
+        return None
+    at, width, cells = plain
+    try:
+        table = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    return table.reshape(-1, width)[:, [at[c] for c in MATCH_COLUMNS]]
 
-    Such a file has no quote and no carriage return, a header naming all
-    six columns (in any order, among others) and ``len(header) - 1``
-    commas on each line after it, so it has no blank, short or long row
-    and row k sits on line k + 2. None where the row-by-row reading must
-    decide: another file, a cell over the csv field size limit, or one
-    that ``float()`` rejects (such as an empty distance).
+
+def _plain_cells(
+    text: str, required: Sequence[str]
+) -> tuple[dict[str, int], int, list[str]] | None:
+    """The column of each header name, the row width and the data cells,
+    row after row, of a CSV text whose rows the csv module splits at each
+    comma, or None.
+
+    Such a text has no quote and no carriage return, a header naming every
+    ``required`` column (in any order, among others; a repeated name means
+    its last column) and ``len(header) - 1`` commas on each line after it,
+    so it has no blank, short or long row and data row k sits on line
+    k + 2. A cell over the csv field size limit makes it None too.
     """
     if '"' in text or "\r" in text:
         return None
     rows = text.split("\n")
     header = rows[0].split(",")
     at = {name: i for i, name in enumerate(header)}
-    if any(c not in at for c in MATCH_COLUMNS):
+    if any(c not in at for c in required):
         return None
     if rows[-1] == "":
         rows.pop()
@@ -404,15 +519,11 @@ def _plain_match_table(text: str) -> np.ndarray | None:
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, rows)) > limit:
         return None
-    n = len(rows) - 1
     flat = ",".join(rows[1:])
-    del rows  # hold the file's text and its cells, not its rows too
+    del rows  # hold the file's text and its cells, not its rows or their join too
     cells = flat.split(",") if flat else []
-    try:
-        table = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        return None
-    return table.reshape(n, len(header))[:, [at[c] for c in MATCH_COLUMNS]]
+    del flat
+    return at, len(header), cells
 
 
 def _failed_check(table: np.ndarray) -> tuple[int, str] | None:

@@ -44,6 +44,15 @@ class Homography:
 
     @staticmethod
     def from_matrix(m) -> "Homography":
+        """The map of the 3x3 matrix ``m``, divided by m[2,2] when that
+        entry exceeds ``Z_TOL`` times the largest entry's magnitude.
+
+        Refuses a non-finite entry (InvalidGeometry) and a matrix with
+        |det| below ``DET_FLOOR`` times its Frobenius norm cubed
+        (SingularTransform). Both tests are relative, so scaling ``m`` by
+        a power of two changes neither and leaves the stored matrix the
+        same whenever it is divided by m[2,2].
+        """
         a = np.array(m, dtype=float).reshape(3, 3)
         if not np.all(np.isfinite(a)):
             raise InvalidGeometry("homography entries must be finite")
@@ -55,7 +64,7 @@ class Homography:
             det = abs(float(np.linalg.det(unit)))
         if peak == 0.0 or det < DET_FLOOR * float(np.linalg.norm(unit)) ** 3:
             raise SingularTransform(f"matrix below invertibility floor (|det|={det:.3e})")
-        if abs(a[2, 2]) > Z_TOL:
+        if abs(a[2, 2]) > Z_TOL * peak:
             a = a / a[2, 2]
         a.setflags(write=False)
         return Homography(a)
@@ -70,7 +79,9 @@ class GeoTransform:
     """2x3 affine map from image pixels to world coordinates.
 
     x' = a*x + b*y + tx, y' = c*x + d*y + ty. The 2x2 linear part must
-    be nonsingular.
+    be nonsingular: |ad - bc| above 1e-15 * (a^2 + b^2 + c^2 + d^2), a
+    floor relative to the entries, so scaling the linear part does not
+    change whether a map passes.
     """
 
     a: float
@@ -84,11 +95,12 @@ class GeoTransform:
         vals = (self.a, self.b, self.c, self.d, self.tx, self.ty)
         if not all(math.isfinite(v) for v in vals):
             raise InvalidGeometry("geotransform coefficients must be finite")
-        # |det| <= 1e-15 * max(1, a**2 + b**2 + c**2 + d**2), divided through
-        # by the largest entry squared so that nothing overflows
+        # |ad - bc| <= 1e-15 * (a**2 + b**2 + c**2 + d**2), which does not
+        # change with scale, on the entries divided by the largest one so
+        # that nothing overflows or underflows
         peak = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) or 1.0
         a, b, c, d = (v / peak for v in vals[:4])
-        if abs(a * d - b * c) <= 1e-15 * max(1.0 / peak / peak, a * a + b * b + c * c + d * d):
+        if abs(a * d - b * c) <= 1e-15 * (a * a + b * b + c * c + d * d):
             raise SingularTransform("geotransform linear part is singular")
 
 

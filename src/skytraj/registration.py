@@ -399,8 +399,9 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
             # Homography.from_matrix's scaling, then the scoring of each fit
             m = raw[solved]
             z = m[:, 2:, 2:]
+            peak = np.abs(m).max(axis=(1, 2), keepdims=True)
             with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(np.abs(z) > Z_TOL, m / z, m)
+                m = np.where(np.abs(z) > Z_TOL * peak, m / z, m)
             flags[solved] = _inlier_flags(m, src, dst, eta)
         counts = np.count_nonzero(flags, axis=1).tolist()
         for j, sample_state in enumerate(state.tolist()):

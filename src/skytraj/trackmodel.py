@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -49,11 +50,16 @@ class VideoTracks:
         """The points as columns, in point order, boxes scaled to pixels."""
         points = self.points
         n = len(points)
-        keys = np.fromiter(((p.frame, p.track_id, p.detection.cls) for p in points),
-                           dtype=(np.int64, 3), count=n)
-        boxes = np.fromiter((p.detection.bbox for p in points), dtype=(float, 4), count=n)
+        detections = [*map(attrgetter("detection"), points)]
+
+        def column(name, of, dtype):
+            return np.fromiter(map(attrgetter(name), of), dtype=dtype, count=n)
+
+        boxes = column("bbox", detections, (float, 4))
         w_img, h_img = self.frame_size
-        return TrackColumns(keys[:, 0], keys[:, 1], keys[:, 2],
+        return TrackColumns(column("frame", points, np.int64),
+                            column("track_id", points, np.int64),
+                            column("cls", detections, np.int64),
                             boxes * np.array([w_img, h_img, w_img, h_img], dtype=float))
 
 

@@ -14,9 +14,15 @@ The tests compare the array code in ``skytraj.geometry``,
 visible-row gate against them bit for bit; the steps that did not change
 (``ratio_filter``, ``quad_iou``, ``acceleration``) and the ``GroupReport``
 record are shared.
+
+The track CSV loader is kept as it ran row by row, converting and
+checking each csv row in turn and sorting the points at the end; the
+tests compare the columnar ``skytraj.dataio.load_tracks`` against it,
+points bit for bit and errors by type, message and line.
 """
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 from dataclasses import dataclass
@@ -38,13 +44,15 @@ from skytraj.errors import (
     DegenerateSegment,
     EmptySampleSet,
     EmptyVisibilitySet,
+    InvariantViolation,
     NonConvexInput,
+    ParseError,
     TooShort,
 )
 from skytraj.geometry import Z_TOL, GeoTransform, Homography, Point2, pixel_to_world, quad_iou
 from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.metrics import GroupReport
-from skytraj.trackmodel import TrackPoint
+from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
 
 Box = tuple[float, float, float, float]  # cx, cy, w, h
 
@@ -527,3 +535,82 @@ def aggregate_comparison(
             )
         )
     return reports
+
+
+# --- track CSV loader -----------------------------------------------------------
+
+TRACK_COLUMNS = ["frame", "id", "cx", "cy", "w", "h", "class", "score"]
+
+
+def _track_csv_rows(path):
+    """(line, typed cells) of each non-blank csv row of a track file: the
+    cells of ``TRACK_COLUMNS`` by the header's last column of each name,
+    None past the end of a short row, and an optional 0/1 ``visible`` cell
+    checked, not kept."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            at = {name: i for i, name in enumerate(header)}
+            missing = [c for c in TRACK_COLUMNS if c not in at]
+            if missing:
+                raise ParseError(f"missing columns {missing}", line=1, path=path)
+            columns = [at[c] for c in TRACK_COLUMNS + ["visible"] if c in at]
+            for row in reader:
+                if not row:
+                    continue
+                row += [None] * (max(columns) + 1 - len(row))
+                cells = [row[k] for k in columns]
+                try:
+                    values = (int(cells[0]), int(cells[1]), float(cells[2]), float(cells[3]),
+                              float(cells[4]), float(cells[5]), int(cells[6]), float(cells[7]))
+                    if cells[8:] and cells[8] not in ("0", "1"):
+                        raise ValueError(f"visible must be 0 or 1, got {cells[8]!r}")
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(
+                        f"malformed row: {exc}", line=reader.line_num, path=path
+                    ) from exc
+                yield reader.line_num, values
+        except csv.Error as exc:
+            raise ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path) from exc
+
+
+def load_tracks(path, sidecar, *, require_unit_range: bool = True) -> VideoTracks:
+    """A track CSV read and checked one row at a time; the first failing
+    row raises at once, with the first check it fails."""
+    n_frames, n_classes = sidecar.n_frames, sidecar.n_classes
+    points: list[TrackPoint] = []
+    seen: set[tuple[int, int]] = set()
+    for line, (frame, track_id, cx, cy, w, h, cls, score) in _track_csv_rows(path):
+
+        def fail(message):
+            raise InvariantViolation(message, line=line, path=path)
+
+        if frame < 1:
+            fail("frame must be >= 1")
+        if abs(frame) > 2**62:
+            fail(f"frame {frame} beyond +-2**62")
+        if n_frames is not None and frame > n_frames:
+            fail(f"frame {frame} exceeds n_frames {n_frames}")
+        if track_id < 1:
+            fail("id must be >= 1")
+        if abs(track_id) > 2**62:
+            fail(f"id {track_id} beyond +-2**62")
+        if require_unit_range:
+            for name, v in (("cx", cx), ("cy", cy), ("w", w), ("h", h)):
+                if not 0.0 <= v <= 1.0:
+                    fail(f"{name}={v} outside [0, 1]")
+        elif not all(math.isfinite(v) for v in (cx, cy, w, h)):
+            fail("box values must be finite")
+        elif w < 0 or h < 0:
+            fail("box size must be >= 0")
+        if not 0 <= cls < n_classes:
+            fail(f"class {cls} outside 0..{n_classes - 1}")
+        if not 0.0 < score <= 1.0:
+            fail(f"score {score} outside (0, 1]")
+        if (track_id, frame) in seen:
+            fail(f"duplicate point for id {track_id} frame {frame}")
+        seen.add((track_id, frame))
+        points.append(TrackPoint(frame, track_id, Detection((cx, cy, w, h), cls, score)))
+    points.sort(key=lambda p: (p.track_id, p.frame))
+    return VideoTracks(sidecar.frame_width, sidecar.frame_height, tuple(points))

@@ -484,6 +484,44 @@ class TestTransformRowsNameFileAndLine:
         assert not out.exists()
 
 
+class TestScaleFreeTransforms:
+    """The invertibility floors and the homography's m[2,2] test are
+    relative: a transform row means the same map at any scale."""
+
+    def stabilized(self, paths, tmp_path, values) -> bytes:
+        """The stabilize output with the homography-log row of frame 7
+        holding ``values``."""
+        _replace_row(Path(paths["homographies"]), "7", values)
+        out = tmp_path / "stab.csv"
+        assert run_cli("stabilize", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
+                       "--homographies", paths["homographies"], "--output", out) == 0
+        return out.read_bytes()
+
+    def test_tiny_multiple_of_the_identity(self, pipeline_fixture, tmp_path):
+        identity = self.stabilized(pipeline_fixture, tmp_path, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+        tiny = [1e-110, 0, 0, 0, 1e-110, 0, 0, 0, 1e-110]
+        assert self.stabilized(pipeline_fixture, tmp_path, tiny) == identity
+
+    @pytest.mark.parametrize("k", [-300, -37, -1, 1, 52, 300])
+    def test_row_scaled_by_a_power_of_two(self, pipeline_fixture, tmp_path, k):
+        log = Path(pipeline_fixture["homographies"])
+        (row,) = [line.split()[1:] for line in log.read_text().splitlines()
+                  if line.split()[:1] == ["7"]]
+        values = [float(v) for v in row]
+        want = self.stabilized(pipeline_fixture, tmp_path, values)
+        assert self.stabilized(pipeline_fixture, tmp_path, [v * 2.0**k for v in values]) == want
+
+    def test_small_scale_geo_wgs(self, pipeline_fixture, tmp_path):
+        _replace_row(Path(pipeline_fixture["registry"]), "geo_wgs",
+                     [3e-08, 0, 0, 3e-08, 37.38, 126.64])
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(pipeline_fixture, out)) == 0
+        rows = read_rows(out)
+        assert rows
+        assert all(37.38 <= float(r["Latitude"]) < 37.381 for r in rows)
+        assert all(126.64 <= float(r["Longitude"]) < 126.641 for r in rows)
+
+
 def test_pipeline_does_not_import_numpy_ma(pipeline_fixture, tmp_path):
     """The per-vehicle stage computes its quartile without `np.percentile`,
     whose first call imports `numpy.ma` (about 2 MB of peak RSS)."""

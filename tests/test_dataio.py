@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import (
     georeference_points,
     make_point,
@@ -517,6 +518,16 @@ class TestNotUtf8:
             load_tracks(p, SIDECAR)
         assert exc.value.line == 2500
         assert str(exc.value).startswith(f"{p}: line 2500: not UTF-8 text: ")
+
+    def test_an_earlier_failing_track_row_wins(self, tmp_path):
+        """The rows decoded before the bad byte are checked first, as the
+        row-by-row reading always did."""
+        p = tmp_path / "tracks.csv"
+        rows = ["1,1,1.5,0.5,0.1,0.1,0,0.9"] + [f"{k},2,0.5,0.5,0.1,0.1,0,0.9" for k in range(1, 99)]
+        text = "frame,id,cx,cy,w,h,class,score\n" + "\n".join(rows * 30) + "\n"
+        p.write_bytes(text.encode() + b"\xe9\n")
+        with pytest.raises(InvariantViolation, match=r"line 2: cx=1.5 outside \[0, 1\]$"):
+            load_tracks(p, SIDECAR)
 
 
 class TestRowErrorsNameFileAndLine:
@@ -1249,3 +1260,126 @@ class TestTableReaderMatchesDictReader:
         with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
             ref = outcome()
         assert outcome() == ref
+
+
+# --- columnar track loader against the row-by-row reference --------------------
+
+# Cells that int() and float() read differently from a numpy cast, keys
+# beyond 2**62 and beyond int64, non-finite and out-of-range values.
+_INT_EDGES = ["1_000", " 3", "3 ", "+2", "0", "-1", str(2**62), str(2**62 + 1), str(2**63),
+              str(10**30), str(-10**30)]
+_FLOAT_EDGES = ["nan", "inf", "-inf", "-0.0", "1e400", "-1e-300", "1.0000000000000002", "1.5",
+                "0", "1", "1_0.5", " 0.5", "0.5 ", "-0.5"]
+_TRACK_EDGES = {
+    "frame": _INT_EDGES, "id": _INT_EDGES, "class": _INT_EDGES + ["3", "4"],
+    "cx": _FLOAT_EDGES, "cy": _FLOAT_EDGES, "w": _FLOAT_EDGES, "h": _FLOAT_EDGES,
+    "score": _FLOAT_EDGES + ["1e-320", "0.9999999999999999"], "visible": ["2", "", "x", " 1"],
+    "note": ["x"],
+}
+
+
+@st.composite
+def _corrupted_track_files(draw) -> tuple[str, VideoSidecar]:
+    """A track CSV text and its sidecar: mostly plain rows, with edge cells,
+    duplicate keys and malformed cells placed at random rows, sometimes in
+    a file that is not plain (CRLF, a quoted cell, a blank or short row)."""
+    n_frames = draw(st.sampled_from([None, 3, 4, 2**62, 2**63]))
+    n_classes = draw(st.sampled_from([1, 4, 5, 2**63 + 5]))
+    sidecar = VideoSidecar(3840, 2160, FPS, n_frames=n_frames, n_classes=n_classes)
+    extra = draw(st.lists(st.sampled_from(["visible", "note"]), unique=True))
+    header = draw(st.permutations(dataio.TRACK_COLUMNS + extra))
+    unit = st.sampled_from(["0.0", "0.25", "1.0", "0.5"]) | st.floats(0.0, 1.0).map(repr)
+    cell_of = {
+        "class": st.integers(0, 1).map(str), "score": st.sampled_from(["0.5", "1.0", "1e-3"]),
+        "visible": st.sampled_from(["0", "1"]), "note": st.just("a"),
+    }
+    keys = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), unique=True,
+                         min_size=1, max_size=10))
+    rows = [
+        [str(key[("frame", "id").index(c)]) if c in ("frame", "id") else draw(cell_of.get(c, unit))
+         for c in header]
+        for key in keys
+    ]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.integers(0, 5))
+        if kind == 0:  # a malformed cell
+            row[draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(["x", "", "1.5e"]))
+        elif kind == 1:  # the key of another row
+            other = draw(st.sampled_from(rows))
+            for c in ("frame", "id"):
+                row[header.index(c)] = other[header.index(c)]
+        else:  # an edge cell
+            k = draw(st.integers(0, len(header) - 1))
+            row[k] = draw(st.sampled_from(_TRACK_EDGES[header[k]]))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if draw(st.integers(0, 4)) == 0 and len(lines) > 1:  # not plain
+        k = draw(st.integers(1, len(lines) - 1))
+        lines[k] = draw(st.sampled_from(['"{}"', "{}\n", "{}\n\n", "{},x", "{}"])).format(lines[k])
+        if draw(st.booleans()):
+            lines[k] = lines[k].rsplit(",", 1)[0]  # short
+    newline = draw(st.sampled_from(["\n"] * 5 + ["\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), sidecar
+
+
+def _points_or_error(load, path, sidecar, unit_range):
+    try:
+        tracks = load(path, sidecar, require_unit_range=unit_range)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.line
+    values = [(p.frame, p.track_id, p.detection.cls, *p.detection.bbox, p.detection.score)
+              for p in tracks.points]
+    assert {type(v) for row in values for v in row} <= {int, float}
+    return tracks.frame_size, [[v.hex() if isinstance(v, float) else v for v in row]
+                               for row in values]
+
+
+class TestTrackLoaderMatchesRowLoop:
+    PLAIN = "id,frame,cx,cy,w,h,class,score,visible\n2,1,0.5,0.5,0.1,0.1,0,0.9,1\n" \
+            "1,2,0.25,0.5,0.1,0.1,1,1.0,0\n1,1,1,0,0.1,0,0,0.5,1\n"
+
+    @settings(max_examples=500, deadline=None)
+    @given(file=_corrupted_track_files(), unit_range=st.booleans())
+    @example(file=(PLAIN, SIDECAR), unit_range=True)
+    @example(file=(PLAIN.split("\n", 1)[0], SIDECAR), unit_range=True)  # header only
+    @example(file=(PLAIN.replace("1,2,0.25", f"{10**30},2,0.25"), SIDECAR), unit_range=True)
+    @example(file=(PLAIN.replace(",1,0.9", f",{2**63},0.9"),
+                   VideoSidecar(3840, 2160, FPS, n_classes=2**64)), unit_range=True)
+    @example(file=(PLAIN.replace(",1,0.9", f",{2**64},0.9"),
+                   VideoSidecar(3840, 2160, FPS, n_classes=2**64)), unit_range=True)
+    @example(file=(PLAIN.replace("0.5,0.5,0.1", "nan,0.5,-1") + "x\n", SIDECAR), unit_range=False)
+    @example(file=(PLAIN + "1,1,0.5,0.5,0.1,0.1,0,0.9,1\n", SIDECAR), unit_range=True)
+    @example(file=(PLAIN + "x\n1,1,0.5,0.5,0.1,0.1,0,0.9,1\n", SIDECAR), unit_range=True)
+    def test_equals_the_row_loop(self, file, unit_range):
+        text, sidecar = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.csv"
+            path.write_bytes(text.encode())
+            got = _points_or_error(load_tracks, path, sidecar, unit_range)
+            assert got == _points_or_error(reference.load_tracks, path, sidecar, unit_range)
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            (PLAIN, True),
+            (PLAIN.replace("0,0.9", "7,0.9"), True),  # a failed check keeps the table
+            (PLAIN.replace("2,1,", "1_000,1,"), True),
+            (PLAIN.replace("\n", "\r\n"), False),
+            (PLAIN.replace("0.9", '"0.9"'), False),
+            (PLAIN + "1,3,0.5\n", False),  # short row
+            (PLAIN + "\n1,3,0.5,0.5,0.1,0.1,0,0.9,1\n", False),  # blank row
+            (PLAIN.replace("0.9,1", "0.9,2"), False),  # visible not 0/1
+            (PLAIN.replace("0.9", "x"), False),
+            ("", False),
+        ],
+        ids=["plain", "failed-check", "underscore", "crlf", "quote", "short", "blank",
+             "visible", "malformed", "empty"],
+    )
+    def test_only_other_files_go_row_by_row(self, tmp_path, text, plain):
+        path = tmp_path / "tracks.csv"
+        path.write_bytes(text.encode())
+        read_rows = mock.Mock(wraps=dataio._read_csv_rows)
+        with mock.patch.object(dataio, "_read_csv_rows", read_rows):
+            got = _points_or_error(load_tracks, path, SIDECAR, True)
+        assert read_rows.called is not plain
+        assert got == _points_or_error(reference.load_tracks, path, SIDECAR, True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import inverse, rotation, scaling, translation
 from skytraj.errors import (
@@ -80,10 +82,10 @@ class TestApplyHomography:
         assert str(err.value) == "matrix below invertibility floor (|det|=0.000e+00)"
 
     def test_floor_does_not_depend_on_scale(self):
-        # 1e-110 * I has |det| and fro**3 below the smallest double; it is
-        # stored as given, since its corner entry is below Z_TOL
+        # 1e-110 * I has |det| and fro**3 below the smallest double; its
+        # corner entry is the largest, so it is stored as the identity
         h = Homography.from_matrix(1e-110 * np.eye(3))
-        assert np.array_equal(h.m, 1e-110 * np.eye(3))
+        assert np.array_equal(h.m, np.eye(3))
         assert np.array_equal(Homography.from_matrix(1e200 * np.eye(3)).m, np.eye(3))
         with pytest.raises(SingularTransform):
             Homography.from_matrix(1e200 * np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
@@ -97,6 +99,28 @@ class TestApplyHomography:
         with pytest.raises(SingularTransform) as err:
             Homography.from_matrix([[1, 0, shift], [0, 1, 0], [0, 0, 1]])
         assert str(err.value) == f"matrix below invertibility floor (|det|={det})"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-13, 1e-9, 3.5, -1e4, 2e8]),
+                         min_size=9, max_size=9),
+        k=st.integers(-300, 300),
+    )
+    def test_power_of_two_multiple_is_the_same_map(self, entries, k):
+        """Acceptance and the stored matrix do not change when the matrix
+        is scaled by 2**k: the floor and the m[2,2] test are relative."""
+        def stored(m):
+            try:
+                return Homography.from_matrix(m).m
+            except SingularTransform:
+                return None
+
+        m = np.array(entries).reshape(3, 3)
+        got, want = stored(m * 2.0**k), stored(m)
+        if want is None or abs(m[2, 2]) <= 1e-12 * np.abs(m).max():
+            assert (got is None) == (want is None)
+        else:
+            assert np.array_equal(got, want)
 
     def test_zero_corner_entry_leaves_matrix_unnormalized(self):
         h = Homography.from_matrix([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
@@ -223,8 +247,9 @@ class TestGeoTransform:
             ((1e200, 1e200, 1e200, 1e200, 0, 0), True),
             ((1e200, 0, -1e200, 0, 0, 0), True),
             ((0, 0, 0, 0, 1, 1), True),
-            ((1e-9, 0, 0, 1e-9, 0, 0), True),  # |det| = 1e-18 is below 1e-15
+            ((1e-9, 0, 0, 1e-25, 0, 0), True),  # |ad| is 1e-16 of a^2 + d^2
             ((1e-7, 0, 0, 1e-7, 0, 0), False),
+            ((3e-8, 0, 0, 3e-8, 37.38, 126.64), False),
         ],
     )
     def test_floor_without_overflow(self, coefficients, singular):
@@ -233,6 +258,22 @@ class TestGeoTransform:
                 GeoTransform(*coefficients)
         else:
             assert GeoTransform(*coefficients).a == coefficients[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear=st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-15, 1e-8, -3e-8, 0.5, 7.0]),
+                        min_size=4, max_size=4),
+        k=st.integers(-300, 300),
+    )
+    def test_floor_does_not_depend_on_scale(self, linear, k):
+        def accepted(a, b, c, d):
+            try:
+                GeoTransform(a, b, c, d, 37.38, 126.64)
+            except SingularTransform:
+                return False
+            return True
+
+        assert accepted(*(v * 2.0**k for v in linear)) == accepted(*linear)
 
     def test_affine_combination(self):
         rng = np.random.default_rng(5)
