@@ -325,7 +325,7 @@ def cmd_kinematics(args) -> int:
         )
 
     def rows():
-        for vid, track in sorted(tracks.items()):
+        for vid, track in tracks.items():
             try:
                 yield from vehicle_rows(vid, track)
             except SkytrajError as exc:

@@ -122,16 +122,6 @@ def _not_utf8(path) -> ParseError:
     return ParseError("not UTF-8 text", path=path)  # the file changed since
 
 
-@contextmanager
-def _csv_errors(path, reader):
-    """Raise a CSV syntax error in the block (a field over the csv module's
-    size limit, say) as ParseError naming the file and ``reader``'s line."""
-    try:
-        yield reader
-    except csv.Error as exc:
-        raise ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path) from exc
-
-
 def load_yaml(path) -> dict:
     try:
         with _text_file(path, newline=None) as fh:
@@ -206,207 +196,225 @@ def load_tracks(
     Stabilized tracks may leave the unit square, so their consumers pass
     ``require_unit_range=False``.
 
-    A plain file is converted in one pass (`_plain_track_table`); any
-    other file is read row by row up to its first malformed row
-    (`_track_rows`). The checks then run once on the table read
-    (`_failed_track_check`): in row order, the first row that fails one,
-    with the check it fails first, wins over a malformed row further down.
-    The points are built in one pass, in (track_id, frame) order.
+    The table is read as every CSV table is: split once if it is plain
+    (`_cells`), converted column by column (`_convert`), then checked once
+    (`_raise_first`): in row order, the first row that fails a check, with
+    the check it fails first, wins over a malformed row or unreadable text
+    further down. The points are built in one pass, in (track_id, frame)
+    order.
     """
     if not isinstance(sidecar, VideoSidecar):
         sidecar = load_sidecar(sidecar)
-    try:
-        with _text_file(path) as fh:
-            table = _plain_track_table(fh.read())
-    except ParseError:  # not UTF-8: the row loop checks the rows before the byte first
-        table = None
-    if table is None:
-        table, lines, error = _track_rows(path)
+    kinds = {**dict.fromkeys(TRACK_COLUMNS, float), "frame": int, "id": int, "class": int,
+             "visible": _visible}
+    columns, lines, error = _convert(path, kinds, *_cells(path, TRACK_COLUMNS, ["visible"]))
+    frames, ids, cls, score = (columns[c] for c in ("frame", "id", "class", "score"))
+    boxes = [columns[c] for c in ("cx", "cy", "w", "h")]
+    order = np.lexsort((frames, ids))
+    # Each check's message, in the order a row takes them.
+    checks = {"frame must be >= 1": frames < 1, "frame {frame} beyond +-2**62": _beyond(frames)}
+    if sidecar.n_frames is not None:
+        checks[f"frame {{frame}} exceeds n_frames {sidecar.n_frames}"] = frames > sidecar.n_frames
+    checks["id must be >= 1"] = ids < 1
+    checks["id {id} beyond +-2**62"] = _beyond(ids)
+    if require_unit_range:
+        for name, v in zip(("cx", "cy", "w", "h"), boxes):
+            checks[f"{name}={{{name}}} outside [0, 1]"] = ~((0.0 <= v) & (v <= 1.0))
     else:
-        lines, error = range(2, len(table.frames) + 2), None
-    order = np.lexsort((table.frames, table.ids))
-    failed = _failed_track_check(table, order, sidecar, require_unit_range)
-    if failed:
-        i, message = failed
-        raise InvariantViolation(message, line=lines[i], path=path)
-    if error is not None:
-        raise error
-    frames, ids, boxes, cls, score = (column[order].tolist() for column in table)
+        checks["box values must be finite"] = ~np.logical_and.reduce([*map(np.isfinite, boxes)])
+        checks["box size must be >= 0"] = (boxes[2] < 0) | (boxes[3] < 0)
+    top = sidecar.n_classes - 1
+    checks[f"class {{class}} outside 0..{top}"] = (cls < 0) | (cls > top)
+    checks["score {score} outside (0, 1]"] = ~((0.0 < score) & (score <= 1.0))
+    checks["duplicate point for id {id} frame {frame}"] = _repeated(order, ids, frames)
+    _raise_first(checks, columns, lines, path, error)
+    cx, cy, w, h = (v[order].tolist() for v in boxes)
     return VideoTracks(
         frame_width=sidecar.frame_width,
         frame_height=sidecar.frame_height,
-        points=tuple(map(TrackPoint, frames, ids, map(Detection, map(tuple, boxes), cls, score))),
+        points=tuple(map(
+            TrackPoint, frames[order].tolist(), ids[order].tolist(),
+            map(Detection, zip(cx, cy, w, h), cls[order].tolist(), score[order].tolist()),
+        )),
     )
 
 
-class _TrackTable(NamedTuple):
-    """The rows of a track file as columns, in file order. An int column is
-    int64, or Python ints (dtype object) where a value does not fit, so
-    that every comparison with it is exact."""
-
-    frames: np.ndarray
-    ids: np.ndarray
-    boxes: np.ndarray  # (n, 4) cx, cy, w, h
-    cls: np.ndarray
-    score: np.ndarray
-
-
-def _track_table(columns: Sequence[Sequence]) -> _TrackTable:
-    """The table of the cells of the eight ``TRACK_COLUMNS``, each read
-    with ``int()`` or ``float()``; a cell that one rejects raises
-    ValueError."""
-    frames, ids, cx, cy, w, h, cls, score = columns
-    cx, cy, w, h, score = (
-        np.fromiter(map(float, c), dtype=float, count=len(c)) for c in (cx, cy, w, h, score)
-    )
-    return _TrackTable(
-        _int_column(frames), _int_column(ids), np.stack([cx, cy, w, h], axis=1),
-        _int_column(cls), score,
-    )
-
-
-def _int_column(cells: Sequence) -> np.ndarray:
-    """``int()`` of each cell, as int64 or, where a value does not fit, as
-    Python ints (dtype object)."""
-    try:
-        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
-    except OverflowError:
-        return np.array([*map(int, cells)], dtype=object)
-
-
-def _plain_track_table(text: str) -> _TrackTable | None:
-    """The `_TrackTable` of a plain file (`_plain_cells`), or None; its
-    values are not checked. None also where the row-by-row reading must
-    decide: a cell that ``int()`` or ``float()`` rejects, or a ``visible``
-    cell other than 0 or 1."""
-    plain = _plain_cells(text, TRACK_COLUMNS)
-    if plain is None:
-        return None
-    at, width, cells = plain
-    if "visible" in at and not set(cells[at["visible"]::width]) <= {"0", "1"}:
-        return None
-    try:
-        return _track_table([cells[at[c]::width] for c in TRACK_COLUMNS])
-    except ValueError:
-        return None
-
-
-def _track_rows(path) -> tuple[_TrackTable, list[int], ParseError | None]:
-    """The track table of ``path`` read one csv row at a time, each row's
-    line and the ParseError that ended the reading, or None. The rows read
-    before that error are returned."""
-    rows: list[tuple] = []
-    lines: list[int] = []
-    error = None
-    try:
-        for line, values in _read_csv_rows(
-            path, TRACK_COLUMNS, _track_values, optional=["visible"]
-        ):
-            rows.append(values)
-            lines.append(line)
-    except ParseError as exc:
-        error = exc
-    return _track_table([*zip(*rows)] or [()] * len(TRACK_COLUMNS)), lines, error
-
-
-def _failed_track_check(
-    table: _TrackTable, order: np.ndarray, sidecar: VideoSidecar, unit_range: bool
-) -> tuple[int, str] | None:
-    """The first row of ``table`` that fails a check, with the message of
-    the check it fails first, or None. ``order`` sorts the rows by
-    (id, frame), equal keys in row order; the later row of an equal pair
-    is a duplicate point."""
-    frames, ids, boxes, cls, score = table
-    sorted_frames, sorted_ids = frames[order], ids[order]
-    duplicate = np.zeros(len(order), dtype=bool)
-    duplicate[order[1:]] = (sorted_frames[1:] == sorted_frames[:-1]) & (
-        sorted_ids[1:] == sorted_ids[:-1]
-    )
-    # Each check's message, in the order a row takes them. A key beyond
-    # MAX_KEY is positive here: a negative one fails the ">= 1" check first.
-    checks = {"frame must be >= 1": frames < 1, "frame {frame} beyond +-2**62": frames > MAX_KEY}
-    if sidecar.n_frames is not None:
-        checks["frame {frame} exceeds n_frames {n_frames}"] = frames > sidecar.n_frames
-    checks["id must be >= 1"] = ids < 1
-    checks["id {id} beyond +-2**62"] = ids > MAX_KEY
-    if unit_range:
-        for name, v in zip(("cx", "cy", "w", "h"), boxes.T):
-            checks[f"{name}={{{name}}} outside [0, 1]"] = ~((0.0 <= v) & (v <= 1.0))
-    else:
-        checks["box values must be finite"] = ~np.isfinite(boxes).all(axis=1)
-        checks["box size must be >= 0"] = (boxes[:, 2] < 0) | (boxes[:, 3] < 0)
-    checks["class {cls} outside 0..{top}"] = (cls < 0) | (cls >= sidecar.n_classes)
-    checks["score {score} outside (0, 1]"] = ~((0.0 < score) & (score <= 1.0))
-    checks["duplicate point for id {id} frame {frame}"] = duplicate
-    failed = np.logical_or.reduce(list(checks.values()))
-    if not failed.any():
-        return None
-    i = int(failed.argmax())
-    message = next(m for m, bad in checks.items() if bad[i])
-    cx, cy, w, h = boxes[i].tolist()
-    return i, message.format(
-        frame=int(frames[i]), id=int(ids[i]), cx=cx, cy=cy, w=w, h=h, cls=int(cls[i]),
-        score=float(score[i]), n_frames=sidecar.n_frames, top=sidecar.n_classes - 1,
-    )
-
-
-def _track_values(cells: Sequence) -> tuple:
-    """The typed cells of a track CSV row. A ``visible`` cell is checked
-    last and not kept: the stages compute visibility from the boxes."""
-    values = (
-        int(cells[0]),  # frame
-        int(cells[1]),  # id
-        float(cells[2]),  # cx
-        float(cells[3]),  # cy
-        float(cells[4]),  # w
-        float(cells[5]),  # h
-        int(cells[6]),  # class
-        float(cells[7]),  # score
-    )
-    _visible(cells[8:], False)
-    return values
-
-
-def _visible(cells: Sequence, default: bool) -> bool:
-    """The 0/1 ``visible`` cell, the one item of ``cells``; ``default``
-    when ``cells`` is empty (a table without the column)."""
-    if not cells:
-        return default
-    (cell,) = cells
+def _visible(cell: str | None) -> bool:
+    """The 0/1 cell of a ``visible`` column."""
     if cell not in ("0", "1"):
         raise ValueError(f"visible must be 0 or 1, got {cell!r}")
     return cell == "1"
 
 
-def _read_csv_rows(path, required: Sequence[str], convert, optional: Sequence[str] = ()):
-    """(line, ``convert(cells)``) for each non-blank row of the CSV table at
-    ``path``, whose header must name every ``required`` column (two or
-    more). ``cells`` holds the row's cells of the ``required`` columns, then
-    of each ``optional`` column the header names, in that order; a repeated
-    header name means its last column, cells past the end of a short row are
-    None and extra cells are ignored. A cell that ``convert`` cannot read
-    raises ParseError "malformed row". Errors name the file and the line."""
-    with _text_file(path) as fh, _csv_errors(path, csv.reader(fh)) as reader:
-        header = next(reader, [])
-        at = {name: i for i, name in enumerate(header)}
-        missing = [c for c in required if c not in at]
-        if missing:
-            raise ParseError(f"missing columns {missing}", line=1, path=path)
-        columns = [at[c] for c in (*required, *(c for c in optional if c in at))]
-        take = itemgetter(*columns)
-        pad = [None] * (max(columns) + 1)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(pad):
-                row += pad[len(row):]
+def _cells(
+    path, required: Sequence[str], optional: Sequence[str] = ()
+) -> tuple[dict[str, list], Sequence[int], ParseError | None]:
+    """The cells of the CSV table at ``path`` by column name, each row's
+    line, and the ParseError that ended the reading, or None.
+
+    The header must name every ``required`` column (two or more); the
+    cells are those of the ``required`` columns, then of each ``optional``
+    column the header names. A repeated header name means its last column.
+    A plain text (`_plain_cells`) is split once; any other text, and one
+    that is not UTF-8, is read one csv row at a time (`_csv_cells`).
+    """
+    try:
+        with _text_file(path) as fh:
+            text = fh.read()
+    except ParseError:  # not UTF-8: the rows before the byte are read first
+        text = None
+    plain = None if text is None else _plain_cells(text, required, optional)
+    if plain is None:
+        return _csv_cells(path, required, optional)
+    return (*plain, None)
+
+
+def _plain_cells(
+    text: str, required: Sequence[str], optional: Sequence[str]
+) -> tuple[dict[str, list[str]], range] | None:
+    """`_cells` of a CSV text whose rows the csv module splits at each
+    comma, with no error, or None for any other text.
+
+    Such a text has no quote and no carriage return, a header naming every
+    ``required`` column and ``len(header) - 1`` commas on each line after
+    it, so it has no blank, short or long row and data row k sits on line
+    k + 2. A cell over the csv field size limit makes it None too.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    rows = text.split("\n")
+    header = rows[0].split(",")
+    at = {name: i for i, name in enumerate(header)}
+    if any(c not in at for c in required):
+        return None
+    if rows[-1] == "":
+        rows.pop()
+    if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, rows)) > limit:
+        return None
+    lines = range(2, len(rows) + 1)
+    flat = ",".join(rows[1:])
+    del rows  # hold the file's text and its cells, not its rows or their join too
+    cells = flat.split(",") if flat else []
+    del flat
+    names = (*required, *(c for c in optional if c in at))
+    return {c: cells[at[c]::len(header)] for c in names}, lines
+
+
+def _csv_cells(
+    path, required: Sequence[str], optional: Sequence[str]
+) -> tuple[dict[str, list], list[int], ParseError | None]:
+    """`_cells` of any text, read one csv row at a time. Blank rows are
+    skipped, cells past the end of a short row are None and extra cells
+    are ignored. A missing column, a CSV syntax error (a field over the
+    csv module's size limit, say) or a byte that is not UTF-8 is returned
+    after the rows read before it."""
+    names = list(required)
+    rows: list[tuple] = []
+    lines: list[int] = []
+    error = None
+    try:
+        with _text_file(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            at = {name: i for i, name in enumerate(header)}
+            missing = [c for c in required if c not in at]
+            if missing:
+                raise ParseError(f"missing columns {missing}", line=1, path=path)
+            names += [c for c in optional if c in at]
+            take = itemgetter(*(at[c] for c in names))
+            pad = [None] * (max(at[c] for c in names) + 1)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(pad):
+                    row += pad[len(row):]
+                rows.append(take(row))
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        error = ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path)
+    except ParseError as exc:
+        error = exc
+    columns = [*map(list, zip(*rows))] or [[] for _ in names]
+    return dict(zip(names, columns)), lines, error
+
+
+def _convert(
+    path, kinds: Mapping, cells: dict[str, list], lines: Sequence[int], error: ParseError | None
+) -> tuple[dict[str, np.ndarray], Sequence[int], ParseError | None]:
+    """Each column of ``cells`` read by its kind in ``kinds`` (``int``,
+    ``float`` or `_visible`) as an array, with ``lines`` and ``error`` as
+    `_cells` gave them. An int column is int64, or Python ints (dtype
+    object) where a value does not fit, so that every comparison with it
+    is exact.
+
+    Where a cell is malformed (its kind raises TypeError or ValueError),
+    the rows from the first malformed one on are dropped, and the error is
+    ParseError "malformed row" at that row's line. A row's cells are tried
+    in column order, so the message names its first malformed cell.
+    """
+    columns = {}
+    try:
+        for name, column in cells.items():
+            kind = kinds[name]
+            dtype = {int: np.int64, float: np.float64}.get(kind, np.bool_)
             try:
-                values = convert(take(row))
+                columns[name] = np.fromiter(map(kind, column), dtype, len(column))
+            except OverflowError:  # an int beyond int64
+                columns[name] = np.array([*map(kind, column)], dtype=object)
+    except (TypeError, ValueError):
+        for i, row in enumerate(zip(*cells.values())):
+            try:
+                for name, cell in zip(cells, row):
+                    kinds[name](cell)
             except (TypeError, ValueError) as exc:
-                raise ParseError(
-                    f"malformed row: {exc}", line=reader.line_num, path=path
-                ) from exc
-            yield reader.line_num, values
+                error = ParseError(f"malformed row: {exc}", line=lines[i], path=path)
+                kept = {name: column[:i] for name, column in cells.items()}
+                return _convert(path, kinds, kept, lines[:i], error)
+        raise
+    return columns, lines, error
+
+
+def _raise_first(
+    checks: Mapping[str, np.ndarray], values: Mapping[str, np.ndarray],
+    lines: Sequence[int], path, error: ParseError | None,
+) -> None:
+    """Raise InvariantViolation at the line of the first row that fails a
+    check, if any; else ``error``, if any.
+
+    ``checks`` maps each message to its per-row failure flags, in the order
+    a row takes them; the row's first failing message is formatted with its
+    ``values`` (column name to array)."""
+    failed = np.logical_or.reduce(list(checks.values()))
+    if failed.any():
+        i = int(failed.argmax())
+        message = next(m for m, bad in checks.items() if bad[i])
+        row = {name: column[i:i + 1].tolist()[0] for name, column in values.items()}
+        raise InvariantViolation(message.format(**row), line=lines[i], path=path)
+    if error is not None:
+        raise error
+
+
+def _repeated(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Flags of the rows whose ``keys`` all equal those of an earlier row.
+    ``order`` is a stable sort of the rows by ``keys``."""
+    repeated = np.zeros(len(order), dtype=bool)
+    ranked = [k[order] for k in keys]
+    repeated[order[1:]] = np.logical_and.reduce([k[1:] == k[:-1] for k in ranked])
+    return repeated
+
+
+# Largest frame number or track id magnitude the loaders accept: frame and
+# id columns are 64-bit integers.
+MAX_KEY = 2**62
+
+
+def _beyond(keys: np.ndarray) -> np.ndarray:
+    """Flags of the ``keys`` beyond +-MAX_KEY. (``np.abs`` would wrap at
+    -2**63.)"""
+    return (keys > MAX_KEY) | (keys < -MAX_KEY)
 
 
 @contextmanager
@@ -454,123 +462,28 @@ def load_correspondences(path) -> Matches:
     Every other value must be a finite number. Errors name the file and
     the line.
 
-    A plain file is converted in one pass (`_plain_match_table`); any
-    other file is read row by row (`_match_rows`). The checks then run
-    once on the table read: in row order, the first row that fails one,
-    with the check it fails first, wins over a malformed row further down.
+    The table is read as every CSV table is (see `load_tracks`): in row
+    order, the first row that fails a check, with the check it fails
+    first, wins over a malformed row or unreadable text further down.
     """
-    with _text_file(path) as fh:
-        text = fh.read()
-    table = _plain_match_table(text)
-    if table is None:
-        table, lines, bare, error = _match_rows(path)
-    else:
-        lines, bare, error = list(range(2, len(table) + 2)), [], None
-    failed = _failed_check(table)
-    if failed:
-        i, message = failed
-        raise InvariantViolation(message, line=lines[i], path=path)
-    if error is not None:
-        raise error
-    table[bare, 4:] = np.nan
-    return Matches(table[:, 0:2], table[:, 2:4], table[:, 4], table[:, 5], lines)
-
-
-def _plain_match_table(text: str) -> np.ndarray | None:
-    """The (n, 6) ``MATCH_COLUMNS`` table of a plain file (`_plain_cells`),
-    or None; its values are not checked. None also where the row-by-row
-    reading must decide: a cell that ``float()`` rejects (such as an empty
-    distance)."""
-    plain = _plain_cells(text, MATCH_COLUMNS)
-    if plain is None:
-        return None
-    at, width, cells = plain
-    try:
-        table = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        return None
-    return table.reshape(-1, width)[:, [at[c] for c in MATCH_COLUMNS]]
-
-
-def _plain_cells(
-    text: str, required: Sequence[str]
-) -> tuple[dict[str, int], int, list[str]] | None:
-    """The column of each header name, the row width and the data cells,
-    row after row, of a CSV text whose rows the csv module splits at each
-    comma, or None.
-
-    Such a text has no quote and no carriage return, a header naming every
-    ``required`` column (in any order, among others; a repeated name means
-    its last column) and ``len(header) - 1`` commas on each line after it,
-    so it has no blank, short or long row and data row k sits on line
-    k + 2. A cell over the csv field size limit makes it None too.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    rows = text.split("\n")
-    header = rows[0].split(",")
-    at = {name: i for i, name in enumerate(header)}
-    if any(c not in at for c in required):
-        return None
-    if rows[-1] == "":
-        rows.pop()
-    if set(map(str.count, rows, repeat(","))) - {len(header) - 1}:
-        return None
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, rows)) > limit:
-        return None
-    flat = ",".join(rows[1:])
-    del rows  # hold the file's text and its cells, not its rows or their join too
-    cells = flat.split(",") if flat else []
-    del flat
-    return at, len(header), cells
-
-
-def _failed_check(table: np.ndarray) -> tuple[int, str] | None:
-    """The first row of an (n, 6) match table that fails a check, with the
-    check it fails first, or None."""
+    cells, lines, error = _cells(path, MATCH_COLUMNS[:4], MATCH_COLUMNS[4:])
+    d1, d2 = (cells.setdefault(c, [None] * len(lines)) for c in MATCH_COLUMNS[4:])
+    # A row without both distances reads 0.0 in each until the checks pass.
+    bare = [] if all(d1) and all(d2) else [
+        i for i, filled in enumerate(map(all, zip(d1, d2))) if not filled
+    ]
+    for i in bare:
+        d1[i] = d2[i] = "0"
+    columns, lines, error = _convert(path, dict.fromkeys(MATCH_COLUMNS, float), cells, lines, error)
+    table = np.stack([columns[c] for c in MATCH_COLUMNS], axis=1)
     d1, d2 = table[:, 4], table[:, 5]
-    checks = {
+    _raise_first({
         "match values must be finite": ~np.isfinite(table).all(axis=1),
         "distances must be >= 0": (d1 < 0) | (d2 < 0),
         "d1 must be <= d2": d1 > d2,
-    }
-    failed = np.logical_or.reduce(list(checks.values()))
-    if not failed.any():
-        return None
-    i = int(failed.argmax())
-    return i, next(m for m, bad in checks.items() if bad[i])
-
-
-def _match_rows(path) -> tuple[np.ndarray, list[int], list[int], ParseError | None]:
-    """The match table of ``path`` read one csv row at a time: the (n, 6)
-    table, each row's line, the indices of the rows without distances
-    (0.0 in both until the checks pass) and the ParseError that ended the
-    reading, or None. The rows read before that error are returned."""
-    rows: list[list[float]] = []
-    lines: list[int] = []
-    bare: list[int] = []
-    error = None
-    try:
-        for line, values in _read_csv_rows(
-            path, MATCH_COLUMNS[:4], _match_values, optional=MATCH_COLUMNS[4:]
-        ):
-            if len(values) == 4:
-                bare.append(len(rows))
-                values += [0.0, 0.0]
-            rows.append(values)
-            lines.append(line)
-    except ParseError as exc:
-        error = exc
-    return np.array(rows, dtype=float).reshape(-1, 6), lines, bare, error
-
-
-def _match_values(cells: Sequence) -> list[float]:
-    """The numbers of a match row: all six, or the four coordinates of a
-    row without a d1 cell and a d2 cell that are both filled."""
-    if len(cells) < 6 or cells[4] in (None, "") or cells[5] in (None, ""):
-        cells = cells[:4]
-    return [*map(float, cells)]
+    }, columns, lines, path, error)
+    table[bare, 4:] = np.nan
+    return Matches(table[:, 0:2], table[:, 2:4], d1, d2, list(lines))
 
 
 def _parse_floats(
@@ -724,7 +637,8 @@ def load_registry(path) -> GeoRegistry:
 
 
 def load_segmentation(path) -> SegmentationMap:
-    """JSON list of {section, lane, polygon: [[x, y], ...]} in ortho pixels."""
+    """JSON list of {section, lane, polygon: [[x, y], ...]} in ortho pixels;
+    a lane number is a whole number from 1 (see `whole`)."""
     try:
         with _text_file(path, newline=None) as fh:
             data = json.load(fh)
@@ -736,7 +650,7 @@ def load_segmentation(path) -> SegmentationMap:
     for i, item in enumerate(data):
         try:
             section = str(item["section"])
-            lane = int(item["lane"])
+            lane = whole("lane", item["lane"])
             polygon = tuple(Point2(float(x), float(y)) for x, y in item["polygon"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad segmentation entry {i}: {exc}", path=path) from exc
@@ -915,33 +829,20 @@ def write_campaign_results(
                   ([*cell(r), format_fixed(r.mean_time_ms, 3)] for r in results))
 
 
-def _require_finite(path, line: int, **values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InvariantViolation(f"{name}={value} is not finite", line=line, path=path)
-
-
-# Largest frame number or track id magnitude the loaders accept: frame and
-# id columns are 64-bit integers.
-MAX_KEY = 2**62
-
-
-def _require_key_range(path, line: int, name: str, value: int) -> None:
-    if abs(value) > MAX_KEY:
-        raise InvariantViolation(f"{name} {value} beyond +-2**62", line=line, path=path)
+def _not_finite(columns: Mapping[str, np.ndarray], *names: str) -> dict[str, np.ndarray]:
+    """The `_raise_first` checks that each of the ``names`` columns is
+    finite, in that order."""
+    return {f"{name}={{{name}}} is not finite": ~np.isfinite(columns[name]) for name in names}
 
 
 def load_probe_trajectory(path) -> np.ndarray:
     """Probe CSV: t,x,y,speed (local meters, speed in km/h), all finite.
 
     Returns the (n, 3) rows ``x, y, speed`` in file order."""
-    rows = []
-    for line, (t, x, y, speed) in _read_csv_rows(
-        path, ["t", "x", "y", "speed"], lambda cells: [*map(float, cells)]
-    ):
-        _require_finite(path, line, t=t, x=x, y=y, speed=speed)
-        rows.append((x, y, speed))
-    return np.array(rows, dtype=float).reshape(-1, 3)
+    names = ["t", "x", "y", "speed"]
+    columns, lines, error = _convert(path, dict.fromkeys(names, float), *_cells(path, names))
+    _raise_first(_not_finite(columns, *names), columns, lines, path, error)
+    return np.stack([columns[c] for c in names[1:]], axis=1)
 
 
 def load_candidate_trajectory(path) -> np.ndarray:
@@ -949,18 +850,16 @@ def load_candidate_trajectory(path) -> np.ndarray:
     all finite, one row per frame, ``|frame|`` at most 2**62.
 
     Returns the (n, 3) rows ``x, y, speed`` in frame order."""
-    rows: dict[int, tuple[float, float, float]] = {}
-    for line, (frame, x, y, speed) in _read_csv_rows(
-        path,
-        ["frame", "x", "y", "speed"],
-        lambda cells: (int(cells[0]), *map(float, cells[1:])),
-    ):
-        _require_finite(path, line, x=x, y=y, speed=speed)
-        _require_key_range(path, line, "frame", frame)
-        if frame in rows:
-            raise InvariantViolation(f"duplicate frame {frame}", line=line, path=path)
-        rows[frame] = (x, y, speed)
-    return np.array([rows[f] for f in sorted(rows)], dtype=float).reshape(-1, 3)
+    names = ["frame", "x", "y", "speed"]
+    kinds = {**dict.fromkeys(names, float), "frame": int}
+    columns, lines, error = _convert(path, kinds, *_cells(path, names))
+    frames = columns["frame"]
+    order = np.lexsort((frames,))
+    checks = _not_finite(columns, "x", "y", "speed")
+    checks["frame {frame} beyond +-2**62"] = _beyond(frames)
+    checks["duplicate frame {frame}"] = _repeated(order, frames)
+    _raise_first(checks, columns, lines, path, error)
+    return np.stack([columns[c][order] for c in names[1:]], axis=1)
 
 
 class LocalTrack(NamedTuple):
@@ -976,29 +875,22 @@ def load_local_trajectories(path) -> dict[int, LocalTrack]:
     """Local-coordinate trajectories CSV: id,frame,x,y (finite) with
     an optional 0/1 visible column (every frame visible when it is absent).
 
-    Returns each vehicle's trajectory, by id.
+    Returns each vehicle's trajectory, by ascending id.
     """
-    rows: dict[int, dict[int, tuple[float, float, bool]]] = {}
-    for line, (vid, frame, x, y, vis) in _read_csv_rows(
-        path,
-        ["id", "frame", "x", "y"],
-        lambda cells: (int(cells[0]), int(cells[1]), float(cells[2]), float(cells[3]),
-                       _visible(cells[4:], True)),
-        optional=["visible"],
-    ):
-        _require_finite(path, line, x=x, y=y)
-        _require_key_range(path, line, "frame", frame)
-        track = rows.setdefault(vid, {})
-        if frame in track:
-            raise InvariantViolation(f"duplicate frame {frame} for id {vid}", line=line, path=path)
-        track[frame] = (x, y, vis)
-    tracks = {}
-    for vid, track in rows.items():
-        frames = sorted(track)
-        x, y, vis = zip(*map(track.__getitem__, frames))
-        tracks[vid] = LocalTrack(np.array(frames, dtype=np.int64), np.array(x), np.array(y),
-                                 np.array(vis, dtype=bool))
-    return tracks
+    kinds = {"id": int, "frame": int, "x": float, "y": float, "visible": _visible}
+    columns, lines, error = _convert(path, kinds, *_cells(path, list(kinds)[:4], ["visible"]))
+    ids, frames, x, y = (columns[c] for c in ("id", "frame", "x", "y"))
+    order = np.lexsort((frames, ids))
+    checks = _not_finite(columns, "x", "y")
+    checks["frame {frame} beyond +-2**62"] = _beyond(frames)
+    checks["duplicate frame {frame} for id {id}"] = _repeated(order, ids, frames)
+    _raise_first(checks, columns, lines, path, error)
+    visible = columns.get("visible", np.ones(len(lines), dtype=bool))
+    vids, starts = np.unique(ids[order], return_index=True)
+    return {
+        vid: LocalTrack(frames[rows], x[rows], y[rows], visible[rows])
+        for vid, rows in zip(vids.tolist(), np.split(order, starts[1:]))
+    }
 
 
 COMPARISON_COLUMNS = [

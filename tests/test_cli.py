@@ -1011,6 +1011,17 @@ class TestAuxCommands:
         for r in rows[1:]:
             assert float(r["speed_kmh"]) == pytest.approx(expected, abs=0.1)
 
+    def test_kinematics_rows_by_ascending_id(self, tmp_path):
+        traj = tmp_path / "local.csv"
+        traj.write_text("id,frame,x,y\n" + "".join(
+            f"{vid},{k},{k},0\n" for k in range(1, 4) for vid in (9, 2, 5)
+        ))
+        out = tmp_path / "kin.csv"
+        assert run_cli("kinematics", "--input", traj, "--output", out) == 0
+        assert [(r["id"], r["frame"]) for r in read_rows(out)] == [
+            (vid, str(k)) for vid in ("2", "5", "9") for k in range(1, 4)
+        ]
+
     @pytest.mark.parametrize("sigma", ["1e20", "1e7", "33334"])
     def test_huge_sigma_fails_cleanly(self, tmp_path, capsys, sigma):
         # a kernel radius round(3 * sigma) above 100000 frames is refused
@@ -1102,7 +1113,7 @@ class TestAuxCommands:
                        "more than 1000000 frames"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("frame", [2**62 + 1, -(2**62) - 1, 10**30])
+    @pytest.mark.parametrize("frame", [2**62 + 1, -(2**62) - 1, 10**30, -(2**63), 2**63])
     def test_frame_beyond_int64_columns_fails_cleanly(self, tmp_path, capsys, frame):
         traj = tmp_path / "local.csv"
         traj.write_text(f"id,frame,x,y\n1,1,0,0\n1,{frame},5,0\n")

@@ -29,8 +29,9 @@ from skytraj import dataio
 from skytraj.dataio import (
     EXPORT_COLUMNS,
     SessionMeta,
+    MATCH_COLUMNS,
     VideoSidecar,
-    _plain_match_table,
+    _plain_cells,
     export_songdo,
     format_column,
     format_fixed,
@@ -433,9 +434,12 @@ class TestCorrespondenceFastPath:
             assert got == _load_outcome(_row_loop_correspondences, path)
 
     def test_plain_files_take_the_one_pass_table(self):
-        table = _plain_match_table(self.PLAIN)
-        assert table.tolist() == [[3, 2, 1, 4, 0.25, 0.5], [700, -6, 5.5, 8, 1, 1]]
-        assert _plain_match_table("src_x,src_y,dst_x,dst_y,d1,d2\n").shape == (0, 6)
+        cells, lines = _plain_cells(self.PLAIN, MATCH_COLUMNS[:4], MATCH_COLUMNS[4:])
+        assert [*zip(*cells.values())] == [("3", "2", "1", "4", "0.25", "0.5"),
+                                           ("7e2", "-6", "5.5", "8", "1", "1")]
+        assert list(cells) == list(MATCH_COLUMNS) and lines == range(2, 4)
+        header_only = _plain_cells("src_x,src_y,dst_x,dst_y,d1,d2\n", MATCH_COLUMNS[:4], ())
+        assert header_only == (dict.fromkeys(MATCH_COLUMNS[:4], []), range(2, 2))
 
     @pytest.mark.parametrize(
         "text, failed_line",
@@ -445,28 +449,31 @@ class TestCorrespondenceFastPath:
             ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n\n", None),
             ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5\n", None),
             ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1,9\n", None),
-            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,,\n", None),
+            ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,,\n", 0),
             ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,nan\n", 2),
             ("src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,1\n", 2),
-            ("src_x,src_y,dst_x,dst_y\n1,2,3,4\n", None),
+            ("src_x,src_y,dst_x,dst_y\n1,2,3,4\n", 0),
             ("", None),
         ],
         ids=["quote", "cr", "blank", "short", "long", "empty-distance", "non-finite",
              "distance-order", "no-distances", "empty"],
     )
     def test_other_files_go_row_by_row(self, tmp_path, text, failed_line):
-        """Only plain files take the one-pass table. A plain file whose
-        values fail a check keeps it (``failed_line`` is set), and
-        `load_correspondences` raises at that row's line without reading
-        the file again."""
-        table = _plain_match_table(text)
+        """Only plain files are split once (``failed_line`` is not None) and
+        never read again. Where their values fail a check,
+        `load_correspondences` raises at that row's line (``failed_line``,
+        0 where they pass)."""
+        cells = _plain_cells(text, MATCH_COLUMNS[:4], MATCH_COLUMNS[4:])
         if failed_line is None:
-            assert table is None
+            assert cells is None
             return
-        assert table is not None
+        assert cells is not None
         path = tmp_path / "c.csv"
         path.write_text(text)
-        with mock.patch.object(dataio, "_match_rows", side_effect=AssertionError("read again")):
+        with mock.patch.object(dataio, "_csv_cells", side_effect=AssertionError("read again")):
+            if not failed_line:
+                load_correspondences(path)
+                return
             with pytest.raises(InvariantViolation) as exc:
                 load_correspondences(path)
         assert exc.value.line == failed_line
@@ -474,7 +481,7 @@ class TestCorrespondenceFastPath:
     def test_cell_over_the_field_limit_goes_row_by_row(self):
         tiny = "0." + "0" * csv.field_size_limit() + "1"  # finite, but too long a field
         text = f"src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,0.5,1\n{tiny},2,3,4,0.5,1\n"
-        assert _plain_match_table(text) is None
+        assert _plain_cells(text, MATCH_COLUMNS[:4], MATCH_COLUMNS[4:]) is None
 
 
 class TestOversizedField:
@@ -508,6 +515,17 @@ class TestOversizedField:
 
 
 class TestNotUtf8:
+    def test_an_earlier_failing_match_row_wins(self, tmp_path):
+        """As in every CSV file, a row that fails a check wins over a byte
+        that is not UTF-8 further down, past the first decoded chunk."""
+        p = tmp_path / "c.csv"
+        rows = ["1,2,3,4,2,1"] + ["1,2,3,4,0.5,1"] * 3000 + ["\xe9"]
+        text = "src_x,src_y,dst_x,dst_y,d1,d2\n" + "\n".join(rows) + "\n"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InvariantViolation) as exc:
+            load_correspondences(p)
+        assert str(exc.value) == f"{p}: line 2: d1 must be <= d2"
+
     def test_names_the_line_past_the_first_decoded_chunk(self, tmp_path):
         p = tmp_path / "tracks.csv"
         rows = [f"{k},{i},0.5,0.5,0.1,0.1,0,0.9" for i in range(1, 31) for k in range(1, 101)]
@@ -660,8 +678,10 @@ class TestTrajectoryLoaders:
 
     @pytest.mark.parametrize(
         "frame, message",
-        [("7", "duplicate frame 7"), (str(-2**62 - 1), f"frame {-2**62 - 1} beyond +-2**62")],
-        ids=["repeated", "beyond-int64"],
+        [("7", "duplicate frame 7"), (str(-2**62 - 1), f"frame {-2**62 - 1} beyond +-2**62"),
+         (str(-2**63), f"frame {-2**63} beyond +-2**62"),
+         (str(2**63), f"frame {2**63} beyond +-2**62")],
+        ids=["repeated", "beyond-int64", "int64-min", "past-int64"],
     )
     def test_candidate_frame_checks(self, tmp_path, frame, message):
         p = tmp_path / "candidate.csv"
@@ -669,6 +689,19 @@ class TestTrajectoryLoaders:
         with pytest.raises(InvariantViolation) as exc:
             load_candidate_trajectory(p)
         assert str(exc.value) == f"{p}: line 4: {message}"
+
+    def test_local_trajectories_by_ascending_id(self, tmp_path):
+        p = tmp_path / "local.csv"
+        p.write_text("id,frame,x,y,visible\n7,2,1,0,1\n3,5,2,0,0\n7,1,3,0,1\n3,4,4,0,1\n"
+                     "12,1,5,0,1\n")
+        tracks = load_local_trajectories(p)
+        assert list(tracks) == [3, 7, 12]
+        assert {vid: [c.tolist() for c in track] for vid, track in tracks.items()} == {
+            3: [[4, 5], [4.0, 2.0], [0.0, 0.0], [True, False]],
+            7: [[1, 2], [3.0, 1.0], [0.0, 0.0], [True, True]],
+            12: [[1], [5.0], [0.0], [True]],
+        }
+        assert tracks[3].frames.dtype == np.int64 and tracks[3].visible.dtype == bool
 
 
 class TestTransformFiles:
@@ -754,9 +787,20 @@ class TestTransformFiles:
 
     def test_segmentation_bad_lane(self, tmp_path):
         path = tmp_path / "seg.json"
-        path.write_text('[{"section": "1_1", "lane": 0, "polygon": [[0,0],[1,0],[1,1]]}]')
+        entry = '[{{"section": "1_1", "lane": {}, "polygon": [[0,0],[1,0],[1,1]]}}]'
+        path.write_text(entry.format("0"))
         with pytest.raises(InvariantViolation):
             load_segmentation(path)
+        for lane, shown in [("2.7", "2.7"), ("true", "True")]:  # not truncated to 2 or 1
+            path.write_text(entry.format(lane))
+            with pytest.raises(ParseError) as exc:
+                load_segmentation(path)
+            assert str(exc.value) == (
+                f"{path}: bad segmentation entry 0: lane must be an integer, got {shown}"
+            )
+        for lane, number in [("1e0", 1), ('"3"', 3)]:
+            path.write_text(entry.format(lane))
+            assert load_segmentation(path).lanes[0].lane == number
 
 
 META = SessionMeta(
@@ -1117,11 +1161,11 @@ class TestExport:
 # --- DictReader reference of the table reader ---------------------------------
 
 
-def _dict_reader_rows(path, required, convert, optional=()):
-    """The `csv.DictReader` loop `_read_csv_rows` ran before it took cells by
-    header index: a repeated name means its last column, a short row's
-    missing cells are None, extra cells go to the None key, blank rows are
-    skipped. ``convert`` gets the same cells the index reader hands it.
+def _dict_reader_cells(path, required, optional):
+    """The cells `_csv_cells` reads, by a `csv.DictReader` loop as the
+    table reader ran before it took cells by header index: a repeated name
+    means its last column, a short row's missing cells are None, extra
+    cells go to the None key, blank rows are skipped.
 
     ``reader.line_num`` is the returned row's own line even after blank
     rows: `DictReader.__next__` copies the count before it skips them, but
@@ -1132,16 +1176,23 @@ def _dict_reader_rows(path, required, convert, optional=()):
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
         if missing:
-            raise ParseError(f"missing columns {missing}", line=1, path=path)
+            error = ParseError(f"missing columns {missing}", line=1, path=path)
+            return {c: [] for c in required}, [], error
+        names = [*required, *(c for c in optional if c in header)]
+        cells = {c: [] for c in names}
+        lines = []
         for row in reader:
-            cells = [row[c] for c in required] + [row[c] for c in optional if c in row]
-            try:
-                values = convert(cells)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(
-                    f"malformed row: {exc}", line=reader.line_num, path=path
-                ) from exc
-            yield reader.line_num, values
+            for c in names:
+                cells[c].append(row[c])
+            lines.append(reader.line_num)
+    return cells, lines, None
+
+
+def _dict_reader():
+    """Every CSV file read as `_dict_reader_cells` reads it, plain files too."""
+    return mock.patch.multiple(
+        dataio, _csv_cells=_dict_reader_cells, _plain_cells=mock.Mock(return_value=None)
+    )
 
 
 def _tracks_outcome(load, path):
@@ -1157,7 +1208,7 @@ def _tracks_outcome(load, path):
 
 
 def _both_readers(load, path):
-    with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
+    with _dict_reader():
         ref = _tracks_outcome(load, path)
     return _tracks_outcome(load, path), ref
 
@@ -1257,7 +1308,7 @@ class TestTableReaderMatchesDictReader:
                 return {vid: [c.tolist() for c in track] for vid, track in got.items()}
             return got.tolist() if isinstance(got, np.ndarray) else got
 
-        with mock.patch.object(dataio, "_read_csv_rows", _dict_reader_rows):
+        with _dict_reader():
             ref = outcome()
         assert outcome() == ref
 
@@ -1368,8 +1419,8 @@ class TestTrackLoaderMatchesRowLoop:
             (PLAIN.replace("0.9", '"0.9"'), False),
             (PLAIN + "1,3,0.5\n", False),  # short row
             (PLAIN + "\n1,3,0.5,0.5,0.1,0.1,0,0.9,1\n", False),  # blank row
-            (PLAIN.replace("0.9,1", "0.9,2"), False),  # visible not 0/1
-            (PLAIN.replace("0.9", "x"), False),
+            (PLAIN.replace("0.9,1", "0.9,2"), True),  # visible not 0/1
+            (PLAIN.replace("0.9", "x"), True),
             ("", False),
         ],
         ids=["plain", "failed-check", "underscore", "crlf", "quote", "short", "blank",
@@ -1378,8 +1429,8 @@ class TestTrackLoaderMatchesRowLoop:
     def test_only_other_files_go_row_by_row(self, tmp_path, text, plain):
         path = tmp_path / "tracks.csv"
         path.write_bytes(text.encode())
-        read_rows = mock.Mock(wraps=dataio._read_csv_rows)
-        with mock.patch.object(dataio, "_read_csv_rows", read_rows):
+        read_rows = mock.Mock(wraps=dataio._csv_cells)
+        with mock.patch.object(dataio, "_csv_cells", read_rows):
             got = _points_or_error(load_tracks, path, SIDECAR, True)
         assert read_rows.called is not plain
         assert got == _points_or_error(reference.load_tracks, path, SIDECAR, True)
