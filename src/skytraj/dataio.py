@@ -10,6 +10,7 @@ x' = a*x + b*y + tx, y' = c*x + d*y + ty.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -20,7 +21,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -37,7 +38,7 @@ from .georeference import (
 )
 from .metrics import GroupReport
 from .registration import Matches
-from .trackmodel import DEFAULT_FPS, Detection, TrackPoint, VideoTracks
+from .trackmodel import DEFAULT_FPS, DETECTION_DTYPE, VideoTracks
 
 TRACK_COLUMNS = ["frame", "id", "cx", "cy", "w", "h", "class", "score"]
 
@@ -200,8 +201,8 @@ def load_tracks(
     (`_cells`), converted column by column (`_convert`), then checked once
     (`_raise_first`): in row order, the first row that fails a check, with
     the check it fails first, wins over a malformed row or unreadable text
-    further down. The points are built in one pass, in (track_id, frame)
-    order.
+    further down. The checked columns fill the detection table in
+    (track_id, frame) order.
     """
     if not isinstance(sidecar, VideoSidecar):
         sidecar = load_sidecar(sidecar)
@@ -228,15 +229,9 @@ def load_tracks(
     checks["score {score} outside (0, 1]"] = ~((0.0 < score) & (score <= 1.0))
     checks["duplicate point for id {id} frame {frame}"] = _repeated(order, ids, frames)
     _raise_first(checks, columns, lines, path, error)
-    cx, cy, w, h = (v[order].tolist() for v in boxes)
-    return VideoTracks(
-        frame_width=sidecar.frame_width,
-        frame_height=sidecar.frame_height,
-        points=tuple(map(
-            TrackPoint, frames[order].tolist(), ids[order].tolist(),
-            map(Detection, zip(cx, cy, w, h), cls[order].tolist(), score[order].tolist()),
-        )),
-    )
+    table = np.rec.fromarrays([frames[order], ids[order], np.column_stack(boxes)[order],
+                               cls[order], score[order]], dtype=DETECTION_DTYPE)
+    return VideoTracks(sidecar.frame_width, sidecar.frame_height, table)
 
 
 def _visible(cell: str | None) -> bool:
@@ -317,7 +312,7 @@ def _csv_cells(
     error = None
     try:
         with _text_file(path) as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(_decoded_lines(fh.buffer))
             header = next(reader, [])
             at = {name: i for i, name in enumerate(header)}
             missing = [c for c in required if c not in at]
@@ -339,6 +334,18 @@ def _csv_cells(
         error = exc
     columns = [*map(list, zip(*rows))] or [[] for _ in names]
     return dict(zip(names, columns)), lines, error
+
+
+def _decoded_lines(binary) -> Iterator[str]:
+    """The lines of the binary file ``binary`` as a text file opened with
+    ``newline=""`` yields them, each decoded from UTF-8 on its own, so a
+    byte that is not UTF-8 raises UnicodeDecodeError only after every line
+    before its own. (A ``\\n`` byte is never part of a multi-byte UTF-8
+    sequence, so each line decodes as it does in the whole text.)"""
+    for raw in binary:
+        text = raw.decode("utf-8")
+        # A lone carriage return ends a line too.
+        yield from io.StringIO(text, newline="") if "\r" in text else (text,)
 
 
 def _convert(
@@ -446,9 +453,12 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def write_tracks(tracks: VideoTracks, boxes: np.ndarray, visible: np.ndarray, path) -> None:
     """Write ``tracks`` with the (n, 4) normalized ``boxes`` and the
     ``visible`` flags in place of their own, floats at full precision."""
+    t = tracks.table
     write_csv(path, TRACK_COLUMNS + ["visible"], (
-        [p.frame, p.track_id, *map(repr, box), p.detection.cls, repr(p.detection.score), int(v)]
-        for p, box, v in zip(tracks.points, boxes.tolist(), visible.tolist())
+        [frame, tid, *map(repr, box), cls, repr(score), int(v)]
+        for frame, tid, box, cls, score, v in zip(
+            t["frame"].tolist(), t["track_id"].tolist(), boxes.tolist(), t["cls"].tolist(),
+            t["score"].tolist(), visible.tolist())
     ))
 
 

@@ -83,16 +83,12 @@ class StabilizeParams:
 
 
 def ingest_tracks(tracks: VideoTracks, params: IngestParams) -> VideoTracks:
-    """Apply the per-frame confidence + NMS filter to tracked points, frame
-    by frame, each frame's detections in point order."""
-    points = tracks.points
-    frames = np.fromiter((p.frame for p in points), dtype=np.int64, count=len(points))
-    kept: list[int] = []
-    for rows in frame_groups(frames).values():
-        rows = rows.tolist()
-        dets = [points[i].detection for i in rows]
-        kept += [rows[k] for k in ingest_keep_indices(dets, params.score_min, params.nms_iou)]
-    return replace(tracks, points=tuple(points[i] for i in sorted(kept)))
+    """Apply the per-frame confidence + NMS filter to the detection table,
+    frame by frame, each frame's rows in table order."""
+    table = tracks.table
+    kept = [rows[ingest_keep_indices(table[rows], params.score_min, params.nms_iou)]
+            for rows in frame_groups(table["frame"]).values()]
+    return replace(tracks, table=table[np.sort(np.concatenate([np.zeros(0, np.intp), *kept]))])
 
 
 def _frame_seed(seed: int, frame: int) -> int:

@@ -1,16 +1,18 @@
 """Detection/track data model and per-track processing.
 
-Detections are stored frame-normalized (0..1) as per-point objects up to
-class refinement; every later stage reads the session's `TrackColumns`,
-with boxes in pixels. Tracks are immutable; every operation on them
-returns a new VideoTracks.
+A session's detections are one table, a numpy record array with one row
+per detection (frame, track id, frame-normalized box, class, score) in
+(track_id, frame) order. The ingest filter and the class vote run on it;
+every later stage reads the session's `TrackColumns`, with boxes in
+pixels. Tracks are immutable; every operation on them returns a new
+VideoTracks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,31 +38,44 @@ class TrackPoint:
     detection: Detection
 
 
-@dataclass(frozen=True)
+# A row of a detection table. A record array of it gives attribute access
+# to a column (``table.score``) and to a row's fields (``table[0].score``).
+DETECTION_DTYPE = np.dtype([
+    ("frame", np.int64),
+    ("track_id", np.int64),
+    ("bbox", np.float64, (4,)),  # cx, cy, w, h normalized to frame size
+    ("cls", np.int64),
+    ("score", np.float64),
+])
+
+
+@dataclass(frozen=True, eq=False)
 class VideoTracks:
     frame_width: int
     frame_height: int
-    points: tuple[TrackPoint, ...]  # sorted by (track_id, frame)
+    table: np.recarray  # DETECTION_DTYPE rows, sorted by (track_id, frame)
 
     @property
     def frame_size(self) -> tuple[int, int]:
         return (self.frame_width, self.frame_height)
 
+    @cached_property
+    def points(self) -> tuple[TrackPoint, ...]:
+        """The rows as `TrackPoint`s, built on first read. No stage of the
+        package reads them; they serve callers that inspect detections one
+        object at a time."""
+        t = self.table
+        return tuple(map(
+            TrackPoint, t["frame"].tolist(), t["track_id"].tolist(),
+            map(Detection, map(tuple, t["bbox"].tolist()), t["cls"].tolist(), t["score"].tolist()),
+        ))
+
     def columns(self) -> TrackColumns:
-        """The points as columns, in point order, boxes scaled to pixels."""
-        points = self.points
-        n = len(points)
-        detections = [*map(attrgetter("detection"), points)]
-
-        def column(name, of, dtype):
-            return np.fromiter(map(attrgetter(name), of), dtype=dtype, count=n)
-
-        boxes = column("bbox", detections, (float, 4))
+        """The table as columns, in row order, boxes scaled to pixels."""
+        t = self.table
         w_img, h_img = self.frame_size
-        return TrackColumns(column("frame", points, np.int64),
-                            column("track_id", points, np.int64),
-                            column("cls", detections, np.int64),
-                            boxes * np.array([w_img, h_img, w_img, h_img], dtype=float))
+        return TrackColumns(t["frame"], t["track_id"], t["cls"],
+                            t["bbox"] * np.array([w_img, h_img, w_img, h_img], dtype=float))
 
 
 class TrackColumns(NamedTuple):
@@ -89,10 +104,9 @@ def frame_groups(frames: np.ndarray) -> dict[int, np.ndarray]:
     return {frame: order[rows] for frame, rows in _runs(frames[order]).items()}
 
 
-def ingest_keep_indices(
-    dets: Sequence[Detection], score_min: float, nms_iou: float
-) -> list[int]:
-    """Indices surviving the confidence cut and greedy class-agnostic NMS.
+def ingest_keep_indices(dets: np.ndarray, score_min: float, nms_iou: float) -> list[int]:
+    """Indices of the rows of the detection table ``dets`` (`DETECTION_DTYPE`)
+    surviving the confidence cut and greedy class-agnostic NMS.
 
     Boxes are visited by descending score (input order on ties); a box is
     dropped when its IoU with an already kept box exceeds ``nms_iou``.
@@ -108,11 +122,12 @@ def ingest_keep_indices(
         raise ValueError("score_min must be in (0, 1)")
     if not 0.0 < nms_iou < 1.0:
         raise ValueError("nms_iou must be in (0, 1)")
-    candidates = [i for i, d in enumerate(dets) if d.score >= score_min]
-    order = sorted(candidates, key=lambda i: -dets[i].score)
+    score = dets["score"]
+    candidates = np.flatnonzero(score >= score_min)
+    order = candidates[np.argsort(-score[candidates], kind="stable")]
     if len(order) < 2:
-        return order
-    cx, cy, w, h = np.array([dets[i].bbox for i in order]).T
+        return order.tolist()
+    cx, cy, w, h = dets["bbox"][order].T
     with np.errstate(all="ignore"):  # Python floats do not warn either
         xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
         ix = np.minimum(xmax[:, None], xmax) - np.maximum(xmin[:, None], xmin)
@@ -128,7 +143,7 @@ def ingest_keep_indices(
     for k, l in zip(first.tolist(), second.tolist()):
         if k not in dropped:
             dropped.add(l)
-    return sorted(i for k, i in enumerate(order) if k not in dropped)
+    return np.sort(np.delete(order, list(dropped))).tolist()
 
 
 def refine_classes(tracks: VideoTracks) -> VideoTracks:
@@ -137,24 +152,28 @@ def refine_classes(tracks: VideoTracks) -> VideoTracks:
     For each id the winning class maximizes the sum of confidence scores
     over the frames where the id carried that class; ties go to the
     lowest class index. Scores and geometry are untouched.
+
+    Each (id, class) pair's mass is a sum over the rows in table order,
+    one row at a time (``np.add.at``), so it is the float sum a loop over
+    the rows gives.
     """
-    sums: dict[int, dict[int, float]] = {}
-    for p in tracks.points:
-        per_cls = sums.setdefault(p.track_id, {})
-        per_cls[p.detection.cls] = per_cls.get(p.detection.cls, 0.0) + p.detection.score
-
-    winner: dict[int, int] = {}
-    for tid, per_cls in sums.items():
-        best = max(per_cls.values())
-        winner[tid] = min(c for c, s in per_cls.items() if s == best)
-
-    new_points = tuple(
-        p
-        if (d := p.detection).cls == (cls := winner[p.track_id])
-        else TrackPoint(p.frame, p.track_id, Detection(d.bbox, cls, d.score))
-        for p in tracks.points
-    )
-    return replace(tracks, points=new_points)
+    table = tracks.table
+    ids, cls = table["track_id"], table["cls"]
+    order = np.lexsort((cls, ids))  # rows by (id, class)
+    pair_ids, pair_cls = ids[order], cls[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (pair_ids[1:] != pair_ids[:-1]) | (pair_cls[1:] != pair_cls[:-1])
+    pair_of_row = np.empty(len(order), dtype=np.intp)
+    pair_of_row[order] = np.cumsum(starts) - 1
+    pair_ids, pair_cls = pair_ids[starts], pair_cls[starts]
+    mass = np.zeros(len(pair_ids))
+    np.add.at(mass, pair_of_row, table["score"])
+    # Each id's pairs by descending mass, then ascending class: its first wins.
+    ranked = np.lexsort((pair_cls, -mass, pair_ids))
+    winner_ids, first = np.unique(pair_ids[ranked], return_index=True)
+    refined = table.copy()
+    refined["cls"] = pair_cls[ranked[first]][np.searchsorted(winner_ids, ids)]
+    return replace(tracks, table=refined)
 
 
 def visible_flags(boxes: np.ndarray, frame_size: tuple[int, int], margin: float) -> np.ndarray:

@@ -16,7 +16,14 @@ from skytraj.errors import SkytrajError
 from reference import apply_homography
 from skytraj.geometry import GeoTransform, Homography, Point2, pixel_to_world
 from skytraj.georeference import GeoChain, assign_segment
-from skytraj.trackmodel import Detection, TrackColumns, TrackPoint, VideoTracks, visible_flags
+from skytraj.trackmodel import (
+    DETECTION_DTYPE,
+    Detection,
+    TrackColumns,
+    TrackPoint,
+    VideoTracks,
+    visible_flags,
+)
 
 FRAME_W, FRAME_H = 3840, 2160
 
@@ -82,14 +89,26 @@ def with_box(p: TrackPoint, box) -> TrackPoint:
     return replace(p, detection=replace(p.detection, bbox=tuple(box)))
 
 
+def detection_table(items) -> np.recarray:
+    """The detection table (`DETECTION_DTYPE` rows) of ``items``, in the
+    given order: `TrackPoint`s, or `Detection`s, which take frame and
+    track id 0."""
+    rows = [(p.frame, p.track_id, p.detection) if isinstance(p, TrackPoint) else (0, 0, p)
+            for p in items]
+    table = np.recarray(len(rows), dtype=DETECTION_DTYPE)
+    table[:] = [(frame, tid, d.bbox, d.cls, d.score) for frame, tid, d in rows]
+    return table
+
+
 def make_tracks(points, frame_size=(FRAME_W, FRAME_H)):
-    pts = tuple(sorted(points, key=lambda p: (p.track_id, p.frame)))
-    return VideoTracks(frame_width=frame_size[0], frame_height=frame_size[1], points=pts)
+    pts = sorted(points, key=lambda p: (p.track_id, p.frame))
+    return VideoTracks(frame_width=frame_size[0], frame_height=frame_size[1],
+                       table=detection_table(pts))
 
 
 def columns_of(points, frame_size=(FRAME_W, FRAME_H)) -> TrackColumns:
     """The `TrackColumns` of ``points``, in the given order."""
-    return VideoTracks(*frame_size, tuple(points)).columns()
+    return VideoTracks(*frame_size, detection_table(points)).columns()
 
 
 def center_columns(points, frame_size=(FRAME_W, FRAME_H)) -> CenterColumns:

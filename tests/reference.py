@@ -3,9 +3,9 @@ measurement stages.
 
 These are the point map through a homography on Python floats, the box
 corners and their refit, the HEA/MIoU round trip corner by corner, the
-synthetic scene draws, the pairwise box IoU of NMS, the box scaling, the
-visibility test, the dimension and kinematics steps and the probe
-comparison as they ran on per-point objects (``Point2`` values, box
+synthetic scene draws, the pairwise box IoU of NMS, the class vote, the
+box scaling, the visibility test, the dimension and kinematics steps and
+the probe comparison as they ran on per-point objects (``Point2`` values, box
 tuples, ``TrackPoint`` lists, frame->``Point2`` maps, visible-frame sets,
 one ``ComparisonSample`` per probe point) before they moved onto arrays.
 The tests compare the array code in ``skytraj.geometry``,
@@ -153,6 +153,31 @@ def bbox_iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+# --- class vote --------------------------------------------------------------
+
+
+def refine_classes(points: Sequence[TrackPoint]) -> tuple[TrackPoint, ...]:
+    """The class vote as a dict loop over ``points``: each id's score sum
+    per class, added in point order, and the class with the largest sum,
+    ties to the lowest class, on every point of the id."""
+    sums: dict[int, dict[int, float]] = {}
+    for p in points:
+        per_cls = sums.setdefault(p.track_id, {})
+        per_cls[p.detection.cls] = per_cls.get(p.detection.cls, 0.0) + p.detection.score
+
+    winner: dict[int, int] = {}
+    for tid, per_cls in sums.items():
+        best = max(per_cls.values())
+        winner[tid] = min(c for c, s in per_cls.items() if s == best)
+
+    return tuple(
+        p
+        if (d := p.detection).cls == (cls := winner[p.track_id])
+        else TrackPoint(p.frame, p.track_id, Detection(d.bbox, cls, d.score))
+        for p in points
+    )
 
 
 # --- visibility and dimensions -------------------------------------------------
@@ -613,4 +638,6 @@ def load_tracks(path, sidecar, *, require_unit_range: bool = True) -> VideoTrack
         seen.add((track_id, frame))
         points.append(TrackPoint(frame, track_id, Detection((cx, cy, w, h), cls, score)))
     points.sort(key=lambda p: (p.track_id, p.frame))
-    return VideoTracks(sidecar.frame_width, sidecar.frame_height, tuple(points))
+    from conftest import detection_table  # conftest imports this module
+
+    return VideoTracks(sidecar.frame_width, sidecar.frame_height, detection_table(points))

@@ -526,6 +526,22 @@ class TestNotUtf8:
             load_correspondences(p)
         assert str(exc.value) == f"{p}: line 2: d1 must be <= d2"
 
+    @pytest.mark.parametrize("load, text, message", [
+        (load_correspondences, "src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,1\n1,2,3,4,0.5,1\xe9\n",
+         "d1 must be <= d2"),
+        (lambda p: load_tracks(p, SIDECAR),
+         "frame,id,cx,cy,w,h,class,score\n1,1,0.5,0.5,0.1,0.1,9,0.9\n2,1,0.5,0.5,0.1,0.1,0,0.9\xe9\n",
+         "class 9 outside 0..3"),
+    ], ids=["matches", "tracks"])
+    def test_an_earlier_failing_row_wins_on_the_next_line(self, tmp_path, load, text, message):
+        """The byte on the line below the failing row, in the same decoded
+        chunk, still comes second."""
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InvariantViolation) as exc:
+            load(p)
+        assert str(exc.value) == f"{p}: line 2: {message}"
+
     def test_names_the_line_past_the_first_decoded_chunk(self, tmp_path):
         p = tmp_path / "tracks.csv"
         rows = [f"{k},{i},0.5,0.5,0.1,0.1,0,0.9" for i in range(1, 31) for k in range(1, 101)]

@@ -3,13 +3,28 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_point, make_tracks, rotation, translation
+import reference
+from conftest import (
+    PIPELINE_ARGS,
+    build_pipeline_fixture,
+    detection_table,
+    drift,
+    make_point,
+    make_tracks,
+    rotation,
+    scenario_points,
+    translation,
+    write_tracks_csv,
+)
 from reference import bbox_iou, bbox_visible_px, box_corners, denormalize_bbox, transform_bbox
+from skytraj.cli import main
+from skytraj.dataio import load_sidecar
 from skytraj.errors import DegenerateProjection, MissingHomography, SkytrajError
 from skytraj.geometry import Homography, Point2
+from skytraj.pipeline import IngestParams
 from skytraj.trackmodel import (
     Detection,
     TrackPoint,
@@ -20,6 +35,7 @@ from skytraj.trackmodel import (
     stabilize_tracks,
     visible_flags,
 )
+from test_perfbench_hooks import _load_tracer as load_tracer
 
 
 def det(cx, cy, w, h, cls=0, score=0.9):
@@ -29,26 +45,26 @@ def det(cx, cy, w, h, cls=0, score=0.9):
 class TestIngestFilter:
     def test_score_threshold_boundary(self):
         dets = [det(0.5, 0.5, 0.1, 0.1, score=0.24), det(0.2, 0.2, 0.1, 0.1, score=0.25)]
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [1]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [1]
 
     def test_identical_boxes_keep_best(self):
         dets = [det(0.5, 0.5, 0.1, 0.1, score=0.8), det(0.5, 0.5, 0.1, 0.1, score=0.9)]
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [1]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [1]
 
     def test_disjoint_boxes_kept(self):
         dets = [det(0.2, 0.2, 0.1, 0.1), det(0.8, 0.8, 0.1, 0.1, score=0.5)]
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [0, 1]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [0, 1]
 
     def test_class_agnostic(self):
         dets = [
             det(0.5, 0.5, 0.1, 0.1, cls=0, score=0.9),
             det(0.5, 0.5, 0.1, 0.1, cls=3, score=0.8),
         ]
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [0]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [0]
 
     def test_score_tie_prefers_input_order(self):
         dets = [det(0.5, 0.5, 0.1, 0.1, score=0.9), det(0.5, 0.5, 0.1, 0.1, score=0.9)]
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [0]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [0]
 
     def test_kept_set_properties(self):
         rng = np.random.default_rng(1)
@@ -58,7 +74,7 @@ class TestIngestFilter:
                     score=float(rng.uniform(0.05, 1.0)))
                 for _ in range(rng.integers(1, 20))
             ]
-            kept = [dets[i] for i in ingest_keep_indices(dets, 0.25, 0.5)]
+            kept = [dets[i] for i in ingest_keep_indices(detection_table(dets), 0.25, 0.5)]
             assert all(d.score >= 0.25 for d in kept)
             for i, a in enumerate(kept):
                 for b in kept[i + 1:]:
@@ -91,7 +107,8 @@ class TestMatrixNmsMatchesPairwise:
     @settings(max_examples=300, deadline=None)
     @given(dets=_dets, nms_iou=st.floats(0.01, 0.99), score_min=st.sampled_from([0.25, 0.5]))
     def test_random_frames(self, dets, nms_iou, score_min):
-        assert ingest_keep_indices(dets, score_min, nms_iou) == pairwise_keep_indices(
+        table = detection_table(dets)
+        assert ingest_keep_indices(table, score_min, nms_iou) == pairwise_keep_indices(
             dets, score_min, nms_iou
         )
 
@@ -106,15 +123,16 @@ class TestMatrixNmsMatchesPairwise:
         if not ious:
             return
         nms_iou = data.draw(st.sampled_from(ious))
-        assert ingest_keep_indices(dets, 0.25, nms_iou) == pairwise_keep_indices(
+        table = detection_table(dets)
+        assert ingest_keep_indices(table, 0.25, nms_iou) == pairwise_keep_indices(
             dets, 0.25, nms_iou
         )
 
     def test_iou_exactly_at_threshold_keeps(self):
         a, b = det(0.5, 0.5, 0.2, 0.2, score=0.9), det(0.55, 0.5, 0.2, 0.2, score=0.8)
         iou = bbox_iou(a.bbox, b.bbox)
-        assert ingest_keep_indices([a, b], 0.25, iou) == [0, 1]
-        assert ingest_keep_indices([a, b], 0.25, math.nextafter(iou, 0.0)) == [0]
+        assert ingest_keep_indices(detection_table([a, b]), 0.25, iou) == [0, 1]
+        assert ingest_keep_indices(detection_table([a, b]), 0.25, math.nextafter(iou, 0.0)) == [0]
 
     def test_duplicates_zero_area_and_ties(self):
         dets = [
@@ -124,7 +142,7 @@ class TestMatrixNmsMatchesPairwise:
             det(0.5, 0.5, 0.0, 0.0, score=0.95),  # a point
             det(0.52, 0.5, 0.2, 0.2, score=0.85),  # drops both of the 0.8 boxes
         ]
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [0, 3, 4]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [0, 3, 4]
         assert pairwise_keep_indices(dets, 0.25, 0.7) == [0, 3, 4]
 
     def test_suppressed_box_does_not_suppress(self):
@@ -132,7 +150,87 @@ class TestMatrixNmsMatchesPairwise:
         dets = [det(0.50, 0.5, 0.2, 0.2, score=0.9), det(0.53, 0.5, 0.2, 0.2, score=0.8),
                 det(0.56, 0.5, 0.2, 0.2, score=0.7)]
         assert bbox_iou(dets[0].bbox, dets[2].bbox) <= 0.7 < bbox_iou(dets[1].bbox, dets[2].bbox)
-        assert ingest_keep_indices(dets, 0.25, 0.7) == [0, 2]
+        assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [0, 2]
+
+
+def counted_point_objects(monkeypatch) -> list[str]:
+    """The class name of each `TrackPoint` and `Detection` built from now on."""
+    built = []
+
+    def counted(init):
+        def wrapped(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return wrapped
+
+    for cls in (TrackPoint, Detection):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    return built
+
+
+def shadowed_fixture(root):
+    """The CLI pipeline fixture, with vehicle 1 shadowed by a box 5 px to its
+    right (id 5, class 1, score 0.7) in each frame, which NMS drops."""
+    paths = build_pipeline_fixture(root)
+    shadows = [make_point(k, 5, 605.0 + 25.0 * (k - 1) - drift(k)[0], 1080.0 - drift(k)[1],
+                          180.0, 80.0, cls=1, score=0.7) for k in range(1, 21)]
+    write_tracks_csv(paths["tracks"], scenario_points() + shadows)
+    return paths
+
+
+def pipeline_argv(paths, output):
+    return [str(a) for a in [
+        "pipeline", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
+        "--homographies", paths["homographies"], "--registry", paths["registry"],
+        "--segmentation", paths["segmentation"], "--output", output, *PIPELINE_ARGS,
+    ]]
+
+
+def reference_front_end_counts(paths, params: IngestParams) -> dict[str, int]:
+    """The tracer's ingest and class-vote counts of the per-point chain: the
+    row-by-row loader, the pairwise NMS of each frame's `Detection`s in
+    point order and the dict-loop vote."""
+    points = reference.load_tracks(paths["tracks"], load_sidecar(paths["sidecar"])).points
+    by_frame: dict[int, list] = {}
+    for p in points:
+        by_frame.setdefault(p.frame, []).append(p)
+    kept = []
+    for frame in sorted(by_frame):
+        rows = by_frame[frame]
+        kept += [rows[k] for k in pairwise_keep_indices(
+            [p.detection for p in rows], params.score_min, params.nms_iou)]
+    kept.sort(key=lambda p: (p.track_id, p.frame))
+    above = sum(p.detection.score >= params.score_min for p in points)
+    refined = reference.refine_classes(kept)
+    return {
+        "trackmodel.ingest.boxes_in": len(points),
+        "trackmodel.ingest.dropped_score": len(points) - above,
+        "trackmodel.ingest.dropped_nms": above - len(kept),
+        "trackmodel.ingest.max_boxes_per_frame": max(map(len, by_frame.values())),
+        "trackmodel.refine_classes.flips": sum(
+            a.detection.cls != b.detection.cls for a, b in zip(kept, refined)),
+    }
+
+
+class TestFrontEndOnTheCliFixture:
+    def test_an_untraced_pipeline_builds_no_point_objects(self, tmp_path, monkeypatch):
+        paths = shadowed_fixture(tmp_path / "fixture")
+        built = counted_point_objects(monkeypatch)
+        assert main(pipeline_argv(paths, tmp_path / "out.csv")) == 0
+        assert built == []
+
+    def test_traced_counts_equal_the_per_point_chain(self, tmp_path):
+        paths = shadowed_fixture(tmp_path / "fixture")
+        want = reference_front_end_counts(paths, IngestParams())
+        assert all(want.values())  # every counter sees work
+        tracer = load_tracer().Tracer()
+        tracer.install()
+        try:
+            assert main(pipeline_argv(paths, tmp_path / "out.csv")) == 0
+        finally:
+            tracer.uninstall()
+        assert tracer.absent == set()
+        assert {name: tracer.counts[name] for name in want} == want
 
 
 class TestRefineClasses:
@@ -157,6 +255,22 @@ class TestRefineClasses:
         ]
         out = refine_classes(make_tracks(pts))
         assert all(p.detection.cls == 1 for p in out.points)
+
+    # Scores whose sums depend on the order they are added in
+    # (0.1 + 0.2 + 0.3 > 0.6 == 0.3 + 0.2 + 0.1), and a few or many classes.
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(1, 4),
+        st.one_of(st.integers(0, 3), st.integers(0, 2**62)),
+        st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.9]), st.floats(1e-6, 1.0)),
+    ), max_size=40))
+    @example(rows=[(1, 2, 0.1), (1, 2, 0.2), (1, 2, 0.3), (1, 1, 0.6)])  # class 2, in row order
+    @example(rows=[(1, 3, 0.9), (1, 1, 0.9), (2, 0, 0.5)])  # an exact tie
+    def test_vote_equals_the_dict_loop(self, rows):
+        pts = [make_point(k, tid, 100, 100, 10, 10, cls=cls, score=score)
+               for k, (tid, cls, score) in enumerate(rows, 1)]
+        tracks = make_tracks(pts)
+        assert refine_classes(tracks).points == reference.refine_classes(tracks.points)
 
     def test_idempotent_and_preserving(self):
         rng = np.random.default_rng(2)
@@ -251,7 +365,7 @@ class TestTrackColumns:
         assert columns.id_rows() == {2: slice(0, 3), 5: slice(3, 6), 7: slice(6, 9)}
 
     def test_empty_session(self):
-        columns = VideoTracks(64, 32, ()).columns()
+        columns = VideoTracks(64, 32, detection_table(())).columns()
         assert columns.boxes_px.shape == (0, 4)
         assert columns.id_rows() == {}
         assert frame_groups(columns.frames) == {}
