@@ -155,6 +155,8 @@ class VideoSidecar:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        if self.n_classes > MAX_KEY:  # every class fits the table's int64 column
+            raise ValueError(f"n_classes must be <= 2**62, got {self.n_classes}")
 
 
 def whole(name: str, value) -> int:
@@ -413,8 +415,8 @@ def _repeated(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return repeated
 
 
-# Largest frame number or track id magnitude the loaders accept: frame and
-# id columns are 64-bit integers.
+# Largest frame number or track id magnitude the loaders accept, and largest
+# sidecar n_classes: frame, id and class columns are 64-bit integers.
 MAX_KEY = 2**62
 
 

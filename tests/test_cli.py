@@ -247,6 +247,7 @@ class TestPipelineCommand:
             ("frame_height", "0", "frame size must be >= 1, got 3840x0"),
             ("n_frames", "0", "n_frames must be >= 1, got 0"),
             ("n_classes", "0", "n_classes must be >= 1, got 0"),
+            ("n_classes", str(2**63), f"n_classes must be <= 2**62, got {2**63}"),
         ],
     )
     def test_bad_sidecar_value_fails_cleanly(

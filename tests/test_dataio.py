@@ -146,6 +146,25 @@ class TestLoadTracks:
         wide = VideoSidecar(3840, 2160, FPS, n_frames=100, n_classes=6)
         assert load_tracks(p, wide).points[0].detection.cls == 4
 
+    def test_class_beyond_int64_under_the_largest_n_classes(self, tmp_path):
+        p = tmp_path / "t.csv"
+        widest = VideoSidecar(3840, 2160, FPS, n_classes=2**62)
+        p.write_text(self.header + f"1,1,0.5,0.5,0.05,0.02,{2**62 - 1},0.9\n")
+        assert load_tracks(p, widest).columns().cls.tolist() == [2**62 - 1]
+        p.write_text(self.header + f"1,1,0.5,0.5,0.05,0.02,0,0.9\n1,2,0.5,0.5,0.05,0.02,{2**63},0.9\n")
+        with pytest.raises(InvariantViolation,
+                           match=rf"line 3: class {2**63} outside 0\.\.{2**62 - 1}$"):
+            load_tracks(p, widest)
+
+    @pytest.mark.parametrize("n_classes", [2**62 + 1, 2**63, 2**64])
+    def test_n_classes_beyond_int64_columns_is_refused(self, tmp_path, n_classes):
+        with pytest.raises(ValueError, match=rf"^n_classes must be <= 2\*\*62, got {n_classes}$"):
+            VideoSidecar(3840, 2160, FPS, n_classes=n_classes)
+        p = tmp_path / "v.yaml"
+        p.write_text(f"frame_width: 3840\nframe_height: 2160\nn_classes: {n_classes}\n")
+        with pytest.raises(ParseError, match="bad sidecar value: n_classes must be <= 2"):
+            load_sidecar(p)
+
     def test_unit_range_relaxed_for_stabilized(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(self.header + "1,1,1.2,0.5,0.05,0.02,0,0.9\n")
@@ -1351,7 +1370,7 @@ def _corrupted_track_files(draw) -> tuple[str, VideoSidecar]:
     duplicate keys and malformed cells placed at random rows, sometimes in
     a file that is not plain (CRLF, a quoted cell, a blank or short row)."""
     n_frames = draw(st.sampled_from([None, 3, 4, 2**62, 2**63]))
-    n_classes = draw(st.sampled_from([1, 4, 5, 2**63 + 5]))
+    n_classes = draw(st.sampled_from([1, 4, 5, 2**62]))
     sidecar = VideoSidecar(3840, 2160, FPS, n_frames=n_frames, n_classes=n_classes)
     extra = draw(st.lists(st.sampled_from(["visible", "note"]), unique=True))
     header = draw(st.permutations(dataio.TRACK_COLUMNS + extra))
@@ -1410,10 +1429,10 @@ class TestTrackLoaderMatchesRowLoop:
     @example(file=(PLAIN, SIDECAR), unit_range=True)
     @example(file=(PLAIN.split("\n", 1)[0], SIDECAR), unit_range=True)  # header only
     @example(file=(PLAIN.replace("1,2,0.25", f"{10**30},2,0.25"), SIDECAR), unit_range=True)
-    @example(file=(PLAIN.replace(",1,0.9", f",{2**63},0.9"),
-                   VideoSidecar(3840, 2160, FPS, n_classes=2**64)), unit_range=True)
-    @example(file=(PLAIN.replace(",1,0.9", f",{2**64},0.9"),
-                   VideoSidecar(3840, 2160, FPS, n_classes=2**64)), unit_range=True)
+    @example(file=(PLAIN.replace(",0,0.9", f",{2**62 - 1},0.9"),
+                   VideoSidecar(3840, 2160, FPS, n_classes=2**62)), unit_range=True)
+    @example(file=(PLAIN.replace(",0,0.9", f",{2**63},0.9"),
+                   VideoSidecar(3840, 2160, FPS, n_classes=2**62)), unit_range=True)
     @example(file=(PLAIN.replace("0.5,0.5,0.1", "nan,0.5,-1") + "x\n", SIDECAR), unit_range=False)
     @example(file=(PLAIN + "1,1,0.5,0.5,0.1,0.1,0,0.9,1\n", SIDECAR), unit_range=True)
     @example(file=(PLAIN + "x\n1,1,0.5,0.5,0.1,0.1,0,0.9,1\n", SIDECAR), unit_range=True)
