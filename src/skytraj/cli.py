@@ -3,9 +3,11 @@
 Subcommands: stabilize, pipeline, bench, compare, dims, kinematics,
 georef. Every scalar parameter can come from a YAML config file
 (--config) and be overridden by a command-line flag; precedence is
-flag > config > parameter-dataclass default. Unknown config keys and
-invalid values are errors. Diagnostics go to stderr, data to files;
-the exit code is 0 only when no stage failed.
+flag > config > parameter-dataclass default. Flags are plain strings:
+a flag value and a config value go through one conversion, by the type
+of the parameter's default. Unknown config keys and invalid values are
+errors. Diagnostics go to stderr, data to files; the exit code is 0
+only when no stage failed.
 """
 from __future__ import annotations
 
@@ -90,8 +92,9 @@ def _load_config(args) -> dict:
 
 
 def _value(cfg: dict, args, key: str, section=None, kind=None, default=None):
-    """Flag (``dest`` = key) > config entry > ``default``; a given value is
-    converted with ``kind``, an ``int`` one by `dataio.whole`."""
+    """Flag (``dest`` = key) > config entry > ``default``. Flags are
+    strings; a given flag or config value is converted with ``kind``, an
+    ``int`` one by `dataio.whole`, and a ``float`` one refuses a boolean."""
     value = getattr(args, key, None)
     if value is None:
         value = (cfg.get(section) or {}).get(key) if section else cfg.get(key)
@@ -100,6 +103,8 @@ def _value(cfg: dict, args, key: str, section=None, kind=None, default=None):
     if kind is None:
         return value
     name = f"{section}.{key}" if section else key
+    if kind is float and isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return dataio.whole(name, value) if kind is int else kind(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -111,17 +116,19 @@ def _path(cfg: dict, args, key: str, required: bool = True):
     value = _value(cfg, args, key, "paths")
     if value is None and required:
         raise SkytrajError(f"missing required path {key!r} (flag or config)")
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"paths.{key} must be a string, got {value!r}")
     return value
 
 
 def _resolve(cls, cfg: dict, section: str, args, factory=None, **fixed):
     """Build ``cls`` from flag > config ``section`` > dataclass default,
     passing only given fields (converted to the type of a scalar or tuple
-    default) plus the caller's ``fixed`` ones."""
+    default, a float for an optional one) plus the caller's ``fixed`` ones."""
     keys = _schema()[section] - fixed.keys()
     for f in fields(cls):
         if f.name in keys:
-            kind = type(f.default)
+            kind = float if f.default is None else type(f.default)
             kind = kind if kind in (int, float, str, tuple) else None
             value = _value(cfg, args, f.name, section, kind)
             if value is not None:
@@ -148,12 +155,12 @@ def _dims_config(cfg: dict, args) -> DimConfig:
 
 
 def _resolve_homographies(cfg, args, tracks, params):
+    seed = _value(cfg, args, "seed", kind=int, default=0)  # checked with a log too
     hom_path = _path(cfg, args, "homographies", required=False)
     corr_dir = _path(cfg, args, "correspondences", required=False)
     if hom_path is not None:
         return dataio.load_homography_log(hom_path), {}
     if corr_dir is not None:
-        seed = _value(cfg, args, "seed", kind=int, default=0)
         return estimate_frame_homographies(tracks.columns(), corr_dir, params, seed=seed)
     raise SkytrajError("need either a homography log or a correspondence directory")
 
@@ -191,6 +198,7 @@ def cmd_pipeline(args) -> int:
     video_id = _value(cfg, args, "video_id", kind=str)
     if video_id is None:
         raise SkytrajError("missing video_id (flag or config)")
+    _value(cfg, args, "jobs", kind=int)  # checked as bench checks it; runs in one process
     params = _stabilize_params(cfg, args)
     ingest = _resolve(IngestParams, cfg, "ingest", args)
     dims = _dims_config(cfg, args)
@@ -210,6 +218,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    out = Path(_path(cfg, args, "output"))
     results = camp.run_campaign(
         _resolve(camp.BenchParams, cfg, "bench", args),
         _resolve(camp.DistortionRanges, cfg, "bench", args),
@@ -219,7 +228,6 @@ def cmd_bench(args) -> int:
         master_seed=_value(cfg, args, "seed", kind=int, default=0),
         jobs=_value(cfg, args, "jobs", kind=int, default=1),
     )
-    out = Path(_path(cfg, args, "output"))
     timing = out.with_name(out.stem + "_timing" + out.suffix)
     dataio.write_campaign_results(results, out, timing_path=timing)
     log(f"wrote {len(results)} grid cells to {out} (timing in {timing})")
@@ -370,109 +378,72 @@ def cmd_georef(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML config file")
-    common.add_argument("--output", help="output file path")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, help="master random seed")
-    pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--jobs", type=int, help="bench trial workers (default 1)")
+# Each subcommand: its function, its help line and its flags in help
+# order, after --config and --output. Every flag is a string option,
+# converted by `_value` as the config entry of the same name is; `_DEST`
+# names the field of a flag that is shorter than its field.
+_RANSAC_FLAGS = "snn-ratio mask-margin downscale confidence max-iterations reproj-threshold"
+_DIM_FLAGS = "visibility-margin azimuth-tolerance min-travel-m gsd strict"
+_COMMANDS = {
+    "stabilize": (cmd_stabilize, "align tracks to frame 1",
+                  "seed tracks sidecar correspondences homographies homography-log"
+                  f" visibility-margin {_RANSAC_FLAGS}"),
+    "pipeline": (cmd_pipeline, "tracks to final CSV",
+                 "seed jobs tracks sidecar correspondences homographies registry"
+                 " segmentation video-id score-min nms-iou sigma drone-id start-time date"
+                 f" intersection session {_RANSAC_FLAGS} {_DIM_FLAGS}"),
+    "bench": (cmd_bench, "synthetic registration benchmark",
+              "seed jobs scenes trials noise-sigma outlier-fraction hea-epsilon confidence"
+              " max-iterations"),
+    "compare": (cmd_compare, "probe vs extracted trajectory",
+                "probe candidate group fps speed-floor"),
+    "dims": (cmd_dims, "per-vehicle dimension estimates",
+             f"tracks stabilized sidecar registry video-id {_DIM_FLAGS}"),
+    "kinematics": (cmd_kinematics, "speed/acceleration profiles", "input fps sigma"),
+    "georef": (cmd_georef, "stabilized tracks to world CSV",
+               "tracks sidecar registry segmentation video-id"),
+}
+_DEST = {
+    "trials": "trials_per_scene",
+    "azimuth-tolerance": "azimuth_tolerance_deg",
+    "speed-floor": "speed_floor_kmh",
+}
+# A flag's help line, by flag, or by (subcommand, flag) where it differs.
+_HELP = {
+    "config": "YAML config file",
+    "output": "output file path",
+    "seed": "master random seed",
+    "jobs": "bench trial workers (default 1)",
+    ("stabilize", "correspondences"): "directory of per-frame <k>.csv files",
+    ("stabilize", "homographies"): "precomputed per-frame homography log",
+    ("stabilize", "homography-log"): "write estimated homographies here",
+    ("dims", "tracks"): "raw (un-stabilized) tracks",
+    ("kinematics", "input"): "CSV id,frame,x,y[,visible] in local meters",
+    ("georef", "tracks"): "stabilized tracks",
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skytraj",
         description="Drone-track stabilization, georeferencing, and benchmarking",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_ransac_flags(p):
-        p.add_argument("--snn-ratio", type=float)
-        p.add_argument("--mask-margin", type=float)
-        p.add_argument("--downscale", type=float)
-        p.add_argument("--confidence", type=float)
-        p.add_argument("--max-iterations", type=int)
-        p.add_argument("--reproj-threshold", type=float)
-
-    def add_dim_flags(p):
-        p.add_argument("--visibility-margin", type=float)
-        p.add_argument("--azimuth-tolerance", type=float, dest="azimuth_tolerance_deg")
-        p.add_argument("--min-travel-m", type=float)
-        p.add_argument("--gsd", type=float)
-        p.add_argument("--strict", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("stabilize", parents=[common, seeded], help="align tracks to frame 1")
-    p.add_argument("--tracks")
-    p.add_argument("--sidecar")
-    p.add_argument("--correspondences", help="directory of per-frame <k>.csv files")
-    p.add_argument("--homographies", help="precomputed per-frame homography log")
-    p.add_argument("--homography-log", help="write estimated homographies here")
-    p.add_argument("--visibility-margin", type=float)
-    add_ransac_flags(p)
-    p.set_defaults(func=cmd_stabilize)
-
-    p = sub.add_parser("pipeline", parents=[common, seeded, pooled], help="tracks to final CSV")
-    p.add_argument("--tracks")
-    p.add_argument("--sidecar")
-    p.add_argument("--correspondences")
-    p.add_argument("--homographies")
-    p.add_argument("--registry")
-    p.add_argument("--segmentation")
-    p.add_argument("--video-id")
-    p.add_argument("--score-min", type=float)
-    p.add_argument("--nms-iou", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--drone-id", type=int)
-    p.add_argument("--start-time")
-    p.add_argument("--date")
-    p.add_argument("--intersection")
-    p.add_argument("--session")
-    add_ransac_flags(p)
-    add_dim_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser(
-        "bench", parents=[common, seeded, pooled], help="synthetic registration benchmark"
-    )
-    p.add_argument("--scenes", type=int)
-    p.add_argument("--trials", type=int, dest="trials_per_scene")
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--outlier-fraction", type=float)
-    p.add_argument("--hea-epsilon", type=float)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--max-iterations", type=int)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("compare", parents=[common], help="probe vs extracted trajectory")
-    p.add_argument("--probe")
-    p.add_argument("--candidate")
-    p.add_argument("--group")
-    p.add_argument("--fps")
-    p.add_argument("--speed-floor", type=float, dest="speed_floor_kmh")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("dims", parents=[common], help="per-vehicle dimension estimates")
-    p.add_argument("--tracks", help="raw (un-stabilized) tracks")
-    p.add_argument("--stabilized")
-    p.add_argument("--sidecar")
-    p.add_argument("--registry")
-    p.add_argument("--video-id")
-    add_dim_flags(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("kinematics", parents=[common], help="speed/acceleration profiles")
-    p.add_argument("--input", help="CSV id,frame,x,y[,visible] in local meters")
-    p.add_argument("--fps")
-    p.add_argument("--sigma", type=float)
-    p.set_defaults(func=cmd_kinematics)
-
-    p = sub.add_parser("georef", parents=[common], help="stabilized tracks to world CSV")
-    p.add_argument("--tracks", help="stabilized tracks")
-    p.add_argument("--sidecar")
-    p.add_argument("--registry")
-    p.add_argument("--segmentation")
-    p.add_argument("--video-id")
-    p.set_defaults(func=cmd_georef)
-
+    # --config and --output are declared once and copied into each
+    # subcommand: every add_argument call builds a help formatter.
+    common = argparse.ArgumentParser(add_help=False)
+    for flag in ("config", "output"):
+        common.add_argument("--" + flag, help=_HELP[flag])
+    for command, (func, about, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about, parents=[common])
+        for flag in flags.split():
+            p.add_argument(
+                "--" + flag,
+                dest=_DEST.get(flag),
+                help=_HELP.get((command, flag), _HELP.get(flag)),
+                **({"action": "store_const", "const": True} if flag == "strict" else {}),
+            )
+        p.set_defaults(func=func)
     return parser
 
 

@@ -73,7 +73,10 @@ ACCEL_PLACES = 2  # m/s^2
 
 
 def parse_fps(value) -> Fraction:
-    """Accept '30000/1001', integers, or decimal strings/floats."""
+    """Accept '30000/1001', integers, or decimal strings/floats; refuse a
+    boolean, which ``Fraction`` reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"fps must be a number, got {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -527,9 +530,11 @@ def geotransform_from_row(values: Sequence[float]) -> GeoTransform:
 
 
 def _directives(fh):
-    """(line number, whitespace-separated tokens) of each line of ``fh``
-    that holds more than blanks and a comment ('#' to the end of the line)."""
-    for line, raw in enumerate(fh, start=1):
+    """(line number, whitespace-separated tokens) of each line of the text
+    file ``fh`` that holds more than blanks and a comment ('#' to the end
+    of the line). Lines are decoded one at a time (`_decoded_lines`), so a
+    line that fails raises before a byte further down that is not UTF-8."""
+    for line, raw in enumerate(_decoded_lines(fh.buffer), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line, tokens

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -172,11 +173,27 @@ class TestPipelineCommand:
             (["--min-travel-m", "nan"], None, "dimensions: gsd and min_travel_m"),
             (["--azimuth-tolerance", "nan"], None, "dimensions: azimuth_tolerance_deg"),
             (["--visibility-margin", "nan"], None, "dimensions: visibility_margin"),
+            # a flag value fails as its config entry does
+            (["--max-iterations", "1e3"], None,
+             "ransac.max_iterations must be an integer, got '1e3'"),
+            (["--sigma", "abc"], None,
+             "kinematics.sigma: bad value 'abc': could not convert string to float: 'abc'"),
+            (["--snn-ratio", "0.9x"], None,
+             "stabilize.snn_ratio: bad value '0.9x': could not convert string to float: '0.9x'"),
+            (["--seed", "abc"], None, "seed must be an integer, got 'abc'"),
+            (["--jobs", "abc"], None, "jobs must be an integer, got 'abc'"),
+            (["--drone-id", "7.5"], None, "export.drone_id must be an integer, got '7.5'"),
+            # a float parameter refuses a boolean
+            ([], "stabilize: {downscale: true}\n", "stabilize.downscale must be a number, got True"),
+            ([], "stabilize: {snn_ratio: true}\n", "stabilize.snn_ratio must be a number, got True"),
+            ([], "kinematics: {sigma: true}\n", "kinematics.sigma must be a number, got True"),
         ],
         ids=["start-time", "drone-id", "sigma", "kinematics-key", "ingest-key",
              "score-min", "nms-iou", "sigma-nan", "sigma-inf", "sigma-1e308", "sigma-1e20",
              "gsd-nan",
-             "min-travel-nan", "azimuth-tolerance-nan", "visibility-margin-nan"],
+             "min-travel-nan", "azimuth-tolerance-nan", "visibility-margin-nan",
+             "max-iterations-flag", "sigma-flag", "snn-ratio-flag", "seed-flag-with-log",
+             "jobs-flag", "drone-id-flag", "downscale-bool", "snn-ratio-bool", "sigma-bool"],
     )
     def test_bad_parameter_fails_cleanly(
         self, pipeline_fixture, tmp_path, capsys, extra, config, needle
@@ -1390,3 +1407,221 @@ class TestConfigSchema:
         )
         assert rc == 1
         assert "'bench.scenez'" in capsys.readouterr().err
+
+
+# The flags of each subcommand as the parser declared them with typed
+# argparse options: (option string, dest, help), in help order; --help
+# is argparse's own and left out.
+PINNED_FLAGS = {
+    "stabilize": ("align tracks to frame 1", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--seed", "seed", "master random seed"),
+        ("--tracks", "tracks", None),
+        ("--sidecar", "sidecar", None),
+        ("--correspondences", "correspondences", "directory of per-frame <k>.csv files"),
+        ("--homographies", "homographies", "precomputed per-frame homography log"),
+        ("--homography-log", "homography_log", "write estimated homographies here"),
+        ("--visibility-margin", "visibility_margin", None),
+        ("--snn-ratio", "snn_ratio", None),
+        ("--mask-margin", "mask_margin", None),
+        ("--downscale", "downscale", None),
+        ("--confidence", "confidence", None),
+        ("--max-iterations", "max_iterations", None),
+        ("--reproj-threshold", "reproj_threshold", None),
+    ]),
+    "pipeline": ("tracks to final CSV", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--seed", "seed", "master random seed"),
+        ("--jobs", "jobs", "bench trial workers (default 1)"),
+        ("--tracks", "tracks", None),
+        ("--sidecar", "sidecar", None),
+        ("--correspondences", "correspondences", None),
+        ("--homographies", "homographies", None),
+        ("--registry", "registry", None),
+        ("--segmentation", "segmentation", None),
+        ("--video-id", "video_id", None),
+        ("--score-min", "score_min", None),
+        ("--nms-iou", "nms_iou", None),
+        ("--sigma", "sigma", None),
+        ("--drone-id", "drone_id", None),
+        ("--start-time", "start_time", None),
+        ("--date", "date", None),
+        ("--intersection", "intersection", None),
+        ("--session", "session", None),
+        ("--snn-ratio", "snn_ratio", None),
+        ("--mask-margin", "mask_margin", None),
+        ("--downscale", "downscale", None),
+        ("--confidence", "confidence", None),
+        ("--max-iterations", "max_iterations", None),
+        ("--reproj-threshold", "reproj_threshold", None),
+        ("--visibility-margin", "visibility_margin", None),
+        ("--azimuth-tolerance", "azimuth_tolerance_deg", None),
+        ("--min-travel-m", "min_travel_m", None),
+        ("--gsd", "gsd", None),
+        ("--strict", "strict", None),
+    ]),
+    "bench": ("synthetic registration benchmark", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--seed", "seed", "master random seed"),
+        ("--jobs", "jobs", "bench trial workers (default 1)"),
+        ("--scenes", "scenes", None),
+        ("--trials", "trials_per_scene", None),
+        ("--noise-sigma", "noise_sigma", None),
+        ("--outlier-fraction", "outlier_fraction", None),
+        ("--hea-epsilon", "hea_epsilon", None),
+        ("--confidence", "confidence", None),
+        ("--max-iterations", "max_iterations", None),
+    ]),
+    "compare": ("probe vs extracted trajectory", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--probe", "probe", None),
+        ("--candidate", "candidate", None),
+        ("--group", "group", None),
+        ("--fps", "fps", None),
+        ("--speed-floor", "speed_floor_kmh", None),
+    ]),
+    "dims": ("per-vehicle dimension estimates", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--tracks", "tracks", "raw (un-stabilized) tracks"),
+        ("--stabilized", "stabilized", None),
+        ("--sidecar", "sidecar", None),
+        ("--registry", "registry", None),
+        ("--video-id", "video_id", None),
+        ("--visibility-margin", "visibility_margin", None),
+        ("--azimuth-tolerance", "azimuth_tolerance_deg", None),
+        ("--min-travel-m", "min_travel_m", None),
+        ("--gsd", "gsd", None),
+        ("--strict", "strict", None),
+    ]),
+    "kinematics": ("speed/acceleration profiles", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--input", "input", "CSV id,frame,x,y[,visible] in local meters"),
+        ("--fps", "fps", None),
+        ("--sigma", "sigma", None),
+    ]),
+    "georef": ("stabilized tracks to world CSV", [
+        ("--config", "config", "YAML config file"),
+        ("--output", "output", "output file path"),
+        ("--tracks", "tracks", "stabilized tracks"),
+        ("--sidecar", "sidecar", None),
+        ("--registry", "registry", None),
+        ("--segmentation", "segmentation", None),
+        ("--video-id", "video_id", None),
+    ]),
+}
+
+
+class TestFlags:
+    @staticmethod
+    def subcommands():
+        from skytraj.cli import build_parser
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return parser, sub
+
+    def test_parser_declares_the_pinned_flags(self):
+        parser, sub = self.subcommands()
+        assert parser.prog == "skytraj"
+        assert parser.description == "Drone-track stabilization, georeferencing, and benchmarking"
+        about = {choice.dest: choice.help for choice in sub._choices_actions}
+        assert {
+            command: (about[command], [
+                (*a.option_strings, a.dest, a.help)
+                for a in p._actions if not isinstance(a, argparse._HelpAction)
+            ])
+            for command, p in sub.choices.items()
+        } == PINNED_FLAGS
+
+    def test_every_flag_is_a_string_option(self):
+        """argparse converts no flag: `_value` reads flags and config
+        entries alike. Only --strict stores a constant, True."""
+        for p in self.subcommands()[1].choices.values():
+            for a in p._actions:
+                if isinstance(a, argparse._HelpAction):
+                    continue
+                assert a.type is None and a.default is None, a.dest
+                if a.dest == "strict":
+                    assert type(a) is argparse._StoreConstAction and a.const is True
+                else:
+                    assert type(a) is argparse._StoreAction and a.nargs is None, a.dest
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stabilize", "--max-iterations", "1e3"],
+             "ransac.max_iterations must be an integer, got '1e3'"),
+            (["bench", "--scenes", "2.5"], "bench.scenes must be an integer, got '2.5'"),
+            (["bench", "--jobs", "two"], "jobs must be an integer, got 'two'"),
+            (["bench", "--hea-epsilon", "x"],
+             "bench.hea_epsilon: bad value 'x': could not convert string to float: 'x'"),
+            (["compare", "--speed-floor", "fast"],
+             "kinematics.speed_floor_kmh: bad value 'fast': could not convert string to float: "
+             "'fast'"),
+            (["dims", "--visibility-margin", "4px"],
+             "dimensions.visibility_margin: bad value '4px': could not convert string to float: "
+             "'4px'"),
+            (["kinematics", "--sigma", "abc"],
+             "kinematics.sigma: bad value 'abc': could not convert string to float: 'abc'"),
+        ],
+        ids=["stabilize", "bench-scenes", "bench-jobs", "bench-hea-epsilon", "compare", "dims",
+             "kinematics"],
+    )
+    def test_bad_flag_value_fails_in_every_subcommand(self, tmp_path, capsys, argv, message):
+        """Parameters are read before any input file, so none is given."""
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--output", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error [{argv[0]}]: {message}"]
+        assert not out.exists()
+
+    def test_stabilize_checks_the_seed_with_a_homography_log(
+        self, pipeline_fixture, tmp_path, capsys
+    ):
+        out = tmp_path / "stab.csv"
+        args = ["stabilize", "--tracks", pipeline_fixture["tracks"],
+                "--sidecar", pipeline_fixture["sidecar"],
+                "--homographies", pipeline_fixture["homographies"], "--output", out]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 1.5\n")
+        for extra, message in [(["--seed", "abc"], "seed must be an integer, got 'abc'"),
+                               (["--config", cfg], "seed must be an integer, got 1.5")]:
+            assert run_cli(*args, *extra) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error [stabilize]: {message}"]
+            assert not out.exists()
+        assert run_cli(*args, "--seed", "7") == 0
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("dims", "dimensions: {gsd: false}", "dimensions.gsd must be a number, got False"),
+            ("bench", "bench: {scenes: 1, trials_per_scene: 1, noise_sigma: true}",
+             "bench.noise_sigma must be a number, got True"),
+            ("bench", "bench: {scenes: 1, trials_per_scene: 1, hea_epsilon: true}",
+             "bench.hea_epsilon must be a number, got True"),
+            ("kinematics", "fps: true", "fps: bad value True: fps must be a number, got True"),
+            ("compare", "fps: true", "fps: bad value True: fps must be a number, got True"),
+            ("bench", "paths: {output: 5}\nbench: {scenes: 1, trials_per_scene: 1}",
+             "paths.output must be a string, got 5"),
+            ("stabilize", "paths: {tracks: 0}", "paths.tracks must be a string, got 0"),
+            ("georef", "paths: {sidecar: [a]}", "paths.sidecar must be a string, got ['a']"),
+        ],
+        ids=["gsd", "noise-sigma", "hea-epsilon",
+             "kinematics-fps", "compare-fps", "output-path", "tracks-path", "sidecar-path"],
+    )
+    def test_boolean_or_non_string_path_is_refused(
+        self, tmp_path, monkeypatch, capsys, command, config, message
+    ):
+        """Each value is read before any input file, so none is given."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        output = [] if "output" in config else ["--output", tmp_path / "out.csv"]
+        assert run_cli(command, *output, "--config", cfg) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error [{command}]: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]

@@ -583,6 +583,23 @@ class TestNotUtf8:
             load_tracks(p, SIDECAR)
 
 
+    @pytest.mark.parametrize("filler", [10, 3000], ids=["short", "long"])
+    @pytest.mark.parametrize("load, head, line", [
+        (load_homography_log, "1 1 0 0 0 1 0 0 0 1\n2 1 0 x 0 1 0 0 0 1\n", "3 1 0 0 0 1 0 0 0 1"),
+        (load_registry, "intersection L\nmaster_to_ortho 1 0 x 0 1 0 0 0 1\n", "# a comment"),
+    ], ids=["homography-log", "registry"])
+    def test_an_earlier_bad_line_wins(self, tmp_path, load, head, line, filler):
+        """The homography log and the registry decode one line at a time,
+        so a bad line wins over a later byte that is not UTF-8, in the
+        first decoded chunk or past it."""
+        p = tmp_path / "transforms.txt"
+        p.write_bytes((head + f"{line}\n" * filler + "\xe9\n").encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            load(p)
+        assert exc.value.line == 2
+        assert "not UTF-8" not in str(exc.value)
+
+
 class TestRowErrorsNameFileAndLine:
     """Every row and header error of a track or trajectory table starts
     with the file and the line."""
@@ -1191,6 +1208,16 @@ class TestExport:
         sc = load_sidecar(p)
         assert sc.fps == FPS
         assert sc.n_frames is None
+
+    @pytest.mark.parametrize("fps", ["true", "false"])
+    def test_sidecar_boolean_fps_is_refused(self, tmp_path, fps):
+        """``Fraction(True)`` is 1: a boolean frame rate would scale every
+        timestamp and speed without an error."""
+        p = tmp_path / "v.yaml"
+        p.write_text(f"frame_width: 3840\nframe_height: 2160\nfps: {fps}\n")
+        message = f"bad sidecar value: fps must be a number, got {fps.title()}$"
+        with pytest.raises(ParseError, match=message):
+            load_sidecar(p)
 
 
 # --- DictReader reference of the table reader ---------------------------------
