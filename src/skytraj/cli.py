@@ -145,7 +145,10 @@ def _stabilize_params(cfg: dict, args) -> StabilizeParams:
 
 
 def _dims_config(cfg: dict, args) -> DimConfig:
-    if _value(cfg, args, "strict", "dimensions"):
+    strict = _value(cfg, args, "strict", "dimensions", default=False)
+    if not isinstance(strict, bool):  # 0 and 1 equal False and True
+        raise ConfigError(f"dimensions.strict must be true or false, got {strict!r}")
+    if strict:
         # the profile's infinite ratio thresholds withhold stationary estimates
         return _resolve(
             DimConfig, cfg, "dimensions", args, factory=DimConfig.strict,

@@ -90,46 +90,44 @@ def parse_fps(value) -> Fraction:
     return Fraction(text)
 
 
-@contextmanager
-def _text_file(path, newline: str | None = ""):
-    """``path`` opened as UTF-8 text, with ``open``'s ``newline``.
-
-    Every loader reads its file in this block. A file that cannot be
-    opened or read raises IoFailure; a byte that is not UTF-8, met
-    anywhere in the block, raises ParseError at its line. Both name the
-    file.
-    """
+def _read_text(path) -> tuple[str, ParseError | None]:
+    """The text of the UTF-8 file ``path``, read once, and None; or, where
+    a byte is not UTF-8, the text of the whole lines before that byte's
+    line and ParseError at that line. A file that cannot be opened or read
+    raises IoFailure. Both errors name the file."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline=newline)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path) from exc
-        except OSError as exc:
-            raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
-def _not_utf8(path) -> ParseError:
-    """ParseError at the line of the first byte of ``path`` that is not
-    UTF-8. (A decoding error counts bytes from the start of the chunk it
-    decoded, so the whole file is decoded again.)"""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        data.decode("utf-8")
+        return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        return ParseError(f"not UTF-8 text: {exc}", line=line, path=path)
-    return ParseError("not UTF-8 text", path=path)  # the file changed since
+        error = ParseError(f"not UTF-8 text: {exc}", line=line, path=path)
+        # A "\n" byte is never part of a multi-byte UTF-8 sequence.
+        return data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8"), error
+
+
+def _lines(text: str, error: ParseError | None) -> Iterator[str]:
+    """The lines of ``text`` as a file opened with ``newline=""`` yields
+    them, then ``error`` raised, if any: so a line that fails raises
+    before the byte that is not UTF-8 after it."""
+    yield from io.StringIO(text, newline="")
+    if error is not None:
+        raise error
 
 
 def load_yaml(path) -> dict:
+    """The mapping of the YAML file ``path``. A byte that is not UTF-8
+    wins over a syntax error, anywhere in the file."""
+    text, error = _read_text(path)
+    if error is not None:
+        raise error
+    stream = io.StringIO(text, newline=None)
+    stream.name = path  # yaml names the file in its error marks
     try:
-        with _text_file(path, newline=None) as fh:
-            data = yaml.safe_load(fh)
+        data = yaml.safe_load(stream)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML in {path}: {exc}") from exc
     if data is None:
@@ -255,18 +253,16 @@ def _cells(
     The header must name every ``required`` column (two or more); the
     cells are those of the ``required`` columns, then of each ``optional``
     column the header names. A repeated header name means its last column.
-    A plain text (`_plain_cells`) is split once; any other text, and one
-    that is not UTF-8, is read one csv row at a time (`_csv_cells`).
+    The file is read once (`_read_text`); where a byte is not UTF-8, the
+    lines before that byte's line are read and its error ends the reading.
+    A plain text (`_plain_cells`) is split once; any other text is read
+    one csv row at a time (`_csv_cells`).
     """
-    try:
-        with _text_file(path) as fh:
-            text = fh.read()
-    except ParseError:  # not UTF-8: the rows before the byte are read first
-        text = None
-    plain = None if text is None else _plain_cells(text, required, optional)
+    text, error = _read_text(path)
+    plain = _plain_cells(text, required, optional)
     if plain is None:
-        return _csv_cells(path, required, optional)
-    return (*plain, None)
+        return _csv_cells(text, required, optional, path, error)
+    return (*plain, error)
 
 
 def _plain_cells(
@@ -304,53 +300,41 @@ def _plain_cells(
 
 
 def _csv_cells(
-    path, required: Sequence[str], optional: Sequence[str]
+    text: str, required: Sequence[str], optional: Sequence[str], path,
+    error: ParseError | None,
 ) -> tuple[dict[str, list], list[int], ParseError | None]:
-    """`_cells` of any text, read one csv row at a time. Blank rows are
-    skipped, cells past the end of a short row are None and extra cells
-    are ignored. A missing column, a CSV syntax error (a field over the
-    csv module's size limit, say) or a byte that is not UTF-8 is returned
-    after the rows read before it."""
+    """`_cells` of any ``text`` of the file ``path``, read one csv row at a
+    time. Blank rows are skipped, cells past the end of a short row are
+    None and extra cells are ignored. A missing column, a CSV syntax error
+    (a field over the csv module's size limit, say) or ``error``, the
+    `_read_text` error at the end of ``text``, is returned after the rows
+    read before it."""
     names = list(required)
     rows: list[tuple] = []
     lines: list[int] = []
-    error = None
+    reader = csv.reader(_lines(text, error))
     try:
-        with _text_file(path) as fh:
-            reader = csv.reader(_decoded_lines(fh.buffer))
-            header = next(reader, [])
-            at = {name: i for i, name in enumerate(header)}
-            missing = [c for c in required if c not in at]
-            if missing:
-                raise ParseError(f"missing columns {missing}", line=1, path=path)
-            names += [c for c in optional if c in at]
-            take = itemgetter(*(at[c] for c in names))
-            pad = [None] * (max(at[c] for c in names) + 1)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < len(pad):
-                    row += pad[len(row):]
-                rows.append(take(row))
-                lines.append(reader.line_num)
+        header = next(reader, [])
+        at = {name: i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in at]
+        if missing:
+            raise ParseError(f"missing columns {missing}", line=1, path=path)
+        names += [c for c in optional if c in at]
+        take = itemgetter(*(at[c] for c in names))
+        pad = [None] * (max(at[c] for c in names) + 1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < len(pad):
+                row += pad[len(row):]
+            rows.append(take(row))
+            lines.append(reader.line_num)
     except csv.Error as exc:
         error = ParseError(f"bad CSV: {exc}", line=reader.line_num, path=path)
     except ParseError as exc:
         error = exc
     columns = [*map(list, zip(*rows))] or [[] for _ in names]
     return dict(zip(names, columns)), lines, error
-
-
-def _decoded_lines(binary) -> Iterator[str]:
-    """The lines of the binary file ``binary`` as a text file opened with
-    ``newline=""`` yields them, each decoded from UTF-8 on its own, so a
-    byte that is not UTF-8 raises UnicodeDecodeError only after every line
-    before its own. (A ``\\n`` byte is never part of a multi-byte UTF-8
-    sequence, so each line decodes as it does in the whole text.)"""
-    for raw in binary:
-        text = raw.decode("utf-8")
-        # A lone carriage return ends a line too.
-        yield from io.StringIO(text, newline="") if "\r" in text else (text,)
 
 
 def _convert(
@@ -516,25 +500,13 @@ def _parse_floats(
     return values
 
 
-def homography_from_row(values: Sequence[float]) -> Homography:
-    return Homography.from_matrix([values[0:3], values[3:6], values[6:9]])
-
-
-def homography_to_row(h: Homography) -> list[float]:
-    return [float(v) for v in h.m.reshape(-1)]
-
-
-def geotransform_from_row(values: Sequence[float]) -> GeoTransform:
-    a, b, c, d, tx, ty = values
-    return GeoTransform(a, b, c, d, tx, ty)
-
-
-def _directives(fh):
-    """(line number, whitespace-separated tokens) of each line of the text
-    file ``fh`` that holds more than blanks and a comment ('#' to the end
-    of the line). Lines are decoded one at a time (`_decoded_lines`), so a
-    line that fails raises before a byte further down that is not UTF-8."""
-    for line, raw in enumerate(_decoded_lines(fh.buffer), start=1):
+def _directives(path):
+    """(line number, whitespace-separated tokens) of each line of the file
+    ``path`` that holds more than blanks and a comment ('#' to the end of
+    the line). The file is read once (`_read_text`); a byte that is not
+    UTF-8 raises after every line before its own (`_lines`), so a line
+    that fails raises first."""
+    for line, raw in enumerate(_lines(*_read_text(path)), start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield line, tokens
@@ -543,16 +515,15 @@ def _directives(fh):
 def load_homography_log(path) -> dict[int, Homography]:
     """Per-frame homographies: each line is a frame index plus 9 numbers."""
     out: dict[int, Homography] = {}
-    with _text_file(path) as fh:
-        for line, tokens in _directives(fh):
-            try:
-                frame = int(tokens[0])
-            except ValueError as exc:
-                raise ParseError(f"bad frame index: {exc}", line=line, path=path) from exc
-            vals = _parse_floats(tokens[1:], 9, line, "homography row", path)
-            if frame in out:
-                raise InvariantViolation(f"duplicate frame {frame}", line=line, path=path)
-            out[frame] = _transform(homography_from_row, vals, line, path)
+    for line, tokens in _directives(path):
+        try:
+            frame = int(tokens[0])
+        except ValueError as exc:
+            raise ParseError(f"bad frame index: {exc}", line=line, path=path) from exc
+        vals = _parse_floats(tokens[1:], 9, line, "homography row", path)
+        if frame in out:
+            raise InvariantViolation(f"duplicate frame {frame}", line=line, path=path)
+        out[frame] = _transform(Homography.from_matrix, vals, line, path)
     return out
 
 
@@ -568,7 +539,7 @@ def _transform(read, values: Sequence[float], line: int, path):
 def write_homography_log(homs: Mapping[int, Homography], path) -> None:
     with _output_file(path) as fh:
         for frame in sorted(homs):
-            row = " ".join(repr(v) for v in homography_to_row(homs[frame]))
+            row = " ".join(map(repr, homs[frame].m.ravel().tolist()))
             fh.write(f"{frame} {row}\n")
 
 
@@ -576,11 +547,11 @@ def write_homography_log(homs: Mapping[int, Homography], path) -> None:
 # of numbers it takes and the transform it reads them as.
 _REGISTRY_BLOCKS = {
     "intersection": (IntersectionEntry, {
-        "master_to_ortho": (9, homography_from_row),
-        "geo_local": (6, geotransform_from_row),
-        "geo_wgs": (6, geotransform_from_row),
+        "master_to_ortho": (9, Homography.from_matrix),
+        "geo_local": (6, lambda values: GeoTransform(*values)),
+        "geo_wgs": (6, lambda values: GeoTransform(*values)),
     }),
-    "video": (VideoEntry, {"ref_to_master": (9, homography_from_row)}),
+    "video": (VideoEntry, {"ref_to_master": (9, Homography.from_matrix)}),
 }
 
 
@@ -615,33 +586,32 @@ def load_registry(path) -> GeoRegistry:
             raise ParseError(f"{kind} {label!r} incomplete", line=line, path=path)
         entries[kind][label] = _REGISTRY_BLOCKS[kind][0](**fields)
 
-    with _text_file(path) as fh:
-        for line, tokens in _directives(fh):
-            key = tokens[0]
-            if key == "intersection":
-                close()
-                if len(tokens) != 2:
-                    raise ParseError("intersection needs a label", line=line, path=path)
-                block, fields = (key, tokens[1], line), {}
-                directives = _REGISTRY_BLOCKS[key][1]
-            elif key == "video":
-                close()
-                if len(tokens) != 3:
-                    raise ParseError(
-                        "video needs an id and an intersection label", line=line, path=path
-                    )
-                block, fields = (key, tokens[1], line), {"intersection": tokens[2]}
-                directives = _REGISTRY_BLOCKS[key][1]
-            elif key in directives:
-                if key in fields:
-                    kind, label, _ = block
-                    raise ParseError(f"repeated {key} in {kind} {label!r}", line=line, path=path)
-                n, read = directives[key]
-                values = _parse_floats(tokens[1:], n, line, key, path)
-                fields[key] = _transform(read, values, line, path)
-            else:
-                raise ParseError(f"unexpected directive {key!r}", line=line, path=path)
-        close()
+    for line, tokens in _directives(path):
+        key = tokens[0]
+        if key == "intersection":
+            close()
+            if len(tokens) != 2:
+                raise ParseError("intersection needs a label", line=line, path=path)
+            block, fields = (key, tokens[1], line), {}
+            directives = _REGISTRY_BLOCKS[key][1]
+        elif key == "video":
+            close()
+            if len(tokens) != 3:
+                raise ParseError(
+                    "video needs an id and an intersection label", line=line, path=path
+                )
+            block, fields = (key, tokens[1], line), {"intersection": tokens[2]}
+            directives = _REGISTRY_BLOCKS[key][1]
+        elif key in directives:
+            if key in fields:
+                kind, label, _ = block
+                raise ParseError(f"repeated {key} in {kind} {label!r}", line=line, path=path)
+            n, read = directives[key]
+            values = _parse_floats(tokens[1:], n, line, key, path)
+            fields[key] = _transform(read, values, line, path)
+        else:
+            raise ParseError(f"unexpected directive {key!r}", line=line, path=path)
+    close()
 
     intersections, videos = entries["intersection"], entries["video"]
     for vid, entry in videos.items():
@@ -656,9 +626,11 @@ def load_registry(path) -> GeoRegistry:
 def load_segmentation(path) -> SegmentationMap:
     """JSON list of {section, lane, polygon: [[x, y], ...]} in ortho pixels;
     a lane number is a whole number from 1 (see `whole`)."""
+    text, error = _read_text(path)
+    if error is not None:
+        raise error
     try:
-        with _text_file(path, newline=None) as fh:
-            data = json.load(fh)
+        data = json.load(io.StringIO(text, newline=None))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
     if not isinstance(data, list):

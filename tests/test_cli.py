@@ -187,13 +187,18 @@ class TestPipelineCommand:
             ([], "stabilize: {downscale: true}\n", "stabilize.downscale must be a number, got True"),
             ([], "stabilize: {snn_ratio: true}\n", "stabilize.snn_ratio must be a number, got True"),
             ([], "kinematics: {sigma: true}\n", "kinematics.sigma must be a number, got True"),
+            # the strict profile takes a boolean only
+            ([], "dimensions: {strict: 'false'}\n",
+             "dimensions.strict must be true or false, got 'false'"),
+            ([], "dimensions: {strict: 1}\n", "dimensions.strict must be true or false, got 1"),
         ],
         ids=["start-time", "drone-id", "sigma", "kinematics-key", "ingest-key",
              "score-min", "nms-iou", "sigma-nan", "sigma-inf", "sigma-1e308", "sigma-1e20",
              "gsd-nan",
              "min-travel-nan", "azimuth-tolerance-nan", "visibility-margin-nan",
              "max-iterations-flag", "sigma-flag", "snn-ratio-flag", "seed-flag-with-log",
-             "jobs-flag", "drone-id-flag", "downscale-bool", "snn-ratio-bool", "sigma-bool"],
+             "jobs-flag", "drone-id-flag", "downscale-bool", "snn-ratio-bool", "sigma-bool",
+             "strict-string", "strict-integer"],
     )
     def test_bad_parameter_fails_cleanly(
         self, pipeline_fixture, tmp_path, capsys, extra, config, needle
@@ -209,6 +214,16 @@ class TestPipelineCommand:
         assert err[0].startswith("error [pipeline]: ")
         assert needle in err[0]
         assert not out.exists()
+
+    def test_strict_false_or_null_writes_the_default_export(self, pipeline_fixture, tmp_path):
+        default = tmp_path / "default.csv"
+        assert run_cli(*pipeline_cmd(pipeline_fixture, default)) == 0
+        for value in ("false", "null"):
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"dimensions: {{strict: {value}}}\n")
+            out = tmp_path / f"strict_{value}.csv"
+            assert run_cli(*pipeline_cmd(pipeline_fixture, out, ["--config", cfg])) == 0
+            assert out.read_bytes() == default.read_bytes()
 
     def fails_with_one_line(self, paths, tmp_path, capsys) -> str:
         out = tmp_path / "out.csv"

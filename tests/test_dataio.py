@@ -45,6 +45,7 @@ from skytraj.dataio import (
     load_segmentation,
     load_sidecar,
     load_tracks,
+    load_yaml,
     parse_fps,
     write_homography_log,
     write_tracks,
@@ -598,6 +599,48 @@ class TestNotUtf8:
             load(p)
         assert exc.value.line == 2
         assert "not UTF-8" not in str(exc.value)
+
+    @pytest.mark.parametrize("load, text", [
+        (lambda p: load_tracks(p, SIDECAR),
+         "frame,id,cx,cy,w,h,class,score\n1,1,0.5,0.5,0.1,0.1,0,0.9\n\xe9\n"),
+        (load_correspondences, "src_x,src_y,dst_x,dst_y\n1,2,3,4\n\xe9\n"),
+        (load_probe_trajectory, "t,x,y,speed\n0,1,2,3\n\xe9\n"),
+        (load_candidate_trajectory, "frame,x,y,speed\n1,1,2,3\n\xe9\n"),
+        (load_local_trajectories, "id,frame,x,y\n1,1,2,3\n\xe9\n"),
+        (load_homography_log, "1 1 0 0 0 1 0 0 0 1\n\xe9\n"),
+        (load_registry, "intersection L\n\xe9\n"),
+        (load_sidecar, "frame_width: 3840\n\xe9\n"),
+        (load_segmentation, "[\n\xe9\n"),
+    ], ids=["tracks", "correspondences", "probe", "candidate", "local-trajectories",
+            "homography-log", "registry", "sidecar", "segmentation"])
+    def test_every_loader_opens_its_file_once(self, tmp_path, load, text):
+        p = tmp_path / "input"
+        p.write_bytes(text.encode("latin-1"))
+        with mock.patch("builtins.open", wraps=open) as opened:
+            with pytest.raises(ParseError) as exc:
+                load(p)
+        line = text.count("\n")  # the byte's own, the last
+        assert str(exc.value).startswith(f"{p}: line {line}: not UTF-8 text: ")
+        assert opened.call_count == 1
+
+    @pytest.mark.parametrize("filler", [1, 20000], ids=["short", "long"])
+    def test_a_bad_byte_wins_over_a_yaml_syntax_error(self, tmp_path, filler):
+        """At any size of the file: yaml reads a stream in chunks, but it
+        is given the whole text."""
+        p = tmp_path / "v.yaml"
+        p.write_bytes(b"a: b: c\n" + b"# a filler line\n" * filler + b"\xe9\n")
+        with pytest.raises(ParseError) as exc:
+            load_yaml(p)
+        assert str(exc.value).startswith(f"{p}: line {filler + 2}: not UTF-8 text: ")
+
+    def test_a_row_running_on_to_the_bad_line_is_not_read(self, tmp_path):
+        """The quoted cell of line 2 runs on to line 3, which holds the
+        byte, so the row (whose d1 > d2) is not read."""
+        p = tmp_path / "c.csv"
+        p.write_bytes(b'src_x,src_y,dst_x,dst_y,d1,d2\n1,2,3,4,2,"1\n\xe9"\n')
+        with pytest.raises(ParseError) as exc:
+            load_correspondences(p)
+        assert str(exc.value).startswith(f"{p}: line 3: not UTF-8 text: ")
 
 
 class TestRowErrorsNameFileAndLine:
@@ -1253,7 +1296,9 @@ def _dict_reader_cells(path, required, optional):
 def _dict_reader():
     """Every CSV file read as `_dict_reader_cells` reads it, plain files too."""
     return mock.patch.multiple(
-        dataio, _csv_cells=_dict_reader_cells, _plain_cells=mock.Mock(return_value=None)
+        dataio, _plain_cells=mock.Mock(return_value=None),
+        _csv_cells=lambda text, required, optional, path, error:
+            _dict_reader_cells(path, required, optional),
     )
 
 
