@@ -290,11 +290,11 @@ def cmd_dims(args) -> int:
                 geo.geo_local,
             )
             if est is None:
-                yield [tid, 0, "none", "", "", "", ""]
+                yield [str(tid), "0", "none", "", "", "", ""]
             else:
                 yield [
-                    tid,
-                    est.n_samples,
+                    str(tid),
+                    str(est.n_samples),
                     est.path.value,
                     dataio.format_fixed(est.length_px, dataio.DIM_PLACES),
                     dataio.format_fixed(est.width_px, dataio.DIM_PLACES),
@@ -328,8 +328,8 @@ def cmd_kinematics(args) -> int:
         with np.errstate(over="ignore"):  # as on Python floats
             speed_kmh = speed * 3.6
         return zip(
-            repeat(vid),
-            frames[shown].tolist(),
+            repeat(str(vid)),
+            map(str, frames[shown].tolist()),
             ["" if math.isnan(v) else repr(v) for v in speed.tolist()],
             dataio.optional_cells(speed_kmh, dataio.SPEED_PLACES),
             dataio.optional_cells(accel, dataio.ACCEL_PLACES),
@@ -372,8 +372,8 @@ def cmd_georef(args) -> int:
         ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",
          "latitude", "longitude", "section", "lane"],
         zip(
-            columns.ids.tolist(),  # sorted by (id, frame)
-            columns.frames.tolist(),
+            map(str, columns.ids.tolist()),  # sorted by (id, frame)
+            map(str, columns.frames.tolist()),
             *position_columns(positions),
             *lane_columns(positions, geo.segmentation),
         ),

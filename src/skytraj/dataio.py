@@ -425,18 +425,52 @@ def _output_file(path):
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+# Rows that `write_csv` writes at a time.
+WRITE_BLOCK_ROWS = 256
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a header row, then ``rows``, as comma-separated UTF-8 with
-    Unix newlines. A failed write raises IoFailure naming the file.
+    Unix newlines, as ``csv.writer`` writes them. A failed write raises
+    IoFailure naming the file.
 
     ``rows`` is consumed in full before the file is opened, so an error
     raised while producing them leaves no partial file and an existing
-    one untouched."""
-    rows = list(rows)
+    one untouched. The table is written in blocks of `WRITE_BLOCK_ROWS`
+    rows; a block that `_plain_lines` joins is written as that text."""
+    table = [header, *rows]
     with _output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for start in range(0, len(table), WRITE_BLOCK_ROWS):
+            block = table[start:start + WRITE_BLOCK_ROWS]
+            text = _plain_lines(block)
+            if text is None:
+                writer.writerows(block)
+            else:
+                fh.write(text)
+
+
+def _plain_lines(block: Sequence[Sequence]) -> str | None:
+    """The lines ``csv.writer`` writes for ``block``, joined by plain
+    commas and newlines, or None where it would quote or convert a cell.
+
+    That holds when every cell is a ``str``, no line is empty (the
+    writer quotes a row of one empty cell), and the joined text has no
+    quote or carriage return, one comma fewer than cells on each row and
+    one newline per row, so no cell holds a comma or a newline.
+    """
+    try:
+        lines = list(map(",".join, block))
+    except TypeError:  # a cell that is not a str
+        return None
+    if not all(lines):
+        return None
+    lines.append("")  # the last row's newline, without copying the text
+    text = "\n".join(lines)
+    if ('"' in text or "\r" in text or text.count("\n") != len(block)
+            or text.count(",") != sum(map(len, block)) - len(block)):
+        return None
+    return text
 
 
 def write_tracks(tracks: VideoTracks, boxes: np.ndarray, visible: np.ndarray, path) -> None:
@@ -444,7 +478,7 @@ def write_tracks(tracks: VideoTracks, boxes: np.ndarray, visible: np.ndarray, pa
     ``visible`` flags in place of their own, floats at full precision."""
     t = tracks.table
     write_csv(path, TRACK_COLUMNS + ["visible"], (
-        [frame, tid, *map(repr, box), cls, repr(score), int(v)]
+        [str(frame), str(tid), *map(repr, box), str(cls), repr(score), "1" if v else "0"]
         for frame, tid, box, cls, score, v in zip(
             t["frame"].tolist(), t["track_id"].tolist(), boxes.tolist(), t["cls"].tolist(),
             t["score"].tolist(), visible.tolist())
@@ -777,10 +811,18 @@ def format_column(values, places: int) -> list[str]:
 
 
 def optional_cells(values: np.ndarray, places: int) -> list[str]:
-    """`format_column` cells of ``values``, '' where a value is NaN."""
+    """`format_column` cells of ``values``, '' where a value is NaN.
+
+    Each distinct value is formatted once (0.0 and -0.0 give the same
+    cell). An infinite value raises as `format_fixed` does, the first one
+    in order."""
+    infinite = np.isinf(values)
+    if infinite.any():
+        format_fixed(values[infinite.argmax()], places)  # raises
     filled = ~np.isnan(values)
+    distinct, at = np.unique(values[filled], return_inverse=True)
     cells = np.full(len(values), "", dtype=object)
-    cells[filled] = format_column(values[filled], places)
+    cells[filled] = np.array(format_column(distinct, places), dtype=object)[at]
     return cells.tolist()
 
 
@@ -809,10 +851,10 @@ def write_campaign_results(
 
     def cell(r: CellResult) -> list:
         snn = "" if r.snn_ratio is None else repr(r.snn_ratio)
-        return [snn, repr(r.downscale), repr(r.reproj_threshold), r.n_points]
+        return [snn, repr(r.downscale), repr(r.reproj_threshold), str(r.n_points)]
 
     write_csv(path, CAMPAIGN_COLUMNS,
-              ([*cell(r), repr(r.hea), repr(r.miou), r.trials] for r in results))
+              ([*cell(r), repr(r.hea), repr(r.miou), str(r.trials)] for r in results))
     if timing_path is not None:
         write_csv(timing_path, CAMPAIGN_COLUMNS[:4] + ["mean_time_ms"],
                   ([*cell(r), format_fixed(r.mean_time_ms, 3)] for r in results))
@@ -900,12 +942,12 @@ def write_comparison_report(r: GroupReport, path) -> None:
     trajectory length/duration, under the header."""
     write_csv(path, COMPARISON_COLUMNS, [[
         r.key,
-        r.n_samples,
+        str(r.n_samples),
         format_fixed(r.pos_dev_mean_m, 3),
         format_fixed(r.pos_dev_std_m, 3),
         format_fixed(r.speed_diff_mean_kmh, 3),
         format_fixed(r.speed_diff_std_kmh, 3),
         format_fixed(r.traj_length_m, 2),
         format_fixed(r.traj_duration_s, 2),
-        r.skipped,
+        str(r.skipped),
     ]])

@@ -256,10 +256,12 @@ def run_pipeline(
     cells of every vehicle with more than ``MIN_EXPORT_POINTS`` points, in
     (vehicle id, frame) order.
 
-    The session's centers are georeferenced in one pass; a vehicle with a
+    Only the exported vehicles run their dimension and kinematics steps,
+    so a shorter vehicle's error does not end the run. The session's
+    centers are georeferenced in one pass; an exported vehicle with a
     center at projective infinity raises before its dimension step, after
-    every earlier vehicle's errors. Each export column is formatted once,
-    over the exported rows.
+    every earlier exported vehicle's errors. Each export column is
+    formatted once, over the exported rows.
     """
     refined = refine_classes(ingest_tracks(tracks, ingest)).columns()
     size = tracks.frame_size
@@ -272,21 +274,23 @@ def run_pipeline(
                        refined.cls)
     centers = CenterColumns(refined.frames, *(stabilized[:, :2] * size).T)
     positions, at_infinity = georeference(centers, geo)
-    flagged = np.flatnonzero(at_infinity)
-    first_flagged = int(flagged[0]) if len(flagged) else len(positions)
+    spans = {vid: span for vid, span in refined.id_rows().items()
+             if span.stop - span.start > MIN_EXPORT_POINTS}
     kept = np.zeros(len(positions), dtype=bool)
+    for span in spans.values():
+        kept[span] = True
+    flagged = np.flatnonzero(at_infinity & kept)
+    first_flagged = int(flagged[0]) if len(flagged) else len(positions)
     vehicle_columns = [np.zeros((0, 4))]
-    for vid, span in refined.id_rows().items():
+    for vid, span in spans.items():
         try:
             if span.stop > first_flagged:
                 raise_at_infinity(centers, first_flagged, geo)
-            columns = process_vehicle(rows_of(boxes, span), rows_of(centers, span), size, geo,
-                                      positions[span, 2:4], dims_cfg, kin_cfg)
+            vehicle_columns.append(process_vehicle(
+                rows_of(boxes, span), rows_of(centers, span), size, geo,
+                positions[span, 2:4], dims_cfg, kin_cfg))
         except SkytrajError as exc:
             raise SkytrajError(f"id {vid}: {exc}") from exc
-        if len(columns) > MIN_EXPORT_POINTS:
-            kept[span] = True
-            vehicle_columns.append(columns)
     rows = np.flatnonzero(kept).tolist()
     exported = positions[rows]
     frames = refined.frames[rows].tolist()

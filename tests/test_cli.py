@@ -331,20 +331,28 @@ class TestPipelineCommand:
         v3 = [r for r in read_rows(out) if r["Vehicle_ID"] == "3"]
         assert {r["Vehicle_Length"] for r in v3} == {"4.36"}
 
-    def test_vehicle_error_names_the_vehicle(self, pipeline_fixture, tmp_path, capsys):
-        """A trajectory spanning more than a million frames (the sidecar
-        gives no n_frames) fails its vehicle's kinematics step, by id."""
-        paths = pipeline_fixture
+    @staticmethod
+    def write_far_vehicle(paths, frames):
+        """Tracks with vehicle 5 at ``frames`` and at a frame a million
+        frames later (the sidecar gives no n_frames), and the homography
+        log of all of them."""
         far = 1_000_002
         points = scenario_points() + [
             make_point(k, 5, 1900.0 - drift(k)[0], 1000.0 - drift(k)[1], 180.0, 80.0)
-            for k in (1, 2)
+            for k in frames
         ] + [make_point(far, 5, 1900.0, 1000.0, 180.0, 80.0)]
         write_tracks_csv(paths["tracks"], points)
         Path(paths["sidecar"]).write_text(
             f"frame_width: {FRAME_W}\nframe_height: {FRAME_H}\nfps: 30000/1001\n")
         homs = {k: translation(*drift(k)) for k in range(2, 21)}
         write_homography_log({**homs, far: translation(0.0, 0.0)}, paths["homographies"])
+        return far
+
+    def test_vehicle_error_names_the_vehicle(self, pipeline_fixture, tmp_path, capsys):
+        """A trajectory spanning more than a million frames fails its
+        vehicle's kinematics step, by id."""
+        paths = pipeline_fixture
+        far = self.write_far_vehicle(paths, range(1, 16))  # 16 points: exported
         out = tmp_path / "out.csv"
         assert run_cli(*pipeline_cmd(paths, out)) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -352,6 +360,19 @@ class TestPipelineCommand:
             "more than 1000000 frames"
         ]
         assert not out.exists()
+
+    def test_short_vehicle_error_does_not_end_the_run(self, pipeline_fixture, tmp_path):
+        """A vehicle of at most 15 points is cut before its dimension and
+        kinematics steps, so the same error on it is never raised, and the
+        export is that of the session without it."""
+        paths = pipeline_fixture
+        self.write_far_vehicle(paths, (1, 2))  # 3 points: cut
+        out = tmp_path / "out.csv"
+        assert run_cli(*pipeline_cmd(paths, out)) == 0
+        write_tracks_csv(paths["tracks"], scenario_points())
+        without = tmp_path / "without.csv"
+        assert run_cli(*pipeline_cmd(paths, without)) == 0
+        assert out.read_bytes() == without.read_bytes()
 
     def test_visibility_computed_once_per_point(self, pipeline_fixture, tmp_path, monkeypatch):
         from skytraj import trackmodel

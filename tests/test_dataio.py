@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 import sys
@@ -225,7 +226,48 @@ class TestLoadTracks:
         assert load_tracks(path, SIDECAR).points == tracks.points
 
 
+# Cells that the csv module quotes or converts, and plain ones.
+CSV_CELLS = st.one_of(
+    st.text(st.sampled_from("ab ,\"\r\né€0"), max_size=4),
+    st.sampled_from(["", "x", "1.50", "-0.00"]),
+    st.integers(-5, 5),
+)
+
+
+def csv_writer_text(header, rows):
+    """What ``csv.writer(lineterminator="\\n")`` writes for the table."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
 class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(table=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(CSV_CELLS, min_size=n, max_size=n), min_size=1, max_size=8)))
+    @example(table=[["a"], [""], ["b"]])
+    @example(table=[["a", "b"], ["1", "2"], ["3", "4"], ["5", "6"]])
+    def test_writes_the_bytes_of_csv_writer(self, table):
+        header, *rows = table
+        expected = csv_writer_text(header, rows).encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            for size in (1, 2, 3, dataio.WRITE_BLOCK_ROWS):
+                with mock.patch.object(dataio, "WRITE_BLOCK_ROWS", size):
+                    dataio.write_csv(out, header, iter(rows))
+                assert out.read_bytes() == expected, size
+
+    def test_plain_rows_are_joined(self):
+        assert dataio._plain_lines([["a", "b"], ["", "é"], ["1.5", "2"]]) == "a,b\n,é\n1.5,2\n"
+        assert dataio._plain_lines([("x",), ("y",)]) == "x\ny\n"
+
+    @pytest.mark.parametrize("block", [
+        [["a,b", "c"]], [["a", 'b"']], [["a\nb", "c"]], [["a\rb", "c"]], [["a"], [""]],
+        [["a", "b"], []], [["1", 2]], [["a", None]],
+    ], ids=["comma", "quote", "newline", "return", "lone-empty", "empty-row", "int", "none"])
+    def test_other_rows_go_to_csv_writer(self, block):
+        assert dataio._plain_lines(block) is None
+
     @staticmethod
     def rows_then_error():
         yield ["1", "a"]
@@ -1107,6 +1149,41 @@ class TestFormatColumn:
         assert format_fixed(math.nan, 2) == format_column(np.array([math.nan]), 2)[0] == "NaN"
 
 
+class TestOptionalCells:
+    @staticmethod
+    def per_value(values, places):
+        return ["" if math.isnan(v) else format_fixed(v, places) for v in values]
+
+    @pytest.mark.parametrize("places", [0, 1, 2, 7])
+    def test_edge_values_with_repeats(self, places):
+        values = COLUMN_EDGES + [-0.0, 0.0, 0.125, -0.125, 1e15, math.nan] + COLUMN_EDGES[::-1]
+        assert dataio.optional_cells(np.array(values), places) == self.per_value(values, places)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(COLUMN_VALUES, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=30)),
+        places=st.integers(0, 8),
+    )
+    @example(values=[0.0, -0.0, -0.0, 0.0, math.nan, -0.0], places=2)
+    @example(values=[0.125, 0.135, 0.125, -0.125, 2.675, 2.675], places=2)
+    @example(values=[1e15, 1e16, 1e15, -1e15, 123456789012345.67, 1e16], places=1)
+    def test_equals_format_fixed_per_value(self, values, places):
+        assert (dataio.optional_cells(np.array(values, dtype=float), places)
+                == self.per_value(values, places))
+
+    def test_empty(self):
+        assert dataio.optional_cells(np.zeros(0), 2) == []
+
+    @pytest.mark.parametrize("values, first", [
+        ([1.0, math.inf, -math.inf], "inf"), ([-math.inf, math.inf], "-inf"),
+        ([math.nan, 2.0, -math.inf, 2.0], "-inf"),
+    ])
+    def test_first_infinite_value_raises(self, values, first):
+        with pytest.raises(SkytrajError, match=f"^cannot write {first} as a fixed-point number$"):
+            dataio.optional_cells(np.array(values), 2)
+
+
 def decimal_format_fixed(value, places):
     """``format_fixed`` as written before its fast paths: the repr digits
     rounded half away from zero by ``Decimal``, with every digit of any
@@ -1213,6 +1290,15 @@ class TestExport:
             export_cells(points, replace(GEO, ref_to_ortho=horizon))
         assert str(err.value) == message
         assert isinstance(err.value.__cause__, DegenerateProjection)
+
+    def test_short_vehicle_on_the_horizon_is_cut_without_raising(self):
+        # as above, but vehicle 2 has 15 points, so the export drops it
+        # before its center at infinity is looked at
+        horizon = Homography.from_matrix([[1, 0, 0], [0, 1, 0], [-1 / 1920, 0, 1]])
+        geo = replace(GEO, ref_to_ortho=horizon)
+        kept = drive(1, 17, y=20.0)
+        assert (export_cells(kept + drive(2, 15, y=20.0, x0=1720.0), geo)
+                == export_cells(kept, geo))
 
     def test_reparse_round_trip_at_printed_precision(self, tmp_path):
         tracks = make_tracks(drive(1, 20))

@@ -18,7 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from conftest import build_pipeline_fixture, write_correspondence_fixture
+from conftest import PIPELINE_ARGS, build_pipeline_fixture, write_correspondence_fixture
+from skytraj import dataio
 from skytraj.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "stage_digests.json"
@@ -118,6 +119,38 @@ def stage_digests(work: Path) -> dict[str, str]:
 
 def test_stage_bytes_match_recorded_digests(tmp_path):
     assert stage_digests(tmp_path) == json.loads(DIGESTS.read_text())
+
+
+def test_every_table_is_written_as_joined_text(tmp_path, monkeypatch):
+    """Every CSV writer of the CLI hands `write_csv` plain ``str`` cells, so
+    each block is joined and none goes through ``csv.writer``."""
+    headers, fallbacks = [], []
+    joined = dataio._plain_lines
+
+    def recorded(block):
+        text = joined(block)
+        (headers if text is not None else fallbacks).append(tuple(block[0]))
+        return text
+
+    monkeypatch.setattr(dataio, "_plain_lines", recorded)
+    outputs = stage_outputs(tmp_path)
+    config = tmp_path / "bench.yaml"
+    config.write_text("bench: {scenes: 1, trials_per_scene: 1, snn_ratios: [null, 0.9],"
+                      " downscales: [1.0], point_counts: [40]}\n")
+    paths = build_pipeline_fixture(tmp_path / "fixture")
+    for argv in (
+        ["pipeline", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
+         "--homographies", paths["homographies"], "--registry", paths["registry"],
+         "--segmentation", paths["segmentation"], "--output", tmp_path / "export.csv",
+         *PIPELINE_ARGS],
+        ["bench", "--config", config, "--jobs", "1", "--output", tmp_path / "bench.csv"],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv
+    assert fallbacks == []
+    # tracks, georef, dims, kinematics, comparison, export, campaign and timing
+    assert len(headers) == len(outputs) - 1 + 3
+    assert tuple(dataio.EXPORT_COLUMNS) in headers
+    assert tuple(dataio.CAMPAIGN_COLUMNS) in headers
 
 
 if __name__ == "__main__":
