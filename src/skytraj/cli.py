@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 
@@ -426,7 +427,10 @@ _HELP = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: it depends only on the code,
+    and each `parse_args` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="skytraj",
         description="Drone-track stabilization, georeferencing, and benchmarking",

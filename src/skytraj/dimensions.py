@@ -22,8 +22,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySampleSet, EmptyVisibilitySet
-from .geometry import GeoTransform, Homography, Point2, apply_homography_array, pixel_to_world
+from .errors import DegenerateProjection, EmptySampleSet, EmptyVisibilitySet
+from .geometry import Z_TOL, GeoTransform, Homography, Point2
 from .trackmodel import DEFAULT_VISIBILITY_MARGIN
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
@@ -250,16 +250,30 @@ def dims_to_world(
     ref_to_ortho: Homography,
     geo_local: GeoTransform,
 ) -> tuple[float, float]:
-    """Convert pixel dims to meters via a frame-centered 3-point decomposition."""
+    """Convert pixel dims to meters via a frame-centered 3-point decomposition.
+
+    The frame center and the points half a width below it and half a
+    length right of it go through ``ref_to_ortho`` and then ``geo_local``
+    on Python floats, with the IEEE operations of `project_array` and
+    `pixel_to_world` in their order; the first point whose homogeneous
+    scale is below ``Z_TOL`` raises DegenerateProjection, as
+    `apply_homography_array` does. Three points are too few for numpy's
+    per-call cost to pay off.
+    """
     w_img, h_img = frame_size
-    pts = [
-        (w_img / 2.0, h_img / 2.0),
-        (w_img / 2.0, (h_img + width_px) / 2.0),
-        ((w_img + length_px) / 2.0, h_img / 2.0),
-    ]
-    ortho = Point2(*apply_homography_array(ref_to_ortho, pts).T)
-    with np.errstate(all="ignore"):  # Python floats do not warn either
-        (x1, x2, x3), (y1, y2, y3) = (v.tolist() for v in pixel_to_world(geo_local, ortho))
+    xs = [float(v) for v in (w_img / 2.0, w_img / 2.0, (w_img + length_px) / 2.0)]
+    ys = [float(v) for v in (h_img / 2.0, (h_img + width_px) / 2.0, h_img / 2.0)]
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = ref_to_ortho.m.tolist()
+    zs = [m20 * x + m21 * y + m22 for x, y in zip(xs, ys)]
+    for x, y, z in zip(xs, ys, zs):
+        if abs(z) < Z_TOL:
+            raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
+    px = [(m00 * x + m01 * y + m02) / z for x, y, z in zip(xs, ys, zs)]
+    py = [(m10 * x + m11 * y + m12) / z for x, y, z in zip(xs, ys, zs)]
+    t = geo_local
+    a, b, c, d, tx, ty = float(t.a), float(t.b), float(t.c), float(t.d), float(t.tx), float(t.ty)
+    x1, x2, x3 = (a * x + b * y + tx for x, y in zip(px, py))
+    y1, y2, y3 = (c * x + d * y + ty for x, y in zip(px, py))
     length_m = 2.0 * math.hypot(x3 - x1, y3 - y1)
     width_m = 2.0 * math.hypot(x2 - x1, y2 - y1)
     return length_m, width_m

@@ -112,11 +112,16 @@ def ingest_keep_indices(dets: np.ndarray, score_min: float, nms_iou: float) -> l
     dropped when its IoU with an already kept box exceeds ``nms_iou``.
     Returned indices preserve input order.
 
-    The IoUs of a frame come from one matrix over the candidates, built
-    with the element arithmetic of the pairwise IoU in ``tests/reference.py``
-    (edges cx +- w/2, min/max, inter/union, and the same three rules for
-    0.0), so the survivors equal those of the pairwise loop for every box
-    whose edges are not NaN, which holds for any finite box.
+    The pairs to test come from a sweep (sweep and prune; Cohen et al.,
+    I-COLLIDE, 1995): with the boxes sorted by left edge, each box meets
+    the later ones whose left edge lies before its right edge. A pair whose
+    x-intervals do not overlap has ix <= 0 and passes, so it needs no test;
+    a box with a non-finite x edge meets every other box. Each pair's IoU
+    is built with the element arithmetic of the pairwise IoU in
+    ``tests/reference.py`` (edges cx +- w/2, min/max, inter/union, and the
+    same three rules for 0.0), so the survivors equal those of the pairwise
+    loop for every box whose edges are not NaN, which holds for any finite
+    box, and those of the all-pairs IoU matrix for every box.
     """
     if not 0.0 < score_min < 1.0:
         raise ValueError("score_min must be in (0, 1)")
@@ -125,24 +130,39 @@ def ingest_keep_indices(dets: np.ndarray, score_min: float, nms_iou: float) -> l
     score = dets["score"]
     candidates = np.flatnonzero(score >= score_min)
     order = candidates[np.argsort(-score[candidates], kind="stable")]
-    if len(order) < 2:
+    n = len(order)
+    if n < 2:
         return order.tolist()
     cx, cy, w, h = dets["bbox"][order].T
     with np.errstate(all="ignore"):  # Python floats do not warn either
         xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
-        ix = np.minimum(xmax[:, None], xmax) - np.maximum(xmin[:, None], xmin)
-        iy = np.minimum(ymax[:, None], ymax) - np.maximum(ymin[:, None], ymin)
+        finite = np.isfinite(xmin) & np.isfinite(xmax)
+        # Sweep keys: a box with a non-finite x edge spans the whole line.
+        lo = np.where(finite, xmin, -np.inf)
+        by_lo = np.argsort(lo, kind="stable")
+        lo = lo[by_lo]
+        hi = np.where(finite, xmax, np.inf)[by_lo]
+        # Sorted position p meets positions p + 1 .. searchsorted(lo, hi[p]) - 1:
+        # the later boxes whose left edge lies before its right edge.
+        after = np.arange(1, n + 1)
+        meets = np.maximum(np.searchsorted(lo, hi) - after, 0)
+        q = np.arange(meets.sum()) + np.repeat(after - (np.cumsum(meets) - meets), meets)
+        a, b = by_lo[np.repeat(after - 1, meets)], by_lo[q]
+        k, l = np.minimum(a, b), np.maximum(a, b)
+        ix = np.minimum(xmax[k], xmax[l]) - np.maximum(xmin[k], xmin[l])
+        iy = np.minimum(ymax[k], ymax[l]) - np.maximum(ymin[k], ymin[l])
         inter = ix * iy
         area = w * h
-        union = area[:, None] + area - inter
-        passes = (ix <= 0.0) | (iy <= 0.0) | (union <= 0.0) | (inter / union <= nms_iou)
+        union = area[k] + area[l] - inter
+        fails = ~((ix <= 0.0) | (iy <= 0.0) | (union <= 0.0) | (inter / union <= nms_iou))
     # Pairs (k, l), k < l in visiting order, where k would drop l; row-major,
     # so k's own fate is settled before its pairs come up.
-    first, second = np.nonzero(np.triu(~passes, 1))
+    k, l = k[fails], l[fails]
+    row_major = np.lexsort((l, k))
     dropped: set[int] = set()
-    for k, l in zip(first.tolist(), second.tolist()):
-        if k not in dropped:
-            dropped.add(l)
+    for i, j in zip(k[row_major].tolist(), l[row_major].tolist()):
+        if i not in dropped:
+            dropped.add(j)
     return np.sort(np.delete(order, list(dropped))).tolist()
 
 

@@ -19,6 +19,12 @@ The track CSV loader is kept as it ran row by row, converting and
 checking each csv row in turn and sorting the points at the end; the
 tests compare the columnar ``skytraj.dataio.load_tracks`` against it,
 points bit for bit and errors by type, message and line.
+
+Two array kernels are kept as they ran before their inputs proved too
+small for numpy: NMS on one IoU matrix per frame (``matrix_keep_indices``)
+and the pixel-to-meter conversion on three-point arrays
+(``dims_to_world_array``). The tests compare the sweep and the float
+path against them on every input, non-finite ones included.
 """
 from __future__ import annotations
 
@@ -49,7 +55,15 @@ from skytraj.errors import (
     ParseError,
     TooShort,
 )
-from skytraj.geometry import Z_TOL, GeoTransform, Homography, Point2, pixel_to_world, quad_iou
+from skytraj.geometry import (
+    Z_TOL,
+    GeoTransform,
+    Homography,
+    Point2,
+    apply_homography_array,
+    pixel_to_world,
+    quad_iou,
+)
 from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.metrics import GroupReport
 from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
@@ -153,6 +167,32 @@ def bbox_iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def matrix_keep_indices(dets: np.ndarray, score_min: float, nms_iou: float) -> list[int]:
+    """`trackmodel.ingest_keep_indices` as it ran on one IoU matrix over a
+    frame's candidates: every pair (k, l), k < l in visiting order, tested,
+    and the failing ones taken row-major from ``np.triu``."""
+    score = dets["score"]
+    candidates = np.flatnonzero(score >= score_min)
+    order = candidates[np.argsort(-score[candidates], kind="stable")]
+    if len(order) < 2:
+        return order.tolist()
+    cx, cy, w, h = dets["bbox"][order].T
+    with np.errstate(all="ignore"):
+        xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+        ix = np.minimum(xmax[:, None], xmax) - np.maximum(xmin[:, None], xmin)
+        iy = np.minimum(ymax[:, None], ymax) - np.maximum(ymin[:, None], ymin)
+        inter = ix * iy
+        area = w * h
+        union = area[:, None] + area - inter
+        passes = (ix <= 0.0) | (iy <= 0.0) | (union <= 0.0) | (inter / union <= nms_iou)
+    first, second = np.nonzero(np.triu(~passes, 1))
+    dropped: set[int] = set()
+    for k, l in zip(first.tolist(), second.tolist()):
+        if k not in dropped:
+            dropped.add(l)
+    return np.sort(np.delete(order, list(dropped))).tolist()
 
 
 # --- class vote --------------------------------------------------------------
@@ -319,6 +359,30 @@ def dims_to_world(
     )
     length_m = 2.0 * math.hypot(q3.x - q1.x, q3.y - q1.y)
     width_m = 2.0 * math.hypot(q2.x - q1.x, q2.y - q1.y)
+    return length_m, width_m
+
+
+def dims_to_world_array(
+    length_px: float,
+    width_px: float,
+    frame_size: tuple[int, int],
+    ref_to_ortho: Homography,
+    geo_local: GeoTransform,
+) -> tuple[float, float]:
+    """`dimensions.dims_to_world` as it ran on numpy arrays: the three
+    points through `apply_homography_array`, then `pixel_to_world` on the
+    coordinate arrays."""
+    w_img, h_img = frame_size
+    pts = [
+        (w_img / 2.0, h_img / 2.0),
+        (w_img / 2.0, (h_img + width_px) / 2.0),
+        ((w_img + length_px) / 2.0, h_img / 2.0),
+    ]
+    ortho = Point2(*apply_homography_array(ref_to_ortho, pts).T)
+    with np.errstate(all="ignore"):
+        (x1, x2, x3), (y1, y2, y3) = (v.tolist() for v in pixel_to_world(geo_local, ortho))
+    length_m = 2.0 * math.hypot(x3 - x1, y3 - y1)
+    width_m = 2.0 * math.hypot(x2 - x1, y2 - y1)
     return length_m, width_m
 
 

@@ -1661,3 +1661,38 @@ class TestFlags:
         assert run_cli(command, *output, "--config", cfg) == 1
         assert capsys.readouterr().err.splitlines() == [f"error [{command}]: {message}"]
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        from skytraj.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (["dims", "--strict", "--gsd", "0.05", "--azimuth-tolerance", "3"], ["dims"]),
+        (["pipeline", "--strict", "--score-min", "0.5", "--jobs", "2"], ["dims", "--gsd", "1"]),
+        (["bench", "--trials", "3", "--seed", "9"], ["bench"]),
+        (["compare", "--speed-floor", "5", "--output", "a.csv"], ["kinematics", "--fps", "25"]),
+    ])
+    def test_a_parse_leaves_nothing_for_the_next(self, first, second):
+        from skytraj.cli import build_parser
+
+        build_parser().parse_args(first)
+        assert vars(build_parser().parse_args(second)) == vars(
+            build_parser.__wrapped__().parse_args(second))
+
+    def test_two_main_calls_in_one_process(self, pipeline_fixture, tmp_path, capsys):
+        from skytraj.cli import build_parser
+
+        build_parser.cache_clear()
+        fresh, strict, again = (tmp_path / f"{name}.csv" for name in ("fresh", "strict", "again"))
+        assert run_cli(*pipeline_cmd(pipeline_fixture, fresh)) == 0
+        assert run_cli(*pipeline_cmd(
+            pipeline_fixture, strict, ["--strict", "--gsd", "0.03", "--score-min", "0.5"])) == 0
+        assert run_cli("bench", "--scenes", "2.5", "--output", tmp_path / "bench.csv") == 1
+        assert run_cli(*pipeline_cmd(pipeline_fixture, again)) == 0
+        assert "error [bench]: bench.scenes must be an integer, got '2.5'" in (
+            capsys.readouterr().err.splitlines())
+        assert strict.read_bytes() != fresh.read_bytes()
+        assert again.read_bytes() == fresh.read_bytes()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -20,8 +20,8 @@ from skytraj.dimensions import (
     quartile_dims,
     ratio_filter,
 )
-from skytraj.errors import EmptySampleSet, EmptyVisibilitySet
-from skytraj.geometry import GeoTransform, Homography
+from skytraj.errors import EmptySampleSet, EmptyVisibilitySet, SkytrajError
+from skytraj.geometry import Z_TOL, GeoTransform, Homography
 from skytraj.trackmodel import visible_flags
 
 SIZE = (3840, 2160)
@@ -209,6 +209,34 @@ class TestQuartile:
         assert [v.hex() for v in quartile_dims(lengths, widths)] == [v.hex() for v in ref]
 
 
+# Well-conditioned transforms times scales up to near the float limit, and
+# pixel sizes up to it, so that products and sums overflow to inf. A
+# homography keeps its scale only where m[2,2] is 0 (`from_matrix` divides
+# by any other), and its perspective terms put some points near z = 0.
+_diagonal = st.one_of(st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+_shear = st.floats(-0.3, 0.3)
+_scale = st.sampled_from([1.0, 0.02725, 1e150, 1e300])
+
+
+def _perspective(to_center):
+    """Perspective terms, with the one that alone puts the frame center at z = 0."""
+    return st.one_of(st.floats(-1e-3, 1e-3), st.just(to_center))
+
+
+_homographies = st.builds(
+    lambda a, b, c, d, tx, ty, g, k, m22, scale: np.array(
+        [[a, b, tx], [c, d, ty], [g, k, m22]]) * scale,
+    _diagonal, _shear, _shear, _diagonal, st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+    _perspective(-1 / 1920), _perspective(-1 / 1080), st.sampled_from([1.0, 0.0, -1e-3]), _scale,
+)
+_offset = st.one_of(st.floats(-1e4, 1e4), st.floats(-1e300, 1e300))
+_geotransforms = st.builds(
+    lambda a, b, c, d, tx, ty, scale: (a * scale, b * scale, c * scale, d * scale, tx, ty),
+    _diagonal, _shear, _shear, _diagonal, _offset, _offset, _scale,
+)
+_pixels = st.one_of(st.floats(0.0, 1000.0), st.floats(0.0, 1e308), st.sampled_from([0.0, 1e308]))
+
+
 class TestDimsToWorld:
     def test_gsd_scale(self):
         length_m, width_m = dims_to_world(100, 50, SIZE, Homography.identity(), GEO_GSD)
@@ -257,6 +285,45 @@ class TestDimsToWorld:
                 assert got == outcome(reference.dims_to_world, length, width, SIZE, h, geo)
                 infinite += got[0] == "DegenerateProjection"
         assert infinite == 3 * len(geos)
+
+    @settings(max_examples=400, deadline=None)
+    @given(m=_homographies, g=_geotransforms, length=_pixels, width=_pixels)
+    def test_float_path_equals_the_array_path(self, m, g, length, width):
+        """Bit for bit, or the same error, as the numpy version, with
+        coefficients and sizes large enough to overflow to inf."""
+        try:
+            h, geo = Homography.from_matrix(m), GeoTransform(*g)
+        except SkytrajError:
+            assume(False)
+        assert outcome(dims_to_world, length, width, SIZE, h, geo) == outcome(
+            reference.dims_to_world_array, length, width, SIZE, h, geo)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_center_scale_at_z_tol(self, sign):
+        """The frame center's homogeneous scale z = g * 1920 + 0 * 1080 + 1
+        one step inside and one step outside ``Z_TOL`` (``sign`` picks the
+        side of zero): inside raises the numpy version's error."""
+        def z_at_center(g):
+            return g * 1920.0 + 0.0 * 1080.0 + 1.0
+
+        def h(g):
+            return Homography.from_matrix([[1, 0, 0], [0, 1, 0], [g, 0, 1]])
+
+        g = (sign * Z_TOL - 1.0) / 1920.0
+        inward, outward = -sign * math.inf, sign * math.inf  # moves of g that shrink, grow |z|
+        while abs(z_at_center(g)) >= Z_TOL:
+            g = math.nextafter(g, inward)
+        while abs(z_at_center(math.nextafter(g, outward))) < Z_TOL:
+            g = math.nextafter(g, outward)
+        inside, outside = g, math.nextafter(g, outward)
+        assert abs(z_at_center(inside)) < Z_TOL <= abs(z_at_center(outside))
+        assert sign * z_at_center(outside) > 0
+        error = ("DegenerateProjection",
+                 "point Point2(x=1920.0, y=1080.0) maps to projective infinity")
+        for g in (inside, outside):
+            got = outcome(dims_to_world, 120.0, 60.0, SIZE, h(g), GEO_GSD)
+            assert got == outcome(reference.dims_to_world_array, 120.0, 60.0, SIZE, h(g), GEO_GSD)
+            assert (got == error) == (g == inside)
 
 
 CFG = DimConfig()

@@ -101,6 +101,33 @@ _score = st.one_of(st.sampled_from([0.25, 0.5, 0.9, 1.0]), st.floats(0.01, 1.0))
 _dets = st.lists(
     st.builds(det, _coord, _coord, _size, _size, score=_score), min_size=0, max_size=25
 )
+_dyadic = st.integers(0, 64).map(lambda k: k / 64)
+_dyadic_dets = st.lists(
+    st.builds(det, _dyadic, _dyadic, st.integers(0, 16).map(lambda k: k / 32),
+              st.integers(0, 16).map(lambda k: k / 32), score=_score),
+    min_size=0, max_size=25,
+)
+# Coordinates and sizes with NaN, +-inf, overflowing and negative values.
+_odd = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0, -0.1, 0.5]),
+    st.floats(-1.0, 1.0),
+)
+_odd_dets = st.lists(st.builds(det, _odd, _odd, _odd, _odd, score=_score), min_size=0, max_size=25)
+
+
+def dense_frame(rng, n: int, spread: float) -> list[Detection]:
+    """``n`` detections on a 3840 x 2160 frame, 60-80 px wide and 30-80 px
+    high, centers in the left ``spread`` of the width; a third are copies
+    of others shifted by up to 6 px. Scores repeat, so ties are common."""
+    cx, cy = rng.uniform(0.0, spread, n), rng.uniform(0.0, 1.0, n)
+    w, h = rng.uniform(60, 80, n) / 3840, rng.uniform(30, 80, n) / 2160
+    copy = rng.random(n) < 1 / 3
+    src = rng.integers(0, n, n)[copy]
+    cx[copy] = cx[src] + rng.uniform(-6, 6, len(src)) / 3840
+    cy[copy] = cy[src] + rng.uniform(-6, 6, len(src)) / 2160
+    w[copy], h[copy] = w[src], h[src]
+    score = rng.choice([0.2, 0.3, 0.5, 0.9], n) + np.where(rng.random(n) < 0.5, 0.0, 0.05)
+    return [det(*box, score=float(s)) for *box, s in zip(cx, cy, w, h, score)]
 
 
 class TestMatrixNmsMatchesPairwise:
@@ -151,6 +178,59 @@ class TestMatrixNmsMatchesPairwise:
                 det(0.56, 0.5, 0.2, 0.2, score=0.7)]
         assert bbox_iou(dets[0].bbox, dets[2].bbox) <= 0.7 < bbox_iou(dets[1].bbox, dets[2].bbox)
         assert ingest_keep_indices(detection_table(dets), 0.25, 0.7) == [0, 2]
+
+    @pytest.mark.parametrize("n, spread", [(200, 1.0), (450, 1.0), (800, 1.0), (300, 0.02)])
+    def test_dense_frames(self, n, spread):
+        """A 4K frame with hundreds of 60-80 px wide boxes, a third of them
+        shifted copies of others; ``spread`` 0.02 packs every center into
+        one 77 px wide column, so nearly every pair overlaps on x."""
+        dets = dense_frame(np.random.default_rng(n), n, spread)
+        table = detection_table(dets)
+        got = ingest_keep_indices(table, 0.25, 0.7)
+        assert len(got) < sum(d.score >= 0.25 for d in dets)  # NMS drops boxes
+        assert got == pairwise_keep_indices(dets, 0.25, 0.7)
+        assert got == reference.matrix_keep_indices(table, 0.25, 0.7)
+
+    def test_touching_edges_shared_x_min_and_zero_width(self):
+        # Dyadic edges, so cx +- w/2 is exact.
+        dets = [
+            det(0.25, 0.5, 0.125, 0.25, score=0.9),  # x in [0.1875, 0.3125]
+            det(0.375, 0.5, 0.125, 0.25, score=0.8),  # touches 0 on the right: ix == 0
+            det(0.25, 0.5, 0.125, 0.25, score=0.85),  # equals 0: dropped by it
+            det(0.3125, 0.5, 0.0, 0.25, score=0.95),  # zero width on the shared edge
+            det(0.28125, 0.5, 0.1875, 0.25, score=0.7),  # x-min of 0; IoU 2/3 with 0
+        ]
+        table = detection_table(dets)
+        assert ingest_keep_indices(table, 0.25, 0.7) == [0, 1, 3, 4]
+        assert ingest_keep_indices(table, 0.25, 0.6) == [0, 1, 3]
+        for nms_iou in (0.6, 0.7):
+            assert ingest_keep_indices(table, 0.25, nms_iou) == pairwise_keep_indices(
+                dets, 0.25, nms_iou)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dets=_dyadic_dets, nms_iou=st.sampled_from([0.125, 0.25, 0.5, 0.7]))
+    def test_dyadic_grid(self, dets, nms_iou):
+        """Edges on a 1/64 grid: touching edges, shared x-mins and zero widths
+        are common, and every edge is exact."""
+        table = detection_table(dets)
+        got = ingest_keep_indices(table, 0.25, nms_iou)
+        assert got == pairwise_keep_indices(dets, 0.25, nms_iou)
+        assert got == reference.matrix_keep_indices(table, 0.25, nms_iou)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dets=_odd_dets, nms_iou=st.floats(0.01, 0.99))
+    @example(dets=[det(math.inf, 0.5, 0.1, 0.1), det(math.inf, 0.5, 0.2, 0.1, score=0.8)],
+             nms_iou=0.5)
+    @example(dets=[det(0.5, 0.5, math.nan, 0.1, score=0.5), det(0.9, 0.5, 0.1, 0.1)],
+             nms_iou=0.5)
+    @example(dets=[det(0.5, 0.5, 0.1, math.nan), det(0.5, 0.5, -0.2, 0.1, score=0.8),
+                   det(0.5, 0.5, math.inf, 0.1, score=0.7)], nms_iou=0.5)
+    def test_non_finite_edges_and_negative_sizes(self, dets, nms_iou):
+        """NaN and +-inf edges and negative sizes keep what the IoU matrix
+        kept: a box with a non-finite x edge meets every other box."""
+        table = detection_table(dets)
+        assert ingest_keep_indices(table, 0.25, nms_iou) == reference.matrix_keep_indices(
+            table, 0.25, nms_iou)
 
 
 def counted_point_objects(monkeypatch) -> list[str]:
