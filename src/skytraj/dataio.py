@@ -657,9 +657,20 @@ def load_registry(path) -> GeoRegistry:
     return GeoRegistry(intersections=intersections, videos=videos)
 
 
+def _vertex(k: int, value) -> Point2:
+    """Vertex ``k`` of a segmentation polygon: a JSON array of two numbers
+    (a boolean is no number)."""
+    if not (isinstance(value, list) and len(value) == 2
+            and not any(isinstance(v, bool) for v in value)):
+        raise ValueError(f"vertex {k} must be [x, y] numbers, got {value!r}")
+    return Point2(float(value[0]), float(value[1]))
+
+
 def load_segmentation(path) -> SegmentationMap:
     """JSON list of {section, lane, polygon: [[x, y], ...]} in ortho pixels;
-    a lane number is a whole number from 1 (see `whole`)."""
+    a section is a non-empty string (an empty cell is the export's
+    off-lane mark), and a lane number is a whole number from 1 (see
+    `whole`)."""
     text, error = _read_text(path)
     if error is not None:
         raise error
@@ -672,10 +683,12 @@ def load_segmentation(path) -> SegmentationMap:
     lanes = []
     for i, item in enumerate(data):
         try:
-            section = str(item["section"])
+            section = item["section"]
+            if not (isinstance(section, str) and section):
+                raise ValueError(f"section must be a non-empty string, got {section!r}")
             lane = whole("lane", item["lane"])
-            polygon = tuple(Point2(float(x), float(y)) for x, y in item["polygon"])
-        except (KeyError, TypeError, ValueError) as exc:
+            polygon = tuple(_vertex(k, v) for k, v in enumerate(item["polygon"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad segmentation entry {i}: {exc}", path=path) from exc
         if not all(math.isfinite(v) for p in polygon for v in p):
             raise InvariantViolation(f"polygon {i} has a non-finite vertex", path=path)

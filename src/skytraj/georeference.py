@@ -6,10 +6,28 @@ WGS84 degrees); each video owns a reference->master homography.
 ``GeoRegistry.chain`` joins them into one video's ``GeoChain``. Road
 section / lane labels come from point-in-polygon lookup on the ortho
 cut-out segmentation.
+
+The lane contract (`assign_segment`) and its thresholds:
+
+* A point gets the (section, lane) of the first polygon in document
+  order that contains it, or None. A polygon of fewer than 3 vertices
+  contains nothing, and neither does any polygon contain a point with a
+  NaN or infinite coordinate.
+* Containment is even-odd (crossing number), and a point within 1e-9 of
+  an edge (``EDGE_TOL``) counts as inside. That tolerance is absolute, in
+  ortho pixels, so it is not scale-free: on a map drawn in other units it
+  is a different distance on the ground.
+* ``BOUNDS_MARGIN`` is relative: each lane's bounding box is widened by
+  it times (1 + the largest vertex magnitude), which keeps every point
+  the polygon test could accept inside the box at any scale.
+* ``LaneIndex`` grids those widened boxes and lists each lane in the
+  cells its box touches, padded by one cell, so the cell arithmetic can
+  never drop a lane a point could fall in.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -59,10 +77,22 @@ class GeoRegistry:
             ) from None
 
 
-# Relative margin by which a lane's bounding box is widened for the
-# prefilter in `assign_segment`: far above both the 1e-9 boundary tolerance
-# and the rounding error of the containment arithmetic.
+# Distance in ortho pixels within which a point on a lane's edge counts as
+# inside the lane.
+EDGE_TOL = 1e-9
+_EDGE_TOL2 = EDGE_TOL * EDGE_TOL
+
+# Relative margin by which a lane's bounding box is widened before the
+# polygon test: far above both the 1e-9 boundary tolerance and the
+# rounding error of the containment arithmetic.
 BOUNDS_MARGIN = 1e-6
+
+# `LaneIndex` cells span a quarter of the median lane box on each axis, up to
+# 64 cells plus 16 per lane in all: a lane touches a few cells, and a map
+# whose lanes lie far apart stays small.
+_CELLS_PER_LANE_EXTENT = 4
+_MAX_CELLS_BASE = 64
+_MAX_CELLS_PER_LANE = 16
 
 
 @dataclass(frozen=True)
@@ -87,9 +117,125 @@ class LanePolygon:
         )
 
 
+def edge_table(polygon: Sequence[Point2]) -> tuple[tuple[float, ...], ...]:
+    """Per edge a -> b of the closed polygon, the floats `polygon_contains`
+    reads: (a.x, a.y, b.y, b.x - a.x, b.y - a.y, |b - a|^2)."""
+    pts = [(float(x), float(y)) for x, y in polygon]
+    table = []
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        abx, aby = bx - ax, by - ay
+        table.append((ax, ay, by, abx, aby, abx * abx + aby * aby))
+    return tuple(table)
+
+
+def polygon_contains(x: float, y: float, edges: Sequence[tuple[float, ...]]) -> bool:
+    """Even-odd containment of (x, y) in the polygon of `edge_table`, with
+    points within ``EDGE_TOL`` of an edge counted as inside.
+
+    The crossing count runs first and the boundary test only when it comes
+    out even; either order gives the same answer. Each test does the float
+    operations of the per-edge loop it replaced (kept as
+    ``tests/reference.py::point_in_polygon``) in the same order, so the
+    answer is the same bit for bit.
+    """
+    inside = False
+    for ax, ay, by, abx, aby, _ in edges:
+        if (ay > y) != (by > y) and x < abx * (y - ay) / aby + ax:
+            inside = not inside
+    if inside:
+        return True
+    for ax, ay, _, abx, aby, seg2 in edges:
+        apx, apy = x - ax, y - ay
+        if seg2 == 0.0:
+            if apx * apx + apy * apy <= _EDGE_TOL2:
+                return True
+            continue
+        t = (apx * abx + apy * aby) / seg2
+        # min(max(t, 0.0), 1.0), NaN and signed zeros included
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        dx = apx - t * abx
+        dy = apy - t * aby
+        if dx * dx + dy * dy <= _EDGE_TOL2:
+            return True
+    return False
+
+
+class LaneIndex:
+    """A uniform grid over the lanes' widened bounds. Each cell lists, in
+    document order, the lanes whose bounds touch it or a neighbouring
+    cell, as (xmin, ymin, xmax, ymax, edge table, (section, lane))
+    entries. A polygon of fewer than 3 vertices is left out: it contains
+    nothing.
+
+    A coordinate's cell is ``int((v - origin) * cells_per_px)``, a monotone
+    map, so every lane box that holds a point is listed in its cell; the
+    one-cell pad keeps that true whatever the rounding. The grid has one
+    more column and row than its ``nx`` x ``ny`` cells, for a coordinate
+    that lands on the far edge.
+    """
+
+    __slots__ = ("x0", "y0", "x1", "y1", "ox", "oy", "sx", "sy", "nx", "ny", "cells")
+
+    def __init__(self, lanes: Sequence[LanePolygon]):
+        entries = [(*lane.bounds, edge_table(lane.polygon), (lane.section, lane.lane))
+                   for lane in lanes if len(lane.polygon) >= 3]
+        x0 = min((e[0] for e in entries), default=math.inf)
+        y0 = min((e[1] for e in entries), default=math.inf)
+        x1 = max((e[2] for e in entries), default=-math.inf)
+        y1 = max((e[3] for e in entries), default=-math.inf)
+        width, height = x1 - x0, y1 - y0
+        # Points outside these finite limits, NaN and inf included, are
+        # outside every lane.
+        top = sys.float_info.max
+        self.x0, self.y0, self.x1, self.y1 = max(x0, -top), max(y0, -top), min(x1, top), min(y1, top)
+        # One cell, at no arithmetic, for an empty map or one too wide for
+        # finite cell arithmetic.
+        self.nx = self.ny = 1
+        self.ox = self.oy = self.sx = self.sy = 0.0
+        if entries and math.isfinite(width) and math.isfinite(height):
+            mid = len(entries) // 2
+            lane_w = sorted(e[2] - e[0] for e in entries)[mid]
+            lane_h = sorted(e[3] - e[1] for e in entries)[mid]
+            cap = _MAX_CELLS_BASE + _MAX_CELLS_PER_LANE * len(entries)
+            nx = min(_CELLS_PER_LANE_EXTENT * width / lane_w, cap)
+            ny = min(_CELLS_PER_LANE_EXTENT * height / lane_h, cap)
+            shrink = min(1.0, math.sqrt(cap / (nx * ny)))
+            self.nx, self.ny = math.ceil(nx * shrink), math.ceil(ny * shrink)
+            self.ox, self.oy = x0, y0
+            self.sx, self.sy = self.nx / width, self.ny / height
+        stride = self.nx + 1
+        cells: list[list] = [[] for _ in range(stride * (self.ny + 1))]
+        for entry in entries:
+            xmin, ymin, xmax, ymax = entry[:4]
+            i0 = max(int((xmin - self.ox) * self.sx) - 1, 0)
+            i1 = min(int((xmax - self.ox) * self.sx) + 1, self.nx)
+            j0 = max(int((ymin - self.oy) * self.sy) - 1, 0)
+            j1 = min(int((ymax - self.oy) * self.sy) + 1, self.ny)
+            for j in range(j0, j1 + 1):
+                for i in range(i0, i1 + 1):
+                    cells[j * stride + i].append(entry)
+        self.cells = tuple(map(tuple, cells))
+
+    def candidates(self, x: float, y: float) -> tuple:
+        """The entries of the cell that holds (x, y); none outside the grid
+        or for a NaN or infinite coordinate."""
+        if self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1:
+            return self.cells[int((y - self.oy) * self.sy) * (self.nx + 1)
+                              + int((x - self.ox) * self.sx)]
+        return ()
+
+
 @dataclass(frozen=True)
 class SegmentationMap:
     lanes: tuple[LanePolygon, ...]
+
+    @cached_property
+    def index(self) -> LaneIndex:
+        """The lookup grid of ``lanes``, built on first use."""
+        return LaneIndex(self.lanes)
 
 
 @dataclass(frozen=True)
@@ -104,49 +250,18 @@ class GeoChain:
     segmentation: SegmentationMap | None = None
 
 
-def _on_segment(p: Point2, a: Point2, b: Point2, tol: float = 1e-9) -> bool:
-    abx, aby = b.x - a.x, b.y - a.y
-    apx, apy = p.x - a.x, p.y - a.y
-    seg2 = abx * abx + aby * aby
-    if seg2 == 0.0:
-        return (apx * apx + apy * apy) <= tol * tol
-    t = (apx * abx + apy * aby) / seg2
-    t = min(max(t, 0.0), 1.0)
-    dx = apx - t * abx
-    dy = apy - t * aby
-    return (dx * dx + dy * dy) <= tol * tol
-
-
-def point_in_polygon(p: Point2, polygon: Sequence[Point2]) -> bool:
-    """Even-odd containment with boundary points counted as inside."""
-    n = len(polygon)
-    if n < 3:
-        return False
-    for i in range(n):
-        if _on_segment(p, polygon[i], polygon[(i + 1) % n]):
-            return True
-    inside = False
-    for i in range(n):
-        a = polygon[i]
-        b = polygon[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x
-            if p.x < x_cross:
-                inside = not inside
-    return inside
-
-
 def assign_segment(
-    seg: SegmentationMap, ortho_p: Point2
+    seg: SegmentationMap, ortho_p: Sequence[float]
 ) -> Optional[tuple[str, int]]:
-    """First lane polygon (document order) containing the ortho-pixel point.
+    """(section, lane) of the first lane polygon (document order) that
+    contains the ortho-pixel point (x, y), or None.
 
-    A lane whose widened bounding box misses the point is skipped without
-    the polygon test, which could only answer False there.
+    Only the lanes of the point's index cell are tried, and of those only
+    the ones whose widened bounding box holds the point; the others could
+    only answer False.
     """
     x, y = ortho_p
-    for lane in seg.lanes:
-        xmin, ymin, xmax, ymax = lane.bounds
-        if xmin <= x <= xmax and ymin <= y <= ymax and point_in_polygon(ortho_p, lane.polygon):
-            return (lane.section, lane.lane)
+    for xmin, ymin, xmax, ymax, edges, hit in seg.index.candidates(x, y):
+        if xmin <= x <= xmax and ymin <= y <= ymax and polygon_contains(x, y, edges):
+            return hit
     return None

@@ -188,8 +188,7 @@ def lane_columns(positions: np.ndarray, seg: SegmentationMap | None) -> tuple[li
     `georeference`'s positions); both '' off every lane or without a map."""
     hits = [("", "")] * len(positions)
     if seg is not None:
-        hits = [assign_segment(seg, Point2(x, y)) or ("", "")
-                for x, y in positions[:, :2].tolist()]
+        hits = [assign_segment(seg, xy) or ("", "") for xy in positions[:, :2].tolist()]
     return [section for section, _ in hits], [str(lane) for _, lane in hits]
 
 

@@ -13,9 +13,9 @@ import pytest
 
 from skytraj.dimensions import BoxColumns, CenterColumns
 from skytraj.errors import SkytrajError
-from reference import apply_homography
+from reference import apply_homography, unfiltered_assign
 from skytraj.geometry import GeoTransform, Homography, Point2, pixel_to_world
-from skytraj.georeference import GeoChain, assign_segment
+from skytraj.georeference import GeoChain
 from skytraj.trackmodel import (
     DETECTION_DTYPE,
     Detection,
@@ -164,7 +164,7 @@ def georeference_points(stab_points, frame_size, geo: GeoChain) -> list[GeoPosit
         ortho = apply_homography(geo.ref_to_ortho, Point2(cx * w_img, cy * h_img))
         local = pixel_to_world(geo.geo_local, ortho)
         wgs = pixel_to_world(geo.geo_wgs, ortho)
-        seg = assign_segment(geo.segmentation, ortho) if geo.segmentation else None
+        seg = unfiltered_assign(geo.segmentation, ortho) if geo.segmentation else None
         out.append(GeoPosition(ortho, local, wgs, seg))
     return out
 

@@ -25,6 +25,11 @@ small for numpy: NMS on one IoU matrix per frame (``matrix_keep_indices``)
 and the pixel-to-meter conversion on three-point arrays
 (``dims_to_world_array``). The tests compare the sweep and the float
 path against them on every input, non-finite ones included.
+
+The lane lookup is kept as it ran before the lane index: the per-edge
+boundary test, then the crossing count, on ``Point2`` vertices, and
+every polygon tried in document order (``unfiltered_assign``). The tests
+compare ``skytraj.georeference.assign_segment`` against it.
 """
 from __future__ import annotations
 
@@ -624,6 +629,50 @@ def aggregate_comparison(
             )
         )
     return reports
+
+
+# --- lanes ---------------------------------------------------------------------
+
+
+def _on_segment(p: Point2, a: Point2, b: Point2, tol: float = 1e-9) -> bool:
+    abx, aby = b.x - a.x, b.y - a.y
+    apx, apy = p.x - a.x, p.y - a.y
+    seg2 = abx * abx + aby * aby
+    if seg2 == 0.0:
+        return (apx * apx + apy * apy) <= tol * tol
+    t = (apx * abx + apy * aby) / seg2
+    t = min(max(t, 0.0), 1.0)
+    dx = apx - t * abx
+    dy = apy - t * aby
+    return (dx * dx + dy * dy) <= tol * tol
+
+
+def point_in_polygon(p: Point2, polygon: Sequence[Point2]) -> bool:
+    """Even-odd containment with boundary points counted as inside."""
+    n = len(polygon)
+    if n < 3:
+        return False
+    for i in range(n):
+        if _on_segment(p, polygon[i], polygon[(i + 1) % n]):
+            return True
+    inside = False
+    for i in range(n):
+        a = polygon[i]
+        b = polygon[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            x_cross = (b.x - a.x) * (p.y - a.y) / (b.y - a.y) + a.x
+            if p.x < x_cross:
+                inside = not inside
+    return inside
+
+
+def unfiltered_assign(seg, p):
+    """`assign_segment` without its bounding-box prefilter: every polygon is
+    tested in document order."""
+    for lane in seg.lanes:
+        if point_in_polygon(p, lane.polygon):
+            return (lane.section, lane.lane)
+    return None
 
 
 # --- track CSV loader -----------------------------------------------------------

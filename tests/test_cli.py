@@ -241,6 +241,15 @@ class TestPipelineCommand:
         err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
         assert err == f"error [pipeline]: {seg}: polygon 1 has a non-finite vertex"
 
+    def test_null_lane_section_fails_cleanly(self, pipeline_fixture, tmp_path, capsys):
+        seg = Path(pipeline_fixture["segmentation"])
+        lanes = json.loads(seg.read_text())
+        lanes[0]["section"] = None
+        seg.write_text(json.dumps(lanes))
+        err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
+        assert err == (f"error [pipeline]: {seg}: bad segmentation entry 0: "
+                       "section must be a non-empty string, got None")
+
     @pytest.mark.parametrize(
         "directive, value, line",
         [("geo_local", "nan", 4), ("master_to_ortho", "inf", 3), ("ref_to_master", "-inf", 8)],
@@ -1375,10 +1384,21 @@ class TestStagesMatchPipeline:
                 }
 
 
+def readme_text() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def readme_config_block() -> str:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("### Config file layout", 1)[1]
+    section = readme_text().split("### Config file layout", 1)[1]
     return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_names_no_private_identifier():
+    """README states contracts; a private (`_`-prefixed) name belongs to the
+    docstrings, which a refactor updates with the code."""
+    private = re.compile(r"(?:^|[\s.(\[,])_[A-Za-z]\w*")
+    spans = re.findall(r"`([^`\n]+)`", readme_text())
+    assert [span for span in spans if private.search(span)] == []
 
 
 class TestConfigSchema:

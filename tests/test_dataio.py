@@ -939,6 +939,43 @@ class TestTransformFiles:
             path.write_text(entry.format(lane))
             assert load_segmentation(path).lanes[0].lane == number
 
+    @staticmethod
+    def _refused(tmp_path, section, polygon):
+        """The message of the error `load_segmentation` raises for one entry."""
+        path = tmp_path / "seg.json"
+        path.write_text(f'[{{"section": {section}, "lane": 1, "polygon": {polygon}}}]')
+        with pytest.raises(ParseError) as exc:
+            load_segmentation(path)
+        prefix = f"{path}: bad segmentation entry 0: "
+        assert str(exc.value).startswith(prefix)
+        return str(exc.value)[len(prefix):]
+
+    def test_segmentation_string_vertex(self, tmp_path):
+        # was read character by character: "90" became the point (9, 0)
+        assert self._refused(tmp_path, '"1_1"', '["90", [1, 0], [1, 1]]') == (
+            "vertex 0 must be [x, y] numbers, got '90'")
+
+    def test_segmentation_boolean_vertex(self, tmp_path):
+        # was read as (1, 0)
+        assert self._refused(tmp_path, '"1_1"', "[[0, 0], [true, false], [1, 1]]") == (
+            "vertex 1 must be [x, y] numbers, got [True, False]")
+
+    def test_segmentation_null_section(self, tmp_path):
+        # was exported as the section "None"
+        assert self._refused(tmp_path, "null", "[[0, 0], [1, 0], [1, 1]]") == (
+            "section must be a non-empty string, got None")
+
+    def test_segmentation_empty_section(self, tmp_path):
+        # an empty section cell is the export's off-lane mark
+        assert self._refused(tmp_path, '""', "[[0, 0], [1, 0], [1, 1]]") == (
+            "section must be a non-empty string, got ''")
+
+    def test_segmentation_vertex_too_large_for_a_float(self, tmp_path):
+        # was an uncaught OverflowError
+        huge = "1" + "0" * 400
+        assert self._refused(tmp_path, '"1_1"', f"[[{huge}, 0], [1, 0], [1, 1]]") == (
+            "int too large to convert to float")
+
 
 META = SessionMeta(
     drone_id=7,

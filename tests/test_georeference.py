@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import apply_homography
+from reference import apply_homography, point_in_polygon, unfiltered_assign
 from conftest import (
     GEO_IDENTITY,
     GeoPosition,
@@ -31,7 +31,6 @@ from skytraj.georeference import (
     SegmentationMap,
     VideoEntry,
     assign_segment,
-    point_in_polygon,
 )
 from skytraj.pipeline import georeference, lane_columns, raise_at_infinity
 
@@ -266,14 +265,22 @@ class TestSessionGeoreference:
 SQUARE = tuple(Point2(*xy) for xy in [(0, 0), (10, 0), (10, 10), (0, 10)])
 
 
+def inside(p, polygon):
+    """Whether the one-lane map of ``polygon`` puts ``p`` on its lane; the
+    frozen per-edge reference must agree."""
+    got = assign_segment(SegmentationMap((LanePolygon("1_1", 1, polygon),)), p) is not None
+    assert got == point_in_polygon(p, polygon)
+    return got
+
+
 class TestPointInPolygon:
     def test_interior_exterior(self):
-        assert point_in_polygon(Point2(5, 5), SQUARE)
-        assert not point_in_polygon(Point2(15, 5), SQUARE)
+        assert inside(Point2(5, 5), SQUARE)
+        assert not inside(Point2(15, 5), SQUARE)
 
     def test_boundary_counts_inside(self):
-        assert point_in_polygon(Point2(10, 5), SQUARE)
-        assert point_in_polygon(Point2(0, 0), SQUARE)
+        assert inside(Point2(10, 5), SQUARE)
+        assert inside(Point2(0, 0), SQUARE)
 
     def test_concave_even_odd(self):
         # U-shape: the notch between the arms is outside
@@ -281,10 +288,10 @@ class TestPointInPolygon:
             Point2(*xy)
             for xy in [(0, 0), (10, 0), (10, 10), (6, 10), (6, 4), (4, 4), (4, 10), (0, 10)]
         )
-        assert point_in_polygon(Point2(2, 8), poly)
-        assert point_in_polygon(Point2(8, 8), poly)
-        assert not point_in_polygon(Point2(5, 8), poly)
-        assert point_in_polygon(Point2(5, 2), poly)
+        assert inside(Point2(2, 8), poly)
+        assert inside(Point2(8, 8), poly)
+        assert not inside(Point2(5, 8), poly)
+        assert inside(Point2(5, 2), poly)
 
 
 class TestAssignSegment:
@@ -298,22 +305,16 @@ class TestAssignSegment:
     )
 
     def test_inside_single_polygon(self):
-        assert assign_segment(self.seg, Point2(15, 5)) == ("3_1", 2)
+        p = Point2(15, 5)
+        assert assign_segment(self.seg, p) == ("3_1", 2) == unfiltered_assign(self.seg, p)
 
     def test_outside_all(self):
-        assert assign_segment(self.seg, Point2(50, 50)) is None
+        p = Point2(50, 50)
+        assert assign_segment(self.seg, p) is None is unfiltered_assign(self.seg, p)
 
     def test_shared_edge_first_in_document_order(self):
-        assert assign_segment(self.seg, Point2(10, 5)) == ("3_1", 1)
-
-
-def unfiltered_assign(seg, p):
-    """`assign_segment` without its bounding-box prefilter: every polygon is
-    tested in document order."""
-    for lane in seg.lanes:
-        if point_in_polygon(p, lane.polygon):
-            return (lane.section, lane.lane)
-    return None
+        p = Point2(10, 5)
+        assert assign_segment(self.seg, p) == ("3_1", 1) == unfiltered_assign(self.seg, p)
 
 
 def _lane(draw, scale, origin):
@@ -358,7 +359,8 @@ class TestAssignSegmentPrefilter:
     def test_points_within_tolerance_of_the_edge_count_inside(self):
         lane = LanePolygon("1_1", 1, SQUARE)
         seg = SegmentationMap((lane,))
-        for p in [Point2(10 + 5e-10, 5), Point2(-9e-10, 0), Point2(5, 10 + 9e-10)]:
+        # (5, -1e-9) is exactly the tolerance from the bottom edge
+        for p in [Point2(10 + 5e-10, 5), Point2(-9e-10, 0), Point2(5, 10 + 9e-10), Point2(5, -1e-9)]:
             assert assign_segment(seg, p) == ("1_1", 1) == unfiltered_assign(seg, p)
         assert assign_segment(seg, Point2(10 + 2e-9, 5)) is None
         xmin, ymin, xmax, ymax = lane.bounds
@@ -369,3 +371,129 @@ class TestAssignSegmentPrefilter:
         empty = LanePolygon("1_1", 2, ())
         seg = SegmentationMap((short, empty))
         assert assign_segment(seg, Point2(0, 0)) is None
+
+
+def _index_lane(draw, rng, k, lanes, origin, scale):
+    """Lane ``k`` of an index map: 3-12 vertices around ``origin``, drawn as
+    one of the shapes the grid and the containment test must survive."""
+    m = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["random", "lattice", "collinear", "repeated", "touching", "shared"]))
+    xy = origin + rng.uniform(-1.0, 1.0, (m, 2)) * scale
+    if kind == "lattice":  # vertices, edges and points share exact coordinates
+        xy = origin + np.round(rng.uniform(-4.0, 4.0, (m, 2))) * (scale / 4)
+    elif kind == "collinear":  # zero-width bounds on one axis, or a diagonal
+        t = rng.uniform(-1.0, 1.0, m) * scale
+        axis = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))
+        xy = origin + np.outer(t, axis)
+    elif kind == "repeated":  # zero-length edges
+        xy[1] = xy[0]
+        xy[-1] = xy[-2]
+    elif kind == "touching" and m >= 5:  # a vertex visited twice
+        xy[m - 1] = xy[1]
+    elif kind == "shared" and lanes:  # an edge of an earlier lane, reversed
+        a, b = draw(st.sampled_from(lanes)).polygon[:2]
+        xy[:2] = [b, a]
+    polygon = tuple(Point2(float(x), float(y)) for x, y in xy)
+    return LanePolygon(f"{k % 3 + 1}_1", k % 4 + 1, polygon)
+
+
+@st.composite
+def _lane_map_and_points(draw):
+    """1-40 lanes, near each other or up to 1e6 px apart, and points on
+    cell boundaries, the grid's limits, vertices, edges +-2e-9, far outside
+    and at NaN and +-inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 128.0, 5000.0]))
+    spread = draw(st.sampled_from([0.0, 3.0 * scale, 1e6]))
+    base = np.array(draw(st.sampled_from([(0.0, 0.0), (3000.0, 1500.0), (-1e5, 2e5)])))
+    lanes: list[LanePolygon] = []
+    for k in range(draw(st.integers(1, 40))):
+        origin = base + rng.uniform(-1.0, 1.0, 2) * spread
+        lanes.append(_index_lane(draw, rng, k, lanes, origin, scale))
+    seg = SegmentationMap(tuple(lanes))
+    index = seg.index
+    points = []
+    for _ in range(30):
+        i, j = rng.integers(0, index.nx + 1), rng.integers(0, index.ny + 1)
+        points.append((index.ox + i / index.sx if index.sx else index.x0,
+                       index.oy + j / index.sy if index.sy else index.y0))
+    for x in (index.x0, index.x1):
+        for y in (index.y0, index.y1):
+            points += [(x, y), (np.nextafter(x, -math.inf), y), (x, np.nextafter(y, math.inf))]
+    for _ in range(30):
+        lane = lanes[rng.integers(len(lanes))]
+        n = len(lane.polygon)
+        e = rng.integers(n)
+        a, b = lane.polygon[e], lane.polygon[(e + 1) % n]
+        t = float(rng.choice([0.0, 0.5, 1.0, rng.uniform()]))
+        length = math.hypot(b.x - a.x, b.y - a.y) or 1.0
+        off = float(rng.choice([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 1.5e-9, -2e-9, 2e-9]))
+        points.append((a.x + t * (b.x - a.x) - off * (b.y - a.y) / length,
+                       a.y + t * (b.y - a.y) + off * (b.x - a.x) / length))
+        points.append(tuple(a))
+    for _ in range(20):
+        points.append(tuple(base + rng.uniform(-1.5, 1.5, 2) * (scale + spread)))
+    special = [math.nan, math.inf, -math.inf, 1e12, -1e12]
+    for s in special:
+        points += [(s, float(base[1])), (float(base[0]), s), (s, s)]
+    return seg, [Point2(float(x), float(y)) for x, y in points]
+
+
+class TestLaneIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_lane_map_and_points())
+    def test_equals_the_frozen_scan(self, case):
+        seg, points = case
+        for p in points:
+            assert assign_segment(seg, p) == unfiltered_assign(seg, p), p
+
+    def test_plain_rows_and_point_objects_agree(self):
+        seg = TestAssignSegment.seg
+        for xy in [[15.0, 5.0], [10.0, 5.0], [50.0, 50.0], [math.nan, 5.0]]:
+            assert assign_segment(seg, xy) == assign_segment(seg, Point2(*xy))
+
+    def test_empty_map(self):
+        seg = SegmentationMap((LanePolygon("1_1", 1, ()),))
+        assert seg.index.candidates(0.0, 0.0) == ()
+        assert assign_segment(seg, (0.0, 0.0)) is None
+
+    def test_map_too_wide_for_cell_arithmetic(self):
+        big = 1.7e308
+        lanes = (LanePolygon("1_1", 1, (Point2(-big, 0.0), Point2(big, 0.0), Point2(0.0, 1.0))),
+                 LanePolygon("1_2", 1, SQUARE))
+        seg = SegmentationMap(lanes)
+        assert (seg.index.nx, seg.index.ny) == (1, 1)
+        for p in [Point2(5.0, 5.0), Point2(0.0, 0.5), Point2(1e308, 0.0), Point2(-math.inf, 0.5)]:
+            assert assign_segment(seg, p) == unfiltered_assign(seg, p)
+
+    def test_cell_lanes_bound_the_polygon_tests(self, monkeypatch):
+        """60 lanes in a 6 x 10 block with gaps between them: a point tests
+        no more polygons than its cell lists, and none in an empty cell."""
+        from skytraj import georeference
+
+        lanes = tuple(
+            LanePolygon(f"{r + 1}_1", c + 1, tuple(
+                Point2(100.0 * c + dx, 40.0 * r + dy) for dx, dy in [(0, 0), (60, 0), (60, 20), (0, 20)]))
+            for r in range(6) for c in range(10))
+        seg = SegmentationMap(lanes)
+        calls = []
+        original = georeference.polygon_contains
+
+        def counted(x, y, edges):
+            calls.append(edges)
+            return original(x, y, edges)
+
+        monkeypatch.setattr(georeference, "polygon_contains", counted)
+        rng = np.random.default_rng(0)
+        empty = 0
+        for x, y in rng.uniform(-50.0, 1050.0, (4000, 2)).tolist():
+            calls.clear()
+            cell = seg.index.candidates(x, y)
+            hit = assign_segment(seg, (x, y))
+            assert hit == unfiltered_assign(seg, Point2(x, y))
+            assert len(calls) <= len(cell)
+            if not cell:
+                empty += 1
+                assert calls == []
+        assert empty > 100
+        assert max(map(len, seg.index.cells)) <= 4
