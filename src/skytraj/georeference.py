@@ -209,7 +209,9 @@ class LaneIndex:
         stride = self.nx + 1
         cells: list[list] = [[] for _ in range(stride * (self.ny + 1))]
         for entry in entries:
-            xmin, ymin, xmax, ymax = entry[:4]
+            # Clamped into the finite limits: a bound may overflow to inf.
+            xmin, xmax = (min(max(v, self.x0), self.x1) for v in (entry[0], entry[2]))
+            ymin, ymax = (min(max(v, self.y0), self.y1) for v in (entry[1], entry[3]))
             i0 = max(int((xmin - self.ox) * self.sx) - 1, 0)
             i1 = min(int((xmax - self.ox) * self.sx) + 1, self.nx)
             j0 = max(int((ymin - self.oy) * self.sy) - 1, 0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -458,12 +459,15 @@ class TestLaneIndex:
         assert assign_segment(seg, (0.0, 0.0)) is None
 
     def test_map_too_wide_for_cell_arithmetic(self):
-        big = 1.7e308
+        big, top = 1.7e308, sys.float_info.max  # the widened bounds of `top` overflow
         lanes = (LanePolygon("1_1", 1, (Point2(-big, 0.0), Point2(big, 0.0), Point2(0.0, 1.0))),
-                 LanePolygon("1_2", 1, SQUARE))
+                 LanePolygon("1_2", 1, SQUARE),
+                 LanePolygon("1_3", 1, (Point2(top, 0.0), Point2(top, 1.0), Point2(0.0, 1.0))))
         seg = SegmentationMap(lanes)
         assert (seg.index.nx, seg.index.ny) == (1, 1)
-        for p in [Point2(5.0, 5.0), Point2(0.0, 0.5), Point2(1e308, 0.0), Point2(-math.inf, 0.5)]:
+        assert lanes[2].bounds[2] == math.inf
+        for p in [Point2(5.0, 5.0), Point2(0.0, 0.5), Point2(1e308, 0.0), Point2(-math.inf, 0.5),
+                  Point2(math.inf, 0.5), Point2(top, 0.5)]:
             assert assign_segment(seg, p) == unfiltered_assign(seg, p)
 
     def test_cell_lanes_bound_the_polygon_tests(self, monkeypatch):
