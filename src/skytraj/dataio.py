@@ -668,9 +668,9 @@ def _vertex(k: int, value) -> Point2:
 
 def load_segmentation(path) -> SegmentationMap:
     """JSON list of {section, lane, polygon: [[x, y], ...]} in ortho pixels;
-    a section is a non-empty string (an empty cell is the export's
-    off-lane mark), and a lane number is a whole number from 1 (see
-    `whole`)."""
+    a section is read as text and must not be null or empty (an empty
+    cell is the export's off-lane mark), and a lane number is a whole
+    number from 1 (see `whole`)."""
     text, error = _read_text(path)
     if error is not None:
         raise error
@@ -684,8 +684,9 @@ def load_segmentation(path) -> SegmentationMap:
     for i, item in enumerate(data):
         try:
             section = item["section"]
-            if not (isinstance(section, str) and section):
-                raise ValueError(f"section must be a non-empty string, got {section!r}")
+            if section is None or section == "":
+                raise ValueError(f"section must not be null or empty, got {section!r}")
+            section = str(section)
             lane = whole("lane", item["lane"])
             polygon = tuple(_vertex(k, v) for k, v in enumerate(item["polygon"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

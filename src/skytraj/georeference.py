@@ -11,23 +11,20 @@ The lane contract (`assign_segment`) and its thresholds:
 
 * A point gets the (section, lane) of the first polygon in document
   order that contains it, or None. A polygon of fewer than 3 vertices
-  contains nothing, and neither does any polygon contain a point with a
-  NaN or infinite coordinate.
+  contains nothing, and no polygon contains a point with a NaN
+  coordinate.
 * Containment is even-odd (crossing number), and a point within 1e-9 of
   an edge (``EDGE_TOL``) counts as inside. That tolerance is absolute, in
   ortho pixels, so it is not scale-free: on a map drawn in other units it
   is a different distance on the ground.
 * ``BOUNDS_MARGIN`` is relative: each lane's bounding box is widened by
   it times (1 + the largest vertex magnitude), which keeps every point
-  the polygon test could accept inside the box at any scale.
-* ``LaneIndex`` grids those widened boxes and lists each lane in the
-  cells its box touches, padded by one cell, so the cell arithmetic can
-  never drop a lane a point could fall in.
+  the polygon test could accept inside the box at any scale. A point
+  outside a lane's box skips that lane's polygon test.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -86,13 +83,6 @@ _EDGE_TOL2 = EDGE_TOL * EDGE_TOL
 # polygon test: far above both the 1e-9 boundary tolerance and the
 # rounding error of the containment arithmetic.
 BOUNDS_MARGIN = 1e-6
-
-# `LaneIndex` cells span a quarter of the median lane box on each axis, up to
-# 64 cells plus 16 per lane in all: a lane touches a few cells, and a map
-# whose lanes lie far apart stays small.
-_CELLS_PER_LANE_EXTENT = 4
-_MAX_CELLS_BASE = 64
-_MAX_CELLS_PER_LANE = 16
 
 
 @dataclass(frozen=True)
@@ -163,81 +153,17 @@ def polygon_contains(x: float, y: float, edges: Sequence[tuple[float, ...]]) -> 
     return False
 
 
-class LaneIndex:
-    """A uniform grid over the lanes' widened bounds. Each cell lists, in
-    document order, the lanes whose bounds touch it or a neighbouring
-    cell, as (xmin, ymin, xmax, ymax, edge table, (section, lane))
-    entries. A polygon of fewer than 3 vertices is left out: it contains
-    nothing.
-
-    A coordinate's cell is ``int((v - origin) * cells_per_px)``, a monotone
-    map, so every lane box that holds a point is listed in its cell; the
-    one-cell pad keeps that true whatever the rounding. The grid has one
-    more column and row than its ``nx`` x ``ny`` cells, for a coordinate
-    that lands on the far edge.
-    """
-
-    __slots__ = ("x0", "y0", "x1", "y1", "ox", "oy", "sx", "sy", "nx", "ny", "cells")
-
-    def __init__(self, lanes: Sequence[LanePolygon]):
-        entries = [(*lane.bounds, edge_table(lane.polygon), (lane.section, lane.lane))
-                   for lane in lanes if len(lane.polygon) >= 3]
-        x0 = min((e[0] for e in entries), default=math.inf)
-        y0 = min((e[1] for e in entries), default=math.inf)
-        x1 = max((e[2] for e in entries), default=-math.inf)
-        y1 = max((e[3] for e in entries), default=-math.inf)
-        width, height = x1 - x0, y1 - y0
-        # Points outside these finite limits, NaN and inf included, are
-        # outside every lane.
-        top = sys.float_info.max
-        self.x0, self.y0, self.x1, self.y1 = max(x0, -top), max(y0, -top), min(x1, top), min(y1, top)
-        # One cell, at no arithmetic, for an empty map or one too wide for
-        # finite cell arithmetic.
-        self.nx = self.ny = 1
-        self.ox = self.oy = self.sx = self.sy = 0.0
-        if entries and math.isfinite(width) and math.isfinite(height):
-            mid = len(entries) // 2
-            lane_w = sorted(e[2] - e[0] for e in entries)[mid]
-            lane_h = sorted(e[3] - e[1] for e in entries)[mid]
-            cap = _MAX_CELLS_BASE + _MAX_CELLS_PER_LANE * len(entries)
-            nx = min(_CELLS_PER_LANE_EXTENT * width / lane_w, cap)
-            ny = min(_CELLS_PER_LANE_EXTENT * height / lane_h, cap)
-            shrink = min(1.0, math.sqrt(cap / (nx * ny)))
-            self.nx, self.ny = math.ceil(nx * shrink), math.ceil(ny * shrink)
-            self.ox, self.oy = x0, y0
-            self.sx, self.sy = self.nx / width, self.ny / height
-        stride = self.nx + 1
-        cells: list[list] = [[] for _ in range(stride * (self.ny + 1))]
-        for entry in entries:
-            # Clamped into the finite limits: a bound may overflow to inf.
-            xmin, xmax = (min(max(v, self.x0), self.x1) for v in (entry[0], entry[2]))
-            ymin, ymax = (min(max(v, self.y0), self.y1) for v in (entry[1], entry[3]))
-            i0 = max(int((xmin - self.ox) * self.sx) - 1, 0)
-            i1 = min(int((xmax - self.ox) * self.sx) + 1, self.nx)
-            j0 = max(int((ymin - self.oy) * self.sy) - 1, 0)
-            j1 = min(int((ymax - self.oy) * self.sy) + 1, self.ny)
-            for j in range(j0, j1 + 1):
-                for i in range(i0, i1 + 1):
-                    cells[j * stride + i].append(entry)
-        self.cells = tuple(map(tuple, cells))
-
-    def candidates(self, x: float, y: float) -> tuple:
-        """The entries of the cell that holds (x, y); none outside the grid
-        or for a NaN or infinite coordinate."""
-        if self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1:
-            return self.cells[int((y - self.oy) * self.sy) * (self.nx + 1)
-                              + int((x - self.ox) * self.sx)]
-        return ()
-
-
 @dataclass(frozen=True)
 class SegmentationMap:
     lanes: tuple[LanePolygon, ...]
 
     @cached_property
-    def index(self) -> LaneIndex:
-        """The lookup grid of ``lanes``, built on first use."""
-        return LaneIndex(self.lanes)
+    def entries(self) -> tuple[tuple, ...]:
+        """(xmin, ymin, xmax, ymax, edge table, (section, lane)) of each lane
+        in document order, built on first use. A polygon of fewer than 3
+        vertices is left out: it contains nothing."""
+        return tuple((*lane.bounds, edge_table(lane.polygon), (lane.section, lane.lane))
+                     for lane in self.lanes if len(lane.polygon) >= 3)
 
 
 @dataclass(frozen=True)
@@ -258,12 +184,11 @@ def assign_segment(
     """(section, lane) of the first lane polygon (document order) that
     contains the ortho-pixel point (x, y), or None.
 
-    Only the lanes of the point's index cell are tried, and of those only
-    the ones whose widened bounding box holds the point; the others could
-    only answer False.
+    Only the lanes whose widened bounding box holds the point are tried;
+    the others could only answer False.
     """
     x, y = ortho_p
-    for xmin, ymin, xmax, ymax, edges, hit in seg.index.candidates(x, y):
+    for xmin, ymin, xmax, ymax, edges, hit in seg.entries:
         if xmin <= x <= xmax and ymin <= y <= ymax and polygon_contains(x, y, edges):
             return hit
     return None

@@ -26,9 +26,9 @@ and the pixel-to-meter conversion on three-point arrays
 (``dims_to_world_array``). The tests compare the sweep and the float
 path against them on every input, non-finite ones included.
 
-The lane lookup is kept as it ran before the lane index: the per-edge
-boundary test, then the crossing count, on ``Point2`` vertices, and
-every polygon tried in document order (``unfiltered_assign``). The tests
+The lane lookup is kept as it ran before the per-lane edge tables: the
+per-edge boundary test, then the crossing count, on ``Point2`` vertices,
+and every polygon tried in document order (``unfiltered_assign``). The tests
 compare ``skytraj.georeference.assign_segment`` against it.
 """
 from __future__ import annotations

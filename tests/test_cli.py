@@ -248,7 +248,7 @@ class TestPipelineCommand:
         seg.write_text(json.dumps(lanes))
         err = self.fails_with_one_line(pipeline_fixture, tmp_path, capsys)
         assert err == (f"error [pipeline]: {seg}: bad segmentation entry 0: "
-                       "section must be a non-empty string, got None")
+                       "section must not be null or empty, got None")
 
     @pytest.mark.parametrize(
         "directive, value, line",

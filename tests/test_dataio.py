@@ -963,12 +963,18 @@ class TestTransformFiles:
     def test_segmentation_null_section(self, tmp_path):
         # was exported as the section "None"
         assert self._refused(tmp_path, "null", "[[0, 0], [1, 0], [1, 1]]") == (
-            "section must be a non-empty string, got None")
+            "section must not be null or empty, got None")
 
     def test_segmentation_empty_section(self, tmp_path):
         # an empty section cell is the export's off-lane mark
         assert self._refused(tmp_path, '""', "[[0, 0], [1, 0], [1, 1]]") == (
-            "section must be a non-empty string, got ''")
+            "section must not be null or empty, got ''")
+
+    def test_segmentation_numeric_section(self, tmp_path):
+        # a number is read as its text, as before null and "" were refused
+        path = tmp_path / "seg.json"
+        path.write_text('[{"section": 3, "lane": 1, "polygon": [[0, 0], [1, 0], [1, 1]]}]')
+        assert load_segmentation(path).lanes[0].section == "3"
 
     def test_segmentation_vertex_too_large_for_a_float(self, tmp_path):
         # was an uncaught OverflowError

@@ -374,9 +374,10 @@ class TestAssignSegmentPrefilter:
         assert assign_segment(seg, Point2(0, 0)) is None
 
 
-def _index_lane(draw, rng, k, lanes, origin, scale):
-    """Lane ``k`` of an index map: 3-12 vertices around ``origin``, drawn as
-    one of the shapes the grid and the containment test must survive."""
+def _drawn_lane(draw, rng, k, lanes, origin, scale):
+    """Lane ``k`` of a drawn map: 3-12 vertices around ``origin``, drawn as
+    one of the shapes the bounds check and the containment test must
+    survive."""
     m = draw(st.integers(3, 12))
     kind = draw(st.sampled_from(["random", "lattice", "collinear", "repeated", "touching", "shared"]))
     xy = origin + rng.uniform(-1.0, 1.0, (m, 2)) * scale
@@ -401,8 +402,8 @@ def _index_lane(draw, rng, k, lanes, origin, scale):
 @st.composite
 def _lane_map_and_points(draw):
     """1-40 lanes, near each other or up to 1e6 px apart, and points on
-    cell boundaries, the grid's limits, vertices, edges +-2e-9, far outside
-    and at NaN and +-inf."""
+    the lanes' widened bounds and their next floats, vertices, edges
+    +-2e-9, far outside and at NaN and +-inf."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1.0, 128.0, 5000.0]))
     spread = draw(st.sampled_from([0.0, 3.0 * scale, 1e6]))
@@ -410,17 +411,14 @@ def _lane_map_and_points(draw):
     lanes: list[LanePolygon] = []
     for k in range(draw(st.integers(1, 40))):
         origin = base + rng.uniform(-1.0, 1.0, 2) * spread
-        lanes.append(_index_lane(draw, rng, k, lanes, origin, scale))
+        lanes.append(_drawn_lane(draw, rng, k, lanes, origin, scale))
     seg = SegmentationMap(tuple(lanes))
-    index = seg.index
     points = []
-    for _ in range(30):
-        i, j = rng.integers(0, index.nx + 1), rng.integers(0, index.ny + 1)
-        points.append((index.ox + i / index.sx if index.sx else index.x0,
-                       index.oy + j / index.sy if index.sy else index.y0))
-    for x in (index.x0, index.x1):
-        for y in (index.y0, index.y1):
-            points += [(x, y), (np.nextafter(x, -math.inf), y), (x, np.nextafter(y, math.inf))]
+    for _ in range(10):
+        xmin, ymin, xmax, ymax = lanes[rng.integers(len(lanes))].bounds
+        for x in (xmin, xmax):
+            for y in (ymin, ymax):
+                points += [(x, y), (np.nextafter(x, -math.inf), y), (x, np.nextafter(y, math.inf))]
     for _ in range(30):
         lane = lanes[rng.integers(len(lanes))]
         n = len(lane.polygon)
@@ -440,7 +438,7 @@ def _lane_map_and_points(draw):
     return seg, [Point2(float(x), float(y)) for x, y in points]
 
 
-class TestLaneIndex:
+class TestLaneEntries:
     @settings(max_examples=150, deadline=None)
     @given(case=_lane_map_and_points())
     def test_equals_the_frozen_scan(self, case):
@@ -455,24 +453,23 @@ class TestLaneIndex:
 
     def test_empty_map(self):
         seg = SegmentationMap((LanePolygon("1_1", 1, ()),))
-        assert seg.index.candidates(0.0, 0.0) == ()
+        assert seg.entries == ()
         assert assign_segment(seg, (0.0, 0.0)) is None
 
-    def test_map_too_wide_for_cell_arithmetic(self):
+    def test_lanes_near_the_largest_double(self):
         big, top = 1.7e308, sys.float_info.max  # the widened bounds of `top` overflow
         lanes = (LanePolygon("1_1", 1, (Point2(-big, 0.0), Point2(big, 0.0), Point2(0.0, 1.0))),
                  LanePolygon("1_2", 1, SQUARE),
                  LanePolygon("1_3", 1, (Point2(top, 0.0), Point2(top, 1.0), Point2(0.0, 1.0))))
         seg = SegmentationMap(lanes)
-        assert (seg.index.nx, seg.index.ny) == (1, 1)
         assert lanes[2].bounds[2] == math.inf
         for p in [Point2(5.0, 5.0), Point2(0.0, 0.5), Point2(1e308, 0.0), Point2(-math.inf, 0.5),
                   Point2(math.inf, 0.5), Point2(top, 0.5)]:
             assert assign_segment(seg, p) == unfiltered_assign(seg, p)
 
-    def test_cell_lanes_bound_the_polygon_tests(self, monkeypatch):
+    def test_bounds_gate_the_polygon_tests(self, monkeypatch):
         """60 lanes in a 6 x 10 block with gaps between them: a point tests
-        no more polygons than its cell lists, and none in an empty cell."""
+        no polygon whose widened bounds miss it, so none between lanes."""
         from skytraj import georeference
 
         lanes = tuple(
@@ -489,15 +486,13 @@ class TestLaneIndex:
 
         monkeypatch.setattr(georeference, "polygon_contains", counted)
         rng = np.random.default_rng(0)
-        empty = 0
+        between = 0
         for x, y in rng.uniform(-50.0, 1050.0, (4000, 2)).tolist():
             calls.clear()
-            cell = seg.index.candidates(x, y)
+            holding = [e[4] for e in seg.entries if e[0] <= x <= e[2] and e[1] <= y <= e[3]]
             hit = assign_segment(seg, (x, y))
             assert hit == unfiltered_assign(seg, Point2(x, y))
-            assert len(calls) <= len(cell)
-            if not cell:
-                empty += 1
-                assert calls == []
-        assert empty > 100
-        assert max(map(len, seg.index.cells)) <= 4
+            assert len(holding) <= 1
+            assert calls == holding
+            between += not holding
+        assert between > 1000
