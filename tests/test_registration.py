@@ -1,6 +1,9 @@
 import csv
 import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from skytraj.errors import (
     SingularTransform,
 )
 from skytraj import registration
+from skytraj.dataio import load_tracks
 from skytraj.geometry import Homography, Point2, project_array
 from skytraj.pipeline import StabilizeParams, estimate_frame_homographies
 from skytraj.registration import (
@@ -222,6 +226,41 @@ class TestColumnarStepsMatchPerRowReference:
         assert len(snn_filter(empty, 0.9)) == 0
         assert mask_keep_flags(empty.src, np.array([(0.0, 0.0, 4.0, 4.0)]), 0.15).shape == (0,)
         assert empty.scaled(0.5).src.shape == (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mask_keep_flags_non_finite_boxes(self, data):
+        """Boxes with NaN, infinite, zero and negative entries; points on
+        the enlarged edges, one float inside them and at the box values."""
+        value = st.one_of(_coord, st.sampled_from(
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, -4.0, 1e308]))
+        masks = data.draw(st.lists(st.tuples(value, value, value, value), max_size=6))
+        margin = data.draw(st.sampled_from([0.0, 0.15, 1.0, 1e308]))
+        edges = []
+        for cx, cy, w, h in masks:
+            hw, hh = w * (1.0 + margin) / 2.0, h * (1.0 + margin) / 2.0
+            for px in (cx - hw, cx + hw, math.nextafter(cx + hw, -math.inf), cx, w):
+                edges += [(px, cy), (px, cy + hh), (px, math.nextafter(cy - hh, math.inf))]
+        point = st.tuples(value, value)
+        if edges:
+            point = st.one_of(point, st.sampled_from(edges))
+        points = data.draw(st.lists(point, max_size=12))
+        boxes = np.array(masks, dtype=float).reshape(-1, 4)
+        flags = mask_keep_flags(np.array(points, dtype=float).reshape(-1, 2), boxes, margin)
+        assert flags.tolist() == _ref_mask_keep(points, masks, margin)
+
+    @pytest.mark.parametrize("pairs", [1, 7, 32768])
+    def test_mask_keep_flags_in_runs_of_points(self, pairs, monkeypatch):
+        """Points are tested in runs of about BLOCK_PAIRS point-mask pairs;
+        a run of one point, short runs and one run give the same flags."""
+        monkeypatch.setattr(registration, "BLOCK_PAIRS", pairs)
+        rng = np.random.default_rng(pairs)
+        masks = np.column_stack([rng.uniform(0, 400, (40, 2)), rng.uniform(5, 60, (40, 2))])
+        points = rng.uniform(-20, 420, (300, 2))
+        points[:40] = masks[:, :2] + masks[:, 2:] * 1.15 / 2.0  # on the corners
+        flags = mask_keep_flags(points, masks, 0.15)
+        assert flags.tolist() == _ref_mask_keep(points.tolist(), masks.tolist(), 0.15)
+        assert 0 < flags.sum() < len(points)
 
 
 class TestDlt:
@@ -676,12 +715,15 @@ def _ref_outcome(seed, n, fraction, variant, max_iterations):
 
 
 # Block constants of `ransac_homography`: one sample per block, the
-# doubling 8-16-32 schedule without a pair cap, the module defaults, and
-# 64 samples in every block.
+# doubling 8-16-32 schedule without a pair cap, the module defaults, the
+# same values spelled out, the earlier 32-sample first block, and 64
+# samples in every block.
 BLOCK_SPLITS = {
     "1/1": dict(FIRST_BLOCK=1, MIN_BLOCK=1, MAX_BLOCK=1),
     "8/32": dict(FIRST_BLOCK=8, MIN_BLOCK=8, MAX_BLOCK=32, BLOCK_PAIRS=10**9),
     "default": {},
+    "24/64": dict(FIRST_BLOCK=24, MIN_BLOCK=8, MAX_BLOCK=64, BLOCK_PAIRS=32768),
+    "32/64": dict(FIRST_BLOCK=32, MIN_BLOCK=8, MAX_BLOCK=64, BLOCK_PAIRS=32768),
     "64/64": dict(FIRST_BLOCK=64, MIN_BLOCK=64, MAX_BLOCK=64),
 }
 
@@ -864,6 +906,157 @@ class TestKernelsAtTheirEdges:
             decisions.append(want)
         assert {True, False} <= set(decisions)
         assert any(isinstance(d, tuple) for d in decisions)
+
+
+def _refit_sets():
+    """(src, dst) pairs for the consensus refit: noisy projective matches of
+    4 to 2000 points centered on the origin, at scales from 1e-150 to
+    1e150, and the same points off the origin under a map with a
+    translation; then collinear, near-collinear, coincident, NaN and
+    infinite sets, alone and together (a collinear source before a NaN
+    destination, and the other way)."""
+    rng = np.random.default_rng(29)
+    sets = []
+    for n in (4, 5, 9, 70, 300, 2000):
+        m = np.eye(3) + rng.normal(0, [[0.05, 0.05, 0], [0.05, 0.05, 0], [2e-5, 2e-5, 0]])
+        src = rng.uniform(-1000, 1000, (n, 2))
+        px, py, _ = project_array(m, src)
+        dst = np.column_stack([px, py]) + rng.normal(0, 0.5, (n, 2))
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            sets.append((src * scale, dst * scale))
+        sets.append((src + 1000.0, dst + np.array([1030.0, 960.0])))
+    src, dst = rng.uniform(0, 2000, (2, 70, 2))
+    t = rng.uniform(-1.0, 1.0, 70)
+    line = np.column_stack([300.0 + 900.0 * t, -40.0 + 500.0 * t])
+    sets.append((src[:3], dst[:3]))
+    sets.append((line, dst))
+    sets.append((src, line))
+    for k in (6, 9, 12):
+        bent = line.copy()
+        bent[7, 1] += 10.0 ** -k * 900.0
+        sets.append((bent, dst))
+    sets.append((np.repeat(src[:1], 70, axis=0), dst))
+    sets.append((src, np.repeat(dst[:1], 70, axis=0)))
+    sets.append((np.zeros((70, 2)), np.zeros((70, 2))))
+    for bad in (np.nan, np.inf, -np.inf):
+        for which in (0, 1):
+            pts = [src.copy(), dst.copy()]
+            pts[which][11, which] = bad
+            sets.append(tuple(pts))
+        nan_dst = dst.copy()
+        nan_dst[3, 0] = bad
+        sets.append((line, nan_dst))
+        nan_src = src.copy()
+        nan_src[3, 1] = bad
+        sets.append((nan_src, line))
+    return sets
+
+
+def _fit_outcome(fit, src, dst):
+    """The matrix bytes of ``fit(src, dst)``, or the type and message of
+    what it raised."""
+    try:
+        return fit(src, dst).m.tobytes()
+    except (DegenerateConfiguration, InsufficientPoints, np.linalg.LinAlgError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestConsensusRefit:
+    """`dlt_homography` normalizes, checks and solves the source and
+    destination sets as one stack, and `symmetric_errors` maps both ways in
+    one call; both must give the bits, errors and messages of the
+    one-set-at-a-time references."""
+
+    def test_dlt_equals_the_reference(self):
+        outcomes = []
+        for src, dst in _refit_sets():
+            with np.errstate(all="ignore"):  # the reference warns on inf - inf
+                want = _fit_outcome(_ref_dlt, src, dst)
+            assert _fit_outcome(dlt_homography, src, dst) == want
+            outcomes.append(want if isinstance(want, tuple) else "fit")
+        kinds = {o if o == "fit" else o[0] for o in outcomes}
+        assert kinds == {"fit", "DegenerateConfiguration", "InsufficientPoints", "LinAlgError"}
+        messages = {o[1] for o in outcomes if isinstance(o, tuple)}
+        assert "correspondence points are collinear" in messages
+
+    def test_symmetric_errors_equal_the_reference(self):
+        checked = 0
+        for src, dst in _refit_sets():
+            try:
+                h = dlt_homography(src, dst)
+            except (DegenerateConfiguration, InsufficientPoints, np.linalg.LinAlgError):
+                continue
+            for s, d in ((src, dst), (dst, src), (src[::-1], dst)):
+                with np.errstate(all="ignore"):
+                    want = _ref_symmetric_errors(h, s, d)
+                assert symmetric_errors(h, s, d).tobytes() == want.tobytes()
+                checked += 1
+        assert checked >= 30
+
+    def test_non_finite_points_score_as_the_reference(self):
+        rng = np.random.default_rng(4)
+        h = Homography.from_matrix([[1.02, 0.01, 5.0], [-0.03, 0.98, -7.0], [1e-5, 2e-5, 1.0]])
+        src = rng.uniform(0, 2000, (60, 2))
+        dst = rng.uniform(0, 2000, (60, 2))
+        src[::7] = rng.choice([np.nan, np.inf, -np.inf, 1e308], (9, 2))
+        dst[3::7] = rng.choice([np.nan, np.inf, -np.inf, 1e308], (9, 2))
+        with np.errstate(all="ignore"):
+            want = _ref_symmetric_errors(h, src, dst)
+        assert symmetric_errors(h, src, dst).tobytes() == want.tobytes()
+        assert np.isinf(want).sum() >= 5 and np.isnan(want).any()
+
+
+_GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def _benchmark_generator():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRegistrationAccuracy:
+    """Frame maps estimated from the benchmark's synthetic matches against
+    the camera maps the matches were made from. A frame's error is the
+    largest distance, over the four corners of a 3840x2160 frame, between
+    where the estimate and the true map send the corner.
+
+    The inputs are those of the benchmark's tiny ``session_registered``
+    workload (18 frames, 4 vehicles, 120 matches per frame, 30% outliers)
+    with its ``--snn-ratio 0.9 --downscale 0.5``. Over seeds 0-9 a seed's
+    median frame error measured 0.395-0.521 px and the largest frame
+    error 0.966 px; the bounds allow 1.5x of each, rounded up.
+    """
+
+    MEDIAN_BOUND_PX = 0.8
+    MAX_BOUND_PX = 1.5
+
+    def test_corner_error_against_the_true_maps(self, tmp_path):
+        gen = _benchmark_generator()
+        spec = gen.SessionSpec(n_frames=18, n_vehicles=4, matches_per_frame=120)
+        corners = np.array([(0.0, 0.0), (gen.FRAME_W, 0.0), (gen.FRAME_W, gen.FRAME_H),
+                            (0.0, gen.FRAME_H)])
+        params = StabilizeParams(snn_ratio=0.9, downscale=0.5)
+        medians, worst = [], 0.0
+        for seed in range(10):
+            paths = gen.make_session(tmp_path / str(seed), seed, spec)["paths"]
+            # make_session draws the camera first from this generator
+            truth = gen._camera(np.random.default_rng([seed, 1]), spec.n_frames)
+            tracks = load_tracks(paths["tracks"], paths["sidecar"])
+            homs, _ = estimate_frame_homographies(
+                tracks.columns(), paths["correspondences"], params, seed=seed)
+            assert sorted(homs) == list(range(2, spec.n_frames + 1))
+            errors = []
+            for frame, h in homs.items():
+                px, py, _ = project_array(h.m, corners)
+                tx, ty, _ = project_array(truth[frame], corners)
+                errors.append(float(np.hypot(px - tx, py - ty).max()))
+            medians.append(float(np.median(errors)))
+            worst = max(worst, max(errors))
+        assert max(medians) <= self.MEDIAN_BOUND_PX
+        assert worst <= self.MAX_BOUND_PX
 
 
 class TestFrameEstimateReports:
