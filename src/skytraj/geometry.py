@@ -44,34 +44,59 @@ class Homography:
 
     @staticmethod
     def from_matrix(m) -> "Homography":
-        """The map of the 3x3 matrix ``m``, divided by m[2,2] when that
-        entry exceeds ``Z_TOL`` times the largest entry's magnitude.
+        """The map of the 3x3 matrix ``m``, stored as `screen_homographies`
+        stores it.
 
-        Refuses a non-finite entry (InvalidGeometry) and a matrix with
-        |det| below ``DET_FLOOR`` times its Frobenius norm cubed
-        (SingularTransform). Both tests are relative, so scaling ``m`` by
-        a power of two changes neither and leaves the stored matrix the
-        same whenever it is divided by m[2,2].
+        Refuses a non-finite entry (InvalidGeometry) and a matrix below
+        the invertibility floor (SingularTransform).
         """
-        a = np.array(m, dtype=float).reshape(3, 3)
-        if not np.all(np.isfinite(a)):
+        finite, invertible, stored, det = screen_homographies(
+            np.array(m, dtype=float).reshape(1, 3, 3)
+        )
+        if not finite[0]:
             raise InvalidGeometry("homography entries must be finite")
-        # |det| / fro**3 does not change with scale, so it is taken on the
-        # matrix scaled to a largest entry of 1, where neither can overflow.
-        peak = np.abs(a).max()
-        unit = a / peak if peak > 0.0 else a
-        with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
-            det = abs(float(np.linalg.det(unit)))
-        if peak == 0.0 or det < DET_FLOOR * float(np.linalg.norm(unit)) ** 3:
-            raise SingularTransform(f"matrix below invertibility floor (|det|={det:.3e})")
-        if abs(a[2, 2]) > Z_TOL * peak:
-            a = a / a[2, 2]
+        if not invertible[0]:
+            raise SingularTransform(f"matrix below invertibility floor (|det|={det[0]:.3e})")
+        a = stored[0]
         a.setflags(write=False)
         return Homography(a)
 
     @staticmethod
     def identity() -> "Homography":
         return Homography.from_matrix(np.eye(3))
+
+
+def screen_homographies(
+    m: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The invertibility rule and the stored form of each matrix of a
+    (K, 3, 3) stack.
+
+    Returns per matrix: whether every entry is finite; whether it is
+    invertible, that is finite, not zero, and with |det| at least
+    ``DET_FLOOR`` times its Frobenius norm cubed; the matrix divided by
+    m[2,2] where that entry exceeds ``Z_TOL`` times the largest entry's
+    magnitude, and as-is otherwise; and the |det| the floor was tested
+    on. Both tests are relative, so scaling a matrix by a power of two
+    changes neither verdict and leaves the stored matrix the same
+    whenever it is divided by m[2,2]. The verdicts, the stored bits and
+    |det| of a matrix do not depend on the stack it is in.
+    """
+    with np.errstate(all="ignore"):
+        peak = np.abs(m).max(axis=(1, 2))  # NaN or inf where an entry is
+        finite = np.isfinite(peak)
+        # |det| / fro**3 does not change with scale, so both are taken on
+        # the matrix scaled to a largest entry of 1, where neither can
+        # overflow. The norm is summed elementwise per matrix, not by a
+        # BLAS dot, so that its bits do not depend on the stack.
+        unit = m / np.where(peak > 0.0, peak, 1.0)[:, None, None]
+        det = np.abs(np.linalg.det(unit))
+        fro = np.sqrt((unit * unit).sum(axis=(1, 2)))
+        invertible = finite & (peak > 0.0) & (det >= DET_FLOOR * fro ** 3)
+        z = m[:, 2:, 2:]
+        # dividing by 1.0 keeps every bit
+        stored = m / np.where(np.abs(z) > Z_TOL * peak[:, None, None], z, 1.0)
+    return finite, invertible, stored, det
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,20 @@ with optional handling of estimates computed on downscaled coordinates.
 Absolute and relative thresholds of the estimator, what each guards, and
 the coordinates it sees:
 
-* ``Z_TOL`` (1e-12, from geometry), in the fit scaling: a fit is divided
-  by its m[2,2] only when |m[2,2]| exceeds ``Z_TOL`` times its largest
-  entry. A unitless ratio on the raw pixel-space matrix, so scale-free;
-  it guards against dividing by an m[2,2] that is zero or rounding noise.
+* ``geometry.Z_TOL`` (1e-12), in the fit scaling of
+  `geometry.screen_homographies`: a fit is divided by its m[2,2] only
+  when |m[2,2]| exceeds ``Z_TOL`` times its largest entry. A unitless
+  ratio on the raw pixel-space matrix, so scale-free; it guards against
+  dividing by an m[2,2] that is zero or rounding noise.
 * 1e-12 on ``zf`` and ``zb`` in the symmetric error: a pair whose
   forward or backward homogeneous scale has magnitude at most 1e-12 gets
   error +inf. Absolute, in the units of the third homogeneous coordinate
   of pixel points mapped by the stored matrix (m[2,2] == 1 where it can
   be), with no normalization; it guards residuals of points that map to
   projective infinity.
-* ``DET_FLOOR`` (1e-12, from geometry): a fit with |det| below
-  ``DET_FLOOR`` times its Frobenius norm cubed is singular and skipped.
+* ``geometry.DET_FLOOR`` (1e-12), the invertibility rule of
+  `geometry.screen_homographies`: a fit with |det| below ``DET_FLOOR``
+  times its Frobenius norm cubed is singular and skipped.
   Taken on the raw matrix scaled to a largest entry of 1, so multiplying
   a fit by a constant does not change it; rescaling the coordinates
   does, since the translation entries grow with them (a pure
@@ -41,10 +43,6 @@ the coordinates it sees:
   the pixel units of the threshold eta. Relative to eta; it keeps a
   hypot that rounds by an ulp from dropping an inlier, and no screened
   pair could pass.
-* The 1e-6 band of the batched invertibility check: a block's fit whose
-  |det| lies within 1e-6 of ``DET_FLOOR``'s bound, relative, is solved
-  again alone, so that a determinant summed in another order never
-  decides a sample.
 """
 from __future__ import annotations
 
@@ -57,11 +55,11 @@ import numpy as np
 from .errors import (
     DegenerateConfiguration,
     InsufficientPoints,
+    InvalidGeometry,
     MissingDistances,
     NoModelFound,
-    SingularTransform,
 )
-from .geometry import DET_FLOOR, Z_TOL, Homography, project_array
+from .geometry import Homography, project_array, screen_homographies
 
 # Minimal sample whose smallest triangle area falls below this fraction of
 # the sample bounding-box area is rejected as quasi-collinear.
@@ -229,24 +227,24 @@ def _collinear(pts: np.ndarray) -> np.ndarray:
     return sv[..., 1] <= 1e-9 * np.maximum(sv[..., 0], 1e-30)
 
 
-def _dlt_matrix(pair: np.ndarray, check_collinear: bool = True) -> np.ndarray:
+def _dlt_matrix(pair: np.ndarray) -> np.ndarray:
     """The raw DLT matrix of a (2, n, 2) source-over-destination pair."""
     n = pair.shape[1]
     if n < 4:
         raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
-    if check_collinear:
-        try:
-            collinear = _collinear(pair).any()
-        except np.linalg.LinAlgError:
-            # A set's SVD failed: check the sets one at a time, source
-            # first, so that a collinear source still wins over a failing
-            # destination.
-            collinear = _collinear(pair[0]) or _collinear(pair[1])
-        if collinear:
-            raise DegenerateConfiguration("correspondence points are collinear")
+    try:
+        collinear = _collinear(pair).any()
+    except np.linalg.LinAlgError:
+        # A set's SVD failed: check the sets one at a time, source first,
+        # so that a collinear source still wins over a failing destination.
+        collinear = _collinear(pair[0]) or _collinear(pair[1])
+    if collinear:
+        raise DegenerateConfiguration("correspondence points are collinear")
     t, spread = _hartley(pair)
     if (spread <= 0.0).any():
         raise DegenerateConfiguration("all points coincide")
+    if not np.isfinite(spread).all():
+        raise DegenerateConfiguration("point spread is not finite")
     return _denormalized_solve(_dlt_design(pair, t), t)
 
 
@@ -260,7 +258,7 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
 def _fit(pair: np.ndarray) -> Homography:
     try:
         return Homography.from_matrix(_dlt_matrix(pair))
-    except SingularTransform as exc:
+    except InvalidGeometry as exc:  # a singular or non-finite fit
         raise DegenerateConfiguration(str(exc)) from exc
 
 
@@ -377,61 +375,40 @@ def _draw_samples(rng: np.random.Generator, pool: list[int], size: int) -> np.nd
     return np.array(samples)
 
 
-# States of a minimal sample after `_solve_block`.
-_SKIPPED, _SOLVED, _REPLAY = 0, 1, 2
-
-
 def _solve_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimal-sample fits of a (2, K, 4, 2) block, the K source samples
     over their destination samples, as one batched solve.
 
-    Gives each sample the outcome of the screen, ``_dlt_matrix`` and
-    ``Homography.from_matrix`` one sample at a time would give:
-    ``_SKIPPED`` for a degenerate sample or a singular fit, ``_SOLVED``
-    with its raw matrix and the one ``Homography.from_matrix`` stores
-    (scaled to m[2,2] == 1 where it can be), or ``_REPLAY`` where the
-    batched arithmetic cannot decide it exactly (non-finite values, all
-    points coinciding, a determinant on the invertibility floor).
-    Replayed samples go through ``_dlt_matrix`` on their own.
+    Returns per sample whether it is solved, its raw matrix and the one
+    ``Homography.from_matrix`` stores (scaled to m[2,2] == 1 where it can
+    be); both matrices are zero where no fit was made. A sample is not
+    solved when it is degenerate, when the spread of its source or
+    destination points is zero or not finite, when its DLT system is not
+    finite, or when `geometry.screen_homographies` refuses its fit.
 
     The block is screened for degenerate samples, normalized and turned
-    into 8x9 DLT systems in one stack each, degenerate samples included
-    (and then dropped), and the usable systems go through one stacked
-    full SVD: the reduced SVD of an 8x9 system has no null-space row.
-    Every sample's arithmetic is that of the one-at-a-time fit. Expects
-    the caller's ``np.errstate``.
+    into 8x9 DLT systems in one stack each, unsolved samples included
+    (and then dropped), and the rest go through one stacked full SVD:
+    the reduced SVD of an 8x9 system has no null-space row. A solved
+    sample's arithmetic is that of ``_dlt_matrix`` and
+    ``Homography.from_matrix`` on it alone. Expects the caller's
+    ``np.errstate``.
     """
     k = pts.shape[1]
-    state = np.full(k, _SKIPPED, dtype=np.int8)
     raw = np.zeros((k, 3, 3))
     fits = np.zeros((k, 3, 3))
-    picked = ~_degenerate_samples(pts).any(axis=0)
-    state[picked] = _REPLAY
     t, spread = _hartley(pts)
     a = _dlt_design(pts, t)
-    ok = picked & (spread > 0.0).all(axis=0) & np.isfinite(a).all(axis=(1, 2))
-    if not ok.any():
-        return state, raw, fits
-    try:
-        h = _denormalized_solve(a[ok], t[:, ok])
-    except np.linalg.LinAlgError:
-        return state, raw, fits
-    # Homography.from_matrix's finite and invertibility checks, on each
-    # matrix scaled to a largest entry of 1. Its Frobenius norm is a
-    # BLAS dot product; summed in another order here, it decides only
-    # determinants clear of the floor. A peak of NaN or inf marks a
-    # matrix with a non-finite entry.
-    peak = np.abs(h).max(axis=(1, 2))[:, None, None]
-    checked = (peak > 0.0) & (peak < np.inf)
-    unit = np.where(checked, h / peak, 1.0)
-    det = np.abs(np.linalg.det(unit))
-    floor = DET_FLOOR * np.sqrt((unit * unit).sum(axis=(1, 2))) ** 3
-    decided = checked[:, 0, 0] & (np.abs(det - floor) > 1e-6 * floor)
-    state[ok] = np.where(decided, np.where(det >= floor, _SOLVED, _SKIPPED), _REPLAY)
-    raw[ok] = h
-    z = h[:, 2:, 2:]
-    fits[ok] = np.where(np.abs(z) > Z_TOL * peak, h / z, h)
-    return state, raw, fits
+    solved = (
+        ~_degenerate_samples(pts).any(axis=0)
+        & ((spread > 0.0) & (spread < np.inf)).all(axis=0)
+        & np.isfinite(a).all(axis=(1, 2))
+    )
+    if solved.any():
+        raw[solved] = _denormalized_solve(a[solved], t[:, solved])
+        _, invertible, fits[solved], _ = screen_homographies(raw[solved])
+        solved[solved] = invertible
+    return solved, raw, fits
 
 
 def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
@@ -441,7 +418,8 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     configured threshold. The search stops once the standard confidence
     bound says a pure-inlier sample has been drawn with probability
     ``confidence``, capped at ``max_iterations``. The final model is
-    refit on the full best consensus set. Deterministic per seed.
+    refit on the full best consensus set. Deterministic per seed. Refuses
+    fewer than 4 matches and a coordinate that is not finite.
 
     Samples are drawn, solved and scored a block at a time, then
     visited in draw order under the sequential stopping rule, so
@@ -461,6 +439,8 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     n = len(matches)
     if n < 4:
         raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
+    if not (np.isfinite(matches.src).all() and np.isfinite(matches.dst).all()):
+        raise InvalidGeometry("match coordinates must be finite")
     with np.errstate(all="ignore"):
         return _ransac(matches.src, matches.dst, cfg)
 
@@ -484,25 +464,14 @@ def _ransac(src: np.ndarray, dst: np.ndarray, cfg: RansacConfig) -> EstimateRepo
         size = min(block, stop - it)
         block = min(2 * block, cap)
         samples = np.take(pair, _draw_samples(rng, pool, size), axis=1)
-        state, raw, fits = _solve_block(samples)
+        solved, raw, fits = _solve_block(samples)
         flags = np.zeros((size, n), dtype=bool)
-        solved = state == _SOLVED
         if solved.any():
             flags[solved] = _inlier_flags(fits[solved], src, dst, eta)
-        counts = flags.sum(axis=1).tolist()
-        for j, sample_state in enumerate(state.tolist()):
+        # an unsolved sample has no inliers, so it never becomes the best
+        for j, count in enumerate(flags.sum(axis=1).tolist()):
             it += 1
-            if sample_state == _REPLAY:
-                try:
-                    raw[j] = _dlt_matrix(samples[:, j].copy(), check_collinear=False)
-                    h = Homography.from_matrix(raw[j])
-                except (DegenerateConfiguration, SingularTransform):
-                    sample_state = _SKIPPED
-                else:
-                    flags[j] = _pair_errors(h.m, pair) <= eta
-                    counts[j] = int(np.count_nonzero(flags[j]))
-            count = counts[j]
-            if sample_state != _SKIPPED and count > best_count and count >= 4:
+            if count > best_count and count >= 4:
                 best_count, best_flags, best_raw = count, flags[j].copy(), raw[j].copy()
                 w4 = (count / n) ** 4
                 needed = it if w4 >= 1.0 else math.ceil(log_fail / math.log1p(-w4))

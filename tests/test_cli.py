@@ -729,6 +729,36 @@ class TestStabilizeCommand:
         assert f"{frame5}: line 2: match values must be finite" in err[0]
         assert not out.exists()
 
+    def test_overflowing_point_spread_fails_cleanly(self, tmp_path, capsys):
+        """Coordinates near 1e200 are finite, but their spread overflows:
+        no minimal sample can be normalized, so the frame has no model."""
+        points = [p for p in scenario_points() if p.frame <= 5 and p.track_id == 1]
+        tracks_csv = tmp_path / "tracks.csv"
+        sidecar = tmp_path / "video.yaml"
+        write_tracks_csv(tracks_csv, points)
+        write_sidecar(sidecar, n_frames=5)
+        corr_dir = tmp_path / "corrs"
+        write_correspondence_fixture(corr_dir)
+        frame2 = corr_dir / "2.csv"
+        lines = frame2.read_text().splitlines()
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[:4] = [repr(float(c) * 1e200) for c in cells[:4]]
+            lines[i] = ",".join(cells)
+        frame2.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "stab.csv"
+        rc = run_cli(
+            "stabilize",
+            "--tracks", tracks_csv,
+            "--sidecar", sidecar,
+            "--correspondences", corr_dir,
+            "--output", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [stabilize]: frame 2: no consensus of >= 4 inliers in 5000 iterations"]
+        assert not out.exists()
+
     def test_missing_distances_name_file_and_line(self, pipeline_fixture, tmp_path, capsys):
         corr_dir = tmp_path / "corrs"
         write_correspondence_fixture(corr_dir, frames=range(2, 21))

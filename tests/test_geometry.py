@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from conftest import inverse, rotation, scaling, translation
 from skytraj.errors import (
     DegenerateProjection,
+    InvalidGeometry,
     NonConvexInput,
     SingularResult,
     SingularTransform,
 )
 from skytraj.geometry import (
+    Z_TOL,
     GeoTransform,
     Homography,
     Point2,
@@ -21,6 +23,7 @@ from skytraj.geometry import (
     compose,
     pixel_to_world,
     quad_iou,
+    screen_homographies,
     transform_boxes,
 )
 
@@ -129,6 +132,139 @@ class TestApplyHomography:
         h2 = Homography.from_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         assert h2.m[2, 2] == 1.0
         assert np.array_equal(h2.m, np.eye(3))
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _accepted(m) -> bool:
+    return bool(screen_homographies(np.asarray(m, dtype=float)[None])[1][0])
+
+
+def _at_the_floor(rng, k: int) -> np.ndarray:
+    """A random matrix, dense or diagonal, whose m[0,0] is the first value
+    that passes the invertibility floor (``_accepted``), moved ``k``
+    floats; the floats on either side of that value get different
+    verdicts. A diagonal determinant is one product, so there it moves by
+    about an ulp per float of m[0,0], and the rounding of the norm can
+    decide the verdict."""
+    m = rng.uniform(-1.0, 1.0, (3, 3)) * 10.0 ** rng.integers(-5, 6)
+    if rng.random() < 0.5:
+        m = np.diag(np.diag(m))
+    cofactor = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
+    m[0, 0] = 0.0
+    rest = np.linalg.det(m)
+    singular, regular = -rest / cofactor, -rest / cofactor + math.copysign(1.0, cofactor)
+    m[0, 0] = regular
+    if not _accepted(m):  # a cofactor far below the floor: nothing to find
+        return m
+    # bisect down to two neighbouring floats
+    while (mid := (singular + regular) / 2.0) not in (singular, regular):
+        m[0, 0] = mid
+        if _accepted(m):
+            regular = mid
+        else:
+            singular = mid
+    m[0, 0] = _ulps(regular, k if regular > singular else -k)
+    return m
+
+
+def _z_at_the_tolerance(rng, k: int) -> np.ndarray:
+    """A random matrix with m[2,2] ``k`` floats from ``Z_TOL`` times its
+    largest entry's magnitude, with either sign."""
+    m = rng.uniform(-1.0, 1.0, (3, 3)) * 10.0 ** rng.integers(-300, 301)
+    m[2, 2] = 0.0
+    m[2, 2] = rng.choice([-1.0, 1.0]) * _ulps(Z_TOL * float(np.abs(m).max()), k)
+    return m
+
+
+def _rule_matrix(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, (3, 3)) * 10.0 ** rng.integers(-300, 301)
+    if kind == "zero":
+        return rng.choice([0.0, -0.0], (3, 3))
+    if kind == "non-finite":
+        m = rng.uniform(-1.0, 1.0, (3, 3))
+        m[tuple(rng.integers(0, 3, 2))] = rng.choice([np.nan, np.inf, -np.inf])
+        return m
+    if kind == "peaks":  # entries of 1e-300 and 1e300 together
+        return rng.choice([1e-300, -1e-300, 1e300, -1e300, 0.0, 1.0], (3, 3))
+    if kind.startswith("floor"):
+        return _at_the_floor(rng, int(kind[5:]))
+    return _z_at_the_tolerance(rng, int(kind[4:]))
+
+
+RULE_KINDS = ["random", "zero", "non-finite", "peaks", "floor-1", "floor0", "floor1",
+              "ztol-1", "ztol0", "ztol1"]
+
+
+def _from_matrix_outcome(m):
+    try:
+        return Homography.from_matrix(m).m.tobytes()
+    except InvalidGeometry as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _screen_outcome(finite, invertible, stored, det):
+    """What `Homography.from_matrix` gives for one matrix's verdicts."""
+    if not finite:
+        return ("InvalidGeometry", "homography entries must be finite")
+    if not invertible:
+        return ("SingularTransform", f"matrix below invertibility floor (|det|={det:.3e})")
+    return stored.tobytes()
+
+
+# Diagonals one float above the floor that a norm taken by `np.linalg.norm`
+# (a BLAS dot product) puts below it with some BLAS builds.
+NORM_ORDER_EDGES = [
+    ("0x1.959b193b207edp-39", "0x1.0000000000000p+0", "-0x1.dd0a389cf2ee0p-2"),
+    ("0x1.5be897397582fp-35", "0x1.0000000000000p+0", "0x1.9ea1864a0bc40p-6"),
+    ("0x1.772df1c28a377p-39", "0x1.0000000000000p+0", "-0x1.27fc00f48786bp-1"),
+    ("0x1.c5e250c6e89bep-34", "-0x1.0000000000000p+0", "-0x1.3d8f66d3a15dep-7"),
+]
+
+
+class TestOneInvertibilityRule:
+    """`screen_homographies` decides a matrix the same way alone, inside
+    any stack, and through `Homography.from_matrix`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(RULE_KINDS), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=64))
+    def test_each_matrix_as_alone_and_as_from_matrix(self, drawn):
+        stack = np.stack([_rule_matrix(kind, seed) for kind, seed in drawn])
+        finite, invertible, stored, det = screen_homographies(stack)
+        for i, m in enumerate(stack):
+            want = _screen_outcome(finite[i], invertible[i], stored[i], det[i])
+            one = [out[0] for out in screen_homographies(m[None].copy())]
+            assert _screen_outcome(*one) == want
+            assert det[i].tobytes() == one[3].tobytes()
+            if finite[i]:
+                assert stored[i].tobytes() == one[2].tobytes()
+            assert _from_matrix_outcome(m) == want
+
+    @pytest.mark.parametrize("diagonal", NORM_ORDER_EDGES)
+    def test_from_matrix_sums_the_norm_as_a_stack_does(self, diagonal):
+        m = np.diag([float.fromhex(v) for v in diagonal])
+        one = [out[0] for out in screen_homographies(m[None])]
+        assert _from_matrix_outcome(m) == _screen_outcome(*one)
+
+    def test_the_edge_matrices_reach_both_sides(self):
+        """The floor's edge matrices get both verdicts one float apart, and
+        m[2,2] divides one float above ``Z_TOL`` times the peak, not at it."""
+        flips = 0
+        for seed in range(20):
+            below, at = (_rule_matrix(f"floor{k}", seed) for k in (-1, 0))
+            flips += not _accepted(below) and _accepted(at)
+            at, above = (_rule_matrix(f"ztol{k}", seed) for k in (0, 1))
+            assert np.array_equal(screen_homographies(at[None])[2][0], at)
+            assert screen_homographies(above[None])[2][0, 2, 2] == 1.0
+        assert flips >= 15
 
 
 class TestCompose:

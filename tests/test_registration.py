@@ -15,6 +15,7 @@ from reference import apply_homography
 from skytraj.errors import (
     DegenerateConfiguration,
     InsufficientPoints,
+    InvalidGeometry,
     MissingDistances,
     NoModelFound,
     SingularTransform,
@@ -288,6 +289,14 @@ class TestDlt:
         )
         with pytest.raises(DegenerateConfiguration):
             dlt_homography(corrs.src, corrs.dst)
+
+    def test_overflowing_spread_rejected(self):
+        # the squared distances from the centroid overflow, so the points
+        # have no Hartley normalization
+        corrs = exact_corrs(translation(7, -2), [(0, 0), (10, 0), (10, 10), (0, 10)])
+        with pytest.raises(DegenerateConfiguration) as err:
+            dlt_homography(corrs.src * 1e200, corrs.dst * 1e200)
+        assert str(err.value) == "point spread is not finite"
 
     @pytest.mark.parametrize("n", [4, 1000])
     def test_recovers_projective_map(self, n):
@@ -783,14 +792,20 @@ class TestBlockRansacMatchesSequential:
             assert _outcome(ransac_homography, corrs, cfg) == expected
 
     def test_non_finite_input_fails_as_before(self):
+        """The sequential reference ends in numpy's LinAlgError on a NaN
+        match; the estimator refuses a coordinate that is not finite
+        before it draws a sample."""
+        cfg = RansacConfig(seed=5, max_iterations=200)
         corrs = _problem(5, 30, 0.2, "plain")
         corrs.src[3] = (float("nan"), 10.0)
-        cfg = RansacConfig(seed=5, max_iterations=200)
-        with pytest.raises(np.linalg.LinAlgError) as ref:
+        with pytest.raises(np.linalg.LinAlgError):
             _ref_ransac(corrs, cfg)
-        with pytest.raises(np.linalg.LinAlgError) as new:
-            ransac_homography(corrs, cfg)
-        assert str(new.value) == str(ref.value)
+        for side, bad in (("src", np.nan), ("dst", np.inf), ("dst", -np.inf)):
+            corrs = _problem(5, 30, 0.2, "plain")
+            getattr(corrs, side)[7, 1] = bad
+            with pytest.raises(InvalidGeometry) as new:
+                ransac_homography(corrs, cfg)
+            assert str(new.value) == "match coordinates must be finite"
 
 
 def _edge_samples(rng, k):
@@ -873,6 +888,30 @@ class TestKernelsAtTheirEdges:
             degenerate += np.isinf(errs).sum()
         assert degenerate > 0
         assert 0 < flags[-1].sum() < n
+
+    def test_solve_block_refuses_samples_it_cannot_normalize(self, monkeypatch):
+        """Samples whose points coincide (spread 0), whose spread overflows
+        or holds a NaN are not solved and leave zero matrices; the others
+        get the bits of `dlt_homography`. The spread and design checks
+        refuse them even where the degenerate-sample screen lets them by."""
+        rng = np.random.default_rng(8)
+        src = rng.uniform(0, 100, (1, 3, 4, 2))
+        good = np.concatenate([src, src + rng.normal(0, 2, src.shape)])
+        coincide = np.repeat(good[:, :1, :1], 4, axis=2)
+        huge = good[:, 1:2] * 1e200
+        nan = good[:, 2:3].copy()
+        nan[1, 0, 2, 0] = np.nan
+        pts = np.concatenate([good, coincide, huge, nan], axis=1)
+        fits = [dlt_homography(pts[0, j], pts[1, j]).m.tobytes() for j in range(3)]
+        for screen in (True, False):
+            if not screen:
+                monkeypatch.setattr(registration, "_degenerate_samples",
+                                    lambda p: np.zeros(p.shape[:-2], dtype=bool))
+            with np.errstate(all="ignore"):
+                solved, raw, stored = registration._solve_block(pts)
+            assert solved.tolist() == [True, True, True, False, False, False]
+            assert not raw[3:].any() and not stored[3:].any()
+            assert [m.tobytes() for m in stored[:3]] == fits
 
     def test_collinear_matches_the_svd_decision(self):
         rng = np.random.default_rng(5)
