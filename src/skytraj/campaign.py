@@ -46,6 +46,8 @@ class BenchParams:
     def __post_init__(self):
         if self.scenes < 1:
             raise ValueError("scenes must be >= 1")
+        if self.scene_seed < 0:
+            raise ValueError("scene_seed must be >= 0")
         if not self.hea_epsilon > 0:
             raise ValueError("hea_epsilon must be > 0")
 
@@ -61,6 +63,15 @@ class DistortionRanges:
         ranges = (self.rot_max_deg, self.trans_max_frac, self.scale_max_frac, self.persp_max)
         if not all(r >= 0 for r in ranges):
             raise ValueError("distortion ranges must be >= 0")
+        # the intervals random_homography draws from, as (low, high)
+        draws = {
+            "rot_max_deg": (-self.rot_max_deg, self.rot_max_deg),
+            "scale_max_frac": (1.0 - self.scale_max_frac, 1.0 + self.scale_max_frac),
+            "persp_max": (-self.persp_max, self.persp_max),
+        }
+        for name, (low, high) in draws.items():
+            if not math.isfinite(high - low):
+                raise ValueError(f"{name} gives a draw interval that is not finite")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateProjection, EmptySampleSet, EmptyVisibilitySet
-from .geometry import Z_TOL, GeoTransform, Homography, Point2
+from .errors import EmptySampleSet, EmptyVisibilitySet
+from .geometry import Z_TOL, GeoTransform, Homography, infinity_error
 from .trackmodel import DEFAULT_VISIBILITY_MARGIN
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
@@ -267,7 +267,7 @@ def dims_to_world(
     zs = [m20 * x + m21 * y + m22 for x, y in zip(xs, ys)]
     for x, y, z in zip(xs, ys, zs):
         if abs(z) < Z_TOL:
-            raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
+            raise infinity_error(x, y)
     px = [(m00 * x + m01 * y + m02) / z for x, y, z in zip(xs, ys, zs)]
     py = [(m10 * x + m11 * y + m12) / z for x, y, z in zip(xs, ys, zs)]
     t = geo_local

@@ -153,8 +153,12 @@ def reject_infinity(pts: np.ndarray, z: np.ndarray) -> None:
     whose homogeneous scale in the (N,) ``z`` is below ``Z_TOL``."""
     at_infinity = np.abs(z) < Z_TOL
     if at_infinity.any():
-        x, y = pts[int(at_infinity.argmax())].tolist()
-        raise DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
+        raise infinity_error(*pts[int(at_infinity.argmax())].tolist())
+
+
+def infinity_error(x: float, y: float) -> DegenerateProjection:
+    """The error for the point ``(x, y)`` mapping to projective infinity."""
+    return DegenerateProjection(f"point {Point2(x, y)} maps to projective infinity")
 
 
 def apply_homography_array(h: Homography, pts) -> np.ndarray:
@@ -238,69 +242,60 @@ def _shoelace(pts: Sequence[tuple[float, float]]) -> float:
 
 def _signed_area(pts: Sequence[tuple[float, float]]) -> float:
     acc = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
+    for (x0, y0), (x1, y1) in zip(pts, [*pts[1:], *pts[:1]]):
         acc += x0 * y1 - x1 * y0
     return acc / 2.0
 
 
 def _require_convex(pts: Sequence[tuple[float, float]]) -> None:
     # Edge-pair cross products must not carry strictly opposite signs;
-    # tolerance scales with the squared extent of the polygon.
-    n = len(pts)
-    span = max(
-        max(p[0] for p in pts) - min(p[0] for p in pts),
-        max(p[1] for p in pts) - min(p[1] for p in pts),
-        1e-30,
-    )
+    # tolerance scales with the squared extent of the polygon. Each vertex
+    # c is tested with the two before it, a and b.
+    xs, ys = zip(*pts)
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-30)
     tol = 1e-9 * span * span
     pos = neg = False
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        cx, cy = pts[(i + 2) % n]
-        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    a, b = pts[-2], pts[-1]
+    for c in pts:
+        ax, ay = a
+        cross = (b[0] - ax) * (c[1] - ay) - (b[1] - ay) * (c[0] - ax)
         if cross > tol:
             pos = True
         elif cross < -tol:
             neg = True
+        a, b = b, c
     if pos and neg:
         raise NonConvexInput("quadrilateral is not convex")
 
 
 def _clip_convex(subject, clip):
-    """Sutherland-Hodgman: clip ``subject`` against convex CCW ``clip``."""
+    """Sutherland-Hodgman: clip ``subject`` against convex CCW ``clip``.
+
+    A vertex is inside a clip edge where its side value ``f`` is >= 0;
+    each vertex's ``f`` is computed once and kept for the next vertex.
+    """
     output = list(subject)
-    n = len(clip)
-    for i in range(n):
+    for (ax, ay), (bx, by) in zip(clip, [*clip[1:], *clip[:1]]):
         if not output:
             return []
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
         ex, ey = bx - ax, by - ay
-
-        def inside(p):
-            return ex * (p[1] - ay) - ey * (p[0] - ax) >= 0.0
-
-        input_list = output
-        output = []
+        input_list, output = output, []
         s = input_list[-1]
-        s_in = inside(s)
+        fs = ex * (s[1] - ay) - ey * (s[0] - ax)
         for e in input_list:
-            e_in = inside(e)
-            if e_in != s_in:
+            fe = ex * (e[1] - ay) - ey * (e[0] - ax)
+            e_in = fe >= 0.0
+            if e_in != (fs >= 0.0):
                 # intersection of segment s-e with the clip edge line
-                dx, dy = e[0] - s[0], e[1] - s[1]
+                (sx, sy), (x, y) = s, e
+                dx, dy = x - sx, y - sy
                 denom = ex * dy - ey * dx
                 if denom != 0.0:
-                    fs = ex * (s[1] - ay) - ey * (s[0] - ax)
                     t = -fs / denom
-                    output.append((s[0] + t * dx, s[1] + t * dy))
+                    output.append((sx + t * dx, sy + t * dy))
             if e_in:
                 output.append(e)
-            s, s_in = e, e_in
+            s, fs = e, fe
     return output
 
 

@@ -4,11 +4,18 @@ Per-trial registration scores: the mean corner round-trip displacement
 (true map forward, estimated map back), which HEA thresholds, and the
 mean overlap between scene boxes and their round-tripped counterparts,
 which MIoU averages; ``campaign.run_campaign`` aggregates both over a
-grid cell's trials. Trajectory comparison measures the perpendicular offset
-of a probe point from the segment between its nearest candidate point
-and that point's nearer sequence neighbor, plus a distance-weighted
-speed difference; `compare_trajectory` reports both over all of a probe's
-points at once.
+grid cell's trials. A trial's few points are too few for numpy's
+per-call cost, so both scores run on Python floats: each point goes
+through the true map and back through the estimate with the IEEE
+operations of `geometry.project_array` in their order, its homogeneous
+scale tested against ``Z_TOL`` before each division, and each box's
+round-tripped quadrilateral meets the box in `geometry.quad_iou`. The
+scores equal the corner-by-corner map bit for bit.
+
+Trajectory comparison measures the perpendicular offset of a probe point
+from the segment between its nearest candidate point and that point's
+nearer sequence neighbor, plus a distance-weighted speed difference;
+`compare_trajectory` reports both over all of a probe's points at once.
 """
 from __future__ import annotations
 
@@ -17,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment, NonConvexInput, TooShort
-from .geometry import Z_TOL, Homography, box_corners, project_array, quad_iou, reject_infinity
+from .errors import DegenerateProjection, DegenerateSegment, NonConvexInput, TooShort
+from .geometry import Z_TOL, Homography, infinity_error, quad_iou
 from .kinematics import KinematicsConfig
 
 
@@ -38,19 +45,27 @@ class SceneSpec:
         return np.array([(0.0, 0.0), (w, 0.0), (w, h), (0.0, h)])
 
 
-def _round_trip(
-    h_true: Homography, h_est: Homography, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Map the (N, 2) ``pts`` through ``h_true``, then back through ``h_est``.
+def _there_and_back(m_true: list, m_est: list, pts: list) -> list[tuple[float, float]]:
+    """Each ``(x, y)`` of ``pts`` through ``m_true``, then back through
+    ``m_est`` (3x3 matrices as lists of rows).
 
-    Returns the mapped x and y (N,), and the (N, 2, 2) start point and the
-    (N, 2) homogeneous scale of each point's two legs, in the order the
-    per-point round trip meets them.
+    Raises DegenerateProjection for the first leg, point by point, whose
+    homogeneous scale is below ``Z_TOL``; the test comes before the
+    leg's division.
     """
-    mx, my, z_true = project_array(h_true.m, pts)
-    mid = np.stack([mx, my], axis=-1)
-    x, y, z_est = project_array(h_est.m, mid)
-    return x, y, np.stack([pts, mid], axis=1), np.stack([z_true, z_est], axis=1)
+    (a, b, c), (d, e, f), (g, k, s) = m_true
+    (a2, b2, c2), (d2, e2, f2), (g2, k2, s2) = m_est
+    out = []
+    for x, y in pts:
+        z = g * x + k * y + s
+        if abs(z) < Z_TOL:
+            raise infinity_error(x, y)
+        mx, my = (a * x + b * y + c) / z, (d * x + e * y + f) / z
+        z = g2 * mx + k2 * my + s2
+        if abs(z) < Z_TOL:
+            raise infinity_error(mx, my)
+        out.append(((a2 * mx + b2 * my + c2) / z, (d2 * mx + e2 * my + f2) / z))
+    return out
 
 
 def corner_displacement(h_true: Homography, h_est: Homography, corners: np.ndarray) -> float:
@@ -59,13 +74,11 @@ def corner_displacement(h_true: Homography, h_est: Homography, corners: np.ndarr
     Raises DegenerateProjection for the first leg that meets projective
     infinity, corner by corner.
     """
-    corners = np.asarray(corners, dtype=float)
-    x, y, starts, z = _round_trip(h_true, h_est, corners)
-    reject_infinity(starts.reshape(-1, 2), z.ravel())
+    pts = np.asarray(corners, dtype=float).tolist()
     total = 0.0
-    for qx, qy, (px, py) in zip(x.tolist(), y.tolist(), corners.tolist()):
+    for (px, py), (qx, qy) in zip(pts, _there_and_back(h_true.m.tolist(), h_est.m.tolist(), pts)):
         total += math.hypot(qx - px, qy - py)
-    return total / len(corners)
+    return total / len(pts)
 
 
 def scene_miou(h_true: Homography, h_est: Homography, boxes: np.ndarray) -> float:
@@ -77,17 +90,15 @@ def scene_miou(h_true: Homography, h_est: Homography, boxes: np.ndarray) -> floa
     """
     if not len(boxes):
         raise ValueError("scene has no boxes")
-    corners = box_corners(boxes)
-    x, y, _, z = _round_trip(h_true, h_est, corners.reshape(-1, 2))
-    finite = ~(np.abs(z) < Z_TOL).reshape(-1, 8).any(axis=1)
-    warped = np.stack([x, y], axis=-1).reshape(-1, 4, 2)
+    m_true, m_est = h_true.m.tolist(), h_est.m.tolist()
     total = 0.0
-    for quad, warp, ok in zip(corners.tolist(), warped.tolist(), finite.tolist()):
-        if ok:
-            try:
-                total += quad_iou(quad, warp)
-            except NonConvexInput:
-                pass
+    for cx, cy, w, h in boxes.tolist():
+        xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2
+        quad = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+        try:
+            total += quad_iou(quad, _there_and_back(m_true, m_est, quad))
+        except (DegenerateProjection, NonConvexInput):
+            pass
     return total / len(boxes)
 
 

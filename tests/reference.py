@@ -12,8 +12,12 @@ The tests compare the array code in ``skytraj.geometry``,
 ``skytraj.metrics``, ``skytraj.campaign``, ``skytraj.trackmodel``,
 ``skytraj.dimensions``, ``skytraj.kinematics`` and the callers'
 visible-row gate against them bit for bit; the steps that did not change
-(``ratio_filter``, ``quad_iou``, ``acceleration``) and the ``GroupReport``
-record are shared.
+(``ratio_filter``, ``acceleration``) and the ``GroupReport`` record are
+shared.
+
+The convex-quadrilateral IoU is kept as it ran with per-vertex ``inside``
+tests and ``% n`` indexing (``quad_iou``); the tests compare
+``skytraj.geometry.quad_iou`` against it, bits and errors.
 
 The track CSV loader is kept as it ran row by row, converting and
 checking each csv row in turn and sorting the points at the end; the
@@ -67,7 +71,6 @@ from skytraj.geometry import (
     Point2,
     apply_homography_array,
     pixel_to_world,
-    quad_iou,
 )
 from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.metrics import GroupReport
@@ -106,6 +109,100 @@ def transform_bbox(h: Homography, box: Box) -> Box:
     xs, ys = zip(*(apply_homography(h, p) for p in box_corners(box)))
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
     return ((xmin + xmax) / 2, (ymin + ymax) / 2, xmax - xmin, ymax - ymin)
+
+
+# --- convex quadrilateral IoU ---------------------------------------------------
+
+
+def _shoelace(pts: Sequence[tuple[float, float]]) -> float:
+    """Absolute polygon area."""
+    if len(pts) < 3:
+        return 0.0
+    return abs(_signed_area(pts))
+
+
+def _signed_area(pts: Sequence[tuple[float, float]]) -> float:
+    acc = 0.0
+    n = len(pts)
+    for i in range(n):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % n]
+        acc += x0 * y1 - x1 * y0
+    return acc / 2.0
+
+
+def _require_convex(pts: Sequence[tuple[float, float]]) -> None:
+    # Edge-pair cross products must not carry strictly opposite signs;
+    # tolerance scales with the squared extent of the polygon.
+    n = len(pts)
+    span = max(
+        max(p[0] for p in pts) - min(p[0] for p in pts),
+        max(p[1] for p in pts) - min(p[1] for p in pts),
+        1e-30,
+    )
+    tol = 1e-9 * span * span
+    pos = neg = False
+    for i in range(n):
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % n]
+        cx, cy = pts[(i + 2) % n]
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if cross > tol:
+            pos = True
+        elif cross < -tol:
+            neg = True
+    if pos and neg:
+        raise NonConvexInput("quadrilateral is not convex")
+
+
+def _clip_convex(subject, clip):
+    """Sutherland-Hodgman: clip ``subject`` against convex CCW ``clip``."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+
+        def inside(p):
+            return ex * (p[1] - ay) - ey * (p[0] - ax) >= 0.0
+
+        input_list = output
+        output = []
+        s = input_list[-1]
+        s_in = inside(s)
+        for e in input_list:
+            e_in = inside(e)
+            if e_in != s_in:
+                # intersection of segment s-e with the clip edge line
+                dx, dy = e[0] - s[0], e[1] - s[1]
+                denom = ex * dy - ey * dx
+                if denom != 0.0:
+                    fs = ex * (s[1] - ay) - ey * (s[0] - ax)
+                    t = -fs / denom
+                    output.append((s[0] + t * dx, s[1] + t * dy))
+            if e_in:
+                output.append(e)
+            s, s_in = e, e_in
+    return output
+
+
+def quad_iou(a: Sequence[Sequence[float]], b: Sequence[Sequence[float]]) -> float:
+    """Exact intersection-over-union of two convex quadrilaterals, each
+    given as four ``(x, y)`` vertices in order (either winding)."""
+    _require_convex(a)
+    _require_convex(b)
+    if _signed_area(b) < 0:
+        b = b[::-1]
+    area1 = _shoelace(a)
+    area2 = _shoelace(b)
+    inter = _shoelace(_clip_convex(a, b))
+    union = area1 + area2 - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
 
 
 # --- registration scores ----------------------------------------------------------

@@ -911,6 +911,11 @@ class TestBenchCommand:
             ("hea_epsilon: .nan", "hea_epsilon must be > 0"),
             ("rot_max_deg: .nan", "distortion ranges must be >= 0"),
             ("persp_max: .nan", "distortion ranges must be >= 0"),
+            ("rot_max_deg: .inf", "rot_max_deg gives a draw interval that is not finite"),
+            ("rot_max_deg: 1e308", "rot_max_deg gives a draw interval that is not finite"),
+            ("persp_max: .inf", "persp_max gives a draw interval that is not finite"),
+            ("scale_max_frac: 1e308", "scale_max_frac gives a draw interval that is not finite"),
+            ("scene_seed: -1", "scene_seed must be >= 0"),
         ],
     )
     def test_bad_grid_value_fails_cleanly(self, tmp_path, capsys, entry, message):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import inverse, rotation, scaling, translation
+import reference
+from conftest import inverse, outcome, rotation, scaling, translation
 from skytraj.errors import (
     DegenerateProjection,
     InvalidGeometry,
@@ -476,3 +477,69 @@ class TestQuadIoU:
         bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
         with pytest.raises(NonConvexInput):
             quad_iou(bowtie, unit_square())
+
+
+# Coordinates that reach every branch of the clip: ordinary values, signed
+# zeros, and values whose products overflow, underflow or are undefined.
+_QUAD_COORDS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]),
+)
+
+
+def _box(x0, y0, w, h):
+    return [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+
+
+def _reshaped(quad, how):
+    if how == "reversed":  # the other winding
+        return quad[::-1]
+    if how == "bow tie":
+        return [quad[0], quad[2], quad[1], quad[3]]
+    if how == "coincident":
+        return [quad[0], quad[0], quad[2], quad[3]]
+    return quad
+
+
+_QUADS = st.builds(
+    _reshaped,
+    st.one_of(
+        st.lists(st.tuples(_QUAD_COORDS, _QUAD_COORDS), min_size=4, max_size=4),
+        st.builds(_box, _QUAD_COORDS, _QUAD_COORDS, _QUAD_COORDS, _QUAD_COORDS),
+    ),
+    st.sampled_from(["as is", "reversed", "bow tie", "coincident"]),
+)
+
+
+@st.composite
+def _quad_pairs(draw):
+    """Two quads; the second is often the first moved by the difference of
+    two of its vertices (a shared edge or corner: a clip of zero area) or
+    far away (disjoint: an empty clip)."""
+    a = draw(_QUADS)
+    move = draw(st.sampled_from(["free", "by vertices", "far"]))
+    if move == "free":
+        return a, draw(_QUADS)
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    dx, dy = a[j][0] - a[i][0], a[j][1] - a[i][1]
+    if move == "far":
+        dx, dy = dx + 1e3, dy - 1e3
+    b = [(x + dx, y + dy) for x, y in a]
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestQuadIoUMatchesFrozen:
+    """`quad_iou` against the per-vertex clip it replaced: the same bits, or
+    the same NonConvexInput text."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_quad_pairs())
+    @example((_box(0.0, 0.0, 2.0, 1.0), _box(5.0, 5.0, 1.0, 1.0)))  # disjoint
+    @example((_box(0.0, 0.0, 2.0, 1.0), _box(2.0, 1.0, 1.0, 1.0)))  # shared corner
+    @example((_box(0.0, 0.0, 2.0, 1.0), _box(2.0, 0.0, 1.0, -1.0)))  # shared edge, clockwise
+    @example((_box(0.0, 0.0, 2.0, 1.0), [(0.0, 0.0), (2.0, 1.0), (2.0, 0.0), (0.0, 1.0)]))
+    # one cross product exactly at the convexity tolerance (1e-9 at span 1)
+    @example(([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-9), (0.5, -0.5)], _box(0.0, -0.5, 1.0, 1.0)))
+    def test_same_bits_or_error(self, pair):
+        a, b = pair
+        assert outcome(quad_iou, a, b) == outcome(reference.quad_iou, a, b)
