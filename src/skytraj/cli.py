@@ -25,6 +25,7 @@ from . import campaign as camp
 from . import dataio
 from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import ConfigError, ParseError, SkytrajError
+from .geometry import infinity_error
 from .kinematics import KinematicsConfig, compute_profile
 from .metrics import compare_trajectory
 from .pipeline import (
@@ -34,7 +35,6 @@ from .pipeline import (
     georeference,
     lane_columns,
     position_columns,
-    raise_at_infinity,
     run_pipeline,
 )
 from .registration import RansacConfig
@@ -282,14 +282,11 @@ def cmd_dims(args) -> int:
 
     def rows():
         for tid, span in raw_rows.items():
-            est = estimate_dimensions(
-                rows_of(boxes, span),
-                rows_of(centers, stab_rows[tid]),
-                dims_cfg,
-                raw.frame_size,
-                geo.ref_to_ortho,
-                geo.geo_local,
-            )
+            try:
+                est = estimate_dimensions(rows_of(boxes, span), rows_of(centers, stab_rows[tid]),
+                                          dims_cfg, raw.frame_size, geo.ref_to_ortho, geo.geo_local)
+            except SkytrajError as exc:
+                raise SkytrajError(f"id {tid}: {exc}") from exc
             if est is None:
                 yield [str(tid), "0", "none", "", "", "", ""]
             else:
@@ -322,15 +319,13 @@ def cmd_kinematics(args) -> int:
         if len(frames) < 2:
             log(f"id {vid}: fewer than 2 points, skipped")
             return []
-        profile = compute_profile(frames, x, y, kin)
-        # frames are unique per id, so each visible row has its own dense entry
-        at = (frames - frames[0])[shown]
-        speed, accel = profile.speed_smooth[at], profile.accel[at]
+        frames_shown = frames[shown]
+        speed, accel = compute_profile(frames, x, y, kin).at(frames_shown)
         with np.errstate(over="ignore"):  # as on Python floats
             speed_kmh = speed * 3.6
         return zip(
             repeat(str(vid)),
-            map(str, frames[shown].tolist()),
+            map(str, frames_shown.tolist()),
             ["" if math.isnan(v) else repr(v) for v in speed.tolist()],
             dataio.optional_cells(speed_kmh, dataio.SPEED_PLACES),
             dataio.optional_cells(accel, dataio.ACCEL_PLACES),
@@ -365,9 +360,10 @@ def cmd_georef(args) -> int:
     )
     columns = stab.columns()
     centers = CenterColumns(columns.frames, columns.boxes_px[:, 0], columns.boxes_px[:, 1])
-    positions, at_infinity = georeference(centers, geo)
-    if at_infinity.any():
-        raise_at_infinity(centers, int(at_infinity.argmax()), geo)
+    positions, infinite = georeference(centers, geo)
+    if infinite.any():
+        row = int(infinite.argmax())
+        raise infinity_error(centers.x[row].item(), centers.y[row].item())
     dataio.write_csv(
         _path(cfg, args, "output"),
         ["id", "frame", "ortho_x", "ortho_y", "local_x", "local_y",

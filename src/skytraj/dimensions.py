@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import EmptySampleSet, EmptyVisibilitySet
-from .geometry import Z_TOL, GeoTransform, Homography, infinity_error
+from .geometry import GeoTransform, Homography, Point2, map_point, pixel_to_world
 from .trackmodel import DEFAULT_VISIBILITY_MARGIN
 
 # Cardinal heading directions (radians); 2*pi duplicates 0 so that wrapped
@@ -253,29 +253,20 @@ def dims_to_world(
     """Convert pixel dims to meters via a frame-centered 3-point decomposition.
 
     The frame center and the points half a width below it and half a
-    length right of it go through ``ref_to_ortho`` and then ``geo_local``
-    on Python floats, with the IEEE operations of `project_array` and
-    `pixel_to_world` in their order; the first point whose homogeneous
-    scale is below ``Z_TOL`` raises DegenerateProjection, as
-    `apply_homography_array` does. Three points are too few for numpy's
-    per-call cost to pay off.
+    length right of it go through ``ref_to_ortho`` and ``geo_local`` on
+    Python floats (`geometry.map_point`, `pixel_to_world`): three points
+    are too few for numpy's per-call cost to pay off.
     """
     w_img, h_img = frame_size
-    xs = [float(v) for v in (w_img / 2.0, w_img / 2.0, (w_img + length_px) / 2.0)]
-    ys = [float(v) for v in (h_img / 2.0, (h_img + width_px) / 2.0, h_img / 2.0)]
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = ref_to_ortho.m.tolist()
-    zs = [m20 * x + m21 * y + m22 for x, y in zip(xs, ys)]
-    for x, y, z in zip(xs, ys, zs):
-        if abs(z) < Z_TOL:
-            raise infinity_error(x, y)
-    px = [(m00 * x + m01 * y + m02) / z for x, y, z in zip(xs, ys, zs)]
-    py = [(m10 * x + m11 * y + m12) / z for x, y, z in zip(xs, ys, zs)]
-    t = geo_local
-    a, b, c, d, tx, ty = float(t.a), float(t.b), float(t.c), float(t.d), float(t.tx), float(t.ty)
-    x1, x2, x3 = (a * x + b * y + tx for x, y in zip(px, py))
-    y1, y2, y3 = (c * x + d * y + ty for x, y in zip(px, py))
-    length_m = 2.0 * math.hypot(x3 - x1, y3 - y1)
-    width_m = 2.0 * math.hypot(x2 - x1, y2 - y1)
+    m = ref_to_ortho.m.ravel().tolist()
+    center, below, right = (
+        pixel_to_world(geo_local, Point2(*map_point(m, float(x), float(y))))
+        for x, y in ((w_img / 2.0, h_img / 2.0),
+                     (w_img / 2.0, (h_img + width_px) / 2.0),
+                     ((w_img + length_px) / 2.0, h_img / 2.0))
+    )
+    length_m = 2.0 * math.hypot(right.x - center.x, right.y - center.y)
+    width_m = 2.0 * math.hypot(below.x - center.x, below.y - center.y)
     return length_m, width_m
 
 

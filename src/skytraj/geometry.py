@@ -1,9 +1,11 @@
 """Planar projective and affine geometry primitives.
 
-Points, 3x3 homographies, 2x3 affine geotransforms, one projection
-kernel for arrays of points, box mapping on ``cx, cy, w, h`` rows, and
-exact convex-polygon IoU via Sutherland-Hodgman clipping. Everything
-here is a pure function on immutable values.
+Points, 3x3 homographies, 2x3 affine geotransforms, the package's only
+point map (`project_array` on arrays, `map_point` on Python floats, with
+the same bits) and projective-infinity rule (`at_infinity`), box mapping
+on ``cx, cy, w, h`` rows, and exact convex-polygon IoU via
+Sutherland-Hodgman clipping. Everything here is a pure function on
+immutable values.
 """
 from __future__ import annotations
 
@@ -148,12 +150,30 @@ def project_array(
     return px, py, z
 
 
+def at_infinity(z):
+    """Whether the homogeneous scale ``z``, a float or an array (then
+    entry by entry), is below ``Z_TOL``: its point is at projective infinity."""
+    return abs(z) < Z_TOL
+
+
+def map_point(m, x: float, y: float) -> tuple[float, float]:
+    """Map ``(x, y)`` through the 3x3 matrix whose 9 entries, row-major,
+    are the Python floats ``m``, with `project_array`'s IEEE operations in
+    their order; a point `at_infinity` raises its `infinity_error` before
+    the division."""
+    a, b, c, d, e, f, g, k, s = m
+    z = g * x + k * y + s
+    if abs(z) < Z_TOL:  # `at_infinity`, without a call per point
+        raise infinity_error(x, y)
+    return (a * x + b * y + c) / z, (d * x + e * y + f) / z
+
+
 def reject_infinity(pts: np.ndarray, z: np.ndarray) -> None:
     """Raise DegenerateProjection naming the first of the (N, 2) ``pts``
-    whose homogeneous scale in the (N,) ``z`` is below ``Z_TOL``."""
-    at_infinity = np.abs(z) < Z_TOL
-    if at_infinity.any():
-        raise infinity_error(*pts[int(at_infinity.argmax())].tolist())
+    whose homogeneous scale in the (N,) ``z`` is `at_infinity`."""
+    flags = at_infinity(z)
+    if flags.any():
+        raise infinity_error(*pts[int(flags.argmax())].tolist())
 
 
 def infinity_error(x: float, y: float) -> DegenerateProjection:
@@ -218,7 +238,7 @@ def transform_boxes(homs: Sequence[Homography], which, boxes: np.ndarray) -> np.
         x0, x1, y0, y1 = px.min(1), px.max(1), py.min(1), py.max(1)
         out = np.stack([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0], 1)
         out[shift] = np.stack([cx + m[:, 0, 2], cy + m[:, 1, 2], w, h], 1)[shift]
-        odd = (np.abs(z) < Z_TOL) | ~np.isfinite(px) | ~np.isfinite(py) | (px == 0) | (py == 0)
+        odd = at_infinity(z) | ~np.isfinite(px) | ~np.isfinite(py) | (px == 0) | (py == 0)
     for i in np.flatnonzero(~shift & odd.any(1)).tolist():
         reject_infinity(corners[i], z[i])
         xs, ys = px[i].tolist(), py[i].tolist()

@@ -63,6 +63,12 @@ class KinematicProfile:
     speed_smooth: np.ndarray  # m/s
     accel: np.ndarray  # m/s^2
 
+    def at(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The smoothed speed and the acceleration at ``frames``, some of
+        this profile's frames."""
+        offsets = frames - self.frames[0]
+        return self.speed_smooth[offsets], self.accel[offsets]
+
 
 def interpolate_gaps(
     frames: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -138,7 +144,8 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     """Convolve with a unit-sum Gaussian kernel truncated at round(3*sigma).
 
     Out-of-range indices reflect about the sequence ends. The kernel is
-    renormalized so constant inputs pass through exactly.
+    divided by its sum, so a constant input comes back within a few ulps,
+    not always exactly: the rounding depends on numpy's BLAS kernel.
     """
     v = np.asarray(values, dtype=float)
     n = len(v)

@@ -6,9 +6,9 @@ mean overlap between scene boxes and their round-tripped counterparts,
 which MIoU averages; ``campaign.run_campaign`` aggregates both over a
 grid cell's trials. A trial's few points are too few for numpy's
 per-call cost, so both scores run on Python floats: each point goes
-through the true map and back through the estimate with the IEEE
-operations of `geometry.project_array` in their order, its homogeneous
-scale tested against ``Z_TOL`` before each division, and each box's
+through the true map and back through the estimate with
+`geometry.map_point`, which has `geometry.project_array`'s bits and
+raises for a leg at projective infinity before dividing, and each box's
 round-tripped quadrilateral meets the box in `geometry.quad_iou`. The
 scores equal the corner-by-corner map bit for bit.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProjection, DegenerateSegment, NonConvexInput, TooShort
-from .geometry import Z_TOL, Homography, infinity_error, quad_iou
+from .geometry import Homography, map_point, quad_iou
 from .kinematics import KinematicsConfig
 
 
@@ -46,26 +46,9 @@ class SceneSpec:
 
 
 def _there_and_back(m_true: list, m_est: list, pts: list) -> list[tuple[float, float]]:
-    """Each ``(x, y)`` of ``pts`` through ``m_true``, then back through
-    ``m_est`` (3x3 matrices as lists of rows).
-
-    Raises DegenerateProjection for the first leg, point by point, whose
-    homogeneous scale is below ``Z_TOL``; the test comes before the
-    leg's division.
-    """
-    (a, b, c), (d, e, f), (g, k, s) = m_true
-    (a2, b2, c2), (d2, e2, f2), (g2, k2, s2) = m_est
-    out = []
-    for x, y in pts:
-        z = g * x + k * y + s
-        if abs(z) < Z_TOL:
-            raise infinity_error(x, y)
-        mx, my = (a * x + b * y + c) / z, (d * x + e * y + f) / z
-        z = g2 * mx + k2 * my + s2
-        if abs(z) < Z_TOL:
-            raise infinity_error(mx, my)
-        out.append(((a2 * mx + b2 * my + c2) / z, (d2 * mx + e2 * my + f2) / z))
-    return out
+    """Each ``(x, y)`` of ``pts`` through ``m_true`` and back through
+    ``m_est``, both as `geometry.map_point` takes them, point by point."""
+    return [map_point(m_est, *map_point(m_true, x, y)) for x, y in pts]
 
 
 def corner_displacement(h_true: Homography, h_est: Homography, corners: np.ndarray) -> float:
@@ -75,8 +58,9 @@ def corner_displacement(h_true: Homography, h_est: Homography, corners: np.ndarr
     infinity, corner by corner.
     """
     pts = np.asarray(corners, dtype=float).tolist()
+    back = _there_and_back(h_true.m.ravel().tolist(), h_est.m.ravel().tolist(), pts)
     total = 0.0
-    for (px, py), (qx, qy) in zip(pts, _there_and_back(h_true.m.tolist(), h_est.m.tolist(), pts)):
+    for (px, py), (qx, qy) in zip(pts, back):
         total += math.hypot(qx - px, qy - py)
     return total / len(pts)
 
@@ -90,7 +74,7 @@ def scene_miou(h_true: Homography, h_est: Homography, boxes: np.ndarray) -> floa
     """
     if not len(boxes):
         raise ValueError("scene has no boxes")
-    m_true, m_est = h_true.m.tolist(), h_est.m.tolist()
+    m_true, m_est = h_true.m.ravel().tolist(), h_est.m.ravel().tolist()
     total = 0.0
     for cx, cy, w, h in boxes.tolist():
         xmin, xmax, ymin, ymax = cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2

@@ -27,10 +27,10 @@ from .dataio import (
 from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
 from .errors import MissingDistances, MissingHomography, SkytrajError
 from .geometry import (
-    Z_TOL,
     Homography,
     Point2,
-    apply_homography_array,
+    at_infinity,
+    infinity_error,
     pixel_to_world,
     project_array,
 )
@@ -174,13 +174,7 @@ def georeference(
         positions = np.column_stack(
             [x, y, *pixel_to_world(geo.geo_local, ortho), *pixel_to_world(geo.geo_wgs, ortho)]
         )
-    return positions, np.abs(z) < Z_TOL
-
-
-def raise_at_infinity(centers: CenterColumns, row: int, geo: GeoChain) -> None:
-    """Raise the DegenerateProjection of a center that `georeference`
-    flagged: `apply_homography_array` makes the same z test on it."""
-    apply_homography_array(geo.ref_to_ortho, [[centers.x[row], centers.y[row]]])
+    return positions, at_infinity(z)
 
 
 def lane_columns(positions: np.ndarray, seg: SegmentationMap | None) -> tuple[list, list]:
@@ -227,13 +221,12 @@ def process_vehicle(
         columns[:, 0] = estimate.length_m
         columns[:, 1] = estimate.width_m
     if len(frames) >= 2:
-        # the smoothed speed in km/h and the acceleration of every visible
-        # row; frames are unique, so each row has its own dense entry
+        # the smoothed speed in km/h and the acceleration of every visible row
         profile = compute_profile(frames, local[:, 0], local[:, 1], kinematics)
-        at = (frames - frames[0])[shown]
+        speed, accel = profile.at(frames[shown])
         with np.errstate(over="ignore"):  # as on Python floats
-            columns[shown, 2] = profile.speed_smooth[at] * 3.6
-        columns[shown, 3] = profile.accel[at]
+            columns[shown, 2] = speed * 3.6
+        columns[shown, 3] = accel
     return columns
 
 
@@ -257,7 +250,7 @@ def run_pipeline(
 
     Only the exported vehicles run their dimension and kinematics steps,
     so a shorter vehicle's error does not end the run. The session's
-    centers are georeferenced in one pass; an exported vehicle with a
+    centers are georeferenced in one pass; an exported vehicle's first
     center at projective infinity raises before its dimension step, after
     every earlier exported vehicle's errors. Each export column is
     formatted once, over the exported rows.
@@ -272,25 +265,21 @@ def run_pipeline(
     boxes = BoxColumns(refined.frames, refined.boxes_px[:, 2], refined.boxes_px[:, 3], visible,
                        refined.cls)
     centers = CenterColumns(refined.frames, *(stabilized[:, :2] * size).T)
-    positions, at_infinity = georeference(centers, geo)
+    positions, infinite = georeference(centers, geo)
     spans = {vid: span for vid, span in refined.id_rows().items()
              if span.stop - span.start > MIN_EXPORT_POINTS}
-    kept = np.zeros(len(positions), dtype=bool)
-    for span in spans.values():
-        kept[span] = True
-    flagged = np.flatnonzero(at_infinity & kept)
-    first_flagged = int(flagged[0]) if len(flagged) else len(positions)
     vehicle_columns = [np.zeros((0, 4))]
     for vid, span in spans.items():
         try:
-            if span.stop > first_flagged:
-                raise_at_infinity(centers, first_flagged, geo)
+            if infinite[span].any():
+                row = span.start + int(infinite[span].argmax())
+                raise infinity_error(centers.x[row].item(), centers.y[row].item())
             vehicle_columns.append(process_vehicle(
                 rows_of(boxes, span), rows_of(centers, span), size, geo,
                 positions[span, 2:4], dims_cfg, kin_cfg))
         except SkytrajError as exc:
             raise SkytrajError(f"id {vid}: {exc}") from exc
-    rows = np.flatnonzero(kept).tolist()
+    rows = [row for span in spans.values() for row in range(span.start, span.stop)]
     exported = positions[rows]
     frames = refined.frames[rows].tolist()
     stamps = {f: frame_to_timestamp(f, meta) for f in sorted(set(frames))}

@@ -1094,6 +1094,59 @@ class TestAuxCommands:
         assert rows["3"]["path"] == "ratio_filtered"
         assert rows["2"]["path"] in ("azimuth_filtered", "ratio_filtered", "none")
 
+    @staticmethod
+    def put_the_frame_center_on_the_horizon(paths):
+        """Rewrite the fixture's ref->master map so that ref->ortho sends
+        the line x = 1920, through the frame center, to projective infinity."""
+        registry = paths["registry"]
+        registry.write_text(registry.read_text().replace(
+            "ref_to_master 1 0 50 0 1 -30 0 0 1",
+            "ref_to_master 1 0 0 0 1 0 -0.000520833333333333333 0 1"))
+
+    def test_dims_error_names_the_vehicle(self, pipeline_fixture, tmp_path, capsys):
+        """The first vehicle with an estimate maps the frame center, on the
+        horizon; the error names it, as `pipeline` does."""
+        paths = pipeline_fixture
+        stab_out = tmp_path / "stab.csv"
+        assert run_cli("stabilize", "--tracks", paths["tracks"], "--sidecar", paths["sidecar"],
+                       "--homographies", paths["homographies"], "--output", stab_out) == 0
+        self.put_the_frame_center_on_the_horizon(paths)
+        capsys.readouterr()
+        out = tmp_path / "dims.csv"
+        rc = run_cli(
+            "dims",
+            "--tracks", paths["tracks"],
+            "--stabilized", stab_out,
+            "--sidecar", paths["sidecar"],
+            "--registry", paths["registry"],
+            "--video-id", "L1",
+            "--output", out,
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error [dims]: id 1: point Point2(x=1920.0, y=1080.0) maps to projective infinity"
+        ]
+        assert not out.exists()
+
+    def test_georef_center_at_infinity_fails_cleanly(self, pipeline_fixture, tmp_path, capsys):
+        """Vehicle 5's center lies on the horizon; no other center does."""
+        paths = pipeline_fixture
+        write_tracks_csv(paths["tracks"],
+                         scenario_points() + [make_point(1, 5, 1920.0, 1080.0, 100.0, 60.0)])
+        self.put_the_frame_center_on_the_horizon(paths)
+        rc = run_cli(
+            "georef",
+            "--tracks", paths["tracks"],
+            "--sidecar", paths["sidecar"],
+            "--registry", paths["registry"],
+            "--video-id", "L1",
+            "--output", tmp_path / "geo.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error [georef]: point Point2(x=1920.0, y=1080.0) maps to projective infinity"
+        ]
+
     def test_kinematics_command(self, tmp_path):
         traj = tmp_path / "local.csv"
         with open(traj, "w", newline="") as fh:

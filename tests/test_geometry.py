@@ -20,9 +20,12 @@ from skytraj.geometry import (
     Homography,
     Point2,
     apply_homography_array,
+    at_infinity,
     box_corners,
     compose,
+    map_point,
     pixel_to_world,
+    project_array,
     quad_iou,
     screen_homographies,
     transform_boxes,
@@ -133,6 +136,64 @@ class TestApplyHomography:
         h2 = Homography.from_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         assert h2.m[2, 2] == 1.0
         assert np.array_equal(h2.m, np.eye(3))
+
+
+_EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _point_maps(draw):
+    """A matrix's 9 entries and a point, the point on, near or off the
+    matrix's horizon, up to two of the 11 values extreme."""
+    values = [draw(st.floats(-1e3, 1e3)) for _ in range(9)]
+    values += [draw(st.floats(-1e4, 1e4)) for _ in range(2)]
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, 10))] = draw(st.sampled_from(_EXTREMES))
+    m, (x, y) = values[:9], values[9:]
+    offset = draw(st.sampled_from([None, 0.0, 5e-13, -5e-13, 1e-12, 2e-12, 1e-9]))
+    if offset is not None:
+        # z = g*x + k*y + s lands at the offset, give or take its rounding
+        with np.errstate(all="ignore"):
+            m[8] = offset - (m[6] * x + m[7] * y)
+    return m, x, y
+
+
+def _bits(value) -> bytes:
+    return np.array(value, dtype=float).tobytes()
+
+
+class TestMapPoint:
+    @settings(max_examples=1000, deadline=None)
+    @given(case=_point_maps())
+    @example(case=([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -0.01, 0.0, 1.0], 100.0, 5.0))
+    @example(case=([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3.0, 4.0))
+    def test_equals_project_array_or_raises_its_error(self, case):
+        """`map_point` has `project_array`'s bits, or raises the text
+        `apply_homography_array` raises for the same point."""
+        m, x, y = case
+        a = np.array(m).reshape(3, 3)
+        px, py, z = project_array(a, np.array([[x, y]]))
+        try:
+            want = _bits((px[0], py[0]))
+            apply_homography_array(Homography(a), [(x, y)])
+        except DegenerateProjection as exc:
+            assert at_infinity(z[0])
+            with pytest.raises(DegenerateProjection) as got:
+                map_point(m, x, y)
+            assert str(got.value) == str(exc)
+        else:
+            assert _bits(map_point(m, x, y)) == want
+
+    def test_tests_the_scale_before_dividing(self):
+        # z is exactly 0: no ZeroDivisionError, the point is named
+        with pytest.raises(DegenerateProjection) as err:
+            map_point([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3.0, 4.0)
+        assert str(err.value) == "point Point2(x=3.0, y=4.0) maps to projective infinity"
+
+    def test_at_infinity_is_below_the_tolerance(self):
+        assert at_infinity(0.0) and at_infinity(-0.0) and at_infinity(-Z_TOL / 2)
+        assert not at_infinity(Z_TOL) and not at_infinity(math.nan)
+        assert at_infinity(np.array([Z_TOL, -1e-13, math.inf])).tolist() == [False, True, False]
 
 
 def _ulps(x: float, k: int) -> float:

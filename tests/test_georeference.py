@@ -23,7 +23,7 @@ from skytraj.errors import (
     UnknownIntersection,
     UnknownVideo,
 )
-from skytraj.geometry import GeoTransform, Homography, Point2
+from skytraj.geometry import GeoTransform, Homography, Point2, infinity_error, map_point
 from skytraj.georeference import (
     GeoChain,
     GeoRegistry,
@@ -33,7 +33,7 @@ from skytraj.georeference import (
     VideoEntry,
     assign_segment,
 )
-from skytraj.pipeline import georeference, lane_columns, raise_at_infinity
+from skytraj.pipeline import georeference, lane_columns
 
 SIZE = (1024, 1024)  # a power of two keeps normalized box centers exact
 
@@ -248,6 +248,9 @@ class TestSessionGeoreference:
             assert row.tobytes() == np.array([*ref.ortho, *ref.local, *ref.wgs]).tobytes()
 
     def test_flagged_center_raises_the_per_point_error(self):
+        """The center `georeference` flags is the one `geometry.map_point`
+        refuses, with the per-point error, which `infinity_error` of the
+        center (as the pipeline raises it) repeats."""
         chain = GeoChain(HORIZON_512, GEO_IDENTITY, GEO_IDENTITY)
         points = [make_point(1, 1, 100.0, 7.0, 10, 10, frame_size=SIZE),
                   make_point(2, 1, 512.0, 9.0, 10, 10, frame_size=SIZE)]
@@ -256,9 +259,10 @@ class TestSessionGeoreference:
         assert at_infinity.tolist() == [False, True]
         with pytest.raises(DegenerateProjection) as ref:
             georeference_points(points, SIZE, chain)
+        x, y = centers.x[1].item(), centers.y[1].item()
         with pytest.raises(DegenerateProjection) as got:
-            raise_at_infinity(centers, 1, chain)
-        assert str(got.value) == str(ref.value) == (
+            map_point(chain.ref_to_ortho.m.ravel().tolist(), x, y)
+        assert str(got.value) == str(ref.value) == str(infinity_error(x, y)) == (
             "point Point2(x=512.0, y=9.0) maps to projective infinity"
         )
 

@@ -237,6 +237,15 @@ class TestProfileAndGating:
         assert list(profile.frames) == [1, 2, 3, 4, 5]
         assert np.allclose(profile.speed_smooth[1:], float(FPS), atol=1e-9)
 
+    def test_at_reads_each_frame_at_its_offset(self):
+        pts = {1: Point2(0, 0), 4: Point2(3, 0), 5: Point2(4.5, 0), 9: Point2(6, 1)}
+        profile = profile_of(pts, self.cfg)
+        speed, accel = profile.at(np.array([4, 5, 9]))
+        assert speed.tobytes() == profile.speed_smooth[[3, 4, 8]].tobytes()
+        assert accel.tobytes() == profile.accel[[3, 4, 8]].tobytes()
+        speed, accel = profile.at(np.array([1, 2]))
+        assert math.isnan(speed[0]) and math.isnan(accel[1]) and not math.isnan(speed[1])
+
     def test_first_frame_speed_undefined(self, tmp_path):
         pts = {k: Point2(2.0 * k, 0.0) for k in range(1, 6)}
         rows = kinematics_rows(tmp_path, pts, set(range(1, 6)))
