@@ -20,13 +20,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateProjection, SkytrajError
 from .geometry import Homography, apply_homography_array
 from .metrics import SceneSpec, corner_displacement, scene_miou
-from .registration import (
-    Matches,
-    RansacConfig,
-    ransac_homography,
-    snn_filter,
-    upscale_homography,
-)
+from .registration import Matches, RansacConfig, derive_seeds, ransac_homography, snn_filter
 
 # Synthetic descriptor distances: inliers pass, outliers fail an SNN test
 # at this ratio, with a small fraction of labels flipped.
@@ -229,17 +223,6 @@ def synthetic_scenes(count: int, seed: int = 0) -> list[SceneSpec]:
     return scenes
 
 
-def derive_trial_seeds(
-    master_seed: int, cell_idx: int, scene_idx: int, trial_idx: int
-) -> tuple[int, int, int]:
-    """Independent (homography, correspondences, estimator) seeds per trial."""
-    ss = np.random.SeedSequence(
-        (master_seed & 0xFFFFFFFFFFFFFFFF, cell_idx, scene_idx, trial_idx)
-    )
-    state = ss.generate_state(3, dtype=np.uint64)
-    return int(state[0]), int(state[1]), int(state[2])
-
-
 def run_trial(
     scene: SceneSpec,
     ranges: DistortionRanges,
@@ -252,7 +235,8 @@ def run_trial(
     """One distort/synthesize/estimate round trip.
 
     Returns (mean corner displacement px, scene mean IoU, estimator
-    wall-time ms). Estimator failures surface as (inf, 0.0, time).
+    wall-time ms, downscale round trip included). Estimator failures
+    surface as (inf, 0.0, time).
     """
     h_true = random_homography(ranges, scene, seed_h)
     corrs = synth_correspondences(scene, h_true, synth)
@@ -261,17 +245,12 @@ def run_trial(
         if snn_ratio is not None:
             corrs = snn_filter(corrs, snn_ratio)
         # Estimate the reverse map (distorted -> original) directly.
-        est_pairs = replace(corrs, src=corrs.dst, dst=corrs.src)
-        if downscale < 1.0:
-            est_pairs = est_pairs.scaled(downscale)
+        reverse = replace(corrs, src=corrs.dst, dst=corrs.src)
         start = time.perf_counter()
         try:
-            report = ransac_homography(est_pairs, ransac)
+            h_est = ransac_homography(reverse, ransac, downscale).homography
         finally:
             elapsed = (time.perf_counter() - start) * 1000.0
-        h_est = report.homography
-        if downscale < 1.0:
-            h_est = upscale_homography(h_est, downscale)
     except SkytrajError:
         return math.inf, 0.0, elapsed
     try:
@@ -316,7 +295,8 @@ def run_campaign(
         for cell_idx, (snn_ratio, rho, eta, n_pts) in enumerate(cells):
             for s_idx, scene in enumerate(scenes):
                 for t_idx in range(grid.trials_per_scene):
-                    seed_h, seed_c, seed_r = derive_trial_seeds(master_seed, cell_idx, s_idx, t_idx)
+                    seed_h, seed_c, seed_r = derive_seeds(
+                        master_seed, cell_idx, s_idx, t_idx, count=3)
                     trial_synth = replace(synth, n_points=n_pts, seed=seed_c)
                     trial_ransac = replace(ransac, reproj_threshold=eta, seed=seed_r)
                     yield scene, ranges, trial_synth, trial_ransac, seed_h, snn_ratio, rho

@@ -19,8 +19,6 @@ from functools import cache
 from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import campaign as camp
 from . import dataio
 from .dimensions import BoxColumns, CenterColumns, DimConfig, estimate_dimensions, rows_of
@@ -320,9 +318,7 @@ def cmd_kinematics(args) -> int:
             log(f"id {vid}: fewer than 2 points, skipped")
             return []
         frames_shown = frames[shown]
-        speed, accel = compute_profile(frames, x, y, kin).at(frames_shown)
-        with np.errstate(over="ignore"):  # as on Python floats
-            speed_kmh = speed * 3.6
+        speed, speed_kmh, accel = compute_profile(frames, x, y, kin).at(frames_shown)
         return zip(
             repeat(str(vid)),
             map(str, frames_shown.tolist()),

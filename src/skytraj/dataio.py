@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -118,16 +118,36 @@ def _lines(text: str, error: ParseError | None) -> Iterator[str]:
         raise error
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key repeated in one mapping,
+    which it would otherwise merge with the last value winning."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):  # the base class refuses it
+                continue
+            if key in seen:
+                mark = key_node.start_mark
+                raise ParseError(f"duplicate key {key!r}", line=mark.line + 1, path=mark.name)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_yaml(path) -> dict:
     """The mapping of the YAML file ``path``. A byte that is not UTF-8
-    wins over a syntax error, anywhere in the file."""
+    wins over a syntax error, anywhere in the file; a key repeated in one
+    mapping, at any depth, raises ParseError at its second line."""
     text, error = _read_text(path)
     if error is not None:
         raise error
     stream = io.StringIO(text, newline=None)
     stream.name = path  # yaml names the file in its error marks
     try:
-        data = yaml.safe_load(stream)
+        data = yaml.load(stream, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML in {path}: {exc}") from exc
     if data is None:

@@ -63,11 +63,13 @@ class KinematicProfile:
     speed_smooth: np.ndarray  # m/s
     accel: np.ndarray  # m/s^2
 
-    def at(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The smoothed speed and the acceleration at ``frames``, some of
-        this profile's frames."""
+    def at(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The smoothed speed in m/s and in km/h and the acceleration at
+        ``frames``, some of this profile's frames."""
         offsets = frames - self.frames[0]
-        return self.speed_smooth[offsets], self.accel[offsets]
+        speed = self.speed_smooth[offsets]
+        with np.errstate(over="ignore"):  # as on Python floats
+            return speed, speed * 3.6, self.accel[offsets]
 
 
 def interpolate_gaps(

@@ -39,10 +39,10 @@ from .kinematics import KinematicsConfig, compute_profile
 from .registration import (
     EstimateReport,
     RansacConfig,
+    derive_seeds,
     mask_keep_flags,
     ransac_homography,
     snn_filter,
-    upscale_homography,
 )
 from .trackmodel import (
     TrackColumns,
@@ -91,11 +91,6 @@ def ingest_tracks(tracks: VideoTracks, params: IngestParams) -> VideoTracks:
     return replace(tracks, table=table[np.sort(np.concatenate([np.zeros(0, np.intp), *kept]))])
 
 
-def _frame_seed(seed: int, frame: int) -> int:
-    ss = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, frame))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def estimate_frame_homographies(
     columns: TrackColumns,
     correspondence_dir,
@@ -106,11 +101,12 @@ def estimate_frame_homographies(
 
     Correspondence files are ``<frame>.csv`` inside the directory. The
     frame's own pixel boxes in ``columns`` act as exclusion masks around
-    matches' source points; the optional ratio test runs next; estimation
-    happens on coordinates scaled by ``downscale`` and the result is lifted
-    back. Each frame's report holds the lifted homography and its mean
-    error in full-resolution pixels.
-    An error in reading or filtering a file names the file and the line.
+    matches' source points; the optional ratio test runs next; then
+    `ransac_homography` estimates at ``downscale`` with the frame's seed
+    from `derive_seeds`. Each frame's report holds the lifted homography
+    and its mean error in full-resolution pixels. An error in reading or
+    filtering a file names the file and the line; an estimation error
+    names the frame.
     """
     corr_dir = Path(correspondence_dir)
     homs: dict[int, Homography] = {}
@@ -132,20 +128,11 @@ def estimate_frame_homographies(
                 raise MissingDistances(
                     f"{path}: line {loaded.lines[row]}: match lacks descriptor distances"
                 ) from exc
-        rho = params.downscale
-        est_pairs = corrs
-        if rho < 1.0:
-            est_pairs = corrs.scaled(rho)
-        cfg = replace(params.ransac, seed=_frame_seed(seed, frame))
+        cfg = replace(params.ransac, seed=derive_seeds(seed, frame)[0])
         try:
-            report = ransac_homography(est_pairs, cfg)
+            report = ransac_homography(corrs, cfg, params.downscale)
         except SkytrajError as exc:
             raise SkytrajError(f"frame {frame}: {exc}") from exc
-        if rho < 1.0:
-            # the symmetric error of the lifted matrix on full-resolution
-            # points is that of the estimate divided by rho
-            report = replace(report, homography=upscale_homography(report.homography, rho),
-                             mean_reproj_error=report.mean_reproj_error / rho)
         homs[frame] = report.homography
         reports[frame] = report
     return homs, reports
@@ -223,10 +210,7 @@ def process_vehicle(
     if len(frames) >= 2:
         # the smoothed speed in km/h and the acceleration of every visible row
         profile = compute_profile(frames, local[:, 0], local[:, 1], kinematics)
-        speed, accel = profile.at(frames[shown])
-        with np.errstate(over="ignore"):  # as on Python floats
-            columns[shown, 2] = speed * 3.6
-        columns[shown, 3] = accel
+        _, columns[shown, 2], columns[shown, 3] = profile.at(frames[shown])
     return columns
 
 

@@ -1,8 +1,12 @@
 """Robust homography estimation from point correspondences.
 
 Pipeline order mirrors the stabilization stage: exclusion-mask filtering,
-ratio-test (SNN) filtering, then RANSAC around a Hartley-normalized DLT,
-with optional handling of estimates computed on downscaled coordinates.
+ratio-test (SNN) filtering, then RANSAC around a Hartley-normalized DLT.
+A registration problem is set up here for the pipeline and the benchmark
+alike: `derive_seeds` gives its RANSAC seed from the master seed and the
+problem's keys, and `ransac_homography` makes the downscale round trip
+(scale the matches, estimate, lift the estimate back with
+`upscale_homography`, divide the mean error by the factor).
 
 Absolute and relative thresholds of the estimator, what each guards, and
 the coordinates it sees:
@@ -47,7 +51,7 @@ the coordinates it sees:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -411,7 +415,17 @@ def _solve_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return solved, raw, fits
 
 
-def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
+def derive_seeds(master_seed: int, *keys: int, count: int = 1) -> tuple[int, ...]:
+    """``count`` independent seeds of one problem, as Python ints: the
+    ``uint64`` state of a ``SeedSequence`` over the master seed masked to
+    64 bits and the problem's ``keys`` (a frame; a cell, scene and trial)."""
+    ss = np.random.SeedSequence((master_seed & 0xFFFFFFFFFFFFFFFF, *keys))
+    return tuple(ss.generate_state(count, dtype=np.uint64).tolist())
+
+
+def ransac_homography(
+    matches: Matches, cfg: RansacConfig, downscale: float = 1.0
+) -> EstimateReport:
     """RANSAC over minimal 4-point DLT fits with adaptive termination.
 
     Inliers are pairs whose symmetric transfer error is at most the
@@ -420,6 +434,14 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     ``confidence``, capped at ``max_iterations``. The final model is
     refit on the full best consensus set. Deterministic per seed. Refuses
     fewer than 4 matches and a coordinate that is not finite.
+
+    With ``downscale`` below 1 the estimate runs on the matches scaled by
+    it (`Matches.scaled`) and is lifted back with `upscale_homography`;
+    the report holds the lifted homography and the mean error divided by
+    ``downscale``, which is the symmetric error of the lifted matrix on
+    full-resolution points. A lifted map below the invertibility floor
+    raises as a fit does. A ``downscale`` outside (0, 1] raises
+    ValueError.
 
     Samples are drawn, solved and scored a block at a time, then
     visited in draw order under the sequential stopping rule, so
@@ -436,13 +458,21 @@ def ransac_homography(matches: Matches, cfg: RansacConfig) -> EstimateReport:
     The consensus refit normalizes, checks and solves the source and
     destination sets as one stack.
     """
+    if not 0.0 < downscale <= 1.0:
+        raise ValueError("downscale must be in (0, 1]")
+    if downscale < 1.0:
+        matches = matches.scaled(downscale)
     n = len(matches)
     if n < 4:
         raise InsufficientPoints(f"need >= 4 correspondences, got {n}")
     if not (np.isfinite(matches.src).all() and np.isfinite(matches.dst).all()):
         raise InvalidGeometry("match coordinates must be finite")
     with np.errstate(all="ignore"):
-        return _ransac(matches.src, matches.dst, cfg)
+        report = _ransac(matches.src, matches.dst, cfg)
+    if downscale < 1.0:
+        report = replace(report, homography=upscale_homography(report.homography, downscale),
+                         mean_reproj_error=report.mean_reproj_error / downscale)
+    return report
 
 
 def _ransac(src: np.ndarray, dst: np.ndarray, cfg: RansacConfig) -> EstimateReport:

@@ -34,13 +34,20 @@ The lane lookup is kept as it ran before the per-lane edge tables: the
 per-edge boundary test, then the crossing count, on ``Point2`` vertices,
 and every polygon tried in document order (``unfiltered_assign``). The tests
 compare ``skytraj.georeference.assign_segment`` against it.
+
+The set-up of a registration problem is kept as the pipeline and the
+benchmark each wrote it before both moved into ``skytraj.registration``:
+the per-frame and the per-trial seed expressions (``frame_seed``,
+``trial_seeds``) and the downscale round trip around the estimator
+(``downscaled_estimate``). The tests compare ``derive_seeds`` and
+``ransac_homography`` at a downscale against them, bit for bit.
 """
 from __future__ import annotations
 
 import csv
 import math
 from fractions import Fraction
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,6 +81,7 @@ from skytraj.geometry import (
 )
 from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.metrics import GroupReport
+from skytraj.registration import EstimateReport, Matches, RansacConfig, ransac_homography
 from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
 
 Box = tuple[float, float, float, float]  # cx, cy, w, h
@@ -851,3 +859,35 @@ def load_tracks(path, sidecar, *, require_unit_range: bool = True) -> VideoTrack
     from conftest import detection_table  # conftest imports this module
 
     return VideoTracks(sidecar.frame_width, sidecar.frame_height, detection_table(points))
+
+
+def frame_seed(seed: int, frame: int) -> int:
+    """The RANSAC seed of one pipeline frame."""
+    ss = np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, frame))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def trial_seeds(
+    master_seed: int, cell_idx: int, scene_idx: int, trial_idx: int
+) -> tuple[int, int, int]:
+    """Independent (homography, correspondences, estimator) seeds per trial."""
+    ss = np.random.SeedSequence(
+        (master_seed & 0xFFFFFFFFFFFFFFFF, cell_idx, scene_idx, trial_idx)
+    )
+    state = ss.generate_state(3, dtype=np.uint64)
+    return int(state[0]), int(state[1]), int(state[2])
+
+
+def downscaled_estimate(matches: Matches, cfg: RansacConfig, rho: float) -> EstimateReport:
+    """The estimate made on the matches scaled by ``rho``, lifted back by
+    S^-1 * H * S with S = diag(rho, rho, 1), its mean error divided by
+    ``rho``."""
+    if rho < 1.0:
+        matches = Matches(matches.src * rho, matches.dst * rho, matches.d1, matches.d2)
+    report = ransac_homography(matches, cfg)
+    if rho < 1.0:
+        s = np.diag([rho, rho, 1.0])
+        s_inv = np.diag([1.0 / rho, 1.0 / rho, 1.0])
+        report = replace(report, homography=Homography.from_matrix(s_inv @ report.homography.m @ s),
+                         mean_reproj_error=report.mean_reproj_error / rho)
+    return report

@@ -23,7 +23,6 @@ from skytraj.campaign import (
     CampaignGrid,
     DistortionRanges,
     SynthConfig,
-    derive_trial_seeds,
     random_homography,
     run_campaign,
     run_trial,
@@ -39,7 +38,7 @@ from skytraj.dimensions import DimConfig, DimPath, estimate_dimensions
 from skytraj.geometry import GeoTransform, Homography, Point2, apply_homography_array
 from skytraj.kinematics import KinematicsConfig, compute_profile, gaussian_smooth
 from skytraj.metrics import compare_trajectory
-from skytraj.registration import RansacConfig, dlt_homography
+from skytraj.registration import RansacConfig, derive_seeds, dlt_homography
 from skytraj.trackmodel import refine_classes
 from test_kinematics import smooth_oracle
 
@@ -67,7 +66,7 @@ def test_criterion_1_homography_recovery():
         ious = np.empty(trials)
         for t in range(trials):
             scene_idx = t % 29
-            seed_h, seed_c, seed_r = derive_trial_seeds(master, 0, scene_idx, t // 29)
+            seed_h, seed_c, seed_r = derive_seeds(master, 0, scene_idx, t // 29, count=3)
             disp, iou, _ = run_trial(
                 scenes[scene_idx],
                 ranges,
@@ -132,7 +131,7 @@ def test_criterion_3_downscale_consistency():
         total = 0
         for s_idx, scene in enumerate(scenes):
             for t_idx in range(4):
-                seed_h, seed_c, seed_r = derive_trial_seeds(55, 0, s_idx, t_idx)
+                seed_h, seed_c, seed_r = derive_seeds(55, 0, s_idx, t_idx, count=3)
                 disp, _, _ = run_trial(
                     scene,
                     ranges,

@@ -8,7 +8,6 @@ from skytraj.campaign import (
     CampaignGrid,
     DistortionRanges,
     SynthConfig,
-    derive_trial_seeds,
     random_homography,
     run_campaign,
     run_trial,
@@ -18,7 +17,7 @@ from skytraj.campaign import (
 from skytraj.errors import ConfigError
 from reference import apply_homography
 from skytraj.geometry import Point2
-from skytraj.registration import RansacConfig, snn_filter
+from skytraj.registration import RansacConfig, derive_seeds, snn_filter
 
 SCENES = synthetic_scenes(5, seed=7)
 RANGES = DistortionRanges()
@@ -193,7 +192,7 @@ class TestRunCampaign:
         outcomes = []
         for s_idx, scene in enumerate(SCENES[:2]):
             for t_idx in range(3):
-                seed_h, seed_c, seed_r = derive_trial_seeds(4, 0, s_idx, t_idx)
+                seed_h, seed_c, seed_r = derive_seeds(4, 0, s_idx, t_idx, count=3)
                 outcomes.append(run_trial(
                     scene, RANGES, SynthConfig(30, noise, frac, seed_c),
                     RansacConfig(max_iterations=iterations, seed=seed_r), seed_h,
@@ -259,11 +258,11 @@ class TestRunCampaign:
 
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
-        a = derive_trial_seeds(42, 0, 1, 2)
-        b = derive_trial_seeds(42, 0, 1, 2)
+        a = derive_seeds(42, 0, 1, 2, count=3)
+        b = derive_seeds(42, 0, 1, 2, count=3)
         assert a == b
-        assert derive_trial_seeds(42, 0, 1, 3) != a
-        assert derive_trial_seeds(43, 0, 1, 2) != a
+        assert derive_seeds(42, 0, 1, 3, count=3) != a
+        assert derive_seeds(43, 0, 1, 2, count=3) != a
 
     def test_scene_count(self):
         scenes = synthetic_scenes(29, seed=7)

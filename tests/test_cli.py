@@ -1419,6 +1419,30 @@ class TestInputFailsCleanly:
         err = self.fails_with("dims", argv, tmp_path, capsys)
         assert err == f"error [dims]: {stab}: no points for vehicle 1"
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("seed: 1\nseed: 2\n", 2, "seed"),
+        ("ransac: {confidence: 0.9}\nransac: {max_iterations: 7}\n", 2, "ransac"),
+        ("kinematics: {sigma: 2}\nransac:\n  confidence: 0.9\n  confidence: 0.5\n",
+         4, "confidence"),
+    ], ids=["top-level", "section", "section-key"])
+    def test_repeated_config_key_is_refused(
+        self, pipeline_fixture, tmp_path, capsys, text, line, key
+    ):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        argv = pipeline_cmd(pipeline_fixture, tmp_path / "out.csv", ("--config", cfg))
+        err = self.fails_with("pipeline", argv, tmp_path, capsys)
+        assert err == f"error [pipeline]: {cfg}: line {line}: duplicate key {key!r}"
+
+    def test_repeated_sidecar_key_is_refused(self, pipeline_fixture, tmp_path, capsys):
+        sidecar = Path(pipeline_fixture["sidecar"])
+        text = sidecar.read_text()
+        sidecar.write_text(f"{text}frame_width: {FRAME_W}\n")
+        line = len(text.splitlines()) + 1
+        err = self.fails_with(
+            "pipeline", pipeline_cmd(pipeline_fixture, tmp_path / "out.csv"), tmp_path, capsys)
+        assert err == f"error [pipeline]: {sidecar}: line {line}: duplicate key 'frame_width'"
+
 
 class TestStagesMatchPipeline:
     GEOREF_CELLS = {

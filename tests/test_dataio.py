@@ -675,6 +675,22 @@ class TestNotUtf8:
             load_yaml(p)
         assert str(exc.value).startswith(f"{p}: line {filler + 2}: not UTF-8 text: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a: {b: [{k: 1, k: 2}]}\n", "line 1: duplicate key 'k'"),
+        ("1: x\n1.0: y\n", "line 2: duplicate key 1.0"),
+        ("[1]: x\n", "invalid YAML"),
+    ], ids=["nested", "equal-number", "unhashable"])
+    def test_a_repeated_key_is_refused_at_any_depth(self, tmp_path, text, message):
+        p = tmp_path / "v.yaml"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_yaml(p)
+
+    def test_a_merge_key_may_be_overridden(self, tmp_path):
+        p = tmp_path / "v.yaml"
+        p.write_text("base: &b {sigma: 2, fps: 30}\nkinematics:\n  <<: *b\n  sigma: 3\n")
+        assert load_yaml(p)["kinematics"] == {"sigma": 3, "fps": 30}
+
     def test_a_row_running_on_to_the_bad_line_is_not_read(self, tmp_path):
         """The quoted cell of line 2 runs on to line 3, which holds the
         byte, so the row (whose d1 > d2) is not read."""

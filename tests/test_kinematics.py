@@ -26,6 +26,7 @@ from skytraj.georeference import GeoChain
 from skytraj.kinematics import (
     MAX_DENSE_FRAMES,
     MAX_KERNEL_RADIUS,
+    KinematicProfile,
     KinematicsConfig,
     acceleration,
     compute_profile,
@@ -240,11 +241,19 @@ class TestProfileAndGating:
     def test_at_reads_each_frame_at_its_offset(self):
         pts = {1: Point2(0, 0), 4: Point2(3, 0), 5: Point2(4.5, 0), 9: Point2(6, 1)}
         profile = profile_of(pts, self.cfg)
-        speed, accel = profile.at(np.array([4, 5, 9]))
+        speed, kmh, accel = profile.at(np.array([4, 5, 9]))
         assert speed.tobytes() == profile.speed_smooth[[3, 4, 8]].tobytes()
+        assert kmh.tobytes() == (speed * 3.6).tobytes()
         assert accel.tobytes() == profile.accel[[3, 4, 8]].tobytes()
-        speed, accel = profile.at(np.array([1, 2]))
+        speed, kmh, accel = profile.at(np.array([1, 2]))
         assert math.isnan(speed[0]) and math.isnan(accel[1]) and not math.isnan(speed[1])
+        assert math.isnan(kmh[0]) and kmh[1] == speed[1] * 3.6
+
+    def test_at_converts_an_overflowing_speed_without_warning(self):
+        # a RuntimeWarning fails the test (see pyproject.toml)
+        profile = KinematicProfile(np.array([1, 2]), np.array([np.nan, 1e308]),
+                                   np.array([np.nan, np.nan]))
+        assert profile.at(np.array([2]))[1].tolist() == [math.inf]
 
     def test_first_frame_speed_undefined(self, tmp_path):
         pts = {k: Point2(2.0 * k, 0.0) for k in range(1, 6)}

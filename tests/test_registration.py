@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns_of, make_point, translation
-from reference import apply_homography
+from reference import apply_homography, downscaled_estimate, frame_seed, trial_seeds
 from skytraj.errors import (
     DegenerateConfiguration,
     InsufficientPoints,
@@ -19,6 +19,7 @@ from skytraj.errors import (
     MissingDistances,
     NoModelFound,
     SingularTransform,
+    SkytrajError,
 )
 from skytraj import registration
 from skytraj.dataio import load_tracks
@@ -31,6 +32,7 @@ from skytraj.registration import (
     _degenerate_samples,
     _draw_samples,
     _inlier_flags,
+    derive_seeds,
     dlt_homography,
     mask_keep_flags,
     ransac_homography,
@@ -460,6 +462,60 @@ class TestUpscale:
             expected = Point2(scaled.x / rho, scaled.y / rho)
             got = apply_homography(up, p)
             assert math.hypot(got.x - expected.x, got.y - expected.y) < 1e-8
+
+
+def _shifted_grid(shift: float) -> Matches:
+    return stack([(gx, gy, gx + shift, gy)
+                  for gx in range(200, 3700, 400) for gy in range(150, 2100, 400)])
+
+
+def _outcome_or_error(estimate, *args):
+    try:
+        report = estimate(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+    return (report.homography.m.tobytes(), report.inlier_flags.tobytes(),
+            report.iterations_run, report.mean_reproj_error.hex())
+
+
+class TestProblemSetup:
+    """`derive_seeds` and the downscale round trip of `ransac_homography`
+    give what the pipeline and the benchmark each computed before both
+    moved into `registration`: the same seeds, and the same homography
+    bytes, flags, ``iterations_run``, mean error and errors."""
+
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_round_trip_equals_the_callers(self, rho, seed):
+        corrs = build_noisy_set(np.random.default_rng(seed), TestRansac.truth, noise=0.5)
+        cfg = RansacConfig(seed=seed)
+        got = _outcome_or_error(ransac_homography, corrs, cfg, rho)
+        assert got == _outcome_or_error(downscaled_estimate, corrs, cfg, rho)
+        assert isinstance(got[0], bytes)
+
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("matches", [
+        _shifted_grid(12000.0),  # the lifted map falls below the floor
+        stack([(0, 0, 1, 1)] * 3),
+        stack([(0, 0, 1, 1), (5, 0, 6, 1), (0, 5, 1, 6), (math.nan, 5, 6, 6)]),
+    ], ids=["lifted-singular", "three", "nan"])
+    def test_round_trip_errors_equal_the_callers(self, rho, matches):
+        got = _outcome_or_error(ransac_homography, matches, RansacConfig(), rho)
+        assert got == _outcome_or_error(downscaled_estimate, matches, RansacConfig(), rho)
+        assert not isinstance(got[0], bytes)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, math.inf, math.nan])
+    def test_factor_outside_the_unit_interval_is_refused(self, rho):
+        with pytest.raises(ValueError, match=r"downscale must be in \(0, 1\]"):
+            ransac_homography(_shifted_grid(0.0), RansacConfig(), rho)
+
+    @pytest.mark.parametrize("master", [-1, 0, 7, 2**64 + 5])
+    def test_seeds_equal_both_callers(self, master):
+        for frame in (2, 3, 1000):
+            assert derive_seeds(master, frame) == (frame_seed(master, frame),)
+        for keys in [(0, 0, 0), (1, 2, 3), (5, 28, 99)]:
+            assert derive_seeds(master, *keys, count=3) == trial_seeds(master, *keys)
+        assert all(type(s) is int for s in derive_seeds(master, 1, 2, 3, count=3))
 
 
 # --- Sequential reference ---------------------------------------------------
@@ -1127,3 +1183,16 @@ class TestFrameEstimateReports:
         assert 0.3 < report.mean_reproj_error < 2.0
         assert report.mean_reproj_error == pytest.approx(
             errors[report.inlier_flags].mean(), rel=1e-9)
+
+    def test_lifted_map_below_the_floor_names_the_frame(self, tmp_path):
+        # A 6000 px shift passes the invertibility floor on the downscaled
+        # points; the lifted 12000 px shift does not. Scale-free floors
+        # would accept it, and this test would then need another trigger.
+        with open(tmp_path / "2.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["src_x", "src_y", "dst_x", "dst_y"])
+            writer.writerows((gx, gy, gx + 12000.0, gy)
+                             for gx in range(200, 3700, 400) for gy in range(150, 2100, 400))
+        columns = columns_of([make_point(2, 1, 3820.0, 2140.0, 10.0, 10.0)])
+        with pytest.raises(SkytrajError, match=r"^frame 2: matrix below invertibility floor "):
+            estimate_frame_homographies(columns, tmp_path, StabilizeParams(downscale=0.5))
