@@ -33,7 +33,9 @@ the coordinates it sees:
 * ``SAMPLE_AREA_FLOOR`` (1e-9): a minimal sample whose smallest triangle
   cross product is below this fraction of its bounding-box area is
   quasi-collinear and skipped. Relative, on raw pixel coordinates, so
-  scale-free; it guards the 8x9 solve against near-degenerate samples.
+  scale-free; it guards the closed-form minimal solve (`_basis_maps`),
+  whose divisors are three of these triangle areas, taken on the
+  normalized points.
 * The 1e-9 ratio and the 1e-30 floor of the collinearity check: a
   consensus set is collinear when the smaller singular value of its
   centered points is at most 1e-9 times the larger one, or at most 1e-39
@@ -164,18 +166,18 @@ def mask_keep_flags(points: np.ndarray, masks: np.ndarray, margin: float) -> np.
     return keep
 
 
-def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hartley similarity of each (n, 2) set in a (..., n, 2) stack.
 
     Maps the centroid to the origin and the mean distance from it to
-    sqrt(2). Returns the (..., 3, 3) similarities and the mean distances;
-    a set whose points all coincide has mean distance 0 and no usable
-    similarity. Expects the caller's ``np.errstate``. A mean is taken as
-    a sum over n, the operations of ``ndarray.mean``. On a C-contiguous
-    stack each set sums its points in order, as it would alone; a stack
-    gathered by fancy indexing can have another memory order, and with
-    it another summation order, so callers gather with ``np.take`` and
-    ``np.compress``.
+    sqrt(2). Returns the (..., 3, 3) similarities, the mean distances and
+    the points minus their centroid; a set whose points all coincide has
+    mean distance 0 and no usable similarity. Expects the caller's
+    ``np.errstate``. A mean is taken as a sum over n, the operations of
+    ``ndarray.mean``. On a C-contiguous stack each set sums its points in
+    order, as it would alone; a stack gathered by fancy indexing can have
+    another memory order, and with it another summation order, so
+    callers gather with ``np.take`` and ``np.compress``.
     """
     n = pts.shape[-2]
     centroid = pts.sum(axis=-2) / n
@@ -187,7 +189,7 @@ def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t[..., 1, 1] = s
     t[..., :2, 2] = -s[..., None] * centroid
     t[..., 2, 2] = 1.0
-    return t, mean_dist
+    return t, mean_dist, d
 
 
 def _dlt_design(pts: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -216,8 +218,9 @@ def _denormalized_solve(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     Returns the (..., 3, 3) matrices, not yet checked or scaled.
     """
     # From 9 rows on, the reduced SVD has the same vt as the full one and
-    # skips the (2n x 2n) U. The minimal 8x9 system needs the full SVD:
-    # its reduced form has no null-space row.
+    # skips the (2n x 2n) U. A refit on exactly 4 inliers has an 8x9
+    # system and needs the full SVD: its reduced form has no null-space
+    # row. RANSAC's minimal samples do not come here (see `_basis_maps`).
     _, _, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
     hn = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
     return np.linalg.inv(t[1]) @ hn @ t[0]
@@ -244,7 +247,7 @@ def _dlt_matrix(pair: np.ndarray) -> np.ndarray:
         collinear = _collinear(pair[0]) or _collinear(pair[1])
     if collinear:
         raise DegenerateConfiguration("correspondence points are collinear")
-    t, spread = _hartley(pair)
+    t, spread, _ = _hartley(pair)
     if (spread <= 0.0).any():
         raise DegenerateConfiguration("all points coincide")
     if not np.isfinite(spread).all():
@@ -379,6 +382,52 @@ def _draw_samples(rng: np.random.Generator, pool: list[int], size: int) -> np.nd
     return np.array(samples)
 
 
+# Corners j, k of the cross products c_i = p_j x p_k, i = 0, 1, 2, of
+# `_basis_maps`: the j corners, then the k corners.
+_BASIS = np.array([1, 2, 0, 2, 0, 1])
+
+
+def _basis_maps(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Raw homographies of a (2, K, 4, 2) block of Hartley-normalized
+    samples, the source samples over the destination samples, in closed
+    form; ``t`` stacks their similarities the same way.
+
+    Four points in general position fix a homography: the map between
+    the projective bases of the source and the destination sample
+    (Hartley & Zisserman, §2.3 and §4.1). With the homogeneous points
+    p_0..p_3 of a source sample, c_i = p_j x p_k for (j, k) = (1, 2),
+    (2, 0), (0, 1) and lambda_i = c_i . p_3, twice the signed area of the
+    triangle without corner i, the map in normalized coordinates is
+    H_n = sum_i (mu_i / lambda_i) q_i c_i^T, where mu_i and q_i are the
+    same quantities of the destination sample. It takes p_i to q_i for
+    i < 3, and p_3 to q_3. The pixel map is H_n with both similarities
+    undone, (s_d T_d^-1) H_n T_s, entry by entry: s_d T_d^-1 is
+    [[1, 0, -t_x], [0, 1, -t_y], [0, 0, s_d]], which needs no division,
+    and the scale of a fit is free. Elementwise numpy in a fixed order,
+    with no BLAS or LAPACK call, so a sample's bits depend neither on
+    its block nor on the BLAS kernel. Expects the caller's
+    ``np.errstate``.
+    """
+    corners = np.take(u, _BASIS, axis=-2)
+    xj, yj = corners[..., :3, 0], corners[..., :3, 1]
+    xk, yk = corners[..., 3:, 0], corners[..., 3:, 1]
+    c = np.stack((yj - yk, xk - xj, xj * yk - xk * yj), axis=-1)
+    area = c[..., 0] * u[..., 3:, 0] + c[..., 1] * u[..., 3:, 1] + c[..., 2]
+    w = area[1] / area[0]
+    # rows r of q_i scaled by w_i, against the columns of c_i: (K, 3, 3, 3)
+    wq = np.stack((w * u[1, :, :3, 0], w * u[1, :, :3, 1], w), axis=1)
+    terms = wq[..., None] * c[0][:, None]
+    hn = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2]
+    ts, td = t[0], t[1]
+    g = np.empty_like(hn)
+    g[..., :2] = hn[..., :2] * ts[:, None, 0:1, 0]
+    g[..., 2] = hn[..., 0] * ts[:, 0:1, 2] + hn[..., 1] * ts[:, 1:2, 2] + hn[..., 2]
+    raw = np.empty_like(hn)
+    raw[:, :2] = g[:, :2] - td[:, :2, 2:3] * g[:, 2:3]
+    raw[:, 2] = td[:, 0:1, 0] * g[:, 2]
+    return raw
+
+
 def _solve_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimal-sample fits of a (2, K, 4, 2) block, the K source samples
     over their destination samples, as one batched solve.
@@ -387,32 +436,28 @@ def _solve_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``Homography.from_matrix`` stores (scaled to m[2,2] == 1 where it can
     be); both matrices are zero where no fit was made. A sample is not
     solved when it is degenerate, when the spread of its source or
-    destination points is zero or not finite, when its DLT system is not
-    finite, or when `geometry.screen_homographies` refuses its fit.
+    destination points is zero or not finite, when its normalized
+    coordinates are not finite, or when `geometry.screen_homographies`
+    refuses its fit.
 
-    The block is screened for degenerate samples, normalized and turned
-    into 8x9 DLT systems in one stack each, unsolved samples included
-    (and then dropped), and the rest go through one stacked full SVD:
-    the reduced SVD of an 8x9 system has no null-space row. A solved
-    sample's arithmetic is that of ``_dlt_matrix`` and
-    ``Homography.from_matrix`` on it alone. Expects the caller's
-    ``np.errstate``.
+    The block is screened for degenerate samples, normalized and solved
+    in closed form by `_basis_maps` in one stack each, unsolved samples
+    included (their matrices are then zeroed), with no SVD: the divisors
+    of the closed form are the triangle areas that the degenerate screen
+    bounds away from 0. A solved sample's arithmetic is that of the
+    sample alone. Expects the caller's ``np.errstate``.
     """
-    k = pts.shape[1]
-    raw = np.zeros((k, 3, 3))
-    fits = np.zeros((k, 3, 3))
-    t, spread = _hartley(pts)
-    a = _dlt_design(pts, t)
+    t, spread, d = _hartley(pts)
+    u = d * t[..., 0:1, 0:1]
     solved = (
         ~_degenerate_samples(pts).any(axis=0)
         & ((spread > 0.0) & (spread < np.inf)).all(axis=0)
-        & np.isfinite(a).all(axis=(1, 2))
+        & np.isfinite(u).all(axis=(0, 2, 3))
     )
-    if solved.any():
-        raw[solved] = _denormalized_solve(a[solved], t[:, solved])
-        _, invertible, fits[solved], _ = screen_homographies(raw[solved])
-        solved[solved] = invertible
-    return solved, raw, fits
+    raw = _basis_maps(u, t)
+    raw[~solved] = 0.0
+    _, invertible, fits, _ = screen_homographies(raw)
+    return solved & invertible, raw, fits
 
 
 def derive_seeds(master_seed: int, *keys: int, count: int = 1) -> tuple[int, ...]:
@@ -426,7 +471,7 @@ def derive_seeds(master_seed: int, *keys: int, count: int = 1) -> tuple[int, ...
 def ransac_homography(
     matches: Matches, cfg: RansacConfig, downscale: float = 1.0
 ) -> EstimateReport:
-    """RANSAC over minimal 4-point DLT fits with adaptive termination.
+    """RANSAC over minimal 4-point fits with adaptive termination.
 
     Inliers are pairs whose symmetric transfer error is at most the
     configured threshold. The search stops once the standard confidence
@@ -451,8 +496,10 @@ def ransac_homography(
     kept within ``MIN_BLOCK`` and ``MAX_BLOCK`` samples (64 samples for
     100 matches, 24 for 1365), and no block runs past the current stop.
     The split trades the fixed cost of a block's numpy calls against the
-    SVDs of samples drawn past the stop; 24/64 was chosen by timing the
-    splits on the benchmark's registration problems. A block's swap
+    scoring of samples drawn past the stop; a sample's closed-form solve
+    costs little beside its scoring. Timing first blocks of 16 to 48 and
+    caps of 64 and 128 on the benchmark's registration problems found no
+    split faster than 24/64 outside noise on both. A block's swap
     partners come from one batched ``rng.integers`` call (see
     `_draw_samples`), so the random stream is that of one draw per swap.
     The consensus refit normalizes, checks and solves the source and

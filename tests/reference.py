@@ -41,11 +41,21 @@ the per-frame and the per-trial seed expressions (``frame_seed``,
 ``trial_seeds``) and the downscale round trip around the estimator
 (``downscaled_estimate``). The tests compare ``derive_seeds`` and
 ``ransac_homography`` at a downscale against them, bit for bit.
+
+RANSAC's minimal-sample solve is kept as it ran before the closed form:
+one stacked 8x9 DLT system per sample, its full SVD and the inverse of
+the destination similarity (``svd_solve_block``). The tests compare the
+decisions of ``skytraj.registration._solve_block`` against it: the same
+samples solved and the same inlier flags. The closed form itself is
+restated for one sample on Python floats (``basis_fit``), and the block
+solver must give its bits.
 """
 from __future__ import annotations
 
 import csv
 import math
+from functools import reduce
+from operator import add
 from fractions import Fraction
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -78,10 +88,19 @@ from skytraj.geometry import (
     Point2,
     apply_homography_array,
     pixel_to_world,
+    project_array,
+    screen_homographies,
 )
 from skytraj.kinematics import KinematicsConfig, acceleration
 from skytraj.metrics import GroupReport
-from skytraj.registration import EstimateReport, Matches, RansacConfig, ransac_homography
+from skytraj.registration import (
+    EstimateReport,
+    Matches,
+    RansacConfig,
+    _degenerate_samples,
+    _hartley,
+    ransac_homography,
+)
 from skytraj.trackmodel import Detection, TrackPoint, VideoTracks
 
 Box = tuple[float, float, float, float]  # cx, cy, w, h
@@ -891,3 +910,86 @@ def downscaled_estimate(matches: Matches, cfg: RansacConfig, rho: float) -> Esti
         report = replace(report, homography=Homography.from_matrix(s_inv @ report.homography.m @ s),
                          mean_reproj_error=report.mean_reproj_error / rho)
     return report
+
+
+# --- RANSAC minimal samples ------------------------------------------------------
+
+
+def svd_solve_block(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_solve_block`` of a (2, K, 4, 2) block as it ran on 8x9 DLT systems:
+    Hartley-normalized points projected through the similarities, one row
+    pair (x, y, 1, 0, 0, 0, -u*x, -u*y, -u), (0, 0, 0, x, y, 1, -v*x,
+    -v*y, -v) per point pair, the last row of the full SVD's vt as the
+    normalized map, and inv(T_d) @ H_n @ T_s back in pixels. Samples that
+    are degenerate, whose spread is zero or not finite or whose system is
+    not finite are not solved and keep zero matrices; the rest are solved
+    when `screen_homographies` finds them invertible."""
+    k = pts.shape[1]
+    raw = np.zeros((k, 3, 3))
+    fits = np.zeros((k, 3, 3))
+    t, spread, _ = _hartley(pts)
+    x, y, _ = project_array(t, pts)
+    a = np.zeros((k, 4, 2, 9))
+    a[..., 0, 0] = a[..., 1, 3] = x[0]
+    a[..., 0, 1] = a[..., 1, 4] = y[0]
+    a[..., 0, 2] = a[..., 1, 5] = 1.0
+    xy1 = a[..., 0, 0:3]
+    a[..., 0, 6:9] = -x[1][..., None] * xy1
+    a[..., 1, 6:9] = -y[1][..., None] * xy1
+    a = a.reshape(k, 8, 9)
+    solved = (
+        ~_degenerate_samples(pts).any(axis=0)
+        & ((spread > 0.0) & (spread < np.inf)).all(axis=0)
+        & np.isfinite(a).all(axis=(1, 2))
+    )
+    if solved.any():
+        _, _, vt = np.linalg.svd(a[solved])
+        hn = vt[:, -1, :].reshape(-1, 3, 3)
+        ts = t[:, solved]
+        raw[solved] = np.linalg.inv(ts[1]) @ hn @ ts[0]
+        _, invertible, fits[solved], _ = screen_homographies(raw[solved])
+        solved[solved] = invertible
+    return solved, raw, fits
+
+
+def basis_fit(src: Sequence[Sequence[float]], dst: Sequence[Sequence[float]]) -> np.ndarray:
+    """The raw closed-form homography of one minimal sample, four (x, y)
+    source points and their destinations, on Python floats.
+
+    Each side is Hartley-normalized: the centroid and the mean distance
+    from it as sums in point order, divided by 4, and the centred points
+    times s = sqrt(2) / mean distance. With c_i = p_j x p_k for
+    (j, k) = (1, 2), (2, 0), (0, 1) and the areas lambda_i = c_i . p_3 of
+    the source, and mu_i, q_i those of the destination, the normalized
+    map is sum_i (mu_i / lambda_i) q_i c_i^T, summed over i in order.
+    It is returned as [[1, 0, -t_x], [0, 1, -t_y], [0, 0, s]] of the
+    destination times the map times [[s, 0, t_x], [0, s, t_y], [0, 0, 1]]
+    of the source, t = -s * centroid, each product written out without
+    its zero terms."""
+    sides = []
+    for pts in (src, dst):
+        pts = [(float(x), float(y)) for x, y in pts]
+        cx = reduce(add, [x for x, _ in pts]) / 4
+        cy = reduce(add, [y for _, y in pts]) / 4
+        d = [(x - cx, y - cy) for x, y in pts]
+        spread = reduce(add, [math.sqrt(dx * dx + dy * dy) for dx, dy in d]) / 4
+        s = math.sqrt(2.0) / spread
+        u = [(dx * s, dy * s) for dx, dy in d]
+        x3, y3 = u[3]
+        c = []
+        for j, k in ((1, 2), (2, 0), (0, 1)):
+            (xj, yj), (xk, yk) = u[j], u[k]
+            c.append((yj - yk, xk - xj, xj * yk - xk * yj))
+        areas = [c0 * x3 + c1 * y3 + c2 for c0, c1, c2 in c]
+        sides.append((s, -s * cx, -s * cy, u, c, areas))
+    (s_s, tx_s, ty_s, _, c, lam), (s_d, tx_d, ty_d, q, _, mu) = sides
+    w = [m / l for m, l in zip(mu, lam)]
+    wq = ([w[i] * q[i][0] for i in range(3)], [w[i] * q[i][1] for i in range(3)], w)
+    hn = [[(row[0] * c[0][col] + row[1] * c[1][col]) + row[2] * c[2][col] for col in range(3)]
+          for row in wq]
+    g = [(h[0] * s_s, h[1] * s_s, h[0] * tx_s + h[1] * ty_s + h[2]) for h in hn]
+    return np.array([
+        [g[0][col] - tx_d * g[2][col] for col in range(3)],
+        [g[1][col] - ty_d * g[2][col] for col in range(3)],
+        [s_d * g[2][col] for col in range(3)],
+    ])

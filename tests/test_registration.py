@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import columns_of, make_point, translation
-from reference import apply_homography, downscaled_estimate, frame_seed, trial_seeds
+from reference import (
+    apply_homography,
+    basis_fit,
+    downscaled_estimate,
+    frame_seed,
+    svd_solve_block,
+    trial_seeds,
+)
 from skytraj.errors import (
     DegenerateConfiguration,
     InsufficientPoints,
@@ -948,8 +955,10 @@ class TestKernelsAtTheirEdges:
     def test_solve_block_refuses_samples_it_cannot_normalize(self, monkeypatch):
         """Samples whose points coincide (spread 0), whose spread overflows
         or holds a NaN are not solved and leave zero matrices; the others
-        get the bits of `dlt_homography`. The spread and design checks
-        refuse them even where the degenerate-sample screen lets them by."""
+        get the bits of the closed form on Python floats
+        (`reference.basis_fit`) and agree with `dlt_homography` to 1e-9.
+        The spread and coordinate checks refuse them even where the
+        degenerate-sample screen lets them by."""
         rng = np.random.default_rng(8)
         src = rng.uniform(0, 100, (1, 3, 4, 2))
         good = np.concatenate([src, src + rng.normal(0, 2, src.shape)])
@@ -958,7 +967,11 @@ class TestKernelsAtTheirEdges:
         nan = good[:, 2:3].copy()
         nan[1, 0, 2, 0] = np.nan
         pts = np.concatenate([good, coincide, huge, nan], axis=1)
-        fits = [dlt_homography(pts[0, j], pts[1, j]).m.tobytes() for j in range(3)]
+        closed = [basis_fit(pts[0, j].tolist(), pts[1, j].tolist()) for j in range(3)]
+        fits = [Homography.from_matrix(m).m for m in closed]
+        for fit, j in zip(fits, range(3)):
+            svd = dlt_homography(pts[0, j], pts[1, j]).m
+            assert np.abs(fit - svd).max() <= 1e-9 * np.abs(svd).max()
         for screen in (True, False):
             if not screen:
                 monkeypatch.setattr(registration, "_degenerate_samples",
@@ -967,7 +980,8 @@ class TestKernelsAtTheirEdges:
                 solved, raw, stored = registration._solve_block(pts)
             assert solved.tolist() == [True, True, True, False, False, False]
             assert not raw[3:].any() and not stored[3:].any()
-            assert [m.tobytes() for m in stored[:3]] == fits
+            assert [m.tobytes() for m in raw[:3]] == [m.tobytes() for m in closed]
+            assert [m.tobytes() for m in stored[:3]] == [m.tobytes() for m in fits]
 
     def test_collinear_matches_the_svd_decision(self):
         rng = np.random.default_rng(5)
@@ -1001,6 +1015,94 @@ class TestKernelsAtTheirEdges:
             decisions.append(want)
         assert {True, False} <= set(decisions)
         assert any(isinstance(d, tuple) for d in decisions)
+
+
+class TestClosedFormDecidesAsTheSvd:
+    """The closed-form minimal solve solves exactly the samples that the
+    SVD route (`reference.svd_solve_block`) solved, and the fits of the
+    two flag the same inliers, on edge-case samples and on blocks drawn
+    as the estimator draws them."""
+
+    @staticmethod
+    def check(pts, src, dst, eta):
+        with np.errstate(all="ignore"):
+            solved, _, fits = registration._solve_block(pts)
+            want, _, svd_fits = svd_solve_block(pts)
+        assert solved.tolist() == want.tolist()
+        flags = _inlier_flags(fits[solved], src, dst, eta)
+        assert flags.tolist() == _inlier_flags(svd_fits[solved], src, dst, eta).tolist()
+        return solved, flags
+
+    def test_edge_samples(self):
+        """Every second destination sample is its source sample mapped
+        through one projective map, the rest are edge samples of their
+        own; the fits are scored on matches of that map."""
+        rng = np.random.default_rng(34)
+        src = _edge_samples(rng, 6000)
+        dst = _edge_samples(rng, 6000)
+        m = np.eye(3) + rng.normal(0, [[0.05, 0.05, 1.0], [0.05, 0.05, 1.0], [2e-3, 2e-3, 0]])
+        x, y, _ = project_array(m, src[0::2])
+        dst[0::2] = np.stack((x, y), axis=-1) + rng.normal(0, 1e-3, x.shape + (2,))
+        points = rng.uniform(-10.0, 10.0, (300, 2))
+        x, y, _ = project_array(m, points)
+        mapped = np.column_stack((x, y)) + rng.normal(0, 0.02, (300, 2))
+        mapped[200:] = rng.uniform(-10.0, 10.0, (100, 2))
+        solved, flags = self.check(np.stack((src, dst)), points, mapped, 0.1)
+        assert 0 < solved.sum() < len(solved)
+        counts = flags.sum(axis=1)
+        assert counts.max() >= 150 and (counts < 4).any()
+
+    def test_random_blocks(self):
+        """240 blocks of 64 samples from problems of 100 and 1200 matches
+        with 30% outliers; every fifth problem has a collinear half."""
+        solved_total = best = 0
+        for i in range(240):
+            n = (100, 1200)[i % 2]
+            corrs = _problem(3400 + i, n, 0.3, "collinear" if i % 5 == 0 else "plain")
+            pair = np.stack((corrs.src, corrs.dst))
+            samples = _draw_samples(np.random.default_rng(i), list(range(n)), 64)
+            solved, flags = self.check(np.take(pair, samples, axis=1), corrs.src, corrs.dst, 2.0)
+            solved_total += solved.sum()
+            best = max(best, flags.sum(axis=1).max() / n)
+        assert 0.6 * 240 * 64 < solved_total < 240 * 64
+        assert best >= 0.65
+
+
+class TestRefitFallback:
+    """When the consensus refit fails, the estimate is the best sample's
+    closed-form fit with that sample's flags: the one path whose bits are
+    not those of the SVD estimator. They agree with its fit to 1e-9."""
+
+    @pytest.mark.parametrize("seed, n, variant", [
+        (0, 100, "plain"), (1, 100, "collinear"), (2, 100, "duplicate"),
+        (3, 30, "plain"), (4, 1500, "plain"),
+    ])
+    def test_returns_the_best_sample(self, seed, n, variant, monkeypatch):
+        corrs = _problem(4300 + seed, n, 0.3, variant)
+        cfg = RansacConfig(seed=seed)
+        minimal, svd_fit = [], _ref_dlt
+
+        def svd_minimal_fits_only(src, dst, check_collinear=True):
+            if check_collinear:  # the reference's refit
+                raise DegenerateConfiguration("refit refused")
+            h = svd_fit(src, dst, check_collinear=False)
+            minimal.append((src, dst, h))
+            return h
+
+        def refused(pair):
+            raise DegenerateConfiguration("refit refused")
+
+        monkeypatch.setattr(sys.modules[__name__], "_ref_dlt", svd_minimal_fits_only)
+        want_h, want_flags, want_it, want_err = _ref_ransac(corrs, cfg)
+        monkeypatch.setattr(registration, "_fit", refused)
+        report = ransac_homography(corrs, cfg)
+        src, dst = next((s, d) for s, d, h in minimal if h is want_h)
+        closed = Homography.from_matrix(basis_fit(src.tolist(), dst.tolist()))
+        assert report.homography.m.tobytes() == closed.m.tobytes()
+        assert report.inlier_flags.tolist() == want_flags.tolist()
+        assert report.iterations_run == want_it
+        assert np.abs(closed.m - want_h.m).max() <= 1e-9 * np.abs(want_h.m).max()
+        assert report.mean_reproj_error == pytest.approx(want_err, rel=1e-9)
 
 
 def _refit_sets():
