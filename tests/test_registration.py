@@ -969,7 +969,7 @@ class TestKernelsAtTheirEdges:
         pts = np.concatenate([good, coincide, huge, nan], axis=1)
         closed = [basis_fit(pts[0, j].tolist(), pts[1, j].tolist()) for j in range(3)]
         fits = [Homography.from_matrix(m).m for m in closed]
-        for fit, j in zip(fits, range(3)):
+        for j, fit in enumerate(fits):
             svd = dlt_homography(pts[0, j], pts[1, j]).m
             assert np.abs(fit - svd).max() <= 1e-9 * np.abs(svd).max()
         for screen in (True, False):
